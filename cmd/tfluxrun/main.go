@@ -114,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		kernels      = fs.Int("kernels", 4, "kernels / cores / SPEs (total across nodes for dist)")
 		nodes        = fs.Int("nodes", 2, "worker nodes (dist platform)")
 		unroll       = fs.Int("unroll", 8, "loop unroll factor (DThread granularity)")
-		tsuShards    = fs.Int("tsu-shards", 0, "soft platform: shard the software TSU across N kernel-stepped shards (0 or 1 = legacy dedicated emulator)")
+		tsuShards    = fs.Int("tsu-shards", 0, "soft platform: shard the software TSU across N kernel-stepped shards (0 or 1 = the dedicated emulator goroutine)")
 		tsuMap       = fs.String("tsu-map", "", "TKT context→kernel mapping policy: range|rr|locality (soft/hard/cell; empty = closed-form range split)")
 		reps         = fs.Int("reps", 3, "repetitions for native measurements (min taken)")
 		dotOut       = fs.String("dot", "", "write the Synchronization Graph in DOT format to this file and exit")
@@ -282,7 +282,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var rec *obs.Recorder
 	var sink obs.Sink
 	var reg *obs.Registry
-	if *traceOut != "" || *metrics {
+	if *traceOut != "" || *metrics || (*gantt && *platform == "soft") {
 		rec = obs.NewRecorder()
 		sink = rec
 	}
@@ -350,15 +350,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var parT time.Duration
 		switch *platform {
 		case "soft":
-			var tracer *rts.Tracer
-			if *gantt {
-				tracer = rts.NewTracer()
-			}
 			best := time.Duration(0)
 			var last *rts.Stats
 			for r := 0; r < *reps; r++ {
 				job.ResetOutput()
-				st, err := rts.Run(prog, rts.Options{Kernels: *kernels, TSUShards: *tsuShards, TSUMapping: mapping, Trace: tracer, Obs: sink, Metrics: reg})
+				st, err := rts.Run(prog, rts.Options{Kernels: *kernels, TSUShards: *tsuShards, TSUMapping: mapping, Obs: sink, Metrics: reg})
 				if err != nil {
 					return fail(err)
 				}
@@ -372,8 +368,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "tsu:        %d shards, %d cross-shard decrement(s), per-shard fires %v\n",
 					last.Shards, last.CrossShardDecrements, last.ShardFired)
 			}
-			if *gantt && tracer != nil {
-				if err := tracer.Gantt(stdout, *kernels, 72); err != nil {
+			if *gantt {
+				if err := obs.WriteGantt(stdout, rec.Events(), *kernels, 72); err != nil {
 					return fail(err)
 				}
 			}

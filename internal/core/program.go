@@ -106,23 +106,6 @@ func (b *Block) TotalInstances() int64 {
 	return n
 }
 
-// MaxThreadID returns the highest template ID used by the program, so that
-// the TSU can size its direct-indexed tables. The second result is false
-// for a program with no templates.
-func (p *Program) MaxThreadID() (ThreadID, bool) {
-	var max ThreadID
-	found := false
-	for _, b := range p.Blocks {
-		for _, t := range b.Templates {
-			if !found || t.ID > max {
-				max = t.ID
-			}
-			found = true
-		}
-	}
-	return max, found
-}
-
 // ValidationError reports a structural problem found by Validate.
 type ValidationError struct {
 	Program string

@@ -229,17 +229,6 @@ func TestInDegrees(t *testing.T) {
 	}
 }
 
-func TestMaxThreadID(t *testing.T) {
-	p := linearProgram(2)
-	id, ok := p.MaxThreadID()
-	if !ok || id != 3 {
-		t.Fatalf("MaxThreadID = %d,%v want 3,true", id, ok)
-	}
-	if _, ok := NewProgram("x").MaxThreadID(); ok {
-		t.Fatal("MaxThreadID on empty program reported ok")
-	}
-}
-
 func TestBlockTotalInstances(t *testing.T) {
 	p := linearProgram(7)
 	if n := p.Blocks[0].TotalInstances(); n != 9 {

@@ -122,38 +122,3 @@ func (Nop) Record(Event) {}
 
 // Now implements Sink.
 func (Nop) Now() time.Duration { return 0 }
-
-// multi fans Record out to several sinks; Now follows the first.
-type multi []Sink
-
-func (m multi) Begin() {
-	for _, s := range m {
-		s.Begin()
-	}
-}
-
-func (m multi) Record(e Event) {
-	for _, s := range m {
-		s.Record(e)
-	}
-}
-
-func (m multi) Now() time.Duration { return m[0].Now() }
-
-// Multi combines sinks, dropping nils. It returns nil when none remain,
-// the sink itself when one remains, and a fan-out sink otherwise.
-func Multi(sinks ...Sink) Sink {
-	var out multi
-	for _, s := range sinks {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
-}

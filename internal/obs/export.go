@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -197,6 +198,65 @@ func WriteSummary(w io.Writer, events []Event, lanes int) error {
 		fmt.Fprintf(tw, "%s\t%d\t%s\t%d\n", k, kindCount[k], kindDur[k], kindBytes[k])
 	}
 	return tw.Flush()
+}
+
+// WriteGantt renders the ThreadComplete events as an ASCII chart, one row
+// per lane in [0, lanes), time flowing left to right across width columns.
+// Application DThreads fill their span with '#', Inlet/Outlet service
+// threads with 's'; '.' is idle time. Useful for eyeballing load balance
+// and serial bottlenecks:
+//
+//	k0 |####..####################ss|
+//	k1 |..########..................|
+func WriteGantt(w io.Writer, events []Event, lanes, width int) error {
+	if width < 10 {
+		width = 10
+	}
+	var span time.Duration
+	var threads int
+	for _, e := range events {
+		if e.Kind != ThreadComplete {
+			continue
+		}
+		threads++
+		if e.End() > span {
+			span = e.End()
+		}
+	}
+	if span == 0 {
+		_, err := fmt.Fprintln(w, "(no events)")
+		return err
+	}
+	col := func(d time.Duration) int {
+		c := int(int64(d) * int64(width) / int64(span))
+		if c >= width {
+			c = width - 1
+		}
+		return c
+	}
+	rows := make([][]byte, lanes)
+	for k := range rows {
+		rows[k] = bytes.Repeat([]byte{'.'}, width)
+	}
+	for _, e := range events {
+		if e.Kind != ThreadComplete || e.Lane < 0 || e.Lane >= lanes {
+			continue
+		}
+		mark := byte('#')
+		if e.Service {
+			mark = 's'
+		}
+		for c := col(e.Start); c <= col(e.End()); c++ {
+			rows[e.Lane][c] = mark
+		}
+	}
+	for k, row := range rows {
+		if _, err := fmt.Fprintf(w, "k%-2d |%s|\n", k, row); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "span %s, %d events ('#' app, 's' inlet/outlet, '.' idle)\n", span, threads)
+	return err
 }
 
 // WriteEventCSV exports events as CSV in SortEvents order:

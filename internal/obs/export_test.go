@@ -137,6 +137,30 @@ func TestWriteSummary(t *testing.T) {
 	}
 }
 
+func TestWriteGantt(t *testing.T) {
+	var sb strings.Builder
+	if err := WriteGantt(&sb, fixedEvents(), 2, 10); err != nil {
+		t.Fatal(err)
+	}
+	// Lane 0 runs an app thread over 1–4 ms and a service thread over
+	// 5–6 ms of the 6 ms span; lane 1 an app thread over 1–3 ms. Events of
+	// other kinds leave no mark.
+	want := "k0  |.######.ss|\n" +
+		"k1  |.#####....|\n" +
+		"span 6ms, 3 events ('#' app, 's' inlet/outlet, '.' idle)\n"
+	if sb.String() != want {
+		t.Fatalf("gantt:\n%s\nwant:\n%s", sb.String(), want)
+	}
+	// No thread executions: the placeholder, not an empty chart.
+	sb.Reset()
+	if err := WriteGantt(&sb, []Event{{Kind: TSUCommand, Dur: time.Millisecond}}, 1, 20); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "no events") {
+		t.Fatalf("empty gantt: %q", sb.String())
+	}
+}
+
 func TestWriteEventCSV(t *testing.T) {
 	var sb strings.Builder
 	if err := WriteEventCSV(&sb, fixedEvents()); err != nil {

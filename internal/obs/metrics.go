@@ -312,40 +312,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// QuantileBound returns the smallest bucket upper bound covering the
-// given quantile of samples — the bucketed estimate service dashboards
-// report as p50/p99. Nil-receiver-safe.
-func (h *Histogram) QuantileBound(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	return h.quantileBound(q)
-}
-
-// quantileBound returns the smallest bucket upper bound covering the
-// given quantile of samples (the overflow bucket reports the max bound).
-func (h *Histogram) quantileBound(q float64) int64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	var seen int64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen > target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			break
-		}
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // WriteSummary renders the registry as an aligned name/kind/value table
 // sorted by metric name.
 func (r *Registry) WriteSummary(w io.Writer) error {

@@ -174,22 +174,6 @@ func TestNilRegistry(t *testing.T) {
 	}
 }
 
-func TestMulti(t *testing.T) {
-	if Multi(nil, nil) != nil {
-		t.Fatal("Multi of nils should be nil")
-	}
-	a, b := NewRecorder(), NewRecorder()
-	if Multi(a, nil) != Sink(a) {
-		t.Fatal("Multi of one sink should be that sink")
-	}
-	m := Multi(a, b)
-	m.Begin()
-	m.Record(Event{Kind: TSUCommand})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("fan-out failed: %d / %d", a.Len(), b.Len())
-	}
-}
-
 func TestUtilization(t *testing.T) {
 	events := []Event{
 		{Kind: ThreadComplete, Lane: 0, Start: 0, Dur: 10 * time.Millisecond},

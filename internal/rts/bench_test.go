@@ -28,7 +28,7 @@ func benchPop(b *testing.B, policy Policy) {
 	last := inst(1, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it, ok := q.pop(last)
+		it, ok, _ := q.pop(last)
 		if !ok {
 			b.Fatal("queue closed")
 		}
@@ -54,7 +54,7 @@ func BenchmarkQueuePopLocalityHit(b *testing.B) {
 	next := core.Context(depth)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it, ok := q.pop(last)
+		it, ok, _ := q.pop(last)
 		if !ok {
 			b.Fatal("queue closed")
 		}
@@ -79,7 +79,7 @@ func BenchmarkQueueContended(b *testing.B) {
 	}()
 	last := core.Instance{}
 	for i := 0; i < b.N; i++ {
-		it, ok := q.pop(last)
+		it, ok, _ := q.pop(last)
 		if !ok {
 			b.Fatal("queue closed")
 		}
@@ -154,7 +154,7 @@ func BenchmarkRunFineGrainSteal(b *testing.B) {
 
 // BenchmarkRunFineGrainSharded is BenchmarkRunFineGrain on the sharded TSU
 // plane: no dedicated emulator, per-kernel shard stepping. Comparing its
-// k4 ns/instance against the legacy k4 number is the headline contention
+// k4 ns/instance against the single-driver k4 number is the headline contention
 // measurement of the sharding work.
 func BenchmarkRunFineGrainSharded(b *testing.B) {
 	for _, kernels := range []int{4, 8} {

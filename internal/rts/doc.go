@@ -3,29 +3,38 @@
 // §3.1–3.2), in the TFluxSoft configuration (§4.2) where the TSU is a
 // software module.
 //
-// Run launches n Kernels. A Kernel is a worker loop that requests the next
-// ready DThread from the TSU, jumps to the DThread's code, and on
-// completion performs the kernel-side half of the Post-Processing Phase:
-// it expands the completed thread's consumer arcs. What happens next
-// depends on the TSU plane:
+// Run launches n Kernels. A Kernel is one loop (runner.kernel, Figure 2):
+// request the next ready DThread, jump to its code (runner.runBody — the
+// only caller of a DThread body, which also times it), perform the
+// Post-Processing Phase, repeat; a panic in either half of an iteration
+// becomes an aborted run, not a dead process. Every
+// newly ready DThread, whoever found it ready, reaches its owner's ready
+// queue through the same stage/flush pair. Who performs the TSU side of
+// the Post-Processing Phase depends on whether the Kernel holds a lane
+// onto a sharded TSU:
 //
-//   - Legacy (default): the update record is deposited into the
-//     Thread-to-Update Buffer (TUB), and the TSU Emulator — one additional
-//     worker, mirroring the dedicated CPU of the paper's Figure 4 — drains
-//     the TUB, decrements Ready Counts in the per-kernel Synchronization
-//     Memories (locating them directly through the Thread-to-Kernel
-//     Table), and dispatches newly ready DThreads to the ready queue of
-//     their owning Kernel. Dispatch order is deterministic given a
-//     deterministic program.
+//   - No lane (default): the Kernel expands the completed thread's
+//     consumer arcs and deposits the update record into the
+//     Thread-to-Update Buffer (TUB). The TSU Emulator — one additional
+//     goroutine, mirroring the dedicated CPU of the paper's Figure 4 —
+//     drains the TUB, decrements Ready Counts in the per-kernel
+//     Synchronization Memories (locating them directly through the
+//     Thread-to-Kernel Table), and dispatches newly ready DThreads. One
+//     driver serializes every update: this is the plane the sharded one is
+//     held to by the equivalence suites.
 //
-//   - Sharded (Options.TSUShards > 1): there is no dedicated emulator.
-//     The synchronization state is partitioned into shards along TKT
-//     ownership, and each Kernel steps the shard it owns: decrements that
-//     land in its own shard are applied lock-free in place, while
-//     cross-shard decrements are batched into the owning shard's inbox (a
-//     per-shard TUB) and a kick on the owner's ready queue wakes it to
-//     drain. This removes the single serializing goroutine that bounds
-//     fine-grain scaling.
+//   - A lane (Options.TSUShards > 1): there is no emulator. The
+//     synchronization state is partitioned into shards along TKT
+//     ownership, and each Kernel steps the shard it owns at the top of its
+//     loop: decrements that land in its own shard are applied lock-free in
+//     place, while cross-shard decrements are batched into the owning
+//     shard's inbox (a per-shard TUB) and a kick on the owner's ready
+//     queue wakes it to drain. This removes the single serializing
+//     goroutine that bounds fine-grain scaling.
+//
+// A panicking body aborts the run: fail closes every ready queue, and pop
+// reports the close before any queued work, so at most one more body per
+// Kernel starts after the panic.
 //
 // The paper maps Kernels to POSIX threads; here each Kernel is a
 // goroutine, and the Go scheduler plays the role of the OS scheduler the

@@ -80,16 +80,20 @@ type readyQueue struct {
 
 	closed  bool
 	kicked  bool // a shard inbox has work for this kernel (see kick)
-	waiters int // kernels parked in pop; gates the wakeup on push
+	waiters int  // kernels parked in pop; gates the wakeup on push
 	policy  Policy
 	scan    int // arrival-distance bound for the locality preference
 
 	idle time.Duration // total time the Kernel spent blocked here
 }
 
+// queueScan is the locality policy's lookahead bound, in arrival stamps.
+const queueScan = 64
+
+// newReadyQueue builds an empty queue; scan ≤ 0 selects queueScan.
 func newReadyQueue(policy Policy, scan int) *readyQueue {
 	if scan <= 0 {
-		scan = 64
+		scan = queueScan
 	}
 	q := &readyQueue{
 		policy:   policy,
@@ -221,26 +225,10 @@ func (q *readyQueue) pick(last core.Instance) int32 {
 	return q.head
 }
 
-// push enqueues a ready instance. On a closed queue (error-path shutdown
-// racing the emulator's last batch) the instance is dropped: the run is
-// already aborted.
-func (q *readyQueue) push(inst core.Instance) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	q.enqueue(inst)
-	sig := q.waiters > 0
-	q.mu.Unlock()
-	if sig {
-		q.cond.Signal()
-	}
-}
-
 // pushBatch enqueues a whole batch of ready instances under a single lock
-// acquisition with a single wakeup — the emulator's batched-dispatch path.
-// On a closed queue the batch is dropped (the run is already aborted).
+// acquisition with a single wakeup. On a closed queue (error-path shutdown
+// racing a driver's last batch) the batch is dropped: the run is already
+// aborted.
 func (q *readyQueue) pushBatch(insts []core.Instance) {
 	if len(insts) == 0 {
 		return
@@ -273,31 +261,10 @@ func (q *readyQueue) close() {
 	q.cond.Broadcast()
 }
 
-// pop blocks until an instance is available (choosing per policy, with
-// last as the locality hint) or the queue is closed. The second result is
-// false on close. Waiting time is accumulated into q.idle.
-func (q *readyQueue) pop(last core.Instance) (core.Instance, bool) {
-	q.mu.Lock()
-	for q.count == 0 {
-		if q.closed {
-			q.mu.Unlock()
-			return core.Instance{}, false
-		}
-		start := time.Now()
-		q.waiters++
-		q.cond.Wait()
-		q.waiters--
-		q.idle += time.Since(start)
-	}
-	it := q.remove(q.pick(last))
-	q.mu.Unlock()
-	return it, true
-}
-
 // kick wakes the queue's kernel without enqueuing work: a cross-shard
 // batch landed in the shard inbox this kernel steps. The flag is set under
 // the queue mutex, so a kick can never be lost between the stepper's inbox
-// drain and its park in popKick.
+// drain and its park in pop.
 func (q *readyQueue) kick() {
 	q.mu.Lock()
 	q.kicked = true
@@ -308,28 +275,31 @@ func (q *readyQueue) kick() {
 	}
 }
 
-// popKick is pop for a shard-stepping kernel: it additionally returns
-// (ok=false, kicked=true) when the queue is empty but the kernel's shard
-// inbox needs draining, so the caller re-steps its shard instead of
-// sleeping through pending cross-shard decrements. On close it returns
-// ok=false, kicked=false.
-func (q *readyQueue) popKick(last core.Instance) (inst core.Instance, ok, kicked bool) {
+// pop blocks until an instance is available (choosing per policy, with
+// last as the locality hint), the queue is kicked, or the queue is closed.
+// A kick on an empty queue returns ok=false, closed=false: the kernel's
+// shard inbox needs draining, so the caller re-steps its shard instead of
+// sleeping through pending cross-shard decrements (a queue nobody kicks
+// never takes that exit). Close wins over queued work — an aborted run
+// must not keep executing what was already dispatched — and returns
+// ok=false, closed=true. Waiting time is accumulated into q.idle.
+func (q *readyQueue) pop(last core.Instance) (inst core.Instance, ok, closed bool) {
 	q.mu.Lock()
-	for q.count == 0 {
-		if q.closed {
-			q.mu.Unlock()
-			return core.Instance{}, false, false
-		}
+	for !q.closed && q.count == 0 {
 		if q.kicked {
 			q.kicked = false
 			q.mu.Unlock()
-			return core.Instance{}, false, true
+			return core.Instance{}, false, false
 		}
 		start := time.Now()
 		q.waiters++
 		q.cond.Wait()
 		q.waiters--
 		q.idle += time.Since(start)
+	}
+	if q.closed {
+		q.mu.Unlock()
+		return core.Instance{}, false, true
 	}
 	// Taking work also consumes any pending kick: the caller steps its
 	// shard on every loop iteration anyway.
@@ -355,7 +325,7 @@ func (q *readyQueue) trySteal() (core.Instance, bool) {
 		return core.Instance{}, false
 	}
 	defer q.mu.Unlock()
-	if q.count == 0 {
+	if q.count == 0 || q.closed {
 		return core.Instance{}, false
 	}
 	return q.remove(q.tail), true
@@ -372,7 +342,7 @@ func (q *readyQueue) tryPop(last core.Instance) (core.Instance, bool) {
 }
 
 // popTimeout is like pop but wakes after at most wait so a stealing kernel
-// can rescan its victims; ok=false only on close. The wait is cut short
+// can rescan its victims; closed=true only on close. The wait is cut short
 // the moment the queue closes (closedCh), so an error-path shutdown never
 // sits out the backoff.
 func (q *readyQueue) popTimeout(last core.Instance, wait time.Duration) (core.Instance, bool, bool) {

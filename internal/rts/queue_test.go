@@ -11,22 +11,25 @@ func inst(t core.ThreadID, c core.Context) core.Instance {
 	return core.Instance{Thread: t, Ctx: c}
 }
 
+// push enqueues one instance: the runtime only ever publishes batches.
+func (q *readyQueue) push(in core.Instance) { q.pushBatch([]core.Instance{in}) }
+
 func TestQueueLocalityPrefersNextContext(t *testing.T) {
 	q := newReadyQueue(PolicyLocality, 0)
 	q.push(inst(9, 0))
 	q.push(inst(5, 7))
 	q.push(inst(5, 3))
-	got, ok := q.pop(inst(5, 2)) // last executed T5.2
+	got, ok, _ := q.pop(inst(5, 2)) // last executed T5.2
 	if !ok || got != inst(5, 3) {
 		t.Fatalf("pop = %v, want T5.3", got)
 	}
 	// No next-context match left: falls back to same template.
-	got, ok = q.pop(inst(5, 3))
+	got, ok, _ = q.pop(inst(5, 3))
 	if !ok || got != inst(5, 7) {
 		t.Fatalf("pop = %v, want T5.7 (same template)", got)
 	}
 	// Nothing matches: FIFO.
-	got, ok = q.pop(inst(5, 7))
+	got, ok, _ = q.pop(inst(5, 7))
 	if !ok || got != inst(9, 0) {
 		t.Fatalf("pop = %v, want T9.0", got)
 	}
@@ -38,7 +41,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 		q.push(inst(1, i))
 	}
 	for i := core.Context(0); i < 5; i++ {
-		got, _ := q.pop(core.Instance{})
+		got, _, _ := q.pop(core.Instance{})
 		if got != inst(1, i) {
 			t.Fatalf("pop %d = %v", i, got)
 		}
@@ -51,7 +54,7 @@ func TestQueueLIFOOrder(t *testing.T) {
 		q.push(inst(1, i))
 	}
 	for i := core.Context(4); ; i-- {
-		got, _ := q.pop(core.Instance{})
+		got, _, _ := q.pop(core.Instance{})
 		if got != inst(1, i) {
 			t.Fatalf("pop = %v, want ctx %d", got, i)
 		}
@@ -65,7 +68,7 @@ func TestQueueCloseUnblocksPop(t *testing.T) {
 	q := newReadyQueue(PolicyLocality, 0)
 	done := make(chan bool)
 	go func() {
-		_, ok := q.pop(core.Instance{})
+		_, ok, _ := q.pop(core.Instance{})
 		done <- ok
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -87,7 +90,7 @@ func TestQueuePushAfterCloseDrops(t *testing.T) {
 	q := newReadyQueue(PolicyFIFO, 0)
 	q.close()
 	q.push(inst(1, 0)) // must not panic
-	if _, ok := q.pop(core.Instance{}); ok {
+	if _, ok, _ := q.pop(core.Instance{}); ok {
 		t.Fatal("pop returned item pushed after close")
 	}
 }
@@ -97,7 +100,7 @@ func TestQueueScanBound(t *testing.T) {
 	q.push(inst(1, 0))
 	q.push(inst(1, 1))
 	q.push(inst(5, 3)) // the locality match, but beyond scan depth 2
-	got, _ := q.pop(inst(5, 2))
+	got, _, _ := q.pop(inst(5, 2))
 	if got != inst(1, 0) {
 		t.Fatalf("pop = %v, want FIFO head when match is beyond scan bound", got)
 	}
@@ -109,7 +112,7 @@ func TestQueuePushBatchPreservesArrivalOrder(t *testing.T) {
 	q.pushBatch([]core.Instance{inst(1, 1), inst(1, 2), inst(1, 3)})
 	q.pushBatch(nil) // no-op
 	for i := core.Context(0); i < 4; i++ {
-		got, ok := q.pop(core.Instance{})
+		got, ok, _ := q.pop(core.Instance{})
 		if !ok || got != inst(1, i) {
 			t.Fatalf("pop = %v, %v; want T1.%d", got, ok, i)
 		}
@@ -136,13 +139,13 @@ func TestQueueLocalityInterleavedTemplates(t *testing.T) {
 	}
 	last := inst(3, 0)
 	// T3.1 arrives at position 9 of 32; a next-context walk must pick it.
-	got, ok := q.pop(last)
+	got, ok, _ := q.pop(last)
 	if !ok || got != inst(3, 1) {
 		t.Fatalf("pop = %v, want T3.1", got)
 	}
 	// Popping every context of T3 in sequence keeps hitting.
 	for c := core.Context(2); c < 8; c++ {
-		got, ok = q.pop(inst(3, c-1))
+		got, ok, _ = q.pop(inst(3, c-1))
 		if !ok || got != inst(3, c) {
 			t.Fatalf("pop = %v, want T3.%d", got, c)
 		}
@@ -159,11 +162,11 @@ func TestQueueStealTakesNewestAndReindexes(t *testing.T) {
 		t.Fatalf("steal = %v, want newest T2.6", got)
 	}
 	// The remaining T2.5 is still indexed and found as a next-context hit.
-	got, ok = q.pop(inst(2, 4))
+	got, ok, _ = q.pop(inst(2, 4))
 	if !ok || got != inst(2, 5) {
 		t.Fatalf("pop = %v, want T2.5", got)
 	}
-	got, ok = q.pop(inst(2, 5))
+	got, ok, _ = q.pop(inst(2, 5))
 	if !ok || got != inst(1, 0) {
 		t.Fatalf("pop = %v, want T1.0", got)
 	}
@@ -197,7 +200,7 @@ func TestQueueReusesFreedNodes(t *testing.T) {
 	q := newReadyQueue(PolicyLocality, 0)
 	q.push(inst(1, 0))
 	for i := 0; i < 1000; i++ {
-		it, ok := q.pop(inst(1, 0))
+		it, ok, _ := q.pop(inst(1, 0))
 		if !ok {
 			t.Fatal("queue closed")
 		}

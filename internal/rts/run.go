@@ -2,7 +2,6 @@ package rts
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -13,22 +12,22 @@ import (
 
 // Options configures a TFluxSoft run.
 type Options struct {
-	// Kernels is the number of worker loops executing DThreads. In the
-	// legacy (unsharded) mode the TSU emulator is one extra goroutine on
-	// top of them, mirroring the CPU the paper dedicates to it; with
-	// TSUShards > 1 there is no extra goroutine — readiness bookkeeping is
-	// stepped by the kernels themselves. Zero selects 1.
+	// Kernels is the number of worker loops executing DThreads. On the
+	// single-driver plane the TSU emulator is one extra goroutine on top of
+	// them, mirroring the CPU the paper dedicates to it; with TSUShards > 1
+	// there is no extra goroutine — readiness bookkeeping is stepped by the
+	// kernels themselves. Zero selects 1.
 	Kernels int
 	// TSUShards selects the sharded TSU plane: N > 1 partitions the
 	// readiness bookkeeping into N shards (clamped to Kernels), each
 	// stepped lock-free by one kernel, with cross-shard decrements batched
-	// through per-shard inbox TUBs. 0 or 1 keeps the legacy dedicated
-	// emulator goroutine, whose dispatch order is deterministic — the
-	// replay tooling and the simulated platforms pin that path.
+	// through per-shard inbox TUBs. 0 or 1 keeps the dedicated emulator
+	// goroutine: one driver serializes every Ready Count update, which is
+	// what the sharded plane's equivalence suites compare against.
 	TSUShards int
 	// TSUMapping overrides the context→kernel assignment policy (the TKT
-	// contents). Nil keeps the paper's chunked range split. Works in both
-	// the legacy and the sharded mode.
+	// contents). Nil keeps the paper's chunked range split. Works on both
+	// planes.
 	TSUMapping tsu.Mapping
 	// TSUTables, when non-nil, supplies pre-built frozen TSU tables: the
 	// run acquires a snapshot-backed State from them (skipping table
@@ -41,13 +40,8 @@ type Options struct {
 	TUB tsu.TUBConfig
 	// Policy is the ready-queue scheduling policy (default locality).
 	Policy Policy
-	// QueueScan bounds the locality policy's lookahead (default 64).
-	QueueScan int
-	// Trace, when non-nil, records a per-kernel execution timeline.
-	Trace *Tracer
 	// Obs, when non-nil, receives the full typed event stream (thread
-	// executions, TSU commands, TUB deposits) on top of — or instead of —
-	// Trace. Both may be set; events fan out to both.
+	// executions, TSU commands, TUB deposits).
 	Obs obs.Sink
 	// Metrics, when non-nil, receives runtime counters, the ready-queue
 	// depth gauge and the per-thread latency histogram, plus end-of-run
@@ -56,10 +50,6 @@ type Options struct {
 	// TSUSize caps the number of DThread instances a single DDM Block may
 	// hold (the TSU's slot count, §2). Zero means unlimited.
 	TSUSize int64
-	// PinEmulator binds the TSU-emulator goroutine to an OS thread
-	// (runtime.LockOSThread), approximating the paper's dedication of one
-	// CPU to the TSU Emulation process (Figure 4).
-	PinEmulator bool
 	// Steal lets an idle Kernel execute ready DThreads queued for other
 	// Kernels. The paper's TSU binds each DThread to one kernel through
 	// the TKT; stealing is an ablation of that static distribution —
@@ -80,12 +70,12 @@ type Stats struct {
 	Service []int64
 	// Idle is per-kernel time spent blocked waiting for a ready DThread.
 	Idle []time.Duration
-	// Shards is the TSU shard count (0 for the legacy emulator). With
+	// Shards is the TSU shard count (0 for the dedicated emulator). With
 	// shards, TUB reports the cross-shard inbox traffic instead of the
 	// global buffer's.
 	Shards int
 	// CrossShardDecrements counts Ready Count decrements that crossed a
-	// shard boundary through an inbox (0 for the legacy emulator).
+	// shard boundary through an inbox (0 for the dedicated emulator).
 	CrossShardDecrements int64
 	// ShardFired is the per-shard count of instances fired into each
 	// shard's ownership — the occupancy/imbalance measure.
@@ -130,16 +120,13 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 	if shards > opt.Kernels {
 		shards = opt.Kernels
 	}
-	var traceSink obs.Sink
-	if opt.Trace != nil {
-		traceSink = opt.Trace.Recorder()
-	}
 	r := &runner{
 		state:   state,
 		queues:  make([]*readyQueue, opt.Kernels),
 		pend:    make([][]core.Instance, opt.Kernels),
 		stop:    make(chan struct{}),
-		sink:    obs.Multi(traceSink, opt.Obs),
+		sink:    opt.Obs,
+		steal:   opt.Steal,
 		tsuLane: opt.Kernels, // first TSU lane: the emulator's (Figure 4), or shard 0's
 	}
 	if shards > 1 {
@@ -167,7 +154,7 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 		}
 	}
 	for i := range r.queues {
-		r.queues[i] = newReadyQueue(opt.Policy, opt.QueueScan)
+		r.queues[i] = newReadyQueue(opt.Policy, queueScan)
 	}
 	stats := &Stats{
 		Kernels:  opt.Kernels,
@@ -177,35 +164,28 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 	}
 
 	start := time.Now()
+	// Bootstrap: the Inlet DThread of the first Block is the first thing a
+	// Kernel executes. It is staged before any goroutine starts, while the
+	// pending batches are still this goroutine's to touch.
+	r.stage(r.pend, []tsu.Ready{state.Start()})
+	r.flush(r.pend)
 	var wg sync.WaitGroup
 	if r.sharded == nil {
-		// Legacy plane: the TSU emulator is a dedicated goroutine, the
-		// paper's Figure 4 layout.
+		// Single-driver plane: the TSU emulator is a dedicated goroutine,
+		// the paper's Figure 4 layout.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if opt.PinEmulator {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			r.emulate()
 		}()
 	}
-	r.steal = opt.Steal
 	for k := 0; k < opt.Kernels; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			if r.sharded != nil {
-				r.kernelSharded(tsu.KernelID(k), &stats.Executed[k], &stats.Service[k])
-			} else {
-				r.kernel(tsu.KernelID(k), &stats.Executed[k], &stats.Service[k])
-			}
+			r.kernel(tsu.KernelID(k), &stats.Executed[k], &stats.Service[k])
 		}(k)
 	}
-	// Bootstrap: the Inlet DThread of the first Block is the first thing a
-	// Kernel executes.
-	r.dispatch(state.Start())
 	wg.Wait()
 
 	stats.Elapsed = time.Since(start)
@@ -274,18 +254,19 @@ func publishMetrics(reg *obs.Registry, stats *Stats) {
 
 type runner struct {
 	state *tsu.State
-	// Exactly one of tub/sharded is set: tub feeds the legacy dedicated
-	// emulator, sharded is the per-kernel-stepped shard plane.
+	// Exactly one of tub/sharded is set: tub feeds the dedicated emulator
+	// goroutine, sharded is the per-kernel-stepped shard plane.
 	tub     *tsu.TUB
 	sharded *tsu.ShardedState
 	queues  []*readyQueue
 	steal   bool
 
-	// pend accumulates per-kernel ready batches across one TUB drain
-	// cycle; flush publishes each batch under a single queue-lock
-	// acquisition with a single wakeup. ready is the reusable Decrement/
+	// pend accumulates the emulator's per-kernel ready batches across one
+	// TUB drain cycle; flush publishes each batch under a single queue-lock
+	// acquisition with a single wakeup. ready is its reusable Decrement/
 	// Done collection buffer. Both are touched only by the emulator
-	// goroutine.
+	// goroutine (and by Run's bootstrap before it starts); a shard-stepping
+	// kernel keeps its own pair.
 	pend  [][]core.Instance
 	ready []tsu.Ready
 
@@ -329,33 +310,83 @@ func (r *runner) shutdown() {
 }
 
 // kernel is the Kernel loop of Figure 2: find a ready DThread, run its
-// code, then perform the kernel-side Post-Processing (arc expansion into
-// the TUB) and loop.
+// code, perform the Post-Processing Phase and loop. What a kernel does of
+// that phase depends on whether it holds a lane onto a sharded TSU.
+//
+// Without one, it does the kernel-side half only — arc expansion into the
+// TUB — and the emulator goroutine applies the decrements.
+//
+// With one there is no emulator: the kernel steps the TSU shard it owns at
+// the top of every iteration (applying the cross-shard decrements in its
+// inbox and dispatching whatever they fired), and performs the whole
+// Post-Processing Phase of its own completions in place. A kick on the
+// ready queue signals inbox work while the queue is empty, so pending
+// cross-shard decrements are never slept through.
 func (r *runner) kernel(k tsu.KernelID, executed, service *int64) {
+	var ln *tsu.Lane
+	var pend [][]core.Instance
+	if r.sharded != nil {
+		ln = r.sharded.Lane(k)
+		pend = make([][]core.Instance, len(r.queues))
+	}
 	q := r.queues[int(k)]
 	var last core.Instance
+	var ready []tsu.Ready
+	var targets []core.Instance
+	// execute runs one instance and its Post-Processing Phase and reports
+	// whether the kernel must exit. A panic anywhere in it — the body, a
+	// Mapping's AppendTargets during arc expansion, a TSU invariant —
+	// aborts the run (fail) instead of the process.
+	execute := func(inst core.Instance) (exit bool) {
+		defer func() {
+			if p := recover(); p != nil {
+				r.fail(fmt.Errorf("rts: DThread %v panicked on kernel %d: %v", inst, k, p))
+				exit = true
+			}
+		}()
+		r.runBody(k, inst, executed, service)
+		if ln == nil {
+			rec := r.state.AppendConsumers(r.tub.AcquireTargets(), inst)
+			r.tub.Push(tsu.Completion{Inst: inst, Kernel: k, Targets: rec})
+			return false
+		}
+		targets = r.state.AppendConsumers(targets[:0], inst)
+		t0 := r.now()
+		var done bool
+		ready, done = ln.Complete(ready[:0], inst, targets)
+		r.tsuCommand(r.tsuLane+r.sharded.ShardOf(k), inst, t0)
+		r.stage(pend, ready)
+		r.flush(pend)
+		if done {
+			r.shutdown()
+		}
+		return done
+	}
 	for {
+		if ln != nil {
+			ready = ln.Step(ready[:0])
+			r.stage(pend, ready)
+			r.flush(pend)
+		}
 		var inst core.Instance
-		var ok bool
+		var ok, closed bool
 		if r.steal {
-			var closed bool
+			// popTimeout's bounded backoff doubles as the kick: the loop
+			// re-steps the shard at least every backoff period.
 			inst, ok, closed = r.next(int(k), last)
-			if closed {
-				return
-			}
-			if !ok {
-				continue
-			}
 		} else {
-			inst, ok = q.pop(last)
-			if !ok {
-				return
-			}
+			inst, ok, closed = q.pop(last)
+		}
+		if closed {
+			return
+		}
+		if !ok {
+			continue
 		}
 		if r.mQueueDepth != nil {
 			r.mQueueDepth.Add(-1)
 		}
-		if r.execute(k, inst, executed, service) {
+		if execute(inst) {
 			return
 		}
 		last = inst
@@ -378,81 +409,18 @@ func (r *runner) next(k int, last core.Instance) (core.Instance, bool, bool) {
 	return r.queues[k].popTimeout(last, 100*time.Microsecond)
 }
 
-// kernelSharded is the Kernel loop in sharded-TSU mode: no dedicated
-// emulator exists — the kernel interleaves executing DThreads with
-// stepping the TSU shard it owns (draining its cross-shard inbox), and
-// performs the whole Post-Processing Phase of its own completions in
-// place. A kick on the ready queue signals inbox work while the queue is
-// empty, so pending cross-shard decrements are never slept through.
-func (r *runner) kernelSharded(k tsu.KernelID, executed, service *int64) {
-	ln := r.sharded.Lane(k)
-	q := r.queues[int(k)]
-	var last core.Instance
-	var ready []tsu.Ready
-	var targets []core.Instance
-	pend := make([][]core.Instance, len(r.queues))
-	for {
-		// Step boundary: apply cross-shard decrements addressed to this
-		// kernel's shard and dispatch whatever they fired.
-		ready = ln.Step(ready[:0])
-		r.dispatchReady(ready, pend)
-		var inst core.Instance
-		var ok bool
-		if r.steal {
-			// popTimeout's bounded backoff doubles as the kick: the loop
-			// re-steps the shard at least every backoff period.
-			var closed bool
-			inst, ok, closed = r.next(int(k), last)
-			if closed {
-				return
-			}
-			if !ok {
-				continue
-			}
-		} else {
-			var kicked bool
-			inst, ok, kicked = q.popKick(last)
-			if !ok {
-				if kicked {
-					continue
-				}
-				return
-			}
-		}
-		if r.mQueueDepth != nil {
-			r.mQueueDepth.Add(-1)
-		}
-		abort, done := r.executeSharded(k, ln, inst, &targets, &ready, pend, executed, service)
-		if done {
-			r.shutdown()
-			return
-		}
-		if abort {
-			return
-		}
-		last = inst
+// runBody runs one DThread body on kernel k: it times the body, records
+// its ThreadComplete event and counts it as an application or a service
+// execution. A panicking body unwinds into the kernel's recover.
+func (r *runner) runBody(k tsu.KernelID, inst core.Instance, executed, service *int64) {
+	timed := r.sink != nil || r.mThreadNS != nil
+	var t0 time.Duration
+	var start time.Time
+	if timed {
+		t0, start = r.now(), time.Now()
 	}
-}
-
-// executeSharded runs one DThread body and performs its sharded
-// Post-Processing in place: consumer expansion, own-shard decrements,
-// cross-shard routing, and completion accounting. It reports whether the
-// kernel must exit (abort: a body panicked; done: the program finished).
-func (r *runner) executeSharded(k tsu.KernelID, ln *tsu.Lane, inst core.Instance, targets *[]core.Instance, ready *[]tsu.Ready, pend [][]core.Instance, executed, service *int64) (abort, done bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.fail(fmt.Errorf("rts: DThread %v panicked on kernel %d: %v", inst, k, p))
-			abort = true
-		}
-	}()
-	body := r.state.Body(inst)
-	if r.sink != nil || r.mThreadNS != nil {
-		var t0 time.Duration
-		if r.sink != nil {
-			t0 = r.sink.Now()
-		}
-		start := time.Now()
-		body(inst.Ctx)
+	r.state.Body(inst)(inst.Ctx)
+	if timed {
 		dur := time.Since(start)
 		if r.sink != nil {
 			r.sink.Record(obs.Event{
@@ -467,24 +435,29 @@ func (r *runner) executeSharded(k tsu.KernelID, ln *tsu.Lane, inst core.Instance
 		if r.mThreadNS != nil {
 			r.mThreadNS.ObserveDuration(dur)
 		}
-	} else {
-		body(inst.Ctx)
 	}
 	if r.state.IsService(inst) {
 		*service++
 	} else {
 		*executed++
 	}
-	*targets = r.state.AppendConsumers((*targets)[:0], inst)
-	var t0 time.Duration
-	if r.sink != nil {
-		t0 = r.sink.Now()
+}
+
+// now reads the observability clock (zero when no sink is attached).
+func (r *runner) now() time.Duration {
+	if r.sink == nil {
+		return 0
 	}
-	*ready, done = ln.Complete((*ready)[:0], inst, *targets)
+	return r.sink.Now()
+}
+
+// tsuCommand records one processed completion — the TSU side of the
+// Post-Processing Phase — on the given TSU lane, t0 being when it began.
+func (r *runner) tsuCommand(lane int, inst core.Instance, t0 time.Duration) {
 	if r.sink != nil {
 		r.sink.Record(obs.Event{
 			Kind:  obs.TSUCommand,
-			Lane:  r.tsuLane + r.sharded.ShardOf(k),
+			Lane:  lane,
 			Inst:  inst,
 			Start: t0,
 			Dur:   r.sink.Now() - t0,
@@ -493,18 +466,56 @@ func (r *runner) executeSharded(k tsu.KernelID, ln *tsu.Lane, inst core.Instance
 	if r.mTSUCommands != nil {
 		r.mTSUCommands.Inc()
 	}
-	r.dispatchReady(*ready, pend)
-	return false, done
 }
 
-// dispatchReady groups a ready batch by owning kernel and publishes each
-// group under a single queue-lock acquisition. pend is the caller's
-// per-kernel scratch (each sharded kernel owns one; the batches are
-// cleared before returning).
-func (r *runner) dispatchReady(ready []tsu.Ready, pend [][]core.Instance) {
-	if len(ready) == 0 {
-		return
+// emulate is the TSU Emulator loop, the driver of a TSU with no shards:
+// drain the TUB, apply Ready Count decrements through the TKT-indexed
+// Synchronization Memories, process completions (block sequencing), and
+// publish newly ready DThreads to their owning Kernels' queues in per-drain
+// batches (one queue-lock acquisition and one wakeup per kernel per drain
+// cycle, instead of one per instance).
+func (r *runner) emulate() {
+	var recs []tsu.Completion
+	for {
+		recs = r.tub.Drain(recs[:0])
+		if len(recs) == 0 {
+			if !r.tub.Wait(r.stop) {
+				return
+			}
+			continue
+		}
+		for _, rec := range recs {
+			t0 := r.now()
+			done := r.process(rec)
+			r.tsuCommand(r.tsuLane, rec.Inst, t0)
+			if done {
+				r.shutdown()
+				return
+			}
+		}
+		r.flush(r.pend)
 	}
+}
+
+// process applies one completion record: the Post-Processing Phase of
+// Figure 2. Newly ready instances are staged into the per-kernel pending
+// batches rather than dispatched one by one. It reports whether the
+// program finished.
+func (r *runner) process(rec tsu.Completion) bool {
+	r.ready = r.ready[:0]
+	for _, tgt := range rec.Targets {
+		r.ready = r.state.DecrementInto(r.ready, tgt)
+	}
+	r.tub.ReleaseTargets(rec.Targets)
+	var programDone bool
+	r.ready, _, programDone = r.state.DoneInto(r.ready, rec.Inst, rec.Kernel)
+	r.stage(r.pend, r.ready)
+	return programDone
+}
+
+// stage records the dispatch of each ready instance and appends it to its
+// owner kernel's batch in pend, the caller's per-kernel scratch.
+func (r *runner) stage(pend [][]core.Instance, ready []tsu.Ready) {
 	for _, rd := range ready {
 		if r.sink != nil {
 			r.sink.Record(obs.Event{
@@ -522,172 +533,16 @@ func (r *runner) dispatchReady(ready []tsu.Ready, pend [][]core.Instance) {
 		}
 		pend[int(rd.Kernel)] = append(pend[int(rd.Kernel)], rd.Inst)
 	}
-	for kk, batch := range pend {
-		if len(batch) == 0 {
-			continue
-		}
-		r.queues[kk].pushBatch(batch)
-		pend[kk] = batch[:0]
-	}
 }
 
-// execute runs one DThread body and deposits its completion record. It
-// returns true when the kernel must exit (a body panicked).
-func (r *runner) execute(k tsu.KernelID, inst core.Instance, executed, service *int64) (abort bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.fail(fmt.Errorf("rts: DThread %v panicked on kernel %d: %v", inst, k, p))
-			abort = true
-		}
-	}()
-	body := r.state.Body(inst)
-	if r.sink != nil || r.mThreadNS != nil {
-		var t0 time.Duration
-		if r.sink != nil {
-			t0 = r.sink.Now()
-		}
-		start := time.Now()
-		body(inst.Ctx)
-		dur := time.Since(start)
-		if r.sink != nil {
-			r.sink.Record(obs.Event{
-				Kind:    obs.ThreadComplete,
-				Lane:    int(k),
-				Inst:    inst,
-				Start:   t0,
-				Dur:     dur,
-				Service: r.state.IsService(inst),
-			})
-		}
-		if r.mThreadNS != nil {
-			r.mThreadNS.ObserveDuration(dur)
-		}
-	} else {
-		body(inst.Ctx)
-	}
-	if r.state.IsService(inst) {
-		*service++
-	} else {
-		*executed++
-	}
-	targets := r.tub.AcquireTargets()
-	targets = r.state.AppendConsumers(targets, inst)
-	r.tub.Push(tsu.Completion{Inst: inst, Kernel: k, Targets: targets})
-	return false
-}
-
-// emulate is the TSU Emulator loop: drain the TUB, apply Ready Count
-// decrements through the TKT-indexed Synchronization Memories, process
-// completions (block sequencing), and publish newly ready DThreads to
-// their owning Kernels' queues in per-drain batches (one queue-lock
-// acquisition and one wakeup per kernel per drain cycle, instead of one
-// per instance).
-func (r *runner) emulate() {
-	var recs []tsu.Completion
-	for {
-		recs = r.tub.Drain(recs[:0])
-		if len(recs) == 0 {
-			if !r.tub.Wait(r.stop) {
-				return
-			}
-			continue
-		}
-		for _, rec := range recs {
-			var t0 time.Duration
-			if r.sink != nil {
-				t0 = r.sink.Now()
-			}
-			done := r.process(rec)
-			if r.sink != nil {
-				r.sink.Record(obs.Event{
-					Kind:  obs.TSUCommand,
-					Lane:  r.tsuLane,
-					Inst:  rec.Inst,
-					Start: t0,
-					Dur:   r.sink.Now() - t0,
-				})
-			}
-			if r.mTSUCommands != nil {
-				r.mTSUCommands.Inc()
-			}
-			if done {
-				r.shutdown()
-				return
-			}
-		}
-		r.flush()
-	}
-}
-
-// process applies one completion record: the Post-Processing Phase of
-// Figure 2. Newly ready instances are staged into the per-kernel pending
-// batches rather than dispatched one by one. It reports whether the
-// program finished.
-func (r *runner) process(rec tsu.Completion) bool {
-	r.ready = r.ready[:0]
-	for _, tgt := range rec.Targets {
-		r.ready = r.state.DecrementInto(r.ready, tgt)
-	}
-	r.tub.ReleaseTargets(rec.Targets)
-	var programDone bool
-	r.ready, _, programDone = r.state.DoneInto(r.ready, rec.Inst, rec.Kernel)
-	for _, rd := range r.ready {
-		r.stage(rd)
-	}
-	return programDone
-}
-
-// stage records the dispatch of one ready instance and appends it to its
-// owner kernel's pending batch.
-func (r *runner) stage(rd tsu.Ready) {
-	if r.sink != nil {
-		r.sink.Record(obs.Event{
-			Kind:  obs.ThreadDispatch,
-			Lane:  int(rd.Kernel),
-			Inst:  rd.Inst,
-			Start: r.sink.Now(),
-		})
-	}
-	if r.mDispatched != nil {
-		r.mDispatched.Inc()
-	}
-	if r.mQueueDepth != nil {
-		r.mQueueDepth.Add(1)
-	}
-	r.pend[int(rd.Kernel)] = append(r.pend[int(rd.Kernel)], rd.Inst)
-}
-
-// flush publishes every non-empty pending batch to its kernel's queue:
-// one lock acquisition, one wakeup per kernel per drain cycle.
-func (r *runner) flush() {
-	for k, batch := range r.pend {
+// flush publishes every non-empty batch in pend to its kernel's queue — one
+// lock acquisition and one wakeup per kernel — and clears the batches.
+func (r *runner) flush(pend [][]core.Instance) {
+	for k, batch := range pend {
 		if len(batch) == 0 {
 			continue
 		}
 		r.queues[k].pushBatch(batch)
-		r.pend[k] = batch[:0]
+		pend[k] = batch[:0]
 	}
-}
-
-// dispatch publishes a single ready instance directly (the bootstrap path,
-// called from Run's goroutine). It must not touch the pending batches:
-// those belong to the emulator goroutine, which may already be running by
-// the time the queue push returns. Steady-state dispatch goes through
-// stage/flush.
-func (r *runner) dispatch(rd tsu.Ready) {
-	if r.sink != nil {
-		r.sink.Record(obs.Event{
-			Kind:  obs.ThreadDispatch,
-			Lane:  int(rd.Kernel),
-			Inst:  rd.Inst,
-			Start: r.sink.Now(),
-		})
-	}
-	if r.mDispatched != nil {
-		r.mDispatched.Inc()
-	}
-	if r.mQueueDepth != nil {
-		r.mQueueDepth.Add(1)
-	}
-	r.queues[int(rd.Kernel)].push(rd.Inst)
 }

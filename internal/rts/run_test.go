@@ -241,16 +241,6 @@ func TestRunAffinityRespected(t *testing.T) {
 	}
 }
 
-func TestRunPinnedEmulator(t *testing.T) {
-	p, result := sumProgram(8, 10000)
-	if _, err := Run(p, Options{Kernels: 2, PinEmulator: true}); err != nil {
-		t.Fatal(err)
-	}
-	if *result != int64(10000)*(10000-1)/2 {
-		t.Fatalf("sum = %d", *result)
-	}
-}
-
 func TestRunWithWorkStealing(t *testing.T) {
 	// A pinned template floods one kernel; with stealing on, the other
 	// kernels execute most of its work anyway.

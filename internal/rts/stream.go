@@ -165,8 +165,11 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 				if p.Export != nil {
 					p.Export(win, slot)
 				}
-				wsm.Release(refs[slot])
+				// Leave the gauge before freeing the slot: the injector may
+				// re-open it at once, and the gauge must never read more
+				// windows than there are slots.
 				gInflight.Add(-1)
+				wsm.Release(refs[slot])
 				cRetired.Inc()
 				if r := retired.Add(1); injDone.Load() && r == opened.Load() {
 					closeWork()

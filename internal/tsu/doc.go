@@ -8,7 +8,15 @@
 // Group; the units of the group split into per-kernel state and global
 // state (paper §3.3).
 //
-// This package separates the TSU into three layers:
+// This package separates the TSU into an immutable half built once and the
+// mutable engines that run over it:
+//
+//   - The thread table (table.go): one builder flattens a set of Blocks
+//     into a dense []tmplInfo indexed by ThreadID, with pre-resolved arc
+//     tables and the sparse-ID guard, and one routine expands a completed
+//     instance's arcs over it. The batch State, the frozen Tables and the
+//     streaming WindowedSM all read this table; nothing else in the
+//     package builds arcs or calls a Mapping's AppendTargets.
 //
 //   - State: the pure synchronization engine — Synchronization Memories
 //     (one per kernel, holding the Ready Counts of the instances that
@@ -18,11 +26,15 @@
 //     goroutines and no locks: in single-driver form, exactly one driver
 //     mutates it — the Cell PPE emulator polling CommandBuffers (package
 //     cellsim), the memory-mapped hardware device model (package hardsim),
-//     or the TFluxSoft emulator goroutine in legacy mode (package rts).
-//     The TKT itself is pluggable: a Mapping policy (range split,
-//     round-robin, or the Access-region locality mapping) can re-assign
-//     contexts to kernels; the default stays the paper's closed-form
-//     chunked split.
+//     the TFluxDist fleet loop (package dist), or the TFluxSoft emulator
+//     goroutine (package rts). The plain Ready Count decrement is written
+//     once (applyDec) and charged to whichever writer calls it. The TKT
+//     itself is pluggable: a Mapping policy (range split, round-robin, or
+//     the Access-region locality mapping) can re-assign contexts to
+//     kernels; the default stays the paper's closed-form chunked split.
+//     Tables freezes a State's immutable half plus per-block SM snapshots
+//     so a daemon builds them once per program and restores pooled States
+//     by memcpy.
 //
 //   - ShardedState: the parallel driver mode. The mutable bookkeeping is
 //     partitioned into shards along TKT ownership; each shard is stepped
@@ -39,6 +51,12 @@
 //     A single-lock mode exists as an ablation of the segmentation design,
 //     and an unbounded mode serves as the sharded engine's cross-shard
 //     inbox (where a blocking Push could deadlock two shards).
+//
+//   - WindowedSM: the streaming engine. It shares the thread table and
+//     the arc expansion, and keeps its own mutable half — a ring of
+//     generation-tagged slots whose Ready Counts are atomics any worker may
+//     decrement — because that is a different concurrency model from the
+//     single-writer Synchronization Memories above.
 //
 // Read-only queries (arc expansion, TKT lookup) touch only immutable
 // tables built at construction time and are safe to call from every kernel

@@ -77,11 +77,11 @@ type Lane struct {
 	drain []Completion      // reusable inbox drain buffer (steppers only)
 
 	// Lane-local statistics, folded into Stats()/SearchSteps() once the
-	// run is over.
-	decrements  int64
+	// run is over. stats counts the decrements this lane applied and the
+	// instances they fired (PerKernel indexed by owning kernel).
+	stats       Stats
 	crossShard  int64 // decrements shipped to other shards' inboxes
 	searchSteps int64
-	fired       []int64 // instances fired, indexed by owning kernel
 }
 
 // NewSharded wraps a freshly built State in the sharded engine. shards must
@@ -127,7 +127,7 @@ func NewSharded(s *State, shards int, cfg TUBConfig, notify func(sh int)) (*Shar
 			ln.sh = sh
 		}
 		ln.route = make([][]core.Instance, shards)
-		ln.fired = make([]int64, s.kernels)
+		ln.stats.PerKernel = make([]int64, s.kernels)
 	}
 	return ss, nil
 }
@@ -168,7 +168,7 @@ func (ln *Lane) Complete(dst []Ready, inst core.Instance, targets []core.Instanc
 		ko := s.locate(info, tgt.Ctx, &ln.searchSteps)
 		so := ss.shardOfKernel[int(ko)]
 		if so == ln.sh {
-			if ln.applyDec(info, ko, tgt) {
+			if s.applyDec(&ln.stats, info, ko, tgt) {
 				dst = append(dst, Ready{Inst: tgt, Kernel: ko})
 			}
 		} else {
@@ -202,41 +202,24 @@ func (ln *Lane) Step(dst []Ready) []Ready {
 	if ln.sh < 0 {
 		return dst
 	}
+	s := ln.ss.s
 	inbox := ln.ss.inboxes[ln.sh]
 	ln.drain = inbox.Drain(ln.drain[:0])
 	for _, rec := range ln.drain {
 		for _, tgt := range rec.Targets {
-			info := &ln.ss.s.infos[tgt.Thread]
+			info := &s.infos[tgt.Thread]
 			// The producer already charged the location lookup; the
-			// owner derivation here is the free TKT form.
-			ko := ln.ss.s.kernelOfInfo(info, tgt.Ctx)
-			if ln.applyDec(info, ko, tgt) {
+			// owner derivation here is the free TKT form. Only the shard's
+			// stepper reaches here, so the count write is unsynchronized
+			// by design.
+			ko := s.kernelOfInfo(info, tgt.Ctx)
+			if s.applyDec(&ln.stats, info, ko, tgt) {
 				dst = append(dst, Ready{Inst: tgt, Kernel: ko})
 			}
 		}
 		inbox.ReleaseTargets(rec.Targets)
 	}
 	return dst
-}
-
-// applyDec decrements one Ready Count in the lane's own shard. Only the
-// shard's stepper reaches here, so the write is unsynchronized by design.
-func (ln *Lane) applyDec(info *tmplInfo, ko KernelID, tgt core.Instance) bool {
-	s := ln.ss.s
-	if info.block != s.curBlock || !s.loaded {
-		panic(fmt.Sprintf("tsu: sharded decrement of %v but block %d is loaded", tgt, s.curBlock))
-	}
-	c := s.countAddr(info, ko, tgt.Ctx)
-	*c--
-	ln.decrements++
-	if *c < 0 {
-		panic(fmt.Sprintf("tsu: ready count of %v went negative", tgt))
-	}
-	if *c == 0 {
-		ln.fired[int(ko)]++
-		return true
-	}
-	return false
 }
 
 // done accounts the completion itself: atomically for application
@@ -285,10 +268,10 @@ func (ss *ShardedState) serviceDone(dst []Ready, inst core.Instance, k KernelID)
 func (ss *ShardedState) Stats() Stats {
 	st := ss.s.Stats()
 	for i := range ss.lanes {
-		ln := &ss.lanes[i]
-		st.Decrements += ln.decrements
-		for ko, n := range ln.fired {
-			st.Fired += n
+		ls := &ss.lanes[i].stats
+		st.Decrements += ls.Decrements
+		st.Fired += ls.Fired
+		for ko, n := range ls.PerKernel {
 			st.PerKernel[ko] += n
 		}
 	}

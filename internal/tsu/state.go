@@ -49,37 +49,6 @@ type sm struct {
 	base   []core.Context // first owned context per template
 }
 
-// flatArc is one pre-resolved consumer dependency: the arc's mapping plus
-// the consumer-side fields AppendConsumers needs, flattened at NewState
-// time so arc expansion never chases the consumer's template pointer.
-type flatArc struct {
-	to    core.ThreadID
-	m     core.Mapping
-	cInst core.Context // consumer template's instance count
-}
-
-// tmplInfo caches the immutable per-template tables the kernels consult
-// concurrently (the "Local TSU" state). It lives in a dense slice indexed
-// directly by ThreadID, so every hot-path lookup is one array access.
-type tmplInfo struct {
-	t        *core.Template
-	body     core.Body
-	arcs     []flatArc
-	inst     core.Context // t.Instances, dense copy
-	affinity int          // t.Affinity, dense copy
-	dense    int          // index within its block
-	block    int
-
-	// Tabulated TKT, present only when a Mapping is configured (nil under
-	// the default closed-form range split, keeping that path untouched):
-	// owner[ctx] is the owning kernel, slot[ctx] the context's index within
-	// that kernel's SM slice (table ownership need not be contiguous), and
-	// perKernel[k] the number of contexts kernel k owns.
-	owner     []KernelID
-	slot      []int32
-	perKernel []int32
-}
-
 // State is the synchronization engine of the TSU Group. It is not safe for
 // concurrent mutation: one driver (the software TSU emulator, the Cell PPE
 // loop, or the simulated hardware device) serializes Decrement/Done calls.
@@ -169,18 +138,20 @@ func (s *State) owns(info *tmplInfo, k KernelID, ctx core.Context) bool {
 	return ctx >= lo && ctx < hi
 }
 
-// NewState validates the program and builds the immutable tables (arc
-// tables and TKT). kernels is the number of Kernels that will execute
-// DThreads; it must be at least 1. It is equivalent to NewStateSized with
-// an unlimited TSU.
+// NewState is NewStateCfg with the default Config: an unlimited TSU and the
+// closed-form range split.
 func NewState(p *core.Program, kernels int) (*State, error) {
-	return NewStateSized(p, kernels, 0)
+	return NewStateCfg(p, kernels, Config{})
 }
 
 // Config bundles the optional State knobs.
 type Config struct {
-	// MaxBlockInstances is the TSU's DThread-instance slot count (§2);
-	// zero means unlimited. See NewStateSized.
+	// MaxBlockInstances is the number of DThread-instance slots the TSU
+	// provides, the quantity that bounds a DDM Block's size in the paper
+	// ("its maximum size ... is defined by the size of the TSU", §2). A
+	// program whose Blocks exceed it must be split into more Blocks;
+	// NewStateCfg returns an error identifying the offending Block rather
+	// than silently overcommitting. Zero means unlimited.
 	MaxBlockInstances int64
 	// Mapping is the context→kernel assignment policy. Nil selects the
 	// paper's chunked range split computed arithmetically — the default
@@ -188,12 +159,38 @@ type Config struct {
 	Mapping Mapping
 }
 
-// NewStateCfg is NewState with the full option set.
+// NewStateCfg validates the program and builds the immutable tables (the
+// thread and arc tables, and the tabulated TKT when cfg.Mapping is set).
+// kernels is the number of Kernels that will execute DThreads; it must be
+// at least 1.
 func NewStateCfg(p *core.Program, kernels int, cfg Config) (*State, error) {
-	s, err := NewStateSized(p, kernels, cfg.MaxBlockInstances)
+	if kernels < 1 {
+		return nil, fmt.Errorf("tsu: kernels = %d, need at least 1", kernels)
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.MaxBlockInstances > 0 {
+		for _, b := range p.Blocks {
+			if n := b.TotalInstances(); n > cfg.MaxBlockInstances {
+				return nil, fmt.Errorf("tsu: block %d holds %d DThread instances but the TSU has %d slots; split the program into more DDM Blocks or raise the TSU size",
+					b.ID, n, cfg.MaxBlockInstances)
+			}
+		}
+	}
+	infos, err := buildThreadTable(p.Blocks)
 	if err != nil {
 		return nil, err
 	}
+	s := &State{
+		prog:        p,
+		kernels:     kernels,
+		infos:       infos,
+		serviceBase: core.ThreadID(len(infos)),
+		curBlock:    -1,
+		sms:         make([]sm, kernels),
+	}
+	s.stats.PerKernel = make([]int64, kernels)
 	if cfg.Mapping != nil {
 		s.mapping = cfg.Mapping
 		if err := s.buildOwnerTables(cfg.Mapping); err != nil {
@@ -210,79 +207,6 @@ func (s *State) MappingName() string {
 		return RangeMapping{}.Name()
 	}
 	return s.mapping.Name()
-}
-
-// NewStateSized is NewState with a finite TSU: maxBlockInstances is the
-// number of DThread-instance slots the TSU provides, the quantity that
-// bounds a DDM Block's size in the paper ("its maximum size ... is
-// defined by the size of the TSU", §2). A program whose Blocks exceed it
-// must be split into more Blocks; this returns an error identifying the
-// offending Block rather than silently overcommitting. Zero means
-// unlimited.
-func NewStateSized(p *core.Program, kernels int, maxBlockInstances int64) (*State, error) {
-	if kernels < 1 {
-		return nil, fmt.Errorf("tsu: kernels = %d, need at least 1", kernels)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if maxBlockInstances > 0 {
-		for _, b := range p.Blocks {
-			if n := b.TotalInstances(); n > maxBlockInstances {
-				return nil, fmt.Errorf("tsu: block %d holds %d DThread instances but the TSU has %d slots; split the program into more DDM Blocks or raise the TSU size",
-					b.ID, n, maxBlockInstances)
-			}
-		}
-	}
-	maxID, _ := p.MaxThreadID()
-	// The dense thread table is indexed directly by ThreadID, so a
-	// pathologically sparse ID space would allocate an entry per unused
-	// ID. Refuse it with a clear message instead of eating gigabytes; the
-	// bound is generous enough for any hand-numbered program.
-	var nTmpl int64
-	for _, b := range p.Blocks {
-		nTmpl += int64(len(b.Templates))
-	}
-	if int64(maxID) > 64*nTmpl+1024 {
-		return nil, fmt.Errorf("tsu: thread ID space is too sparse (max ID %d for %d templates); renumber thread IDs densely", maxID, nTmpl)
-	}
-	s := &State{
-		prog:        p,
-		kernels:     kernels,
-		infos:       make([]tmplInfo, maxID+1),
-		serviceBase: maxID + 1,
-		curBlock:    -1,
-	}
-	s.stats.PerKernel = make([]int64, kernels)
-	for bi, b := range p.Blocks {
-		for di, t := range b.Templates {
-			s.infos[t.ID] = tmplInfo{
-				t:        t,
-				body:     t.Body,
-				inst:     t.Instances,
-				affinity: t.Affinity,
-				dense:    di,
-				block:    bi,
-			}
-		}
-	}
-	// Flatten arc tables once every template is registered: each arc's
-	// consumer instance count is resolved here so AppendConsumers never
-	// touches the consumer template.
-	for bi := range p.Blocks {
-		for _, t := range p.Blocks[bi].Templates {
-			if len(t.Arcs) == 0 {
-				continue
-			}
-			arcs := make([]flatArc, len(t.Arcs))
-			for ai, a := range t.Arcs {
-				arcs[ai] = flatArc{to: a.To, m: a.Map, cInst: s.infos[a.To].inst}
-			}
-			s.infos[t.ID].arcs = arcs
-		}
-	}
-	s.sms = make([]sm, kernels)
-	return s, nil
 }
 
 // Kernels returns the number of kernels the TKT distributes over.
@@ -390,16 +314,7 @@ func (s *State) AppendConsumers(dst []core.Instance, inst core.Instance) []core.
 	if s.IsService(inst) {
 		return dst
 	}
-	info := &s.infos[inst.Thread]
-	var ctxBuf [16]core.Context
-	for ai := range info.arcs {
-		a := &info.arcs[ai]
-		targets := a.m.AppendTargets(ctxBuf[:0], inst.Ctx, info.inst, a.cInst)
-		for _, cc := range targets {
-			dst = append(dst, core.Instance{Thread: a.to, Ctx: cc})
-		}
-	}
-	return dst
+	return s.infos[inst.Thread].appendConsumers(dst, inst.Ctx, 0)
 }
 
 // Decrement decreases the Ready Count of target by one and reports whether
@@ -422,26 +337,35 @@ func (s *State) DecrementInto(dst []Ready, target core.Instance) []Ready {
 	return dst
 }
 
-// dec performs one Ready Count decrement and returns the owning kernel plus
-// whether the target fired.
+// dec performs one Ready Count decrement on behalf of the single driver and
+// returns the owning kernel plus whether the target fired.
 func (s *State) dec(target core.Instance) (KernelID, bool) {
 	info := &s.infos[target.Thread]
+	k := s.locate(info, target.Ctx, &s.searchSteps)
+	return k, s.applyDec(&s.stats, info, k, target)
+}
+
+// applyDec is the plain (non-atomic) Ready Count decrement of target in
+// kernel k's Synchronization Memory, reporting whether the instance fired.
+// Exactly one goroutine may write a given SM at a time: the single driver,
+// or under the sharded engine the stepper of the shard that owns k. st is
+// that writer's own counter cell (the State's stats, or a Lane's).
+func (s *State) applyDec(st *Stats, info *tmplInfo, k KernelID, target core.Instance) bool {
 	if info.block != s.curBlock || !s.loaded {
 		panic(fmt.Sprintf("tsu: decrement of %v but block %d is loaded", target, s.curBlock))
 	}
-	k := s.locate(info, target.Ctx, &s.searchSteps)
 	c := s.countAddr(info, k, target.Ctx)
 	*c--
-	s.stats.Decrements++
+	st.Decrements++
 	if *c < 0 {
 		panic(fmt.Sprintf("tsu: ready count of %v went negative", target))
 	}
 	if *c == 0 {
-		s.stats.Fired++
-		s.stats.PerKernel[int(k)]++
-		return k, true
+		st.Fired++
+		st.PerKernel[int(k)]++
+		return true
 	}
-	return k, false
+	return false
 }
 
 // countAddr returns the Ready Count cell of ctx within kernel k's SM:

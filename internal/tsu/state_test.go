@@ -314,15 +314,15 @@ func TestTSUCapacityEnforced(t *testing.T) {
 	tpl := core.NewTemplate(1, "loop", noop)
 	tpl.Instances = 300
 	p.AddBlock().Add(tpl)
-	if _, err := NewStateSized(p, 4, 256); err == nil {
+	if _, err := NewStateCfg(p, 4, Config{MaxBlockInstances: 256}); err == nil {
 		t.Fatal("oversized block accepted by a 256-slot TSU")
 	} else if !strings.Contains(err.Error(), "split the program") {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := NewStateSized(p, 4, 300); err != nil {
+	if _, err := NewStateCfg(p, 4, Config{MaxBlockInstances: 300}); err != nil {
 		t.Fatalf("exact-fit block rejected: %v", err)
 	}
-	if _, err := NewStateSized(p, 4, 0); err != nil {
+	if _, err := NewStateCfg(p, 4, Config{}); err != nil {
 		t.Fatalf("unlimited TSU rejected: %v", err)
 	}
 }
@@ -337,7 +337,7 @@ func TestTSUCapacityPerBlockNotProgram(t *testing.T) {
 	b := core.NewTemplate(2, "b", noop)
 	b.Instances = 200
 	p.AddBlock().Add(b)
-	s, err := NewStateSized(p, 2, 256)
+	s, err := NewStateCfg(p, 2, Config{MaxBlockInstances: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,11 +35,14 @@ import (
 // instead of silently corrupting a later window. The property suite in
 // window_test.go exercises exactly this under the race detector.
 type WindowedSM struct {
-	block *core.Block
+	// infos is the dense thread table of the one window block — the same
+	// table, from the same builder, the batch State reads (block is 0 and
+	// the TKT fields stay empty: windowed counts are not kernel-owned).
+	infos []tmplInfo
 
-	// winfos is the dense per-template table, indexed by ThreadID like the
-	// batch State's thread table (winfos[id].t == nil for unassigned IDs).
-	winfos []winfo
+	// indeg[di] holds the initial Ready Counts of dense template di,
+	// identical every window.
+	indeg [][]int32
 
 	// perWindow is the number of DThread instances one window expands to —
 	// the amount of work Done counts down per slot.
@@ -56,15 +59,6 @@ type WindowedSM struct {
 	retired    atomic.Int64
 	decrements atomic.Int64
 	fired      atomic.Int64
-}
-
-// winfo caches one template's immutable per-window tables.
-type winfo struct {
-	t     *core.Template
-	inst  core.Context // instances per window
-	dense int          // index into a slot's counts
-	arcs  []flatArc    // pre-resolved consumer arcs (window-local)
-	indeg []int32      // initial Ready Counts, identical every window
 }
 
 // wslot is one SM slot: the Ready Counts of one in-flight window. counts
@@ -109,14 +103,8 @@ func ValidateWindowShape(b *core.Block, slots int) error {
 	if slots < 1 {
 		return fmt.Errorf("tsu: %d window slots, need at least 1", slots)
 	}
-	var maxID core.ThreadID
-	for _, t := range b.Templates {
-		if t.ID > maxID {
-			maxID = t.ID
-		}
-	}
-	if int64(maxID) > 64*int64(len(b.Templates))+1024 {
-		return fmt.Errorf("tsu: windowed thread ID space is too sparse (max ID %d for %d templates)", maxID, len(b.Templates))
+	if _, err := threadIDSpace([]*core.Block{b}); err != nil {
+		return err
 	}
 	ids := make(map[core.ThreadID]bool, len(b.Templates))
 	for _, t := range b.Templates {
@@ -148,37 +136,14 @@ func NewWindowed(b *core.Block, slots int) (*WindowedSM, error) {
 	if err := ValidateWindowShape(b, slots); err != nil {
 		return nil, err
 	}
-	var maxID core.ThreadID
-	for _, t := range b.Templates {
-		if t.ID > maxID {
-			maxID = t.ID
-		}
+	infos, err := buildThreadTable([]*core.Block{b})
+	if err != nil {
+		return nil, err
 	}
-	w := &WindowedSM{
-		block:  b,
-		winfos: make([]winfo, maxID+1),
-	}
+	w := &WindowedSM{infos: infos, indeg: make([][]int32, len(b.Templates))}
 	for di, t := range b.Templates {
-		w.winfos[t.ID] = winfo{
-			t:     t,
-			inst:  t.Instances,
-			dense: di,
-			indeg: indeg32(core.InDegrees(b, t)),
-		}
+		w.indeg[di] = indeg32(core.InDegrees(b, t))
 		w.perWindow += int64(t.Instances)
-	}
-	for _, t := range b.Templates {
-		if len(t.Arcs) == 0 {
-			continue
-		}
-		arcs := make([]flatArc, len(t.Arcs))
-		for ai, a := range t.Arcs {
-			if int(a.To) >= len(w.winfos) || w.winfos[a.To].t == nil {
-				return nil, fmt.Errorf("tsu: windowed arc %d → %d leaves the window block", t.ID, a.To)
-			}
-			arcs[ai] = flatArc{to: a.To, m: a.Map, cInst: w.winfos[a.To].inst}
-		}
-		w.winfos[t.ID].arcs = arcs
 	}
 	w.slots = make([]wslot, slots)
 	w.free = make([]int32, 0, slots)
@@ -243,9 +208,8 @@ func (w *WindowedSM) Open(window int64) (WindowRef, bool) {
 	// dispatches the window's first instance, and the dispatch hand-off
 	// (queue mutex) orders these stores before any kernel's loads.
 	for di := range sl.counts {
-		indeg := w.winfos[w.block.Templates[di].ID].indeg
 		for c := range sl.counts[di] {
-			sl.counts[di][c].Store(indeg[c])
+			sl.counts[di][c].Store(w.indeg[di][c])
 		}
 	}
 	sl.remaining.Store(w.perWindow)
@@ -283,29 +247,19 @@ func (w *WindowedSM) Window(slot int) int64 { return w.slots[slot].window }
 // Instances returns the per-window instance count of a template.
 func (w *WindowedSM) Instances(id core.ThreadID) core.Context { return w.info(id).inst }
 
-func (w *WindowedSM) info(id core.ThreadID) *winfo {
-	if int(id) >= len(w.winfos) || w.winfos[id].t == nil {
+func (w *WindowedSM) info(id core.ThreadID) *tmplInfo {
+	if int(id) >= len(w.infos) || w.infos[id].t == nil {
 		panic(fmt.Sprintf("tsu: windowed SM has no template %d", id))
 	}
-	return &w.winfos[id]
+	return &w.infos[id]
 }
 
 // AppendConsumers appends the window-local consumer instances enabled by
 // the completion of inst, encoded in the same slot. Reads only immutable
 // tables; safe from any kernel.
 func (w *WindowedSM) AppendConsumers(dst []core.Instance, inst core.Instance) []core.Instance {
-	info := &w.winfos[inst.Thread]
-	slot, local := int(inst.Ctx/info.inst), inst.Ctx%info.inst
-	var ctxBuf [16]core.Context
-	for ai := range info.arcs {
-		a := &info.arcs[ai]
-		targets := a.m.AppendTargets(ctxBuf[:0], local, info.inst, a.cInst)
-		cbase := core.Context(slot) * a.cInst
-		for _, cc := range targets {
-			dst = append(dst, core.Instance{Thread: a.to, Ctx: cbase + cc})
-		}
-	}
-	return dst
+	info := &w.infos[inst.Thread]
+	return info.appendConsumers(dst, inst.Ctx%info.inst, inst.Ctx/info.inst)
 }
 
 // Decrement atomically decreases the Ready Count of an encoded target and
@@ -313,7 +267,7 @@ func (w *WindowedSM) AppendConsumers(dst []core.Instance, inst core.Instance) []
 // going negative means the window graph was corrupted (or a slot aliased)
 // and panics.
 func (w *WindowedSM) Decrement(target core.Instance) bool {
-	info := &w.winfos[target.Thread]
+	info := &w.infos[target.Thread]
 	slot, local := int(target.Ctx/info.inst), target.Ctx%info.inst
 	n := w.slots[slot].counts[info.dense][local].Add(-1)
 	w.decrements.Add(1)

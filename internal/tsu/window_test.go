@@ -314,3 +314,42 @@ func TestWindowedRecyclingProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowedConsumersMatchState: the batch State and the WindowedSM
+// expand arcs through the same thread table, so for every template of the
+// property suite's blocks, every local context and every slot, the windowed
+// consumers are the State's consumers re-based into that slot.
+func TestWindowedConsumersMatchState(t *testing.T) {
+	const slots = 3
+	for _, wctx := range []core.Context{4, 8, 16} {
+		b := windowBlock(wctx)
+		p := core.NewProgram("window")
+		p.Blocks = append(p.Blocks, b)
+		s, err := NewState(p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWindowed(b, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tpl := range b.Templates {
+			for local := core.Context(0); local < tpl.Instances; local++ {
+				want := s.AppendConsumers(nil, core.Instance{Thread: tpl.ID, Ctx: local})
+				for slot := core.Context(0); slot < slots; slot++ {
+					got := w.AppendConsumers(nil, core.Instance{Thread: tpl.ID, Ctx: slot*tpl.Instances + local})
+					if len(got) != len(want) {
+						t.Fatalf("W=%d T%d.%d slot %d: %d consumers, state has %d", wctx, tpl.ID, local, slot, len(got), len(want))
+					}
+					for i, c := range got {
+						gs, gl := w.Decode(c)
+						if c.Thread != want[i].Thread || gs != int(slot) || gl != want[i].Ctx {
+							t.Fatalf("W=%d T%d.%d slot %d: consumer %d is T%d slot %d local %d, state has %v",
+								wctx, tpl.ID, local, slot, i, c.Thread, gs, gl, want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -208,14 +208,6 @@ type (
 	VirtualResult = vtime.Result
 )
 
-// Tracer collects a per-kernel execution timeline of a TFluxSoft run
-// (rts.Tracer): attach one via SoftOptions.Trace and read events,
-// utilization or a text dump after Run returns.
-type Tracer = rts.Tracer
-
-// NewTracer returns an empty execution tracer for SoftOptions.Trace.
-func NewTracer() *Tracer { return rts.NewTracer() }
-
 // Observability types, aliased from internal/obs: one event model and one
 // metrics registry shared by all platforms. Attach a Recorder via
 // SoftOptions.Obs, HardConfig.Obs, CellConfig.Obs, or RunDistLocalObs,

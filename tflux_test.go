@@ -7,6 +7,7 @@ import (
 
 	"tflux"
 	"tflux/internal/byteview"
+	"tflux/internal/obs"
 )
 
 // buildPipeline constructs produce(x4) -> transform(x4) -> reduce over a
@@ -157,19 +158,24 @@ func TestAffinityViaPublicAPI(t *testing.T) {
 	}
 }
 
-func TestTracerViaPublicAPI(t *testing.T) {
+func TestRecorderViaPublicAPI(t *testing.T) {
 	vals := make([]float64, 4)
 	var total float64
 	p := buildPipeline(vals, &total)
-	tr := tflux.NewTracer()
-	if _, err := tflux.RunSoft(p, tflux.SoftOptions{Kernels: 2, Trace: tr}); err != nil {
+	rec := tflux.NewRecorder()
+	if _, err := tflux.RunSoft(p, tflux.SoftOptions{Kernels: 2, Obs: rec}); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Events()) == 0 {
-		t.Fatal("no trace events recorded")
+	var threads int
+	for _, e := range rec.Events() {
+		if e.Kind == obs.ThreadComplete {
+			threads++
+		}
 	}
-	util := tr.Utilization(2)
-	if len(util) != 2 {
+	if threads == 0 {
+		t.Fatal("no thread executions recorded")
+	}
+	if util := obs.Utilization(rec.Events(), 2); len(util) != 2 {
 		t.Fatalf("utilization = %v", util)
 	}
 }
