@@ -1,21 +1,11 @@
 // Command tfluxbench regenerates the paper's evaluation tables and
-// figures (see DESIGN.md's per-experiment index):
+// figures. The experiments are the entries of exp.Experiments (see
+// DESIGN.md's per-experiment index for what each reproduces); -exp NAME
+// runs one, -exp all (the default) every one in table order, and
+// `tfluxbench -h` lists the names:
 //
-//	tfluxbench -exp table1            # Table 1: workloads and problem sizes
 //	tfluxbench -exp fig5              # Figure 5: TFluxHard speedups
-//	tfluxbench -exp fig6              # Figure 6: TFluxSoft native speedups
-//	tfluxbench -exp fig7              # Figure 7: TFluxCell speedups
-//	tfluxbench -exp tsulat            # §3.3: TSU latency sensitivity
-//	tfluxbench -exp unroll            # §6.2.2/§6.3: unroll-factor study
-//	tfluxbench -exp budget            # §4.1: TSU transistor estimate
-//	tfluxbench -exp fig5x86           # §6.1.2: 9-core x86 companion machine
-//	tfluxbench -exp groups            # §4.1 extension: multiple TSU Groups
-//	tfluxbench -exp policy            # scheduling-policy ablation
-//	tfluxbench -exp shards            # sharded-TSU scaling study
-//	tfluxbench -exp dist              # TFluxDist protocol cost across nodes
-//	tfluxbench -exp serve             # tfluxd service-layer throughput
-//	tfluxbench -exp stream            # streaming event filter at sustained rate
-//	tfluxbench -exp all               # everything
+//	tfluxbench -exp all -quick        # everything, smallest configurations
 //
 // -json FILE additionally writes every produced row as a JSON array
 // (name, rates, speedups, latency percentiles) for machine consumption;
@@ -33,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"tflux/internal/exp"
 	"tflux/internal/obs"
@@ -46,8 +37,13 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tfluxbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	names := make([]string, len(exp.Experiments))
+	for i, e := range exp.Experiments {
+		names[i] = e.Name
+	}
+	valid := strings.Join(names, "|") + "|all"
 	var (
-		which   = fs.String("exp", "all", "experiment: table1|fig5|fig6|fig7|fig5x86|groups|policy|shards|dist|serve|stream|tsulat|unroll|budget|all")
+		which   = fs.String("exp", "all", "experiment: "+valid)
 		quick   = fs.Bool("quick", false, "smallest sizes, fewest configurations (seconds instead of minutes)")
 		reps    = fs.Int("reps", 0, "native repetitions per measurement (0 = default)")
 		maxK    = fs.Int("maxkernels", 0, "cap kernel counts (0 = paper configurations)")
@@ -89,28 +85,46 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	selected := exp.Experiments
+	if *which != "all" {
+		selected = nil
+		for _, e := range exp.Experiments {
+			if e.Name == *which {
+				selected = []exp.Experiment{e}
+			}
+		}
+		if selected == nil {
+			fmt.Fprintf(stderr, "tfluxbench: unknown experiment %q (want %s)\n", *which, valid)
+			return 2
+		}
+	}
+
 	failed := false
 	var allRows []exp.Row
-	runExp := func(name string, f func(exp.Options) ([]exp.Row, error)) {
+	for _, e := range selected {
+		if e.Text != nil {
+			fmt.Fprintf(stdout, "== %s ==\n%s\n", e.Title, e.Text())
+			continue
+		}
 		oe := o
 		if *metrics {
 			// One registry per experiment so each summary stands alone.
 			oe.Metrics = obs.NewRegistry()
 		}
-		rows, err := f(oe)
+		rows, err := e.Rows(oe)
 		if err != nil {
-			fmt.Fprintf(stderr, "tfluxbench: %s: %v\n", name, err)
+			fmt.Fprintf(stderr, "tfluxbench: %s: %v\n", e.Title, err)
 			failed = true
-			return
+			continue
 		}
 		allRows = append(allRows, rows...)
-		fmt.Fprintf(stdout, "== %s ==\n%s%s\n", name, render(rows), exp.Summary(rows))
+		fmt.Fprintf(stdout, "== %s ==\n%s%s\n", e.Title, render(rows), exp.Summary(rows))
 		if *metrics {
 			fmt.Fprintln(stdout, "-- metrics --")
 			if err := oe.Metrics.WriteSummary(stdout); err != nil {
-				fmt.Fprintf(stderr, "tfluxbench: %s: %v\n", name, err)
+				fmt.Fprintf(stderr, "tfluxbench: %s: %v\n", e.Title, err)
 				failed = true
-				return
+				continue
 			}
 			// Sharded-TSU runs publish occupancy under well-known names;
 			// distill them into one balance line (Registry metrics are
@@ -122,69 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		fmt.Fprintln(stdout)
-	}
-
-	all := *which == "all"
-	did := false
-	if all || *which == "table1" {
-		fmt.Fprintf(stdout, "== table1 ==\n%s\n", exp.Table1())
-		did = true
-	}
-	if all || *which == "fig5" {
-		runExp("fig5 (TFluxHard, simulated cycles)", exp.Fig5)
-		did = true
-	}
-	if all || *which == "fig6" {
-		runExp("fig6 (TFluxSoft, native)", exp.Fig6)
-		did = true
-	}
-	if all || *which == "fig7" {
-		runExp("fig7 (TFluxCell, native)", exp.Fig7)
-		did = true
-	}
-	if all || *which == "fig5x86" {
-		runExp("fig5x86 (9-core x86 companion, §6.1.2)", exp.Fig5X86)
-		did = true
-	}
-	if all || *which == "groups" {
-		runExp("groups (multiple TSU Groups, §4.1 extension)", exp.Groups)
-		did = true
-	}
-	if all || *which == "policy" {
-		runExp("policy (ready-queue scheduling ablation)", exp.Policies)
-		did = true
-	}
-	if all || *which == "shards" {
-		runExp("shards (sharded software TSU vs dedicated emulator)", exp.Shards)
-		did = true
-	}
-	if all || *which == "dist" {
-		runExp("dist (TFluxDist protocol cost across nodes)", exp.Dist)
-		did = true
-	}
-	if all || *which == "serve" {
-		runExp("serve (tfluxd service-layer throughput)", exp.Serve)
-		did = true
-	}
-	if all || *which == "stream" {
-		runExp("stream (sustained-rate event filter)", exp.Stream)
-		did = true
-	}
-	if all || *which == "tsulat" {
-		runExp("tsulat (TSU latency 1..128 cycles)", exp.TSULatency)
-		did = true
-	}
-	if all || *which == "unroll" {
-		runExp("unroll (MMULT across unroll factors)", exp.UnrollSweep)
-		did = true
-	}
-	if all || *which == "budget" {
-		fmt.Fprintf(stdout, "== budget ==\n%s\n", exp.Budget())
-		did = true
-	}
-	if !did {
-		fmt.Fprintf(stderr, "tfluxbench: unknown experiment %q\n", *which)
-		return 2
 	}
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, allRows, stdout); err != nil {

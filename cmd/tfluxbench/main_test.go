@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tflux/internal/exp"
 )
 
 func TestRunTable1(t *testing.T) {
@@ -156,6 +158,42 @@ func TestRunBadArgs(t *testing.T) {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 2 {
 			t.Fatalf("args %v: exit %d, want 2", args, code)
+		}
+	}
+}
+
+// TestAllQuick runs the whole experiment table the way CI's bench-smoke
+// job does and checks that every entry printed its section, in table
+// order.
+func TestAllQuick(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-exp", "all", "-quick"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	var got []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "== ") {
+			got = append(got, line)
+		}
+	}
+	if len(got) != len(exp.Experiments) {
+		t.Fatalf("%d section headers for %d experiments:\n%s", len(got), len(exp.Experiments), strings.Join(got, "\n"))
+	}
+	for i, e := range exp.Experiments {
+		if !strings.HasPrefix(got[i], "== "+e.Name) {
+			t.Errorf("section %d is %q, want experiment %q", i, got[i], e.Name)
+		}
+	}
+}
+
+func TestUnknownExperimentNamesTheValidOnes(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-exp", "fig8"}, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	for _, e := range exp.Experiments {
+		if !strings.Contains(errb.String(), e.Name) {
+			t.Errorf("diagnostic does not offer %q: %s", e.Name, errb.String())
 		}
 	}
 }

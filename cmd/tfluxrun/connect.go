@@ -36,9 +36,6 @@ func runConnect(addr, tenant string, ws workload.Spec, param, kernels, unroll, r
 		fmt.Fprintln(stderr, "tfluxrun:", err)
 		return 1
 	}
-	if reps < 1 {
-		reps = 1
-	}
 	// The local replica is built with the same decomposition the daemon
 	// and its workers will use — auxiliary buffers (e.g. per-kernel
 	// partials) are sized at Build time, and verification overlays the
@@ -68,24 +65,22 @@ func runConnect(addr, tenant string, ws workload.Spec, param, kernels, unroll, r
 	fmt.Fprintf(stdout, "%s %s via %s (tenant %s), unroll %d\n", ws.Name, ws.SizeLabel(param), addr, tenant, unroll)
 
 	spec := dist.ProgramSpec{Name: ws.Name, Param: param, Kernels: kernels, Unroll: unroll}
-	var best time.Duration
 	var last *serve.Outcome
-	for r := 0; r < reps; r++ {
+	best, err := bestOf(reps, func() (time.Duration, error) {
 		p, err := cl.Submit(spec, nil)
 		if err != nil {
-			return fail(err)
+			return 0, err
 		}
-		out, err := p.Wait()
-		if err != nil {
-			return fail(err)
+		if last, err = p.Wait(); err != nil {
+			return 0, err
 		}
-		if out.Err != "" {
-			return fail(fmt.Errorf("daemon ran the program but it failed: %s", out.Err))
+		if last.Err != "" {
+			return 0, fmt.Errorf("daemon ran the program but it failed: %s", last.Err)
 		}
-		if best == 0 || out.Elapsed < best {
-			best = out.Elapsed
-		}
-		last = out
+		return last.Elapsed, nil
+	})
+	if err != nil {
+		return fail(err)
 	}
 	fmt.Fprintf(stdout, "daemon:     program %d, %d failover(s), %d re-dispatch(es)\n",
 		last.Prog, last.Failovers, last.Retries)
@@ -96,17 +91,7 @@ func runConnect(addr, tenant string, ws workload.Spec, param, kernels, unroll, r
 		}
 	}
 
-	// Overlay the daemon's result bytes onto a local replica job and
-	// verify — same inputs by construction, so outputs must match.
-	svb := job.SharedBuffers()
-	for _, r := range last.Regions {
-		dst := svb.Bytes(r.Buffer)
-		if dst == nil || int64(len(dst)) < r.Offset+int64(len(r.Data)) {
-			return fail(fmt.Errorf("result region %q [%d,+%d) does not fit the local replica", r.Buffer, r.Offset, len(r.Data)))
-		}
-		copy(dst[r.Offset:], r.Data)
-	}
-	if err := job.Verify(); err != nil {
+	if err := serve.VerifyReplica(job, last.Regions); err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(stdout, "sequential: %s\nparallel:   %s\nspeedup:    %.2f\n",

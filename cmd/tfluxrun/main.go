@@ -45,7 +45,10 @@
 // TSU-emulator goroutine with N kernel-stepped shards — parallel readiness
 // bookkeeping; -tsu-map range|rr|locality overrides the TKT context→kernel
 // assignment on the soft, hard and cell platforms, where locality derives
-// the mapping from the program's declared Access regions (ddmlint).
+// the mapping from the program's declared Access regions (ddmlint). A
+// flag the chosen platform has nothing to apply to (-tsu-map on dist or
+// virtual; -tsu-shards or -gantt anywhere but soft) is an error, not
+// ignored.
 //
 // Data-plane tuning (dist platform): -dist-batch, -dist-batch-bytes and
 // -dist-window bound how many Execs coalesce per ExecBatch frame and how
@@ -76,12 +79,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"os"
-	"sync"
 	"time"
 
 	"tflux/internal/cellsim"
@@ -101,6 +104,23 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// platforms is what run needs to know about each -platform value to
+// validate the flags and size the problem; what a platform reports after
+// the run (cache misses, shard fires, traffic, chaos log) is printed by
+// the code that ran it.
+var platforms = map[string]struct {
+	sizes   workload.Platform // Table 1 column
+	tsuMap  bool              // owns a tsu.State locally: accepts -tsu-map
+	softTSU bool              // is the soft runtime: accepts -tsu-shards and -gantt
+	events  bool              // records obs events for -trace-out and -metrics
+}{
+	"soft":    {workload.Native, true, true, true},
+	"hard":    {workload.Simulated, true, false, true},
+	"cell":    {workload.Cell, true, false, true},
+	"dist":    {workload.Native, false, false, true},
+	"virtual": {workload.Native, false, false, false},
 }
 
 // run is the testable command body; it returns the process exit code.
@@ -188,29 +208,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	var cls workload.SizeClass
-	switch *size {
-	case "small":
-		cls = workload.Small
-	case "medium":
-		cls = workload.Medium
-	case "large":
-		cls = workload.Large
-	default:
-		return fail(fmt.Errorf("unknown size %q", *size))
+	cls, err := workload.ParseSizeClass(*size)
+	if err != nil {
+		return fail(err)
 	}
-	var pf workload.Platform
-	switch *platform {
-	case "hard":
-		pf = workload.Simulated
-	case "cell":
-		pf = workload.Cell
-	case "soft", "virtual", "dist":
-		pf = workload.Native
-	default:
+	plat, ok := platforms[*platform]
+	if !ok {
 		return fail(fmt.Errorf("unknown platform %q", *platform))
 	}
-	sizes, ok := spec.Sizes(pf)
+	for _, f := range []struct {
+		name     string
+		accepted bool
+	}{{"tsu-map", plat.tsuMap}, {"tsu-shards", plat.softTSU}, {"gantt", plat.softTSU}} {
+		if set[f.name] && !f.accepted {
+			return fail(fmt.Errorf("-%s is not supported on the %s platform", f.name, *platform))
+		}
+	}
+	sizes, ok := spec.Sizes(plat.sizes)
 	if !ok {
 		return fail(fmt.Errorf("%s is not evaluated on platform %s (the paper's Figure 7 omits it)", spec.Name, *platform))
 	}
@@ -239,10 +253,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote synchronization graph to %s\n", *dotOut)
 		return 0
 	}
-	// TSU-plane tuning: the sharded plane is the soft runtime's, and the
-	// mapping policies plug into every platform that owns a tsu.State
-	// locally. The locality policy is derived from the program's declared
-	// Access regions by the linter's region summarizer.
+	// The mapping policies plug into every platform that owns a tsu.State
+	// locally (platforms' tsuMap column). The locality policy is derived
+	// from the program's declared Access regions by the linter's region
+	// summarizer.
 	var mapping tsu.Mapping
 	switch *tsuMap {
 	case "":
@@ -254,12 +268,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mapping = ddmlint.LocalityMapping(prog)
 	default:
 		return fail(fmt.Errorf("unknown -tsu-map %q (want range, rr or locality)", *tsuMap))
-	}
-	if mapping != nil && (*platform == "dist" || *platform == "virtual") {
-		return fail(fmt.Errorf("-tsu-map is not supported on the %s platform", *platform))
-	}
-	if *tsuShards > 1 && *platform != "soft" {
-		return fail(fmt.Errorf("-tsu-shards applies to the soft platform only"))
 	}
 
 	if *vet {
@@ -282,15 +290,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var rec *obs.Recorder
 	var sink obs.Sink
 	var reg *obs.Registry
-	if *traceOut != "" || *metrics || (*gantt && *platform == "soft") {
+	if *traceOut != "" || *metrics || *gantt {
 		rec = obs.NewRecorder()
 		sink = rec
 	}
 	if *metrics {
 		reg = obs.NewRegistry()
 	}
-	if *platform == "virtual" && sink != nil {
-		fmt.Fprintln(stderr, "tfluxrun: the virtual platform records no events; -trace-out/-metrics are ignored")
+	if !plat.events && sink != nil {
+		fmt.Fprintf(stderr, "tfluxrun: the %s platform records no events; -trace-out/-metrics are ignored\n", *platform)
 		rec, sink, reg = nil, nil, nil
 	}
 	lanes := *kernels // compute lanes in the exported trace
@@ -327,6 +335,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	// The simulated platform counts cycles against a simulated baseline;
+	// the others time the native sequential algorithm first.
+	var seqT, parT time.Duration
+	if plat.sizes != workload.Simulated {
+		seqT = stats.Min(stats.Measure(*reps, job.RunSequential))
+	}
 	switch *platform {
 	case "hard":
 		seq, err := hardsim.Sequential(prog.Buffers, job.SequentialSteps(), hardsim.Config{})
@@ -345,139 +359,128 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "memory:     %d L2 misses, %d coherence misses, %d upgrades\n",
 			res.Mem.L2Misses, res.Mem.CoherenceMisses, res.Mem.Upgrades)
 		fmt.Fprintf(stdout, "tsu:        busy %d cycles, %d decrements\n", res.TSUBusy, res.TSU.Decrements)
-	default:
-		seqT := stats.Min(stats.Measure(*reps, job.RunSequential))
-		var parT time.Duration
-		switch *platform {
-		case "soft":
-			best := time.Duration(0)
-			var last *rts.Stats
-			for r := 0; r < *reps; r++ {
-				job.ResetOutput()
-				st, err := rts.Run(prog, rts.Options{Kernels: *kernels, TSUShards: *tsuShards, TSUMapping: mapping, Obs: sink, Metrics: reg})
-				if err != nil {
-					return fail(err)
-				}
-				last = st
-				if best == 0 || st.Elapsed < best {
-					best = st.Elapsed
-				}
+		return finish()
+	case "soft":
+		var last *rts.Stats
+		parT, err = bestOf(*reps, func() (time.Duration, error) {
+			job.ResetOutput()
+			st, err := rts.Run(prog, rts.Options{Kernels: *kernels, TSUShards: *tsuShards, TSUMapping: mapping, Obs: sink, Metrics: reg})
+			if err != nil {
+				return 0, err
 			}
-			parT = best
-			if last != nil && last.Shards > 1 {
-				fmt.Fprintf(stdout, "tsu:        %d shards, %d cross-shard decrement(s), per-shard fires %v\n",
-					last.Shards, last.CrossShardDecrements, last.ShardFired)
+			last = st
+			return st.Elapsed, nil
+		})
+		if err != nil {
+			return fail(err)
+		}
+		if last.Shards > 1 {
+			fmt.Fprintf(stdout, "tsu:        %d shards, %d cross-shard decrement(s), per-shard fires %v\n",
+				last.Shards, last.CrossShardDecrements, last.ShardFired)
+		}
+		if *gantt {
+			if err := obs.WriteGantt(stdout, rec.Events(), *kernels, 72); err != nil {
+				return fail(err)
 			}
-			if *gantt {
-				if err := obs.WriteGantt(stdout, rec.Events(), *kernels, 72); err != nil {
-					return fail(err)
-				}
+		}
+	case "cell":
+		parT, err = bestOf(*reps, func() (time.Duration, error) {
+			job.ResetOutput()
+			st, err := cellsim.Run(prog, job.SharedBuffers(), cellsim.Config{SPEs: *kernels, Mapping: mapping, Obs: sink, Metrics: reg})
+			if err != nil {
+				return 0, err
 			}
-		case "cell":
-			best := time.Duration(0)
-			for r := 0; r < *reps; r++ {
-				job.ResetOutput()
-				st, err := cellsim.Run(prog, job.SharedBuffers(), cellsim.Config{SPEs: *kernels, Mapping: mapping, Obs: sink, Metrics: reg})
-				if err != nil {
-					return fail(err)
-				}
-				if best == 0 || st.Elapsed < best {
-					best = st.Elapsed
-				}
-			}
-			parT = best
-		case "dist":
-			// Each worker node runs a replica program; the coordinator's
-			// replica owns the canonical buffers, so verification targets
-			// the job registered against the coordinator's buffer set.
-			kpn := *kernels / *nodes
-			if kpn < 1 {
-				kpn = 1
-			}
-			lanes = *nodes // one trace lane per worker node
-			var mu sync.Mutex
-			jobs := map[*cellsim.SharedVariableBuffer]workload.Job{}
-			build := func() (*core.Program, *cellsim.SharedVariableBuffer) {
-				j := spec.Make(param)
-				p, err := j.Build(kpn**nodes, *unroll)
-				if err != nil {
-					return nil, nil
-				}
-				svb := j.SharedBuffers()
-				mu.Lock()
-				jobs[svb] = j
-				mu.Unlock()
-				return p, svb
-			}
-			opt := dist.Options{Sink: sink, Metrics: reg,
-				BatchCount: *distBatch, BatchBytes: *distBatchKB,
-				Window: *distWindow, DisableRegionCache: *distNoCache}
-			var chaosLog *chaos.Log
-			if *distFaults != "" {
-				plan, err := chaos.ParseSpec(*distFaults)
-				if err != nil {
-					return fail(err)
-				}
-				chaosLog = chaos.NewLog()
-				opt.WrapConn = func(node int, c net.Conn) net.Conn { return plan.Wrap(node, c, chaosLog) }
-				// Demo-friendly detection: find dead nodes in tens of
-				// milliseconds rather than the production-paced defaults.
-				opt.Heartbeat = 20 * time.Millisecond
-				opt.HeartbeatMisses = 5
-				opt.LeaseTimeout = 2 * time.Second
-			}
-			st, svb, err := dist.RunLocalOpts(build, *nodes, kpn, opt)
+			return st.Elapsed, nil
+		})
+		if err != nil {
+			return fail(err)
+		}
+	case "dist":
+		// Each worker node runs a replica program; the coordinator's
+		// replica owns the canonical buffers, so verification targets
+		// the job that owns the buffer set the run hands back.
+		kpn := *kernels / *nodes
+		if kpn < 1 {
+			kpn = 1
+		}
+		lanes = *nodes // one trace lane per worker node
+		build, owner := workload.Replicas(spec, param, kpn**nodes, *unroll)
+		opt := dist.Options{Sink: sink, Metrics: reg,
+			BatchCount: *distBatch, BatchBytes: *distBatchKB,
+			Window: *distWindow, DisableRegionCache: *distNoCache}
+		var chaosLog *chaos.Log
+		if *distFaults != "" {
+			plan, err := chaos.ParseSpec(*distFaults)
 			if err != nil {
 				return fail(err)
 			}
-			mu.Lock()
-			job = jobs[svb]
-			mu.Unlock()
-			if job == nil {
-				return fail(fmt.Errorf("dist: coordinator job missing"))
-			}
-			parT = st.Elapsed
-			fmt.Fprintf(stdout, "dist:       %d nodes × %d kernels, %d messages in %d batches, %d bytes out, %d bytes in\n",
-				*nodes, kpn, st.Messages, st.Batches, st.BytesOut, st.BytesIn)
-			fmt.Fprintf(stdout, "regioncache: %d hit(s), %d miss(es), %d bytes saved\n",
-				st.RegionCacheHits, st.RegionCacheMisses, st.BytesSaved)
-			if chaosLog != nil {
-				fmt.Fprintf(stdout, "chaos:      %d fault(s) fired\n", chaosLog.Count())
-				for _, ev := range chaosLog.Events() {
-					fmt.Fprintf(stdout, "  node %d frame %d: %s %s\n", ev.Node, ev.Frame, ev.Kind, ev.Detail)
-				}
-				fmt.Fprintf(stdout, "failover:   %d node(s) lost, %d re-dispatch(es), %d duplicate Done(s) discarded\n",
-					st.Failovers, st.Retries, st.DupeDones)
-				for i, nd := range st.Nodes {
-					if nd.Lost {
-						fmt.Fprintf(stdout, "  node %d lost: %s\n", i, nd.LostReason)
-					}
-				}
-			}
-		case "virtual":
-			// Body durations are measured per run; repeat and take the
-			// min so cold-start page faults do not pollute the model.
-			best := time.Duration(0)
-			for r := 0; r < *reps; r++ {
-				job.ResetOutput()
-				res, err := vtime.Run(prog, vtime.Config{Kernels: *kernels})
-				if err != nil {
-					return fail(err)
-				}
-				if best == 0 || res.Makespan < best {
-					best = res.Makespan
-				}
-			}
-			parT = best
+			chaosLog = chaos.NewLog()
+			opt.WrapConn = func(node int, c net.Conn) net.Conn { return plan.Wrap(node, c, chaosLog) }
+			// Demo-friendly detection: find dead nodes in tens of
+			// milliseconds rather than the production-paced defaults.
+			opt.Heartbeat = 20 * time.Millisecond
+			opt.HeartbeatMisses = 5
+			opt.LeaseTimeout = 2 * time.Second
 		}
-		if err := job.Verify(); err != nil {
+		st, svb, runErr := dist.RunLocalOpts(build, *nodes, kpn, opt)
+		coord, buildErr := owner(svb)
+		if err := errors.Join(buildErr, runErr); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "sequential: %s\nparallel:   %s\nspeedup:    %.2f\n",
-			stats.FormatDuration(seqT), stats.FormatDuration(parT),
-			stats.Speedup(seqT.Seconds(), parT.Seconds()))
+		job = coord
+		parT = st.Elapsed
+		fmt.Fprintf(stdout, "dist:       %d nodes × %d kernels, %d messages in %d batches, %d bytes out, %d bytes in\n",
+			*nodes, kpn, st.Messages, st.Batches, st.BytesOut, st.BytesIn)
+		fmt.Fprintf(stdout, "regioncache: %d hit(s), %d miss(es), %d bytes saved\n",
+			st.RegionCacheHits, st.RegionCacheMisses, st.BytesSaved)
+		if chaosLog != nil {
+			fmt.Fprintf(stdout, "chaos:      %d fault(s) fired\n", chaosLog.Count())
+			for _, ev := range chaosLog.Events() {
+				fmt.Fprintf(stdout, "  node %d frame %d: %s %s\n", ev.Node, ev.Frame, ev.Kind, ev.Detail)
+			}
+			fmt.Fprintf(stdout, "failover:   %d node(s) lost, %d re-dispatch(es), %d duplicate Done(s) discarded\n",
+				st.Failovers, st.Retries, st.DupeDones)
+			for i, nd := range st.Nodes {
+				if nd.Lost {
+					fmt.Fprintf(stdout, "  node %d lost: %s\n", i, nd.LostReason)
+				}
+			}
+		}
+	case "virtual":
+		// Body durations are measured per run; repeat and take the
+		// min so cold-start page faults do not pollute the model.
+		parT, err = bestOf(*reps, func() (time.Duration, error) {
+			job.ResetOutput()
+			res, err := vtime.Run(prog, vtime.Config{Kernels: *kernels})
+			if err != nil {
+				return 0, err
+			}
+			return res.Makespan, nil
+		})
+		if err != nil {
+			return fail(err)
+		}
 	}
+	if err := job.Verify(); err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(stdout, "sequential: %s\nparallel:   %s\nspeedup:    %.2f\n",
+		stats.FormatDuration(seqT), stats.FormatDuration(parT),
+		stats.Speedup(seqT.Seconds(), parT.Seconds()))
 	return finish()
+}
+
+// bestOf runs once reps times (at least once) and returns the shortest
+// duration it reported — the "several runs, best kept" rule of §5.
+func bestOf(reps int, once func() (time.Duration, error)) (time.Duration, error) {
+	best, err := once()
+	for r := 1; r < reps && err == nil; r++ {
+		var d time.Duration
+		if d, err = once(); d < best {
+			best = d
+		}
+	}
+	return best, err
 }
 
 // runStreamMode runs the EVENTFILTER streaming pipeline and reports

@@ -364,3 +364,56 @@ func TestRunStreamVetGate(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsFlagsThePlatformCannotHonour pins the platforms table:
+// a tuning flag on a platform that has nothing to apply it to is refused
+// with one message shape, never dropped (-gantt off the soft platform
+// used to be).
+func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
+	forbidden := []struct {
+		flag      []string
+		platforms []string
+	}{
+		{[]string{"-tsu-map", "rr"}, []string{"dist", "virtual"}},
+		{[]string{"-tsu-shards", "2"}, []string{"hard", "cell", "dist", "virtual"}},
+		{[]string{"-gantt"}, []string{"hard", "cell", "dist", "virtual"}},
+	}
+	pairs := 0
+	for _, f := range forbidden {
+		for _, platform := range f.platforms {
+			pairs++
+			args := append([]string{"-bench", "TRAPEZ", "-platform", platform, "-reps", "1"}, f.flag...)
+			var out, errb bytes.Buffer
+			if code := run(args, &out, &errb); code != 1 {
+				t.Errorf("%v: exit %d, want 1 (stdout: %s)", args, code, out.String())
+			}
+			want := f.flag[0] + " is not supported on the " + platform + " platform"
+			if !strings.Contains(errb.String(), want) {
+				t.Errorf("%v: stderr %q, want %q", args, errb.String(), want)
+			}
+		}
+	}
+	// The list above is written out, not derived, so a new platform or
+	// capability has to be decided here too.
+	inTable := 0
+	for _, p := range platforms {
+		for _, accepted := range []bool{p.tsuMap, p.softTSU, p.softTSU} {
+			if !accepted {
+				inTable++
+			}
+		}
+	}
+	if inTable != pairs {
+		t.Fatalf("platforms table forbids %d (flag, platform) pairs, this test covers %d", inTable, pairs)
+	}
+}
+
+func TestRunUnknownSize(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-size", "huge"}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if want := `unknown size "huge" (want small, medium or large)`; !strings.Contains(errb.String(), want) {
+		t.Fatalf("stderr %q, want %q", errb.String(), want)
+	}
+}

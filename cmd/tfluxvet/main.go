@@ -64,16 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runStream(fs.Args(), *window, *slots, *workers, stdout, stderr)
 	}
 
-	var cls workload.SizeClass
-	switch *size {
-	case "small":
-		cls = workload.Small
-	case "medium":
-		cls = workload.Medium
-	case "large":
-		cls = workload.Large
-	default:
-		fmt.Fprintf(stderr, "tfluxvet: unknown size %q\n", *size)
+	cls, err := workload.ParseSizeClass(*size)
+	if err != nil {
+		fmt.Fprintln(stderr, "tfluxvet:", err)
 		return 2
 	}
 

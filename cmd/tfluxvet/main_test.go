@@ -109,3 +109,15 @@ func TestVetStreamBuildFailure(t *testing.T) {
 		t.Fatalf("stderr = %q", errb)
 	}
 }
+
+// TestVetUnknownSize: the size is parsed by workload.ParseSizeClass, so
+// tfluxvet and tfluxrun name the valid sizes in the same words.
+func TestVetUnknownSize(t *testing.T) {
+	code, _, errb := runVet(t, "-size", "huge", "MMULT")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if want := `unknown size "huge" (want small, medium or large)`; !strings.Contains(errb, want) {
+		t.Fatalf("stderr %q, want %q", errb, want)
+	}
+}

@@ -8,7 +8,6 @@ import (
 
 	"tflux/internal/cellsim"
 	"tflux/internal/core"
-	"tflux/internal/obs"
 	"tflux/internal/tsu"
 )
 
@@ -59,17 +58,6 @@ type Stats struct {
 // final Block's Outlet completes.
 func Coordinate(prog *core.Program, svb *cellsim.SharedVariableBuffer, conns []net.Conn) (*Stats, error) {
 	return CoordinateOpts(prog, svb, conns, Options{})
-}
-
-// CoordinateObs is Coordinate with observability attached: sink (may be
-// nil) receives one DistRPC event per Exec→Done round trip and one
-// ThreadComplete per remote execution on the owning node's lane, plus
-// TSUCommand events for coordinator-side TSU work on lane len(conns);
-// reg (may be nil) receives the RPC latency histogram and traffic and
-// TSU totals. The ThreadComplete span is the round trip as observed
-// from the coordinator — remote body time plus transport.
-func CoordinateObs(prog *core.Program, svb *cellsim.SharedVariableBuffer, conns []net.Conn, sink obs.Sink, reg *obs.Registry) (*Stats, error) {
-	return CoordinateOpts(prog, svb, conns, Options{Sink: sink, Metrics: reg})
 }
 
 // CoordinateOpts is Coordinate with batching, caching, resilience and

@@ -16,9 +16,14 @@ import (
 // node is declared dead, 30s leases, 10s handshake and per-frame write
 // deadlines, and capped exponential re-dispatch backoff starting at 2ms.
 type Options struct {
-	// Sink receives run events (see CoordinateObs); may be nil.
+	// Sink (may be nil) receives one DistRPC event per Exec→Done round
+	// trip and one ThreadComplete per remote execution on the owning
+	// node's lane, plus TSUCommand events for coordinator-side TSU work
+	// on lane len(conns). The ThreadComplete span is the round trip as
+	// observed from the coordinator — remote body time plus transport.
 	Sink obs.Sink
-	// Metrics receives counters, gauges and histograms; may be nil.
+	// Metrics (may be nil) receives the RPC latency histogram and the
+	// traffic and TSU totals.
 	Metrics *obs.Registry
 
 	// BatchCount caps how many Execs coalesce into one ExecBatch frame.

@@ -7,7 +7,6 @@ import (
 	"net"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,21 +47,7 @@ func TestChaosSeverFailover(t *testing.T) {
 	const spec = "seed=7,plan=sever:node=1:after=1;sever:node=2:after=1:midframe=true"
 	runMMult := func(plan *chaos.Plan, log *chaos.Log, reg *obs.Registry) (*Stats, *cellsim.SharedVariableBuffer, workload.Job) {
 		t.Helper()
-		var mu sync.Mutex
-		jobs := map[*cellsim.SharedVariableBuffer]workload.Job{}
-		build := func() (*core.Program, *cellsim.SharedVariableBuffer) {
-			job := workload.NewMMult(32)
-			p, err := job.Build(8, 1)
-			if err != nil {
-				t.Error(err)
-				return nil, nil
-			}
-			svb := job.SharedBuffers()
-			mu.Lock()
-			jobs[svb] = job
-			mu.Unlock()
-			return p, svb
-		}
+		build, owner := workload.Replicas(workload.MMultSpec(), 32, 8, 1)
 		opt := fastFailover()
 		opt.Metrics = reg
 		// A tight window and small batches force several ExecBatch
@@ -78,11 +63,9 @@ func TestChaosSeverFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run failed: %v\nstats: %+v", err, st)
 		}
-		mu.Lock()
-		job := jobs[svb]
-		mu.Unlock()
-		if job == nil {
-			t.Fatal("coordinator job not recorded")
+		job, err := owner(svb)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return st, svb, job
 	}

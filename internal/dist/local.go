@@ -8,7 +8,6 @@ import (
 
 	"tflux/internal/cellsim"
 	"tflux/internal/core"
-	"tflux/internal/obs"
 )
 
 // RunLocal runs a distributed execution entirely inside this process:
@@ -25,10 +24,76 @@ func RunLocal(build func() (*core.Program, *cellsim.SharedVariableBuffer), nodes
 	return RunLocalOpts(build, nodes, kernelsPerNode, Options{})
 }
 
-// RunLocalObs is RunLocal with coordinator-side observability attached;
-// see CoordinateObs for what sink and reg receive.
-func RunLocalObs(build func() (*core.Program, *cellsim.SharedVariableBuffer), nodes, kernelsPerNode int, sink obs.Sink, reg *obs.Registry) (*Stats, *cellsim.SharedVariableBuffer, error) {
-	return RunLocalOpts(build, nodes, kernelsPerNode, Options{Sink: sink, Metrics: reg})
+// loopback is the in-process worker set behind RunLocalOpts and
+// NewLocalFleet: `nodes` goroutines running serve, each on the worker end
+// of a loopback TCP connection whose coordinator end is conns[i] (wrapped
+// by wrap when non-nil — the fault-injection hook).
+type loopback struct {
+	conns []net.Conn
+	wg    sync.WaitGroup
+	errs  []error // errs[i] is worker i's result, valid after wg.Wait
+}
+
+// newLoopback dials and accepts pairwise so worker i IS coordinator node
+// i — the failover bookkeeping (Stats.Nodes[i].Lost) and errs[i] must
+// agree on which node is which, and concurrent dials would leave the
+// accept order arbitrary. A set-up failure aborts the workers already
+// started.
+func newLoopback(nodes int, wrap func(node int, c net.Conn) net.Conn, serve func(net.Conn) error) (*loopback, error) {
+	if nodes < 1 {
+		nodes = 1
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	defer ln.Close()
+
+	lb := &loopback{conns: make([]net.Conn, 0, nodes), errs: make([]error, nodes)}
+	for i := 0; i < nodes; i++ {
+		wconn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			return nil, lb.abort(fmt.Errorf("dist: dial node %d: %w", i, err))
+		}
+		c, err := ln.Accept()
+		if err != nil {
+			wconn.Close() //nolint:errcheck
+			return nil, lb.abort(fmt.Errorf("dist: accept: %w", err))
+		}
+		lb.wg.Add(1)
+		go func(i int) {
+			defer lb.wg.Done()
+			lb.errs[i] = serve(wconn)
+		}(i)
+		if wrap != nil {
+			c = wrap(i, c)
+		}
+		lb.conns = append(lb.conns, c)
+	}
+	return lb, nil
+}
+
+// abort closes the coordinator ends, so workers blocked in serve unwind,
+// and returns cause with the errors they exit with.
+func (lb *loopback) abort(cause error) error {
+	for _, c := range lb.conns {
+		c.Close() //nolint:errcheck
+	}
+	return lb.join(cause, nil)
+}
+
+// join waits for the workers and folds their errors onto base, skipping
+// nodes whose loss the coordinator already handled (lostOK, may be nil).
+func (lb *loopback) join(base error, lostOK func(i int) bool) error {
+	lb.wg.Wait()
+	errs := []error{base}
+	for i, werr := range lb.errs {
+		if werr == nil || (lostOK != nil && lostOK(i)) {
+			continue
+		}
+		errs = append(errs, fmt.Errorf("dist: node %d: %w", i, werr))
+	}
+	return errors.Join(errs...)
 }
 
 // RunLocalOpts is RunLocal with resilience and observability tuned by
@@ -38,77 +103,18 @@ func RunLocalObs(build func() (*core.Program, *cellsim.SharedVariableBuffer), no
 // coordinator deliberately failed over are expected casualties and are
 // not reported when the run itself succeeded.
 func RunLocalOpts(build func() (*core.Program, *cellsim.SharedVariableBuffer), nodes, kernelsPerNode int, opt Options) (*Stats, *cellsim.SharedVariableBuffer, error) {
-	if nodes < 1 {
-		nodes = 1
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	lb, err := newLoopback(nodes, opt.WrapConn, func(c net.Conn) error { return Serve(c, kernelsPerNode, build) })
 	if err != nil {
 		return nil, nil, err
 	}
-	defer ln.Close()
-
-	var wg sync.WaitGroup
-	workerErrs := make([]error, nodes)
-
-	// joinWorkerErrs folds the worker results into one error, skipping
-	// nodes whose loss the coordinator already handled (lostOK).
-	joinWorkerErrs := func(base error, lostOK func(i int) bool) error {
-		errs := []error{base}
-		for i, werr := range workerErrs {
-			if werr == nil || (lostOK != nil && lostOK(i)) {
-				continue
-			}
-			errs = append(errs, fmt.Errorf("dist: node %d: %w", i, werr))
-		}
-		return errors.Join(errs...)
-	}
-
-	// Dial and accept pairwise so worker i IS coordinator node i — the
-	// failover bookkeeping (stats.Nodes[i].Lost) and workerErrs[i] must
-	// agree on which node is which, and concurrent dials would leave the
-	// accept order arbitrary.
-	conns := make([]net.Conn, 0, nodes)
-	for i := 0; i < nodes; i++ {
-		failSetup := func(err error) (*Stats, *cellsim.SharedVariableBuffer, error) {
-			// Release everything already connected so workers blocked in
-			// Serve unwind, then surface their errors too.
-			for _, c := range conns {
-				c.Close() //nolint:errcheck
-			}
-			ln.Close() //nolint:errcheck
-			wg.Wait()
-			return nil, nil, joinWorkerErrs(err, nil)
-		}
-		wconn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			return failSetup(fmt.Errorf("dist: dial node %d: %w", i, err))
-		}
-		c, err := ln.Accept()
-		if err != nil {
-			wconn.Close() //nolint:errcheck
-			return failSetup(fmt.Errorf("dist: accept: %w", err))
-		}
-		wg.Add(1)
-		go func(i int, wconn net.Conn) {
-			defer wg.Done()
-			workerErrs[i] = Serve(wconn, kernelsPerNode, build)
-		}(i, wconn)
-		if opt.WrapConn != nil {
-			c = opt.WrapConn(i, c)
-		}
-		conns = append(conns, c)
-	}
-
 	prog, svb := build()
-	stats, err := CoordinateOpts(prog, svb, conns, opt)
-	wg.Wait()
-	lostOK := func(i int) bool {
-		return err == nil && stats != nil && stats.Nodes[i].Lost
+	if prog == nil {
+		return nil, nil, lb.abort(errors.New("dist: program builder returned nil"))
 	}
-	if joined := joinWorkerErrs(err, lostOK); joined != nil {
-		return stats, svb, joined
-	}
-	return stats, svb, nil
+	stats, runErr := CoordinateOpts(prog, svb, lb.conns, opt)
+	return stats, svb, lb.join(runErr, func(i int) bool {
+		return runErr == nil && stats != nil && stats.Nodes[i].Lost
+	})
 }
 
 // NewLocalFleet builds a loopback worker fleet inside this process:
@@ -123,63 +129,18 @@ func RunLocalOpts(build func() (*core.Program, *cellsim.SharedVariableBuffer), n
 // exited — call it after Fleet.Close — and returns the per-node worker
 // errors (nil entries for clean shutdowns).
 func NewLocalFleet(nodes, kernelsPerNode int, resolve Resolver, opt Options) (*Fleet, func() []error, error) {
-	if nodes < 1 {
-		nodes = 1
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	lb, err := newLoopback(nodes, opt.WrapConn, func(c net.Conn) error { return ServeFleet(c, kernelsPerNode, resolve) })
 	if err != nil {
 		return nil, nil, err
 	}
-	defer ln.Close()
-
-	var wg sync.WaitGroup
-	workerErrs := make([]error, nodes)
-	conns := make([]net.Conn, 0, nodes)
-	// Pairwise dial/accept so worker i IS fleet node i (see RunLocalOpts).
-	for i := 0; i < nodes; i++ {
-		failSetup := func(err error) (*Fleet, func() []error, error) {
-			for _, c := range conns {
-				c.Close() //nolint:errcheck
-			}
-			ln.Close() //nolint:errcheck
-			wg.Wait()
-			return nil, nil, err
-		}
-		wconn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			return failSetup(fmt.Errorf("dist: dial node %d: %w", i, err))
-		}
-		c, err := ln.Accept()
-		if err != nil {
-			wconn.Close() //nolint:errcheck
-			return failSetup(fmt.Errorf("dist: accept: %w", err))
-		}
-		wg.Add(1)
-		go func(i int, wconn net.Conn) {
-			defer wg.Done()
-			workerErrs[i] = ServeFleet(wconn, kernelsPerNode, resolve)
-		}(i, wconn)
-		if opt.WrapConn != nil {
-			c = opt.WrapConn(i, c)
-		}
-		conns = append(conns, c)
-	}
-
-	f, err := NewFleet(conns, opt)
+	f, err := NewFleet(lb.conns, opt)
 	if err != nil {
 		// NewFleet closed the connections; collect the workers.
-		wg.Wait()
-		errs := []error{err}
-		for i, werr := range workerErrs {
-			if werr != nil {
-				errs = append(errs, fmt.Errorf("dist: node %d: %w", i, werr))
-			}
-		}
-		return nil, nil, errors.Join(errs...)
+		return nil, nil, lb.join(err, nil)
 	}
 	wait := func() []error {
-		wg.Wait()
-		return workerErrs
+		lb.wg.Wait()
+		return lb.errs
 	}
 	return f, wait, nil
 }

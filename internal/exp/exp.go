@@ -1,26 +1,19 @@
-// Package exp defines one runnable experiment per table and figure of the
-// paper's evaluation (§5–§6), plus the sensitivity studies described in
-// the text:
+// Package exp holds the paper's evaluation (§5–§6) as a table of runnable
+// experiments — Experiments, in print order; tfluxbench derives its -exp
+// selector from it — and the measurement protocol they share.
 //
-//	table1  — the workload/problem-size table (Table 1)
-//	fig5    — TFluxHard speedups: 5 benchmarks × {2,4,8,16,27} kernels ×
-//	          {S,M,L} on the simulated 28-core CMP (Figure 5)
-//	fig6    — TFluxSoft native speedups: 5 benchmarks × {2,4,6} kernels ×
-//	          {S,M,L} (Figure 6)
-//	fig7    — TFluxCell speedups: 4 benchmarks × {2,4,6} kernels ×
-//	          {S,M,L} (Figure 7)
-//	tsulat  — TSU processing latency 1→128 cycles, <1% impact (§3.3/§4.1)
-//	unroll  — the loop-unrolling study: best unroll per platform (§6.2.2,
-//	          §6.3)
-//	budget  — the TSU hardware cost estimate (§4.1, ≈430K transistors)
-//	fig5x86 — the 9-core x86 companion machine (§6.1.2)
-//	groups  — multiple TSU Groups (§4.1's "under development" extension)
-//	policy  — ready-queue scheduling ablation (§3.1's locality pick)
-//	dist    — TFluxDist protocol cost across worker nodes
+// §5 applies one procedure to every platform: run each configuration
+// several times, keep the best time, take the best over the unroll
+// candidates, and report speedup against the pure sequential program. Here
+// that procedure exists once, with the platform as a parameter: a machine
+// descriptor says how one platform measures its sequential baseline and one
+// verified parallel configuration (hard, soft and cell construct the
+// three), speedups sweeps the suite over sizes and kernel counts on one
+// machine (Figures 5–7 and the x86 companion), and study varies one setting
+// at a fixed size (tsulat, groups, policy, shards, unroll).
 //
-// Each experiment verifies every parallel run against the sequential
-// reference before reporting its speedup; a verification failure aborts
-// the experiment.
+// Every parallel run is verified against the sequential reference before
+// its time is reported; a verification failure aborts the experiment.
 package exp
 
 import (
@@ -29,8 +22,10 @@ import (
 	"runtime"
 	"strings"
 	"text/tabwriter"
+	"time"
 
 	"tflux/internal/cellsim"
+	"tflux/internal/core"
 	"tflux/internal/hardsim"
 	"tflux/internal/obs"
 	"tflux/internal/rts"
@@ -39,6 +34,34 @@ import (
 	"tflux/internal/vtime"
 	"tflux/internal/workload"
 )
+
+// Experiment is one entry of the experiment table: exactly one of Rows
+// (measured) and Text (descriptive) is set.
+type Experiment struct {
+	Name  string // the tfluxbench -exp selector
+	Title string // section header
+	Rows  func(Options) ([]Row, error)
+	Text  func() string
+}
+
+// Experiments is every experiment of the harness, in the order
+// tfluxbench -exp all prints them.
+var Experiments = []Experiment{
+	{Name: "table1", Title: "table1", Text: Table1},
+	{Name: "fig5", Title: "fig5 (TFluxHard, simulated cycles)", Rows: Fig5},
+	{Name: "fig6", Title: "fig6 (TFluxSoft, native)", Rows: Fig6},
+	{Name: "fig7", Title: "fig7 (TFluxCell, native)", Rows: Fig7},
+	{Name: "fig5x86", Title: "fig5x86 (9-core x86 companion, §6.1.2)", Rows: Fig5X86},
+	{Name: "groups", Title: "groups (multiple TSU Groups, §4.1 extension)", Rows: Groups},
+	{Name: "policy", Title: "policy (ready-queue scheduling ablation)", Rows: Policies},
+	{Name: "shards", Title: "shards (sharded software TSU vs dedicated emulator)", Rows: Shards},
+	{Name: "dist", Title: "dist (TFluxDist protocol cost across nodes)", Rows: Dist},
+	{Name: "serve", Title: "serve (tfluxd service-layer throughput)", Rows: Serve},
+	{Name: "stream", Title: "stream (sustained-rate event filter)", Rows: Stream},
+	{Name: "tsulat", Title: "tsulat (TSU latency 1..128 cycles)", Rows: TSULatency},
+	{Name: "unroll", Title: "unroll (MMULT across unroll factors)", Rows: UnrollSweep},
+	{Name: "budget", Title: "budget", Text: Budget},
+}
 
 // Row is one data point of an experiment: one (benchmark, platform,
 // kernels, size) cell of a paper figure.
@@ -179,251 +202,262 @@ func (o Options) unrolls(pf workload.Platform) []int {
 	}
 }
 
-// Fig5 regenerates Figure 5: TFluxHard speedup per benchmark, kernel count
-// and problem size, in simulated cycles.
-func Fig5(o Options) ([]Row, error) {
-	kernelCounts := o.kernelCounts([]int{2, 4, 8, 16, 27})
-	var rows []Row
-	for _, spec := range workload.Suite() {
-		sizes, ok := spec.Sizes(workload.Simulated)
-		if !ok {
-			continue
-		}
-		for _, cls := range o.classes() {
-			param := sizes[cls]
-			// Sequential baseline: one cold run of the original program
-			// through the same machine model.
-			job := spec.Make(param)
-			prog, err := job.Build(1, 1)
-			if err != nil {
-				return nil, err
-			}
-			seqRes, err := hardsim.Sequential(prog.Buffers, job.SequentialSteps(), hardsim.Config{})
-			if err != nil {
-				return nil, err
-			}
-			seq := float64(seqRes.Cycles)
-			for _, kernels := range kernelCounts {
-				best := math.Inf(1)
-				bestU := 0
-				for _, u := range o.unrolls(workload.Simulated) {
-					job.ResetOutput()
-					p, err := job.Build(kernels, u)
-					if err != nil {
-						return nil, err
-					}
-					res, err := hardsim.Run(p, hardsim.Config{Cores: kernels, Metrics: o.Metrics})
-					if err != nil {
-						return nil, fmt.Errorf("fig5 %s k=%d u=%d: %w", spec.Name, kernels, u, err)
-					}
-					if err := job.Verify(); err != nil {
-						return nil, fmt.Errorf("fig5 %s k=%d u=%d: %w", spec.Name, kernels, u, err)
-					}
-					if c := float64(res.Cycles); c < best {
-						best, bestU = c, u
-					}
-				}
-				rows = append(rows, Row{
-					Experiment: "fig5", Benchmark: spec.Name, Platform: "TFluxHard",
-					Size: spec.SizeLabel(param), Class: cls, Kernels: kernels,
-					Unroll: bestU, Seq: seq, Par: best, Unit: "cycles", Mode: "sim",
-					Speedup: stats.Speedup(seq, best),
-				})
-				o.progress("fig5 %s %s k=%d: speedup %.2f", spec.Name, spec.SizeLabel(param), kernels, stats.Speedup(seq, best))
-			}
-		}
+// capKernels applies the MaxKernels cap to a study's fixed kernel count.
+func (o Options) capKernels(kernels int) int {
+	if o.MaxKernels > 0 && o.MaxKernels < kernels {
+		return o.MaxKernels
 	}
-	return rows, nil
+	return kernels
 }
 
-// measurePar times one parallel configuration of a software platform,
-// honoring the wall-clock/virtual mode, and verifies the output. It
-// returns the best time in seconds over the configured repetitions.
-func measurePar(o Options, job workload.Job, kernels, unroll int, cell bool) (float64, error) {
-	p, err := job.Build(kernels, unroll)
-	if err != nil {
-		return 0, err
-	}
-	reps := o.reps()
-	var best float64
-	if o.virtual() {
-		best = math.Inf(1)
-		for r := 0; r < reps; r++ {
-			job.ResetOutput()
-			res, err := vtime.Run(p, vtime.Config{Kernels: kernels, Cell: cell})
+// machine is one platform as the §5 protocol sees it: which Table 1 column
+// sizes its problems and picks its unroll candidates, how its rows are
+// labelled, and how the two numbers of a speedup are measured on it.
+type machine struct {
+	label string            // Row.Platform
+	pf    workload.Platform // Table 1 column and unroll candidates
+	unit  string            // Row.Unit
+	mode  string            // Row.Mode
+	// baseline measures the original sequential program.
+	baseline func(job workload.Job) (float64, error)
+	// run builds job at (kernels, unroll), executes it, verifies its
+	// output against the sequential reference and returns its time.
+	run func(job workload.Job, kernels, unroll int) (float64, error)
+}
+
+// hard is TFluxHard under cfg (Cores is set per run). Both numbers are
+// simulated cycles on that machine model; the baseline is one cold run of
+// the original program through it.
+func hard(label string, cfg hardsim.Config) machine {
+	return machine{
+		label: label, pf: workload.Simulated, unit: "cycles", mode: "sim",
+		baseline: func(job workload.Job) (float64, error) {
+			prog, err := job.Build(1, 1)
 			if err != nil {
 				return 0, err
 			}
-			if s := res.Makespan.Seconds(); s < best {
-				best = s
+			res, err := hardsim.Sequential(prog.Buffers, job.SequentialSteps(), cfg)
+			if err != nil {
+				return 0, err
 			}
-		}
-	} else {
-		var runErr error
-		t := stats.Min(stats.Measure(reps, func() {
+			return float64(res.Cycles), nil
+		},
+		run: func(job workload.Job, kernels, unroll int) (float64, error) {
 			job.ResetOutput()
-			if cell {
-				if _, err := cellsim.Run(p, job.SharedBuffers(), cellsim.Config{SPEs: kernels, Metrics: o.Metrics}); err != nil && runErr == nil {
-					runErr = err
-				}
-			} else {
-				if _, err := rts.Run(p, rts.Options{Kernels: kernels, Metrics: o.Metrics}); err != nil && runErr == nil {
-					runErr = err
-				}
+			p, err := job.Build(kernels, unroll)
+			if err != nil {
+				return 0, err
 			}
-		}))
-		if runErr != nil {
-			return 0, runErr
-		}
-		best = t.Seconds()
+			run := cfg
+			run.Cores = kernels
+			res, err := hardsim.Run(p, run)
+			if err != nil {
+				return 0, err
+			}
+			return float64(res.Cycles), job.Verify()
+		},
 	}
-	if err := job.Verify(); err != nil {
-		return 0, err
-	}
-	return best, nil
 }
 
-// softMode names the timing mode for Row.Mode.
-func (o Options) softMode() string {
-	if o.virtual() {
-		return "virtual"
+// timed is a software platform: both numbers are the best of o.reps() runs
+// in seconds, the baseline the native sequential algorithm. A parallel run
+// is exec on the wall clock (output reset included, as a caller would pay
+// it), or, with virtual set, the vtime model's makespan — the substitution
+// for hosts that cannot run kernels in parallel (see package vtime).
+func timed(o Options, label string, pf workload.Platform, virtual bool, exec func(p *core.Program, job workload.Job, kernels int) error) machine {
+	mode := "wallclock"
+	if virtual {
+		mode = "virtual"
 	}
-	return "wallclock"
-}
-
-// Fig6 regenerates Figure 6: TFluxSoft native speedups (wall clock on
-// multicore hosts, virtual time on single-core hosts).
-func Fig6(o Options) ([]Row, error) {
-	kernelCounts := o.kernelCounts([]int{2, 4, 6})
-	reps := o.reps()
-	var rows []Row
-	for _, spec := range workload.Suite() {
-		sizes, ok := spec.Sizes(workload.Native)
-		if !ok {
-			continue
-		}
-		for _, cls := range o.classes() {
-			param := sizes[cls]
-			job := spec.Make(param)
-			seqT := stats.Min(stats.Measure(reps, job.RunSequential))
-			seq := seqT.Seconds()
-			for _, kernels := range kernelCounts {
-				best := math.Inf(1)
-				bestU := 0
-				for _, u := range o.unrolls(workload.Native) {
-					s, err := measurePar(o, job, kernels, u, false)
+	return machine{
+		label: label, pf: pf, unit: "s", mode: mode,
+		baseline: func(job workload.Job) (float64, error) {
+			return stats.Min(stats.Measure(o.reps(), job.RunSequential)).Seconds(), nil
+		},
+		run: func(job workload.Job, kernels, unroll int) (float64, error) {
+			p, err := job.Build(kernels, unroll)
+			if err != nil {
+				return 0, err
+			}
+			best := time.Duration(math.MaxInt64)
+			for r := 0; r < o.reps(); r++ {
+				start := time.Now()
+				job.ResetOutput()
+				var d time.Duration
+				if virtual {
+					res, err := vtime.Run(p, vtime.Config{Kernels: kernels, Cell: pf == workload.Cell})
 					if err != nil {
-						return nil, fmt.Errorf("fig6 %s k=%d u=%d: %w", spec.Name, kernels, u, err)
+						return 0, err
 					}
-					if s < best {
-						best, bestU = s, u
+					d = res.Makespan
+				} else {
+					if err := exec(p, job, kernels); err != nil {
+						return 0, err
 					}
+					d = time.Since(start)
 				}
-				rows = append(rows, Row{
-					Experiment: "fig6", Benchmark: spec.Name, Platform: "TFluxSoft",
-					Size: spec.SizeLabel(param), Class: cls, Kernels: kernels,
-					Unroll: bestU, Seq: seq, Par: best, Unit: "s", Mode: o.softMode(),
-					Speedup: stats.Speedup(seq, best),
-				})
-				o.progress("fig6 %s %s k=%d: speedup %.2f", spec.Name, spec.SizeLabel(param), kernels, stats.Speedup(seq, best))
+				if d < best {
+					best = d
+				}
 			}
-		}
+			return best.Seconds(), job.Verify()
+		},
 	}
-	return rows, nil
 }
 
-// Fig7 regenerates Figure 7: TFluxCell speedups (wall clock) for the four
-// benchmarks the paper evaluates on the Cell.
-func Fig7(o Options) ([]Row, error) {
-	kernelCounts := o.kernelCounts([]int{2, 4, 6})
-	reps := o.reps()
+// soft is TFluxSoft. opts, when non-nil, chooses the rts.Options for a
+// built program (the policy and shard studies); nil runs the defaults.
+func soft(o Options, virtual bool, opts func(p *core.Program, kernels int) rts.Options) machine {
+	return timed(o, "TFluxSoft", workload.Native, virtual, func(p *core.Program, _ workload.Job, kernels int) error {
+		ro := rts.Options{Kernels: kernels}
+		if opts != nil {
+			ro = opts(p, kernels)
+		}
+		ro.Metrics = o.Metrics
+		_, err := rts.Run(p, ro)
+		return err
+	})
+}
+
+// cell is TFluxCell: the SPE substrate over the job's shared buffers.
+func cell(o Options) machine {
+	return timed(o, "TFluxCell", workload.Cell, o.virtual(), func(p *core.Program, job workload.Job, kernels int) error {
+		_, err := cellsim.Run(p, job.SharedBuffers(), cellsim.Config{SPEs: kernels, Metrics: o.Metrics})
+		return err
+	})
+}
+
+// emit completes one measured cell — r carries what was measured, m how to
+// label it — appends it and reports it as progress.
+func (o Options) emit(rows []Row, m machine, r Row) []Row {
+	r.Platform, r.Unit, r.Mode = m.label, m.unit, m.mode
+	r.Speedup = stats.Speedup(r.Seq, r.Par)
+	o.progress("%s %s %s %s k=%d u=%d: speedup %.2f", r.Experiment, r.Benchmark, r.Platform, r.Size, r.Kernels, r.Unroll, r.Speedup)
+	return append(rows, r)
+}
+
+// speedups is the figure protocol: every suite benchmark the paper runs on
+// m, at every size class and kernel count, the parallel time being the
+// best over m's unroll candidates (Row.Unroll names the winner).
+func speedups(o Options, name string, m machine, kernelCounts []int) ([]Row, error) {
 	var rows []Row
 	for _, spec := range workload.Suite() {
-		sizes, ok := spec.Sizes(workload.Cell)
+		sizes, ok := spec.Sizes(m.pf)
 		if !ok {
 			continue // FFT: not in Figure 7
 		}
 		for _, cls := range o.classes() {
 			param := sizes[cls]
 			job := spec.Make(param)
-			seqT := stats.Min(stats.Measure(reps, job.RunSequential))
-			seq := seqT.Seconds()
-			for _, kernels := range kernelCounts {
-				best := math.Inf(1)
-				bestU := 0
-				for _, u := range o.unrolls(workload.Cell) {
-					s, err := measurePar(o, job, kernels, u, true)
+			seq, err := m.baseline(job)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s: %w", name, spec.Name, err)
+			}
+			for _, kernels := range o.kernelCounts(kernelCounts) {
+				best, bestU := math.Inf(1), 0
+				for _, u := range o.unrolls(m.pf) {
+					par, err := m.run(job, kernels, u)
 					if err != nil {
-						return nil, fmt.Errorf("fig7 %s k=%d u=%d: %w", spec.Name, kernels, u, err)
+						return nil, fmt.Errorf("%s %s k=%d u=%d: %w", name, spec.Name, kernels, u, err)
 					}
-					if s < best {
-						best, bestU = s, u
+					if par < best {
+						best, bestU = par, u
 					}
 				}
-				rows = append(rows, Row{
-					Experiment: "fig7", Benchmark: spec.Name, Platform: "TFluxCell",
-					Size: spec.SizeLabel(param), Class: cls, Kernels: kernels,
-					Unroll: bestU, Seq: seq, Par: best, Unit: "s", Mode: o.softMode(),
-					Speedup: stats.Speedup(seq, best),
-				})
-				o.progress("fig7 %s %s k=%d: speedup %.2f", spec.Name, spec.SizeLabel(param), kernels, stats.Speedup(seq, best))
+				rows = o.emit(rows, m, Row{Experiment: name, Benchmark: spec.Name, Size: spec.SizeLabel(param),
+					Class: cls, Kernels: kernels, Unroll: bestU, Seq: seq, Par: best})
 			}
 		}
 	}
 	return rows, nil
 }
 
+// point is one configuration of a one-parameter study.
+type point struct {
+	tag    string // Row.Benchmark is "NAME/tag" when set
+	value  int    // the swept value, reported in the Unroll column
+	unroll int    // DThread granularity the point is built at
+	m      machine
+}
+
+// study is the one-parameter protocol: one Job of bench at one size class
+// and kernel count, measured at each point. With relative set, Seq is the
+// first point's own time, so Speedup reads "how much this setting changes
+// things" and 1.0 means not at all; otherwise it is the sequential
+// baseline of the first point's machine (which every point then shares).
+func study(o Options, name, bench string, cls workload.SizeClass, kernels int, relative bool, points []point) ([]Row, error) {
+	spec, err := workload.ByName(bench)
+	if err != nil {
+		return nil, err
+	}
+	sizes, _ := spec.Sizes(points[0].m.pf)
+	param := sizes[cls]
+	job := spec.Make(param)
+	var seq float64
+	if !relative {
+		if seq, err = points[0].m.baseline(job); err != nil {
+			return nil, fmt.Errorf("%s %s: %w", name, bench, err)
+		}
+	}
+	var rows []Row
+	for i, pt := range points {
+		label := bench
+		if pt.tag != "" {
+			label += "/" + pt.tag
+		}
+		par, err := pt.m.run(job, kernels, pt.unroll)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s k=%d u=%d: %w", name, label, kernels, pt.value, err)
+		}
+		if relative && i == 0 {
+			seq = par
+		}
+		rows = o.emit(rows, pt.m, Row{Experiment: name, Benchmark: label, Size: spec.SizeLabel(param),
+			Class: cls, Kernels: kernels, Unroll: pt.value, Seq: seq, Par: par})
+	}
+	return rows, nil
+}
+
+// Fig5 regenerates Figure 5: TFluxHard speedup per benchmark, kernel count
+// and problem size, in simulated cycles on the 28-core Sparc CMP.
+func Fig5(o Options) ([]Row, error) {
+	return speedups(o, "fig5", hard("TFluxHard", hardsim.Config{Metrics: o.Metrics}), []int{2, 4, 8, 16, 27})
+}
+
+// Fig6 regenerates Figure 6: TFluxSoft native speedups (wall clock on
+// multicore hosts, virtual time on single-core hosts).
+func Fig6(o Options) ([]Row, error) {
+	return speedups(o, "fig6", soft(o, o.virtual(), nil), []int{2, 4, 6})
+}
+
+// Fig7 regenerates Figure 7: TFluxCell speedups for the four benchmarks
+// the paper evaluates on the Cell.
+func Fig7(o Options) ([]Row, error) {
+	return speedups(o, "fig7", cell(o), []int{2, 4, 6})
+}
+
 // TSULatency regenerates the §3.3/§4.1 sensitivity study: TFluxHard
 // execution time as the TSU processing latency grows from 1 to 128 cycles
-// (the paper reports <1% impact). Speedup here is relative to the
-// 1-cycle configuration.
+// (the paper reports <1% impact). Speedup is relative to the 1-cycle
+// configuration; the Unroll column reports the latency. DThreads are built
+// at unroll 8, the coarse-grain regime where the paper states the claim.
 func TSULatency(o Options) ([]Row, error) {
 	lats := []sim.Time{1, 4, 16, 64, 128}
 	if o.Quick {
 		lats = []sim.Time{1, 128}
 	}
-	kernels := 16
-	if o.MaxKernels > 0 && o.MaxKernels < kernels {
-		kernels = o.MaxKernels
+	var points []point
+	for _, lat := range lats {
+		points = append(points, point{value: int(lat), unroll: 8,
+			m: hard("TFluxHard", hardsim.Config{TSULat: lat, Metrics: o.Metrics})})
 	}
 	var rows []Row
-	for _, name := range []string{"TRAPEZ", "MMULT"} {
-		spec, err := workload.ByName(name)
+	for _, bench := range []string{"TRAPEZ", "MMULT"} {
+		r, err := study(o, "tsulat", bench, workload.Medium, o.capKernels(16), true, points)
 		if err != nil {
 			return nil, err
 		}
-		sizes, _ := spec.Sizes(workload.Simulated)
-		param := sizes[workload.Medium]
-		job := spec.Make(param)
-		var base float64
-		for _, lat := range lats {
-			job.ResetOutput()
-			// Unroll 8: the coarse-grain regime where the paper states
-			// the <1% claim holds.
-			p, err := job.Build(kernels, 8)
-			if err != nil {
-				return nil, err
-			}
-			res, err := hardsim.Run(p, hardsim.Config{Cores: kernels, TSULat: lat, Metrics: o.Metrics})
-			if err != nil {
-				return nil, err
-			}
-			if err := job.Verify(); err != nil {
-				return nil, err
-			}
-			c := float64(res.Cycles)
-			if lat == lats[0] {
-				base = c
-			}
-			rows = append(rows, Row{
-				Experiment: "tsulat", Benchmark: spec.Name, Platform: "TFluxHard",
-				Size: spec.SizeLabel(param), Class: workload.Medium, Kernels: kernels,
-				Unroll: int(lat), // the swept variable, reported in the Unroll column
-				Seq:    base, Par: c, Unit: "cycles", Mode: "sim",
-				Speedup: stats.Speedup(base, c),
-			})
-			o.progress("tsulat %s lat=%d: %.4f of baseline", spec.Name, lat, c/base)
-		}
+		rows = append(rows, r...)
 	}
 	return rows, nil
 }
@@ -437,79 +471,24 @@ func UnrollSweep(o Options) ([]Row, error) {
 	if o.Quick {
 		unrolls = []int{1, 64}
 	}
-	reps := o.reps()
 	var rows []Row
-
-	// TFluxHard (simulated cycles).
-	{
-		spec, _ := workload.ByName("MMULT")
-		sizes, _ := spec.Sizes(workload.Simulated)
-		param := sizes[workload.Medium]
-		job := spec.Make(param)
-		prog, err := job.Build(1, 1)
+	for _, leg := range []struct {
+		m       machine
+		kernels int
+	}{
+		{hard("TFluxHard", hardsim.Config{}), 16},
+		{soft(o, o.virtual(), nil), 6},
+		{cell(o), 6},
+	} {
+		var points []point
+		for _, u := range unrolls {
+			points = append(points, point{value: u, unroll: u, m: leg.m})
+		}
+		r, err := study(o, "unroll", "MMULT", workload.Medium, o.capKernels(leg.kernels), false, points)
 		if err != nil {
 			return nil, err
 		}
-		seqRes, err := hardsim.Sequential(prog.Buffers, job.SequentialSteps(), hardsim.Config{})
-		if err != nil {
-			return nil, err
-		}
-		seq := float64(seqRes.Cycles)
-		kernels := 16
-		if o.MaxKernels > 0 && o.MaxKernels < kernels {
-			kernels = o.MaxKernels
-		}
-		for _, u := range unrolls {
-			job.ResetOutput()
-			p, err := job.Build(kernels, u)
-			if err != nil {
-				return nil, err
-			}
-			res, err := hardsim.Run(p, hardsim.Config{Cores: kernels})
-			if err != nil {
-				return nil, err
-			}
-			if err := job.Verify(); err != nil {
-				return nil, err
-			}
-			rows = append(rows, Row{
-				Experiment: "unroll", Benchmark: "MMULT", Platform: "TFluxHard",
-				Size: spec.SizeLabel(param), Class: workload.Medium, Kernels: kernels,
-				Unroll: u, Seq: seq, Par: float64(res.Cycles), Unit: "cycles", Mode: "sim",
-				Speedup: stats.Speedup(seq, float64(res.Cycles)),
-			})
-			o.progress("unroll hard u=%d: speedup %.2f", u, stats.Speedup(seq, float64(res.Cycles)))
-		}
-	}
-
-	// TFluxSoft and TFluxCell (wall clock).
-	for _, pf := range []workload.Platform{workload.Native, workload.Cell} {
-		spec, _ := workload.ByName("MMULT")
-		sizes, _ := spec.Sizes(pf)
-		param := sizes[workload.Medium]
-		job := spec.Make(param)
-		seq := stats.Min(stats.Measure(reps, job.RunSequential)).Seconds()
-		kernels := 6
-		if o.MaxKernels > 0 && o.MaxKernels < kernels {
-			kernels = o.MaxKernels
-		}
-		platform := "TFluxSoft"
-		if pf == workload.Cell {
-			platform = "TFluxCell"
-		}
-		for _, u := range unrolls {
-			s, err := measurePar(o, job, kernels, u, pf == workload.Cell)
-			if err != nil {
-				return nil, fmt.Errorf("unroll %s u=%d: %w", platform, u, err)
-			}
-			rows = append(rows, Row{
-				Experiment: "unroll", Benchmark: "MMULT", Platform: platform,
-				Size: spec.SizeLabel(param), Class: workload.Medium, Kernels: kernels,
-				Unroll: u, Seq: seq, Par: s, Unit: "s", Mode: o.softMode(),
-				Speedup: stats.Speedup(seq, s),
-			})
-			o.progress("unroll %s u=%d: speedup %.2f", platform, u, stats.Speedup(seq, s))
-		}
+		rows = append(rows, r...)
 	}
 	return rows, nil
 }

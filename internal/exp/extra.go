@@ -1,17 +1,14 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
-	"math"
-	"sync"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/dist"
 	"tflux/internal/hardsim"
 	"tflux/internal/mem"
 	"tflux/internal/rts"
-	"tflux/internal/stats"
 	"tflux/internal/workload"
 )
 
@@ -21,108 +18,23 @@ import (
 // speedup values observed and conclusions drawn are similar" to the Sparc
 // machine; this experiment lets that be checked directly against fig5.
 func Fig5X86(o Options) ([]Row, error) {
-	kernelCounts := o.kernelCounts([]int{2, 4, 8})
-	cfg := hardsim.Config{Mem: mem.X86Config()}
-	var rows []Row
-	for _, spec := range workload.Suite() {
-		sizes, ok := spec.Sizes(workload.Simulated)
-		if !ok {
-			continue
-		}
-		for _, cls := range o.classes() {
-			param := sizes[cls]
-			job := spec.Make(param)
-			prog, err := job.Build(1, 1)
-			if err != nil {
-				return nil, err
-			}
-			seqRes, err := hardsim.Sequential(prog.Buffers, job.SequentialSteps(), cfg)
-			if err != nil {
-				return nil, err
-			}
-			seq := float64(seqRes.Cycles)
-			for _, kernels := range kernelCounts {
-				best := math.Inf(1)
-				bestU := 0
-				for _, u := range o.unrolls(workload.Simulated) {
-					job.ResetOutput()
-					p, err := job.Build(kernels, u)
-					if err != nil {
-						return nil, err
-					}
-					run := cfg
-					run.Cores = kernels
-					res, err := hardsim.Run(p, run)
-					if err != nil {
-						return nil, fmt.Errorf("fig5x86 %s k=%d u=%d: %w", spec.Name, kernels, u, err)
-					}
-					if err := job.Verify(); err != nil {
-						return nil, fmt.Errorf("fig5x86 %s k=%d u=%d: %w", spec.Name, kernels, u, err)
-					}
-					if c := float64(res.Cycles); c < best {
-						best, bestU = c, u
-					}
-				}
-				rows = append(rows, Row{
-					Experiment: "fig5x86", Benchmark: spec.Name, Platform: "TFluxHard/x86",
-					Size: spec.SizeLabel(param), Class: cls, Kernels: kernels,
-					Unroll: bestU, Seq: seq, Par: best, Unit: "cycles", Mode: "sim",
-					Speedup: stats.Speedup(seq, best),
-				})
-				o.progress("fig5x86 %s %s k=%d: speedup %.2f", spec.Name, spec.SizeLabel(param), kernels, stats.Speedup(seq, best))
-			}
-		}
-	}
-	return rows, nil
+	return speedups(o, "fig5x86", hard("TFluxHard/x86", hardsim.Config{Mem: mem.X86Config()}), []int{2, 4, 8})
 }
 
 // Groups is the multiple-TSU-Groups study (§4.1's "under development"
 // extension): a fine-grained workload on many cores, where the single
 // serializing TSU Group becomes the bottleneck and partitioning it into
 // 2 or 4 groups recovers performance. Speedup is relative to the
-// single-group configuration; Unroll reports the group count.
+// single-group configuration; Unroll reports the group count. DThreads
+// are deliberately fine-grained (unroll 1) so TSU command processing is
+// on the critical path.
 func Groups(o Options) ([]Row, error) {
-	groups := []int{1, 2, 4}
-	kernels := 27
-	if o.MaxKernels > 0 && o.MaxKernels < kernels {
-		kernels = o.MaxKernels
+	var points []point
+	for _, g := range []int{1, 2, 4} {
+		points = append(points, point{value: g, unroll: 1,
+			m: hard("TFluxHard", hardsim.Config{TSUGroups: g, TSULat: 128, Metrics: o.Metrics})})
 	}
-	spec, err := workload.ByName("TRAPEZ")
-	if err != nil {
-		return nil, err
-	}
-	sizes, _ := spec.Sizes(workload.Simulated)
-	param := sizes[workload.Small]
-	var rows []Row
-	var base float64
-	for _, g := range groups {
-		job := spec.Make(param)
-		// Deliberately fine-grained (unroll 1) so TSU command processing
-		// is on the critical path.
-		p, err := job.Build(kernels, 1)
-		if err != nil {
-			return nil, err
-		}
-		res, err := hardsim.Run(p, hardsim.Config{Cores: kernels, TSUGroups: g, TSULat: 128, Metrics: o.Metrics})
-		if err != nil {
-			return nil, err
-		}
-		if err := job.Verify(); err != nil {
-			return nil, err
-		}
-		c := float64(res.Cycles)
-		if g == 1 {
-			base = c
-		}
-		rows = append(rows, Row{
-			Experiment: "groups", Benchmark: spec.Name, Platform: "TFluxHard",
-			Size: spec.SizeLabel(param), Class: workload.Small, Kernels: kernels,
-			Unroll: g, Seq: base, Par: c, Unit: "cycles", Mode: "sim",
-			Speedup: stats.Speedup(base, c),
-		})
-		o.progress("groups g=%d: %.3f of single-group time", g, c/base)
-	}
-	return rows, nil
+	return study(o, "groups", "TRAPEZ", workload.Small, o.capKernels(27), true, points)
 }
 
 // Policies is the scheduling-policy ablation: the TSU returns the ready
@@ -130,55 +42,23 @@ func Groups(o Options) ([]Row, error) {
 // compares that policy against FIFO and LIFO on the soft runtime with a
 // cache-sensitive workload (MMULT row blocks: adjacent contexts share the
 // B panels resident in cache). Speedup is relative to the locality
-// policy, so values below 1.0 mean the alternative is slower. (Ablation;
-// not a paper figure.)
+// policy, so values below 1.0 mean the alternative is slower. Wall-clock
+// only — the virtual-time model has no ready queue. (Ablation; not a
+// paper figure.)
 func Policies(o Options) ([]Row, error) {
-	spec, err := workload.ByName("MMULT")
-	if err != nil {
-		return nil, err
-	}
-	sizes, _ := spec.Sizes(workload.Native)
-	param := sizes[workload.Medium]
-	if o.Quick {
-		param = sizes[workload.Small]
-	}
-	reps := o.reps()
-	kernels := 2
-	var rows []Row
-	var base float64
+	var points []point
 	for _, pol := range []rts.Policy{rts.PolicyLocality, rts.PolicyFIFO, rts.PolicyLIFO} {
-		job := spec.Make(param)
-		job.RunSequential() // warm
-		p, err := job.Build(kernels, 4)
-		if err != nil {
-			return nil, err
-		}
-		var runErr error
-		t := stats.Min(stats.Measure(reps, func() {
-			job.ResetOutput()
-			if _, err := rts.Run(p, rts.Options{Kernels: kernels, Policy: pol, Metrics: o.Metrics}); err != nil && runErr == nil {
-				runErr = err
-			}
-		}))
-		if runErr != nil {
-			return nil, runErr
-		}
-		if err := job.Verify(); err != nil {
-			return nil, err
-		}
-		s := t.Seconds()
-		if pol == rts.PolicyLocality {
-			base = s
-		}
-		rows = append(rows, Row{
-			Experiment: "policy", Benchmark: "MMULT/" + pol.String(), Platform: "TFluxSoft",
-			Size: spec.SizeLabel(param), Class: workload.Medium, Kernels: kernels,
-			Seq: base, Par: s, Unit: "s", Mode: "wallclock",
-			Speedup: stats.Speedup(base, s),
-		})
-		o.progress("policy %s: %.3f of locality time", pol, s/base)
+		pol := pol
+		points = append(points, point{tag: pol.String(), unroll: 4,
+			m: soft(o, false, func(_ *core.Program, kernels int) rts.Options {
+				return rts.Options{Kernels: kernels, Policy: pol}
+			})})
 	}
-	return rows, nil
+	cls := workload.Medium
+	if o.Quick {
+		cls = workload.Small
+	}
+	return study(o, "policy", "MMULT", cls, 2, true, points)
 }
 
 // Dist exercises the distributed runtime (TFluxDist) across node counts,
@@ -202,30 +82,12 @@ func Dist(o Options) ([]Row, error) {
 	var rows []Row
 	for _, nodes := range nodeCounts {
 		for _, nocache := range []bool{false, true} {
-			var mu sync.Mutex
-			jobs := map[*cellsim.SharedVariableBuffer]workload.Job{}
-			build := func() (*core.Program, *cellsim.SharedVariableBuffer) {
-				job := spec.Make(param)
-				p, err := job.Build(2*nodes, 16)
-				if err != nil {
-					return nil, nil
-				}
-				svb := job.SharedBuffers()
-				mu.Lock()
-				jobs[svb] = job
-				mu.Unlock()
-				return p, svb
-			}
+			build, owner := workload.Replicas(spec, param, 2*nodes, 16)
 			opt := dist.Options{Metrics: o.Metrics, DisableRegionCache: nocache}
 			st, svb, err := dist.RunLocalOpts(build, nodes, 2, opt)
-			if err != nil {
+			job, buildErr := owner(svb)
+			if err := errors.Join(buildErr, err); err != nil {
 				return nil, fmt.Errorf("dist nodes=%d: %w", nodes, err)
-			}
-			mu.Lock()
-			job := jobs[svb]
-			mu.Unlock()
-			if job == nil {
-				return nil, fmt.Errorf("dist nodes=%d: coordinator job missing", nodes)
 			}
 			if err := job.Verify(); err != nil {
 				return nil, fmt.Errorf("dist nodes=%d: %w", nodes, err)

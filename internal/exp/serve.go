@@ -200,13 +200,7 @@ func servePass(ws workload.Spec, spec dist.ProgramSpec, total, cacheCap int, reg
 				errCh <- err
 				return
 			}
-			svb := job.SharedBuffers()
-			for _, r := range last.Regions {
-				if dst := svb.Bytes(r.Buffer); dst != nil && int64(len(dst)) >= r.Offset+int64(len(r.Data)) {
-					copy(dst[r.Offset:], r.Data)
-				}
-			}
-			if err := job.Verify(); err != nil {
+			if err := serve.VerifyReplica(job, last.Regions); err != nil {
 				errCh <- fmt.Errorf("tenant %d: %w", ten, err)
 				return
 			}

@@ -1,11 +1,10 @@
 package exp
 
 import (
-	"fmt"
-
+	"tflux/internal/core"
 	"tflux/internal/ddmlint"
 	"tflux/internal/rts"
-	"tflux/internal/stats"
+	"tflux/internal/tsu"
 	"tflux/internal/workload"
 )
 
@@ -20,70 +19,27 @@ import (
 // the virtual-time model has no TSU contention to remove. (Extension; not
 // a paper figure.)
 func Shards(o Options) ([]Row, error) {
-	kernelCounts := o.kernelCounts([]int{2, 4, 8, 16})
-	spec, err := workload.ByName("TRAPEZ")
-	if err != nil {
-		return nil, err
+	plane := func(tag string, shards int, mapping func(*core.Program) tsu.Mapping) point {
+		return point{tag: tag, value: shards, unroll: 1,
+			m: soft(o, false, func(p *core.Program, kernels int) rts.Options {
+				ro := rts.Options{Kernels: kernels, TSUShards: shards}
+				if mapping != nil {
+					ro.TSUMapping = mapping(p)
+				}
+				return ro
+			})}
 	}
-	sizes, _ := spec.Sizes(workload.Native)
-	param := sizes[workload.Small]
-	reps := o.reps()
 	var rows []Row
-	for _, kernels := range kernelCounts {
-		job := spec.Make(param)
-		p, err := job.Build(kernels, 1)
+	for _, kernels := range o.kernelCounts([]int{2, 4, 8, 16}) {
+		r, err := study(o, "shards", "TRAPEZ", workload.Small, kernels, true, []point{
+			plane("legacy", 0, nil),
+			plane("sharded", kernels, nil),
+			plane("sharded+loc", kernels, ddmlint.LocalityMapping),
+		})
 		if err != nil {
 			return nil, err
 		}
-		variants := []struct {
-			name   string
-			shards int
-			opts   rts.Options
-		}{
-			{"legacy", 0, rts.Options{Kernels: kernels}},
-			{"sharded", kernels, rts.Options{Kernels: kernels, TSUShards: kernels}},
-			{"sharded+loc", kernels, rts.Options{Kernels: kernels, TSUShards: kernels, TSUMapping: ddmlint.LocalityMapping(p)}},
-		}
-		var base float64
-		for _, v := range variants {
-			opts := v.opts
-			opts.Metrics = o.Metrics
-			var runErr error
-			var last *rts.Stats
-			t := stats.Min(stats.Measure(reps, func() {
-				job.ResetOutput()
-				st, err := rts.Run(p, opts)
-				if err != nil {
-					if runErr == nil {
-						runErr = err
-					}
-					return
-				}
-				last = st
-			}))
-			if runErr != nil {
-				return nil, fmt.Errorf("shards %s k=%d: %w", v.name, kernels, runErr)
-			}
-			if err := job.Verify(); err != nil {
-				return nil, fmt.Errorf("shards %s k=%d: %w", v.name, kernels, err)
-			}
-			s := t.Seconds()
-			if v.name == "legacy" {
-				base = s
-			}
-			rows = append(rows, Row{
-				Experiment: "shards", Benchmark: spec.Name + "/" + v.name, Platform: "TFluxSoft",
-				Size: spec.SizeLabel(param), Class: workload.Small, Kernels: kernels,
-				Unroll: v.shards, Seq: base, Par: s, Unit: "s", Mode: "wallclock",
-				Speedup: stats.Speedup(base, s),
-			})
-			if last != nil && last.Shards > 1 {
-				o.progress("shards %s k=%d: %.2fx vs legacy, %d cross-shard decrement(s), per-shard fires %v",
-					v.name, kernels, stats.Speedup(base, s), last.CrossShardDecrements, last.ShardFired)
-			} else {
-				o.progress("shards %s k=%d: %s", v.name, kernels, stats.FormatDuration(t))
-			}
-		}
+		rows = append(rows, r...)
 	}
 	return rows, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tflux/internal/dist"
+	"tflux/internal/workload"
 )
 
 // Outcome is one finished program as the daemon reported it.
@@ -34,6 +35,26 @@ func (o *Outcome) Buffer(name string) []byte {
 		}
 	}
 	return nil
+}
+
+// VerifyReplica checks a daemon's result against a local replica of the
+// submitted program: regions are overlaid onto job's buffers, and job must
+// then verify against its sequential reference (inputs are deterministic,
+// so the replica is byte-comparable). job must have been built with the
+// decomposition the submission named — auxiliary buffers are sized at
+// Build time. A region that names a buffer the replica lacks, or does not
+// fit it, is an error: skipping it would verify whatever the replica held
+// before.
+func VerifyReplica(job workload.Job, regions []dist.RegionData) error {
+	svb := job.SharedBuffers()
+	for _, r := range regions {
+		dst := svb.Bytes(r.Buffer)
+		if dst == nil || r.Offset < 0 || int64(len(dst)) < r.Offset+int64(len(r.Data)) {
+			return fmt.Errorf("serve: result region %q [%d,+%d) does not fit the local replica", r.Buffer, r.Offset, len(r.Data))
+		}
+		copy(dst[r.Offset:], r.Data)
+	}
+	return job.Verify()
 }
 
 // Pending is one in-flight submission.

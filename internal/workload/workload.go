@@ -23,6 +23,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"tflux/internal/cellsim"
 	"tflux/internal/core"
@@ -72,6 +73,16 @@ func (s SizeClass) String() string {
 		return "large"
 	}
 	return "unknown"
+}
+
+// ParseSizeClass is the inverse of SizeClass.String.
+func ParseSizeClass(s string) (SizeClass, error) {
+	for _, c := range []SizeClass{Small, Medium, Large} {
+		if c.String() == s {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown size %q (want small, medium or large)", s)
 }
 
 // Job is one benchmark at one problem size, holding its inputs, its
@@ -126,6 +137,49 @@ func ByName(name string) (Spec, error) {
 		}
 	}
 	return Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)
+}
+
+// Replicas prepares a loopback distributed run (dist.RunLocal and its
+// variants) of one suite job. build is the constructor such a run calls
+// once per node and once for the coordinator: each call makes a fresh Job
+// of spec at param and builds it at (kernels, unroll). The run hands back
+// the coordinator's canonical buffers; owner maps them to the Job they
+// back, so the caller can Verify it.
+//
+// A failed Build makes build return nils, which the runtime can only
+// report as "program builder returned nil". owner therefore returns the
+// first Build error whatever it is asked about, for the caller to report
+// beside the run's own. owner(nil), from a run that failed before it had
+// buffers, is not itself an error.
+func Replicas(spec Spec, param, kernels, unroll int) (build func() (*core.Program, *cellsim.SharedVariableBuffer), owner func(*cellsim.SharedVariableBuffer) (Job, error)) {
+	var mu sync.Mutex // nodes build concurrently
+	var buildErr error
+	replicas := map[*cellsim.SharedVariableBuffer]Job{}
+	build = func() (*core.Program, *cellsim.SharedVariableBuffer) {
+		job := spec.Make(param)
+		p, err := job.Build(kernels, unroll)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			if buildErr == nil {
+				buildErr = fmt.Errorf("workload: %s: build replica: %w", spec.Name, err)
+			}
+			return nil, nil
+		}
+		svb := job.SharedBuffers()
+		replicas[svb] = job
+		return p, svb
+	}
+	owner = func(svb *cellsim.SharedVariableBuffer) (Job, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		job, ok := replicas[svb]
+		if buildErr == nil && !ok && svb != nil {
+			return nil, fmt.Errorf("workload: %s: no replica owns these buffers", spec.Name)
+		}
+		return job, buildErr
+	}
+	return build, owner
 }
 
 // grains computes the instance count for a parallel outer loop of n base

@@ -271,20 +271,17 @@ type DistStats = dist.Stats
 // For genuinely remote workers, use the dist package's Serve and
 // Coordinate with real connections.
 func RunDistLocal(build func() (*Program, *CellBuffers), nodes, kernelsPerNode int) (*DistStats, *CellBuffers, error) {
-	return dist.RunLocal(func() (*core.Program, *cellsim.SharedVariableBuffer) {
-		p, b := build()
-		return p.p, b
-	}, nodes, kernelsPerNode)
+	return RunDistLocalObs(build, nodes, kernelsPerNode, nil, nil)
 }
 
 // RunDistLocalObs is RunDistLocal with coordinator-side observability:
 // sink (may be nil) receives DistRPC/ThreadComplete/TSUCommand events and
 // reg (may be nil) the RPC latency histogram and traffic totals.
 func RunDistLocalObs(build func() (*Program, *CellBuffers), nodes, kernelsPerNode int, sink EventSink, reg *Metrics) (*DistStats, *CellBuffers, error) {
-	return dist.RunLocalObs(func() (*core.Program, *cellsim.SharedVariableBuffer) {
+	return dist.RunLocalOpts(func() (*core.Program, *cellsim.SharedVariableBuffer) {
 		p, b := build()
 		return p.p, b
-	}, nodes, kernelsPerNode, sink, reg)
+	}, nodes, kernelsPerNode, dist.Options{Sink: sink, Metrics: reg})
 }
 
 // RunSoft executes the program under the TFluxSoft runtime: opt.Kernels
