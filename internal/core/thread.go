@@ -57,7 +57,9 @@ type MemRegion struct {
 
 // AccessFn returns the shared-memory regions one context touches. It may
 // return nil for threads that only use private data (e.g. TRAPEZ workers,
-// whose partial sums travel through a tiny result buffer).
+// whose partial sums travel through a tiny result buffer). A caller may
+// retain the returned slice but never writes to it, so a model must not
+// reuse one backing array for the regions of different contexts.
 type AccessFn func(ctx Context) []MemRegion
 
 // Template is the static description of a DThread.

@@ -8,15 +8,16 @@ import (
 )
 
 // admitOpts bounds the admission-time analysis. Admission sits on the
-// daemon's submission path, so the caps are far below the offline
-// defaults: a program too large to verify within them is not silently
-// admitted — expandBlock leaves a Note and the structural checks that
-// did run still gate.
+// daemon's submission path, so the expansion and bitset caps are far
+// below the offline defaults: a program too large to verify within them
+// is not silently admitted — expandBlock leaves a Note and the structural
+// checks that did run still gate. The race pass keeps the offline
+// accessor cap: its sweep proves the whole suite at every native size
+// within these bounds (TestAdmitProvesSuite).
 var admitOpts = Options{
-	MaxInstances:     1 << 16,
-	MaxEdges:         1 << 19,
-	MaxRaceInstances: 512,
-	MaxRaceBytes:     4 << 20,
+	MaxInstances: 1 << 16,
+	MaxEdges:     1 << 19,
+	MaxRaceBytes: 4 << 20,
 }
 
 // Admit is the service-admission gate: it lints p and returns an error

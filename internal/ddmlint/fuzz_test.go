@@ -71,7 +71,8 @@ func oracleBlock(b *core.Block) bool {
 
 // structuralGraphFindings counts the findings the oracle can witness
 // (ready counts, dead instances, cycles, bad targets). Memory findings
-// are out of scope: the fuzz programs declare no Access models.
+// are out of scope here; FuzzRaceOracle holds the race pass to its own
+// brute-force reference.
 func structuralGraphFindings(r *Report) int {
 	n := 0
 	for i := range r.Findings {
@@ -114,7 +115,9 @@ func fuzzMapping(sel, param byte) core.Mapping {
 // sets the template count, then per template one byte of instance count
 // and two (selector, param) byte pairs of arcs. Arcs may target any
 // template including self and earlier ones, so cycles, fan mismatches and
-// every lying mapping are all reachable.
+// every lying mapping are all reachable. What follows the arcs declares
+// Access models over two 64-byte buffers (see fuzzAccessModel); an input
+// that ends with the arcs declares none.
 func buildFuzzProgram(data []byte) *core.Program {
 	next := func() byte {
 		if len(data) == 0 {
@@ -125,6 +128,8 @@ func buildFuzzProgram(data []byte) *core.Program {
 		return b
 	}
 	p := core.NewProgram("fuzz")
+	p.AddBuffer("a", fuzzBufSize)
+	p.AddBuffer("b", fuzzBufSize)
 	blk := p.AddBlock()
 	nt := int(next()%4) + 1
 	tmpls := make([]*core.Template, nt)
@@ -141,7 +146,60 @@ func buildFuzzProgram(data []byte) *core.Program {
 			tmpls[i].Then(to, fuzzMapping(next(), next()))
 		}
 	}
+	for i := 0; i < nt; i++ {
+		descs := make([]fuzzRegion, next()%4)
+		for d := range descs {
+			descs[d] = fuzzRegion{flags: next(), off: next(), size: next()}
+		}
+		tmpls[i].Access = fuzzAccessModel(descs)
+	}
 	return p
+}
+
+const fuzzBufSize = 64
+
+// fuzzRegion describes one region of every context of a template:
+//
+//	flags bit 0    write
+//	flags bit 1    buffer "b" instead of "a"
+//	flags bits 2-3 per-context stride 0, 1, 8 or 12 bytes (0: every
+//	               context touches the same bytes; 1 with a stride-8
+//	               sibling: the strided columns of an FFT)
+//	flags bit 4    only even contexts declare it
+//	flags bit 5    declared twice (duplicate regions)
+//	off            base offset -4..67, so both ends of the buffer are
+//	               overrun now and then
+//	size           0..11 bytes, so zero-size regions occur
+type fuzzRegion struct{ flags, off, size byte }
+
+// fuzzAccessModel returns the Access model of up to three fuzzRegions,
+// nil for none. Every call returns a fresh slice, like the suite's.
+func fuzzAccessModel(descs []fuzzRegion) core.AccessFn {
+	if len(descs) == 0 {
+		return nil
+	}
+	return func(ctx core.Context) []core.MemRegion {
+		var regs []core.MemRegion
+		for _, d := range descs {
+			if d.flags&16 != 0 && ctx%2 == 1 {
+				continue
+			}
+			reg := core.MemRegion{
+				Buffer: "a",
+				Offset: int64(d.off%72) - 4 + int64(ctx)*[4]int64{0, 1, 8, 12}[d.flags>>2&3],
+				Size:   int64(d.size % 12),
+				Write:  d.flags&1 != 0,
+			}
+			if d.flags&2 != 0 {
+				reg.Buffer = "b"
+			}
+			regs = append(regs, reg)
+			if d.flags&32 != 0 {
+				regs = append(regs, reg)
+			}
+		}
+		return regs
+	}
 }
 
 func FuzzLintOracle(f *testing.F) {

@@ -56,6 +56,9 @@ type blockGraph struct {
 	// Filled by checkDead: whether the dataflow firing simulation ever
 	// fires each instance. Reused by the streaming lifecycle pass.
 	fired []bool
+
+	// Filled by checkBounds: the Block's access table.
+	accs []accessor
 }
 
 // inst returns the global instance index of (template index, context).

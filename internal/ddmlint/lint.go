@@ -240,17 +240,14 @@ func LintOpts(p *core.Program, opts Options) (*Report, error) {
 	}
 	opts = opts.withDefaults()
 	r := &Report{Program: p.Name}
-	bufs := make(map[string]int64, len(p.Buffers))
-	for _, b := range p.Buffers {
-		bufs[b.Name] = b.Size
-	}
+	bufs := bufferIndex(p)
 	for _, b := range p.Blocks {
 		lintBlock(r, p, b, bufs, opts)
 	}
 	return r, nil
 }
 
-func lintBlock(r *Report, p *core.Program, b *core.Block, bufs map[string]int64, opts Options) {
+func lintBlock(r *Report, p *core.Program, b *core.Block, bufs map[string]int32, opts Options) {
 	g, ok := expandBlock(r, p, b, opts)
 	if !ok {
 		return
@@ -259,11 +256,11 @@ func lintBlock(r *Report, p *core.Program, b *core.Block, bufs map[string]int64,
 	g.checkReadyCounts(r)
 	g.checkCycles(r)
 	g.checkDead(r)
-	checkBounds(r, g, bufs)
+	g.checkBounds(r, bufs)
 	if g.hasCycle {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"block %d: race analysis skipped (instance graph is cyclic; no happens-before order exists)", b.ID))
 		return
 	}
-	checkRaces(r, g, opts)
+	checkRaces(r, g, bufs, opts)
 }

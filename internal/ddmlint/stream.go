@@ -119,10 +119,7 @@ func LintStream(p *stream.Pipeline, cfg StreamConfig) (*Report, error) {
 	}
 
 	r := &Report{Program: p.Name}
-	bufs := make(map[string]int64, len(prog.Buffers))
-	for _, b := range prog.Buffers {
-		bufs[b.Name] = b.Size
-	}
+	bufs := bufferIndex(prog)
 
 	checkShedSafety(r, p, ablock, cfg.Policy)
 	checkBudget(r, p, block, slots, workers, maxCap)
@@ -137,25 +134,24 @@ func LintStream(p *stream.Pipeline, cfg StreamConfig) (*Report, error) {
 	g.checkReadyCounts(r)
 	g.checkCycles(r)
 	g.checkDead(r)
-	checkBounds(r, g, bufs)
+	g.checkBounds(r, bufs)
 	checkLifecycle(r, g, slots, cfg.Policy)
 	if g.hasCycle {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"block %d: race and scratch-lifetime analyses skipped (instance graph is cyclic; no happens-before order exists)", ablock.ID))
 		return r, nil
 	}
-	accs := collectAccessors(g)
-	if len(accs) == 0 {
+	if len(g.accs) == 0 {
 		return r, nil
 	}
-	ordered := accessorOrder(r, g, accs, "race and scratch-lifetime analyses", opts)
+	ordered := accessorOrder(r, g, "race and scratch-lifetime analyses", opts)
 	if ordered == nil {
 		return r, nil
 	}
-	if len(accs) >= 2 {
-		reportRaces(r, g, accs, ordered)
+	if len(g.accs) >= 2 {
+		reportRaces(r, g, bufs, ordered)
 	}
-	checkScratchLifetime(r, g, p, decls, accs, ordered)
+	checkScratchLifetime(r, g, p, decls, ordered)
 	return r, nil
 }
 
@@ -268,30 +264,13 @@ func intersectSpans(a, b []span) (n int64, first int64) {
 	return n, first
 }
 
-// scratchRegion resolves one declared region to its scratch array,
-// clipped to the array bounds. ok is false for non-scratch or
-// undeclared buffers and for regions entirely out of bounds (those are
-// reported by checkBounds; clipping keeps this analysis total).
-func scratchRegion(reg core.MemRegion, decls map[string]stream.ScratchDecl) (name string, s span, zero bool, ok bool) {
-	name, found := strings.CutPrefix(reg.Buffer, "scratch:")
-	if !found {
-		return "", span{}, false, false
-	}
-	d, found := decls[name]
-	if !found {
-		return "", span{}, false, false
-	}
-	lo, hi := reg.Offset, reg.Offset+reg.Size
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > int64(d.Len) {
-		hi = int64(d.Len)
-	}
-	if lo >= hi {
-		return "", span{}, false, false
-	}
-	return name, span{lo, hi}, d.ZeroOnExport, true
+// scratchRegion resolves one region of the access table to its scratch
+// array. checkBounds admitted to that table only regions on declared
+// pseudo-buffers, clipped to the array bounds, which keeps this analysis
+// total.
+func scratchRegion(reg core.MemRegion, decls map[string]stream.ScratchDecl) (name string, s span, zero bool) {
+	name = strings.TrimPrefix(reg.Buffer, "scratch:")
+	return name, span{reg.Offset, reg.Offset + reg.Size}, decls[name].ZeroOnExport
 }
 
 // checkScratchLifetime runs the scratch-lifetime and pad-soundness
@@ -312,7 +291,8 @@ func scratchRegion(reg core.MemRegion, decls map[string]stream.ScratchDecl) (nam
 // ZeroOnExport arrays are exempt from both: each window starts from
 // zeroed storage, so an uncovered read deterministically observes
 // zero (an unordered same-window writer is still reported as a race).
-func checkScratchLifetime(r *Report, g *blockGraph, p *stream.Pipeline, decls map[string]stream.ScratchDecl, accs []accessor, ordered func(a, b int) bool) {
+func checkScratchLifetime(r *Report, g *blockGraph, p *stream.Pipeline, decls map[string]stream.ScratchDecl, ordered func(a, b int) bool) {
+	accs := g.accs
 	// ever[name] = merged spans any instance of the window graph writes:
 	// the elements a recycled slot can carry stale data in.
 	ever := make(map[string][]span)
@@ -321,9 +301,8 @@ func checkScratchLifetime(r *Report, g *blockGraph, p *stream.Pipeline, decls ma
 			if !reg.Write {
 				continue
 			}
-			if name, s, _, ok := scratchRegion(reg, decls); ok {
-				ever[name] = append(ever[name], s)
-			}
+			name, s, _ := scratchRegion(reg, decls)
+			ever[name] = append(ever[name], s)
 		}
 	}
 	for name := range ever {
@@ -366,7 +345,7 @@ func checkScratchLifetime(r *Report, g *blockGraph, p *stream.Pipeline, decls ma
 					if !wr.Write {
 						continue
 					}
-					if wn, ws, _, ok := scratchRegion(wr, decls); ok && wn == buf && ws.lo <= first && first < ws.hi {
+					if wn, ws, _ := scratchRegion(wr, decls); wn == buf && ws.lo <= first && first < ws.hi {
 						wOK = true
 						break
 					}
@@ -399,8 +378,8 @@ func checkScratchLifetime(r *Report, g *blockGraph, p *stream.Pipeline, decls ma
 			if reg.Write {
 				continue
 			}
-			name, base, zero, ok := scratchRegion(reg, decls)
-			if !ok || zero {
+			name, base, zero := scratchRegion(reg, decls)
+			if zero {
 				continue
 			}
 			everW := ever[name]
@@ -421,7 +400,7 @@ func checkScratchLifetime(r *Report, g *blockGraph, p *stream.Pipeline, decls ma
 					if !wr.Write {
 						continue
 					}
-					if wn, ws, _, ok := scratchRegion(wr, decls); ok && wn == name {
+					if wn, ws, _ := scratchRegion(wr, decls); wn == name {
 						coverFull = append(coverFull, ws)
 						if !pad {
 							coverPad = append(coverPad, ws)

@@ -18,12 +18,12 @@ func TestQuantileKnownDistribution(t *testing.T) {
 		q    float64
 		want int64
 	}{
-		{0.25, 5},   // rank 2.5 of 5 in (0,10] → 0 + 0.5·10
-		{0.50, 10},  // rank 5 exhausts the first bucket → its upper bound
-		{0.75, 15},  // rank 2.5 of 5 in (10,20] → 10 + 0.5·10
-		{1.00, 20},  // rank 10 exhausts the second bucket
-		{-0.5, 0},   // clamped to q=0
-		{1.50, 20},  // clamped to q=1
+		{0.25, 5},  // rank 2.5 of 5 in (0,10] → 0 + 0.5·10
+		{0.50, 10}, // rank 5 exhausts the first bucket → its upper bound
+		{0.75, 15}, // rank 2.5 of 5 in (10,20] → 10 + 0.5·10
+		{1.00, 20}, // rank 10 exhausts the second bucket
+		{-0.5, 0},  // clamped to q=0
+		{1.50, 20}, // clamped to q=1
 	}
 	for _, c := range cases {
 		if got := h.Quantile(c.q); got != c.want {
