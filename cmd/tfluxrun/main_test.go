@@ -179,6 +179,26 @@ func TestRunDistFaults(t *testing.T) {
 	}
 }
 
+// TestRunDistFaultsDocumentedRecipe runs the chaos command line of the
+// package comment as written (default size, unroll and reps). It used to
+// panic the coordinator in Fleet.drainDeferred: node 2's mid-frame sever
+// lands on a flush made from inside the drain.
+func TestRunDistFaultsDocumentedRecipe(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-bench", "MMULT", "-platform", "dist", "-nodes", "4", "-kernels", "8",
+		"-dist-window", "1", "-dist-batch", "1",
+		"-dist-faults", "seed=7,plan=sever:node=1:after=1;sever:node=2:after=2:midframe=true"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	s := out.String()
+	for _, want := range []string{"2 fault(s) fired", "node 1 lost", "node 2 lost", "verify:     ok"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("output missing %q:\n%s", want, s)
+		}
+	}
+}
+
 // TestRunDistFaultsBadSpec pins the flag's error path.
 func TestRunDistFaultsBadSpec(t *testing.T) {
 	var out, errb bytes.Buffer

@@ -16,6 +16,7 @@ import (
 	"tflux/internal/chaos"
 	"tflux/internal/core"
 	"tflux/internal/obs"
+	"tflux/internal/rts"
 	"tflux/internal/workload"
 )
 
@@ -145,6 +146,60 @@ func TestChaosSeverFailover(t *testing.T) {
 	}
 	if log.Count() < 2 {
 		t.Fatalf("chaos log has %d events, want the 2 severs:\n%v", log.Count(), log)
+	}
+}
+
+// TestChaosSeverDuringDrain is the recipe in tfluxrun's package comment
+// (-bench MMULT -platform dist -nodes 4 -kernels 8 -dist-window 1
+// -dist-batch 1 with the plan below), which used to kill the process:
+// with a window and batch of one every deferred instance is flushed from
+// inside drainDeferred, node 2's second frame is severed mid-frame there,
+// and the failover that flush triggers takes node 2's ring while
+// drainDeferred is still holding its head. A lost node costs re-dispatches,
+// never the coordinator, and the bytes are those of a local run.
+func TestChaosSeverDuringDrain(t *testing.T) {
+	plan, err := chaos.ParseSpec("seed=7,plan=sever:node=1:after=1;sever:node=2:after=2:midframe=true")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build, owner := workload.Replicas(workload.MMultSpec(), 64, 8, 8)
+	log := chaos.NewLog()
+	opt := Options{
+		Window: 1, BatchCount: 1,
+		Heartbeat: 20 * time.Millisecond, HeartbeatMisses: 5, LeaseTimeout: 2 * time.Second,
+		WrapConn: func(node int, c net.Conn) net.Conn { return plan.Wrap(node, c, log) },
+	}
+	st, svb, err := RunLocalOpts(build, 4, 2, opt)
+	if err != nil {
+		t.Fatalf("run failed: %v\nstats: %+v", err, st)
+	}
+	job, err := owner(svb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if !st.Nodes[1].Lost || !st.Nodes[2].Lost || st.Retries == 0 {
+		t.Fatalf("nodes 1 and 2 should be lost and their leases re-dispatched: %+v", st)
+	}
+	if log.Count() < 2 {
+		t.Fatalf("chaos log has %d events, want the 2 severs:\n%v", log.Count(), log)
+	}
+
+	local := workload.MMultSpec().Make(64)
+	prog, err := local.Build(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rts.Run(prog, rts.Options{Kernels: 2}); err != nil {
+		t.Fatal(err)
+	}
+	want := local.SharedBuffers()
+	for _, b := range prog.Buffers {
+		if !bytes.Equal(svb.Bytes(b.Name), want.Bytes(b.Name)) {
+			t.Fatalf("buffer %q differs from rts.Run's", b.Name)
+		}
 	}
 }
 

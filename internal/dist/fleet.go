@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,6 +72,9 @@ type Fleet struct {
 	runSeq   uint32 // next session id handed out by Run
 	stopped  bool   // set by the stop control message
 	cacheOn  bool
+	// freeTables parks the region tables of closed sessions, emptied but
+	// with their grown maps and arrays, for the next sessions to track in.
+	freeTables []*regionTable
 
 	aliveGauge    []*obs.Gauge
 	inflightGauge []*obs.Gauge
@@ -94,8 +99,8 @@ type Fleet struct {
 
 // session is one program admitted onto the fleet: its TSU state, its
 // canonical buffers, and every piece of bookkeeping that was per-run in
-// the single-program coordinator — leases, region versions, per-node
-// cache views, stats. Buffer names are only meaningful within a
+// the single-program coordinator — leases, region versions and what each
+// node caches of them, stats. Buffer names are only meaningful within a
 // session, so the region version space is private too.
 type session struct {
 	id     uint32
@@ -105,13 +110,11 @@ type session struct {
 	weight int
 	onDone func(st *Stats, err error)
 
-	leases    map[core.Instance]*lease
-	regions   map[regionKey]*trackedRegion
-	byBuf     map[string][]*trackedRegion
-	nodeCache []map[regionKey]uint64
-	timers    []*time.Timer
-	start     time.Time
-	closed    bool
+	leases map[core.Instance]*lease
+	track  *regionTable // nil with the region cache off, and once closed
+	timers []*time.Timer
+	start  time.Time
+	closed bool
 	// pooled marks a state acquired from OpenReq.Tables; closeSession
 	// releases it back to the tables' pool after the final Stats copy.
 	pooled bool
@@ -174,12 +177,127 @@ type fleetEvent struct {
 	leaseTick bool
 }
 
-// trackedRegion is a session's version record for one import region
-// key. The version bumps whenever an applied export overlaps the
-// region, invalidating every worker's cached copy at the old version.
-type trackedRegion struct {
-	key regionKey
-	ver uint64
+// regionTable is a session's region-cache bookkeeping. Each import region
+// key the session has shipped is one record: the region's current
+// version, which bumps whenever an applied export overlaps it, and the
+// version each node caches (a node whose copy is current is sent a
+// reference instead of the bytes). Records are found by key when an Exec
+// is built and by interval when an export lands.
+type regionTable struct {
+	nodes int
+	ids   map[regionKey]int32 // record id of each tracked region
+	ver   []uint64            // ver[id]: current version, counted from 1
+	sent  []uint64            // sent[id*nodes+node]: version node holds; 0 for none
+	bufs  map[string]int32    // buffer name → position in index
+	index []bufferIndex
+}
+
+// bufferIndex is one buffer's tracked regions sorted by offset, with the
+// largest size among them: a region that overlaps [o, e) ends after o,
+// so it starts after o-maxSize, and before e.
+type bufferIndex struct {
+	spans   []regionSpan
+	maxSize int64
+}
+
+// regionSpan is one tracked region in a bufferIndex. It holds no pointer
+// on purpose: a sorted insert moves the tail of the slice, and moving
+// pointers pays a write barrier per element where this is one memmove.
+type regionSpan struct {
+	off, end int64
+	id       int32
+}
+
+const (
+	// maxParkedTables bounds Fleet.freeTables; a daemon has a handful of
+	// sessions open at a time, and a table fits any session.
+	maxParkedTables = 4
+	// maxParkedRegions keeps one enormous program from pinning its
+	// high-water mark for the fleet's lifetime: a table that tracked more
+	// regions than this is left to the GC instead of being parked.
+	maxParkedRegions = 1 << 16
+)
+
+func newRegionTable(nodes int) *regionTable {
+	return &regionTable{nodes: nodes, ids: make(map[regionKey]int32), bufs: make(map[string]int32)}
+}
+
+// ship notes that an Exec bound for node imports the region key, and
+// returns the region's version and whether node already caches it at that
+// version, so that a reference will do; if not, node holds it from now on.
+func (t *regionTable) ship(key regionKey, node int) (ver uint64, cached bool) {
+	id, ok := t.ids[key]
+	if !ok {
+		id = t.track(key)
+	}
+	ver = t.ver[id]
+	held := &t.sent[int(id)*t.nodes+node]
+	cached = *held == ver
+	*held = ver
+	return ver, cached
+}
+
+// track starts the record of a new key: version 1, held by no node, and
+// in its buffer's index.
+func (t *regionTable) track(key regionKey) int32 {
+	id := int32(len(t.ver))
+	t.ids[key] = id
+	t.ver = append(t.ver, 1)
+	t.sent = append(t.sent, make([]uint64, t.nodes)...)
+	bi, ok := t.bufs[key.buffer]
+	if !ok {
+		bi = int32(len(t.index))
+		t.bufs[key.buffer] = bi
+		if len(t.index) < cap(t.index) {
+			t.index = t.index[:bi+1] // reset left it empty, with its spans' capacity
+		} else {
+			t.index = append(t.index, bufferIndex{})
+		}
+	}
+	ix := &t.index[bi]
+	// After any equal offsets, so regions tracked in ascending order append.
+	at := sort.Search(len(ix.spans), func(i int) bool { return ix.spans[i].off > key.offset })
+	ix.spans = slices.Insert(ix.spans, at, regionSpan{off: key.offset, end: key.offset + key.size, id: id})
+	ix.maxSize = max(ix.maxSize, key.size)
+	return id
+}
+
+// bump advances the version of every tracked region of buffer that
+// overlaps the applied export [o, e).
+func (t *regionTable) bump(buffer string, o, e int64) {
+	bi, ok := t.bufs[buffer]
+	if !ok {
+		return
+	}
+	ix := &t.index[bi]
+	first := sort.Search(len(ix.spans), func(i int) bool { return ix.spans[i].off > o-ix.maxSize })
+	for _, sp := range ix.spans[first:] {
+		if sp.off >= e {
+			break
+		}
+		if o < sp.end {
+			t.ver[sp.id]++
+		}
+	}
+}
+
+// dropNode forgets everything node held: a lost node's cache is gone
+// with its connection.
+func (t *regionTable) dropNode(node int) {
+	for i := node; i < len(t.sent); i += t.nodes {
+		t.sent[i] = 0
+	}
+}
+
+// reset empties the table for the next session, keeping what it grew.
+func (t *regionTable) reset() {
+	clear(t.ids)
+	clear(t.bufs)
+	t.ver, t.sent = t.ver[:0], t.sent[:0]
+	for i := range t.index {
+		t.index[i] = bufferIndex{spans: t.index[i].spans[:0]}
+	}
+	t.index = t.index[:0]
 }
 
 // nodeIO is the per-node dispatch state shared by every session: the
@@ -607,24 +725,26 @@ func (f *Fleet) openSession(id uint32, req *OpenReq) {
 		weight = 1
 	}
 	s := &session{
-		id:        id,
-		svb:       req.SVB,
-		state:     state,
-		pooled:    pooled,
-		stats:     &Stats{Nodes: make([]NodeStats, f.n)},
-		weight:    weight,
-		onDone:    req.OnDone,
-		leases:    make(map[core.Instance]*lease),
-		regions:   make(map[regionKey]*trackedRegion),
-		byBuf:     make(map[string][]*trackedRegion),
-		nodeCache: make([]map[regionKey]uint64, f.n),
-		start:     time.Now(),
+		id:     id,
+		svb:    req.SVB,
+		state:  state,
+		pooled: pooled,
+		stats:  &Stats{Nodes: make([]NodeStats, f.n)},
+		weight: weight,
+		onDone: req.OnDone,
+		leases: make(map[core.Instance]*lease),
+		start:  time.Now(),
 	}
-	for i := range s.nodeCache {
-		s.stats.Nodes[i].Kernels = f.nodeKernels[i]
-		if f.alive[i] {
-			s.nodeCache[i] = make(map[regionKey]uint64)
+	if f.cacheOn {
+		if k := len(f.freeTables); k > 0 {
+			s.track, f.freeTables = f.freeTables[k-1], f.freeTables[:k-1]
 		} else {
+			s.track = newRegionTable(f.n)
+		}
+	}
+	for i := range s.stats.Nodes {
+		s.stats.Nodes[i].Kernels = f.nodeKernels[i]
+		if !f.alive[i] {
 			s.stats.Nodes[i].Lost = true
 			s.stats.Nodes[i].LostReason = "lost before program opened"
 		}
@@ -679,6 +799,13 @@ func (f *Fleet) closeSession(s *session, err error) {
 	}
 	s.closed = true
 	delete(f.sessions, s.id)
+	if tab := s.track; tab != nil {
+		s.track = nil
+		if len(f.freeTables) < maxParkedTables && len(tab.ver) <= maxParkedRegions {
+			tab.reset()
+			f.freeTables = append(f.freeTables, tab)
+		}
+	}
 	for _, t := range s.timers {
 		t.Stop()
 	}
@@ -786,6 +913,18 @@ func (f *Fleet) complete(s *session, inst core.Instance, k tsu.KernelID) tsu.Res
 	return res
 }
 
+// countRegions returns how many of regs travel: the sized reads an Exec
+// imports (write false) or the sized writes a Done exports (write true).
+func countRegions(regs []core.MemRegion, write bool) int {
+	n := 0
+	for _, r := range regs {
+		if r.Write == write && r.Size > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // buildExec assembles the Exec for an instance bound for target,
 // re-reading import regions from the session's canonical buffers; safe
 // to repeat because exports apply only at the coordinator and an
@@ -799,7 +938,11 @@ func (f *Fleet) buildExec(s *session, inst core.Instance, target int) (Exec, int
 	var shipped int64
 	tpl := s.state.Template(inst.Thread)
 	if tpl != nil && tpl.Access != nil {
-		for _, r := range tpl.Access(inst.Ctx) {
+		regs := tpl.Access(inst.Ctx)
+		if n := countRegions(regs, false); n > 0 {
+			ex.Imports = make([]RegionData, 0, n)
+		}
+		for _, r := range regs {
 			if r.Write || r.Size <= 0 {
 				continue
 			}
@@ -811,30 +954,18 @@ func (f *Fleet) buildExec(s *session, inst core.Instance, target int) (Exec, int
 			if err != nil {
 				return ex, 0, err
 			}
-			if f.cacheOn && s.nodeCache[target] != nil {
-				key := rdata.key()
-				tr := s.regions[key]
-				if tr == nil {
-					tr = &trackedRegion{key: key, ver: 1}
-					s.regions[key] = tr
-					s.byBuf[key.buffer] = append(s.byBuf[key.buffer], tr)
-				}
-				rdata.Ver = tr.ver
-				if s.nodeCache[target][key] == tr.ver {
-					// Current on the worker: ship the reference only.
-					rdata.Ref = true
-					rdata.Data = nil
-					s.stats.RegionCacheHits++
-					s.stats.BytesSaved += rdata.Size
-					f.cCacheHits.Add(1)
-					f.cBytesSaved.Add(rdata.Size)
-				} else {
-					s.stats.RegionCacheMisses++
-					f.cCacheMisses.Add(1)
-					s.nodeCache[target][key] = tr.ver
-					shipped += rdata.Size
-				}
+			if s.track == nil {
+				shipped += rdata.Size
+			} else if rdata.Ver, rdata.Ref = s.track.ship(rdata.key(), target); rdata.Ref {
+				// Current on the worker: ship the reference only.
+				rdata.Data = nil
+				s.stats.RegionCacheHits++
+				s.stats.BytesSaved += rdata.Size
+				f.cCacheHits.Add(1)
+				f.cBytesSaved.Add(rdata.Size)
 			} else {
+				s.stats.RegionCacheMisses++
+				f.cCacheMisses.Add(1)
 				shipped += rdata.Size
 			}
 			ex.Imports = append(ex.Imports, rdata)
@@ -943,6 +1074,13 @@ func (f *Fleet) deferReady(s *session, target int, rd tsu.Ready) {
 // credits, then rotates to the back, so a 10k-instance program and a
 // 10-instance program interleave on the same node instead of FIFO
 // head-of-line blocking.
+//
+// Each turn finishes its surgery on the ring before it dispatches.
+// enqueueExec can flush; a failed flush fails the node over, and markDead
+// then takes this node's ring and queues to re-route them (closeSession,
+// on a fatal error, likewise scrubs the session's entries). Nothing read
+// before the call may be used after it; the loop condition re-reads it
+// all.
 func (f *Fleet) drainDeferred(i int) {
 	nio := &f.nodes[i]
 	for f.alive[i] && nio.inflight < f.opt.Window && len(nio.rr) > 0 {
@@ -958,22 +1096,17 @@ func (f *Fleet) drainDeferred(i int) {
 		rd := q[0]
 		if len(q) == 1 {
 			delete(nio.deferred, sid)
+			delete(nio.credit, sid)
+			nio.rr = nio.rr[1:]
 		} else {
 			nio.deferred[sid] = q[1:]
+			if nio.credit[sid]--; nio.credit[sid] <= 0 {
+				nio.credit[sid] = s.weight
+				nio.rr = append(nio.rr[1:], sid)
+			}
 		}
 		if err := f.enqueueExec(s, rd.Inst, rd.Kernel, i); err != nil {
 			f.closeSession(s, err)
-			continue
-		}
-		if s.closed {
-			continue
-		}
-		if _, still := nio.deferred[sid]; !still {
-			delete(nio.credit, sid)
-			nio.rr = nio.rr[1:]
-		} else if nio.credit[sid]--; nio.credit[sid] <= 0 {
-			nio.credit[sid] = s.weight
-			nio.rr = append(nio.rr[1:], sid)
 		}
 	}
 }
@@ -1115,7 +1248,9 @@ func (f *Fleet) markDead(node int, reason error) {
 		s.stats.Failovers++
 		s.stats.Nodes[node].Lost = true
 		s.stats.Nodes[node].LostReason = reason.Error()
-		s.nodeCache[node] = nil
+		if s.track != nil {
+			s.track.dropNode(node)
+		}
 		for _, ls := range s.leases {
 			if ls.node != node {
 				continue
@@ -1217,10 +1352,8 @@ func (f *Fleet) handleDone(d *Done, node int) {
 		writeRegion(s.svb.Bytes(rdata.Buffer), rdata) //nolint:errcheck // validated above
 		// The canonical bytes changed: invalidate every cached copy of
 		// any overlapping import region of this session.
-		for _, tr := range s.byBuf[rdata.Buffer] {
-			if tr.key.offset < rdata.Offset+int64(len(rdata.Data)) && rdata.Offset < tr.key.offset+tr.key.size {
-				tr.ver++
-			}
+		if s.track != nil {
+			s.track.bump(rdata.Buffer, rdata.Offset, rdata.Offset+int64(len(rdata.Data)))
 		}
 		exportBytes += int64(len(rdata.Data))
 	}

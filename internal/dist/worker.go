@@ -360,7 +360,7 @@ func (rep *replica) restorePristine() {
 	for name, data := range rep.pristine {
 		copy(rep.bufs.Bytes(name), data)
 	}
-	rep.cache = make(map[regionKey]cacheEntry)
+	clear(rep.cache)
 }
 
 // stageImports applies one Exec's import regions to its replica in
@@ -415,7 +415,11 @@ func execOne(rep *replica, ex Exec) (done *Done) {
 	// region may be overwritten by the next instance before the writer
 	// goroutine serializes this Done.
 	if tpl.Access != nil {
-		for _, r := range tpl.Access(ex.Inst.Ctx) {
+		regs := tpl.Access(ex.Inst.Ctx)
+		if n := countRegions(regs, true); n > 0 {
+			done.Exports = make([]RegionData, 0, n)
+		}
+		for _, r := range regs {
 			if !r.Write || r.Size <= 0 {
 				continue
 			}

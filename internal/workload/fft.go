@@ -161,10 +161,9 @@ func (f *FFT) SequentialSteps() []hardsim.Step {
 	}
 }
 
-// colRegions returns the strided per-row regions a column block touches.
-func (f *FFT) colRegions(lo, hi int, write bool) []core.MemRegion {
+// colRegions appends the strided per-row regions a column block touches.
+func (f *FFT) colRegions(regs []core.MemRegion, lo, hi int, write bool) []core.MemRegion {
 	n := f.n
-	regs := make([]core.MemRegion, 0, n)
 	for r := 0; r < n; r++ {
 		regs = append(regs, region("data", int64(r*n+lo)*16, int64(hi-lo)*16, write))
 	}
@@ -227,8 +226,9 @@ func (f *FFT) Build(kernels, unroll int) (*core.Program, error) {
 	}
 	cols.Access = func(ctx core.Context) []core.MemRegion {
 		lo, hi := rowsOf(ctx)
-		regs := f.colRegions(lo, hi, false)
-		return append(regs, f.colRegions(lo, hi, true)...)
+		regs := make([]core.MemRegion, 0, 2*n)
+		regs = f.colRegions(regs, lo, hi, false)
+		return f.colRegions(regs, lo, hi, true)
 	}
 
 	scale := core.NewTemplate(4, "scale", func(ctx core.Context) {
