@@ -7,9 +7,10 @@
 //	tfluxbench -exp fig5              # Figure 5: TFluxHard speedups
 //	tfluxbench -exp all -quick        # everything, smallest configurations
 //
-// -json FILE additionally writes every produced row as a JSON array
-// (name, rates, speedups, latency percentiles) for machine consumption;
-// FILE may be "-" for stdout.
+// -json FILE additionally writes every produced row as a JSON array for
+// machine consumption; FILE may be "-" for stdout. Every row is a speedup
+// (seq, par, unit, speedup); service, streaming and data-plane numbers
+// come from the repo benchmark (bench/README.md), not from here.
 //
 // Native experiments (fig6, fig7, part of unroll) measure wall clock on
 // multicore hosts and fall back to the virtual-time model on single-core
@@ -57,30 +58,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	o := exp.Options{Quick: *quick, Reps: *reps, MaxKernels: *maxK}
-	switch *mode {
-	case "auto":
-		o.Mode = exp.ModeAuto
-	case "wallclock":
-		o.Mode = exp.ModeWallClock
-	case "virtual":
-		o.Mode = exp.ModeVirtual
-	default:
+	timing, ok := map[string]exp.Mode{
+		"auto": exp.ModeAuto, "wallclock": exp.ModeWallClock, "virtual": exp.ModeVirtual,
+	}[*mode]
+	if !ok {
 		fmt.Fprintf(stderr, "tfluxbench: unknown mode %q\n", *mode)
 		return 2
 	}
+	o := exp.Options{Quick: *quick, Reps: *reps, MaxKernels: *maxK, Mode: timing}
 	if *verbose {
 		o.Progress = func(s string) { fmt.Fprintln(stderr, s) }
 	}
-
-	render := exp.Format
-	switch *format {
-	case "table":
-	case "csv":
-		render = exp.CSV
-	case "chart":
-		render = exp.Chart
-	default:
+	render, ok := map[string]func([]exp.Row) string{
+		"table": exp.Format, "csv": exp.CSV, "chart": exp.Chart,
+	}[*format]
+	if !ok {
 		fmt.Fprintf(stderr, "tfluxbench: unknown format %q\n", *format)
 		return 2
 	}
@@ -118,21 +110,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		allRows = append(allRows, rows...)
-		fmt.Fprintf(stdout, "== %s ==\n%s%s\n", e.Title, render(rows), exp.Summary(rows))
+		fmt.Fprintf(stdout, "== %s ==\n%s", e.Title, render(rows))
+		if e.Figure {
+			fmt.Fprintln(stdout, exp.Summary(rows))
+		}
 		if *metrics {
 			fmt.Fprintln(stdout, "-- metrics --")
 			if err := oe.Metrics.WriteSummary(stdout); err != nil {
 				fmt.Fprintf(stderr, "tfluxbench: %s: %v\n", e.Title, err)
 				failed = true
 				continue
-			}
-			// Sharded-TSU runs publish occupancy under well-known names;
-			// distill them into one balance line (Registry metrics are
-			// create-on-read, so probing unused names is harmless).
-			if shards := oe.Metrics.Counter("tsu.shards").Value(); shards > 1 {
-				fmt.Fprintf(stdout, "shard balance: %d shards, %d cross-shard decrement(s), imbalance %d%% (max shard vs mean occupancy)\n",
-					shards, oe.Metrics.Counter("tsu.cross_shard_decrements").Value(),
-					oe.Metrics.Gauge("tsu.shard_imbalance_pct").Value())
 			}
 		}
 		fmt.Fprintln(stdout)

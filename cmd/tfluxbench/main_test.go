@@ -56,18 +56,6 @@ func TestRunFig5QuickFormats(t *testing.T) {
 	}
 }
 
-func TestRunServeQuick(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "serve", "-quick"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-	for _, want := range []string{"serve", "TRAPEZ", "tfluxd", "service"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("serve output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
 func TestRunVerboseProgress(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-exp", "fig5", "-quick", "-v"}, &out, &errb); code != 0 {
@@ -103,22 +91,10 @@ func TestRunMetricsFlag(t *testing.T) {
 	}
 }
 
-func TestRunStreamQuick(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "stream", "-quick"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-	for _, want := range []string{"stream", "EVENTFILTER", "ev/s"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("stream output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
 func TestRunJSONOutput(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rows.json")
 	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "stream", "-quick", "-json", path}, &out, &errb); code != 0 {
+	if code := run([]string{"-exp", "groups", "-quick", "-json", path}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
 	data, err := os.ReadFile(path)
@@ -129,12 +105,21 @@ func TestRunJSONOutput(t *testing.T) {
 	if err := json.Unmarshal(data, &rows); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, data)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 3 { // TSU group counts 1, 2, 4
 		t.Fatalf("json rows = %d, want 3", len(rows))
 	}
-	for _, key := range []string{"experiment", "benchmark", "throughput_eps", "p99_s", "speedup", "class"} {
-		if _, ok := rows[0][key]; !ok {
-			t.Fatalf("json row missing %q: %v", key, rows[0])
+	for _, row := range rows {
+		for _, key := range []string{"experiment", "benchmark", "seq", "par", "unit", "mode", "speedup", "class"} {
+			if _, ok := row[key]; !ok {
+				t.Fatalf("json row missing %q: %v", key, row)
+			}
+		}
+		// A row is a speedup and nothing else: the streaming columns went
+		// with the experiments that filled them.
+		for _, key := range []string{"throughput_eps", "p50_s", "p95_s", "p99_s"} {
+			if _, ok := row[key]; ok {
+				t.Fatalf("json row still carries %q: %v", key, row)
+			}
 		}
 	}
 	// "-" writes the array to stdout.
@@ -164,16 +149,21 @@ func TestRunBadArgs(t *testing.T) {
 
 // TestAllQuick runs the whole experiment table the way CI's bench-smoke
 // job does and checks that every entry printed its section, in table
-// order.
+// order, and that the headline line closes the figures' sections and no
+// other: averaged over a study's rows it would call settings benchmarks.
 func TestAllQuick(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-exp", "all", "-quick"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
 	var got []string
+	headlines := map[string]int{}
 	for _, line := range strings.Split(out.String(), "\n") {
 		if strings.HasPrefix(line, "== ") {
 			got = append(got, line)
+		}
+		if strings.HasPrefix(line, "mean speedup at ") && len(got) > 0 {
+			headlines[got[len(got)-1]]++
 		}
 	}
 	if len(got) != len(exp.Experiments) {
@@ -183,17 +173,29 @@ func TestAllQuick(t *testing.T) {
 		if !strings.HasPrefix(got[i], "== "+e.Name) {
 			t.Errorf("section %d is %q, want experiment %q", i, got[i], e.Name)
 		}
+		want := 0
+		if e.Figure {
+			want = 1
+		}
+		if headlines[got[i]] != want {
+			t.Errorf("section %q has %d headline line(s), want %d", got[i], headlines[got[i]], want)
+		}
 	}
 }
 
+// TestUnknownExperimentNamesTheValidOnes covers a name that never existed
+// and the five wall-clock extension experiments that no longer do (their
+// numbers come from the repo benchmark under bench/).
 func TestUnknownExperimentNamesTheValidOnes(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "fig8"}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	for _, e := range exp.Experiments {
-		if !strings.Contains(errb.String(), e.Name) {
-			t.Errorf("diagnostic does not offer %q: %s", e.Name, errb.String())
+	for _, name := range []string{"fig8", "serve", "stream", "dist", "shards", "policy"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-exp", name, "-quick"}, &out, &errb); code != 2 {
+			t.Fatalf("-exp %s: exit %d, want 2", name, code)
+		}
+		for _, e := range exp.Experiments {
+			if !strings.Contains(errb.String(), e.Name) {
+				t.Errorf("-exp %s: diagnostic does not offer %q: %s", name, e.Name, errb.String())
+			}
 		}
 	}
 }

@@ -47,13 +47,14 @@
 // assignment on the soft, hard and cell platforms, where locality derives
 // the mapping from the program's declared Access regions (ddmlint). A
 // flag the chosen platform has nothing to apply to (-tsu-map on dist or
-// virtual; -tsu-shards or -gantt anywhere but soft) is an error, not
-// ignored.
+// virtual; -tsu-shards or -gantt anywhere but soft; -nodes and the
+// -dist-* family anywhere but dist) is an error, not ignored.
 //
-// Data-plane tuning (dist platform): -dist-batch, -dist-batch-bytes and
-// -dist-window bound how many Execs coalesce per ExecBatch frame and how
-// many instances may be in flight per node; -dist-no-cache disables the
-// worker-side import-region cache so every dispatch ships full bytes.
+// Data-plane tuning (dist platform): -nodes worker nodes share -kernels,
+// which must be a positive multiple of it; -dist-batch, -dist-batch-bytes
+// and -dist-window bound how many Execs coalesce per ExecBatch frame and
+// how many instances may be in flight per node; -dist-no-cache disables
+// the worker-side import-region cache so every dispatch ships full bytes.
 //
 // Fault injection (dist platform): -dist-faults applies a seeded chaos
 // plan to the coordinator↔worker links and prints the fired faults and
@@ -114,13 +115,14 @@ var platforms = map[string]struct {
 	sizes   workload.Platform // Table 1 column
 	tsuMap  bool              // owns a tsu.State locally: accepts -tsu-map
 	softTSU bool              // is the soft runtime: accepts -tsu-shards and -gantt
+	dist    bool              // hosts a local fleet: accepts -nodes and the -dist-* family
 	events  bool              // records obs events for -trace-out and -metrics
 }{
-	"soft":    {workload.Native, true, true, true},
-	"hard":    {workload.Simulated, true, false, true},
-	"cell":    {workload.Cell, true, false, true},
-	"dist":    {workload.Native, false, false, true},
-	"virtual": {workload.Native, false, false, false},
+	"soft":    {workload.Native, true, true, false, true},
+	"hard":    {workload.Simulated, true, false, false, true},
+	"cell":    {workload.Cell, true, false, false, true},
+	"dist":    {workload.Native, false, false, true, true},
+	"virtual": {workload.Native, false, false, false, false},
 }
 
 // run is the testable command body; it returns the process exit code.
@@ -160,10 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *nodes < 1 {
-		*nodes = 1
-	}
-
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "tfluxrun:", err)
 		return 1
@@ -216,12 +214,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return fail(fmt.Errorf("unknown platform %q", *platform))
 	}
+	// -dist-faults with -connect wraps the client's own connection instead.
+	faults := plat.dist || *connect != ""
 	for _, f := range []struct {
 		name     string
 		accepted bool
-	}{{"tsu-map", plat.tsuMap}, {"tsu-shards", plat.softTSU}, {"gantt", plat.softTSU}} {
+	}{{"tsu-map", plat.tsuMap}, {"tsu-shards", plat.softTSU}, {"gantt", plat.softTSU},
+		{"nodes", plat.dist}, {"dist-batch", plat.dist}, {"dist-batch-bytes", plat.dist},
+		{"dist-window", plat.dist}, {"dist-no-cache", plat.dist}, {"dist-faults", faults}} {
 		if set[f.name] && !f.accepted {
 			return fail(fmt.Errorf("-%s is not supported on the %s platform", f.name, *platform))
+		}
+	}
+	if plat.dist {
+		// The nodes share the kernels evenly, so the header, job.Build and
+		// the worker replicas must all see one total.
+		if *nodes < 1 {
+			return fail(fmt.Errorf("-nodes must be at least 1, not %d", *nodes))
+		}
+		if *kernels < *nodes || *kernels%*nodes != 0 {
+			lo := max(*kernels / *nodes, 1) * *nodes
+			return fail(fmt.Errorf("-kernels %d is not a positive multiple of -nodes %d (the dist platform gives every node the same number of kernels; the nearest totals are %d and %d)",
+				*kernels, *nodes, lo, lo+*nodes))
 		}
 	}
 	sizes, ok := spec.Sizes(plat.sizes)
@@ -272,16 +286,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *vet {
 		rep, err := ddmlint.Lint(prog)
-		if err != nil {
+		if err := vetGate(rep, err, stdout, stderr); err != nil {
 			return fail(err)
 		}
-		if !rep.OK() {
-			if err := rep.WriteText(stderr); err != nil {
-				return fail(err)
-			}
-			return fail(fmt.Errorf("%d ddmlint finding(s); refusing to dispatch", len(rep.Findings)))
-		}
-		fmt.Fprintln(stdout, "vet:        ok")
 	}
 
 	// Observability plumbing, shared by every platform: one recorder
@@ -399,12 +406,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Each worker node runs a replica program; the coordinator's
 		// replica owns the canonical buffers, so verification targets
 		// the job that owns the buffer set the run hands back.
-		kpn := *kernels / *nodes
-		if kpn < 1 {
-			kpn = 1
-		}
-		lanes = *nodes // one trace lane per worker node
-		build, owner := workload.Replicas(spec, param, kpn**nodes, *unroll)
+		kpn := *kernels / *nodes // exact: validated above
+		lanes = *nodes           // one trace lane per worker node
+		build, owner := workload.Replicas(spec, param, *kernels, *unroll)
 		opt := dist.Options{Sink: sink, Metrics: reg,
 			BatchCount: *distBatch, BatchBytes: *distBatchKB,
 			Window: *distWindow, DisableRegionCache: *distNoCache}
@@ -470,6 +474,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return finish()
 }
 
+// vetGate is -vet's verdict on a lint result, batch or streaming: findings
+// go to stderr and become the error that refuses dispatch; a clean report
+// is one "vet: ok" line.
+func vetGate(rep *ddmlint.Report, err error, stdout, stderr io.Writer) error {
+	if err != nil {
+		return err
+	}
+	if !rep.OK() {
+		if err := rep.WriteText(stderr); err != nil {
+			return err
+		}
+		return fmt.Errorf("%d ddmlint finding(s); refusing to dispatch", len(rep.Findings))
+	}
+	fmt.Fprintln(stdout, "vet:        ok")
+	return nil
+}
+
 // bestOf runs once reps times (at least once) and returns the shortest
 // duration it reported — the "several runs, best kept" rule of §5.
 func bestOf(reps int, once func() (time.Duration, error)) (time.Duration, error) {
@@ -508,16 +529,9 @@ func runStreamMode(events int64, rate float64, window, slots, workers int, polic
 		rep, err := ddmlint.LintStream(ef.Pipeline(), ddmlint.StreamConfig{
 			Slots: slots, Workers: workers, Policy: pol,
 		})
-		if err != nil {
+		if err := vetGate(rep, err, stdout, stderr); err != nil {
 			return fail(err)
 		}
-		if !rep.OK() {
-			if err := rep.WriteText(stderr); err != nil {
-				return fail(err)
-			}
-			return fail(fmt.Errorf("%d ddmlint finding(s); refusing to dispatch", len(rep.Findings)))
-		}
-		fmt.Fprintln(stdout, "vet:        ok")
 	}
 	opt := stream.Options{Slots: slots, Workers: workers, Policy: pol}
 	if metrics {

@@ -388,8 +388,9 @@ func TestRunStreamVetGate(t *testing.T) {
 // TestRunRejectsFlagsThePlatformCannotHonour pins the platforms table:
 // a tuning flag on a platform that has nothing to apply it to is refused
 // with one message shape, never dropped (-gantt off the soft platform
-// used to be).
+// used to be, and so were -nodes and the -dist-* family off dist).
 func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
+	offDist := []string{"soft", "hard", "cell", "virtual"}
 	forbidden := []struct {
 		flag      []string
 		platforms []string
@@ -397,27 +398,37 @@ func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 		{[]string{"-tsu-map", "rr"}, []string{"dist", "virtual"}},
 		{[]string{"-tsu-shards", "2"}, []string{"hard", "cell", "dist", "virtual"}},
 		{[]string{"-gantt"}, []string{"hard", "cell", "dist", "virtual"}},
+		{[]string{"-nodes", "5"}, offDist},
+		{[]string{"-dist-batch", "4"}, offDist},
+		{[]string{"-dist-batch-bytes", "4096"}, offDist},
+		{[]string{"-dist-window", "2"}, offDist},
+		{[]string{"-dist-no-cache"}, offDist},
+		{[]string{"-dist-faults", "seed=1,plan=sever:node=1:after=1"}, offDist},
+	}
+	refused := func(args []string, want string) {
+		t.Helper()
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 1 {
+			t.Errorf("%v: exit %d, want 1 (stdout: %s)", args, code, out.String())
+		}
+		if !strings.Contains(errb.String(), want) {
+			t.Errorf("%v: stderr %q, want %q", args, errb.String(), want)
+		}
 	}
 	pairs := 0
 	for _, f := range forbidden {
 		for _, platform := range f.platforms {
 			pairs++
 			args := append([]string{"-bench", "TRAPEZ", "-platform", platform, "-reps", "1"}, f.flag...)
-			var out, errb bytes.Buffer
-			if code := run(args, &out, &errb); code != 1 {
-				t.Errorf("%v: exit %d, want 1 (stdout: %s)", args, code, out.String())
-			}
-			want := f.flag[0] + " is not supported on the " + platform + " platform"
-			if !strings.Contains(errb.String(), want) {
-				t.Errorf("%v: stderr %q, want %q", args, errb.String(), want)
-			}
+			refused(args, f.flag[0]+" is not supported on the "+platform+" platform")
 		}
 	}
 	// The list above is written out, not derived, so a new platform or
 	// capability has to be decided here too.
 	inTable := 0
 	for _, p := range platforms {
-		for _, accepted := range []bool{p.tsuMap, p.softTSU, p.softTSU} {
+		for _, accepted := range []bool{p.tsuMap, p.softTSU, p.softTSU,
+			p.dist, p.dist, p.dist, p.dist, p.dist, p.dist} {
 			if !accepted {
 				inTable++
 			}
@@ -425,6 +436,46 @@ func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 	}
 	if inTable != pairs {
 		t.Fatalf("platforms table forbids %d (flag, platform) pairs, this test covers %d", inTable, pairs)
+	}
+
+	// The command line that used to exit 0 having injected nothing.
+	refused([]string{"-platform", "soft", "-dist-faults", "seed=1,plan=sever:node=1:after=1",
+		"-dist-batch", "4", "-dist-no-cache", "-nodes", "5"}, "-nodes is not supported on the soft platform")
+	// On dist the values are checked instead: the header, job.Build and the
+	// worker replicas all see the one -kernels total, so it has to divide
+	// among the nodes (8 over 3 used to print "8 kernels" and run 3 × 2).
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-nodes", "0"}, "-nodes must be at least 1"},
+		{[]string{"-nodes", "-2"}, "-nodes must be at least 1"},
+		{[]string{"-nodes", "3", "-kernels", "8"}, "-kernels 8 is not a positive multiple of -nodes 3"},
+		{[]string{"-nodes", "3", "-kernels", "8"}, "6 and 9"},
+		{[]string{"-nodes", "3", "-kernels", "2"}, "3 and 6"},
+		{[]string{"-nodes", "2", "-kernels", "0"}, "2 and 4"},
+	} {
+		refused(append([]string{"-bench", "TRAPEZ", "-platform", "dist", "-reps", "1"}, c.args...), c.want)
+	}
+}
+
+// TestRunShardedMappings runs a suite benchmark end to end on the sharded
+// plane under each TKT mapping policy, locality being derived from the
+// program's Access regions by ddmlint.LocalityMapping: the run must
+// verify and report its shards.
+func TestRunShardedMappings(t *testing.T) {
+	for _, mapping := range []string{"range", "rr", "locality"} {
+		var out, errb bytes.Buffer
+		code := run([]string{"-bench", "TRAPEZ", "-platform", "soft", "-tsu-shards", "2",
+			"-tsu-map", mapping, "-reps", "1"}, &out, &errb)
+		if code != 0 {
+			t.Fatalf("-tsu-map %s: exit %d: %s", mapping, code, errb.String())
+		}
+		for _, want := range []string{"tsu:        2 shards", "verify:     ok"} {
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("-tsu-map %s: output missing %q:\n%s", mapping, want, out.String())
+			}
+		}
 	}
 }
 

@@ -10,7 +10,7 @@
 // verified parallel configuration (hard, soft and cell construct the
 // three), speedups sweeps the suite over sizes and kernel counts on one
 // machine (Figures 5–7 and the x86 companion), and study varies one setting
-// at a fixed size (tsulat, groups, policy, shards, unroll).
+// at a fixed size (tsulat, groups, unroll).
 //
 // Every parallel run is verified against the sequential reference before
 // its time is reported; a verification failure aborts the experiment.
@@ -27,6 +27,7 @@ import (
 	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/hardsim"
+	"tflux/internal/mem"
 	"tflux/internal/obs"
 	"tflux/internal/rts"
 	"tflux/internal/sim"
@@ -42,22 +43,22 @@ type Experiment struct {
 	Title string // section header
 	Rows  func(Options) ([]Row, error)
 	Text  func() string
+	// Figure marks a speedups figure: its rows are suite benchmarks against
+	// their sequential programs, so Summary's headline is true of them. A
+	// study's rows are settings of one run, which it would average as if
+	// they were benchmarks.
+	Figure bool
 }
 
 // Experiments is every experiment of the harness, in the order
 // tfluxbench -exp all prints them.
 var Experiments = []Experiment{
 	{Name: "table1", Title: "table1", Text: Table1},
-	{Name: "fig5", Title: "fig5 (TFluxHard, simulated cycles)", Rows: Fig5},
-	{Name: "fig6", Title: "fig6 (TFluxSoft, native)", Rows: Fig6},
-	{Name: "fig7", Title: "fig7 (TFluxCell, native)", Rows: Fig7},
-	{Name: "fig5x86", Title: "fig5x86 (9-core x86 companion, §6.1.2)", Rows: Fig5X86},
+	{Name: "fig5", Title: "fig5 (TFluxHard, simulated cycles)", Rows: Fig5, Figure: true},
+	{Name: "fig6", Title: "fig6 (TFluxSoft, native)", Rows: Fig6, Figure: true},
+	{Name: "fig7", Title: "fig7 (TFluxCell, native)", Rows: Fig7, Figure: true},
+	{Name: "fig5x86", Title: "fig5x86 (9-core x86 companion, §6.1.2)", Rows: Fig5X86, Figure: true},
 	{Name: "groups", Title: "groups (multiple TSU Groups, §4.1 extension)", Rows: Groups},
-	{Name: "policy", Title: "policy (ready-queue scheduling ablation)", Rows: Policies},
-	{Name: "shards", Title: "shards (sharded software TSU vs dedicated emulator)", Rows: Shards},
-	{Name: "dist", Title: "dist (TFluxDist protocol cost across nodes)", Rows: Dist},
-	{Name: "serve", Title: "serve (tfluxd service-layer throughput)", Rows: Serve},
-	{Name: "stream", Title: "stream (sustained-rate event filter)", Rows: Stream},
 	{Name: "tsulat", Title: "tsulat (TSU latency 1..128 cycles)", Rows: TSULatency},
 	{Name: "unroll", Title: "unroll (MMULT across unroll factors)", Rows: UnrollSweep},
 	{Name: "budget", Title: "budget", Text: Budget},
@@ -76,15 +77,8 @@ type Row struct {
 	Seq        float64            `json:"seq"`              // sequential baseline (Unit)
 	Par        float64            `json:"par"`              // parallel execution (Unit)
 	Unit       string             `json:"unit"`             // "cycles" (simulated) or "s" (native wall clock)
-	Mode       string             `json:"mode"`             // "sim", "wallclock", "virtual" or "stream"
-	Speedup    float64            `json:"speedup"`
-
-	// Streaming rows only: sustained throughput and per-event
-	// admission-to-retire latency quantiles.
-	Throughput float64 `json:"throughput_eps,omitempty"` // achieved events/sec
-	P50        float64 `json:"p50_s,omitempty"`          // seconds
-	P95        float64 `json:"p95_s,omitempty"`
-	P99        float64 `json:"p99_s,omitempty"`
+	Mode       string             `json:"mode"`             // "sim", "wallclock" or "virtual"
+	Speedup    float64            `json:"speedup"`          // stats.Speedup(Seq, Par)
 }
 
 // Options tunes experiment scope.
@@ -178,28 +172,24 @@ func (o Options) kernelCounts(all []int) []int {
 	return out
 }
 
-// hardUnrolls are the unroll candidates per platform for the
-// min-over-unroll selection (§5): TFluxHard peaks at small factors,
-// TFluxSoft needs ≥16, TFluxCell needs ~64 (§6.2.2, §6.3).
+// unrollCandidates are the unroll factors the min-over-unroll selection
+// (§5) tries per platform, and the one Quick keeps: TFluxHard peaks at
+// small factors, TFluxSoft needs ≥16, TFluxCell needs ~64 (§6.2.2, §6.3).
+var unrollCandidates = map[workload.Platform]struct {
+	all   []int
+	quick int
+}{
+	workload.Simulated: {[]int{2, 4, 8}, 4},
+	workload.Native:    {[]int{16, 32, 64}, 32},
+	workload.Cell:      {[]int{32, 64}, 64},
+}
+
 func (o Options) unrolls(pf workload.Platform) []int {
+	c := unrollCandidates[pf]
 	if o.Quick {
-		switch pf {
-		case workload.Simulated:
-			return []int{4}
-		case workload.Cell:
-			return []int{64}
-		default:
-			return []int{32}
-		}
+		return []int{c.quick}
 	}
-	switch pf {
-	case workload.Simulated:
-		return []int{2, 4, 8}
-	case workload.Cell:
-		return []int{32, 64}
-	default:
-		return []int{16, 32, 64}
-	}
+	return c.all
 }
 
 // capKernels applies the MaxKernels cap to a study's fixed kernel count.
@@ -262,10 +252,10 @@ func hard(label string, cfg hardsim.Config) machine {
 // timed is a software platform: both numbers are the best of o.reps() runs
 // in seconds, the baseline the native sequential algorithm. A parallel run
 // is exec on the wall clock (output reset included, as a caller would pay
-// it), or, with virtual set, the vtime model's makespan — the substitution
+// it), or, when o.virtual(), the vtime model's makespan — the substitution
 // for hosts that cannot run kernels in parallel (see package vtime).
-func timed(o Options, label string, pf workload.Platform, virtual bool, exec func(p *core.Program, job workload.Job, kernels int) error) machine {
-	mode := "wallclock"
+func timed(o Options, label string, pf workload.Platform, exec func(p *core.Program, job workload.Job, kernels int) error) machine {
+	virtual, mode := o.virtual(), "wallclock"
 	if virtual {
 		mode = "virtual"
 	}
@@ -305,23 +295,17 @@ func timed(o Options, label string, pf workload.Platform, virtual bool, exec fun
 	}
 }
 
-// soft is TFluxSoft. opts, when non-nil, chooses the rts.Options for a
-// built program (the policy and shard studies); nil runs the defaults.
-func soft(o Options, virtual bool, opts func(p *core.Program, kernels int) rts.Options) machine {
-	return timed(o, "TFluxSoft", workload.Native, virtual, func(p *core.Program, _ workload.Job, kernels int) error {
-		ro := rts.Options{Kernels: kernels}
-		if opts != nil {
-			ro = opts(p, kernels)
-		}
-		ro.Metrics = o.Metrics
-		_, err := rts.Run(p, ro)
+// soft is TFluxSoft: the native runtime at its default options.
+func soft(o Options) machine {
+	return timed(o, "TFluxSoft", workload.Native, func(p *core.Program, _ workload.Job, kernels int) error {
+		_, err := rts.Run(p, rts.Options{Kernels: kernels, Metrics: o.Metrics})
 		return err
 	})
 }
 
 // cell is TFluxCell: the SPE substrate over the job's shared buffers.
 func cell(o Options) machine {
-	return timed(o, "TFluxCell", workload.Cell, o.virtual(), func(p *core.Program, job workload.Job, kernels int) error {
+	return timed(o, "TFluxCell", workload.Cell, func(p *core.Program, job workload.Job, kernels int) error {
 		_, err := cellsim.Run(p, job.SharedBuffers(), cellsim.Config{SPEs: kernels, Metrics: o.Metrics})
 		return err
 	})
@@ -374,9 +358,8 @@ func speedups(o Options, name string, m machine, kernelCounts []int) ([]Row, err
 
 // point is one configuration of a one-parameter study.
 type point struct {
-	tag    string // Row.Benchmark is "NAME/tag" when set
-	value  int    // the swept value, reported in the Unroll column
-	unroll int    // DThread granularity the point is built at
+	value  int // the swept value, reported in the Unroll column
+	unroll int // DThread granularity the point is built at
 	m      machine
 }
 
@@ -401,18 +384,14 @@ func study(o Options, name, bench string, cls workload.SizeClass, kernels int, r
 	}
 	var rows []Row
 	for i, pt := range points {
-		label := bench
-		if pt.tag != "" {
-			label += "/" + pt.tag
-		}
 		par, err := pt.m.run(job, kernels, pt.unroll)
 		if err != nil {
-			return nil, fmt.Errorf("%s %s k=%d u=%d: %w", name, label, kernels, pt.value, err)
+			return nil, fmt.Errorf("%s %s k=%d u=%d: %w", name, bench, kernels, pt.value, err)
 		}
 		if relative && i == 0 {
 			seq = par
 		}
-		rows = o.emit(rows, pt.m, Row{Experiment: name, Benchmark: label, Size: spec.SizeLabel(param),
+		rows = o.emit(rows, pt.m, Row{Experiment: name, Benchmark: bench, Size: spec.SizeLabel(param),
 			Class: cls, Kernels: kernels, Unroll: pt.value, Seq: seq, Par: par})
 	}
 	return rows, nil
@@ -427,13 +406,22 @@ func Fig5(o Options) ([]Row, error) {
 // Fig6 regenerates Figure 6: TFluxSoft native speedups (wall clock on
 // multicore hosts, virtual time on single-core hosts).
 func Fig6(o Options) ([]Row, error) {
-	return speedups(o, "fig6", soft(o, o.virtual(), nil), []int{2, 4, 6})
+	return speedups(o, "fig6", soft(o), []int{2, 4, 6})
 }
 
 // Fig7 regenerates Figure 7: TFluxCell speedups for the four benchmarks
 // the paper evaluates on the Cell.
 func Fig7(o Options) ([]Row, error) {
 	return speedups(o, "fig7", cell(o), []int{2, 4, 6})
+}
+
+// Fig5X86 regenerates the paper's §6.1.2 companion experiment: the same
+// benchmarks on a simulated 9-core x86 machine "similar to Bagle" (8
+// kernels, one core reserved for the OS). The paper reports that "the
+// speedup values observed and conclusions drawn are similar" to the Sparc
+// machine; this experiment lets that be checked directly against fig5.
+func Fig5X86(o Options) ([]Row, error) {
+	return speedups(o, "fig5x86", hard("TFluxHard/x86", hardsim.Config{Mem: mem.X86Config()}), []int{2, 4, 8})
 }
 
 // TSULatency regenerates the §3.3/§4.1 sensitivity study: TFluxHard
@@ -462,6 +450,22 @@ func TSULatency(o Options) ([]Row, error) {
 	return rows, nil
 }
 
+// Groups is the multiple-TSU-Groups study (§4.1's "under development"
+// extension): a fine-grained workload on many cores, where the single
+// serializing TSU Group becomes the bottleneck and partitioning it into
+// 2 or 4 groups recovers performance. Speedup is relative to the
+// single-group configuration; Unroll reports the group count. DThreads
+// are deliberately fine-grained (unroll 1) so TSU command processing is
+// on the critical path.
+func Groups(o Options) ([]Row, error) {
+	var points []point
+	for _, g := range []int{1, 2, 4} {
+		points = append(points, point{value: g, unroll: 1,
+			m: hard("TFluxHard", hardsim.Config{TSUGroups: g, TSULat: 128, Metrics: o.Metrics})})
+	}
+	return study(o, "groups", "TRAPEZ", workload.Small, o.capKernels(27), true, points)
+}
+
 // UnrollSweep regenerates the unroll-factor study: speedup of MMULT
 // (Medium) on each platform across unroll factors 1..64, showing that
 // TFluxHard peaks at small factors while the software TSUs need coarser
@@ -477,7 +481,7 @@ func UnrollSweep(o Options) ([]Row, error) {
 		kernels int
 	}{
 		{hard("TFluxHard", hardsim.Config{}), 16},
-		{soft(o, o.virtual(), nil), 6},
+		{soft(o), 6},
 		{cell(o), 6},
 	} {
 		var points []point
@@ -493,32 +497,29 @@ func UnrollSweep(o Options) ([]Row, error) {
 	return rows, nil
 }
 
-// Table1 renders the workload description table (Table 1).
+// Table1 renders the workload description table (Table 1): one line per
+// distinct size triple of a benchmark, tagged with the platforms
+// (Simulated, Native, Cell) that use it.
 func Table1() string {
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Benchmark\tSource\tDescription\tPlatforms\tSmall\tMedium\tLarge")
 	for _, s := range workload.Suite() {
-		printed := map[string]bool{}
-		for _, pf := range []workload.Platform{workload.Simulated, workload.Native, workload.Cell} {
+		var triples [][3]int
+		tags := map[[3]int]string{}
+		for i, pf := range []workload.Platform{workload.Simulated, workload.Native, workload.Cell} {
 			sizes, ok := s.Sizes(pf)
 			if !ok {
 				continue
 			}
-			key := fmt.Sprintf("%v", sizes)
-			if printed[key] {
-				continue
+			if tags[sizes] == "" {
+				triples = append(triples, sizes)
 			}
-			printed[key] = true
-			tag := map[workload.Platform]string{workload.Simulated: "S", workload.Native: "N", workload.Cell: "C"}
-			tags := ""
-			for _, p2 := range []workload.Platform{workload.Simulated, workload.Native, workload.Cell} {
-				if s2, ok2 := s.Sizes(p2); ok2 && fmt.Sprintf("%v", s2) == key {
-					tags += tag[p2]
-				}
-			}
+			tags[sizes] += "SNC"[i : i+1]
+		}
+		for _, sizes := range triples {
 			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
-				s.Name, s.Source, s.Description, tags,
+				s.Name, s.Source, s.Description, tags[sizes],
 				s.SizeLabel(sizes[0]), s.SizeLabel(sizes[1]), s.SizeLabel(sizes[2]))
 		}
 	}
@@ -553,17 +554,9 @@ func Format(rows []Row) string {
 // speedup at the largest kernel count present (the paper reports 21x on 27
 // TFluxHard nodes and 4.4x on 6 software nodes, at the largest sizes).
 func Summary(rows []Row) string {
-	maxK := 0
+	maxK, maxClass := 0, workload.Small
 	for _, r := range rows {
-		if r.Kernels > maxK {
-			maxK = r.Kernels
-		}
-	}
-	maxClass := workload.Small
-	for _, r := range rows {
-		if r.Class > maxClass {
-			maxClass = r.Class
-		}
+		maxK, maxClass = max(maxK, r.Kernels), max(maxClass, r.Class)
 	}
 	var sp []float64
 	for _, r := range rows {

@@ -85,8 +85,7 @@ func Chart(rows []Row) string {
 
 // WriteJSON renders rows as an indented JSON array, the machine-readable
 // form tfluxbench -json emits so perf trajectories can be tracked across
-// commits by tooling instead of prose. Streaming rows carry throughput
-// and latency-quantile fields; batch rows omit them.
+// commits by tooling instead of prose.
 func WriteJSON(w io.Writer, rows []Row) error {
 	type jsonRow struct {
 		Row
