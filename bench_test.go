@@ -352,7 +352,7 @@ func BenchmarkTUBSegmentation(b *testing.B) {
 func BenchmarkDistDispatch(b *testing.B) {
 	const threads = 256
 	for i := 0; i < b.N; i++ {
-		build := func() (*core.Program, *cellsim.SharedVariableBuffer) {
+		build := func() (*core.Program, *core.SharedVariableBuffer) {
 			data := make([]byte, threads*8)
 			p := core.NewProgram("distbench")
 			p.AddBuffer("data", int64(len(data)))
@@ -362,7 +362,7 @@ func BenchmarkDistDispatch(b *testing.B) {
 				return []core.MemRegion{{Buffer: "data", Offset: int64(ctx) * 8, Size: 8, Write: true}}
 			}
 			p.AddBlock().Add(t)
-			svb := cellsim.NewSharedVariableBuffer()
+			svb := core.NewSharedVariableBuffer()
 			svb.Register("data", data)
 			return p, svb
 		}

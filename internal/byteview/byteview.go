@@ -1,7 +1,7 @@
 // Package byteview provides zero-copy byte views over numeric slices.
 //
-// The TFluxCell substrate stages shared data through byte buffers (its
-// SharedVariableBuffer is a registry of []byte); the benchmark kernels
+// The platforms stage shared data through byte buffers
+// (core.SharedVariableBuffer is a registry of []byte); the benchmark kernels
 // work on typed slices ([]float64, []uint32, []complex128). These helpers
 // alias the same memory so staging moves the real bytes without copies or
 // per-element encoding.

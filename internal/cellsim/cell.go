@@ -1,8 +1,6 @@
 package cellsim
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -10,49 +8,10 @@ import (
 	"tflux/internal/obs"
 )
 
-// SharedVariableBuffer is the main-memory area through which DThreads
-// exchange shared variable values (paper §4.3): a registry of the named
-// byte buffers backing the program's core.Buffer declarations.
-type SharedVariableBuffer struct {
-	bufs map[string][]byte
-}
-
-// NewSharedVariableBuffer returns an empty registry.
-func NewSharedVariableBuffer() *SharedVariableBuffer {
-	return &SharedVariableBuffer{bufs: make(map[string][]byte)}
-}
-
-// Register binds a named buffer to its backing bytes. Re-registering a
-// name replaces the binding.
-func (s *SharedVariableBuffer) Register(name string, data []byte) {
-	s.bufs[name] = data
-}
-
-// Bytes returns the backing slice for name, or nil.
-func (s *SharedVariableBuffer) Bytes(name string) []byte { return s.bufs[name] }
-
-// Names returns the registered buffer names in sorted order — the
-// enumeration worker-side replica recycling snapshots and restores.
-func (s *SharedVariableBuffer) Names() []string {
-	out := make([]string, 0, len(s.bufs))
-	for name := range s.bufs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// slice resolves a region to its backing bytes, bounds-checked.
-func (s *SharedVariableBuffer) slice(r core.MemRegion) ([]byte, error) {
-	b, ok := s.bufs[r.Buffer]
-	if !ok {
-		return nil, fmt.Errorf("cellsim: region references unregistered buffer %q", r.Buffer)
-	}
-	if r.Offset < 0 || r.Size < 0 || r.Offset+r.Size > int64(len(b)) {
-		return nil, fmt.Errorf("cellsim: region [%d,%d) outside buffer %q (%d bytes)", r.Offset, r.Offset+r.Size, r.Buffer, len(b))
-	}
-	return b[r.Offset : r.Offset+r.Size], nil
-}
+// SharedVariableBuffer is core.SharedVariableBuffer, the store Run stages
+// regions of through the Local Stores. The alias exists only because the
+// repo benchmark (bench/workloads.go) names the type through this package.
+type SharedVariableBuffer = core.SharedVariableBuffer
 
 // command is one entry a Kernel places into its CommandBuffer: a DThread
 // completion notification.

@@ -13,7 +13,7 @@
 //
 //   - Shared data moves through explicit DMA: before a DThread runs, its
 //     import regions are staged from main memory (the
-//     SharedVariableBuffer registry of Go slices) into the Local Store
+//     core.SharedVariableBuffer registry of Go slices) into the Local Store
 //     arena in bounded-size DMA transfers; after it runs, its export
 //     regions are staged back. The staging copies are traffic-equivalent:
 //     bodies compute on the canonical shared slices (so results are

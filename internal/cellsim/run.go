@@ -92,17 +92,14 @@ type Stats struct {
 // goroutines with Local Store staging, the TSU emulator on the PPE
 // goroutine. Every buffer the program declares must be registered in svb
 // with at least the declared size.
-func Run(p *core.Program, svb *SharedVariableBuffer, cfg Config) (*Stats, error) {
+func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, error) {
 	cfg = cfg.withDefaults()
 	state, err := tsu.NewStateCfg(p, cfg.SPEs, tsu.Config{MaxBlockInstances: cfg.TSUSize, Mapping: cfg.Mapping})
 	if err != nil {
 		return nil, err
 	}
-	for _, b := range p.Buffers {
-		got := svb.Bytes(b.Name)
-		if int64(len(got)) < b.Size {
-			return nil, fmt.Errorf("cellsim: buffer %q registered with %d bytes, program declares %d", b.Name, len(got), b.Size)
-		}
+	if err := svb.Covers(p.Buffers); err != nil {
+		return nil, fmt.Errorf("cellsim: %w", err)
 	}
 	r := &cellRunner{
 		cfg:    cfg,
@@ -177,7 +174,7 @@ func Run(p *core.Program, svb *SharedVariableBuffer, cfg Config) (*Stats, error)
 type cellRunner struct {
 	cfg   Config
 	state *tsu.State
-	svb   *SharedVariableBuffer
+	svb   *core.SharedVariableBuffer
 
 	rings  []*commandBuffer
 	boxes  []chan core.Instance
@@ -295,9 +292,9 @@ func (r *cellRunner) runOne(id int, inst core.Instance, arena []byte, st *SPESta
 		// DMA-in the imports.
 		var used int64
 		for _, reg := range imports {
-			src, err := r.svb.slice(reg)
+			src, err := r.svb.Slice(reg.Buffer, reg.Offset, reg.Size)
 			if err != nil {
-				r.fail(err)
+				r.fail(fmt.Errorf("cellsim: %w", err))
 				return false
 			}
 			if reg.Stream {
@@ -325,9 +322,9 @@ func (r *cellRunner) runOne(id int, inst core.Instance, arena []byte, st *SPESta
 		// doc).
 		used = 0
 		for _, reg := range exports {
-			src, err := r.svb.slice(reg)
+			src, err := r.svb.Slice(reg.Buffer, reg.Offset, reg.Size)
 			if err != nil {
-				r.fail(err)
+				r.fail(fmt.Errorf("cellsim: %w", err))
 				return false
 			}
 			if reg.Stream {

@@ -2,6 +2,7 @@ package cellsim
 
 import (
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 // stageSum builds a map+reduce over a real shared byte buffer: workers
 // write their partial sums as little-endian uint64s, the reducer adds
 // them. Every region is declared so the Cell substrate stages it.
-func stageSum(workers core.Context, perWorker int) (*core.Program, *SharedVariableBuffer, *uint64) {
+func stageSum(workers core.Context, perWorker int) (*core.Program, *core.SharedVariableBuffer, *uint64) {
 	parts := make([]byte, int(workers)*8)
 	result := new(uint64)
 	p := core.NewProgram("cellsum")
@@ -41,7 +42,7 @@ func stageSum(workers core.Context, perWorker int) (*core.Program, *SharedVariab
 	work.Then(2, core.AllToOne{})
 	b.Add(work)
 	b.Add(reduce)
-	svb := NewSharedVariableBuffer()
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("parts", parts)
 	return p, svb, result
 }
@@ -87,7 +88,7 @@ func TestCellLocalStoreCapacityEnforced(t *testing.T) {
 		return []core.MemRegion{{Buffer: "big", Offset: 0, Size: int64(len(big)), Write: false}}
 	}
 	b.Add(tpl)
-	svb := NewSharedVariableBuffer()
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("big", big)
 	_, err := Run(p, svb, Config{SPEs: 2})
 	if err == nil || !strings.Contains(err.Error(), "Local Store") {
@@ -97,26 +98,30 @@ func TestCellLocalStoreCapacityEnforced(t *testing.T) {
 
 func TestCellUnregisteredBufferRejected(t *testing.T) {
 	p, _, _ := stageSum(4, 10)
-	_, err := Run(p, NewSharedVariableBuffer(), Config{SPEs: 2})
+	_, err := Run(p, core.NewSharedVariableBuffer(), Config{SPEs: 2})
 	if err == nil || !strings.Contains(err.Error(), "registered with") {
 		t.Fatalf("err = %v, want registration error", err)
 	}
 }
 
 func TestCellRegionBoundsChecked(t *testing.T) {
-	p := core.NewProgram("oob")
-	p.AddBuffer("x", 16)
-	b := p.AddBlock()
-	tpl := core.NewTemplate(1, "bad", func(core.Context) {})
-	tpl.Access = func(core.Context) []core.MemRegion {
-		return []core.MemRegion{{Buffer: "x", Offset: 8, Size: 64, Write: false}}
-	}
-	b.Add(tpl)
-	svb := NewSharedVariableBuffer()
-	svb.Register("x", make([]byte, 16))
-	_, err := Run(p, svb, Config{SPEs: 1})
-	if err == nil || !strings.Contains(err.Error(), "outside buffer") {
-		t.Fatalf("err = %v, want bounds error", err)
+	for name, reg := range map[string]core.MemRegion{
+		"past the end":    {Buffer: "x", Offset: 8, Size: 64},
+		"wrapping offset": {Buffer: "x", Offset: math.MaxInt64, Size: 1}, // Offset+Size < 0
+		"wrapping export": {Buffer: "x", Offset: math.MaxInt64, Size: 1, Write: true},
+	} {
+		p := core.NewProgram("oob")
+		p.AddBuffer("x", 16)
+		b := p.AddBlock()
+		tpl := core.NewTemplate(1, "bad", func(core.Context) {})
+		tpl.Access = func(core.Context) []core.MemRegion { return []core.MemRegion{reg} }
+		b.Add(tpl)
+		svb := core.NewSharedVariableBuffer()
+		svb.Register("x", make([]byte, 16))
+		_, err := Run(p, svb, Config{SPEs: 1})
+		if err == nil || !strings.Contains(err.Error(), "outside buffer") {
+			t.Errorf("%s: err = %v, want bounds error", name, err)
+		}
 	}
 }
 
@@ -126,7 +131,7 @@ func TestCellBodyPanicSurfaces(t *testing.T) {
 	tpl := core.NewTemplate(1, "x", func(core.Context) { panic("cell bang") })
 	tpl.Instances = 4
 	b.Add(tpl)
-	_, err := Run(p, NewSharedVariableBuffer(), Config{SPEs: 2})
+	_, err := Run(p, core.NewSharedVariableBuffer(), Config{SPEs: 2})
 	if err == nil || !strings.Contains(err.Error(), "cell bang") {
 		t.Fatalf("err = %v", err)
 	}
@@ -160,7 +165,7 @@ func TestCellDMAChunking(t *testing.T) {
 		return []core.MemRegion{{Buffer: "d", Offset: 0, Size: int64(len(data)), Write: false}}
 	}
 	b.Add(tpl)
-	svb := NewSharedVariableBuffer()
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("d", data)
 	st, err := Run(p, svb, Config{SPEs: 1})
 	if err != nil {
@@ -192,7 +197,7 @@ func TestCellMultiBlock(t *testing.T) {
 		return []core.MemRegion{{Buffer: "x", Size: 8, Write: false}, {Buffer: "x", Size: 8, Write: true}}
 	}
 	b1.Add(t1)
-	svb := NewSharedVariableBuffer()
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("x", x)
 	if _, err := Run(p, svb, Config{SPEs: 3}); err != nil {
 		t.Fatal(err)
@@ -214,7 +219,7 @@ func TestCellStreamedRegionBypassesCapacity(t *testing.T) {
 		return []core.MemRegion{{Buffer: "big", Offset: 0, Size: int64(len(big)), Stream: true}}
 	}
 	b.Add(tpl)
-	svb := NewSharedVariableBuffer()
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("big", big)
 	st, err := Run(p, svb, Config{SPEs: 2})
 	if err != nil {
@@ -243,7 +248,7 @@ func TestCellReserveConfig(t *testing.T) {
 		return []core.MemRegion{{Buffer: "d", Size: int64(len(data))}}
 	}
 	b.Add(tpl)
-	svb := NewSharedVariableBuffer()
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("d", data)
 	_, err := Run(p, svb, Config{SPEs: 1, Reserve: 224 << 10})
 	if err == nil || !strings.Contains(err.Error(), "Local Store") {

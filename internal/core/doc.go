@@ -25,6 +25,10 @@
 //     the TSU layer, not described here.
 //   - Program: an ordered list of Blocks plus the shared buffers the
 //     DThreads communicate through.
+//   - SharedVariableBuffer: the registry of byte slices backing those
+//     buffers (paper §4.3), with the one region bounds predicate
+//     (InBounds) and the two checked operations (Covers, Slice) every
+//     platform that moves bytes by declared region goes through.
 //
 // The package is pure data + validation: it has no scheduling logic and no
 // concurrency. The TSU implementations (software emulator, hardware-device

@@ -79,7 +79,7 @@ func (g *blockGraph) checkBounds(r *Report, bufs map[string]int32) {
 					// ignored everywhere
 				case !ok:
 					kind, keep.Size = KindUndeclaredBuffer, 0
-				case reg.Offset < 0 || reg.Size < 0 || reg.Size > g.p.Buffers[bi].Size-reg.Offset:
+				case !core.InBounds(reg.Offset, reg.Size, g.p.Buffers[bi].Size):
 					kind, keep = KindBufferBounds, clipRegion(reg, g.p.Buffers[bi].Size)
 				default:
 					if owned {

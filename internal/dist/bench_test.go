@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tflux/internal/byteview"
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 )
 
@@ -64,8 +63,8 @@ func BenchmarkCodecExecEncodeDecode(bb *testing.B) {
 // regions are exactly the steady-state traffic the worker-side region
 // cache exists to eliminate; C is exported every iteration and must be
 // re-shipped. n is the matrix dimension, rowsPer the rows per DThread.
-func iterMMult(n, rowsPer, iters int) func() (*core.Program, *cellsim.SharedVariableBuffer) {
-	return func() (*core.Program, *cellsim.SharedVariableBuffer) {
+func iterMMult(n, rowsPer, iters int) func() (*core.Program, *core.SharedVariableBuffer) {
+	return func() (*core.Program, *core.SharedVariableBuffer) {
 		a := make([]float64, n*n)
 		b := make([]float64, n*n)
 		c := make([]float64, n*n)
@@ -104,7 +103,7 @@ func iterMMult(n, rowsPer, iters int) func() (*core.Program, *cellsim.SharedVari
 			}
 			blk.Add(tpl)
 		}
-		svb := cellsim.NewSharedVariableBuffer()
+		svb := core.NewSharedVariableBuffer()
 		svb.Register("A", byteview.Float64s(a))
 		svb.Register("B", byteview.Float64s(b))
 		svb.Register("C", byteview.Float64s(c))
@@ -136,7 +135,7 @@ func BenchmarkDistMMultIterative(bb *testing.B) {
 // pipelining should collapse the per-instance round trips.
 func BenchmarkDistDispatchSmall(bb *testing.B) {
 	const insts = 256
-	build := func() (*core.Program, *cellsim.SharedVariableBuffer) {
+	build := func() (*core.Program, *core.SharedVariableBuffer) {
 		out := make([]uint64, insts)
 		p := core.NewProgram("small")
 		p.AddBuffer("out", insts*8)
@@ -146,7 +145,7 @@ func BenchmarkDistDispatchSmall(bb *testing.B) {
 			return []core.MemRegion{{Buffer: "out", Offset: int64(ctx) * 8, Size: 8, Write: true}}
 		}
 		p.AddBlock().Add(tpl)
-		svb := cellsim.NewSharedVariableBuffer()
+		svb := core.NewSharedVariableBuffer()
 		svb.Register("out", byteview.Uint64s(out))
 		return p, svb
 	}

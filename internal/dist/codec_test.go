@@ -320,7 +320,8 @@ func TestCodecOversizedLength(t *testing.T) {
 // bounds guard: crafted MemRegions with negative sizes or offsets must
 // error, not panic make([]byte, -1) or slice out of range.
 func TestReadRegionNegativeSize(t *testing.T) {
-	buf := make([]byte, 64)
+	buf := core.NewSharedVariableBuffer()
+	buf.Register("b", make([]byte, 64))
 	bad := []core.MemRegion{
 		{Buffer: "b", Offset: 0, Size: -1},
 		{Buffer: "b", Offset: -8, Size: 4},

@@ -6,7 +6,6 @@ import (
 	"net"
 	"time"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/tsu"
 )
@@ -56,7 +55,7 @@ type Stats struct {
 // execute on the workers. Every buffer the program declares must be
 // registered in svb with at least the declared size. It blocks until the
 // final Block's Outlet completes.
-func Coordinate(prog *core.Program, svb *cellsim.SharedVariableBuffer, conns []net.Conn) (*Stats, error) {
+func Coordinate(prog *core.Program, svb *core.SharedVariableBuffer, conns []net.Conn) (*Stats, error) {
 	return CoordinateOpts(prog, svb, conns, Options{})
 }
 
@@ -83,20 +82,18 @@ func Coordinate(prog *core.Program, svb *cellsim.SharedVariableBuffer, conns []n
 // apply exactly once even when a batch frame is severed mid-write. The
 // run completes on any non-empty subset of the starting nodes and fails
 // hard only when every node is lost.
-func CoordinateOpts(prog *core.Program, svb *cellsim.SharedVariableBuffer, conns []net.Conn, opt Options) (*Stats, error) {
+func CoordinateOpts(prog *core.Program, svb *core.SharedVariableBuffer, conns []net.Conn, opt Options) (*Stats, error) {
 	if len(conns) == 0 {
 		return nil, errors.New("dist: no worker connections")
 	}
 	// Pre-handshake buffer check: a coordinator-side setup mistake must
 	// release the workers abruptly (they may already be blocked reading)
 	// rather than hand them a clean Shutdown that masks the failure.
-	for _, b := range prog.Buffers {
-		if got := svb.Bytes(b.Name); int64(len(got)) < b.Size {
-			for _, c := range conns {
-				c.Close() //nolint:errcheck // unblocking teardown
-			}
-			return nil, fmt.Errorf("dist: buffer %q registered with %d bytes, program declares %d", b.Name, len(got), b.Size)
+	if err := svb.Covers(prog.Buffers); err != nil {
+		for _, c := range conns {
+			c.Close() //nolint:errcheck // unblocking teardown
 		}
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	if opt.Sink != nil {
 		opt.Sink.Begin()

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tflux/internal/byteview"
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 )
 
@@ -15,8 +14,8 @@ import (
 // call constructs fresh state (one replica per node, one canonical copy),
 // as RunLocal requires. Every region is declared, because in distributed
 // memory the declarations ARE the data movement.
-func distSum(workers core.Context, perWorker int) func() (*core.Program, *cellsim.SharedVariableBuffer) {
-	return func() (*core.Program, *cellsim.SharedVariableBuffer) {
+func distSum(workers core.Context, perWorker int) func() (*core.Program, *core.SharedVariableBuffer) {
+	return func() (*core.Program, *core.SharedVariableBuffer) {
 		parts := make([]uint64, workers)
 		out := make([]uint64, 1)
 		p := core.NewProgram("distsum")
@@ -50,7 +49,7 @@ func distSum(workers core.Context, perWorker int) func() (*core.Program, *cellsi
 		work.Then(2, core.AllToOne{})
 		b.Add(work)
 		b.Add(reduce)
-		svb := cellsim.NewSharedVariableBuffer()
+		svb := core.NewSharedVariableBuffer()
 		svb.Register("parts", byteview.Uint64s(parts))
 		svb.Register("out", byteview.Uint64s(out))
 		return p, svb
@@ -93,8 +92,8 @@ func TestDistributedSum(t *testing.T) {
 // behaviour the import/export contract exists for. With the import
 // declared, the value arrives.
 func TestDistributedAddressSpaceIsolation(t *testing.T) {
-	build := func(declareImport bool) func() (*core.Program, *cellsim.SharedVariableBuffer) {
-		return func() (*core.Program, *cellsim.SharedVariableBuffer) {
+	build := func(declareImport bool) func() (*core.Program, *core.SharedVariableBuffer) {
+		return func() (*core.Program, *core.SharedVariableBuffer) {
 			x := make([]uint64, 1)
 			seen := make([]uint64, 1)
 			p := core.NewProgram("iso")
@@ -118,7 +117,7 @@ func TestDistributedAddressSpaceIsolation(t *testing.T) {
 			prod.Then(2, core.AllToOne{})
 			b.Add(prod)
 			b.Add(cons)
-			svb := cellsim.NewSharedVariableBuffer()
+			svb := core.NewSharedVariableBuffer()
 			svb.Register("x", byteview.Uint64s(x))
 			svb.Register("seen", byteview.Uint64s(seen))
 			return p, svb
@@ -143,7 +142,7 @@ func TestDistributedAddressSpaceIsolation(t *testing.T) {
 }
 
 func TestDistributedMultiBlock(t *testing.T) {
-	build := func() (*core.Program, *cellsim.SharedVariableBuffer) {
+	build := func() (*core.Program, *core.SharedVariableBuffer) {
 		x := make([]uint64, 1)
 		p := core.NewProgram("mb")
 		p.AddBuffer("x", 8)
@@ -162,7 +161,7 @@ func TestDistributedMultiBlock(t *testing.T) {
 			}
 		}
 		b1.Add(t1)
-		svb := cellsim.NewSharedVariableBuffer()
+		svb := core.NewSharedVariableBuffer()
 		svb.Register("x", byteview.Uint64s(x))
 		return p, svb
 	}
@@ -176,10 +175,10 @@ func TestDistributedMultiBlock(t *testing.T) {
 }
 
 func TestDistributedBodyPanicSurfaces(t *testing.T) {
-	build := func() (*core.Program, *cellsim.SharedVariableBuffer) {
+	build := func() (*core.Program, *core.SharedVariableBuffer) {
 		p := core.NewProgram("boom")
 		p.AddBlock().Add(core.NewTemplate(1, "x", func(core.Context) { panic("remote bang") }))
-		return p, cellsim.NewSharedVariableBuffer()
+		return p, core.NewSharedVariableBuffer()
 	}
 	_, _, err := RunLocal(build, 2, 1)
 	if err == nil || !strings.Contains(err.Error(), "remote bang") {
@@ -188,11 +187,11 @@ func TestDistributedBodyPanicSurfaces(t *testing.T) {
 }
 
 func TestDistributedUnregisteredBufferRejected(t *testing.T) {
-	build := func() (*core.Program, *cellsim.SharedVariableBuffer) {
+	build := func() (*core.Program, *core.SharedVariableBuffer) {
 		p := core.NewProgram("missing")
 		p.AddBuffer("ghost", 8)
 		p.AddBlock().Add(core.NewTemplate(1, "x", func(core.Context) {}))
-		return p, cellsim.NewSharedVariableBuffer()
+		return p, core.NewSharedVariableBuffer()
 	}
 	_, _, err := RunLocal(build, 1, 1)
 	if err == nil || !strings.Contains(err.Error(), "registered with") {
@@ -203,27 +202,29 @@ func TestDistributedUnregisteredBufferRejected(t *testing.T) {
 func TestCoordinateNoConns(t *testing.T) {
 	p := core.NewProgram("none")
 	p.AddBlock().Add(core.NewTemplate(1, "x", func(core.Context) {}))
-	if _, err := Coordinate(p, cellsim.NewSharedVariableBuffer(), nil); err == nil {
+	if _, err := Coordinate(p, core.NewSharedVariableBuffer(), nil); err == nil {
 		t.Fatal("no-conn coordinate accepted")
 	}
 }
 
 func TestRegionHelpers(t *testing.T) {
 	buf := make([]byte, 16)
-	rd, err := readRegion(buf, core.MemRegion{Buffer: "b", Offset: 4, Size: 8})
+	svb := core.NewSharedVariableBuffer()
+	svb.Register("b", buf)
+	rd, err := readRegion(svb, core.MemRegion{Buffer: "b", Offset: 4, Size: 8})
 	if err != nil || len(rd.Data) != 8 || rd.Offset != 4 {
 		t.Fatalf("readRegion = %+v, %v", rd, err)
 	}
-	if _, err := readRegion(buf, core.MemRegion{Buffer: "b", Offset: 12, Size: 8}); err == nil {
+	if _, err := readRegion(svb, core.MemRegion{Buffer: "b", Offset: 12, Size: 8}); err == nil {
 		t.Fatal("out-of-range read accepted")
 	}
-	if err := writeRegion(buf, RegionData{Buffer: "b", Offset: 8, Data: []byte{1, 2}}); err != nil {
+	if err := writeRegion(svb, RegionData{Buffer: "b", Offset: 8, Data: []byte{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if buf[8] != 1 || buf[9] != 2 {
 		t.Fatal("write not applied")
 	}
-	if err := writeRegion(buf, RegionData{Offset: 15, Data: []byte{1, 2}}); err == nil {
+	if err := writeRegion(svb, RegionData{Buffer: "b", Offset: 15, Data: []byte{1, 2}}); err == nil {
 		t.Fatal("out-of-range write accepted")
 	}
 }
@@ -279,7 +280,7 @@ func TestCoordinatorRejectsProtocolViolation(t *testing.T) {
 	p := core.NewProgram("proto")
 	tpl := core.NewTemplate(1, "x", func(core.Context) {})
 	p.AddBlock().Add(tpl)
-	_, err = Coordinate(p, cellsim.NewSharedVariableBuffer(), []net.Conn{conn})
+	_, err = Coordinate(p, core.NewSharedVariableBuffer(), []net.Conn{conn})
 	if err == nil || !strings.Contains(err.Error(), "unexpected frame") {
 		t.Fatalf("err = %v", err)
 	}
@@ -312,7 +313,7 @@ func TestCoordinatorSurvivesWorkerDisconnect(t *testing.T) {
 	tpl := core.NewTemplate(1, "x", func(core.Context) {})
 	tpl.Instances = 4
 	p.AddBlock().Add(tpl)
-	_, err = Coordinate(p, cellsim.NewSharedVariableBuffer(), []net.Conn{conn})
+	_, err = Coordinate(p, core.NewSharedVariableBuffer(), []net.Conn{conn})
 	if err == nil {
 		t.Fatal("worker disconnect went unnoticed")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"tflux/internal/byteview"
-	"tflux/internal/cellsim"
 	"tflux/internal/chaos"
 	"tflux/internal/core"
 	"tflux/internal/obs"
@@ -46,7 +46,7 @@ func fastFailover() Options {
 // frames; the scenario — two nodes lost mid-run — is unchanged.)
 func TestChaosSeverFailover(t *testing.T) {
 	const spec = "seed=7,plan=sever:node=1:after=1;sever:node=2:after=1:midframe=true"
-	runMMult := func(plan *chaos.Plan, log *chaos.Log, reg *obs.Registry) (*Stats, *cellsim.SharedVariableBuffer, workload.Job) {
+	runMMult := func(plan *chaos.Plan, log *chaos.Log, reg *obs.Registry) (*Stats, *core.SharedVariableBuffer, workload.Job) {
 		t.Helper()
 		build, owner := workload.Replicas(workload.MMultSpec(), 32, 8, 1)
 		opt := fastFailover()
@@ -246,12 +246,12 @@ func TestFailoverHeartbeatMiss(t *testing.T) {
 	defer ln.Close()
 
 	var executed atomic.Int64
-	build := func() (*core.Program, *cellsim.SharedVariableBuffer) {
+	build := func() (*core.Program, *core.SharedVariableBuffer) {
 		p := core.NewProgram("hb")
 		tpl := core.NewTemplate(1, "w", func(core.Context) { executed.Add(1) })
 		tpl.Instances = 4
 		p.AddBlock().Add(tpl)
-		return p, cellsim.NewSharedVariableBuffer()
+		return p, core.NewSharedVariableBuffer()
 	}
 
 	// Node 0: a real worker. Node 1: accepts frames but never answers.
@@ -298,7 +298,7 @@ func TestFailoverLeaseExpiry(t *testing.T) {
 	unblock := make(chan struct{})
 	t.Cleanup(func() { close(unblock) })
 	var firstRun atomic.Bool
-	build := func() (*core.Program, *cellsim.SharedVariableBuffer) {
+	build := func() (*core.Program, *core.SharedVariableBuffer) {
 		parts := make([]uint64, 4)
 		p := core.NewProgram("lease")
 		p.AddBuffer("parts", 32)
@@ -313,7 +313,7 @@ func TestFailoverLeaseExpiry(t *testing.T) {
 			return []core.MemRegion{{Buffer: "parts", Offset: int64(ctx) * 8, Size: 8, Write: true}}
 		}
 		p.AddBlock().Add(tpl)
-		svb := cellsim.NewSharedVariableBuffer()
+		svb := core.NewSharedVariableBuffer()
 		svb.Register("parts", byteview.Uint64s(parts))
 		return p, svb
 	}
@@ -403,7 +403,7 @@ func TestDuplicateDoneIgnored(t *testing.T) {
 		return []core.MemRegion{{Buffer: "out", Offset: int64(ctx) * 8, Size: 8, Write: true}}
 	}
 	p.AddBlock().Add(tpl)
-	svb := cellsim.NewSharedVariableBuffer()
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("out", byteview.Uint64s(out))
 
 	st, err := CoordinateOpts(p, svb, conns, fastFailover())
@@ -445,9 +445,53 @@ func TestByzantineKernelRejected(t *testing.T) {
 	conns := acceptN(t, ln, 1)
 	p := core.NewProgram("byz")
 	p.AddBlock().Add(core.NewTemplate(1, "x", func(core.Context) {}))
-	_, err = CoordinateOpts(p, cellsim.NewSharedVariableBuffer(), conns, fastFailover())
+	_, err = CoordinateOpts(p, core.NewSharedVariableBuffer(), conns, fastFailover())
 	if err == nil || !strings.Contains(err.Error(), "out-of-range kernel") {
 		t.Fatalf("err = %v, want out-of-range kernel rejection", err)
+	}
+}
+
+// TestByzantineExportOffsetRejected: a Done exporting at an offset so
+// large that offset+len wraps int64 must be caught by the export bounds
+// check — the node is failed over (the only node, so the run errors
+// out), not believed, its byte dropped and counted as received.
+func TestByzantineExportOffsetRejected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	fakeWorker(t, ln, 1, func(l *link) {
+		for {
+			f, err := l.recv()
+			if err != nil {
+				return
+			}
+			switch f.typ {
+			case ftOpenProg:
+				l.sendProgAck(f.open.Prog, "") //nolint:errcheck
+			case ftExecBatch:
+				ex := f.execs[0]
+				l.sendDoneBatch([]Done{{Prog: ex.Prog, Inst: ex.Inst, Exports: []RegionData{ //nolint:errcheck
+					{Buffer: "out", Offset: math.MaxInt64, Data: []byte{9}},
+				}}})
+				return
+			}
+		}
+	})
+	conns := acceptN(t, ln, 1)
+	p := core.NewProgram("byz-export")
+	p.AddBuffer("out", 8)
+	tpl := core.NewTemplate(1, "w", func(core.Context) {})
+	tpl.Access = func(core.Context) []core.MemRegion {
+		return []core.MemRegion{{Buffer: "out", Size: 8, Write: true}}
+	}
+	p.AddBlock().Add(tpl)
+	svb := core.NewSharedVariableBuffer()
+	svb.Register("out", make([]byte, 8))
+	st, err := CoordinateOpts(p, svb, conns, fastFailover())
+	if err == nil || !strings.Contains(err.Error(), "outside buffer") {
+		t.Fatalf("err = %v (stats %+v), want the export rejected as outside buffer", err, st)
 	}
 }
 
@@ -474,7 +518,7 @@ func TestHandshakeDeadline(t *testing.T) {
 	p.AddBlock().Add(core.NewTemplate(1, "x", func(core.Context) {}))
 	opt := Options{HandshakeTimeout: 100 * time.Millisecond}
 	start := time.Now()
-	_, err = CoordinateOpts(p, cellsim.NewSharedVariableBuffer(), conns, opt)
+	_, err = CoordinateOpts(p, core.NewSharedVariableBuffer(), conns, opt)
 	if err == nil || !strings.Contains(err.Error(), "handshake with node 0") {
 		t.Fatalf("err = %v, want handshake failure", err)
 	}
@@ -501,11 +545,11 @@ func TestAllNodesLostHardFails(t *testing.T) {
 // blocked in Serve unwind — RunLocal returns promptly and surfaces the
 // worker errors instead of dropping them.
 func TestFailEarlyUnblocksWorkers(t *testing.T) {
-	build := func() (*core.Program, *cellsim.SharedVariableBuffer) {
+	build := func() (*core.Program, *core.SharedVariableBuffer) {
 		p := core.NewProgram("mismatch")
 		p.AddBuffer("buf", 64)
 		p.AddBlock().Add(core.NewTemplate(1, "x", func(core.Context) {}))
-		svb := cellsim.NewSharedVariableBuffer()
+		svb := core.NewSharedVariableBuffer()
 		svb.Register("buf", make([]byte, 8)) // too small
 		return p, svb
 	}
@@ -534,10 +578,10 @@ func TestFailEarlyUnblocksWorkers(t *testing.T) {
 // remote body panic aborts the run with the panic text, and the worker
 // itself survives to report it (the panic is recovered worker-side).
 func TestWorkerPanicPropagatesViaDoneErr(t *testing.T) {
-	build := func() (*core.Program, *cellsim.SharedVariableBuffer) {
+	build := func() (*core.Program, *core.SharedVariableBuffer) {
 		p := core.NewProgram("boom")
 		p.AddBlock().Add(core.NewTemplate(1, "x", func(core.Context) { panic("kaboom-7") }))
-		return p, cellsim.NewSharedVariableBuffer()
+		return p, core.NewSharedVariableBuffer()
 	}
 	_, _, err := RunLocal(build, 2, 1)
 	if err == nil || !strings.Contains(err.Error(), "kaboom-7") || !strings.Contains(err.Error(), "panicked on worker") {

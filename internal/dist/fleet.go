@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/obs"
 	"tflux/internal/tsu"
@@ -75,6 +74,9 @@ type Fleet struct {
 	// freeTables parks the region tables of closed sessions, emptied but
 	// with their grown maps and arrays, for the next sessions to track in.
 	freeTables []*regionTable
+	// exportDst holds, for the Done being applied, the destination slice
+	// each export was validated against; reused across Dones.
+	exportDst [][]byte
 
 	aliveGauge    []*obs.Gauge
 	inflightGauge []*obs.Gauge
@@ -104,7 +106,7 @@ type Fleet struct {
 // session, so the region version space is private too.
 type session struct {
 	id     uint32
-	svb    *cellsim.SharedVariableBuffer
+	svb    *core.SharedVariableBuffer
 	state  *tsu.State
 	stats  *Stats
 	weight int
@@ -123,7 +125,7 @@ type session struct {
 // OpenReq asks the fleet to run one program as a new session.
 type OpenReq struct {
 	Prog *core.Program
-	SVB  *cellsim.SharedVariableBuffer
+	SVB  *core.SharedVariableBuffer
 	// Spec is shipped to workers in OpenProg so they can resolve and
 	// build their replica. Coordinate leaves it zero (workers built
 	// their replica from a closure at Serve time).
@@ -515,7 +517,7 @@ func (f *Fleet) takeCtrl() []fleetCtrl {
 // event loop inline. It may be called repeatedly — the whole point of a
 // Fleet is that the worker connections survive between runs — but not
 // concurrently, and not on a fleet whose loop was started with Start.
-func (f *Fleet) Run(prog *core.Program, svb *cellsim.SharedVariableBuffer) (*Stats, error) {
+func (f *Fleet) Run(prog *core.Program, svb *core.SharedVariableBuffer) (*Stats, error) {
 	if f.started.Load() {
 		return nil, errors.New("dist: Fleet.Run on a started fleet (use Open)")
 	}
@@ -694,11 +696,9 @@ func (f *Fleet) openSession(id uint32, req *OpenReq) {
 		fail(fmt.Errorf("dist: program id %d already open", id))
 		return
 	}
-	for _, b := range req.Prog.Buffers {
-		if got := req.SVB.Bytes(b.Name); int64(len(got)) < b.Size {
-			fail(fmt.Errorf("dist: buffer %q registered with %d bytes, program declares %d", b.Name, len(got), b.Size))
-			return
-		}
+	if err := req.SVB.Covers(req.Prog.Buffers); err != nil {
+		fail(fmt.Errorf("dist: %w", err))
+		return
 	}
 	var state *tsu.State
 	var pooled bool
@@ -946,13 +946,9 @@ func (f *Fleet) buildExec(s *session, inst core.Instance, target int) (Exec, int
 			if r.Write || r.Size <= 0 {
 				continue
 			}
-			b := s.svb.Bytes(r.Buffer)
-			if b == nil {
-				return ex, 0, fmt.Errorf("dist: import references unregistered buffer %q", r.Buffer)
-			}
-			rdata, err := readRegionRef(b, r)
+			rdata, err := readRegionRef(s.svb, r)
 			if err != nil {
-				return ex, 0, err
+				return ex, 0, fmt.Errorf("dist: import %w", err)
 			}
 			if s.track == nil {
 				shipped += rdata.Size
@@ -1316,46 +1312,41 @@ func (f *Fleet) handleDone(d *Done, node int) {
 		f.markDead(node, fmt.Errorf("dist: node %d reported out-of-range kernel %d (hosts %d)", node, d.Kernel, f.nodeKernels[node]))
 		return
 	}
-	var exportBytes int64
+	// Validate every export before applying any. Fault attribution: an
+	// honest worker exports exactly the write regions the program's own
+	// Access model declares, so a bad export that matches the declaration
+	// is the *program* reaching outside its registered buffers (fail its
+	// session only — on a shared fleet one tenant's bad program must not
+	// cost a node), while one that doesn't match is a byzantine *node*.
+	f.exportDst = f.exportDst[:0]
 	for i := range d.Exports {
 		rdata := &d.Exports[i]
-		// Fault attribution: an honest worker exports exactly the write
-		// regions the program's own Access model declares, so a bad
-		// export that matches the declaration is the *program* reaching
-		// outside its registered buffers (fail its session only — on a
-		// shared fleet one tenant's bad program must not cost a node),
-		// while one that doesn't match is a byzantine *node*.
-		b := s.svb.Bytes(rdata.Buffer)
-		if b == nil {
-			if s.declaresExport(d.Inst, rdata) {
-				f.closeSession(s, fmt.Errorf("dist: program %d export references buffer %q outside its namespace", d.Prog, rdata.Buffer))
-			} else {
-				f.markDead(node, fmt.Errorf("dist: node %d export references unregistered buffer %q", node, rdata.Buffer))
-			}
-			return
-		}
 		if rdata.Ref {
 			f.markDead(node, fmt.Errorf("dist: node %d shipped a cache reference as an export", node))
 			return
 		}
-		if rdata.Offset < 0 || rdata.Offset+int64(len(rdata.Data)) > int64(len(b)) {
+		dst, err := s.svb.Slice(rdata.Buffer, rdata.Offset, int64(len(rdata.Data)))
+		if err != nil {
 			if s.declaresExport(d.Inst, rdata) {
-				f.closeSession(s, fmt.Errorf("dist: program %d export [%d,%d) outside buffer %q (%d bytes)", d.Prog, rdata.Offset, rdata.Offset+int64(len(rdata.Data)), rdata.Buffer, len(b)))
+				f.closeSession(s, fmt.Errorf("dist: program %d export reaches outside its namespace: %w", d.Prog, err))
 			} else {
-				f.markDead(node, fmt.Errorf("dist: node %d export [%d,%d) outside buffer %q (%d bytes)", node, rdata.Offset, rdata.Offset+int64(len(rdata.Data)), rdata.Buffer, len(b)))
+				f.markDead(node, fmt.Errorf("dist: node %d export %w", node, err))
 			}
 			return
 		}
+		f.exportDst = append(f.exportDst, dst)
 	}
 	delete(s.leases, d.Inst)
-	for _, rdata := range d.Exports {
-		writeRegion(s.svb.Bytes(rdata.Buffer), rdata) //nolint:errcheck // validated above
+	var exportBytes int64
+	for i, dst := range f.exportDst {
+		rdata := &d.Exports[i]
+		copy(dst, rdata.Data)
 		// The canonical bytes changed: invalidate every cached copy of
 		// any overlapping import region of this session.
 		if s.track != nil {
-			s.track.bump(rdata.Buffer, rdata.Offset, rdata.Offset+int64(len(rdata.Data)))
+			s.track.bump(rdata.Buffer, rdata.Offset, rdata.Offset+int64(len(dst)))
 		}
-		exportBytes += int64(len(rdata.Data))
+		exportBytes += int64(len(dst))
 	}
 	s.stats.BytesIn += exportBytes
 	s.stats.Nodes[node].Executed++

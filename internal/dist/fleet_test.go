@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 )
 
@@ -17,7 +16,7 @@ import (
 // calls on one fleet must both complete correctly with no worker churn.
 func TestFleetReuse(t *testing.T) {
 	build := distSum(8, 100)
-	f, wait, err := NewLocalFleet(2, 2, func(ProgramSpec) (*core.Program, *cellsim.SharedVariableBuffer, error) {
+	f, wait, err := NewLocalFleet(2, 2, func(ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error) {
 		p, svb := build()
 		return p, svb, nil
 	}, Options{})
@@ -57,7 +56,7 @@ func TestFleetReuse(t *testing.T) {
 // all multiplexed over the same worker connections, each completing
 // with its own correct result and its own stats.
 func TestFleetConcurrentPrograms(t *testing.T) {
-	resolve := func(spec ProgramSpec) (*core.Program, *cellsim.SharedVariableBuffer, error) {
+	resolve := func(spec ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error) {
 		if spec.Name != "distsum" {
 			return nil, nil, fmt.Errorf("unknown workload %q", spec.Name)
 		}
@@ -76,7 +75,7 @@ func TestFleetConcurrentPrograms(t *testing.T) {
 		err error
 	}
 	results := make([]chan outcome, programs)
-	svbs := make([]*cellsim.SharedVariableBuffer, programs)
+	svbs := make([]*core.SharedVariableBuffer, programs)
 	var mu sync.Mutex // OnDone runs on the fleet loop; Open below races it
 	for i := 0; i < programs; i++ {
 		results[i] = make(chan outcome, 1)

@@ -3,7 +3,6 @@ package dist
 import (
 	"testing"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/tsu"
 	"tflux/internal/workload"
@@ -12,7 +11,7 @@ import (
 // suiteResolver resolves a ProgramSpec through the workload registry, the
 // way the daemon's resolver does (serve imports dist, so its
 // WorkloadResolver cannot be used from here).
-func suiteResolver(spec ProgramSpec) (*core.Program, *cellsim.SharedVariableBuffer, error) {
+func suiteResolver(spec ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error) {
 	ws, err := workload.ByName(spec.Name)
 	if err != nil {
 		return nil, nil, err
@@ -36,7 +35,7 @@ type warmFleetRun struct {
 	wait   func() []error
 	job    workload.Job
 	prog   *core.Program
-	svb    *cellsim.SharedVariableBuffer
+	svb    *core.SharedVariableBuffer
 	spec   ProgramSpec
 	tables *tsu.Tables
 	src    map[string][]byte

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/obs"
 	"tflux/internal/tsu"
@@ -21,7 +20,7 @@ import (
 // results every time.
 func TestFleetContentAddressedSessions(t *testing.T) {
 	var builds atomic.Int64
-	resolve := func(spec ProgramSpec) (*core.Program, *cellsim.SharedVariableBuffer, error) {
+	resolve := func(spec ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error) {
 		builds.Add(1)
 		p, svb := distSum(core.Context(spec.Param), 50)()
 		return p, svb, nil
@@ -85,7 +84,7 @@ func TestWorkerRejectsUnknownProgramRef(t *testing.T) {
 	c1, c2 := net.Pipe()
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- ServeFleet(c2, 1, func(spec ProgramSpec) (*core.Program, *cellsim.SharedVariableBuffer, error) {
+		serveErr <- ServeFleet(c2, 1, func(spec ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error) {
 			p, svb := distSum(core.Context(spec.Param), 10)()
 			return p, svb, nil
 		})
@@ -154,7 +153,7 @@ func TestWorkerRejectsUnknownProgramRef(t *testing.T) {
 // replica's buffers carry the build-time bytes and an empty region
 // cache, no matter what the previous session wrote.
 func TestReplicaPristineRestore(t *testing.T) {
-	rep, err := buildReplica(func(ProgramSpec) (*core.Program, *cellsim.SharedVariableBuffer, error) {
+	rep, err := buildReplica(func(ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error) {
 		p, svb := distSum(4, 10)()
 		return p, svb, nil
 	}, ProgramSpec{})

@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 )
 
@@ -20,7 +19,7 @@ import (
 // Coordinate with real connections.
 // It returns the coordinator's canonical buffers so callers can read the
 // program's results.
-func RunLocal(build func() (*core.Program, *cellsim.SharedVariableBuffer), nodes, kernelsPerNode int) (*Stats, *cellsim.SharedVariableBuffer, error) {
+func RunLocal(build func() (*core.Program, *core.SharedVariableBuffer), nodes, kernelsPerNode int) (*Stats, *core.SharedVariableBuffer, error) {
 	return RunLocalOpts(build, nodes, kernelsPerNode, Options{})
 }
 
@@ -102,7 +101,7 @@ func (lb *loopback) join(base error, lostOK func(i int) bool) error {
 // coordinator error instead of being dropped; errors from nodes the
 // coordinator deliberately failed over are expected casualties and are
 // not reported when the run itself succeeded.
-func RunLocalOpts(build func() (*core.Program, *cellsim.SharedVariableBuffer), nodes, kernelsPerNode int, opt Options) (*Stats, *cellsim.SharedVariableBuffer, error) {
+func RunLocalOpts(build func() (*core.Program, *core.SharedVariableBuffer), nodes, kernelsPerNode int, opt Options) (*Stats, *core.SharedVariableBuffer, error) {
 	lb, err := newLoopback(nodes, opt.WrapConn, func(c net.Conn) error { return Serve(c, kernelsPerNode, build) })
 	if err != nil {
 		return nil, nil, err

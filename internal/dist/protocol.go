@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -309,40 +308,39 @@ func (l *link) recv() (frame, error) { return readFrame(l.br) }
 
 func (l *link) close() error { return l.conn.Close() }
 
-// readRegion copies a region's bytes out of a buffer registry. The
-// bounds guard matters: a crafted MemRegion (or RegionData echoed back
-// by a byzantine peer) with a negative Size — or one so large that
-// Offset+Size wraps int64 — must return an error, not panic
-// make([]byte, …). The Size comparison is phrased against the remaining
-// space so it cannot itself overflow.
-func readRegion(buf []byte, r core.MemRegion) (RegionData, error) {
-	if r.Size < 0 || r.Offset < 0 || r.Offset > int64(len(buf)) || r.Size > int64(len(buf))-r.Offset {
-		return RegionData{}, fmt.Errorf("dist: region [%d,+%d) outside buffer %q (%d bytes)", r.Offset, r.Size, r.Buffer, len(buf))
+// readRegionRef resolves a region of a buffer registry without copying:
+// Data aliases the registered bytes. The coordinator uses it to append
+// import payloads straight into frame buffers; it is only safe where the
+// buffer cannot change before the frame is flushed (an instance's imports
+// are finalized before it becomes ready). A crafted MemRegion — negative
+// Size, or an Offset that would wrap Offset+Size — is an error from the
+// registry's one bounds check, not a panic.
+func readRegionRef(svb *core.SharedVariableBuffer, r core.MemRegion) (RegionData, error) {
+	b, err := svb.Slice(r.Buffer, r.Offset, r.Size)
+	if err != nil {
+		return RegionData{}, err
+	}
+	return RegionData{Buffer: r.Buffer, Offset: r.Offset, Data: b, Size: r.Size}, nil
+}
+
+// readRegion is readRegionRef with a private copy of the bytes.
+func readRegion(svb *core.SharedVariableBuffer, r core.MemRegion) (RegionData, error) {
+	rd, err := readRegionRef(svb, r)
+	if err != nil {
+		return rd, err
 	}
 	out := make([]byte, r.Size)
-	copy(out, buf[r.Offset:r.Offset+r.Size])
-	return RegionData{Buffer: r.Buffer, Offset: r.Offset, Data: out, Size: r.Size}, nil
+	copy(out, rd.Data)
+	rd.Data = out
+	return rd, nil
 }
 
-// readRegionRef is readRegion without the copy: Data aliases the
-// registry buffer. The coordinator uses it to append import payloads
-// straight into frame buffers; it is only safe where the buffer cannot
-// change before the frame is flushed (an instance's imports are
-// finalized before it becomes ready).
-func readRegionRef(buf []byte, r core.MemRegion) (RegionData, error) {
-	if r.Size < 0 || r.Offset < 0 || r.Offset > int64(len(buf)) || r.Size > int64(len(buf))-r.Offset {
-		return RegionData{}, fmt.Errorf("dist: region [%d,+%d) outside buffer %q (%d bytes)", r.Offset, r.Size, r.Buffer, len(buf))
+// writeRegion applies region bytes into a buffer registry.
+func writeRegion(svb *core.SharedVariableBuffer, rd RegionData) error {
+	dst, err := svb.Slice(rd.Buffer, rd.Offset, int64(len(rd.Data)))
+	if err != nil {
+		return err
 	}
-	return RegionData{Buffer: r.Buffer, Offset: r.Offset, Data: buf[r.Offset : r.Offset+r.Size : r.Offset+r.Size], Size: r.Size}, nil
-}
-
-// writeRegion applies region bytes into a buffer registry. Same
-// overflow-safe phrasing as readRegion: a huge Offset must not wrap the
-// bound check.
-func writeRegion(buf []byte, rd RegionData) error {
-	if rd.Offset < 0 || rd.Offset > int64(len(buf)) || int64(len(rd.Data)) > int64(len(buf))-rd.Offset {
-		return fmt.Errorf("dist: region [%d,+%d) outside buffer %q (%d bytes)", rd.Offset, len(rd.Data), rd.Buffer, len(buf))
-	}
-	copy(buf[rd.Offset:], rd.Data)
+	copy(dst, rd.Data)
 	return nil
 }

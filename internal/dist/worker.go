@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 )
 
@@ -28,7 +27,7 @@ type cacheEntry struct {
 // the registry of replica buffers. Both sides of a session resolve the
 // same spec, so the replicas are structurally identical to the
 // coordinator's program by construction.
-type Resolver func(spec ProgramSpec) (*core.Program, *cellsim.SharedVariableBuffer, error)
+type Resolver func(spec ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error)
 
 // replica is one program's worker-side state: its templates, its
 // private buffer registry, its region cache, and the memory lock
@@ -37,7 +36,7 @@ type Resolver func(spec ProgramSpec) (*core.Program, *cellsim.SharedVariableBuff
 // bodies of different programs concurrently.
 type replica struct {
 	templates map[core.ThreadID]*core.Template
-	bufs      *cellsim.SharedVariableBuffer
+	bufs      *core.SharedVariableBuffer
 	cache     map[regionKey]cacheEntry
 	mu        sync.Mutex
 
@@ -79,8 +78,8 @@ type workItem struct {
 // a fresh call of it regardless of spec. This is the Coordinate-side
 // worker entry point; tfluxd fleets use ServeFleet with a real
 // Resolver. It returns nil on a clean shutdown.
-func Serve(conn net.Conn, kernels int, build func() (*core.Program, *cellsim.SharedVariableBuffer)) error {
-	return ServeFleet(conn, kernels, func(ProgramSpec) (*core.Program, *cellsim.SharedVariableBuffer, error) {
+func Serve(conn net.Conn, kernels int, build func() (*core.Program, *core.SharedVariableBuffer)) error {
+	return ServeFleet(conn, kernels, func(ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error) {
 		prog, bufs := build()
 		if prog == nil {
 			return nil, nil, errors.New("dist: program builder returned nil")
@@ -370,22 +369,18 @@ func (rep *replica) restorePristine() {
 func stageImports(rep *replica, ex *Exec) error {
 	for i := range ex.Imports {
 		rd := &ex.Imports[i]
-		b := rep.bufs.Bytes(rd.Buffer)
-		if b == nil {
-			return fmt.Errorf("import references unregistered buffer %q", rd.Buffer)
-		}
 		if rd.Ref {
 			ent, ok := rep.cache[rd.key()]
 			if !ok || ent.ver != rd.Ver {
 				return fmt.Errorf("cache reference %q[%d,+%d) v%d not cached here (coordinator/worker cache out of sync)", rd.Buffer, rd.Offset, rd.Size, rd.Ver)
 			}
-			if err := writeRegion(b, RegionData{Buffer: rd.Buffer, Offset: rd.Offset, Data: ent.data}); err != nil {
-				return err
+			if err := writeRegion(rep.bufs, RegionData{Buffer: rd.Buffer, Offset: rd.Offset, Data: ent.data}); err != nil {
+				return fmt.Errorf("import %w", err)
 			}
 			continue
 		}
-		if err := writeRegion(b, *rd); err != nil {
-			return err
+		if err := writeRegion(rep.bufs, *rd); err != nil {
+			return fmt.Errorf("import %w", err)
 		}
 		if rd.Ver != 0 {
 			// The decoded payload aliases the frame buffer, which the
@@ -423,14 +418,9 @@ func execOne(rep *replica, ex Exec) (done *Done) {
 			if !r.Write || r.Size <= 0 {
 				continue
 			}
-			b := rep.bufs.Bytes(r.Buffer)
-			if b == nil {
-				done.Err = fmt.Sprintf("export references unregistered buffer %q", r.Buffer)
-				return done
-			}
-			rd, err := readRegion(b, r)
+			rd, err := readRegion(rep.bufs, r)
 			if err != nil {
-				done.Err = err.Error()
+				done.Err = "export " + err.Error()
 				return done
 			}
 			done.Exports = append(done.Exports, rd)

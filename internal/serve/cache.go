@@ -3,7 +3,6 @@ package serve
 import (
 	"sync"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/tsu"
 )
@@ -29,7 +28,7 @@ type cacheEntry struct {
 	key    specKey
 	hash   uint64
 	prog   *core.Program
-	src    *cellsim.SharedVariableBuffer
+	src    *core.SharedVariableBuffer
 	tables *tsu.Tables
 	need   int64
 

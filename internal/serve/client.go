@@ -48,11 +48,11 @@ func (o *Outcome) Buffer(name string) []byte {
 func VerifyReplica(job workload.Job, regions []dist.RegionData) error {
 	svb := job.SharedBuffers()
 	for _, r := range regions {
-		dst := svb.Bytes(r.Buffer)
-		if dst == nil || r.Offset < 0 || int64(len(dst)) < r.Offset+int64(len(r.Data)) {
-			return fmt.Errorf("serve: result region %q [%d,+%d) does not fit the local replica", r.Buffer, r.Offset, len(r.Data))
+		dst, err := svb.Slice(r.Buffer, r.Offset, int64(len(r.Data)))
+		if err != nil {
+			return fmt.Errorf("serve: result does not fit the local replica: %w", err)
 		}
-		copy(dst[r.Offset:], r.Data)
+		copy(dst, r.Data)
 	}
 	return job.Verify()
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -45,6 +46,7 @@ func TestVerifyReplica(t *testing.T) {
 	for name, bad := range map[string]dist.RegionData{
 		"out of range":    {Buffer: "result", Offset: 4, Data: make([]byte, 8)},
 		"negative offset": {Buffer: "result", Offset: -1, Data: make([]byte, 1)},
+		"wrapping offset": {Buffer: "result", Offset: math.MaxInt64, Data: make([]byte, 1)},
 		"unknown buffer":  {Buffer: "nonesuch", Data: make([]byte, 8)},
 	} {
 		err := VerifyReplica(replica(), append(good[:len(good):len(good)], bad))

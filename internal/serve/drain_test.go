@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/dist"
 	"tflux/internal/obs"
@@ -21,7 +20,7 @@ import (
 // fail over.
 func heldResolver(tw *testWorkloads, arrived chan struct{}, hold chan struct{}) dist.Resolver {
 	base := tw.resolver()
-	return func(spec dist.ProgramSpec) (*core.Program, *cellsim.SharedVariableBuffer, error) {
+	return func(spec dist.ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error) {
 		if spec.Name != "held" {
 			return base(spec)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/dist"
 )
@@ -46,7 +45,7 @@ func scaleBody(in, out []byte) func(core.Context) {
 	}
 }
 
-func buildScale(n int, body func(core.Context)) (*core.Program, *cellsim.SharedVariableBuffer, []byte, []byte) {
+func buildScale(n int, body func(core.Context)) (*core.Program, *core.SharedVariableBuffer, []byte, []byte) {
 	in := make([]byte, n)
 	out := make([]byte, n)
 	p := core.NewProgram("scale")
@@ -63,14 +62,14 @@ func buildScale(n int, body func(core.Context)) (*core.Program, *cellsim.SharedV
 		}
 	}
 	b.Add(work)
-	svb := cellsim.NewSharedVariableBuffer()
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("in", in)
 	svb.Register("out", out)
 	return p, svb, in, out
 }
 
 func (tw *testWorkloads) resolver() dist.Resolver {
-	return func(spec dist.ProgramSpec) (*core.Program, *cellsim.SharedVariableBuffer, error) {
+	return func(spec dist.ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error) {
 		n := spec.Param
 		if n <= 0 {
 			n = 64
@@ -125,7 +124,7 @@ func (tw *testWorkloads) resolver() dist.Resolver {
 				return []core.MemRegion{{Buffer: "out", Offset: 0, Size: 64, Write: true}}
 			}
 			b.Add(t)
-			svb := cellsim.NewSharedVariableBuffer()
+			svb := core.NewSharedVariableBuffer()
 			svb.Register("out", out)
 			return p, svb, nil
 		case "evil":
@@ -147,7 +146,7 @@ func (tw *testWorkloads) resolver() dist.Resolver {
 				}
 			}
 			b.Add(t)
-			svb := cellsim.NewSharedVariableBuffer()
+			svb := core.NewSharedVariableBuffer()
 			svb.Register("out", out)
 			svb.Register("victim", victim)
 			return p, svb, nil

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/ddmlint"
 	"tflux/internal/dist"
@@ -96,14 +95,14 @@ type program struct {
 	tenant    string
 	spec      dist.ProgramSpec
 	prog      *core.Program
-	src       *cellsim.SharedVariableBuffer // resolver's buffers (inputs)
-	hash      uint64                        // content address (0: cache disabled)
-	tables    *tsu.Tables                   // frozen TSU tables (nil: cache disabled)
-	overlay   []dist.RegionData             // client-supplied input regions
+	src       *core.SharedVariableBuffer // resolver's buffers (inputs)
+	hash      uint64                     // content address (0: cache disabled)
+	tables    *tsu.Tables                // frozen TSU tables (nil: cache disabled)
+	overlay   []dist.RegionData          // client-supplied input regions
 	ob        *outbox
 	submitted time.Time
 	allocs    []alloc // arena carvings, set when the program opens
-	svb       *cellsim.SharedVariableBuffer
+	svb       *core.SharedVariableBuffer
 }
 
 type alloc struct {
@@ -287,7 +286,7 @@ func (s *Server) submit(ob *outbox, sub *dist.Submit) {
 			reject(fmt.Sprintf("input region names undeclared buffer %q", rd.Buffer))
 			return
 		}
-		if rd.Offset < 0 || rd.Offset+int64(len(rd.Data)) > decl {
+		if !core.InBounds(rd.Offset, int64(len(rd.Data)), decl) {
 			reject(fmt.Sprintf("input region %q [%d,+%d) outside declared size %d", rd.Buffer, rd.Offset, len(rd.Data), decl))
 			return
 		}
@@ -373,11 +372,11 @@ func (s *Server) resolveProgram(spec dist.ProgramSpec) (*cacheEntry, string) {
 	// The program's namespace is its declared buffers: the resolver must
 	// populate each (they seed the canonical copies) and the total must
 	// fit the arena.
+	if err := src.Covers(prog.Buffers); err != nil {
+		return nil, fmt.Sprintf("resolve: %v", err)
+	}
 	var need int64
 	for _, b := range prog.Buffers {
-		if got := src.Bytes(b.Name); int64(len(got)) < b.Size {
-			return nil, fmt.Sprintf("resolver registered buffer %q with %d bytes, program declares %d", b.Name, len(got), b.Size)
-		}
 		need += alignUp(b.Size)
 	}
 	ent := &cacheEntry{key: key, prog: prog, src: src, need: need}
@@ -451,9 +450,9 @@ func (s *Server) schedule() {
 // subslice of its allocation, so no access through this namespace can
 // reach another program's memory — isolation by construction, with the
 // admission lint and the fleet's byzantine checks as the layers above.
-func (s *Server) carve(prog *core.Program) ([]alloc, *cellsim.SharedVariableBuffer, bool) {
+func (s *Server) carve(prog *core.Program) ([]alloc, *core.SharedVariableBuffer, bool) {
 	allocs := make([]alloc, 0, len(prog.Buffers))
-	svb := cellsim.NewSharedVariableBuffer()
+	svb := core.NewSharedVariableBuffer()
 	for _, decl := range prog.Buffers {
 		b, off, ok := s.arena.alloc(decl.Size)
 		if !ok {
@@ -475,12 +474,19 @@ func (s *Server) open(p *program) {
 	for _, decl := range p.prog.Buffers {
 		copy(p.svb.Bytes(decl.Name), p.src.Bytes(decl.Name))
 	}
-	for i := range p.overlay {
-		rd := &p.overlay[i]
-		copy(p.svb.Bytes(rd.Buffer)[rd.Offset:], rd.Data)
-	}
 	s.running++
 	s.gRunning.Set(int64(s.running))
+	for i := range p.overlay {
+		rd := &p.overlay[i]
+		dst, err := p.svb.Slice(rd.Buffer, rd.Offset, int64(len(rd.Data)))
+		if err != nil {
+			// Admission checked the overlay against the declared sizes the
+			// carving has, so this costs the program, never the daemon.
+			go s.finish(p, nil, fmt.Errorf("serve: input %w", err))
+			return
+		}
+		copy(dst, rd.Data)
+	}
 	ts := s.tenants[p.tenant]
 	err := s.fleet.Open(p.id, dist.OpenReq{
 		Prog:   p.prog,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -65,6 +66,10 @@ func TestAdmissionRejects(t *testing.T) {
 			[]dist.RegionData{{Buffer: "bogus", Data: []byte{1}, Size: 1}}, "undeclared buffer"},
 		{"oversized input", dist.ProgramSpec{Name: "scale", Param: 64},
 			[]dist.RegionData{{Buffer: "in", Offset: 60, Data: make([]byte, 8), Size: 8}}, "outside declared size"},
+		// Offset+len wraps int64: an unchecked overlay write would panic
+		// the daemon, not just this submission.
+		{"wrapping offset", dist.ProgramSpec{Name: "scale", Param: 64},
+			[]dist.RegionData{{Buffer: "in", Offset: math.MaxInt64, Data: []byte{1}, Size: 1}}, "outside declared size"},
 		{"ref input", dist.ProgramSpec{Name: "scale", Param: 64},
 			[]dist.RegionData{{Buffer: "in", Ref: true, Size: 8}}, "cache reference"},
 	}
@@ -80,6 +85,18 @@ func TestAdmissionRejects(t *testing.T) {
 	if snap := d.srv.Snapshot(); snap.Rejected != int64(len(cases)) || snap.Accepted != 0 {
 		t.Fatalf("rejected/accepted = %d/%d, want %d/0", snap.Rejected, snap.Accepted, len(cases))
 	}
+	// The daemon survived every frame above and serves the next tenant.
+	in := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	p, err := c.Submit(dist.ProgramSpec{Name: "scale", Param: 8},
+		[]dist.RegionData{{Buffer: "in", Data: in, Size: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Wait()
+	if err != nil || out.Err != "" {
+		t.Fatalf("good submission after the rejects: %v / %+v", err, out)
+	}
+	wantScaled(t, in, out.Buffer("out"), "after rejects")
 }
 
 // TestTenantQuota pins per-tenant admission control: a tenant at its

@@ -11,7 +11,6 @@
 package serve
 
 import (
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/dist"
 	"tflux/internal/workload"
@@ -23,7 +22,7 @@ import (
 // Job — fresh input arrays, fresh output — so concurrent programs never
 // share state. This is tfluxd's default resolver.
 func WorkloadResolver() dist.Resolver {
-	return func(spec dist.ProgramSpec) (*core.Program, *cellsim.SharedVariableBuffer, error) {
+	return func(spec dist.ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error) {
 		ws, err := workload.ByName(spec.Name)
 		if err != nil {
 			return nil, nil, err

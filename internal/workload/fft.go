@@ -6,7 +6,6 @@ import (
 	"math/cmplx"
 
 	"tflux/internal/byteview"
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/hardsim"
 )
@@ -256,8 +255,8 @@ func (f *FFT) Build(kernels, unroll int) (*core.Program, error) {
 }
 
 // SharedBuffers implements Job.
-func (f *FFT) SharedBuffers() *cellsim.SharedVariableBuffer {
-	svb := cellsim.NewSharedVariableBuffer()
+func (f *FFT) SharedBuffers() *core.SharedVariableBuffer {
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("data", byteview.Complex128s(f.par))
 	return svb
 }

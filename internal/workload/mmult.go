@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tflux/internal/byteview"
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/hardsim"
 )
@@ -165,8 +164,8 @@ func (m *MMult) Build(kernels, unroll int) (*core.Program, error) {
 }
 
 // SharedBuffers implements Job.
-func (m *MMult) SharedBuffers() *cellsim.SharedVariableBuffer {
-	svb := cellsim.NewSharedVariableBuffer()
+func (m *MMult) SharedBuffers() *core.SharedVariableBuffer {
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("A", byteview.Float64s(m.a))
 	svb.Register("B", byteview.Float64s(m.b))
 	svb.Register("C", byteview.Float64s(m.cPar))

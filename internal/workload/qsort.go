@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"tflux/internal/byteview"
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/hardsim"
 )
@@ -296,8 +295,8 @@ func (q *QSort) Build(kernels, unroll int) (*core.Program, error) {
 }
 
 // SharedBuffers implements Job.
-func (q *QSort) SharedBuffers() *cellsim.SharedVariableBuffer {
-	svb := cellsim.NewSharedVariableBuffer()
+func (q *QSort) SharedBuffers() *core.SharedVariableBuffer {
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("input", byteview.Uint32s(q.input))
 	svb.Register("work", byteview.Uint32s(q.work))
 	svb.Register("scratch", byteview.Uint32s(q.scratch))

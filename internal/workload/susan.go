@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tflux/internal/byteview"
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/hardsim"
 )
@@ -238,8 +237,8 @@ func (s *Susan) Build(kernels, unroll int) (*core.Program, error) {
 }
 
 // SharedBuffers implements Job.
-func (s *Susan) SharedBuffers() *cellsim.SharedVariableBuffer {
-	svb := cellsim.NewSharedVariableBuffer()
+func (s *Susan) SharedBuffers() *core.SharedVariableBuffer {
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("img", byteview.Bytes(s.img))
 	svb.Register("smooth", byteview.Bytes(s.smooth))
 	svb.Register("final", byteview.Bytes(s.final))

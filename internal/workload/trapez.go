@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"tflux/internal/byteview"
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/hardsim"
 )
@@ -137,8 +136,8 @@ func (t *Trapez) Build(kernels, unroll int) (*core.Program, error) {
 }
 
 // SharedBuffers implements Job.
-func (t *Trapez) SharedBuffers() *cellsim.SharedVariableBuffer {
-	svb := cellsim.NewSharedVariableBuffer()
+func (t *Trapez) SharedBuffers() *core.SharedVariableBuffer {
+	svb := core.NewSharedVariableBuffer()
 	svb.Register("partials", byteview.Float64s(t.partials))
 	svb.Register("result", byteview.Float64s(t.result))
 	return svb

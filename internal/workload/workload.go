@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sync"
 
-	"tflux/internal/cellsim"
 	"tflux/internal/core"
 	"tflux/internal/hardsim"
 )
@@ -101,7 +100,7 @@ type Job interface {
 	Build(kernels, unroll int) (*core.Program, error)
 	// SharedBuffers registers the program's buffers for the TFluxCell
 	// substrate (zero-copy views over the job's arrays).
-	SharedBuffers() *cellsim.SharedVariableBuffer
+	SharedBuffers() *core.SharedVariableBuffer
 	// ResetOutput clears the parallel output before a run.
 	ResetOutput()
 	// Verify compares the parallel output against the sequential
@@ -151,11 +150,11 @@ func ByName(name string) (Spec, error) {
 // first Build error whatever it is asked about, for the caller to report
 // beside the run's own. owner(nil), from a run that failed before it had
 // buffers, is not itself an error.
-func Replicas(spec Spec, param, kernels, unroll int) (build func() (*core.Program, *cellsim.SharedVariableBuffer), owner func(*cellsim.SharedVariableBuffer) (Job, error)) {
+func Replicas(spec Spec, param, kernels, unroll int) (build func() (*core.Program, *core.SharedVariableBuffer), owner func(*core.SharedVariableBuffer) (Job, error)) {
 	var mu sync.Mutex // nodes build concurrently
 	var buildErr error
-	replicas := map[*cellsim.SharedVariableBuffer]Job{}
-	build = func() (*core.Program, *cellsim.SharedVariableBuffer) {
+	replicas := map[*core.SharedVariableBuffer]Job{}
+	build = func() (*core.Program, *core.SharedVariableBuffer) {
 		job := spec.Make(param)
 		p, err := job.Build(kernels, unroll)
 		mu.Lock()
@@ -170,7 +169,7 @@ func Replicas(spec Spec, param, kernels, unroll int) (build func() (*core.Progra
 		replicas[svb] = job
 		return p, svb
 	}
-	owner = func(svb *cellsim.SharedVariableBuffer) (Job, error) {
+	owner = func(svb *core.SharedVariableBuffer) (Job, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		job, ok := replicas[svb]

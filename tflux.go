@@ -200,8 +200,10 @@ type (
 	// CellStats is the TFluxCell run report (cellsim.Stats).
 	CellStats = cellsim.Stats
 	// CellBuffers registers the byte slices backing a program's buffers
-	// for DMA staging (cellsim.SharedVariableBuffer).
-	CellBuffers = cellsim.SharedVariableBuffer
+	// (core.SharedVariableBuffer, the paper's §4.3 store): RunCell stages
+	// regions of it by DMA, RunDistLocal keeps one per node. The name
+	// predates the store's move out of the Cell simulator.
+	CellBuffers = core.SharedVariableBuffer
 	// VirtualConfig configures virtual-time execution (vtime.Config).
 	VirtualConfig = vtime.Config
 	// VirtualResult is the virtual-time outcome (vtime.Result).
@@ -236,7 +238,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 }
 
 // NewCellBuffers returns an empty buffer registry for RunCell.
-func NewCellBuffers() *CellBuffers { return cellsim.NewSharedVariableBuffer() }
+func NewCellBuffers() *CellBuffers { return core.NewSharedVariableBuffer() }
 
 // WriteDOT renders the program's Synchronization Graph in Graphviz DOT
 // format (one cluster per DDM Block, one edge per dependency arc).
@@ -278,7 +280,7 @@ func RunDistLocal(build func() (*Program, *CellBuffers), nodes, kernelsPerNode i
 // sink (may be nil) receives DistRPC/ThreadComplete/TSUCommand events and
 // reg (may be nil) the RPC latency histogram and traffic totals.
 func RunDistLocalObs(build func() (*Program, *CellBuffers), nodes, kernelsPerNode int, sink EventSink, reg *Metrics) (*DistStats, *CellBuffers, error) {
-	return dist.RunLocalOpts(func() (*core.Program, *cellsim.SharedVariableBuffer) {
+	return dist.RunLocalOpts(func() (*core.Program, *core.SharedVariableBuffer) {
 		p, b := build()
 		return p.p, b
 	}, nodes, kernelsPerNode, dist.Options{Sink: sink, Metrics: reg})
