@@ -98,6 +98,12 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		fmt.Fprintln(stderr, "tfluxd:", err)
 		return 1
 	}
+	if *nodes < 1 {
+		return fail(fmt.Errorf("-nodes must be at least 1, not %d", *nodes))
+	}
+	if *kernelsPer < 1 {
+		return fail(fmt.Errorf("-kernels-per-node must be at least 1, not %d", *kernelsPer))
+	}
 	w, err := parseWeights(*weights)
 	if err != nil {
 		return fail(err)

@@ -117,3 +117,29 @@ func TestWeightsFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetShapeFlagsRefused pins that a fleet shape the daemon cannot
+// host is refused by name instead of being clamped to one node or one
+// kernel without a word.
+func TestFleetShapeFlagsRefused(t *testing.T) {
+	for _, tc := range []struct{ flag, val string }{
+		{"-nodes", "0"}, {"-nodes", "-2"}, {"-kernels-per-node", "0"},
+	} {
+		var out, errOut syncBuffer
+		sig := make(chan os.Signal, 1)
+		code := make(chan int, 1)
+		go func() {
+			code <- run([]string{"-listen", "127.0.0.1:0", tc.flag, tc.val}, &out, &errOut, sig)
+		}()
+		select {
+		case rc := <-code:
+			if rc != 1 || !strings.Contains(errOut.String(), tc.flag+" must be at least 1, not "+tc.val) {
+				t.Errorf("%s %s: exit %d, stderr %q", tc.flag, tc.val, rc, errOut.String())
+			}
+		case <-time.After(2 * time.Second):
+			sig <- os.Interrupt // a daemon came up: drain it so the test does not leak a fleet
+			<-code
+			t.Errorf("%s %s: a daemon started: %s", tc.flag, tc.val, out.String())
+		}
+	}
+}

@@ -13,9 +13,7 @@
 // Observability: -trace-out FILE writes a Chrome trace-event JSON file of
 // the run (open it at ui.perfetto.dev or chrome://tracing); -metrics
 // prints the runtime metrics registry and a per-lane event summary.
-// Both work on the soft, hard, cell, and dist platforms. (The old
-// -trace alias has been removed; passing it is an error naming
-// -trace-out.)
+// Both work on the soft, hard, cell, and dist platforms.
 //
 // Streaming mode: -stream-events N runs the EVENTFILTER streaming
 // pipeline (decode → filter → aggregate over recycled window slots)
@@ -141,7 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reps         = fs.Int("reps", 3, "repetitions for native measurements (min taken)")
 		dotOut       = fs.String("dot", "", "write the Synchronization Graph in DOT format to this file and exit")
 		traceOut     = fs.String("trace-out", "", "write a Chrome trace-event JSON file of the run (soft|hard|cell|dist)")
-		traceLegacy  = fs.String("trace", "", "removed; use -trace-out")
 		metrics      = fs.Bool("metrics", false, "print the metrics registry and per-lane event summary after the run")
 		gantt        = fs.Bool("gantt", false, "print an ASCII per-kernel timeline chart (soft platform only)")
 		vet          = fs.Bool("vet", false, "statically verify the program at instance granularity (ddmlint) and refuse to dispatch on findings")
@@ -165,9 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "tfluxrun:", err)
 		return 1
-	}
-	if *traceLegacy != "" {
-		return fail(fmt.Errorf("-trace was removed; use -trace-out FILE (the output is Chrome trace-event JSON)"))
 	}
 
 	// Client mode hands the fleet to the daemon: flags that configure a
@@ -525,8 +519,9 @@ func runStreamMode(events int64, rate float64, window, slots, workers int, polic
 	if err != nil {
 		return fail(err)
 	}
+	pipe := ef.Pipeline()
 	if vet {
-		rep, err := ddmlint.LintStream(ef.Pipeline(), ddmlint.StreamConfig{
+		rep, err := ddmlint.LintStream(pipe, ddmlint.StreamConfig{
 			Slots: slots, Workers: workers, Policy: pol,
 		})
 		if err := vetGate(rep, err, stdout, stderr); err != nil {
@@ -537,16 +532,20 @@ func runStreamMode(events int64, rate float64, window, slots, workers int, polic
 	if metrics {
 		opt.Metrics = obs.NewRegistry()
 	}
+	var chaosLog *chaos.Log
 	if faults != "" {
 		plan, err := chaos.ParseSpec(faults)
 		if err != nil {
 			return fail(err)
 		}
-		opt.Faults, opt.FaultLog = plan, chaos.NewLog()
+		chaosLog = chaos.NewLog()
+		if opt.Delay, err = plan.StageDelay(len(pipe.Stages), chaosLog); err != nil {
+			return fail(err)
+		}
 	}
 	fmt.Fprintf(stdout, "streaming EVENTFILTER: %d events, window %d, %d slots, policy %s, %d workers\n",
 		events, window, slots, pol, workers)
-	st, err := rts.RunStream(ef.Pipeline(), stream.NewCountSource(events, rate), opt)
+	st, err := rts.RunStream(pipe, stream.NewCountSource(events, rate), opt)
 	if err != nil {
 		return fail(err)
 	}
@@ -562,9 +561,9 @@ func runStreamMode(events int64, rate float64, window, slots, workers int, polic
 	if pol == stream.Shed {
 		fmt.Fprintf(stdout, "shed:       %d event(s) in %d window(s)\n", st.ShedEvents, st.ShedWindows)
 	}
-	if opt.FaultLog != nil {
-		fmt.Fprintf(stdout, "chaos:      %d fault(s) fired\n", opt.FaultLog.Count())
-		for _, ev := range opt.FaultLog.Events() {
+	if chaosLog != nil {
+		fmt.Fprintf(stdout, "chaos:      %d fault(s) fired\n", chaosLog.Count())
+		for _, ev := range chaosLog.Events() {
 			fmt.Fprintf(stdout, "  stage %d firing %d: %s %s\n", ev.Node, ev.Frame, ev.Kind, ev.Detail)
 		}
 	}

@@ -81,20 +81,6 @@ func TestRunSoftWithTraceOut(t *testing.T) {
 	}
 }
 
-// TestRunTraceRemovedAlias pins that the old -trace alias is gone: the
-// run is refused with an error pointing the user at -trace-out.
-func TestRunTraceRemovedAlias(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-bench", "TRAPEZ", "-platform", "soft", "-size", "small",
-		"-kernels", "2", "-reps", "1", "-trace", "trace.json"}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 (stderr: %s)", code, errb.String())
-	}
-	if s := errb.String(); !strings.Contains(s, "removed") || !strings.Contains(s, "-trace-out") {
-		t.Fatalf("error should name -trace-out as the replacement: %s", s)
-	}
-}
-
 func TestRunHardWithTraceOut(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")

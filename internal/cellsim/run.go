@@ -115,7 +115,7 @@ func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, e
 		cfg.Obs.Begin()
 		r.sink = cfg.Obs
 	}
-	dmaHist := cfg.Metrics.Histogram("cell.dma_ns", obs.LatencyBuckets)
+	dmaHist := cfg.Metrics.Histogram("cell.dma_ns")
 	r.dmas = make([]dma, cfg.SPEs)
 	r.highWater = make([]int64, cfg.SPEs)
 	for i := 0; i < cfg.SPEs; i++ {

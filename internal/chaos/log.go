@@ -40,14 +40,8 @@ type Log struct {
 // NewLog returns an empty log.
 func NewLog() *Log { return &Log{seq: make(map[int]int)} }
 
-// Record appends one fired fault. Injectors outside this package (e.g.
-// the in-process stream injector, which has no net.Conn to wrap) use it
-// to report into the same deterministic log. Nil-receiver-safe.
-func (l *Log) Record(node int, kind string, frame int64, detail string) {
-	l.add(node, kind, frame, detail)
-}
-
-// add appends one fired fault for the given connection.
+// add appends one fired fault for the given connection (or pipeline
+// stage). Nil-receiver-safe.
 func (l *Log) add(node int, kind string, frame int64, detail string) {
 	if l == nil {
 		return

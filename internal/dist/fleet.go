@@ -346,9 +346,9 @@ func NewFleet(conns []net.Conn, opt Options) (*Fleet, error) {
 		aliveN:      n,
 		cacheOn:     !opt.DisableRegionCache,
 
-		rpcHist:       reg.Histogram("dist.rpc_ns", obs.LatencyBuckets),
-		foHist:        reg.Histogram("dist.failover_ns", obs.LatencyBuckets),
-		batchHist:     reg.Histogram("dist.batch_size", obs.CountBuckets),
+		rpcHist:       reg.Histogram("dist.rpc_ns"),
+		foHist:        reg.Histogram("dist.failover_ns"),
+		batchHist:     reg.Histogram("dist.batch_size"),
 		cBytesOut:     reg.Counter("dist.bytes_out"),
 		cBytesIn:      reg.Counter("dist.bytes_in"),
 		cBytesSaved:   reg.Counter("dist.bytes_saved"),

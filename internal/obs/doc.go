@@ -2,9 +2,9 @@
 // platform (TFluxSoft, TFluxHard, TFluxCell, TFluxDist and the
 // virtual-time model): a typed, low-overhead event model behind a Sink
 // interface, a metrics registry of atomic counters, gauges and
-// fixed-bucket latency histograms, and exporters for Chrome trace-event
-// JSON (loadable in Perfetto / chrome://tracing), a human-readable
-// summary table, and CSV.
+// log-linear histograms, and exporters for Chrome trace-event JSON
+// (loadable in Perfetto / chrome://tracing) and a human-readable summary
+// table.
 //
 // The design goals mirror what the paper's evaluation (§5–§6) needed to
 // see: where cycles go per kernel, what the TSU costs, how contended the

@@ -258,21 +258,3 @@ func WriteGantt(w io.Writer, events []Event, lanes, width int) error {
 	_, err := fmt.Fprintf(w, "span %s, %d events ('#' app, 's' inlet/outlet, '.' idle)\n", span, threads)
 	return err
 }
-
-// WriteEventCSV exports events as CSV in SortEvents order:
-// kind,lane,instance,start_ns,dur_ns,service,bytes,note.
-func WriteEventCSV(w io.Writer, events []Event) error {
-	events = append([]Event(nil), events...)
-	SortEvents(events)
-	if _, err := fmt.Fprintln(w, "kind,lane,instance,start_ns,dur_ns,service,bytes,note"); err != nil {
-		return err
-	}
-	for _, e := range events {
-		if _, err := fmt.Fprintf(w, "%s,%d,%s,%d,%d,%t,%d,%s\n",
-			e.Kind, e.Lane, e.Inst, e.Start.Nanoseconds(), e.Dur.Nanoseconds(),
-			e.Service, e.Bytes, e.Note); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -160,20 +160,3 @@ func TestWriteGantt(t *testing.T) {
 		t.Fatalf("empty gantt: %q", sb.String())
 	}
 }
-
-func TestWriteEventCSV(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteEventCSV(&sb, fixedEvents()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 1+len(fixedEvents()) {
-		t.Fatalf("csv lines = %d, want %d", len(lines), 1+len(fixedEvents()))
-	}
-	if lines[0] != "kind,lane,instance,start_ns,dur_ns,service,bytes,note" {
-		t.Fatalf("csv header = %q", lines[0])
-	}
-	if !strings.Contains(sb.String(), "dma,1,") {
-		t.Fatalf("csv missing dma row:\n%s", sb.String())
-	}
-}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,20 +86,36 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Max returns the high-water mark.
 func (g *Gauge) Max() int64 { return g.max.Load() }
 
-// Histogram is a fixed-bucket histogram of int64 samples (typically
-// nanoseconds or bytes). Bucket i counts samples ≤ bounds[i]; one
-// overflow bucket counts the rest. Observation is lock-free.
+// Histogram counts int64 samples (nanoseconds, bytes, batch sizes) in one
+// fixed log-linear layout: values below 16 have a bucket each, and every
+// power of two above is split into 16 equal sub-buckets, so a bucket is
+// never wider than 1/16 of its lower bound. The bucket is computed from
+// the value, not searched for. Observation is lock-free and
+// allocation-free; a histogram is histBuckets counters (7.7 KB).
 type Histogram struct {
-	bounds []int64
-	counts []atomic.Int64
+	counts [histBuckets]atomic.Int64
 	sum    atomic.Int64
 }
 
-// newHistogram builds a histogram with the given ascending upper bounds.
-func newHistogram(bounds []int64) *Histogram {
-	b := append([]int64(nil), bounds...)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+// histBuckets covers every non-negative int64: 16 exact buckets plus 16
+// for each of the 59 powers of two from 2^4 to 2^62.
+const histBuckets = 16 + 59*16
+
+// histIndex returns the bucket of v. v>>shift keeps the top five bits
+// (16..31) of any v ≥ 16, so consecutive octaves land 16 apart; below 32
+// the shift is 0 and the index is v itself. Negative samples count as 0.
+func histIndex(v int64) int {
+	if v < 0 {
+		v = 0
+	}
+	shift := max(bits.Len64(uint64(v)), 5) - 5
+	return shift<<4 + int(v>>shift)
+}
+
+// histBounds returns bucket i's inclusive lower bound and its width.
+func histBounds(i int) (lo, width int64) {
+	shift := max(i>>4, 1) - 1
+	return int64(i-shift<<4) << shift, 1 << shift
 }
 
 // Observe records one sample. Nil-receiver-safe.
@@ -106,16 +123,7 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	i, j := 0, len(h.bounds)
-	for i < j {
-		m := (i + j) / 2
-		if v <= h.bounds[m] {
-			j = m
-		} else {
-			i = m + 1
-		}
-	}
-	h.counts[i].Add(1)
+	h.counts[histIndex(v)].Add(1)
 	h.sum.Add(v)
 }
 
@@ -134,36 +142,25 @@ func (h *Histogram) Count() int64 {
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Buckets returns the bucket upper bounds and the per-bucket counts (the
-// last count is the overflow bucket).
-func (h *Histogram) Buckets() (bounds []int64, counts []int64) {
-	bounds = append([]int64(nil), h.bounds...)
-	counts = make([]int64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
+// Quantile returns the midpoint of the bucket that holds the sample of
+// rank q·Count: exact below 32, within 1/32 of the sample above. q is
+// clamped to [0,1]; an empty histogram reports 0. Nil-receiver-safe.
+func (h *Histogram) Quantile(q float64) int64 {
+	if h == nil {
+		return 0
 	}
-	return bounds, counts
+	target := min(max(q, 0), 1) * float64(h.Count())
+	var seen int64
+	for i := range h.counts {
+		c := h.counts[i].Load()
+		seen += c
+		if c > 0 && float64(seen) >= target {
+			lo, width := histBounds(i)
+			return lo + width/2
+		}
+	}
+	return 0
 }
-
-// LatencyBuckets is the default bucket layout for wall-clock latency
-// histograms: 1µs to 10s, decade-spaced with a 3× midpoint.
-var LatencyBuckets = []int64{
-	int64(time.Microsecond), 3 * int64(time.Microsecond),
-	int64(10 * time.Microsecond), 3 * int64(10*time.Microsecond),
-	int64(100 * time.Microsecond), 3 * int64(100*time.Microsecond),
-	int64(time.Millisecond), 3 * int64(time.Millisecond),
-	int64(10 * time.Millisecond), 3 * int64(10*time.Millisecond),
-	int64(100 * time.Millisecond), int64(time.Second), int64(10 * time.Second),
-}
-
-// ByteBuckets is the default bucket layout for payload-size histograms.
-var ByteBuckets = []int64{
-	64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 16 << 20,
-}
-
-// CountBuckets is the default bucket layout for small-count histograms
-// (e.g. batch occupancy, queue depth samples).
-var CountBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // Registry is a named collection of instruments. Lookup is mutex-guarded
 // and intended for setup and export; hot paths hold the returned
@@ -217,10 +214,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bounds on first use (later calls keep the original bounds). Returns
-// nil on a nil registry.
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+// Histogram returns the named histogram, creating it on first use.
+// Returns nil on a nil registry.
+func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -228,7 +224,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = newHistogram(bounds)
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h
@@ -266,52 +262,6 @@ func (r *Registry) rows() []metricRow {
 	return rows
 }
 
-// Quantile returns a bucket-interpolated estimate of the q-quantile:
-// the bucket covering the quantile is located and the value is linearly
-// interpolated between its bounds by the sample's rank within it. The
-// overflow bucket has no upper bound, so quantiles landing there report
-// its lower edge. q is clamped to [0,1]; an empty histogram reports 0.
-// Nil-receiver-safe.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(total)
-	var seen int64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if float64(seen)+float64(c) >= target {
-			var lo int64
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if i == len(h.bounds) {
-				return lo // overflow bucket: no upper bound to interpolate to
-			}
-			frac := (target - float64(seen)) / float64(c)
-			return lo + int64(frac*float64(h.bounds[i]-lo)+0.5)
-		}
-		seen += c
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // WriteSummary renders the registry as an aligned name/kind/value table
 // sorted by metric name.
 func (r *Registry) WriteSummary(w io.Writer) error {
@@ -321,18 +271,4 @@ func (r *Registry) WriteSummary(w io.Writer) error {
 		fmt.Fprintf(tw, "%s\t%s\t%s\n", row.name, row.kind, row.value)
 	}
 	return tw.Flush()
-}
-
-// WriteCSV renders the registry as "metric,kind,value" CSV rows sorted
-// by metric name.
-func (r *Registry) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "metric,kind,value"); err != nil {
-		return err
-	}
-	for _, row := range r.rows() {
-		if _, err := fmt.Fprintf(w, "%s,%s,%q\n", row.name, row.kind, row.value); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -65,41 +65,33 @@ func TestRecorderNow(t *testing.T) {
 	}
 }
 
-// TestHistogramBoundaries pins the bucket edge semantics: a sample equal
-// to a bound lands in that bound's bucket; one past it lands in the
-// next; anything beyond the last bound lands in the overflow bucket.
+// TestHistogramBoundaries pins the bucket edge semantics: a bucket's
+// lower bound is inclusive, so 2^k opens a new bucket and 2^k−1 closes
+// the one before it; count and sum see every sample, negatives included.
 func TestHistogramBoundaries(t *testing.T) {
-	h := newHistogram([]int64{10, 100, 1000})
-	for _, v := range []int64{0, 10} {
+	h := &Histogram{}
+	samples := []int64{0, 10, 11, 1023, 1024, 1025, 1 << 40, -3}
+	for _, v := range samples {
 		h.Observe(v)
 	}
-	h.Observe(11)   // (10, 100]
-	h.Observe(100)  // (10, 100]
-	h.Observe(101)  // (100, 1000]
-	h.Observe(1000) // (100, 1000]
-	h.Observe(1001) // overflow
-	h.Observe(1 << 40)
-
-	bounds, counts := h.Buckets()
-	if len(bounds) != 3 || len(counts) != 4 {
-		t.Fatalf("buckets = %v / %v", bounds, counts)
-	}
-	want := []int64{2, 2, 2, 2}
-	for i, w := range want {
-		if counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, counts[i], w, counts)
+	for _, c := range []struct {
+		v    int64
+		want int64
+	}{{0, 2}, {10, 1}, {11, 1}, {1023, 1}, {1024, 2}, {1 << 40, 1}} {
+		if got := h.counts[histIndex(c.v)].Load(); got != c.want {
+			t.Errorf("bucket of %d holds %d samples, want %d", c.v, got, c.want)
 		}
 	}
-	if h.Count() != 8 {
+	if h.Count() != int64(len(samples)) {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.Sum() != 0+10+11+100+101+1000+1001+(1<<40) {
+	if h.Sum() != 0+10+11+1023+1024+1025+(1<<40)-3 {
 		t.Fatalf("sum = %d", h.Sum())
 	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := newHistogram(LatencyBuckets)
+	h := &Histogram{}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -133,7 +125,7 @@ func TestRegistryInstruments(t *testing.T) {
 	if g.Value() != 3 || g.Max() != 5 {
 		t.Fatalf("gauge = %d max %d", g.Value(), g.Max())
 	}
-	h := r.Histogram("a.lat", LatencyBuckets)
+	h := r.Histogram("a.lat")
 	h.ObserveDuration(2 * time.Millisecond)
 	if h.Count() != 1 {
 		t.Fatalf("hist count = %d", h.Count())
@@ -149,20 +141,13 @@ func TestRegistryInstruments(t *testing.T) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
 	}
-	sb.Reset()
-	if err := r.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(sb.String(), "metric,kind,value\n") {
-		t.Fatalf("csv header missing:\n%s", sb.String())
-	}
 }
 
 // TestNilRegistry pins the "disabled" contract: a nil registry hands out
 // nil instruments so emission sites can gate on one pointer.
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x", nil) != nil {
+	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
 		t.Fatal("nil registry must return nil instruments")
 	}
 	var sb strings.Builder

@@ -19,11 +19,11 @@ func fillQueue(q *readyQueue, nTmpl, nCtx int) {
 	}
 }
 
-// benchPop measures steady-state pop+push cycles on a prefilled queue: the
-// depth stays constant so the numbers isolate the dequeue policy cost from
-// queue growth.
-func benchPop(b *testing.B, policy Policy) {
-	q := newReadyQueue(policy, 0)
+// BenchmarkQueuePopLocality measures steady-state pop+push cycles on a
+// prefilled queue: the depth stays constant so the numbers isolate the
+// cost of the pick from queue growth.
+func BenchmarkQueuePopLocality(b *testing.B) {
+	q := newReadyQueue(0)
 	fillQueue(q, 4, 64)
 	last := inst(1, 0)
 	b.ResetTimer()
@@ -37,15 +37,11 @@ func benchPop(b *testing.B, policy Policy) {
 	}
 }
 
-func BenchmarkQueuePopLocality(b *testing.B) { benchPop(b, PolicyLocality) }
-func BenchmarkQueuePopFIFO(b *testing.B)     { benchPop(b, PolicyFIFO) }
-func BenchmarkQueuePopLIFO(b *testing.B)     { benchPop(b, PolicyLIFO) }
-
-// BenchmarkQueuePopLocalityHit measures the best case the locality policy
+// BenchmarkQueuePopLocalityHit measures the best case the locality pick
 // exists for: the queue holds one template's contexts in order and every
 // pop asks for the successor of the last one.
 func BenchmarkQueuePopLocalityHit(b *testing.B) {
-	q := newReadyQueue(PolicyLocality, 0)
+	q := newReadyQueue(0)
 	const depth = 256
 	for c := 0; c < depth; c++ {
 		q.push(inst(1, core.Context(c)))
@@ -67,7 +63,7 @@ func BenchmarkQueuePopLocalityHit(b *testing.B) {
 // BenchmarkQueueContended runs one producer against one consumer, the
 // emulator→kernel shape of the TFluxSoft hot path.
 func BenchmarkQueueContended(b *testing.B) {
-	q := newReadyQueue(PolicyLocality, 0)
+	q := newReadyQueue(0)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	b.ResetTimer()
@@ -91,7 +87,7 @@ func BenchmarkQueueContended(b *testing.B) {
 // BenchmarkQueueSteal exercises the work-stealing fast path: trySteal from
 // a prefilled victim queue, push back to keep depth constant.
 func BenchmarkQueueSteal(b *testing.B) {
-	q := newReadyQueue(PolicyLocality, 0)
+	q := newReadyQueue(0)
 	fillQueue(q, 4, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -42,10 +42,9 @@
 // any other DThread; their TSU-load/TSU-clear work happens when their
 // completion is processed.
 //
-// Scheduling policy: when a Kernel's ready queue holds several DThreads,
-// the queue returns the one "most likely to maximize the spatial locality"
-// (§3.1) — by default the instance of the same template with the next
-// context relative to the last DThread the Kernel executed, falling back
-// to any instance of the same template, then FIFO order. FIFO and LIFO
-// policies are available for ablation.
+// Scheduling: when a Kernel's ready queue holds several DThreads, the
+// queue returns the one "most likely to maximize the spatial locality"
+// (§3.1) — the instance of the same template with the next context
+// relative to the last DThread the Kernel executed, falling back to any
+// instance of the same template, then arrival order.
 package rts

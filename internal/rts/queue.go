@@ -7,42 +7,14 @@ import (
 	"tflux/internal/core"
 )
 
-// Policy selects how a Kernel's ready queue picks among multiple ready
-// DThreads.
-type Policy int
-
-const (
-	// PolicyLocality prefers the next context of the template the Kernel
-	// executed last (spatial locality), then any context of that template,
-	// then FIFO. This is the paper's default TSU behaviour.
-	PolicyLocality Policy = iota
-	// PolicyFIFO returns ready DThreads in arrival order.
-	PolicyFIFO
-	// PolicyLIFO returns the most recently readied DThread (cache-hot).
-	PolicyLIFO
-)
-
-func (p Policy) String() string {
-	switch p {
-	case PolicyLocality:
-		return "locality"
-	case PolicyFIFO:
-		return "fifo"
-	case PolicyLIFO:
-		return "lifo"
-	}
-	return "unknown"
-}
-
 // nilNode marks an absent link in the queue's node pool.
 const nilNode = int32(-1)
 
 // qnode is one queued ready instance. Nodes live in a pooled slice and are
 // threaded onto two doubly-linked lists: the global arrival order (prev/
-// next) and, under the locality policy, the per-template arrival order
-// (tprev/tnext). Both lists give O(1) unlink from any position, which is
-// what makes every dequeue policy constant-time — the previous slice
-// implementation paid an O(n) memmove per pop.
+// next) and the per-template arrival order (tprev/tnext). Both lists give
+// O(1) unlink from any position, which is what makes the locality pick and
+// a steal from the tail constant-time.
 type qnode struct {
 	inst         core.Instance
 	seq          uint64 // monotonically increasing arrival stamp
@@ -59,7 +31,7 @@ type tmplList struct {
 // and drained by the Kernel. It is an array-backed deque: pooled
 // doubly-linked nodes with O(1) push, O(1) pop at either end, and O(1)
 // removal of an indexed interior node, plus a per-template index so the
-// locality policy finds its preferred instance without scanning the queue.
+// locality pick finds its preferred instance without scanning the queue.
 type readyQueue struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -73,37 +45,32 @@ type readyQueue struct {
 
 	// byTmpl indexes each template's queued instances in arrival order,
 	// indexed densely by ThreadID (thread IDs are bounded, see the TSU's
-	// dense-table guard) and grown on demand. Maintained only under
-	// PolicyLocality — FIFO and LIFO never touch it.
-	byTmpl  []tmplList
-	indexed bool
+	// dense-table guard) and grown on demand.
+	byTmpl []tmplList
 
 	closed  bool
 	kicked  bool // a shard inbox has work for this kernel (see kick)
 	waiters int  // kernels parked in pop; gates the wakeup on push
-	policy  Policy
-	scan    int // arrival-distance bound for the locality preference
+	scan    int  // arrival-distance bound for the locality preference
 
 	idle time.Duration // total time the Kernel spent blocked here
 }
 
-// queueScan is the locality policy's lookahead bound, in arrival stamps.
+// queueScan is the locality pick's lookahead bound, in arrival stamps.
 const queueScan = 64
 
 // newReadyQueue builds an empty queue; scan ≤ 0 selects queueScan.
-func newReadyQueue(policy Policy, scan int) *readyQueue {
+func newReadyQueue(scan int) *readyQueue {
 	if scan <= 0 {
 		scan = queueScan
 	}
 	q := &readyQueue{
-		policy:   policy,
 		scan:     scan,
 		head:     nilNode,
 		tail:     nilNode,
 		free:     nilNode,
 		closedCh: make(chan struct{}),
 	}
-	q.indexed = policy == PolicyLocality
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -136,20 +103,18 @@ func (q *readyQueue) enqueue(inst core.Instance) {
 		q.head = n
 	}
 	q.tail = n
-	if q.indexed {
-		for int(inst.Thread) >= len(q.byTmpl) {
-			q.byTmpl = append(q.byTmpl, tmplList{head: nilNode, tail: nilNode})
-		}
-		tl := &q.byTmpl[inst.Thread]
-		nd.tprev = tl.tail
-		nd.tnext = nilNode
-		if tl.tail != nilNode {
-			q.nodes[tl.tail].tnext = n
-		} else {
-			tl.head = n
-		}
-		tl.tail = n
+	for int(inst.Thread) >= len(q.byTmpl) {
+		q.byTmpl = append(q.byTmpl, tmplList{head: nilNode, tail: nilNode})
 	}
+	tl := &q.byTmpl[inst.Thread]
+	nd.tprev = tl.tail
+	nd.tnext = nilNode
+	if tl.tail != nilNode {
+		q.nodes[tl.tail].tnext = n
+	} else {
+		tl.head = n
+	}
+	tl.tail = n
 	q.count++
 }
 
@@ -168,18 +133,16 @@ func (q *readyQueue) remove(n int32) core.Instance {
 	} else {
 		q.tail = nd.prev
 	}
-	if q.indexed {
-		tl := &q.byTmpl[inst.Thread]
-		if nd.tprev != nilNode {
-			q.nodes[nd.tprev].tnext = nd.tnext
-		} else {
-			tl.head = nd.tnext
-		}
-		if nd.tnext != nilNode {
-			q.nodes[nd.tnext].tprev = nd.tprev
-		} else {
-			tl.tail = nd.tprev
-		}
+	tl := &q.byTmpl[inst.Thread]
+	if nd.tprev != nilNode {
+		q.nodes[nd.tprev].tnext = nd.tnext
+	} else {
+		tl.head = nd.tnext
+	}
+	if nd.tnext != nilNode {
+		q.nodes[nd.tnext].tprev = nd.tprev
+	} else {
+		tl.tail = nd.tprev
 	}
 	nd.next = q.free
 	q.free = n
@@ -187,20 +150,13 @@ func (q *readyQueue) remove(n int32) core.Instance {
 	return inst
 }
 
-// pick selects the node to dequeue per the queue's policy. Caller holds
-// q.mu and guarantees count > 0.
+// pick selects the node to dequeue: the paper's locality preference (§3.1)
+// — the next context of the template the Kernel executed last, else any
+// context of that template, else the oldest arrival. Only instances that
+// arrived within scan stamps of the current head are eligible, which
+// bounds the lookahead and how long the head can be passed over. Caller
+// holds q.mu and guarantees count > 0.
 func (q *readyQueue) pick(last core.Instance) int32 {
-	switch q.policy {
-	case PolicyLIFO:
-		return q.tail
-	case PolicyFIFO:
-		return q.head
-	}
-	// Locality: same template, next context; else same template; else
-	// FIFO. Only instances that arrived within scan stamps of the current
-	// head are eligible, preserving the bounded lookahead of the previous
-	// scan-based implementation (arrival distance bounds queue position
-	// from above, so nothing beyond the old scan window is ever chosen).
 	if int(last.Thread) < len(q.byTmpl) {
 		tl := &q.byTmpl[last.Thread]
 		limit := q.nodes[q.head].seq + uint64(q.scan)
@@ -275,8 +231,8 @@ func (q *readyQueue) kick() {
 	}
 }
 
-// pop blocks until an instance is available (choosing per policy, with
-// last as the locality hint), the queue is kicked, or the queue is closed.
+// pop blocks until an instance is available (pick's choice, with last as
+// the locality hint), the queue is kicked, or the queue is closed.
 // A kick on an empty queue returns ok=false, closed=false: the kernel's
 // shard inbox needs draining, so the caller re-steps its shard instead of
 // sleeping through pending cross-shard decrements (a queue nobody kicks

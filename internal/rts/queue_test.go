@@ -15,7 +15,7 @@ func inst(t core.ThreadID, c core.Context) core.Instance {
 func (q *readyQueue) push(in core.Instance) { q.pushBatch([]core.Instance{in}) }
 
 func TestQueueLocalityPrefersNextContext(t *testing.T) {
-	q := newReadyQueue(PolicyLocality, 0)
+	q := newReadyQueue(0)
 	q.push(inst(9, 0))
 	q.push(inst(5, 7))
 	q.push(inst(5, 3))
@@ -35,37 +35,8 @@ func TestQueueLocalityPrefersNextContext(t *testing.T) {
 	}
 }
 
-func TestQueueFIFOOrder(t *testing.T) {
-	q := newReadyQueue(PolicyFIFO, 0)
-	for i := core.Context(0); i < 5; i++ {
-		q.push(inst(1, i))
-	}
-	for i := core.Context(0); i < 5; i++ {
-		got, _, _ := q.pop(core.Instance{})
-		if got != inst(1, i) {
-			t.Fatalf("pop %d = %v", i, got)
-		}
-	}
-}
-
-func TestQueueLIFOOrder(t *testing.T) {
-	q := newReadyQueue(PolicyLIFO, 0)
-	for i := core.Context(0); i < 5; i++ {
-		q.push(inst(1, i))
-	}
-	for i := core.Context(4); ; i-- {
-		got, _, _ := q.pop(core.Instance{})
-		if got != inst(1, i) {
-			t.Fatalf("pop = %v, want ctx %d", got, i)
-		}
-		if i == 0 {
-			break
-		}
-	}
-}
-
 func TestQueueCloseUnblocksPop(t *testing.T) {
-	q := newReadyQueue(PolicyLocality, 0)
+	q := newReadyQueue(0)
 	done := make(chan bool)
 	go func() {
 		_, ok, _ := q.pop(core.Instance{})
@@ -87,7 +58,7 @@ func TestQueueCloseUnblocksPop(t *testing.T) {
 }
 
 func TestQueuePushAfterCloseDrops(t *testing.T) {
-	q := newReadyQueue(PolicyFIFO, 0)
+	q := newReadyQueue(0)
 	q.close()
 	q.push(inst(1, 0)) // must not panic
 	if _, ok, _ := q.pop(core.Instance{}); ok {
@@ -96,7 +67,7 @@ func TestQueuePushAfterCloseDrops(t *testing.T) {
 }
 
 func TestQueueScanBound(t *testing.T) {
-	q := newReadyQueue(PolicyLocality, 2)
+	q := newReadyQueue(2)
 	q.push(inst(1, 0))
 	q.push(inst(1, 1))
 	q.push(inst(5, 3)) // the locality match, but beyond scan depth 2
@@ -107,7 +78,7 @@ func TestQueueScanBound(t *testing.T) {
 }
 
 func TestQueuePushBatchPreservesArrivalOrder(t *testing.T) {
-	q := newReadyQueue(PolicyFIFO, 0)
+	q := newReadyQueue(0)
 	q.push(inst(1, 0))
 	q.pushBatch([]core.Instance{inst(1, 1), inst(1, 2), inst(1, 3)})
 	q.pushBatch(nil) // no-op
@@ -120,7 +91,7 @@ func TestQueuePushBatchPreservesArrivalOrder(t *testing.T) {
 }
 
 func TestQueuePushBatchAfterCloseDrops(t *testing.T) {
-	q := newReadyQueue(PolicyLocality, 0)
+	q := newReadyQueue(0)
 	q.close()
 	q.pushBatch([]core.Instance{inst(1, 0)})
 	if _, ok := q.tryPop(core.Instance{}); ok {
@@ -131,7 +102,7 @@ func TestQueuePushBatchAfterCloseDrops(t *testing.T) {
 func TestQueueLocalityInterleavedTemplates(t *testing.T) {
 	// Contexts of the preferred template sit far apart in arrival order;
 	// the per-template index must still find the successor context.
-	q := newReadyQueue(PolicyLocality, 0)
+	q := newReadyQueue(0)
 	for c := core.Context(0); c < 8; c++ {
 		for id := core.ThreadID(1); id <= 4; id++ {
 			q.push(inst(id, c))
@@ -153,7 +124,7 @@ func TestQueueLocalityInterleavedTemplates(t *testing.T) {
 }
 
 func TestQueueStealTakesNewestAndReindexes(t *testing.T) {
-	q := newReadyQueue(PolicyLocality, 0)
+	q := newReadyQueue(0)
 	q.push(inst(1, 0))
 	q.push(inst(2, 5))
 	q.push(inst(2, 6))
@@ -173,7 +144,7 @@ func TestQueueStealTakesNewestAndReindexes(t *testing.T) {
 }
 
 func TestQueuePopTimeoutUnblocksOnClose(t *testing.T) {
-	q := newReadyQueue(PolicyLocality, 0)
+	q := newReadyQueue(0)
 	done := make(chan bool)
 	start := time.Now()
 	go func() {
@@ -197,7 +168,7 @@ func TestQueuePopTimeoutUnblocksOnClose(t *testing.T) {
 
 func TestQueueReusesFreedNodes(t *testing.T) {
 	// Churning one item through a queue must not grow the node pool.
-	q := newReadyQueue(PolicyLocality, 0)
+	q := newReadyQueue(0)
 	q.push(inst(1, 0))
 	for i := 0; i < 1000; i++ {
 		it, ok, _ := q.pop(inst(1, 0))
@@ -208,12 +179,5 @@ func TestQueueReusesFreedNodes(t *testing.T) {
 	}
 	if n := len(q.nodes); n > 2 {
 		t.Fatalf("node pool grew to %d for a depth-1 workload", n)
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if PolicyLocality.String() != "locality" || PolicyFIFO.String() != "fifo" ||
-		PolicyLIFO.String() != "lifo" || Policy(99).String() != "unknown" {
-		t.Fatal("policy names wrong")
 	}
 }

@@ -29,17 +29,8 @@ type Options struct {
 	// contents). Nil keeps the paper's chunked range split. Works on both
 	// planes.
 	TSUMapping tsu.Mapping
-	// TSUTables, when non-nil, supplies pre-built frozen TSU tables: the
-	// run acquires a snapshot-backed State from them (skipping table
-	// construction and per-block in-degree computation) and releases it
-	// back to the pool when done. The tables' kernel count must equal
-	// Kernels; TSUSize and TSUMapping were fixed at NewTables time and are
-	// ignored here.
-	TSUTables *tsu.Tables
 	// TUB configures the Thread-to-Update Buffer.
 	TUB tsu.TUBConfig
-	// Policy is the ready-queue scheduling policy (default locality).
-	Policy Policy
 	// Obs, when non-nil, receives the full typed event stream (thread
 	// executions, TSU commands, TUB deposits).
 	Obs obs.Sink
@@ -99,22 +90,9 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 	if opt.Kernels <= 0 {
 		opt.Kernels = 1
 	}
-	var state *tsu.State
-	var err error
-	if opt.TSUTables != nil {
-		if opt.TSUTables.Kernels() != opt.Kernels {
-			return nil, fmt.Errorf("rts: TSUTables built for %d kernels, run wants %d", opt.TSUTables.Kernels(), opt.Kernels)
-		}
-		if opt.TSUTables.Program() != p {
-			return nil, fmt.Errorf("rts: TSUTables built for a different program")
-		}
-		state = opt.TSUTables.Acquire()
-		defer state.Release()
-	} else {
-		state, err = tsu.NewStateCfg(p, opt.Kernels, tsu.Config{MaxBlockInstances: opt.TSUSize, Mapping: opt.TSUMapping})
-		if err != nil {
-			return nil, err
-		}
+	state, err := tsu.NewStateCfg(p, opt.Kernels, tsu.Config{MaxBlockInstances: opt.TSUSize, Mapping: opt.TSUMapping})
+	if err != nil {
+		return nil, err
 	}
 	shards := opt.TSUShards
 	if shards > opt.Kernels {
@@ -144,7 +122,7 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 	if opt.Metrics != nil {
 		r.mDispatched = opt.Metrics.Counter("rts.dispatched")
 		r.mQueueDepth = opt.Metrics.Gauge("rts.queue_depth")
-		r.mThreadNS = opt.Metrics.Histogram("rts.thread_ns", obs.LatencyBuckets)
+		r.mThreadNS = opt.Metrics.Histogram("rts.thread_ns")
 		r.mTSUCommands = opt.Metrics.Counter("rts.tsu_commands")
 	}
 	if r.sink != nil {
@@ -154,7 +132,7 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 		}
 	}
 	for i := range r.queues {
-		r.queues[i] = newReadyQueue(opt.Policy, queueScan)
+		r.queues[i] = newReadyQueue(queueScan)
 	}
 	stats := &Stats{
 		Kernels:  opt.Kernels,

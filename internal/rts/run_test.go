@@ -206,18 +206,6 @@ func TestRunSingleLockTUBAblation(t *testing.T) {
 	}
 }
 
-func TestRunPolicies(t *testing.T) {
-	for _, pol := range []Policy{PolicyLocality, PolicyFIFO, PolicyLIFO} {
-		p, result := sumProgram(16, 10000)
-		if _, err := Run(p, Options{Kernels: 3, Policy: pol}); err != nil {
-			t.Fatalf("policy %v: %v", pol, err)
-		}
-		if *result != int64(10000)*(10000-1)/2 {
-			t.Fatalf("policy %v: sum = %d", pol, *result)
-		}
-	}
-}
-
 func TestRunAffinityRespected(t *testing.T) {
 	var ran atomic.Int64
 	p := core.NewProgram("aff")
@@ -339,60 +327,6 @@ func TestRunStealingCorrectAcrossWorkloadShapes(t *testing.T) {
 		}
 		if *result != int64(60000)*(60000-1)/2 {
 			t.Fatalf("kernels=%d: sum = %d", kernels, *result)
-		}
-	}
-}
-
-// TestRunWithTSUTables runs the same program repeatedly over pre-built
-// frozen tables: every run must compute the right answer and execute the
-// same instance count as a cold run, and mismatched tables must be
-// rejected rather than silently misattributed.
-func TestRunWithTSUTables(t *testing.T) {
-	const total = 50000
-	want := int64(total) * (total - 1) / 2
-	p, result := sumProgram(8, total)
-	tb, err := tsu.NewTables(p, 4, tsu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 3; run++ {
-		*result = 0
-		st, err := Run(p, Options{Kernels: 4, TSUTables: tb})
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if *result != want {
-			t.Fatalf("run %d: sum = %d, want %d", run, *result, want)
-		}
-		if got := st.TotalExecuted(); got != 9 {
-			t.Fatalf("run %d: executed %d instances, want 9", run, got)
-		}
-	}
-	if _, err := Run(p, Options{Kernels: 2, TSUTables: tb}); err == nil {
-		t.Fatal("kernel-count mismatch accepted")
-	}
-	other, _ := sumProgram(8, total)
-	if _, err := Run(other, Options{Kernels: 4, TSUTables: tb}); err == nil {
-		t.Fatal("foreign program accepted against cached tables")
-	}
-}
-
-// TestRunShardedWithTSUTables covers the sharded plane over frozen tables.
-func TestRunShardedWithTSUTables(t *testing.T) {
-	const total = 50000
-	want := int64(total) * (total - 1) / 2
-	p, result := sumProgram(16, total)
-	tb, err := tsu.NewTables(p, 4, tsu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 3; run++ {
-		*result = 0
-		if _, err := Run(p, Options{Kernels: 4, TSUShards: 2, TSUTables: tb}); err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if *result != want {
-			t.Fatalf("run %d: sum = %d, want %d", run, *result, want)
 		}
 	}
 }

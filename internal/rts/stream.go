@@ -54,10 +54,6 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	inj, err := stream.NewInjector(opt.Faults, len(p.Stages), opt.FaultLog)
-	if err != nil {
-		return stream.Stats{}, err
-	}
 	wsm, err := tsu.NewWindowed(block, slots)
 	if err != nil {
 		return stream.Stats{}, err
@@ -79,7 +75,7 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		cOpened   = reg.Counter("stream.windows_opened")
 		cRetired  = reg.Counter("stream.windows_retired")
 		gInflight = reg.Gauge("stream.inflight_windows")
-		hLatency  = reg.Histogram("stream.event_latency_ns", obs.LatencyBuckets)
+		hLatency  = reg.Histogram("stream.event_latency_ns")
 	)
 
 	// Per-slot state recycled with the SM slot: the window's WindowRef
@@ -138,8 +134,8 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 				stage := int(inst.Thread - entry)
 				win := wsm.Window(slot)
 				seq := win*W + int64(local)
-				if d := inj.Delay(stage); d > 0 {
-					time.Sleep(d)
+				if opt.Delay != nil {
+					time.Sleep(opt.Delay(stage))
 				}
 				if body := p.Stages[stage].Body; body != nil && !(stage == 0 && seq >= padFrom.Load()) {
 					body(stream.Ctx{Window: win, Slot: slot, Local: local, Seq: seq})
@@ -249,7 +245,6 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		P99:         time.Duration(hLatency.Quantile(0.99)),
 		Elapsed:     elapsed,
 		MaxInFlight: gInflight.Max(),
-		Faults:      opt.FaultLog.Count(),
 	}
 	if r, ok := src.(stream.Rater); ok {
 		st.OfferedEPS = r.Rate()

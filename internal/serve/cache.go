@@ -81,17 +81,6 @@ func (c *programCache) put(ent *cacheEntry) {
 	c.mu.Unlock()
 }
 
-// invalidate empties the cache: the next submission of every spec
-// re-resolves and re-lints. Workers keep their installed replicas; the
-// hashes simply stop being offered until re-cached (and re-hashing the
-// same spec yields the same ref, so warm workers stay warm).
-func (c *programCache) invalidate() {
-	c.mu.Lock()
-	c.entries = make(map[specKey]*cacheEntry, c.cap)
-	c.head, c.tail = nil, nil
-	c.mu.Unlock()
-}
-
 func (c *programCache) len() int {
 	c.mu.Lock()
 	n := len(c.entries)

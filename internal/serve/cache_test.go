@@ -79,13 +79,6 @@ func TestProgramCacheKeySoundness(t *testing.T) {
 	if h, m := hits.Value(), misses.Value(); h != int64(len(distinct)) || m != int64(len(distinct)) {
 		t.Fatalf("after resubmits: hits/misses = %d/%d, want %d/%d", h, m, len(distinct), len(distinct))
 	}
-
-	// Explicit invalidation forces re-resolution.
-	d.srv.InvalidateProgramCache()
-	run(distinct[0].spec, distinct[0].n)
-	if m := misses.Value(); m != int64(len(distinct))+1 {
-		t.Fatalf("after invalidate: misses = %d, want %d", m, len(distinct)+1)
-	}
 }
 
 // TestSubmitWarmPathAllocs pins the warm admission hot path at zero

@@ -172,7 +172,7 @@ func New(fleet *dist.Fleet, opt Options) (*Server, error) {
 		cFailed:      opt.Metrics.Counter("serve.failed"),
 		cCacheHits:   opt.Metrics.Counter("serve.program_cache_hits"),
 		cCacheMisses: opt.Metrics.Counter("serve.program_cache_misses"),
-		latHist:      opt.Metrics.Histogram("serve.latency_ns", obs.LatencyBuckets),
+		latHist:      opt.Metrics.Histogram("serve.latency_ns"),
 		gRunning:     opt.Metrics.Gauge("serve.running"),
 		gArena:       opt.Metrics.Gauge("serve.arena_used"),
 	}
@@ -390,16 +390,6 @@ func (s *Server) resolveProgram(spec dist.ProgramSpec) (*cacheEntry, string) {
 		s.cache.put(ent)
 	}
 	return ent, ""
-}
-
-// InvalidateProgramCache empties the admission cache, forcing the next
-// submission of every spec to re-resolve and re-lint. Use after the
-// resolver's behavior changes (new program registry contents, changed
-// builders). No-op when caching is disabled.
-func (s *Server) InvalidateProgramCache() {
-	if s.cache != nil {
-		s.cache.invalidate()
-	}
 }
 
 // schedule opens queued programs while capacity, arena space and the

@@ -16,8 +16,9 @@
 //     a window slot frees; Shed drops whole windows (never individual
 //     events — event-granular holes would leave a window's closure
 //     unable to complete, pinning its slot forever).
-//   - Injector adapts chaos plans to in-process streams, so tail
-//     latency can be measured under injected stalls.
+//   - Options.Delay is the fault-injection hook: a caller-supplied
+//     per-stage stall (chaos.Plan.StageDelay makes one from a plan), so
+//     tail latency can be measured under injected stalls.
 //
 // The run loop itself lives in internal/rts (RunStream), which imports
 // this package; keeping the types here avoids an import cycle and lets

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"tflux/internal/chaos"
 	"tflux/internal/obs"
 )
 
@@ -59,10 +58,10 @@ type Options struct {
 	// Metrics receives sustained-rate instruments under stream.* names;
 	// nil disables external export (stats are still computed).
 	Metrics *obs.Registry
-	// Faults, when non-nil, is interpreted against pipeline stages by
-	// Injector; fired faults append to FaultLog.
-	Faults   *chaos.Plan
-	FaultLog *chaos.Log
+	// Delay, when non-nil, is asked before every instance firing how long
+	// to stall that firing of the given stage — the fault-injection hook
+	// (chaos.Plan.StageDelay builds one; the caller owns its log).
+	Delay func(stage int) time.Duration
 }
 
 // DefaultSlots is the window-slot budget when Options.Slots is zero.
@@ -97,11 +96,10 @@ type Stats struct {
 	OfferedEPS  float64 // configured injection rate (0 = unbounded)
 	AchievedEPS float64 // admitted events / elapsed
 
-	// Admission-to-retire latency quantiles over admitted events
-	// (bucket-interpolated; pads excluded).
+	// Admission-to-retire latency quantiles over admitted events (pads
+	// excluded), each within 1/32 of a measured sample (obs.Histogram).
 	P50, P95, P99 time.Duration
 
 	Elapsed     time.Duration
 	MaxInFlight int64 // high-water mark of live windows
-	Faults      int   // chaos faults fired
 }

@@ -292,9 +292,6 @@ func TestRangeMappingMatchesClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if table.MappingName() != "range" {
-			t.Fatalf("MappingName = %q", table.MappingName())
-		}
 		for _, b := range p1.Blocks {
 			for _, tpl := range b.Templates {
 				for c := core.Context(0); c < tpl.Instances; c++ {

@@ -200,15 +200,6 @@ func NewStateCfg(p *core.Program, kernels int, cfg Config) (*State, error) {
 	return s, nil
 }
 
-// MappingName names the configured context→kernel policy ("range" for the
-// default closed-form split).
-func (s *State) MappingName() string {
-	if s.mapping == nil {
-		return RangeMapping{}.Name()
-	}
-	return s.mapping.Name()
-}
-
 // Kernels returns the number of kernels the TKT distributes over.
 func (s *State) Kernels() int { return s.kernels }
 

@@ -185,7 +185,10 @@ func (t *Thread) ID() ThreadID { return t.t.ID }
 // Platform configuration and result types, aliased to the internal
 // implementations (see their package docs for field-level detail).
 type (
-	// SoftOptions configures TFluxSoft (rts.Options).
+	// SoftOptions configures TFluxSoft (rts.Options): kernel count, TSU
+	// plane, mapping, size and TUB, observability, and stealing. The
+	// ready queue is not configurable: it is the paper's §3.1 locality
+	// pick.
 	SoftOptions = rts.Options
 	// SoftStats is the TFluxSoft run report (rts.Stats).
 	SoftStats = rts.Stats
@@ -222,6 +225,8 @@ type (
 	// Recorder is the in-memory event sink (obs.Recorder).
 	Recorder = obs.Recorder
 	// Metrics is the counter/gauge/histogram registry (obs.Registry).
+	// Histograms share one log-linear layout, so a reported quantile is
+	// within 1/32 of an observed sample (exact below 32).
 	Metrics = obs.Registry
 )
 
@@ -347,7 +352,8 @@ type (
 	// StreamOptions configures a streaming run (stream.Options).
 	StreamOptions = stream.Options
 	// StreamStats is the streaming run report: achieved rate, shed
-	// counts, and admission-to-retire latency quantiles (stream.Stats).
+	// counts, and admission-to-retire latency quantiles, each within
+	// 1/32 of a measured latency (stream.Stats).
 	StreamStats = stream.Stats
 	// StreamScratchDecl declares one slot-indexed scratch array for
 	// static verification (stream.ScratchDecl).
