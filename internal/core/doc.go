@@ -29,8 +29,14 @@
 //     buffers (paper §4.3), with the one region bounds predicate
 //     (InBounds) and the two checked operations (Covers, Slice) every
 //     platform that moves bytes by declared region goes through.
+//   - AccessTable / RegionIndex: a program's Access models evaluated once
+//     — one row per instance, and for the distributed data plane every
+//     distinct import region interned as a dense id in per-buffer offset
+//     order. The program builds its table the first time ddmlint or a
+//     Fleet asks (its only lock is that sync.Once) and is frozen from
+//     then on.
 //
-// The package is pure data + validation: it has no scheduling logic and no
-// concurrency. The TSU implementations (software emulator, hardware-device
-// model, Cell PPE emulator) all consume these structures.
+// The package is pure data + validation: it has no scheduling logic and
+// starts no goroutine. The TSU implementations (software emulator,
+// hardware-device model, Cell PPE emulator) all consume these structures.
 package core

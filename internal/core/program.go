@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Block is a DDM Block: the subset of a program's DThreads that is resident
@@ -37,6 +38,11 @@ type Program struct {
 	Name    string
 	Blocks  []*Block
 	Buffers []Buffer
+
+	// access is built by the first AccessTable call; a program is not
+	// copied by value.
+	accessOnce sync.Once
+	access     *AccessTable
 }
 
 // NewProgram returns an empty program with the given name.

@@ -60,6 +60,12 @@ type MemRegion struct {
 // whose partial sums travel through a tiny result buffer). A caller may
 // retain the returned slice but never writes to it, so a model must not
 // reuse one backing array for the regions of different contexts.
+//
+// A model must be pure: the same ctx gives the same regions for the life
+// of the program. ddmlint, the Fleet and its workers ask once and read
+// the answer from the program's AccessTable from then on, so a program is
+// frozen once it has been linted or opened — replacing a model, changing
+// Instances or adding a template afterwards is not seen.
 type AccessFn func(ctx Context) []MemRegion
 
 // Template is the static description of a DThread.

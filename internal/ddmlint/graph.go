@@ -107,11 +107,16 @@ func expandBlock(r *Report, p *core.Program, b *core.Block, opts Options) (*bloc
 	}
 	g.declared = make([]int64, g.n)
 	g.delivered = make([]int64, g.n)
+	// The declared ready counts sum to the edge count of any Block whose
+	// mappings agree with themselves, so the edge list is sized once.
+	var fan int64
 	for i, t := range b.Templates {
 		for ctx, d := range core.InDegrees(b, t) {
 			g.declared[g.inst(i, core.Context(ctx))] = int64(d)
+			fan += int64(d)
 		}
 	}
+	g.edges = make([]edge, 0, min(fan, int64(opts.MaxEdges)+1))
 
 	// Walk every arc through AppendTargets — the exact call sequence the
 	// TSU performs on each producer completion — recording deliveries,

@@ -46,13 +46,13 @@ func clipRegion(reg core.MemRegion, size int64) core.MemRegion {
 	return reg
 }
 
-// checkBounds expands the Block's Access models — the one place that
-// calls them — verifying that every declared MemRegion names a declared
-// buffer and stays inside its bounds (aggregated per template and
-// buffer), and leaves the access table the race and scratch-lifetime
-// passes read in g.accs: every instance with a non-empty access set, in
-// (template, context) order. What this pass rejects reaches that table
-// clipped to the buffer (out of bounds) or not at all (undeclared).
+// checkBounds reads the Block's rows of the program's access table,
+// verifying that every declared MemRegion names a declared buffer and
+// stays inside its bounds (aggregated per template and buffer), and
+// leaves what the race and scratch-lifetime passes read in g.accs: every
+// instance with a non-empty access set, in (template, context) order.
+// What this pass rejects reaches g.accs clipped to the buffer (out of
+// bounds) or not at all (undeclared).
 func (g *blockGraph) checkBounds(r *Report, bufs map[string]int32) {
 	type agg struct {
 		kind  Kind
@@ -60,6 +60,7 @@ func (g *blockGraph) checkBounds(r *Report, bufs map[string]int32) {
 		ctx   core.Context   // exemplar
 		reg   core.MemRegion // exemplar
 	}
+	tab := g.p.AccessTable()
 	for ti, t := range g.tmpls {
 		if t.Access == nil {
 			continue
@@ -67,7 +68,7 @@ func (g *blockGraph) checkBounds(r *Report, bufs map[string]int32) {
 		byBuf := make(map[string]*agg)
 		var order []string
 		for ctx := core.Context(0); ctx < t.Instances; ctx++ {
-			declared := t.Access(ctx)
+			declared := tab.Row(core.Instance{Thread: t.ID, Ctx: ctx})
 			regs, owned := declared, false
 			for i, reg := range declared {
 				// keep is what the later passes see of a region this pass

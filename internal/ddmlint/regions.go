@@ -17,6 +17,7 @@ import (
 // back to the range split for them.
 func RegionSummaries(p *core.Program) map[core.ThreadID][]tsu.CtxRegion {
 	out := make(map[core.ThreadID][]tsu.CtxRegion)
+	tab := p.AccessTable()
 	for _, b := range p.Blocks {
 		for _, t := range b.Templates {
 			if t.Access == nil || t.Instances == 0 {
@@ -26,7 +27,7 @@ func RegionSummaries(p *core.Program) map[core.ThreadID][]tsu.CtxRegion {
 			any := false
 			for ctx := core.Context(0); ctx < t.Instances; ctx++ {
 				var best core.MemRegion
-				for _, reg := range t.Access(ctx) {
+				for _, reg := range tab.Row(core.Instance{Thread: t.ID, Ctx: ctx}) {
 					if reg.Size <= 0 {
 						continue
 					}

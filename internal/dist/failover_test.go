@@ -495,6 +495,85 @@ func TestByzantineExportOffsetRejected(t *testing.T) {
 	}
 }
 
+// TestByzantineUndeclaredExportRejected: a Done that exports bytes inside
+// the buffer but outside what its instance declares must not be applied.
+// The lying node is failed over by name, its leases re-run on the honest
+// node, and the program completes with the honest bytes.
+func TestByzantineUndeclaredExportRejected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	build := func() (*core.Program, *core.SharedVariableBuffer) {
+		out := make([]uint64, 4)
+		p := core.NewProgram("byz-undeclared")
+		p.AddBuffer("out", 32)
+		tpl := core.NewTemplate(1, "w", func(ctx core.Context) { out[ctx] = uint64(ctx) + 1 })
+		tpl.Instances = 4
+		tpl.Access = func(ctx core.Context) []core.MemRegion {
+			return []core.MemRegion{{Buffer: "out", Offset: int64(ctx) * 8, Size: 8, Write: true}}
+		}
+		p.AddBlock().Add(tpl)
+		svb := core.NewSharedVariableBuffer()
+		svb.Register("out", byteview.Uint64s(out))
+		return p, svb
+	}
+
+	// Node 0: a real worker. Node 1: answers every Exec with 8 bytes over
+	// the neighbouring instance's slot.
+	go func() {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			return
+		}
+		Serve(conn, 1, build) //nolint:errcheck
+	}()
+	conns := acceptN(t, ln, 1)
+	fakeWorker(t, ln, 1, func(l *link) {
+		for {
+			f, err := l.recv()
+			if err != nil {
+				return
+			}
+			switch f.typ {
+			case ftOpenProg:
+				l.sendProgAck(f.open.Prog, "") //nolint:errcheck
+			case ftPing:
+				l.sendPong(f.seq) //nolint:errcheck
+			case ftExecBatch:
+				for _, ex := range f.execs {
+					l.sendDoneBatch([]Done{{Prog: ex.Prog, Inst: ex.Inst, Exports: []RegionData{ //nolint:errcheck
+						{Buffer: "out", Offset: int64((ex.Inst.Ctx+1)%4) * 8, Data: []byte{0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE}},
+					}}})
+				}
+			}
+		}
+	})
+	conns = append(conns, acceptN(t, ln, 1)...)
+
+	prog, svb := build()
+	st, err := CoordinateOpts(prog, svb, conns, fastFailover())
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
+	}
+	if !st.Nodes[1].Lost || !strings.Contains(st.Nodes[1].LostReason, "does not declare") {
+		t.Fatalf("node 1 not lost to its undeclared export: %+v", st.Nodes)
+	}
+	if st.Retries == 0 || st.Nodes[0].Executed != 4 {
+		t.Fatalf("the lying node's leases were not re-run on node 0: retries %d, %+v", st.Retries, st.Nodes)
+	}
+	for i := 0; i < 4; i++ {
+		if got := binary.LittleEndian.Uint64(svb.Bytes("out")[i*8:]); got != uint64(i)+1 {
+			t.Fatalf("out[%d] = %#x, want %d", i, got, i+1)
+		}
+	}
+	if st.BytesIn != 32 {
+		t.Fatalf("BytesIn = %d, want the 32 honest bytes", st.BytesIn)
+	}
+}
+
 // TestHandshakeDeadline: a connected-but-silent worker fails the
 // handshake with a clear error instead of hanging Coordinate forever.
 func TestHandshakeDeadline(t *testing.T) {

@@ -72,11 +72,11 @@ type Fleet struct {
 	stopped  bool   // set by the stop control message
 	cacheOn  bool
 	// freeTables parks the region tables of closed sessions, emptied but
-	// with their grown maps and arrays, for the next sessions to track in.
+	// with their grown arrays, for the next sessions to track in.
 	freeTables []*regionTable
-	// exportDst holds, for the Done being applied, the destination slice
-	// each export was validated against; reused across Dones.
-	exportDst [][]byte
+	// exports holds, for the Done being applied, what each export was
+	// validated against; reused across Dones.
+	exports []validExport
 
 	aliveGauge    []*obs.Gauge
 	inflightGauge []*obs.Gauge
@@ -112,14 +112,22 @@ type session struct {
 	weight int
 	onDone func(st *Stats, err error)
 
-	leases map[core.Instance]*lease
-	track  *regionTable // nil with the region cache off, and once closed
-	timers []*time.Timer
-	start  time.Time
-	closed bool
+	leases  map[core.Instance]*lease
+	regions *core.RegionIndex // what each instance imports and exports
+	track   *regionTable      // nil with the region cache off, and once closed
+	timers  []*time.Timer
+	start   time.Time
+	closed  bool
 	// pooled marks a state acquired from OpenReq.Tables; closeSession
 	// releases it back to the tables' pool after the final Stats copy.
 	pooled bool
+}
+
+// validExport is one export of a Done that passed validation: where in
+// the session's canonical buffers it lands.
+type validExport struct {
+	dst []byte
+	buf int32 // the buffer's position in the session's RegionIndex
 }
 
 // OpenReq asks the fleet to run one program as a new session.
@@ -179,35 +187,21 @@ type fleetEvent struct {
 	leaseTick bool
 }
 
-// regionTable is a session's region-cache bookkeeping. Each import region
-// key the session has shipped is one record: the region's current
-// version, which bumps whenever an applied export overlaps it, and the
-// version each node caches (a node whose copy is current is sent a
-// reference instead of the bytes). Records are found by key when an Exec
-// is built and by interval when an export lands.
+// regionTable is the mutable half of a session's region-cache
+// bookkeeping; the static half — which regions the program imports, as
+// dense ids, and where each lies in its buffer — is the program's
+// core.RegionIndex, learned once per program. Per id the session keeps
+// the region's current version, which bumps whenever an applied export
+// overlaps it, and the version each node caches (a node whose copy is
+// current is sent a reference instead of the bytes). A region is tracked
+// from its first ship: until then its version is 0 and exports pass it by,
+// so it starts at 1 whatever was exported before — the versions a table
+// that learned regions as they shipped would hand out.
 type regionTable struct {
 	nodes int
-	ids   map[regionKey]int32 // record id of each tracked region
-	ver   []uint64            // ver[id]: current version, counted from 1
-	sent  []uint64            // sent[id*nodes+node]: version node holds; 0 for none
-	bufs  map[string]int32    // buffer name → position in index
-	index []bufferIndex
-}
-
-// bufferIndex is one buffer's tracked regions sorted by offset, with the
-// largest size among them: a region that overlaps [o, e) ends after o,
-// so it starts after o-maxSize, and before e.
-type bufferIndex struct {
-	spans   []regionSpan
-	maxSize int64
-}
-
-// regionSpan is one tracked region in a bufferIndex. It holds no pointer
-// on purpose: a sorted insert moves the tail of the slice, and moving
-// pointers pays a write barrier per element where this is one memmove.
-type regionSpan struct {
-	off, end int64
-	id       int32
+	idx   *core.RegionIndex // nil while parked
+	ver   []uint64          // ver[id]: current version, counted from 1; 0 for untracked
+	sent  []uint64          // sent[id*nodes+node]: version node holds; 0 for none
 }
 
 const (
@@ -221,16 +215,25 @@ const (
 )
 
 func newRegionTable(nodes int) *regionTable {
-	return &regionTable{nodes: nodes, ids: make(map[regionKey]int32), bufs: make(map[string]int32)}
+	return &regionTable{nodes: nodes}
 }
 
-// ship notes that an Exec bound for node imports the region key, and
-// returns the region's version and whether node already caches it at that
+// open sizes the table for a session over idx, nothing tracked or held.
+func (t *regionTable) open(idx *core.RegionIndex) {
+	n := len(idx.Spans)
+	t.idx = idx
+	t.ver = slices.Grow(t.ver[:0], n)[:n]
+	t.sent = slices.Grow(t.sent[:0], n*t.nodes)[:n*t.nodes]
+	clear(t.ver)
+	clear(t.sent)
+}
+
+// ship notes that an Exec bound for node imports region id, and returns
+// the region's version and whether node already caches it at that
 // version, so that a reference will do; if not, node holds it from now on.
-func (t *regionTable) ship(key regionKey, node int) (ver uint64, cached bool) {
-	id, ok := t.ids[key]
-	if !ok {
-		id = t.track(key)
+func (t *regionTable) ship(id int32, node int) (ver uint64, cached bool) {
+	if t.ver[id] == 0 {
+		t.ver[id] = 1
 	}
 	ver = t.ver[id]
 	held := &t.sent[int(id)*t.nodes+node]
@@ -239,46 +242,18 @@ func (t *regionTable) ship(key regionKey, node int) (ver uint64, cached bool) {
 	return ver, cached
 }
 
-// track starts the record of a new key: version 1, held by no node, and
-// in its buffer's index.
-func (t *regionTable) track(key regionKey) int32 {
-	id := int32(len(t.ver))
-	t.ids[key] = id
-	t.ver = append(t.ver, 1)
-	t.sent = append(t.sent, make([]uint64, t.nodes)...)
-	bi, ok := t.bufs[key.buffer]
-	if !ok {
-		bi = int32(len(t.index))
-		t.bufs[key.buffer] = bi
-		if len(t.index) < cap(t.index) {
-			t.index = t.index[:bi+1] // reset left it empty, with its spans' capacity
-		} else {
-			t.index = append(t.index, bufferIndex{})
-		}
-	}
-	ix := &t.index[bi]
-	// After any equal offsets, so regions tracked in ascending order append.
-	at := sort.Search(len(ix.spans), func(i int) bool { return ix.spans[i].off > key.offset })
-	ix.spans = slices.Insert(ix.spans, at, regionSpan{off: key.offset, end: key.offset + key.size, id: id})
-	ix.maxSize = max(ix.maxSize, key.size)
-	return id
-}
-
-// bump advances the version of every tracked region of buffer that
+// bump advances the version of every tracked region of buffer buf that
 // overlaps the applied export [o, e).
-func (t *regionTable) bump(buffer string, o, e int64) {
-	bi, ok := t.bufs[buffer]
-	if !ok {
-		return
-	}
-	ix := &t.index[bi]
-	first := sort.Search(len(ix.spans), func(i int) bool { return ix.spans[i].off > o-ix.maxSize })
-	for _, sp := range ix.spans[first:] {
-		if sp.off >= e {
+func (t *regionTable) bump(buf int32, o, e int64) {
+	lo, hi, maxSize := t.idx.BufferSpans(buf)
+	spans, ver := t.idx.Spans[lo:hi], t.ver[lo:hi]
+	first := sort.Search(len(spans), func(i int) bool { return spans[i].Off > o-maxSize })
+	for i, sp := range spans[first:] {
+		if sp.Off >= e {
 			break
 		}
-		if o < sp.end {
-			t.ver[sp.id]++
+		if o < sp.Off+sp.Size && ver[first+i] != 0 {
+			ver[first+i]++
 		}
 	}
 }
@@ -291,15 +266,9 @@ func (t *regionTable) dropNode(node int) {
 	}
 }
 
-// reset empties the table for the next session, keeping what it grew.
+// reset empties the table for parking, keeping what it grew.
 func (t *regionTable) reset() {
-	clear(t.ids)
-	clear(t.bufs)
-	t.ver, t.sent = t.ver[:0], t.sent[:0]
-	for i := range t.index {
-		t.index[i] = bufferIndex{spans: t.index[i].spans[:0]}
-	}
-	t.index = t.index[:0]
+	t.idx, t.ver, t.sent = nil, t.ver[:0], t.sent[:0]
 }
 
 // nodeIO is the per-node dispatch state shared by every session: the
@@ -308,8 +277,9 @@ func (t *regionTable) reset() {
 // and drained by weighted round-robin.
 type nodeIO struct {
 	batch      []Exec
-	batchBytes int64 // payload bytes in batch (refs count nothing)
-	inflight   int   // leased instances currently on the node (batched included)
+	imports    []RegionData // backs every batch[i].Imports; emptied with batch
+	batchBytes int64        // payload bytes in batch (refs count nothing)
+	inflight   int          // leased instances currently on the node (batched included)
 	deferred   map[uint32][]tsu.Ready
 	rr         []uint32       // sessions with deferred work, in rotation order
 	credit     map[uint32]int // remaining WRR credit per session
@@ -733,7 +703,10 @@ func (f *Fleet) openSession(id uint32, req *OpenReq) {
 		weight: weight,
 		onDone: req.OnDone,
 		leases: make(map[core.Instance]*lease),
-		start:  time.Now(),
+		// One model call per instance if this is the program's first
+		// session and nothing linted it; none after that.
+		regions: req.Prog.AccessTable().Regions(),
+		start:   time.Now(),
 	}
 	if f.cacheOn {
 		if k := len(f.freeTables); k > 0 {
@@ -741,6 +714,7 @@ func (f *Fleet) openSession(id uint32, req *OpenReq) {
 		} else {
 			s.track = newRegionTable(f.n)
 		}
+		s.track.open(s.regions)
 	}
 	for i := range s.stats.Nodes {
 		s.stats.Nodes[i].Kernels = f.nodeKernels[i]
@@ -913,59 +887,49 @@ func (f *Fleet) complete(s *session, inst core.Instance, k tsu.KernelID) tsu.Res
 	return res
 }
 
-// countRegions returns how many of regs travel: the sized reads an Exec
-// imports (write false) or the sized writes a Done exports (write true).
-func countRegions(regs []core.MemRegion, write bool) int {
-	n := 0
-	for _, r := range regs {
-		if r.Write == write && r.Size > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // buildExec assembles the Exec for an instance bound for target,
 // re-reading import regions from the session's canonical buffers; safe
 // to repeat because exports apply only at the coordinator and an
 // instance's imports were finalized before it became ready (the same
 // invariant lets Data alias the canonical buffer until the batch
 // flushes). Regions whose version matches what target already caches
-// for this session become refs. Returns the payload bytes actually
+// for this session become refs. Imports are staged in target's arena,
+// which lives as long as its batch. Returns the payload bytes actually
 // shipped. Errors are fatal program errors.
 func (f *Fleet) buildExec(s *session, inst core.Instance, target int) (Exec, int64, error) {
 	ex := Exec{Prog: s.id, Inst: inst}
 	var shipped int64
-	tpl := s.state.Template(inst.Thread)
-	if tpl != nil && tpl.Access != nil {
-		regs := tpl.Access(inst.Ctx)
-		if n := countRegions(regs, false); n > 0 {
-			ex.Imports = make([]RegionData, 0, n)
+	nio := &f.nodes[target]
+	staged := len(nio.imports)
+	imports, _ := s.regions.Instance(inst)
+	for _, id := range imports {
+		sp := s.regions.Spans[id]
+		rdata := RegionData{Buffer: s.regions.Buffers[sp.Buf], Offset: sp.Off, Size: sp.Size}
+		var err error
+		if rdata.Data, err = s.svb.Slice(rdata.Buffer, sp.Off, sp.Size); err != nil {
+			nio.imports = nio.imports[:staged]
+			return ex, 0, fmt.Errorf("dist: import %w", err)
 		}
-		for _, r := range regs {
-			if r.Write || r.Size <= 0 {
-				continue
-			}
-			rdata, err := readRegionRef(s.svb, r)
-			if err != nil {
-				return ex, 0, fmt.Errorf("dist: import %w", err)
-			}
-			if s.track == nil {
-				shipped += rdata.Size
-			} else if rdata.Ver, rdata.Ref = s.track.ship(rdata.key(), target); rdata.Ref {
-				// Current on the worker: ship the reference only.
-				rdata.Data = nil
-				s.stats.RegionCacheHits++
-				s.stats.BytesSaved += rdata.Size
-				f.cCacheHits.Add(1)
-				f.cBytesSaved.Add(rdata.Size)
-			} else {
-				s.stats.RegionCacheMisses++
-				f.cCacheMisses.Add(1)
-				shipped += rdata.Size
-			}
-			ex.Imports = append(ex.Imports, rdata)
+		if s.track == nil {
+			shipped += rdata.Size
+		} else if rdata.Ver, rdata.Ref = s.track.ship(id, target); rdata.Ref {
+			// Current on the worker: ship the reference only.
+			rdata.Data = nil
+			s.stats.RegionCacheHits++
+			s.stats.BytesSaved += rdata.Size
+			f.cCacheHits.Add(1)
+			f.cBytesSaved.Add(rdata.Size)
+		} else {
+			s.stats.RegionCacheMisses++
+			f.cCacheMisses.Add(1)
+			shipped += rdata.Size
 		}
+		nio.imports = append(nio.imports, rdata)
+	}
+	if n := len(nio.imports); n > staged {
+		// Capacity stops at the end: the next Exec appends past it, and if
+		// that grows the arena this one keeps the array it was staged in.
+		ex.Imports = nio.imports[staged:n:n]
 	}
 	return ex, shipped, nil
 }
@@ -980,7 +944,7 @@ func (f *Fleet) flushNode(i int) {
 		return
 	}
 	if !f.alive[i] {
-		nio.batch, nio.batchBytes = nio.batch[:0], 0
+		nio.batch, nio.imports, nio.batchBytes = nio.batch[:0], nio.imports[:0], 0
 		return
 	}
 	f.cBytesOut.Add(nio.batchBytes)
@@ -1005,7 +969,7 @@ func (f *Fleet) flushNode(i int) {
 		}
 	}
 	err := f.links[i].sendExecBatch(nio.batch)
-	nio.batch, nio.batchBytes = nio.batch[:0], 0
+	nio.batch, nio.imports, nio.batchBytes = nio.batch[:0], nio.imports[:0], 0
 	if err != nil {
 		f.markDead(i, fmt.Errorf("send: %w", err))
 	}
@@ -1226,7 +1190,7 @@ func (f *Fleet) markDead(node int, reason error) {
 		f.sink.Record(obs.Event{Kind: obs.DistFailover, Lane: node, Start: f.sink.Now(), Note: reason.Error()})
 	}
 	nio := &f.nodes[node]
-	nio.batch, nio.batchBytes, nio.inflight = nio.batch[:0], 0, 0
+	nio.batch, nio.imports, nio.batchBytes, nio.inflight = nio.batch[:0], nio.imports[:0], 0, 0
 	f.setInflight(node)
 	deferred := nio.deferred
 	nio.deferred, nio.rr, nio.credit = nil, nil, nil
@@ -1312,41 +1276,54 @@ func (f *Fleet) handleDone(d *Done, node int) {
 		f.markDead(node, fmt.Errorf("dist: node %d reported out-of-range kernel %d (hosts %d)", node, d.Kernel, f.nodeKernels[node]))
 		return
 	}
-	// Validate every export before applying any. Fault attribution: an
-	// honest worker exports exactly the write regions the program's own
-	// Access model declares, so a bad export that matches the declaration
-	// is the *program* reaching outside its registered buffers (fail its
-	// session only — on a shared fleet one tenant's bad program must not
-	// cost a node), while one that doesn't match is a byzantine *node*.
-	f.exportDst = f.exportDst[:0]
+	// Validate every export before applying any. An honest worker exports
+	// exactly the sized write regions the program's own Access model
+	// declares for the instance, so an export that matches none of them
+	// convicts the *node*, in bounds or not. One that matches and still
+	// misses its buffer is the *program* reaching outside its registered
+	// buffers (fail its session only — on a shared fleet one tenant's bad
+	// program must not cost a node).
+	_, declared := s.regions.Instance(d.Inst)
+	f.exports = f.exports[:0]
 	for i := range d.Exports {
 		rdata := &d.Exports[i]
 		if rdata.Ref {
 			f.markDead(node, fmt.Errorf("dist: node %d shipped a cache reference as an export", node))
 			return
 		}
-		dst, err := s.svb.Slice(rdata.Buffer, rdata.Offset, int64(len(rdata.Data)))
-		if err != nil {
-			if s.declaresExport(d.Inst, rdata) {
-				f.closeSession(s, fmt.Errorf("dist: program %d export reaches outside its namespace: %w", d.Prog, err))
-			} else {
-				f.markDead(node, fmt.Errorf("dist: node %d export %w", node, err))
+		size := int64(len(rdata.Data))
+		buf := int32(-1)
+		for _, sp := range declared {
+			if sp.Off == rdata.Offset && sp.Size == size && s.regions.Buffers[sp.Buf] == rdata.Buffer {
+				buf = sp.Buf
+				break
 			}
+		}
+		dst, err := s.svb.Slice(rdata.Buffer, rdata.Offset, size)
+		switch {
+		case err != nil && buf >= 0:
+			f.closeSession(s, fmt.Errorf("dist: program %d export reaches outside its namespace: %w", d.Prog, err))
+			return
+		case err != nil:
+			f.markDead(node, fmt.Errorf("dist: node %d export %w", node, err))
+			return
+		case buf < 0:
+			f.markDead(node, fmt.Errorf("dist: node %d exported %q[%d,+%d), which %v does not declare", node, rdata.Buffer, rdata.Offset, size, d.Inst))
 			return
 		}
-		f.exportDst = append(f.exportDst, dst)
+		f.exports = append(f.exports, validExport{dst: dst, buf: buf})
 	}
 	delete(s.leases, d.Inst)
 	var exportBytes int64
-	for i, dst := range f.exportDst {
+	for i, ve := range f.exports {
 		rdata := &d.Exports[i]
-		copy(dst, rdata.Data)
+		copy(ve.dst, rdata.Data)
 		// The canonical bytes changed: invalidate every cached copy of
 		// any overlapping import region of this session.
 		if s.track != nil {
-			s.track.bump(rdata.Buffer, rdata.Offset, rdata.Offset+int64(len(dst)))
+			s.track.bump(ve.buf, rdata.Offset, rdata.Offset+int64(len(ve.dst)))
 		}
-		exportBytes += int64(len(dst))
+		exportBytes += int64(len(ve.dst))
 	}
 	s.stats.BytesIn += exportBytes
 	s.stats.Nodes[node].Executed++
@@ -1390,24 +1367,6 @@ func (f *Fleet) handleDone(d *Done, node int) {
 		}
 	}
 	f.drainDeferred(node)
-}
-
-// declaresExport reports whether the session's program itself declares
-// the export: a write region of inst's Access model with this exact
-// buffer, offset and length. Honest workers derive their exports from
-// the same (replica) Access model, so a declared-but-invalid export
-// convicts the program, not the node.
-func (s *session) declaresExport(inst core.Instance, rd *RegionData) bool {
-	tpl := s.state.Template(inst.Thread)
-	if tpl == nil || tpl.Access == nil {
-		return false
-	}
-	for _, r := range tpl.Access(inst.Ctx) {
-		if r.Write && r.Buffer == rd.Buffer && r.Offset == rd.Offset && r.Size == int64(len(rd.Data)) {
-			return true
-		}
-	}
-	return false
 }
 
 // handleDoneBatch applies a DoneBatch frame entry by entry. If an entry

@@ -308,31 +308,17 @@ func (l *link) recv() (frame, error) { return readFrame(l.br) }
 
 func (l *link) close() error { return l.conn.Close() }
 
-// readRegionRef resolves a region of a buffer registry without copying:
-// Data aliases the registered bytes. The coordinator uses it to append
-// import payloads straight into frame buffers; it is only safe where the
-// buffer cannot change before the frame is flushed (an instance's imports
-// are finalized before it becomes ready). A crafted MemRegion — negative
-// Size, or an Offset that would wrap Offset+Size — is an error from the
-// registry's one bounds check, not a panic.
-func readRegionRef(svb *core.SharedVariableBuffer, r core.MemRegion) (RegionData, error) {
+// readRegion copies a region out of a buffer registry. A crafted
+// MemRegion — negative Size, or an Offset that would wrap Offset+Size —
+// is an error from the registry's one bounds check, not a panic.
+func readRegion(svb *core.SharedVariableBuffer, r core.MemRegion) (RegionData, error) {
 	b, err := svb.Slice(r.Buffer, r.Offset, r.Size)
 	if err != nil {
 		return RegionData{}, err
 	}
-	return RegionData{Buffer: r.Buffer, Offset: r.Offset, Data: b, Size: r.Size}, nil
-}
-
-// readRegion is readRegionRef with a private copy of the bytes.
-func readRegion(svb *core.SharedVariableBuffer, r core.MemRegion) (RegionData, error) {
-	rd, err := readRegionRef(svb, r)
-	if err != nil {
-		return rd, err
-	}
 	out := make([]byte, r.Size)
-	copy(out, rd.Data)
-	rd.Data = out
-	return rd, nil
+	copy(out, b)
+	return RegionData{Buffer: r.Buffer, Offset: r.Offset, Data: out, Size: r.Size}, nil
 }
 
 // writeRegion applies region bytes into a buffer registry.

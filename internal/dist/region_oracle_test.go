@@ -3,6 +3,8 @@ package dist
 import (
 	"math/rand"
 	"testing"
+
+	"tflux/internal/core"
 )
 
 // trackedRegion and scanOracle are the region-cache bookkeeping that
@@ -61,15 +63,41 @@ func (o *scanOracle) bump(rdata RegionData) {
 // consumes.
 const regionOpBytes = 3
 
+// regionOp is one decoded step of a region case.
+type regionOp struct {
+	kind   int // 0 ship, 1 export, 2 node lost
+	node   int
+	buffer int
+	off    int64
+	size   int64 // of the export; a shipped region is one byte longer
+}
+
+func decodeRegionOp(p []byte, buffers int) regionOp {
+	op := regionOp{node: int(p[0]>>2) % 3, buffer: int(p[0]>>4) % buffers, off: int64(p[1] % 64), size: int64(p[2] % 24)}
+	if p[2] >= 224 {
+		op.size *= 8
+	}
+	switch code := int(p[0]) & 3; {
+	case code == 3 && p[2]%8 == 0:
+		op.kind = 2
+	case code >= 2:
+		op.kind = 1
+	}
+	return op
+}
+
 // runRegionCase interprets prog as a session's worth of region traffic —
 // imports shipped to one of three nodes, exports applied, a node lost —
-// over one to three buffers, drives tab and a fresh scanOracle with it,
-// and requires the same answer to every import and the same version
-// vector after every step. Offsets fall in a window of 64 bytes so that
-// nested, identical-offset and adjacent regions are the common case; one
-// size in eight is stretched so that the index's look-back has to reach
-// past many short regions. tab arrives empty (fresh or reset) and is
-// left as the case left it.
+// over one to three buffers. The regions are interned up front, the way
+// a session finds them: a program whose one template imports the k-th
+// shipped region in context k gives the core.RegionIndex, and tab is
+// opened over it. The case then drives tab and a fresh scanOracle, which
+// still learns regions as they ship, and requires the same answer to
+// every import and the same version vector after every step. Offsets
+// fall in a window of 64 bytes so that nested, identical-offset and
+// adjacent regions are the common case; one size in eight is stretched
+// so that the index's look-back has to reach past many short regions.
+// tab arrives parked (fresh or reset) and is left as the case left it.
 func runRegionCase(t *testing.T, tab *regionTable, prog []byte) {
 	t.Helper()
 	const nodes = 3
@@ -80,54 +108,83 @@ func runRegionCase(t *testing.T, tab *regionTable, prog []byte) {
 		return
 	}
 	buffers := []string{"A", "B", "C"}[:1+int(prog[0])%3]
+	var ops []regionOp
+	var shipped []core.MemRegion
+	for p := prog[1:]; len(p) >= regionOpBytes; p = p[regionOpBytes:] {
+		op := decodeRegionOp(p, len(buffers))
+		if op.kind == 0 {
+			shipped = append(shipped, core.MemRegion{Buffer: buffers[op.buffer], Offset: op.off, Size: op.size + 1})
+		}
+		ops = append(ops, op)
+	}
+	cp := core.NewProgram("region-case")
+	for _, name := range buffers {
+		cp.AddBuffer(name, 1<<12)
+	}
+	tpl := core.NewTemplate(1, "ship", func(core.Context) {})
+	tpl.Instances = core.Context(len(shipped))
+	tpl.Access = func(ctx core.Context) []core.MemRegion { return shipped[ctx : ctx+1] }
+	cp.AddBlock().Add(tpl)
+	idx := cp.AccessTable().Regions()
+	tab.open(idx)
+
+	idOf := make(map[regionKey]int32)
+	for ctx := range shipped {
+		ids, exports := idx.Instance(core.Instance{Thread: 1, Ctx: core.Context(ctx)})
+		if len(ids) != 1 || len(exports) != 0 {
+			t.Fatalf("context %d imports ids %v, want one", ctx, ids)
+		}
+		sp, want := idx.Spans[ids[0]], shipped[ctx]
+		if idx.Buffers[sp.Buf] != want.Buffer || sp.Off != want.Offset || sp.Size != want.Size {
+			t.Fatalf("context %d: id %d is %s[%d,+%d), the model declared %+v", ctx, ids[0], idx.Buffers[sp.Buf], sp.Off, sp.Size, want)
+		}
+		idOf[regionKey{want.Buffer, want.Offset, want.Size}] = ids[0]
+	}
+	if len(idOf) != len(idx.Spans) {
+		t.Fatalf("%d distinct regions interned as %d ids", len(idOf), len(idx.Spans))
+	}
+
 	or := newScanOracle(nodes)
 	lost := make([]bool, nodes)
-	for step, p := 0, prog[1:]; len(p) >= regionOpBytes; step, p = step+1, p[regionOpBytes:] {
-		op, node := int(p[0])&3, int(p[0]>>2)%nodes
-		buffer := buffers[int(p[0]>>4)%len(buffers)]
-		off := int64(p[1] % 64)
-		size := int64(p[2] % 24)
-		if p[2] >= 224 {
-			size *= 8
-		}
+	ctx := 0
+	for step, op := range ops {
 		switch {
-		case op == 3 && p[2]%8 == 0:
+		case op.kind == 2:
 			// A node is lost: it holds nothing from now on and is never
 			// shipped to again (the parent dropped its map).
-			lost[node] = true
-			or.nodeCache[node] = nil
-			tab.dropNode(node)
-		case op == 2 || op == 3:
+			lost[op.node] = true
+			or.nodeCache[op.node] = nil
+			tab.dropNode(op.node)
+		case op.kind == 1:
 			// An applied export; size 0 is the zero-length export a
 			// byzantine worker may send.
-			or.bump(RegionData{Buffer: buffer, Offset: off, Data: make([]byte, size)})
-			tab.bump(buffer, off, off+size)
-		case !lost[node]:
-			key := regionKey{buffer: buffer, offset: off, size: size + 1}
-			wantVer, wantCached := or.ship(key, node)
-			ver, cached := tab.ship(key, node)
+			or.bump(RegionData{Buffer: buffers[op.buffer], Offset: op.off, Data: make([]byte, op.size)})
+			tab.bump(int32(op.buffer), op.off, op.off+op.size)
+		default:
+			key := regionKey{shipped[ctx].Buffer, shipped[ctx].Offset, shipped[ctx].Size}
+			ctx++
+			if lost[op.node] {
+				break
+			}
+			wantVer, wantCached := or.ship(key, op.node)
+			ver, cached := tab.ship(idOf[key], op.node)
 			if ver != wantVer || cached != wantCached {
-				t.Fatalf("step %d: ship %+v to node %d = (v%d, cached %v), scan says (v%d, cached %v)", step, key, node, ver, cached, wantVer, wantCached)
+				t.Fatalf("step %d: ship %+v to node %d = (v%d, cached %v), scan says (v%d, cached %v)", step, key, op.node, ver, cached, wantVer, wantCached)
 			}
 		}
-		if len(tab.ids) != len(or.regions) || len(tab.ver) != len(or.regions) {
-			t.Fatalf("step %d: table tracks %d keys in %d records, scan tracks %d", step, len(tab.ids), len(tab.ver), len(or.regions))
-		}
-		for key, tr := range or.regions {
-			id, ok := tab.ids[key]
-			if !ok || tab.ver[id] != tr.ver {
-				t.Fatalf("step %d (op %d %s[%d,+%d)): region %+v at v%d, scan says v%d", step, op, buffer, off, size, key, tab.ver[id], tr.ver)
+		// The version vector: what the scan tracks, at its version; what
+		// it has not met yet, untracked.
+		for key, id := range idOf {
+			var want uint64
+			if tr := or.regions[key]; tr != nil {
+				want = tr.ver
 			}
-		}
-		for n, held := range or.nodeCache {
-			for id := range tab.ver {
-				if lost[n] && tab.sent[id*nodes+n] != 0 {
-					t.Fatalf("step %d: lost node %d still holds record %d at v%d", step, n, id, tab.sent[id*nodes+n])
-				}
+			if tab.ver[id] != want {
+				t.Fatalf("step %d (%+v): region %+v at v%d, scan says v%d", step, op, key, tab.ver[id], want)
 			}
-			for key, v := range held {
-				if got := tab.sent[int(tab.ids[key])*nodes+n]; got != v {
-					t.Fatalf("step %d: node %d holds %+v at v%d, scan says v%d", step, n, key, got, v)
+			for n, held := range or.nodeCache {
+				if got := tab.sent[int(id)*nodes+n]; got != held[key] {
+					t.Fatalf("step %d: node %d holds %+v at v%d, scan says v%d", step, n, key, got, held[key])
 				}
 			}
 		}
@@ -156,10 +213,10 @@ func regionCaseSeeds(n int) [][]byte {
 	return seeds
 }
 
-// TestRegionIndexMatchesScan holds regionTable to the scan it replaced on
-// 3 000 seeded cases. One table serves them all through reset, the way
-// the fleet's free list reuses it, so state leaking from one session into
-// the next fails here too.
+// TestRegionIndexMatchesScan holds regionTable over a static index to the
+// scan it replaced on 3 000 seeded cases. One table serves them all
+// through reset, the way the fleet's free list reuses it, so state
+// leaking from one session into the next fails here too.
 func TestRegionIndexMatchesScan(t *testing.T) {
 	tab := newRegionTable(3)
 	for _, prog := range regionCaseSeeds(3000) {

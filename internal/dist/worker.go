@@ -36,9 +36,13 @@ type Resolver func(spec ProgramSpec) (*core.Program, *core.SharedVariableBuffer,
 // bodies of different programs concurrently.
 type replica struct {
 	templates map[core.ThreadID]*core.Template
-	bufs      *core.SharedVariableBuffer
-	cache     map[regionKey]cacheEntry
-	mu        sync.Mutex
+	// access is filled under mu as instances execute, and outlives the
+	// session with a pooled replica: a node asks the models about the
+	// instances it runs, once, and about no others.
+	access *core.AccessTable
+	bufs   *core.SharedVariableBuffer
+	cache  map[regionKey]cacheEntry
+	mu     sync.Mutex
 
 	// pristine snapshots every registered buffer's content at build time
 	// so a content-addressed replica can be recycled between sessions
@@ -337,6 +341,7 @@ func buildReplica(resolve Resolver, spec ProgramSpec) (*replica, error) {
 	}
 	return &replica{
 		templates: templates,
+		access:    core.NewAccessTable(prog),
 		bufs:      bufs,
 		cache:     make(map[regionKey]cacheEntry),
 	}, nil
@@ -409,22 +414,26 @@ func execOne(rep *replica, ex Exec) (done *Done) {
 	// Collect exports from the replica. readRegion copies: the replica
 	// region may be overwritten by the next instance before the writer
 	// goroutine serializes this Done.
-	if tpl.Access != nil {
-		regs := tpl.Access(ex.Inst.Ctx)
-		if n := countRegions(regs, true); n > 0 {
-			done.Exports = make([]RegionData, 0, n)
+	regs := rep.access.Row(ex.Inst)
+	n := 0
+	for _, r := range regs {
+		if r.Write && r.Size > 0 {
+			n++
 		}
-		for _, r := range regs {
-			if !r.Write || r.Size <= 0 {
-				continue
-			}
-			rd, err := readRegion(rep.bufs, r)
-			if err != nil {
-				done.Err = "export " + err.Error()
-				return done
-			}
-			done.Exports = append(done.Exports, rd)
+	}
+	if n > 0 {
+		done.Exports = make([]RegionData, 0, n)
+	}
+	for _, r := range regs {
+		if !r.Write || r.Size <= 0 {
+			continue
 		}
+		rd, err := readRegion(rep.bufs, r)
+		if err != nil {
+			done.Err = "export " + err.Error()
+			return done
+		}
+		done.Exports = append(done.Exports, rd)
 	}
 	return done
 }
