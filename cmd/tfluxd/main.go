@@ -117,12 +117,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 			return fail(err)
 		}
 		chaosLog = chaos.NewLog()
-		distOpt.WrapConn = func(node int, c net.Conn) net.Conn { return plan.Wrap(node, c, chaosLog) }
-		// Find dead workers in tens of milliseconds rather than the
-		// production-paced defaults, so drills drain promptly.
-		distOpt.Heartbeat = 20 * time.Millisecond
-		distOpt.HeartbeatMisses = 5
-		distOpt.LeaseTimeout = 2 * time.Second
+		distOpt = distOpt.FaultDrill(func(node int, c net.Conn) net.Conn { return plan.Wrap(node, c, chaosLog) })
 	}
 
 	resolver := serve.WorkloadResolver()
@@ -178,12 +173,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 					fmt.Fprintf(stdout, "tfluxd: node %d exited: %v\n", i, werr)
 				}
 			}
-			if chaosLog != nil {
-				fmt.Fprintf(stdout, "tfluxd: chaos fired %d fault(s)\n", chaosLog.Count())
-				for _, ev := range chaosLog.Events() {
-					fmt.Fprintf(stdout, "  node %d frame %d: %s %s\n", ev.Node, ev.Frame, ev.Kind, ev.Detail)
-				}
-			}
+			chaosLog.Report(stdout, "tfluxd: chaos fired %d fault(s)\n", "  node %d frame %d")
 			srv.WriteDashboard(stdout) //nolint:errcheck
 			return 0
 		}

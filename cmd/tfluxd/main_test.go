@@ -41,15 +41,16 @@ func listenAddr(out *syncBuffer) (string, bool) {
 	return "", false
 }
 
-// TestDaemonServesAndDrains boots the daemon on an ephemeral port,
-// submits a suite benchmark as a client would, then signals it and
-// checks the graceful drain and the shutdown dashboard.
-func TestDaemonServesAndDrains(t *testing.T) {
+// serveOne boots the daemon on an ephemeral port with the given extra
+// flags, submits a suite benchmark as a client would, then signals the
+// daemon and returns what it printed once the graceful drain is over.
+func serveOne(t *testing.T, tenant string, extra ...string) string {
+	t.Helper()
 	var out, errOut syncBuffer
 	sig := make(chan os.Signal, 1)
 	code := make(chan int, 1)
 	go func() {
-		code <- run([]string{"-listen", "127.0.0.1:0", "-nodes", "2", "-kernels-per-node", "2"},
+		code <- run(append([]string{"-listen", "127.0.0.1:0", "-nodes", "2", "-kernels-per-node", "2"}, extra...),
 			&out, &errOut, sig)
 	}()
 
@@ -71,7 +72,7 @@ func TestDaemonServesAndDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes, _ := ws.Sizes(workload.Native)
-	c, err := serve.Dial(addr, "ci")
+	c, err := serve.Dial(addr, tenant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +98,32 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("daemon did not drain; stdout: %s", out.String())
 	}
-	got := out.String()
+	return out.String()
+}
+
+// TestDaemonServesAndDrains checks the graceful drain and the shutdown
+// dashboard.
+func TestDaemonServesAndDrains(t *testing.T) {
+	got := serveOne(t, "ci")
 	for _, want := range []string{"draining", "completed 1", "programs/sec", "tenant ci"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("shutdown output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestDaemonFaultDrill pins the daemon's -faults report, byte for byte:
+// node 1's link is severed at the coordinator's second frame to it, the
+// submission completes on the surviving node, and the drain names the
+// fault that fired before the dashboard.
+func TestDaemonFaultDrill(t *testing.T) {
+	got := serveOne(t, "drill", "-faults", "seed=7,plan=sever:node=1:after=1")
+	const report = "tfluxd: chaos fired 1 fault(s)\n  node 1 frame 2: sever \n"
+	if !strings.Contains(got, report) {
+		t.Fatalf("shutdown output missing the fault report %q:\n%s", report, got)
+	}
+	if i, j := strings.Index(got, report), strings.Index(got, "completed 1"); j < i {
+		t.Fatalf("dashboard (completed 1) missing or printed before the fault report:\n%s", got)
 	}
 }
 

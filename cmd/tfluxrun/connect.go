@@ -84,12 +84,7 @@ func runConnect(addr, tenant string, ws workload.Spec, param, kernels, unroll, r
 	}
 	fmt.Fprintf(stdout, "daemon:     program %d, %d failover(s), %d re-dispatch(es)\n",
 		last.Prog, last.Failovers, last.Retries)
-	if chaosLog != nil {
-		fmt.Fprintf(stdout, "chaos:      %d fault(s) fired on the client link\n", chaosLog.Count())
-		for _, ev := range chaosLog.Events() {
-			fmt.Fprintf(stdout, "  frame %d: %s %s\n", ev.Frame, ev.Kind, ev.Detail)
-		}
-	}
+	chaosLog.Report(stdout, "chaos:      %d fault(s) fired on the client link\n", "  frame %[2]d")
 
 	if err := serve.VerifyReplica(job, last.Regions); err != nil {
 		return fail(err)

@@ -413,12 +413,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fail(err)
 			}
 			chaosLog = chaos.NewLog()
-			opt.WrapConn = func(node int, c net.Conn) net.Conn { return plan.Wrap(node, c, chaosLog) }
-			// Demo-friendly detection: find dead nodes in tens of
-			// milliseconds rather than the production-paced defaults.
-			opt.Heartbeat = 20 * time.Millisecond
-			opt.HeartbeatMisses = 5
-			opt.LeaseTimeout = 2 * time.Second
+			opt = opt.FaultDrill(func(node int, c net.Conn) net.Conn { return plan.Wrap(node, c, chaosLog) })
 		}
 		st, svb, runErr := dist.RunLocalOpts(build, *nodes, kpn, opt)
 		coord, buildErr := owner(svb)
@@ -432,10 +427,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "regioncache: %d hit(s), %d miss(es), %d bytes saved\n",
 			st.RegionCacheHits, st.RegionCacheMisses, st.BytesSaved)
 		if chaosLog != nil {
-			fmt.Fprintf(stdout, "chaos:      %d fault(s) fired\n", chaosLog.Count())
-			for _, ev := range chaosLog.Events() {
-				fmt.Fprintf(stdout, "  node %d frame %d: %s %s\n", ev.Node, ev.Frame, ev.Kind, ev.Detail)
-			}
+			chaosLog.Report(stdout, "chaos:      %d fault(s) fired\n", "  node %d frame %d")
 			fmt.Fprintf(stdout, "failover:   %d node(s) lost, %d re-dispatch(es), %d duplicate Done(s) discarded\n",
 				st.Failovers, st.Retries, st.DupeDones)
 			for i, nd := range st.Nodes {
@@ -561,12 +553,7 @@ func runStreamMode(events int64, rate float64, window, slots, workers int, polic
 	if pol == stream.Shed {
 		fmt.Fprintf(stdout, "shed:       %d event(s) in %d window(s)\n", st.ShedEvents, st.ShedWindows)
 	}
-	if chaosLog != nil {
-		fmt.Fprintf(stdout, "chaos:      %d fault(s) fired\n", chaosLog.Count())
-		for _, ev := range chaosLog.Events() {
-			fmt.Fprintf(stdout, "  stage %d firing %d: %s %s\n", ev.Node, ev.Frame, ev.Kind, ev.Detail)
-		}
-	}
+	chaosLog.Report(stdout, "chaos:      %d fault(s) fired\n", "  stage %d firing %d")
 	if metrics {
 		fmt.Fprintln(stdout, "-- metrics --")
 		if err := opt.Metrics.WriteSummary(stdout); err != nil {

@@ -60,6 +60,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tfluxvet:", err)
 		return 1
 	}
+	// A flag that belongs to the other mode is refused, as tfluxrun
+	// refuses it, not ignored. The value says whether the flag is a
+	// streaming one.
+	modal := map[string]bool{
+		"window": true, "slots": true, "workers": true,
+		"size": false, "kernels": false, "unroll": false, "dot": false,
+	}
+	var misuse string
+	fs.Visit(func(f *flag.Flag) {
+		forStream, ok := modal[f.Name]
+		switch {
+		case !ok || forStream == *strm || misuse != "":
+		case forStream:
+			misuse = fmt.Sprintf("-%s requires streaming mode (-stream)", f.Name)
+		default:
+			misuse = fmt.Sprintf("-%s does not apply to streaming mode (-stream)", f.Name)
+		}
+	})
+	if misuse != "" {
+		fmt.Fprintln(stderr, "tfluxvet:", misuse)
+		return 2
+	}
 	if *strm {
 		return runStream(fs.Args(), *window, *slots, *workers, stdout, stderr)
 	}

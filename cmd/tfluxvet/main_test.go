@@ -63,6 +63,31 @@ func TestVetUsageErrors(t *testing.T) {
 	}
 }
 
+// TestVetRefusesFlagsOfTheOtherMode: a flag the chosen mode would ignore
+// is a usage error in tfluxrun's words, not a silent no-op.
+func TestVetRefusesFlagsOfTheOtherMode(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-window", "32", "MMULT"}, "-window requires streaming mode (-stream)"},
+		{[]string{"-slots", "2"}, "-slots requires streaming mode (-stream)"},
+		{[]string{"-workers", "2", "FFT"}, "-workers requires streaming mode (-stream)"},
+		{[]string{"-stream", "-size", "medium"}, "-size does not apply to streaming mode (-stream)"},
+		{[]string{"-stream", "-kernels", "8", "eventfilter"}, "-kernels does not apply to streaming mode (-stream)"},
+		{[]string{"-stream", "-unroll", "4"}, "-unroll does not apply to streaming mode (-stream)"},
+		{[]string{"-stream", "-dot", "x.dot", "eventfilter"}, "-dot does not apply to streaming mode (-stream)"},
+	} {
+		code, out, errb := runVet(t, tc.args...)
+		if code != 2 || !strings.Contains(errb, "tfluxvet: "+tc.want) {
+			t.Errorf("args %v: exit %d, stderr %q; want exit 2 naming %q", tc.args, code, errb, tc.want)
+		}
+		if out != "" {
+			t.Errorf("args %v: vetted something before refusing:\n%s", tc.args, out)
+		}
+	}
+}
+
 func TestVetStreamSuiteIsClean(t *testing.T) {
 	code, out, errb := runVet(t, "-stream")
 	if code != 0 {

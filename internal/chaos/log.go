@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -78,6 +79,20 @@ func (l *Log) Count() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.events)
+}
+
+// Report writes what a drill fired, in the words of the command that ran
+// it: header is a printf format for the number of faults, and where one
+// for a fault's (Node, Frame) position, which opens its line. A nil log
+// — no drill was asked for — writes nothing.
+func (l *Log) Report(w io.Writer, header, where string) {
+	if l == nil {
+		return
+	}
+	fmt.Fprintf(w, header, l.Count())
+	for _, ev := range l.Events() {
+		fmt.Fprintf(w, where+": %s %s\n", ev.Node, ev.Frame, ev.Kind, ev.Detail)
+	}
 }
 
 // String renders the log one event per line, in Events() order.

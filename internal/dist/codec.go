@@ -30,11 +30,11 @@ const (
 	// protoVersion 2 added program multiplexing: Exec/Done carry the
 	// owning program id, OpenProg/ProgAck/CloseProg manage per-program
 	// worker replicas, and Submit/Accept/Reject/Result carry the
-	// client↔daemon service protocol. Version 3 adds content-addressed
-	// program installs: InstallProgram ships a spec once per (worker,
-	// hash) and OpenProg may then open a session by 8-byte ref instead of
-	// re-shipping the spec.
-	protoVersion = 3
+	// client↔daemon service protocol. Version 4 retires version 3's
+	// install-then-open-by-hash pair: every OpenProg carries its spec and
+	// a flag saying whether the worker may pool the replica under it, and
+	// a successful open is no longer acknowledged.
+	protoVersion = 4
 	// maxFrame caps a frame's declared payload size. The decoder also
 	// reads payloads incrementally, so a lying length prefix cannot
 	// force a large allocation without the peer actually sending the
@@ -69,10 +69,6 @@ const (
 	ftAccept
 	ftReject
 	ftResult
-	// Content-addressed program install (protocol v3): the coordinator
-	// ships a spec once per (worker, hash); later OpenProg frames may
-	// reference it by hash alone.
-	ftInstallProgram
 )
 
 func (t frameType) String() string {
@@ -103,8 +99,6 @@ func (t frameType) String() string {
 		return "Reject"
 	case ftResult:
 		return "Result"
-	case ftInstallProgram:
-		return "InstallProgram"
 	}
 	return fmt.Sprintf("frameType(%d)", byte(t))
 }
@@ -117,14 +111,13 @@ type frame struct {
 	dones []Done
 	seq   int64 // Ping / Pong
 
-	open      OpenProg       // OpenProg
-	ack       ProgAck        // ProgAck
-	closeProg uint32         // CloseProg
-	install   InstallProgram // InstallProgram
-	submit    Submit         // Submit
-	accept    Accept         // Accept
-	reject    Reject         // Reject
-	result    Result         // Result
+	open      OpenProg // OpenProg
+	ack       ProgAck  // ProgAck
+	closeProg uint32   // CloseProg
+	submit    Submit   // Submit
+	accept    Accept   // Accept
+	reject    Reject   // Reject
+	result    Result   // Result
 }
 
 // framePool recycles encode-side buffers; each holds header space plus
@@ -395,15 +388,12 @@ func parseFrame(ft frameType, payload []byte) (frame, error) {
 		f.seq = int64(r.uvarint())
 	case ftOpenProg:
 		f.open.Prog = uint32(r.uvarint())
-		switch mode := r.byte(); mode {
-		case 0:
-			r.spec(&f.open.Spec)
-		case 1:
-			f.open.Ref = true
-			f.open.Hash = r.uvarint()
-		default:
+		mode := r.byte()
+		if mode > 1 {
 			r.fail("unknown OpenProg mode %d", mode)
 		}
+		f.open.Pooled = mode == 1
+		r.spec(&f.open.Spec)
 	case ftProgAck:
 		f.ack.Prog = uint32(r.uvarint())
 		f.ack.Err = r.str()
@@ -427,9 +417,6 @@ func parseFrame(ft frameType, payload []byte) (frame, error) {
 		f.result.Failovers = r.uvarint()
 		f.result.Retries = r.uvarint()
 		f.result.Regions = r.regions("result region")
-	case ftInstallProgram:
-		f.install.Hash = r.uvarint()
-		r.spec(&f.install.Spec)
 	default:
 		return f, fmt.Errorf("dist: unknown frame type 0x%x", byte(ft))
 	}

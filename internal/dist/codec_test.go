@@ -48,12 +48,12 @@ func sampleFrames() []frame {
 			Prog: 7,
 			Spec: ProgramSpec{Name: "matmul", Param: -64, Kernels: 4, Unroll: 2},
 		}},
-		{typ: ftOpenProg, open: OpenProg{Prog: 8, Ref: true, Hash: 0xdeadbeefcafe}},
-		{typ: ftProgAck, ack: ProgAck{Prog: 7, Err: "unknown workload \"matmul\""}},
-		{typ: ftInstallProgram, install: InstallProgram{
-			Hash: 0x1234567890abcdef,
-			Spec: ProgramSpec{Name: "trapez", Param: 1 << 20, Kernels: 8, Unroll: 16},
+		{typ: ftOpenProg, open: OpenProg{
+			Prog:   8,
+			Spec:   ProgramSpec{Name: "FFT", Param: 32, Kernels: 2, Unroll: 1},
+			Pooled: true,
 		}},
+		{typ: ftProgAck, ack: ProgAck{Prog: 7, Err: "unknown workload \"matmul\""}},
 		{typ: ftCloseProg, closeProg: 7},
 		{typ: ftSubmit, submit: Submit{
 			Seq:    42,
@@ -99,13 +99,12 @@ func encodeFrame(f frame) ([]byte, error) {
 		b = appendUvarint(b, uint64(f.seq))
 	case ftOpenProg:
 		b = appendUvarint(b, uint64(f.open.Prog))
-		if f.open.Ref {
+		if f.open.Pooled {
 			b = append(b, 1)
-			b = appendUvarint(b, f.open.Hash)
 		} else {
 			b = append(b, 0)
-			b = appendSpec(b, &f.open.Spec)
 		}
+		b = appendSpec(b, &f.open.Spec)
 	case ftProgAck:
 		b = appendUvarint(b, uint64(f.ack.Prog))
 		b = appendString(b, f.ack.Err)
@@ -129,9 +128,6 @@ func encodeFrame(f frame) ([]byte, error) {
 		b = appendUvarint(b, f.result.Failovers)
 		b = appendUvarint(b, f.result.Retries)
 		b = appendRegions(b, f.result.Regions)
-	case ftInstallProgram:
-		b = appendUvarint(b, f.install.Hash)
-		b = appendSpec(b, &f.install.Spec)
 	}
 	return finishFrame(b, f.typ)
 }
@@ -206,11 +202,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			case ftPong:
 				err = ls.sendPong(want.seq)
 			case ftOpenProg:
-				if want.open.Ref {
-					err = ls.sendOpenProgRef(want.open.Prog, want.open.Hash)
-				} else {
-					err = ls.sendOpenProg(want.open.Prog, want.open.Spec)
-				}
+				err = ls.sendOpenProg(want.open.Prog, want.open.Spec, want.open.Pooled)
 			case ftProgAck:
 				err = ls.sendProgAck(want.ack.Prog, want.ack.Err)
 			case ftCloseProg:
@@ -223,8 +215,6 @@ func TestCodecRoundTrip(t *testing.T) {
 				err = ls.sendReject(want.reject.Seq, want.reject.Reason)
 			case ftResult:
 				err = ls.sendResult(&want.result)
-			case ftInstallProgram:
-				err = ls.sendInstallProgram(want.install.Hash, want.install.Spec)
 			}
 			errc <- err
 		}()
@@ -254,6 +244,25 @@ func TestCodecBadTag(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "protocol version") {
 			t.Fatalf("tag 0x%02x: want protocol version error, got %v", tag, err)
 		}
+	}
+	// A v3 worker's Hello: its install/ref frames are gone, so it must be
+	// refused at the handshake, by version.
+	_, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{3<<4 | byte(ftHello), 1, 2})))
+	if err == nil || !strings.Contains(err.Error(), "peer speaks protocol version 3, this side 4") {
+		t.Fatalf("v3 Hello: want it refused by version, got %v", err)
+	}
+}
+
+// badModeOpenProg is a well-formed OpenProg (program 8, spec "x"/0/0/0)
+// except that its mode byte is neither cold (0) nor pooled (1).
+var badModeOpenProg = []byte{protoVersion<<4 | byte(ftOpenProg), 7, 8, 2, 1, 'x', 0, 0, 0}
+
+// TestCodecOpenProgMode: a mode byte this version does not define is
+// malformed, not read as one of the two it does.
+func TestCodecOpenProgMode(t *testing.T) {
+	_, err := readFrame(bufio.NewReader(bytes.NewReader(badModeOpenProg)))
+	if err == nil || !strings.Contains(err.Error(), "unknown OpenProg mode 2") {
+		t.Fatalf("mode 2: want it refused by name, got %v", err)
 	}
 }
 
@@ -354,6 +363,7 @@ func FuzzCodec(f *testing.F) {
 	}
 	f.Add([]byte{0x00})
 	f.Add([]byte{protoVersion<<4 | byte(ftExecBatch), 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(badModeOpenProg)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {

@@ -75,6 +75,18 @@ type Options struct {
 	WrapConn func(node int, c net.Conn) net.Conn
 }
 
+// FaultDrill returns o set up for a fault-injection drill: wrap (a chaos
+// plan's Wrap, bound to its log) goes around every coordinator-side
+// connection, and a dead node is found in tens of milliseconds rather
+// than at the production-paced defaults, so the drill ends promptly.
+func (o Options) FaultDrill(wrap func(node int, c net.Conn) net.Conn) Options {
+	o.WrapConn = wrap
+	o.Heartbeat = 20 * time.Millisecond
+	o.HeartbeatMisses = 5
+	o.LeaseTimeout = 2 * time.Second
+	return o
+}
+
 // Batching and resilience defaults.
 const (
 	defaultBatchCount       = 32

@@ -94,7 +94,6 @@ type Fleet struct {
 	cRetries      *obs.Counter
 	cDupeDones    *obs.Counter
 	cUnknownDones *obs.Counter
-	cProgInstalls *obs.Counter
 	cTSUDec       *obs.Counter
 	cTSUFired     *obs.Counter
 }
@@ -138,10 +137,11 @@ type OpenReq struct {
 	// build their replica. Coordinate leaves it zero (workers built
 	// their replica from a closure at Serve time).
 	Spec ProgramSpec
-	// Hash, when non-zero, is the content address of Spec (protocol v3):
-	// the fleet ships an InstallProgram once per (node, hash) and opens
-	// this and every later session of the same program by 8-byte ref,
-	// letting workers recycle pooled replicas instead of rebuilding.
+	// Hash, when non-zero, asserts that Spec is the program's identity —
+	// any two sessions opened with equal Specs run the same program from
+	// the same build-time bytes — so workers may recycle a pooled replica
+	// of Spec instead of rebuilding. Only zero or not is read; the value
+	// does not travel (ProgramSpec.Hash supplies one).
 	Hash uint64
 	// Tables, when non-nil, supplies pre-built frozen TSU tables for the
 	// program: the session acquires a snapshot-backed state (skipping
@@ -283,10 +283,6 @@ type nodeIO struct {
 	deferred   map[uint32][]tsu.Ready
 	rr         []uint32       // sessions with deferred work, in rotation order
 	credit     map[uint32]int // remaining WRR credit per session
-	// installed is the set of content-addressed program hashes this node
-	// holds (protocol v3). Cleared on markDead: a reconnected worker
-	// starts empty, so stale refs are never assumed.
-	installed map[uint64]bool
 }
 
 // NewFleet performs the handshake with every worker connection and
@@ -330,7 +326,6 @@ func NewFleet(conns []net.Conn, opt Options) (*Fleet, error) {
 		cRetries:      reg.Counter("dist.retries"),
 		cDupeDones:    reg.Counter("dist.dupe_done"),
 		cUnknownDones: reg.Counter("dist.unknown_done"),
-		cProgInstalls: reg.Counter("dist.program_installs"),
 		cTSUDec:       reg.Counter("tsu.decrements"),
 		cTSUFired:     reg.Counter("tsu.fired"),
 	}
@@ -725,34 +720,13 @@ func (f *Fleet) openSession(id uint32, req *OpenReq) {
 	}
 	f.sessions[id] = s
 	// Announce the program before any of its Execs can be flushed; frame
-	// ordering on each link guarantees the worker builds the replica
-	// first, so no ack round trip gates dispatch. With a content address
-	// (protocol v3) the spec itself travels at most once per (node,
-	// hash); every session after that opens by 8-byte ref, and the worker
-	// recycles a pooled replica instead of rebuilding.
+	// ordering on each link guarantees the worker has the replica first,
+	// so no ack round trip gates dispatch.
 	for i, l := range f.links {
 		if !f.alive[i] {
 			continue
 		}
-		var err error
-		if req.Hash != 0 {
-			nio := &f.nodes[i]
-			if !nio.installed[req.Hash] {
-				if err = l.sendInstallProgram(req.Hash, req.Spec); err == nil {
-					if nio.installed == nil {
-						nio.installed = make(map[uint64]bool)
-					}
-					nio.installed[req.Hash] = true
-					f.cProgInstalls.Add(1)
-				}
-			}
-			if err == nil {
-				err = l.sendOpenProgRef(id, req.Hash)
-			}
-		} else {
-			err = l.sendOpenProg(id, req.Spec)
-		}
-		if err != nil {
+		if err := l.sendOpenProg(id, req.Spec, req.Hash != 0); err != nil {
 			f.markDead(i, fmt.Errorf("open program %d: %w", id, err))
 			if s.closed {
 				return // markDead lost the last node and failed the session
@@ -1194,10 +1168,6 @@ func (f *Fleet) markDead(node int, reason error) {
 	f.setInflight(node)
 	deferred := nio.deferred
 	nio.deferred, nio.rr, nio.credit = nil, nil, nil
-	// A dead node's installed programs die with the connection: a worker
-	// that rejoins runs a fresh ServeFleet with an empty install set, so
-	// the coordinator must never assume a ref survived.
-	nio.installed = nil
 
 	failedAt := time.Now()
 	sess := f.snapshotSessions()

@@ -30,9 +30,8 @@ func suiteResolver(spec ProgramSpec) (*core.Program, *core.SharedVariableBuffer,
 }
 
 // warmFleetRun is one suite program on a started 2×1 loopback fleet, run
-// the way tfluxd runs a warm submission: opened by content address with
-// pooled TSU tables, so every session after the first recycles a worker
-// replica. This is the layer the benchmark reports as
+// the way tfluxd runs a warm submission: opened pooled, with pooled TSU
+// tables, so every session after the first recycles a worker replica. This is the layer the benchmark reports as
 // dist.fleet_run_ms.*, measurable without the bench module.
 type warmFleetRun struct {
 	f      *Fleet
@@ -87,8 +86,8 @@ func (w *warmFleetRun) newSVB() *core.SharedVariableBuffer {
 	return svb
 }
 
-// open starts the program as a new session over svb: by content address
-// with pooled TSU tables when warm, by spec alone (every worker resolves
+// open starts the program as a new session over svb: pooled on the
+// workers, with pooled TSU tables, when warm; cold (every worker resolves
 // a replica for this session only) when not. The outcome arrives on the
 // returned channel.
 func (w *warmFleetRun) open(tb testing.TB, svb *core.SharedVariableBuffer, warm bool) <-chan sessionOutcome {
@@ -152,7 +151,7 @@ func BenchmarkFleetRun(b *testing.B) {
 	} {
 		b.Run(c.tag, func(b *testing.B) {
 			w := newWarmFleetRun(b, c.name, c.param, c.unroll, suiteResolver)
-			w.run(b) // install, first replica build
+			w.run(b) // first replica build on each node
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

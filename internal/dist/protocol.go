@@ -77,11 +77,11 @@ type ProgramSpec struct {
 	Unroll  int    // DThread granularity (paper's loop-unrolling factor)
 }
 
-// Hash returns the spec's content address: FNV-1a 64 over the canonical
-// wire encoding (appendSpec), which length-prefixes the name, so two
-// distinct specs cannot alias by field concatenation. This is the wire
-// ref — correctness-critical lookups (the daemon's admission cache) key
-// on the spec itself and use the hash only as the transport name.
+// Hash returns FNV-1a 64 over the spec's canonical wire encoding
+// (appendSpec), which length-prefixes the name, so two distinct specs
+// cannot alias by field concatenation. Its only use is OpenReq.Hash, where
+// a non-zero value asserts that Spec is the program's identity; the value
+// does not travel, and workers pool replicas by the spec itself.
 func (sp *ProgramSpec) Hash() uint64 {
 	var stack [64]byte
 	b := appendSpec(stack[:0], sp)
@@ -93,33 +93,22 @@ func (sp *ProgramSpec) Hash() uint64 {
 	return h
 }
 
-// OpenProg installs a program replica on a worker before any of its
-// Execs arrive. Frame ordering on the link guarantees the worker builds
-// the replica first, so no acknowledgement round trip gates dispatch;
-// ProgAck only reports resolution/build failures. With Ref set (protocol
-// v3) the spec does not travel: Hash names a program previously shipped
-// in an InstallProgram frame, and the worker opens the session from its
-// installed copy — rejecting unknown hashes via ProgAck.
+// OpenProg opens a program replica on a worker before any of its Execs
+// arrive. Frame ordering on the link guarantees the worker has the
+// replica first, so no acknowledgement round trip gates dispatch. Pooled
+// says Spec is the program's whole identity: the worker may hand the
+// session an idle replica of the same spec, restored to its build-time
+// bytes, and takes the replica back at CloseProg. Without it the worker
+// builds a replica for this session alone.
 type OpenProg struct {
-	Prog uint32
-	Spec ProgramSpec
-	Ref  bool
-	Hash uint64
+	Prog   uint32
+	Spec   ProgramSpec
+	Pooled bool
 }
 
-// InstallProgram publishes a content-addressed program on a worker: Hash
-// is the coordinator-computed identity of Spec, and every later OpenProg
-// carrying that hash opens a session without re-shipping the spec. The
-// frame is not acknowledged — build failures surface on the first
-// ref-open's ProgAck, keeping the install path one-way like Exec
-// dispatch.
-type InstallProgram struct {
-	Hash uint64
-	Spec ProgramSpec
-}
-
-// ProgAck is the worker's response to OpenProg. An empty Err means the
-// replica is installed; a non-empty Err fails the program's session.
+// ProgAck reports that a worker could not resolve or build the replica
+// an OpenProg asked for; Err fails the program's session. A successful
+// open sends nothing.
 type ProgAck struct {
 	Prog uint32
 	Err  string
@@ -228,25 +217,14 @@ func (l *link) sendDoneBatch(dones []Done) error {
 
 func (l *link) sendShutdown() error { return l.send(ftShutdown, nil) }
 
-func (l *link) sendOpenProg(prog uint32, spec ProgramSpec) error {
+func (l *link) sendOpenProg(prog uint32, spec ProgramSpec, pooled bool) error {
+	var mode byte // 0: a replica for this session alone; 1: pooled by spec
+	if pooled {
+		mode = 1
+	}
 	return l.send(ftOpenProg, func(b []byte) []byte {
 		b = appendUvarint(b, uint64(prog))
-		b = append(b, 0) // mode 0: full spec
-		return appendSpec(b, &spec)
-	})
-}
-
-func (l *link) sendOpenProgRef(prog uint32, hash uint64) error {
-	return l.send(ftOpenProg, func(b []byte) []byte {
-		b = appendUvarint(b, uint64(prog))
-		b = append(b, 1) // mode 1: content-addressed ref
-		return appendUvarint(b, hash)
-	})
-}
-
-func (l *link) sendInstallProgram(hash uint64, spec ProgramSpec) error {
-	return l.send(ftInstallProgram, func(b []byte) []byte {
-		b = appendUvarint(b, hash)
+		b = append(b, mode)
 		return appendSpec(b, &spec)
 	})
 }

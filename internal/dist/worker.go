@@ -35,6 +35,7 @@ type Resolver func(spec ProgramSpec) (*core.Program, *core.SharedVariableBuffer,
 // programs' replicas have independent locks, so one node can run
 // bodies of different programs concurrently.
 type replica struct {
+	spec      ProgramSpec // what it was built from: its key in the idle pool
 	templates map[core.ThreadID]*core.Template
 	// access is filled under mu as instances execute, and outlives the
 	// session with a pooled replica: a node asks the models about the
@@ -45,8 +46,8 @@ type replica struct {
 	mu     sync.Mutex
 
 	// pristine snapshots every registered buffer's content at build time
-	// so a content-addressed replica can be recycled between sessions
-	// (set only for installed programs).
+	// so the replica can be recycled between sessions; nil for a replica
+	// built for one session (a cold open), which is never recycled.
 	pristine map[string][]byte
 	// pending counts Execs queued to kernel goroutines but not yet
 	// completed. The recv loop increments before queueing and reads it at
@@ -55,20 +56,9 @@ type replica struct {
 	pending atomic.Int32
 }
 
-// maxReplicaPool caps how many idle recycled replicas an installed
-// program keeps per worker; beyond that, closed sessions are left to
-// the GC.
+// maxReplicaPool caps how many idle recycled replicas a worker keeps
+// per spec; beyond that, closed sessions are left to the GC.
 const maxReplicaPool = 4
-
-// installEntry is one content-addressed program on a worker: the spec it
-// was installed with (for collision detection), a build error if the
-// install failed (reported at every ref-open), and a pool of idle
-// replicas restored to pristine buffer contents.
-type installEntry struct {
-	spec ProgramSpec
-	err  string
-	pool []*replica
-}
 
 // workItem is one Exec queued to a kernel goroutine, resolved to its
 // replica at receive time (imports already staged).
@@ -93,11 +83,12 @@ func Serve(conn net.Conn, kernels int, build func() (*core.Program, *core.Shared
 }
 
 // ServeFleet runs one worker node that can host many programs at once:
-// it announces its kernel count, installs a program replica per
-// OpenProg frame (resolving the spec through resolve), executes Execs
-// against the owning replica, and drops replicas on CloseProg. It runs
-// until the coordinator sends Shutdown or the connection drops,
-// returning nil on a clean shutdown.
+// it announces its kernel count, gives every OpenProg frame a program
+// replica (resolving the spec through resolve, or recycling an idle
+// replica of a pooled spec), executes Execs against the owning replica,
+// and drops or recycles it on CloseProg. It runs until the coordinator
+// sends Shutdown or the connection drops, returning nil on a clean
+// shutdown.
 //
 // Imports are staged into the replica in frame order as ExecBatch
 // frames arrive; full payloads are also retained in the replica's
@@ -184,15 +175,14 @@ func ServeFleet(conn net.Conn, kernels int, resolve Resolver) error {
 		}()
 	}()
 
-	// replicas is touched only by this recv loop; kernel goroutines get
-	// replica pointers through their queues, so a CloseProg delete never
-	// races an in-flight body. installed/refOf track the content-addressed
-	// programs (protocol v3): installs are per-connection state, so a
-	// worker that reconnects after markDead starts empty and the
-	// coordinator must re-install.
+	// replicas and idle are touched only by this recv loop; kernel
+	// goroutines get replica pointers through their queues, so a CloseProg
+	// delete never races an in-flight body. idle holds, per spec, the
+	// pristine replicas that pooled sessions left behind. It keys on the
+	// spec itself, so two programs can never share a replica, and it lives
+	// as long as the connection: a worker that reconnects starts empty.
 	replicas := make(map[uint32]*replica)
-	installed := make(map[uint64]*installEntry)
-	refOf := make(map[uint32]uint64)
+	idle := make(map[ProgramSpec][]*replica)
 	reps := make([]*replica, 0, 64) // per-frame staging scratch
 
 	for {
@@ -201,76 +191,29 @@ func ServeFleet(conn net.Conn, kernels int, resolve Resolver) error {
 			return fmt.Errorf("dist worker: %w", err)
 		}
 		switch f.typ {
-		case ftInstallProgram:
-			// Unacknowledged by design; failures surface on the first
-			// ref-open's ProgAck. A duplicate install with a different spec
-			// means the 8-byte address space collided (or the coordinator
-			// lies): poison the entry rather than guess which spec wins.
-			if ent, ok := installed[f.install.Hash]; ok {
-				if ent.spec != f.install.Spec {
-					ent.err = fmt.Sprintf("program ref %#x hash collision: installed as %+v, re-installed as %+v", f.install.Hash, ent.spec, f.install.Spec)
-				}
-				continue
-			}
-			ent := &installEntry{spec: f.install.Spec}
-			if rep, err := buildReplica(resolve, f.install.Spec); err != nil {
-				ent.err = err.Error()
-			} else {
-				rep.snapshotPristine()
-				ent.pool = append(ent.pool, rep)
-			}
-			installed[f.install.Hash] = ent
 		case ftOpenProg:
-			if f.open.Ref {
-				ent := installed[f.open.Hash]
-				var rep *replica
-				var openErr string
-				switch {
-				case ent == nil:
-					openErr = fmt.Sprintf("unknown program ref %#x (not installed on this worker)", f.open.Hash)
-				case ent.err != "":
-					openErr = ent.err
-				case len(ent.pool) > 0:
-					rep = ent.pool[len(ent.pool)-1]
-					ent.pool = ent.pool[:len(ent.pool)-1]
-				default:
-					var err error
-					if rep, err = buildReplica(resolve, ent.spec); err != nil {
-						openErr = err.Error()
-					} else {
-						rep.snapshotPristine()
-					}
-				}
-				if openErr != "" {
-					l.sendProgAck(f.open.Prog, openErr) //nolint:errcheck // conn errors surface in recv
-					continue
-				}
-				replicas[f.open.Prog] = rep
-				refOf[f.open.Prog] = f.open.Hash
-				l.sendProgAck(f.open.Prog, "") //nolint:errcheck // conn errors surface in recv
-				continue
-			}
-			rep, err := buildReplica(resolve, f.open.Spec)
-			if err != nil {
+			spec := f.open.Spec
+			var rep *replica
+			if pool := idle[spec]; f.open.Pooled && len(pool) > 0 {
+				rep, idle[spec] = pool[len(pool)-1], pool[:len(pool)-1]
+			} else if rep, err = buildReplica(resolve, spec); err != nil {
+				// The one thing an open reports: nothing was built.
 				l.sendProgAck(f.open.Prog, err.Error()) //nolint:errcheck // conn errors surface in recv
 				continue
+			} else if f.open.Pooled {
+				rep.snapshotPristine()
 			}
 			replicas[f.open.Prog] = rep
-			l.sendProgAck(f.open.Prog, "") //nolint:errcheck // conn errors surface in recv
 		case ftCloseProg:
 			rep := replicas[f.closeProg]
 			delete(replicas, f.closeProg)
-			if h, ok := refOf[f.closeProg]; ok {
-				delete(refOf, f.closeProg)
-				// Recycle only when no body is still in flight (a dropped
-				// lease can close a program whose Execs are mid-run): an
-				// in-flight body may still write the buffers the pristine
-				// restore just rewrote.
-				if ent := installed[h]; ent != nil && rep != nil &&
-					rep.pending.Load() == 0 && len(ent.pool) < maxReplicaPool {
-					rep.restorePristine()
-					ent.pool = append(ent.pool, rep)
-				}
+			// Recycle a pooled replica only when no body is still in flight
+			// (a dropped lease can close a program whose Execs are mid-run):
+			// an in-flight body may still write the buffers the pristine
+			// restore just rewrote.
+			if rep != nil && rep.pristine != nil && rep.pending.Load() == 0 && len(idle[rep.spec]) < maxReplicaPool {
+				rep.restorePristine()
+				idle[rep.spec] = append(idle[rep.spec], rep)
 			}
 		case ftExecBatch:
 			reps = reps[:0]
@@ -340,6 +283,7 @@ func buildReplica(resolve Resolver, spec ProgramSpec) (*replica, error) {
 		}
 	}
 	return &replica{
+		spec:      spec,
 		templates: templates,
 		access:    core.NewAccessTable(prog),
 		bufs:      bufs,
@@ -348,8 +292,7 @@ func buildReplica(resolve Resolver, spec ProgramSpec) (*replica, error) {
 }
 
 // snapshotPristine captures every registered buffer's build-time content
-// so the replica can be recycled between sessions of the same installed
-// program.
+// so the replica can be recycled between sessions of the same spec.
 func (rep *replica) snapshotPristine() {
 	rep.pristine = make(map[string][]byte)
 	for _, name := range rep.bufs.Names() {

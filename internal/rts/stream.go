@@ -38,6 +38,11 @@ import (
 // belongs to window seq/W at local index seq%W. With the Shed policy,
 // whole windows are dropped at admission when no slot is free; their
 // events are consumed from the source and counted as shed.
+//
+// A stage body that panics aborts the run, not the process: the first
+// panic is kept as the returned error, the injector stops admitting, and
+// the windows already in flight retire with their remaining bodies and
+// their Export skipped, the way pad instances skip the entry body.
 func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (stream.Stats, error) {
 	if p == nil || src == nil {
 		return stream.Stats{}, fmt.Errorf("rts: RunStream needs a pipeline and a source")
@@ -122,6 +127,19 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 	)
 	closeWork := func() { closeOnce.Do(func() { close(work) }) }
 
+	// runErr is the first body panic; once set, the run is aborting.
+	var runErr atomic.Pointer[error]
+	runBody := func(stage int, body stream.Body, c stream.Ctx) {
+		defer func() {
+			if r := recover(); r != nil {
+				err := fmt.Errorf("rts: stream stage %d (%s) panicked in window %d at seq %d: %v",
+					stage, p.Stages[stage].Name, c.Window, c.Seq, r)
+				runErr.CompareAndSwap(nil, &err)
+			}
+		}()
+		body(c)
+	}
+
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -137,8 +155,8 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 				if opt.Delay != nil {
 					time.Sleep(opt.Delay(stage))
 				}
-				if body := p.Stages[stage].Body; body != nil && !(stage == 0 && seq >= padFrom.Load()) {
-					body(stream.Ctx{Window: win, Slot: slot, Local: local, Seq: seq})
+				if body := p.Stages[stage].Body; body != nil && runErr.Load() == nil && !(stage == 0 && seq >= padFrom.Load()) {
+					runBody(stage, body, stream.Ctx{Window: win, Slot: slot, Local: local, Seq: seq})
 				}
 				buf = wsm.AppendConsumers(buf[:0], inst)
 				for _, tgt := range buf {
@@ -158,7 +176,7 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 						hLatency.ObserveDuration(now.Sub(admit[slot][l]))
 					}
 				}
-				if p.Export != nil {
+				if p.Export != nil && runErr.Load() == nil {
 					p.Export(win, slot)
 				}
 				// Leave the gauge before freeing the slot: the injector may
@@ -182,7 +200,7 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		curShed bool
 		curNext core.Context // next local index in the current window
 	)
-	for {
+	for runErr.Load() == nil {
 		seq, ok := src.Next()
 		if !ok {
 			break
@@ -230,6 +248,9 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		closeWork()
 	}
 	wg.Wait()
+	if err := runErr.Load(); err != nil {
+		return stream.Stats{}, *err
+	}
 
 	elapsed := time.Since(start)
 	st := stream.Stats{

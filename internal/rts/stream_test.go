@@ -1,6 +1,7 @@
 package rts
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,6 +149,51 @@ func TestRunStreamEmptySource(t *testing.T) {
 	}
 	if st.Events != 0 || st.Windows != 0 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestStreamBodyPanicAborts: a panicking stage body costs one run, not
+// the process. The filter stage panics at seq 5 of a 100 000-event stream;
+// RunStream must return an error naming the stage, window and seq, stop
+// admitting long before the source ends, never export the window that
+// lost a body, and let every in-flight window retire — under Block (the
+// injector may be parked waiting for a slot) and under Shed.
+func TestStreamBodyPanicAborts(t *testing.T) {
+	const n, w = 100000, 8
+	for _, policy := range []stream.Policy{stream.Block, stream.Shed} {
+		t.Run(policy.String(), func(t *testing.T) {
+			p, counts := countingPipeline(w, n)
+			p.Stages[1].Body = func(c stream.Ctx) {
+				if c.Seq == 5 {
+					panic("boom")
+				}
+			}
+			var exportedFirst atomic.Bool
+			p.Export = func(win int64, _ int) {
+				if win == 0 {
+					exportedFirst.Store(true)
+				}
+			}
+			_, err := RunStream(p, stream.NewCountSource(n, 0), stream.Options{Slots: 2, Workers: 4, Policy: policy})
+			if err == nil {
+				t.Fatal("RunStream returned no error after a body panicked")
+			}
+			for _, want := range []string{"boom", "stage 1 (filter)", "window 0", "seq 5"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("err = %v, want it to name %q", err, want)
+				}
+			}
+			if exportedFirst.Load() {
+				t.Fatal("window 0 was exported although one of its bodies panicked")
+			}
+			var ran int
+			for i := range counts {
+				ran += int(counts[i].Load())
+			}
+			if ran > n/2 {
+				t.Fatalf("%d of %d entry bodies ran: admission did not stop at the panic", ran, n)
+			}
+		})
 	}
 }
 

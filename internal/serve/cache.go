@@ -9,8 +9,9 @@ import (
 
 // specKey is the admission cache's identity: every field the resolver
 // and builder read. The map keys on the struct itself — not on a hash —
-// so two distinct specs can never collide; the FNV hash stored in the
-// entry is only the wire-level ref the fleet ships to workers.
+// so two distinct specs can never collide. Workers pool replicas by the
+// same rule; the FNV hash stored in the entry only tells the fleet that
+// it may ask them to (dist.OpenReq.Hash).
 type specKey struct {
 	name    string
 	param   int
@@ -21,7 +22,7 @@ type specKey struct {
 // cacheEntry memoizes everything admission computed for one spec: the
 // built program, its source buffers, the lint verdict (caching only
 // happens after the gate passed), the buffer-fit verdict (need = aligned
-// arena bytes), the frozen TSU tables and the wire ref. Entries are
+// arena bytes), the frozen TSU tables and the pooling mark. Entries are
 // immutable once published; the LRU links are guarded by the cache
 // mutex.
 type cacheEntry struct {

@@ -30,9 +30,9 @@ type Snapshot struct {
 	// CacheHits and CacheMisses count admission-cache outcomes (a hit
 	// skips resolve + lint + TSU table construction).
 	CacheHits, CacheMisses int64
-	// P50 and P99 are admission-to-completion latency quantiles
-	// (linearly interpolated within buckets) from the serve.latency_ns
-	// histogram.
+	// P50 and P99 are admission-to-completion latency quantiles from the
+	// serve.latency_ns histogram: bucket midpoints, within 1/32 of a
+	// sample.
 	P50, P99 time.Duration
 	// ArenaUsed / ArenaSize is the canonical-buffer arena occupancy.
 	ArenaUsed, ArenaSize int64

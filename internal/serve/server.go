@@ -45,12 +45,12 @@ type Options struct {
 	// the runtime guards hold without it.
 	DisableLint bool
 	// ProgramCache caps the admission cache: resolved program identities
-	// (spec → built program, lint verdict, frozen TSU tables, wire ref)
-	// memoized across submissions, so a warm Submit skips Build + lint
-	// and its sessions skip TSU table construction and worker replica
-	// builds. 0 selects 64 entries; negative disables caching (every
-	// submission resolves from scratch, protocol falls back to full-spec
-	// opens).
+	// (spec → built program, lint verdict, frozen TSU tables) memoized
+	// across submissions, so a warm Submit skips Build + lint and its
+	// sessions skip TSU table construction and, opened pooled, worker
+	// replica builds. 0 selects 64 entries; negative disables caching
+	// (every submission resolves from scratch and every worker builds a
+	// replica per session).
 	ProgramCache int
 	// WriteTimeout bounds each client-bound frame write. Default 10s.
 	WriteTimeout time.Duration
@@ -96,7 +96,7 @@ type program struct {
 	spec      dist.ProgramSpec
 	prog      *core.Program
 	src       *core.SharedVariableBuffer // resolver's buffers (inputs)
-	hash      uint64                     // content address (0: cache disabled)
+	hash      uint64                     // dist.OpenReq.Hash (0: cache disabled)
 	tables    *tsu.Tables                // frozen TSU tables (nil: cache disabled)
 	overlay   []dist.RegionData          // client-supplied input regions
 	ob        *outbox

@@ -7,8 +7,8 @@
 // A DDM program is a set of DThreads — sequential code blocks scheduled in
 // dataflow order: a DThread becomes runnable when all of its producers
 // have completed. Programs are built with the fluent builder in this
-// package and executed, unchanged, on any of the three platform
-// implementations:
+// package and executed, unchanged, on any of the five platform
+// implementations — the paper's three, then two this reproduction adds:
 //
 //   - RunSoft — TFluxSoft: goroutine Kernels plus a software TSU-emulator
 //     (native execution, like the paper's 8-core Xeon runs).
@@ -17,6 +17,13 @@
 //     interface and MESI-coherent caches (like the paper's Simics runs).
 //   - RunCell — TFluxCell: a Cell/BE substrate where DThreads run on
 //     Local-Store-limited SPEs and all shared data moves by DMA.
+//   - RunDistLocal — TFluxDist: worker nodes with private replicas of the
+//     shared buffers, a coordinating TSU, and the declared imports and
+//     exports as the only data movement between them.
+//   - RunVirtual — natively timed bodies scheduled in virtual time on
+//     more Kernels than the host has cores.
+//
+// RunStream runs a windowed pipeline over an event stream on TFluxSoft.
 //
 // Minimal example (map + reduce):
 //
@@ -54,8 +61,8 @@ import (
 	"tflux/internal/vtime"
 )
 
-// Core model types, aliased from the internal model so all three platform
-// implementations and the public API share one program representation.
+// Core model types, aliased from the internal model so every platform
+// implementation and the public API share one program representation.
 type (
 	// Context is the dynamic instance index of a loop DThread.
 	Context = core.Context
