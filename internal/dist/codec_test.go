@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"reflect"
 	"runtime"
@@ -146,9 +147,11 @@ func normalizeRegions(regions []RegionData) []RegionData {
 	return regions
 }
 
-// normalizeFrame maps nil and empty slices to one form so DeepEqual
-// compares content, not allocation history.
+// normalizeFrame maps nil and empty slices to one form, and drops the
+// receive buffer a frame was decoded into, so DeepEqual compares content,
+// not allocation history.
 func normalizeFrame(f *frame) {
+	f.rx = nil
 	if len(f.execs) == 0 {
 		f.execs = nil
 	}
@@ -352,23 +355,37 @@ func TestReadRegionNegativeSize(t *testing.T) {
 
 // FuzzCodec throws raw bytes at the frame decoder. It must never panic;
 // whatever decodes successfully must re-encode to a frame that decodes
-// to the same value (round-trip stability).
+// to the same value (round-trip stability). Every input is decoded twice:
+// into a fresh buffer, and into a recycled one — a receive buffer that
+// has decoded every sample frame, with buffer names interned, and is
+// poisoned before each use — and the two must agree, error for error and
+// frame for frame.
 func FuzzCodec(f *testing.F) {
+	recycled, names := new(rxBuf), make(map[string]string)
 	for _, fr := range sampleFrames() {
 		wire, err := encodeFrame(fr)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(wire)
+		if _, err := decodeFrame(bufio.NewReader(bytes.NewReader(wire)), recycled, names); err != nil {
+			f.Fatal(err)
+		}
 	}
 	f.Add([]byte{0x00})
 	f.Add([]byte{protoVersion<<4 | byte(ftExecBatch), 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add(badModeOpenProg)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
+		recycled.poison()
+		again, againErr := decodeFrame(bufio.NewReader(bytes.NewReader(data)), recycled, names)
+		if fmt.Sprint(err) != fmt.Sprint(againErr) {
+			t.Fatalf("fresh decode: %v; recycled decode: %v", err, againErr)
+		}
 		if err != nil {
 			return
 		}
+		normalizeFrame(&again)
 		wire, err := encodeFrame(fr)
 		if err != nil {
 			t.Fatalf("decoded frame %+v failed to re-encode: %v", fr, err)
@@ -381,6 +398,9 @@ func FuzzCodec(f *testing.F) {
 		normalizeFrame(&fr2)
 		if !reflect.DeepEqual(fr, fr2) {
 			t.Fatalf("round trip drift:\nfirst  %+v\nsecond %+v", fr, fr2)
+		}
+		if !reflect.DeepEqual(fr, again) {
+			t.Fatalf("recycled decode differs:\nfresh    %+v\nrecycled %+v", fr, again)
 		}
 	})
 }

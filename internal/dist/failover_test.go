@@ -45,6 +45,7 @@ func fastFailover() Options {
 // original because batching coalesces dispatches into far fewer
 // frames; the scenario — two nodes lost mid-run — is unchanged.)
 func TestChaosSeverFailover(t *testing.T) {
+	poisonRecycled(t)
 	const spec = "seed=7,plan=sever:node=1:after=1;sever:node=2:after=1:midframe=true"
 	runMMult := func(plan *chaos.Plan, log *chaos.Log, reg *obs.Registry) (*Stats, *core.SharedVariableBuffer, workload.Job) {
 		t.Helper()
@@ -158,6 +159,7 @@ func TestChaosSeverFailover(t *testing.T) {
 // drainDeferred is still holding its head. A lost node costs re-dispatches,
 // never the coordinator, and the bytes are those of a local run.
 func TestChaosSeverDuringDrain(t *testing.T) {
+	poisonRecycled(t)
 	plan, err := chaos.ParseSpec("seed=7,plan=sever:node=1:after=1;sever:node=2:after=2:midframe=true")
 	if err != nil {
 		t.Fatal(err)

@@ -19,6 +19,7 @@ import (
 // (OpenReq.Hash set: one build per node, every later session recycles
 // that replica) and eight times when opened cold.
 func TestFleetPooledSessions(t *testing.T) {
+	poisonRecycled(t)
 	const sessions = 4
 	for _, tc := range []struct {
 		name       string
@@ -188,8 +189,10 @@ func TestWorkerReplicaPool(t *testing.T) {
 }
 
 // TestReplicaPristineRestore pins the recycling invariant: a recycled
-// replica's buffers carry the build-time bytes and an empty region
-// cache, no matter what the previous session wrote.
+// replica's buffers carry the build-time bytes and no valid region cache
+// entry, no matter what the previous session wrote. Entries stay, with
+// their storage, for the next session to re-cache into; a reference to
+// one is refused like a reference to nothing.
 func TestReplicaPristineRestore(t *testing.T) {
 	rep, err := buildReplica(func(ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error) {
 		p, svb := distSum(4, 10)()
@@ -212,8 +215,14 @@ func TestReplicaPristineRestore(t *testing.T) {
 	if rep.bufs.Bytes("out")[3] != 0 {
 		t.Fatal("out not restored")
 	}
-	if len(rep.cache) != 0 {
-		t.Fatalf("region cache survived recycling: %d entries", len(rep.cache))
+	for key, ent := range rep.cache {
+		if ent.ver != 0 {
+			t.Fatalf("region cache entry %+v survived recycling at v%d", key, ent.ver)
+		}
+	}
+	ref := RegionData{Buffer: "parts", Offset: 0, Size: 8, Ref: true, Ver: 9}
+	if err := stageImports(rep, &Exec{Imports: []RegionData{ref}}); err == nil {
+		t.Fatal("a reference to an invalidated cache entry was staged")
 	}
 }
 

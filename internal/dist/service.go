@@ -51,9 +51,10 @@ type ServiceFrame struct {
 
 // Recv reads the next service frame, rejecting worker-protocol frames —
 // a client that dials a worker port (or vice versa) fails with a clear
-// error instead of desynchronizing.
+// error instead of desynchronizing. The frame is decoded into a buffer of
+// its own, never recycled: its regions end up in a Submit or an Outcome.
 func (sc *ServiceConn) Recv() (ServiceFrame, error) {
-	f, err := sc.l.recv()
+	f, err := sc.l.recvInto(new(rxBuf))
 	if err != nil {
 		return ServiceFrame{}, err
 	}

@@ -113,8 +113,10 @@ func TestSubmitWarmPathAllocs(t *testing.T) {
 
 // TestWarmColdIdenticalOutputs runs the same submission stream against a
 // cache-disabled daemon and a cache-enabled one: every program's output
-// bytes must be identical — the cache is invisible except in speed.
+// bytes must be identical — the cache is invisible except in speed. The
+// fleet's released receive buffers are poisoned throughout.
 func TestWarmColdIdenticalOutputs(t *testing.T) {
+	poisonRecycled(t)
 	const rounds = 12
 	type result struct{ out []byte }
 	collect := func(cacheCap int) ([]result, int64) {
