@@ -14,9 +14,7 @@
 //
 // Native experiments (fig6, fig7, part of unroll) measure wall clock on
 // multicore hosts and fall back to the virtual-time model on single-core
-// hosts; the simulated experiments are deterministic. Row output formats:
-// -format table (default), csv, or chart (text bars like the paper's
-// figures).
+// hosts; the simulated experiments are deterministic.
 package main
 
 import (
@@ -49,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reps    = fs.Int("reps", 0, "native repetitions per measurement (0 = default)")
 		maxK    = fs.Int("maxkernels", 0, "cap kernel counts (0 = paper configurations)")
 		verbose = fs.Bool("v", false, "print per-configuration progress")
-		format  = fs.String("format", "table", "row output format: table|csv|chart")
 		mode    = fs.String("mode", "auto", "software-platform timing: auto|wallclock|virtual")
 		metrics = fs.Bool("metrics", false, "print a runtime metrics summary after each experiment")
 		jsonOut = fs.String("json", "", "write machine-readable results (JSON rows) to this file; - for stdout")
@@ -68,13 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	o := exp.Options{Quick: *quick, Reps: *reps, MaxKernels: *maxK, Mode: timing}
 	if *verbose {
 		o.Progress = func(s string) { fmt.Fprintln(stderr, s) }
-	}
-	render, ok := map[string]func([]exp.Row) string{
-		"table": exp.Format, "csv": exp.CSV, "chart": exp.Chart,
-	}[*format]
-	if !ok {
-		fmt.Fprintf(stderr, "tfluxbench: unknown format %q\n", *format)
-		return 2
 	}
 
 	selected := exp.Experiments
@@ -110,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		allRows = append(allRows, rows...)
-		fmt.Fprintf(stdout, "== %s ==\n%s", e.Title, render(rows))
+		fmt.Fprintf(stdout, "== %s ==\n%s", e.Title, exp.Format(rows))
 		if e.Figure {
 			fmt.Fprintln(stdout, exp.Summary(rows))
 		}

@@ -165,3 +165,25 @@ func TestFleetShapeFlagsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultsRefusePlanRefused pins that a fault kind no injector honours
+// stops the daemon before it listens: "refuse" used to parse and then
+// fire nothing on any worker link.
+func TestFaultsRefusePlanRefused(t *testing.T) {
+	var out, errOut syncBuffer
+	sig := make(chan os.Signal, 1)
+	code := make(chan int, 1)
+	go func() {
+		code <- run([]string{"-listen", "127.0.0.1:0", "-faults", "seed=3,plan=refuse:node=1"}, &out, &errOut, sig)
+	}()
+	select {
+	case rc := <-code:
+		if rc != 1 || !strings.Contains(errOut.String(), "unknown fault kind") {
+			t.Errorf("exit %d, stderr %q", rc, errOut.String())
+		}
+	case <-time.After(2 * time.Second):
+		sig <- os.Interrupt
+		<-code
+		t.Errorf("a daemon started: %s", out.String())
+	}
+}

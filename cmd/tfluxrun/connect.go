@@ -13,17 +13,6 @@ import (
 	"tflux/internal/workload"
 )
 
-// connectIncompatible lists the flags that configure a local
-// coordinator and its fleet — meaningless when -connect hands the run
-// to a tfluxd daemon that owns both.
-var connectIncompatible = []string{
-	"platform", "nodes", "dist-batch", "dist-batch-bytes", "dist-window",
-	"dist-no-cache", "trace-out", "trace", "metrics", "gantt", "dot", "vet",
-	"tsu-shards", "tsu-map",
-	"stream-events", "stream-rate", "stream-window", "stream-slots",
-	"stream-policy", "stream-faults",
-}
-
 // runConnect executes the benchmark by submitting it to a tfluxd
 // daemon: the spec goes over the wire, the daemon and its workers
 // resolve it, and the Result's buffers are verified locally against a

@@ -10,10 +10,16 @@
 // Benchmarks: TRAPEZ, MMULT, QSORT, SUSAN, FFT. Sizes follow Table 1 and
 // depend on the platform.
 //
+// There are three kinds of run: a batch benchmark on one of the five
+// platforms, a -connect submission to tfluxd, and a -stream-events run.
+// Each flag is accepted by the runs that can honour it (the scope table
+// in this file) and is an error, not ignored, on any other.
+//
 // Observability: -trace-out FILE writes a Chrome trace-event JSON file of
 // the run (open it at ui.perfetto.dev or chrome://tracing); -metrics
 // prints the runtime metrics registry and a per-lane event summary.
-// Both work on the soft, hard, cell, and dist platforms.
+// Both work on the soft, hard, cell and dist platforms; -metrics also on
+// streaming runs.
 //
 // Streaming mode: -stream-events N runs the EVENTFILTER streaming
 // pipeline (decode → filter → aggregate over recycled window slots)
@@ -43,10 +49,7 @@
 // TSU-emulator goroutine with N kernel-stepped shards — parallel readiness
 // bookkeeping; -tsu-map range|rr|locality overrides the TKT context→kernel
 // assignment on the soft, hard and cell platforms, where locality derives
-// the mapping from the program's declared Access regions (ddmlint). A
-// flag the chosen platform has nothing to apply to (-tsu-map on dist or
-// virtual; -tsu-shards or -gantt anywhere but soft; -nodes and the
-// -dist-* family anywhere but dist) is an error, not ignored.
+// the mapping from the program's declared Access regions (ddmlint).
 //
 // Data-plane tuning (dist platform): -nodes worker nodes share -kernels,
 // which must be a positive multiple of it; -dist-batch, -dist-batch-bytes
@@ -71,10 +74,9 @@
 // Client mode: -connect ADDR submits the benchmark to a running tfluxd
 // daemon instead of hosting a platform locally, verifying the returned
 // buffers against a local replica; -tenant names the submitting tenant.
-// Coordinator-side flags (-platform, -nodes, -dist-batch, ...) are
-// rejected with -connect — the daemon owns the fleet — while
-// -dist-faults composes with it by injecting faults on the client's own
-// connection to the daemon.
+// The daemon owns the fleet, so it takes only the flags that describe the
+// program (-bench, -size, -kernels, -unroll) and -reps, plus -dist-faults,
+// which injects faults on the client's own connection to the daemon.
 package main
 
 import (
@@ -84,6 +86,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"time"
 
 	"tflux/internal/cellsim"
@@ -105,22 +108,94 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// platforms is what run needs to know about each -platform value to
-// validate the flags and size the problem; what a platform reports after
-// the run (cache misses, shard fires, traffic, chaos log) is printed by
-// the code that ran it.
-var platforms = map[string]struct {
-	sizes   workload.Platform // Table 1 column
-	tsuMap  bool              // owns a tsu.State locally: accepts -tsu-map
-	softTSU bool              // is the soft runtime: accepts -tsu-shards and -gantt
-	dist    bool              // hosts a local fleet: accepts -nodes and the -dist-* family
-	events  bool              // records obs events for -trace-out and -metrics
+// platforms maps each -platform value to its Table 1 size column.
+var platforms = map[string]workload.Platform{
+	"soft": workload.Native, "hard": workload.Simulated, "cell": workload.Cell,
+	"dist": workload.Native, "virtual": workload.Native,
+}
+
+// runs names the kinds of run a command line can ask for, in the bit
+// order of a runSet: a batch benchmark on one of the five platforms, a
+// -connect submission to tfluxd, or a -stream-events run.
+var runs = []string{"soft", "hard", "cell", "dist", "virtual", "connect", "stream"}
+
+// runSet is a set of runs; bit i stands for runs[i].
+type runSet uint8
+
+const (
+	onSoft runSet = 1 << iota
+	onHard
+	onCell
+	onDist
+	onVirtual
+	onConnect
+	onStream
+
+	onBatch  = onSoft | onHard | onCell | onDist | onVirtual
+	onTraced = onSoft | onHard | onCell | onDist // the platforms that record obs events
+)
+
+// scope lists, for every flag, the runs that accept it; a flag set on any
+// other run is refused, never ignored. Rows are checked in order and the
+// first refusal is the one reported, so the mode flags come first: a
+// wrong mode explains every flag after it.
+var scope = []struct {
+	flag string
+	runs runSet
 }{
-	"soft":    {workload.Native, true, true, false, true},
-	"hard":    {workload.Simulated, true, false, false, true},
-	"cell":    {workload.Cell, true, false, false, true},
-	"dist":    {workload.Native, false, false, true, true},
-	"virtual": {workload.Native, false, false, false, false},
+	{"tenant", onConnect},
+	{"connect", onBatch | onConnect | onStream}, // empty: host the run locally
+	{"stream-events", onBatch | onStream},       // 0: a batch run
+	{"stream-rate", onStream},
+	{"stream-window", onStream},
+	{"stream-slots", onStream},
+	{"stream-policy", onStream},
+	{"stream-faults", onStream},
+	{"bench", onBatch | onConnect},
+	{"platform", onBatch},
+	{"size", onBatch | onConnect},
+	{"kernels", onBatch | onConnect | onStream},
+	{"nodes", onDist},
+	{"unroll", onBatch | onConnect},
+	{"tsu-shards", onSoft},
+	{"tsu-map", onSoft | onHard | onCell}, // the platforms that own a tsu.State locally
+	{"reps", onBatch | onConnect},
+	{"dot", onBatch},
+	{"trace-out", onTraced},
+	{"metrics", onTraced | onStream},
+	{"gantt", onSoft},
+	{"vet", onBatch | onStream},
+	{"dist-faults", onDist | onConnect}, // with -connect it wraps the client's own link
+	{"dist-batch", onDist},
+	{"dist-batch-bytes", onDist},
+	{"dist-window", onDist},
+	{"dist-no-cache", onDist},
+}
+
+// checkScope refuses the first set flag that a run of this kind does not
+// accept, in the words that name what is wrong with the command line.
+func checkScope(set map[string]bool, kind string) error {
+	i := slices.Index(runs, kind)
+	if i < 0 {
+		return fmt.Errorf("unknown platform %q", kind)
+	}
+	for _, row := range scope {
+		if !set[row.flag] || row.runs&(1<<i) != 0 {
+			continue
+		}
+		switch {
+		case kind == "connect":
+			return fmt.Errorf("-%s configures a local coordinator and is incompatible with -connect (the daemon owns the fleet; tune it on the tfluxd side)", row.flag)
+		case row.runs == onConnect:
+			return fmt.Errorf("-%s only applies to -connect submissions", row.flag)
+		case kind == "stream":
+			return fmt.Errorf("-%s does not apply to streaming mode (-stream-events)", row.flag)
+		case row.runs == onStream:
+			return fmt.Errorf("-%s requires streaming mode (-stream-events N)", row.flag)
+		}
+		return fmt.Errorf("-%s is not supported on the %s platform", row.flag, kind)
+	}
+	return nil
 }
 
 // run is the testable command body; it returns the process exit code.
@@ -164,36 +239,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Client mode hands the fleet to the daemon: flags that configure a
-	// local coordinator contradict it and are rejected rather than
-	// silently ignored. -dist-faults stays legal — it wraps the client's
-	// own connection to the daemon (see runConnect).
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *connect != "" {
-		for _, name := range connectIncompatible {
-			if set[name] {
-				return fail(fmt.Errorf("-%s configures a local coordinator and is incompatible with -connect (the daemon owns the fleet; tune it on the tfluxd side)", name))
-			}
-		}
-	} else if set["tenant"] {
-		return fail(fmt.Errorf("-tenant only applies to -connect submissions"))
+	kind := *platform
+	switch {
+	case *connect != "":
+		kind = "connect"
+	case *streamEvents > 0:
+		kind = "stream"
 	}
-
-	// Streaming mode replaces the batch benchmark entirely.
-	if *streamEvents > 0 {
-		for _, name := range []string{"bench", "platform", "size", "unroll", "nodes", "trace-out", "gantt", "dot"} {
-			if set[name] {
-				return fail(fmt.Errorf("-%s does not apply to streaming mode (-stream-events)", name))
-			}
-		}
+	if err := checkScope(set, kind); err != nil {
+		return fail(err)
+	}
+	if kind == "stream" {
 		return runStreamMode(*streamEvents, *streamRate, *streamWindow, *streamSlots,
 			*kernels, *streamPolicy, *streamFaults, *vet, *metrics, stdout, stderr)
-	}
-	for _, name := range []string{"stream-rate", "stream-window", "stream-slots", "stream-policy", "stream-faults"} {
-		if set[name] {
-			return fail(fmt.Errorf("-%s requires streaming mode (-stream-events N)", name))
-		}
 	}
 
 	spec, err := workload.ByName(*bench)
@@ -204,23 +264,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	plat, ok := platforms[*platform]
-	if !ok {
-		return fail(fmt.Errorf("unknown platform %q", *platform))
-	}
-	// -dist-faults with -connect wraps the client's own connection instead.
-	faults := plat.dist || *connect != ""
-	for _, f := range []struct {
-		name     string
-		accepted bool
-	}{{"tsu-map", plat.tsuMap}, {"tsu-shards", plat.softTSU}, {"gantt", plat.softTSU},
-		{"nodes", plat.dist}, {"dist-batch", plat.dist}, {"dist-batch-bytes", plat.dist},
-		{"dist-window", plat.dist}, {"dist-no-cache", plat.dist}, {"dist-faults", faults}} {
-		if set[f.name] && !f.accepted {
-			return fail(fmt.Errorf("-%s is not supported on the %s platform", f.name, *platform))
-		}
-	}
-	if plat.dist {
+	if kind == "dist" {
 		// The nodes share the kernels evenly, so the header, job.Build and
 		// the worker replicas must all see one total.
 		if *nodes < 1 {
@@ -232,12 +276,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 				*kernels, *nodes, lo, lo+*nodes))
 		}
 	}
-	sizes, ok := spec.Sizes(plat.sizes)
+	sizes, ok := spec.Sizes(platforms[*platform])
 	if !ok {
 		return fail(fmt.Errorf("%s is not evaluated on platform %s (the paper's Figure 7 omits it)", spec.Name, *platform))
 	}
 	param := sizes[cls]
-	if *connect != "" {
+	if kind == "connect" {
 		return runConnect(*connect, *tenant, spec, param, *kernels, *unroll, *reps, *distFaults, stdout, stderr)
 	}
 	job := spec.Make(param)
@@ -262,7 +306,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	// The mapping policies plug into every platform that owns a tsu.State
-	// locally (platforms' tsuMap column). The locality policy is derived
+	// locally (scope's -tsu-map row). The locality policy is derived
 	// from the program's declared Access regions by the linter's region
 	// summarizer.
 	var mapping tsu.Mapping
@@ -297,10 +341,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *metrics {
 		reg = obs.NewRegistry()
-	}
-	if !plat.events && sink != nil {
-		fmt.Fprintf(stderr, "tfluxrun: the %s platform records no events; -trace-out/-metrics are ignored\n", *platform)
-		rec, sink, reg = nil, nil, nil
 	}
 	lanes := *kernels // compute lanes in the exported trace
 
@@ -339,7 +379,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The simulated platform counts cycles against a simulated baseline;
 	// the others time the native sequential algorithm first.
 	var seqT, parT time.Duration
-	if plat.sizes != workload.Simulated {
+	if platforms[*platform] != workload.Simulated {
 		seqT = stats.Min(stats.Measure(*reps, job.RunSequential))
 	}
 	switch *platform {

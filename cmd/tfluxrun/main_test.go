@@ -185,13 +185,16 @@ func TestRunDistFaultsDocumentedRecipe(t *testing.T) {
 	}
 }
 
-// TestRunDistFaultsBadSpec pins the flag's error path.
+// TestRunDistFaultsBadSpec pins the flag's error path: an unknown kind,
+// and "refuse", which used to parse and then fire nothing.
 func TestRunDistFaultsBadSpec(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-bench", "TRAPEZ", "-platform", "dist",
-		"-dist-faults", "plan=meteor-strike"}, &out, &errb)
-	if code != 1 || !strings.Contains(errb.String(), "unknown fault kind") {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	for _, plan := range []string{"plan=meteor-strike", "seed=3,plan=refuse:node=1"} {
+		var out, errb bytes.Buffer
+		code := run([]string{"-bench", "TRAPEZ", "-platform", "dist", "-reps", "1",
+			"-dist-faults", plan}, &out, &errb)
+		if code != 1 || !strings.Contains(errb.String(), "unknown fault kind") {
+			t.Fatalf("%s: exit %d, stderr: %s", plan, code, errb.String())
+		}
 	}
 }
 
@@ -371,12 +374,14 @@ func TestRunStreamVetGate(t *testing.T) {
 	}
 }
 
-// TestRunRejectsFlagsThePlatformCannotHonour pins the platforms table:
-// a tuning flag on a platform that has nothing to apply it to is refused
-// with one message shape, never dropped (-gantt off the soft platform
-// used to be, and so were -nodes and the -dist-* family off dist).
+// TestRunRejectsFlagsThePlatformCannotHonour pins the platform columns of
+// the scope table: a flag on a platform that has nothing to apply it to is
+// refused with one message shape, never dropped (-gantt off the soft
+// platform used to be, and so were -nodes and the -dist-* family off
+// dist, and -trace-out and -metrics on virtual).
 func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 	offDist := []string{"soft", "hard", "cell", "virtual"}
+	trace := filepath.Join(t.TempDir(), "t.json")
 	forbidden := []struct {
 		flag      []string
 		platforms []string
@@ -390,6 +395,8 @@ func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 		{[]string{"-dist-window", "2"}, offDist},
 		{[]string{"-dist-no-cache"}, offDist},
 		{[]string{"-dist-faults", "seed=1,plan=sever:node=1:after=1"}, offDist},
+		{[]string{"-trace-out", trace}, []string{"virtual"}},
+		{[]string{"-metrics"}, []string{"virtual"}},
 	}
 	refused := func(args []string, want string) {
 		t.Helper()
@@ -409,19 +416,20 @@ func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 			refused(args, f.flag[0]+" is not supported on the "+platform+" platform")
 		}
 	}
-	// The list above is written out, not derived, so a new platform or
-	// capability has to be decided here too.
+	// The list above is written out, not derived, so a new platform or a
+	// new row that some platforms refuse has to be decided here too. Rows
+	// no platform accepts (-tenant, -stream-rate, ...) are refused in
+	// other words (TestRunStreamErrors, TestRunConnectIncompatibleFlags).
 	inTable := 0
-	for _, p := range platforms {
-		for _, accepted := range []bool{p.tsuMap, p.softTSU, p.softTSU,
-			p.dist, p.dist, p.dist, p.dist, p.dist, p.dist} {
-			if !accepted {
+	for _, row := range scope {
+		for bit := onSoft; bit&onBatch != 0; bit <<= 1 {
+			if row.runs&onBatch != 0 && row.runs&bit == 0 {
 				inTable++
 			}
 		}
 	}
 	if inTable != pairs {
-		t.Fatalf("platforms table forbids %d (flag, platform) pairs, this test covers %d", inTable, pairs)
+		t.Fatalf("scope table refuses %d (flag, platform) pairs, this test covers %d", inTable, pairs)
 	}
 
 	// The command line that used to exit 0 having injected nothing.
@@ -442,6 +450,58 @@ func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 		{[]string{"-nodes", "2", "-kernels", "0"}, "2 and 4"},
 	} {
 		refused(append([]string{"-bench", "TRAPEZ", "-platform", "dist", "-reps", "1"}, c.args...), c.want)
+	}
+}
+
+// TestRunStreamRefusesBatchTuning pins the streaming column of the scope
+// table: flags that tune a batch run are refused in streaming mode, where
+// each of these used to be dropped and the run still printed "verify: ok".
+func TestRunStreamRefusesBatchTuning(t *testing.T) {
+	for _, flag := range [][]string{
+		{"-tsu-shards", "4"}, {"-tsu-map", "rr"}, {"-reps", "2"},
+		{"-dist-window", "2"}, {"-dist-no-cache"}, {"-dist-faults", "seed=1,plan=sever:node=1:after=1"},
+		{"-dist-batch", "4"}, {"-dist-batch-bytes", "4096"},
+	} {
+		var out, errb bytes.Buffer
+		args := append([]string{"-stream-events", "2000"}, flag...)
+		if code := run(args, &out, &errb); code != 1 {
+			t.Errorf("%v: exit %d, want 1 (stdout: %s)", args, code, out.String())
+		}
+		if want := flag[0] + " does not apply to streaming mode"; !strings.Contains(errb.String(), want) {
+			t.Errorf("%v: stderr %q, want %q", args, errb.String(), want)
+		}
+	}
+}
+
+// TestScopeCoversEveryFlag pins the scope table against the flag set: every
+// flag -h lists has a row, so a new flag must have its runs decided, and
+// every row names a flag, so a deleted one cannot linger in the table (the
+// old -connect list still named -trace after it was removed).
+func TestScopeCoversEveryFlag(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errb); code != 2 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	flags := map[string]bool{}
+	for _, line := range strings.Split(errb.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			flags[strings.Fields(name)[0]] = true
+		}
+	}
+	rows := map[string]bool{}
+	for _, row := range scope {
+		if rows[row.flag] {
+			t.Errorf("-%s has two rows", row.flag)
+		}
+		rows[row.flag] = true
+		if !flags[row.flag] {
+			t.Errorf("scope row -%s names no flag", row.flag)
+		}
+	}
+	for name := range flags {
+		if !rows[name] {
+			t.Errorf("-%s has no scope row", name)
+		}
 	}
 }
 

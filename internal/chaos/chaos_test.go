@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -163,76 +164,17 @@ func TestLatencyRampAndJitterDeterministic(t *testing.T) {
 	}
 }
 
-func TestDialerRefuse(t *testing.T) {
-	plan := &Plan{Seed: 1, Rules: []Rule{{Kind: Refuse, Node: 1}}}
-	log := NewLog()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			c.Close()
-		}
-	}()
-	d := plan.Dialer(log)
-	if c, err := d.Dial("tcp", ln.Addr().String()); err != nil {
-		t.Fatalf("conn 0 refused: %v", err)
-	} else {
-		c.Close()
-	}
-	if _, err := d.Dial("tcp", ln.Addr().String()); !errors.Is(err, ErrRefused) {
-		t.Fatalf("conn 1 err = %v, want ErrRefused", err)
-	}
-	if evs := log.Events(); len(evs) != 1 || evs[0].Kind != "refuse" || evs[0].Node != 1 {
-		t.Fatalf("events = %v", evs)
-	}
-}
-
-func TestListenerRefuseClosesConn(t *testing.T) {
-	plan := &Plan{Seed: 1, Rules: []Rule{{Kind: Refuse, Node: 0}}}
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := plan.Listen(inner, NewLog())
-	defer ln.Close()
-	go func() {
-		c, err := net.Dial("tcp", inner.Addr().String())
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		// The refused peer observes EOF.
-		buf := make([]byte, 1)
-		c.Read(buf) //nolint:errcheck
-	}()
-	c, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Write([]byte("x")); err == nil {
-		t.Fatal("write on refused conn succeeded")
-	}
-}
-
 func TestParseSpec(t *testing.T) {
-	p, err := ParseSpec("seed=7,plan=sever:node=1:after=40:midframe=true;latency:dur=1ms:jitter=500us;refuse:node=2")
+	p, err := ParseSpec("seed=7,plan=sever:node=1:after=40:midframe=true;latency:dur=1ms:jitter=500us")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 7 || len(p.Rules) != 3 {
+	if p.Seed != 7 || len(p.Rules) != 2 {
 		t.Fatalf("plan = %+v", p)
 	}
 	want := []Rule{
 		{Kind: Sever, Node: 1, After: 40, MidFrame: true},
 		{Kind: Latency, Node: -1, Dur: time.Millisecond, Jitter: 500 * time.Microsecond},
-		{Kind: Refuse, Node: 2},
 	}
 	if !reflect.DeepEqual(p.Rules, want) {
 		t.Fatalf("rules = %+v, want %+v", p.Rules, want)
@@ -242,9 +184,26 @@ func TestParseSpec(t *testing.T) {
 	if err != nil || p.Seed != 1 || p.Rules[0].Kind != Throttle || p.Rules[0].Rate != 1024 {
 		t.Fatalf("bare spec: %+v, %v", p, err)
 	}
-	for _, bad := range []string{"", "seed=7", "seed=x,plan=sever", "bogus:after=1", "sever:after", "sever:after=x", "sever:nope=1"} {
+	for _, bad := range []string{"", "seed=7", "seed=x,plan=sever", "bogus:after=1", "sever:after", "sever:after=x", "sever:nope=1",
+		"latency:delay=1ms"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
+		}
+	}
+}
+
+// TestParseSpecRefusesRefuse pins that a kind no injector honours is a
+// parse error naming the kinds there are, not a plan that fires nothing:
+// "refuse" used to parse, and then no -dist-faults or tfluxd -faults run
+// ever refused a connection.
+func TestParseSpecRefusesRefuse(t *testing.T) {
+	_, err := ParseSpec("refuse:node=1")
+	if err == nil {
+		t.Fatal("refuse:node=1 parsed")
+	}
+	for k := Latency; k <= Sever; k++ {
+		if !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("error %q does not name %q", err, k)
 		}
 	}
 }

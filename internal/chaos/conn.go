@@ -13,9 +13,6 @@ import (
 // cut.
 var ErrSevered = errors.New("chaos: connection severed by plan")
 
-// ErrRefused is returned by a Dialer whose plan refuses the connection.
-var ErrRefused = errors.New("chaos: connection refused by plan")
-
 // activeRule is one rule plus its per-connection firing state. One-shot
 // rules (stalls, sever) fire once; continuous rules (latency, throttle)
 // use fired only to log their activation once.
@@ -75,7 +72,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 			if f > r.After {
 				if !r.fired {
 					r.fired = true
-					c.log.add(c.node, "latency", f, r.describe())
+					c.log.add(c.node, r.Kind.String(), f, r.describe())
 				}
 				d := r.Dur + c.jitter(r.Jitter)
 				if r.Ramp > 0 {
@@ -87,14 +84,14 @@ func (c *Conn) Write(b []byte) (int, error) {
 			if f > r.After && r.Rate > 0 {
 				if !r.fired {
 					r.fired = true
-					c.log.add(c.node, "throttle", f, r.describe())
+					c.log.add(c.node, r.Kind.String(), f, r.describe())
 				}
 				time.Sleep(time.Duration(int64(len(b)) * int64(time.Second) / r.Rate))
 			}
 		case StallWrite:
 			if !r.fired && f > r.After {
 				r.fired = true
-				c.log.add(c.node, "stall-write", f, r.describe())
+				c.log.add(c.node, r.Kind.String(), f, r.describe())
 				time.Sleep(r.Dur)
 			}
 		case Sever:
@@ -104,7 +101,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 				if r.MidFrame && len(b) > 1 {
 					c.inner.Write(b[:len(b)/2]) //nolint:errcheck // partial delivery is the fault
 				}
-				c.log.add(c.node, "sever", f, r.describe())
+				c.log.add(c.node, r.Kind.String(), f, r.describe())
 				c.inner.Close() //nolint:errcheck
 				return 0, ErrSevered
 			}
@@ -127,7 +124,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 		r := &c.rules[i]
 		if r.Kind == StallRead && !r.fired && f > r.After {
 			r.fired = true
-			c.log.add(c.node, "stall-read", f, r.describe())
+			c.log.add(c.node, r.Kind.String(), f, r.describe())
 			time.Sleep(r.Dur)
 		}
 	}
@@ -151,61 +148,3 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.inner.SetReadDeadli
 
 // SetWriteDeadline implements net.Conn.
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }
-
-// Dialer dials connections under the plan: the i-th Dial gets connection
-// index i, Refuse rules reject it, everything else is wrapped.
-type Dialer struct {
-	plan *Plan
-	log  *Log
-	next atomic.Int64
-}
-
-// Dialer returns a dialer executing the plan, logging to log (may be
-// nil).
-func (p *Plan) Dialer(log *Log) *Dialer { return &Dialer{plan: p, log: log} }
-
-// Dial connects and wraps, or refuses per the plan.
-func (d *Dialer) Dial(network, addr string) (net.Conn, error) {
-	node := int(d.next.Add(1) - 1)
-	if d.plan.refuses(node) {
-		d.log.add(node, "refuse", 0, "")
-		return nil, ErrRefused
-	}
-	c, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return d.plan.Wrap(node, c, d.log), nil
-}
-
-// Listener accepts connections under the plan: the i-th accepted
-// connection gets index i; a Refuse rule closes it immediately (the
-// peer sees EOF), other rules wrap it.
-type Listener struct {
-	net.Listener
-	plan *Plan
-	log  *Log
-	next atomic.Int64
-}
-
-// Listen wraps ln with the plan, logging to log (may be nil).
-func (p *Plan) Listen(ln net.Listener, log *Log) *Listener {
-	return &Listener{Listener: ln, plan: p, log: log}
-}
-
-// Accept implements net.Listener. Refused connections are returned
-// already closed, so the caller's first use fails rather than Accept
-// itself — a refused peer must not halt the accept loop.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	node := int(l.next.Add(1) - 1)
-	if l.plan.refuses(node) {
-		l.log.add(node, "refuse", 0, "")
-		c.Close() //nolint:errcheck
-		return c, nil
-	}
-	return l.plan.Wrap(node, c, l.log), nil
-}

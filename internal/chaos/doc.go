@@ -3,19 +3,20 @@
 // repository).
 //
 // A Plan is a declarative schedule of faults — fixed or ramping latency,
-// bandwidth throttling, one-way read/write stalls, mid-frame connection
-// severs, and connection refusal — plus a rand.Source seed that drives
-// any randomized component (latency jitter). Wrapping a net.Conn with
-// Plan.Wrap yields a connection that executes the schedule; Plan.Dialer
-// and Plan.Listen produce endpoints that additionally honour Refuse
-// rules at connection-establishment time.
+// bandwidth throttling, one-way read/write stalls and mid-frame
+// connection severs — plus a rand.Source seed that drives any randomized
+// component (latency jitter). Wrapping a net.Conn with Plan.Wrap yields a
+// connection that executes the schedule; Plan.StageDelay interprets the
+// same plan against the stages of an in-process stream pipeline.
+// ParseSpec reads the textual form the CLIs take (tfluxrun -dist-faults
+// and -stream-faults, tfluxd -faults).
 //
 // Determinism is the point: the same Plan and seed fire the same faults
 // at the same frame counts on every run, and every fired fault is
 // appended to a Log whose contents are reproducible (events are ordered
 // by connection index and per-connection firing order, never by wall
 // clock), so a test can assert exactly which faults fired and replay a
-// failure byte-for-byte.
+// failure byte-for-byte. Log.Report renders it.
 //
 // A "frame" is one Write (or, for read-side faults, one Read) call on
 // the wrapped connection. The TFluxDist binary protocol writes exactly

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -18,16 +17,7 @@ type Event struct {
 	Seq    int    // firing order within the connection
 	Kind   string // fault kind name ("sever", "latency", ...)
 	Frame  int64  // frame count at firing time
-	Detail string // rule parameters, e.g. "delay=1ms jitter=500µs"
-}
-
-// String renders the event as one line.
-func (e Event) String() string {
-	s := fmt.Sprintf("node %d frame %d: %s", e.Node, e.Frame, e.Kind)
-	if e.Detail != "" {
-		s += " (" + e.Detail + ")"
-	}
-	return s
+	Detail string // rule parameters, e.g. "dur=1ms jitter=500µs"
 }
 
 // Log collects fired-fault events from every connection of a Plan. It is
@@ -93,14 +83,4 @@ func (l *Log) Report(w io.Writer, header, where string) {
 	for _, ev := range l.Events() {
 		fmt.Fprintf(w, where+": %s %s\n", ev.Node, ev.Frame, ev.Kind, ev.Detail)
 	}
-}
-
-// String renders the log one event per line, in Events() order.
-func (l *Log) String() string {
-	var b strings.Builder
-	for _, e := range l.Events() {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

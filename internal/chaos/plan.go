@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -28,28 +29,18 @@ const (
 	// MidFrame delivers half of the fatal frame's bytes first, modelling
 	// a cut mid-message.
 	Sever
-	// Refuse rejects the connection at dial/accept time (Dialer/Listener
-	// only).
-	Refuse
 )
+
+// kindNames spells each kind the one way logs and plan specs both use.
+var kindNames = [...]string{Latency: "latency", Throttle: "throttle",
+	StallRead: "stall-read", StallWrite: "stall-write", Sever: "sever"}
 
 // String names the kind as it appears in logs and plan specs.
 func (k Kind) String() string {
-	switch k {
-	case Latency:
-		return "latency"
-	case Throttle:
-		return "throttle"
-	case StallRead:
-		return "stall-read"
-	case StallWrite:
-		return "stall-write"
-	case Sever:
-		return "sever"
-	case Refuse:
-		return "refuse"
+	if k < 0 || int(k) >= len(kindNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return kindNames[k]
 }
 
 // Rule is one declarative fault. The zero After fires a one-shot fault
@@ -101,21 +92,11 @@ type Plan struct {
 func (p *Plan) rulesFor(node int) []Rule {
 	var out []Rule
 	for _, r := range p.Rules {
-		if r.Kind != Refuse && (r.Node < 0 || r.Node == node) {
+		if r.Node < 0 || r.Node == node {
 			out = append(out, r)
 		}
 	}
 	return out
-}
-
-// refuses reports whether the plan refuses the given connection index.
-func (p *Plan) refuses(node int) bool {
-	for _, r := range p.Rules {
-		if r.Kind == Refuse && (r.Node < 0 || r.Node == node) {
-			return true
-		}
-	}
-	return false
 }
 
 // Wrap returns conn with the plan's faults attached, logging fired
@@ -144,10 +125,10 @@ func (p *Plan) Wrap(node int, conn net.Conn, log *Log) net.Conn {
 //	[seed=N,]plan=RULE[;RULE...]
 //
 // or bare RULE[;RULE...]. Each RULE is kind[:field=value...] with kind
-// one of latency, throttle, stall-read, stall-write, sever, refuse and
-// fields node (int, default -1 = all), after (frames), dur (duration),
-// jitter (duration), ramp (duration per frame), rate (bytes/sec),
-// midframe (bool). Example:
+// one of latency, throttle, stall-read, stall-write, sever and fields
+// node (int, default -1 = all), after (frames), dur (duration), jitter
+// (duration), ramp (duration per frame), rate (bytes/sec), midframe
+// (bool). Example:
 //
 //	seed=7,plan=sever:node=1:after=40:midframe=true;latency:dur=1ms:jitter=500us
 func ParseSpec(s string) (*Plan, error) {
@@ -183,22 +164,11 @@ func ParseSpec(s string) (*Plan, error) {
 func parseRule(s string) (Rule, error) {
 	fields := strings.Split(strings.TrimSpace(s), ":")
 	r := Rule{Node: -1}
-	switch fields[0] {
-	case "latency":
-		r.Kind = Latency
-	case "throttle":
-		r.Kind = Throttle
-	case "stall-read":
-		r.Kind = StallRead
-	case "stall-write":
-		r.Kind = StallWrite
-	case "sever":
-		r.Kind = Sever
-	case "refuse":
-		r.Kind = Refuse
-	default:
-		return r, fmt.Errorf("chaos: unknown fault kind %q in rule %q", fields[0], s)
+	k := slices.Index(kindNames[:], fields[0])
+	if k < 0 {
+		return r, fmt.Errorf("chaos: unknown fault kind %q in rule %q (want %s)", fields[0], s, strings.Join(kindNames[:], ", "))
 	}
+	r.Kind = Kind(k)
 	for _, f := range fields[1:] {
 		k, v, ok := strings.Cut(f, "=")
 		if !ok {
@@ -210,7 +180,7 @@ func parseRule(s string) (Rule, error) {
 			r.Node, err = strconv.Atoi(v)
 		case "after":
 			r.After, err = strconv.ParseInt(v, 10, 64)
-		case "dur", "delay":
+		case "dur":
 			r.Dur, err = time.ParseDuration(v)
 		case "jitter":
 			r.Jitter, err = time.ParseDuration(v)

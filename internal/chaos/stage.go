@@ -28,9 +28,9 @@ type stageRule struct {
 //     runs deterministic);
 //   - StallRead/StallWrite stall one firing by Dur, once, after After
 //     firings (both sides collapse to the same thing in-process);
-//   - Sever, Refuse and Throttle have no in-process meaning (there is
-//     no connection to cut or byte stream to cap) and are rejected up
-//     front rather than silently ignored.
+//   - Sever and Throttle have no in-process meaning (there is no
+//     connection to cut or byte stream to cap) and are rejected up front
+//     rather than silently ignored.
 func (p *Plan) StageDelay(stages int, log *Log) (func(stage int) time.Duration, error) {
 	byStage := make([][]*stageRule, stages)
 	for _, r := range p.Rules {

@@ -198,7 +198,7 @@ func TestGenerateAllTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tgt := range []Target{TargetSoft, TargetHard, TargetCell} {
-		src, err := Process("testdata/pipeline.ddm", strings.NewReader(string(in)), tgt)
+		src, _, err := ProcessDiag("testdata/pipeline.ddm", strings.NewReader(string(in)), tgt)
 		if err != nil {
 			t.Fatalf("target %v: %v", tgt, err)
 		}

@@ -113,21 +113,24 @@ func accessModel(f *File, th *Thread) core.AccessFn {
 	}
 }
 
-// Diagnostic is one ddmlint finding attributed to directive source.
-type Diagnostic struct {
-	Pos *Error // position (line of the first implicated thread) + message
-	// Structural findings describe a broken synchronization graph and
-	// abort compilation; the rest (races between declared accesses) are
-	// warnings — the declarations may over-approximate what bodies touch.
-	Structural bool
-}
-
-// LintDiagnostics runs the instance-level verifier over the program a
-// File describes. The File must have passed Analyze.
-func LintDiagnostics(f *File) ([]Diagnostic, error) {
+// ProcessDiag is the preprocessor pipeline with compile-time graph
+// verification: parse, analyze, lint the program the File describes,
+// generate. Structural findings describe a broken synchronization graph
+// and abort with an error positioned at the first implicated thread's
+// directive; the rest (races between declared accesses) come back as
+// warnings — the declarations may over-approximate what bodies touch —
+// and compilation proceeds.
+func ProcessDiag(name string, src io.Reader, target Target) (code []byte, warnings []string, err error) {
+	f, err := Parse(name, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := Analyze(f); err != nil {
+		return nil, nil, err
+	}
 	p, lines, err := BuildCore(f)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rep, err := ddmlint.Lint(p)
 	if err != nil {
@@ -139,9 +142,8 @@ func LintDiagnostics(f *File) ([]Diagnostic, error) {
 		if errors.As(err, &verr) && verr.Block >= 0 && verr.Block < len(f.Blocks) {
 			line = f.Blocks[verr.Block].Line
 		}
-		return nil, errf(f.Input, line, "%v", err)
+		return nil, nil, errf(f.Input, line, "%v", err)
 	}
-	diags := make([]Diagnostic, 0, len(rep.Findings))
 	for i := range rep.Findings {
 		fd := &rep.Findings[i]
 		line := 1
@@ -150,35 +152,11 @@ func LintDiagnostics(f *File) ([]Diagnostic, error) {
 				line = l
 			}
 		}
-		diags = append(diags, Diagnostic{
-			Pos:        &Error{File: f.Input, Line: line, Msg: fmt.Sprintf("ddmlint: %s", fd.Msg)},
-			Structural: fd.Kind.Structural(),
-		})
-	}
-	return diags, nil
-}
-
-// ProcessDiag is the preprocessor pipeline with compile-time graph
-// verification: parse, analyze, lint, generate. Structural findings
-// abort with a positioned error; race findings come back as warnings and
-// compilation proceeds.
-func ProcessDiag(name string, src io.Reader, target Target) (code []byte, warnings []string, err error) {
-	f, err := Parse(name, src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := Analyze(f); err != nil {
-		return nil, nil, err
-	}
-	diags, err := LintDiagnostics(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, d := range diags {
-		if d.Structural {
-			return nil, warnings, d.Pos
+		pos := &Error{File: f.Input, Line: line, Msg: "ddmlint: " + fd.Msg}
+		if fd.Kind.Structural() {
+			return nil, warnings, pos
 		}
-		warnings = append(warnings, d.Pos.Error())
+		warnings = append(warnings, pos.Error())
 	}
 	code, err = Generate(f, target)
 	return code, warnings, err

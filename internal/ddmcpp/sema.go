@@ -1,7 +1,5 @@
 package ddmcpp
 
-import "fmt"
-
 // Analyze runs the front-end's semantic checks and resolves defaulted
 // dependency mappings. It must pass before code generation:
 //
@@ -94,14 +92,4 @@ func defaultMapping(prod, cons *Thread) MapKind {
 	default:
 		return MapBroadcast
 	}
-}
-
-// VarSize returns a declared buffer's size.
-func (f *File) VarSize(name string) (int64, error) {
-	for _, v := range f.Vars {
-		if v.Name == name {
-			return v.Size, nil
-		}
-	}
-	return 0, fmt.Errorf("ddmcpp: unknown var %q", name)
 }

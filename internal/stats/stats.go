@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -38,17 +37,6 @@ func Min(ds []time.Duration) time.Duration {
 		}
 	}
 	return m
-}
-
-// Median returns the median duration (lower middle for even counts); zero
-// for an empty slice.
-func Median(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[(len(s)-1)/2]
 }
 
 // Speedup returns seq/par: how many times the parallel execution is faster
