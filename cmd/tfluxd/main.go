@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -98,11 +99,26 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		fmt.Fprintln(stderr, "tfluxd:", err)
 		return 1
 	}
-	if *nodes < 1 {
-		return fail(fmt.Errorf("-nodes must be at least 1, not %d", *nodes))
+	// A value outside its range is refused, not clamped: 0 selects an
+	// admission default, and -arena-mb's bound keeps its byte count in
+	// an int64.
+	for _, f := range []struct {
+		name     string
+		val, min int64
+	}{
+		{"nodes", int64(*nodes), 1},
+		{"kernels-per-node", int64(*kernelsPer), 1},
+		{"max-programs", int64(*maxPrograms), 0},
+		{"max-queue", int64(*maxQueue), 0},
+		{"tenant-quota", int64(*tenantQuota), 0},
+		{"arena-mb", *arenaMB, 0},
+	} {
+		if f.val < f.min {
+			return fail(fmt.Errorf("-%s must be at least %d, not %d", f.name, f.min, f.val))
+		}
 	}
-	if *kernelsPer < 1 {
-		return fail(fmt.Errorf("-kernels-per-node must be at least 1, not %d", *kernelsPer))
+	if *arenaMB > math.MaxInt64>>20 {
+		return fail(fmt.Errorf("-arena-mb must be at most %d, not %d", int64(math.MaxInt64>>20), *arenaMB))
 	}
 	w, err := parseWeights(*weights)
 	if err != nil {

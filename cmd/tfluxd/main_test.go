@@ -140,12 +140,21 @@ func TestWeightsFlag(t *testing.T) {
 	}
 }
 
-// TestFleetShapeFlagsRefused pins that a fleet shape the daemon cannot
-// host is refused by name instead of being clamped to one node or one
-// kernel without a word.
+// TestFleetShapeFlagsRefused pins that a fleet shape or admission bound
+// the daemon cannot honour is refused by name instead of being clamped to
+// one node or one kernel, or replaced by a default, without a word. An
+// -arena-mb past math.MaxInt64>>20 would overflow its byte count.
 func TestFleetShapeFlagsRefused(t *testing.T) {
-	for _, tc := range []struct{ flag, val string }{
-		{"-nodes", "0"}, {"-nodes", "-2"}, {"-kernels-per-node", "0"},
+	for _, tc := range []struct{ flag, val, want string }{
+		{"-nodes", "0", "at least 1"},
+		{"-nodes", "-2", "at least 1"},
+		{"-kernels-per-node", "0", "at least 1"},
+		{"-max-programs", "-1", "at least 0"},
+		{"-max-queue", "-3", "at least 0"},
+		{"-tenant-quota", "-1", "at least 0"},
+		{"-arena-mb", "-5", "at least 0"},
+		{"-arena-mb", "8796093022208", "at most 8796093022207"},
+		{"-arena-mb", "17592186044417", "at most 8796093022207"},
 	} {
 		var out, errOut syncBuffer
 		sig := make(chan os.Signal, 1)
@@ -155,7 +164,7 @@ func TestFleetShapeFlagsRefused(t *testing.T) {
 		}()
 		select {
 		case rc := <-code:
-			if rc != 1 || !strings.Contains(errOut.String(), tc.flag+" must be at least 1, not "+tc.val) {
+			if rc != 1 || !strings.Contains(errOut.String(), tc.flag+" must be "+tc.want+", not "+tc.val) {
 				t.Errorf("%s %s: exit %d, stderr %q", tc.flag, tc.val, rc, errOut.String())
 			}
 		case <-time.After(2 * time.Second):

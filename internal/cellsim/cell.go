@@ -20,17 +20,17 @@ type command struct {
 }
 
 // commandBuffer is the per-SPE command ring the PPE polls. Its bounded
-// capacity mirrors the paper's 128-byte main-memory buffer.
+// capacity, commandBufCap, mirrors the paper's 128-byte main-memory
+// buffer.
 type commandBuffer struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	buf    []command
-	cap    int
 	closed bool
 }
 
-func newCommandBuffer(capacity int) *commandBuffer {
-	cb := &commandBuffer{buf: make([]command, 0, capacity), cap: capacity}
+func newCommandBuffer() *commandBuffer {
+	cb := &commandBuffer{buf: make([]command, 0, commandBufCap)}
 	cb.cond = sync.NewCond(&cb.mu)
 	return cb
 }
@@ -41,7 +41,7 @@ func newCommandBuffer(capacity int) *commandBuffer {
 func (cb *commandBuffer) push(c command) {
 	cb.mu.Lock()
 	defer cb.mu.Unlock()
-	for len(cb.buf) >= cb.cap && !cb.closed {
+	for len(cb.buf) >= commandBufCap && !cb.closed {
 		cb.cond.Wait()
 	}
 	if cb.closed {
@@ -69,10 +69,10 @@ func (cb *commandBuffer) close() {
 	cb.cond.Broadcast()
 }
 
-// dma models one staging engine: chunked copies between main memory and a
-// Local Store arena, with traffic accounting.
+// dma models one staging engine: copies between main memory and a Local
+// Store arena in transfers of at most dmaChunk bytes, with traffic
+// accounting.
 type dma struct {
-	chunk     int64
 	bytesIn   int64
 	bytesOut  int64
 	transfers int64
@@ -84,7 +84,7 @@ type dma struct {
 }
 
 // stage copies src into the given Local Store window (import) or walks src
-// through it to pay the write-out traffic (export), in chunk-sized
+// through it to pay the write-out traffic (export), in dmaChunk-sized
 // transfers. Resident regions land sequentially in the window; streamed
 // regions reuse its start for every chunk (double-buffering). It returns
 // the window bytes consumed (the largest chunk for streamed regions).
@@ -99,7 +99,7 @@ func (d *dma) stage(window []byte, src []byte, out, stream bool) int64 {
 		start = time.Now()
 	}
 	for len(src) > 0 {
-		n := d.chunk
+		n := int64(dmaChunk)
 		if n > int64(len(src)) {
 			n = int64(len(src))
 		}

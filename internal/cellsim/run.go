@@ -10,25 +10,29 @@ import (
 	"tflux/internal/tsu"
 )
 
+// The simulated SPE and its links to the PPE, fixed as on the
+// PlayStation 3 the paper evaluates (§4.3).
+const (
+	// localStore is the per-SPE Local Store capacity, as on the real SPU.
+	localStore = 256 << 10
+	// reserve is the Local Store space unavailable for data: code, stack
+	// and runtime.
+	reserve = 32 << 10
+	// dmaChunk is the most bytes one DMA transfer moves, the Cell's DMA
+	// limit.
+	dmaChunk = 16 << 10
+	// mailboxCap is the SPE inbound mailbox depth.
+	mailboxCap = 4
+	// commandBufCap is the CommandBuffer ring capacity: the paper's
+	// 128-byte buffer at 8 bytes per command.
+	commandBufCap = 16
+)
+
 // Config describes the simulated Cell system.
 type Config struct {
 	// SPEs is the number of compute nodes. Zero selects 6, the number of
 	// SPEs available to the programmer on a PlayStation 3.
 	SPEs int
-	// LocalStore is the per-SPE Local Store capacity in bytes (default
-	// 256 KB, as on the real SPU).
-	LocalStore int64
-	// Reserve is Local Store space unavailable for data (code, stack,
-	// runtime); default 32 KB.
-	Reserve int64
-	// MailboxCap is the SPE inbound mailbox depth (default 4).
-	MailboxCap int
-	// CommandBufCap is the CommandBuffer ring capacity (default 16
-	// commands, the paper's 128-byte buffer at 8 bytes per command).
-	CommandBufCap int
-	// DMAChunk is the maximum bytes per DMA transfer (default 16 KB, the
-	// Cell's DMA limit).
-	DMAChunk int64
 	// TSUSize caps the DThread instances per DDM Block (the TSU's slot
 	// count, §2). Zero means unlimited.
 	TSUSize int64
@@ -48,24 +52,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.SPEs <= 0 {
 		c.SPEs = 6
-	}
-	if c.LocalStore <= 0 {
-		c.LocalStore = 256 << 10
-	}
-	if c.Reserve <= 0 {
-		c.Reserve = 32 << 10
-	}
-	if c.MailboxCap <= 0 {
-		c.MailboxCap = 4
-	}
-	if c.CommandBufCap <= 0 {
-		c.CommandBufCap = 16
-	}
-	if c.DMAChunk <= 0 {
-		c.DMAChunk = 16 << 10
-	}
-	if 2*c.DMAChunk > c.LocalStore {
-		c.DMAChunk = c.LocalStore / 2
 	}
 	return c
 }
@@ -119,9 +105,8 @@ func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, e
 	r.dmas = make([]dma, cfg.SPEs)
 	r.highWater = make([]int64, cfg.SPEs)
 	for i := 0; i < cfg.SPEs; i++ {
-		r.rings[i] = newCommandBuffer(cfg.CommandBufCap)
-		r.boxes[i] = make(chan core.Instance, cfg.MailboxCap)
-		r.dmas[i].chunk = cfg.DMAChunk
+		r.rings[i] = newCommandBuffer()
+		r.boxes[i] = make(chan core.Instance, mailboxCap)
 		r.dmas[i].sink = cfg.Obs
 		r.dmas[i].lane = i
 		r.dmas[i].hist = dmaHist
@@ -224,7 +209,7 @@ func (r *cellRunner) signal() {
 // next DThread, stage its imports into the Local Store, run it, stage its
 // exports back, and notify the TSU through the CommandBuffer.
 func (r *cellRunner) spe(id int, st *SPEStats) {
-	arena := make([]byte, r.cfg.LocalStore)
+	arena := make([]byte, localStore)
 	for {
 		select {
 		case inst := <-r.boxes[id]:
@@ -267,8 +252,8 @@ func (r *cellRunner) runOne(id int, inst core.Instance, arena []byte, st *SPESta
 		for _, reg := range append(append([]core.MemRegion(nil), imports...), exports...) {
 			if reg.Stream {
 				piece := reg.Size
-				if piece > r.cfg.DMAChunk {
-					piece = r.cfg.DMAChunk
+				if piece > dmaChunk {
+					piece = dmaChunk
 				}
 				if 2*piece > streamWindow {
 					streamWindow = 2 * piece
@@ -278,9 +263,9 @@ func (r *cellRunner) runOne(id int, inst core.Instance, arena []byte, st *SPESta
 			footprint += reg.Size
 		}
 		footprint += streamWindow
-		if footprint > r.cfg.LocalStore-r.cfg.Reserve {
+		if footprint > localStore-reserve {
 			r.fail(fmt.Errorf("cellsim: DThread %v needs %d bytes of Local Store, only %d available (problem size does not fit the SPE Local Store; restructure as the paper's §6.3 notes)",
-				inst, footprint, r.cfg.LocalStore-r.cfg.Reserve))
+				inst, footprint, localStore-reserve))
 			return false
 		}
 		if footprint > r.highWater[id] {
@@ -288,7 +273,7 @@ func (r *cellRunner) runOne(id int, inst core.Instance, arena []byte, st *SPESta
 		}
 		// The streaming window sits at the top of the arena; resident
 		// regions fill from the bottom.
-		streamWin := arena[int64(len(arena))-2*r.cfg.DMAChunk:]
+		streamWin := arena[localStore-2*dmaChunk:]
 		// DMA-in the imports.
 		var used int64
 		for _, reg := range imports {

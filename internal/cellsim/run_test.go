@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"tflux/internal/core"
 )
@@ -138,19 +139,63 @@ func TestCellBodyPanicSurfaces(t *testing.T) {
 }
 
 func TestCellTinyQueuesNoDeadlock(t *testing.T) {
-	// Mailbox depth 1, command ring 1, many fine-grained DThreads across
-	// few SPEs: exercises the non-blocking dispatch path hard.
-	p, svb, result := stageSum(64, 10)
-	_, err := Run(p, svb, Config{SPEs: 3, MailboxCap: 1, CommandBufCap: 1})
+	// Hundreds of fine-grained DThreads on two SPEs: every SPE's mailbox
+	// fills and the PPE holds the rest back, which exercises the
+	// non-blocking dispatch path hard.
+	p, svb, result := stageSum(512, 10)
+	_, err := Run(p, svb, Config{SPEs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want uint64
-	for c := 0; c < 64; c++ {
+	for c := 0; c < 512; c++ {
 		want += uint64(c) * 10
 	}
 	if *result != want {
 		t.Fatalf("sum = %d, want %d", *result, want)
+	}
+}
+
+// TestCommandBufferBlocksWhenFull covers the SPE stall Run cannot reach
+// at the PS3's sizes: the PPE refills a mailbox once per drain of the
+// rings, so an SPE pushes at most 1 + 2×mailboxCap commands between
+// drains, fewer than the ring holds. A full ring blocks its pusher until
+// a drain makes room, and an aborting close releases it.
+func TestCommandBufferBlocksWhenFull(t *testing.T) {
+	cb := newCommandBuffer()
+	for i := 0; i < commandBufCap; i++ {
+		cb.push(command{inst: core.Instance{Ctx: core.Context(i)}})
+	}
+	pushed := make(chan struct{})
+	go func() {
+		cb.push(command{inst: core.Instance{Ctx: commandBufCap}})
+		close(pushed)
+	}()
+	select {
+	case <-pushed:
+		t.Fatal("push into a full ring did not block")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if got := cb.drain(nil); len(got) != commandBufCap {
+		t.Fatalf("drained %d commands, want %d", len(got), commandBufCap)
+	}
+	<-pushed
+	if got := cb.drain(nil); len(got) != 1 || got[0].inst.Ctx != commandBufCap {
+		t.Fatalf("after the drain the blocked push delivered %v", got)
+	}
+
+	for i := 0; i < commandBufCap; i++ {
+		cb.push(command{})
+	}
+	released := make(chan struct{})
+	go func() {
+		cb.push(command{})
+		close(released)
+	}()
+	cb.close()
+	<-released
+	if got := cb.drain(nil); len(got) != commandBufCap {
+		t.Fatalf("close delivered the blocked command: %d queued", len(got))
 	}
 }
 
@@ -238,35 +283,48 @@ func TestCellStreamedRegionBypassesCapacity(t *testing.T) {
 }
 
 func TestCellReserveConfig(t *testing.T) {
-	// With a huge reserve, even a small resident footprint must fail.
-	data := make([]byte, 64<<10)
-	p := core.NewProgram("reserve")
-	p.AddBuffer("d", int64(len(data)))
-	b := p.AddBlock()
-	tpl := core.NewTemplate(1, "r", func(core.Context) {})
-	tpl.Access = func(core.Context) []core.MemRegion {
-		return []core.MemRegion{{Buffer: "d", Size: int64(len(data))}}
+	// The Local Store minus the reserve holds exactly 224 KiB of resident
+	// data: one byte more must be refused.
+	run := func(size int64) error {
+		data := make([]byte, size)
+		p := core.NewProgram("reserve")
+		p.AddBuffer("d", size)
+		tpl := core.NewTemplate(1, "r", func(core.Context) {})
+		tpl.Access = func(core.Context) []core.MemRegion {
+			return []core.MemRegion{{Buffer: "d", Size: size}}
+		}
+		p.AddBlock().Add(tpl)
+		svb := core.NewSharedVariableBuffer()
+		svb.Register("d", data)
+		_, err := Run(p, svb, Config{SPEs: 1})
+		return err
 	}
-	b.Add(tpl)
-	svb := core.NewSharedVariableBuffer()
-	svb.Register("d", data)
-	_, err := Run(p, svb, Config{SPEs: 1, Reserve: 224 << 10})
-	if err == nil || !strings.Contains(err.Error(), "Local Store") {
-		t.Fatalf("err = %v", err)
+	if err := run(224 << 10); err != nil {
+		t.Fatalf("224 KiB resident: %v", err)
 	}
-	// With the default reserve it fits.
-	if _, err := Run(p, svb, Config{SPEs: 1}); err != nil {
-		t.Fatal(err)
+	if err := run(224<<10 + 1); err == nil || !strings.Contains(err.Error(), "only 229376 available") {
+		t.Fatalf("224 KiB + 1 resident: err = %v, want Local Store capacity error", err)
 	}
 }
 
+// TestCellDefaults pins the simulated SPE to the PlayStation 3 the paper
+// evaluates (§4.3).
 func TestCellDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.SPEs != 6 || c.LocalStore != 256<<10 || c.MailboxCap != 4 || c.CommandBufCap != 16 || c.DMAChunk != 16<<10 {
-		t.Fatalf("defaults = %+v", c)
+	if c := (Config{}).withDefaults(); c.SPEs != 6 {
+		t.Fatalf("SPEs = %d, want the PS3's 6", c.SPEs)
 	}
-	tiny := Config{LocalStore: 8 << 10}.withDefaults()
-	if 2*tiny.DMAChunk > tiny.LocalStore {
-		t.Fatalf("DMA chunk not clamped: %+v", tiny)
+	for _, tc := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"Local Store", localStore, 256 << 10},
+		{"reserve", reserve, 32 << 10},
+		{"DMA transfer", dmaChunk, 16 << 10},
+		{"mailbox depth", mailboxCap, 4},
+		{"CommandBuffer bytes at 8 per command", commandBufCap * 8, 128},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %d, want %d", tc.name, tc.got, tc.want)
+		}
 	}
 }

@@ -110,7 +110,7 @@ func TestAccessTableMatchesLive(t *testing.T) {
 	}
 
 	// A model may name a buffer the program never declares (lint rejects
-	// it; a bare Coordinate does not lint): it is interned after the
+	// it; a bare CoordinateOpts does not lint): it is interned after the
 	// declared ones.
 	p := core.NewProgram("undeclared")
 	p.AddBuffer("a", 64)

@@ -50,19 +50,15 @@ type Stats struct {
 	DupeDones int64
 }
 
-// Coordinate runs the DDM program across the given worker connections:
-// the TSU emulator and the canonical shared buffers live here; DThreads
-// execute on the workers. Every buffer the program declares must be
-// registered in svb with at least the declared size. It blocks until the
-// final Block's Outlet completes.
-func Coordinate(prog *core.Program, svb *core.SharedVariableBuffer, conns []net.Conn) (*Stats, error) {
-	return CoordinateOpts(prog, svb, conns, Options{})
-}
-
-// CoordinateOpts is Coordinate with batching, caching, resilience and
-// observability tuned by opt. It is the single-program convenience over
-// Fleet: build the fleet, run one session, close the fleet (which owns
-// and releases the connections on every path).
+// CoordinateOpts runs the DDM program across the given worker
+// connections: the TSU emulator and the canonical shared buffers live
+// here; DThreads execute on the workers. Every buffer the program
+// declares must be registered in svb with at least the declared size. It
+// blocks until the final Block's Outlet completes. Batching, caching,
+// resilience and observability are tuned by opt (the zero value selects
+// the defaults). It is the single-program convenience over Fleet: build
+// the fleet, run one session, close the fleet (which owns and releases
+// the connections on every path).
 //
 // Dispatch is batched and pipelined: ready instances bound for the same
 // node coalesce into one ExecBatch frame (flushed on BatchCount /

@@ -202,7 +202,7 @@ func TestDistributedUnregisteredBufferRejected(t *testing.T) {
 func TestCoordinateNoConns(t *testing.T) {
 	p := core.NewProgram("none")
 	p.AddBlock().Add(core.NewTemplate(1, "x", func(core.Context) {}))
-	if _, err := Coordinate(p, core.NewSharedVariableBuffer(), nil); err == nil {
+	if _, err := CoordinateOpts(p, core.NewSharedVariableBuffer(), nil, Options{}); err == nil {
 		t.Fatal("no-conn coordinate accepted")
 	}
 }
@@ -280,7 +280,7 @@ func TestCoordinatorRejectsProtocolViolation(t *testing.T) {
 	p := core.NewProgram("proto")
 	tpl := core.NewTemplate(1, "x", func(core.Context) {})
 	p.AddBlock().Add(tpl)
-	_, err = Coordinate(p, core.NewSharedVariableBuffer(), []net.Conn{conn})
+	_, err = CoordinateOpts(p, core.NewSharedVariableBuffer(), []net.Conn{conn}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "unexpected frame") {
 		t.Fatalf("err = %v", err)
 	}
@@ -313,7 +313,7 @@ func TestCoordinatorSurvivesWorkerDisconnect(t *testing.T) {
 	tpl := core.NewTemplate(1, "x", func(core.Context) {})
 	tpl.Instances = 4
 	p.AddBlock().Add(tpl)
-	_, err = Coordinate(p, core.NewSharedVariableBuffer(), []net.Conn{conn})
+	_, err = CoordinateOpts(p, core.NewSharedVariableBuffer(), []net.Conn{conn}, Options{})
 	if err == nil {
 		t.Fatal("worker disconnect went unnoticed")
 	}

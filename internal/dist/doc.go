@@ -62,7 +62,7 @@
 //
 // Everything needed for tests and demos runs in one process via
 // RunLocal, which starts the workers on loopback TCP connections; Serve
-// and Coordinate are the building blocks for genuinely remote workers.
+// and CoordinateOpts are the building blocks for genuinely remote workers.
 //
 // The wire format is a hand-rolled length-prefixed binary codec (see
 // codec.go): a version-tagged type byte, a uvarint payload length, and

@@ -13,8 +13,10 @@ import (
 // resilience. The zero value means "defaults": batches of up to 32
 // Execs / 256 KiB, a 64-instance in-flight window per node, region
 // caching on, heartbeats every 250ms, four missed intervals before a
-// node is declared dead, 30s leases, 10s handshake and per-frame write
-// deadlines, and capped exponential re-dispatch backoff starting at 2ms.
+// node is declared dead, 30s leases, a 10s handshake deadline, and
+// re-dispatch backoff doubling from 2ms up to 250ms. Two bounds are
+// fixed: each frame send has a writeTimeout deadline, and an instance
+// gets maxAttempts dispatches before the run hard-fails.
 type Options struct {
 	// Sink (may be nil) receives one DistRPC event per Exec→Done round
 	// trip and one ThreadComplete per remote execution on the owning
@@ -57,18 +59,12 @@ type Options struct {
 	// connected-but-silent worker fails the handshake instead of
 	// hanging the coordinator. Zero means the default.
 	HandshakeTimeout time.Duration
-	// WriteTimeout bounds each frame send. Zero means the default;
-	// negative disables the deadline.
-	WriteTimeout time.Duration
 
 	// RetryBase is the first re-dispatch backoff delay; each further
 	// attempt for the same instance doubles it up to RetryCap. Zero
 	// means the defaults.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// MaxAttempts caps dispatch attempts per instance (first dispatch
-	// included) before the run hard-fails. Zero means the default.
-	MaxAttempts int
 
 	// WrapConn, when non-nil, wraps each coordinator-side connection of
 	// RunLocalOpts before use — the hook the chaos package plugs into.
@@ -96,10 +92,17 @@ const (
 	defaultHeartbeatMisses  = 4
 	defaultLeaseTimeout     = 30 * time.Second
 	defaultHandshakeTimeout = 10 * time.Second
-	defaultWriteTimeout     = 10 * time.Second
 	defaultRetryBase        = 2 * time.Millisecond
 	defaultRetryCap         = 250 * time.Millisecond
-	defaultMaxAttempts      = 8
+)
+
+const (
+	// writeTimeout bounds each coordinator frame send, so a stalled
+	// worker surfaces as a failed node instead of blocking the loop.
+	writeTimeout = 10 * time.Second
+	// maxAttempts caps dispatch attempts per instance (first dispatch
+	// included) before the run hard-fails.
+	maxAttempts = 8
 )
 
 // withDefaults fills zero fields with the package defaults.
@@ -134,17 +137,11 @@ func (o Options) withDefaults() Options {
 	if o.HandshakeTimeout <= 0 {
 		o.HandshakeTimeout = defaultHandshakeTimeout
 	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = defaultWriteTimeout
-	}
 	if o.RetryBase <= 0 {
 		o.RetryBase = defaultRetryBase
 	}
 	if o.RetryCap <= 0 {
 		o.RetryCap = defaultRetryCap
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = defaultMaxAttempts
 	}
 	return o
 }

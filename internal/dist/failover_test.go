@@ -577,7 +577,7 @@ func TestByzantineUndeclaredExportRejected(t *testing.T) {
 }
 
 // TestHandshakeDeadline: a connected-but-silent worker fails the
-// handshake with a clear error instead of hanging Coordinate forever.
+// handshake with a clear error instead of hanging CoordinateOpts forever.
 func TestHandshakeDeadline(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

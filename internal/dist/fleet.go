@@ -19,7 +19,7 @@ import (
 // heartbeats, per-node batching windows — independently of any single
 // program run, so the same workers can execute many DDM programs, one
 // after another (Run) or concurrently multiplexed (Start/Open, the
-// tfluxd path). Coordinate is a thin wrapper that builds a Fleet for
+// tfluxd path). CoordinateOpts is a thin wrapper that builds a Fleet for
 // one program and closes it; tfluxd keeps one Fleet alive for the
 // daemon's lifetime.
 //
@@ -134,7 +134,7 @@ type OpenReq struct {
 	Prog *core.Program
 	SVB  *core.SharedVariableBuffer
 	// Spec is shipped to workers in OpenProg so they can resolve and
-	// build their replica. Coordinate leaves it zero (workers built
+	// build their replica. CoordinateOpts leaves it zero (workers built
 	// their replica from a closure at Serve time).
 	Spec ProgramSpec
 	// Hash, when non-zero, asserts that Spec is the program's identity —
@@ -335,9 +335,7 @@ func NewFleet(conns []net.Conn, opt Options) (*Fleet, error) {
 
 	for i, c := range conns {
 		f.links[i] = newLink(c)
-		if opt.WriteTimeout > 0 {
-			f.links[i].wtimeout = opt.WriteTimeout
-		}
+		f.links[i].wtimeout = writeTimeout
 		// A connected-but-silent worker must fail the handshake with a
 		// clear error, not hang forever. The tag check inside recv also
 		// rejects peers speaking a different protocol version before
@@ -1107,8 +1105,8 @@ func (f *Fleet) dispatch(s *session, rd tsu.Ready) error {
 // firing is stale and ignored.
 func (f *Fleet) scheduleRedispatch(s *session, ls *lease) error {
 	ls.attempts++
-	if ls.attempts > f.opt.MaxAttempts {
-		return fmt.Errorf("dist: instance %v exhausted %d dispatch attempts; last node loss: %v", ls.inst, f.opt.MaxAttempts, f.lastLoss)
+	if ls.attempts > maxAttempts {
+		return fmt.Errorf("dist: instance %v exhausted %d dispatch attempts; last node loss: %v", ls.inst, maxAttempts, f.lastLoss)
 	}
 	f.genCtr++
 	ls.gen = f.genCtr

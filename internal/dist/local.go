@@ -16,7 +16,7 @@ import (
 //
 // This is the demonstration and test harness for the distributed
 // transport; production deployments call Serve in worker processes and
-// Coordinate with real connections.
+// CoordinateOpts with real connections.
 // It returns the coordinator's canonical buffers so callers can read the
 // program's results.
 func RunLocal(build func() (*core.Program, *core.SharedVariableBuffer), nodes, kernelsPerNode int) (*Stats, *core.SharedVariableBuffer, error) {

@@ -85,7 +85,7 @@ type workItem struct {
 
 // Serve runs one worker node for a single fixed program: build returns
 // the node's replica (bodies + buffers), and every OpenProg resolves to
-// a fresh call of it regardless of spec. This is the Coordinate-side
+// a fresh call of it regardless of spec. This is the CoordinateOpts-side
 // worker entry point; tfluxd fleets use ServeFleet with a real
 // Resolver. It returns nil on a clean shutdown.
 func Serve(conn net.Conn, kernels int, build func() (*core.Program, *core.SharedVariableBuffer)) error {

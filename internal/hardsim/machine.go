@@ -41,13 +41,10 @@ type Config struct {
 	// version was under development — this implements it. Cores are
 	// partitioned across groups in contiguous chunks; each group
 	// serializes its own command processing, and a completion whose
-	// consumer is owned by a different group pays GroupXferLat for the
+	// consumer is owned by a different group pays groupXferLat for the
 	// TSU-to-TSU transfer that the single-group design handles
 	// internally. Zero selects 1.
 	TSUGroups int
-	// GroupXferLat is the inter-group notification latency in cycles
-	// (only meaningful with TSUGroups > 1). Zero selects 16.
-	GroupXferLat sim.Time
 	// TSUSize caps the DThread instances per DDM Block (the hardware
 	// TSU's slot count, §2). Zero means unlimited.
 	TSUSize int64
@@ -55,19 +52,24 @@ type Config struct {
 	// contents). Nil keeps the paper's chunked range split, which the
 	// Figure 5 cycle counts are pinned to.
 	Mapping tsu.Mapping
-	// MaxEvents bounds the event loop as a runaway backstop (0 = none).
-	MaxEvents int64
 	// Obs, when non-nil, receives the simulated run as typed events, with
-	// cycles mapped onto durations via CyclePeriod: ThreadComplete per
+	// cycles mapped onto durations via cyclePeriod: ThreadComplete per
 	// core lane, CacheStall for the memory portion of each application
 	// DThread, and TSUCommand on the device lanes (lane == Cores+group).
 	Obs obs.Sink
 	// Metrics, when non-nil, receives end-of-run cycle and cache totals.
 	Metrics *obs.Registry
-	// CyclePeriod is the wall-clock span one simulated cycle occupies in
-	// exported traces and metrics (default 1ns, i.e. a 1 GHz clock).
-	CyclePeriod time.Duration
 }
+
+const (
+	// groupXferLat is the inter-group notification latency in cycles,
+	// paid when TSUGroups > 1 and a completion's consumer belongs to
+	// another group.
+	groupXferLat sim.Time = 16
+	// cyclePeriod is the wall-clock span one simulated cycle occupies in
+	// exported traces: a 1 GHz clock.
+	cyclePeriod = time.Nanosecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.Cores <= 0 {
@@ -93,12 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TSUGroups > c.Cores {
 		c.TSUGroups = c.Cores
-	}
-	if c.GroupXferLat <= 0 {
-		c.GroupXferLat = 16
-	}
-	if c.CyclePeriod <= 0 {
-		c.CyclePeriod = time.Nanosecond
 	}
 	return c
 }
@@ -174,7 +170,7 @@ type machine struct {
 // cyc maps a simulated cycle count (or timestamp) onto the wall-clock
 // scale used by the shared event model.
 func (m *machine) cyc(t sim.Time) time.Duration {
-	return time.Duration(t) * m.cfg.CyclePeriod
+	return time.Duration(t) * cyclePeriod
 }
 
 // Run simulates the program on the configured machine and returns the
@@ -207,12 +203,12 @@ func Run(p *core.Program, cfg Config) (*Result, error) {
 		c := c
 		m.eng.At(0, func() { m.requestThread(c) })
 	}
-	m.eng.Run(cfg.MaxEvents)
+	m.eng.Run()
 	if m.err != nil {
 		return nil, m.err
 	}
 	if !m.done {
-		return nil, fmt.Errorf("hardsim: simulation stalled after %d cycles (deadlock or MaxEvents hit)", m.eng.Now())
+		return nil, fmt.Errorf("hardsim: simulation stalled after %d cycles: no event left before the last Outlet (deadlock)", m.eng.Now())
 	}
 	res := &Result{
 		Cycles: m.eng.Now(),
@@ -418,13 +414,13 @@ func (m *machine) complete(c int, inst core.Instance) {
 // dispatch hands a ready DThread to its owner core, waking the core with
 // an MMI transfer if it is stalled in the TSU wait loop. When the owner
 // belongs to a different TSU Group than the one that processed the
-// completion, the TSU-to-TSU transfer costs GroupXferLat extra cycles
+// completion, the TSU-to-TSU transfer costs groupXferLat extra cycles
 // (in the single-group design this communication is internal, §3.3).
 func (m *machine) dispatch(fromGroup int, rd tsu.Ready) {
 	c := int(rd.Kernel)
 	xfer := sim.Time(0)
 	if m.groupOf(c) != fromGroup {
-		xfer = m.cfg.GroupXferLat
+		xfer = groupXferLat
 	}
 	if m.waiting[c] {
 		m.waiting[c] = false

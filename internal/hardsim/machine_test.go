@@ -242,9 +242,30 @@ func TestSequentialUnknownBuffer(t *testing.T) {
 	}
 }
 
-func TestMaxEventsBackstop(t *testing.T) {
-	p, _ := parallelSum(64, 1000)
-	_, err := Run(p, Config{Cores: 4, MaxEvents: 10})
+// underDeliver declares two producers per consumer context but enables
+// each only once, so the consumers never fire.
+type underDeliver struct{}
+
+func (underDeliver) AppendTargets(dst []core.Context, pctx, pInst, cInst core.Context) []core.Context {
+	return append(dst, pctx)
+}
+func (underDeliver) InDegree(cctx, pInst, cInst core.Context) uint32 { return 2 }
+func (underDeliver) String() string                                  { return "underDeliver" }
+
+// TestStalledSimulationReported pins that a program which can never
+// reach its last Outlet ends in an error once the event queue drains,
+// instead of returning a cycle count.
+func TestStalledSimulationReported(t *testing.T) {
+	p := core.NewProgram("stall")
+	b := p.AddBlock()
+	prod := core.NewTemplate(1, "prod", func(core.Context) {})
+	prod.Instances = 4
+	cons := core.NewTemplate(2, "cons", func(core.Context) { t.Error("a never-enabled consumer ran") })
+	cons.Instances = 4
+	prod.Then(2, underDeliver{})
+	b.Add(prod)
+	b.Add(cons)
+	_, err := Run(p, Config{Cores: 4})
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
 		t.Fatalf("err = %v, want stall report", err)
 	}

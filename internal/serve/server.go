@@ -52,8 +52,6 @@ type Options struct {
 	// (every submission resolves from scratch and every worker builds a
 	// replica per session).
 	ProgramCache int
-	// WriteTimeout bounds each client-bound frame write. Default 10s.
-	WriteTimeout time.Duration
 
 	// Metrics receives serve.* counters, gauges and the admission-to-
 	// completion latency histogram; when nil a private registry is
@@ -62,6 +60,10 @@ type Options struct {
 	Metrics *obs.Registry
 	Sink    obs.Sink
 }
+
+// clientWriteTimeout bounds each client-bound frame write, so a client
+// that stops reading costs its own connection, not the daemon.
+const clientWriteTimeout = 10 * time.Second
 
 func (o Options) withDefaults(fleetNodes int) Options {
 	if o.MaxPrograms <= 0 {
@@ -75,9 +77,6 @@ func (o Options) withDefaults(fleetNodes int) Options {
 	}
 	if o.ArenaBytes <= 0 {
 		o.ArenaBytes = 64 << 20
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
 	}
 	if o.ProgramCache == 0 {
 		o.ProgramCache = 64
@@ -222,7 +221,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // submitted keep running, their results dropped.
 func (s *Server) ServeConn(conn net.Conn) error {
 	sc := dist.NewServiceConn(conn)
-	sc.SetWriteTimeout(s.opt.WriteTimeout)
+	sc.SetWriteTimeout(clientWriteTimeout)
 	ob := newOutbox(sc)
 	defer ob.close()
 	for {

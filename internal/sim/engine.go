@@ -74,21 +74,11 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run drains the event queue. maxEvents bounds runaway simulations
-// (<= 0 means no bound); it returns the number of events processed.
-func (e *Engine) Run(maxEvents int64) int64 {
-	var n int64
+// Run drains the event queue.
+func (e *Engine) Run() {
 	for e.Step() {
-		n++
-		if maxEvents > 0 && n >= maxEvents {
-			break
-		}
 	}
-	return n
 }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.events.Len() }
 
 // Resource models a unit that serves one request at a time (the TSU
 // device's command pipeline, a bus): requests arriving while it is busy
@@ -110,6 +100,3 @@ func (r *Resource) Acquire(at, dur Time) (done Time) {
 	r.Busy += dur
 	return r.busyUntil
 }
-
-// FreeAt returns the time the resource next becomes idle.
-func (r *Resource) FreeAt() Time { return r.busyUntil }

@@ -11,7 +11,7 @@ func TestEngineOrdering(t *testing.T) {
 	e.At(30, func() { got = append(got, 3) })
 	e.At(10, func() { got = append(got, 1) })
 	e.At(20, func() { got = append(got, 2) })
-	e.Run(0)
+	e.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order = %v", got)
 	}
@@ -27,7 +27,7 @@ func TestEngineSameCycleFIFO(t *testing.T) {
 		i := i
 		e.At(5, func() { got = append(got, i) })
 	}
-	e.Run(0)
+	e.Run()
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-cycle events out of FIFO order: %v", got)
@@ -42,7 +42,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 		fired = append(fired, e.Now())
 		e.After(4, func() { fired = append(fired, e.Now()) })
 	})
-	e.Run(0)
+	e.Run()
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 5 {
 		t.Fatalf("fired = %v", fired)
 	}
@@ -58,25 +58,7 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 		}()
 		e.At(5, func() {})
 	})
-	e.Run(0)
-}
-
-func TestEngineMaxEvents(t *testing.T) {
-	var e Engine
-	var reschedule func()
-	n := 0
-	reschedule = func() {
-		n++
-		e.After(1, reschedule)
-	}
-	e.At(0, reschedule)
-	processed := e.Run(100)
-	if processed != 100 {
-		t.Fatalf("processed = %d, want 100", processed)
-	}
-	if e.Pending() == 0 {
-		t.Fatal("runaway loop drained unexpectedly")
-	}
+	e.Run()
 }
 
 func TestResourceSerialization(t *testing.T) {

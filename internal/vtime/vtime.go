@@ -31,59 +31,55 @@ import (
 	"tflux/internal/sim"
 )
 
-// Config sets the virtual software-platform overheads. Zero values select
-// defaults plausible for the platform kind.
+// Config selects the virtual platform.
 type Config struct {
 	// Kernels is the number of compute workers (TFluxSoft kernels or
-	// Cell SPEs).
+	// Cell SPEs). Zero selects 1.
 	Kernels int
-	// TSUOp is the software TSU emulator's processing time per command
-	// (drain, decrement batch, dispatch). Defaults: 1.5µs soft, 4µs cell
-	// (mailbox + CommandBuffer polling round).
-	TSUOp time.Duration
-	// Handoff is the kernel↔TSU transfer cost (TUB push / mailbox read).
-	// Defaults: 300ns soft, 1µs cell.
-	Handoff time.Duration
-	// Cell enables the Cell overhead profile and DMA staging costs.
+	// Cell selects the Cell overhead profile and charges DMA staging.
 	Cell bool
-	// DMASetup is the fixed cost per DMA transfer (Cell only;
-	// default 1µs).
-	DMASetup time.Duration
-	// DMABytesPerNS is the staging bandwidth in bytes per nanosecond
-	// (Cell only; default 8, i.e. 8 GB/s effective).
-	DMABytesPerNS float64
-	// DMAChunk is the transfer granularity (default 16 KB).
-	DMAChunk int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Kernels <= 0 {
-		c.Kernels = 1
+// The software TSU's fixed costs, one row per platform profile. tsuOp is
+// the emulator's processing time per command (drain, decrement batch,
+// dispatch); handoff is the kernel↔TSU transfer (TUB push on TFluxSoft,
+// mailbox read on TFluxCell).
+const (
+	softTSUOp   = 1500 * time.Nanosecond
+	softHandoff = 300 * time.Nanosecond
+	// The Cell's PPE emulator pays a mailbox + CommandBuffer polling
+	// round per command.
+	cellTSUOp   = 4 * time.Microsecond
+	cellHandoff = time.Microsecond
+)
+
+// The Cell DMA staging model: a fixed setup per transfer of at most
+// dmaChunk bytes, plus the bytes at dmaBytesPerNS (8 GB/s effective).
+// dmaChunk is the Cell's 16 KiB DMA limit, the same value cellsim uses;
+// vtime keeps its own copy because it must not import cellsim.
+const (
+	dmaSetup      = time.Microsecond
+	dmaBytesPerNS = 8
+	dmaChunk      = 16 << 10
+)
+
+// machine returns the hardsim configuration that models a software TSU
+// on cfg's platform. One virtual cycle is one nanosecond.
+func machine(cfg Config) hardsim.Config {
+	tsuOp, handoff := softTSUOp, softHandoff
+	if cfg.Cell {
+		tsuOp, handoff = cellTSUOp, cellHandoff
 	}
-	if c.TSUOp == 0 {
-		if c.Cell {
-			c.TSUOp = 4 * time.Microsecond
-		} else {
-			c.TSUOp = 1500 * time.Nanosecond
-		}
+	return hardsim.Config{
+		Cores:       cfg.Kernels,
+		TSULat:      sim.Time(tsuOp.Nanoseconds()),
+		MMILat:      sim.Time(handoff.Nanoseconds()),
+		DecLat:      sim.Time(100), // per ready-count update, ns
+		ServiceCost: sim.Time(tsuOp.Nanoseconds()),
+		// Bodies carry their real measured memory behaviour already;
+		// disable the cycle-level cache model.
+		Mem: freeMem(),
 	}
-	if c.Handoff == 0 {
-		if c.Cell {
-			c.Handoff = time.Microsecond
-		} else {
-			c.Handoff = 300 * time.Nanosecond
-		}
-	}
-	if c.DMASetup == 0 {
-		c.DMASetup = time.Microsecond
-	}
-	if c.DMABytesPerNS == 0 {
-		c.DMABytesPerNS = 8
-	}
-	if c.DMAChunk == 0 {
-		c.DMAChunk = 16 << 10
-	}
-	return c
 }
 
 // Result is the virtual-time outcome.
@@ -97,19 +93,8 @@ type Result struct {
 // outputs) and returns the modeled parallel makespan. One virtual cycle is
 // one nanosecond.
 func Run(p *core.Program, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	shadow, meter := instrument(p, cfg)
-	hw := hardsim.Config{
-		Cores:       cfg.Kernels,
-		TSULat:      sim.Time(cfg.TSUOp.Nanoseconds()),
-		MMILat:      sim.Time(cfg.Handoff.Nanoseconds()),
-		DecLat:      sim.Time(100), // per ready-count update, ns
-		ServiceCost: sim.Time(cfg.TSUOp.Nanoseconds()),
-		// Bodies carry their real measured memory behaviour already;
-		// disable the cycle-level cache model.
-		Mem: freeMem(),
-	}
-	res, err := hardsim.Run(shadow, hw)
+	shadow, meter := instrument(p, cfg.Cell)
+	res, err := hardsim.Run(shadow, machine(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +126,7 @@ type meter struct {
 // DMA staging time derived from the template's Access model). hardsim
 // invokes Body and then Cost for the same instance within one event, so a
 // single last-measurement slot per template is race-free.
-func instrument(p *core.Program, cfg Config) (*core.Program, *meter) {
+func instrument(p *core.Program, cell bool) (*core.Program, *meter) {
 	m := &meter{}
 	out := core.NewProgram(p.Name + "-vtime")
 	out.Buffers = p.Buffers
@@ -170,8 +155,8 @@ func instrument(p *core.Program, cfg Config) (*core.Program, *meter) {
 				if ns < 1 {
 					ns = 1
 				}
-				if cfg.Cell && access != nil {
-					d := dmaTime(access(ctx), cfg)
+				if cell && access != nil {
+					d := dmaTime(access(ctx))
 					m.dma += d
 					ns += d.Nanoseconds()
 				}
@@ -184,16 +169,16 @@ func instrument(p *core.Program, cfg Config) (*core.Program, *meter) {
 }
 
 // dmaTime models staging every declared region through the Local Store:
-// a fixed setup per DMA transfer plus bytes at the configured bandwidth.
-func dmaTime(regs []core.MemRegion, cfg Config) time.Duration {
+// a fixed setup per DMA transfer plus the bytes at the staging bandwidth.
+func dmaTime(regs []core.MemRegion) time.Duration {
 	var total time.Duration
 	for _, r := range regs {
 		if r.Size <= 0 {
 			continue
 		}
-		transfers := (r.Size + cfg.DMAChunk - 1) / cfg.DMAChunk
-		total += time.Duration(transfers) * cfg.DMASetup
-		total += time.Duration(float64(r.Size) / cfg.DMABytesPerNS)
+		transfers := (r.Size + dmaChunk - 1) / dmaChunk
+		total += time.Duration(transfers) * dmaSetup
+		total += time.Duration(float64(r.Size) / dmaBytesPerNS)
 	}
 	return total
 }

@@ -1,10 +1,12 @@
 package vtime
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"tflux/internal/core"
+	"tflux/internal/hardsim"
 	"tflux/internal/workload"
 )
 
@@ -159,13 +161,27 @@ func TestVirtualPreservesAffinity(t *testing.T) {
 	}
 }
 
+// TestVirtualConfigDefaults pins the machine vtime models for each
+// platform profile and the DMA staging model: every virtual-time figure
+// in EXPERIMENTS.md rests on these constants.
 func TestVirtualConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Kernels != 1 || c.TSUOp != 1500*time.Nanosecond || c.Handoff != 300*time.Nanosecond {
-		t.Fatalf("soft defaults = %+v", c)
+	for _, tc := range []struct {
+		cfg  Config
+		want hardsim.Config
+	}{
+		{Config{}, hardsim.Config{TSULat: 1500, MMILat: 300, DecLat: 100, ServiceCost: 1500, Mem: freeMem()}},
+		{Config{Kernels: 6, Cell: true}, hardsim.Config{Cores: 6, TSULat: 4000, MMILat: 1000, DecLat: 100, ServiceCost: 4000, Mem: freeMem()}},
+	} {
+		if got := machine(tc.cfg); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("machine(%+v) = %+v, want %+v", tc.cfg, got, tc.want)
+		}
 	}
-	cc := Config{Cell: true}.withDefaults()
-	if cc.TSUOp != 4*time.Microsecond || cc.DMAChunk != 16<<10 || cc.DMABytesPerNS != 8 {
-		t.Fatalf("cell defaults = %+v", cc)
+	// 1 MiB in 16 KiB transfers: 64 × 1µs setup + 2^20 B / 8 B/ns.
+	if got := dmaTime([]core.MemRegion{{Size: 1 << 20}, {Size: 0}}); got != 64*time.Microsecond+131072*time.Nanosecond {
+		t.Errorf("dmaTime(1 MiB) = %v", got)
+	}
+	// A partial chunk is one more transfer.
+	if got := dmaTime([]core.MemRegion{{Size: 16<<10 + 8}}); got != 2*time.Microsecond+2049*time.Nanosecond {
+		t.Errorf("dmaTime(16 KiB + 8) = %v", got)
 	}
 }

@@ -201,11 +201,17 @@ type (
 	SoftStats = rts.Stats
 	// TUBConfig configures the Thread-to-Update Buffer (tsu.TUBConfig).
 	TUBConfig = tsu.TUBConfig
-	// HardConfig configures the TFluxHard machine (hardsim.Config).
+	// HardConfig configures the TFluxHard machine (hardsim.Config):
+	// cores, cache geometry, TSU latencies and groups, TSU size and
+	// mapping. The inter-group transfer latency (16 cycles) and the 1 GHz
+	// trace clock are fixed.
 	HardConfig = hardsim.Config
 	// HardResult is the TFluxHard cycle-level result (hardsim.Result).
 	HardResult = hardsim.Result
-	// CellConfig configures the TFluxCell substrate (cellsim.Config).
+	// CellConfig configures the TFluxCell substrate (cellsim.Config):
+	// SPE count, TSU size and mapping. Each SPE is the PlayStation 3's:
+	// a 256 KiB Local Store with 32 KiB reserved, 16 KiB DMA transfers,
+	// a 4-deep mailbox and a 16-command CommandBuffer.
 	CellConfig = cellsim.Config
 	// CellStats is the TFluxCell run report (cellsim.Stats).
 	CellStats = cellsim.Stats
@@ -214,7 +220,9 @@ type (
 	// regions of it by DMA, RunDistLocal keeps one per node. The name
 	// predates the store's move out of the Cell simulator.
 	CellBuffers = core.SharedVariableBuffer
-	// VirtualConfig configures virtual-time execution (vtime.Config).
+	// VirtualConfig configures virtual-time execution (vtime.Config):
+	// the kernel count and the soft or Cell profile, whose TSU costs
+	// and DMA model are fixed.
 	VirtualConfig = vtime.Config
 	// VirtualResult is the virtual-time outcome (vtime.Result).
 	VirtualResult = vtime.Result
@@ -282,8 +290,9 @@ type DistStats = dist.Stats
 // declarations (imports in, exports out); the returned buffer registry is
 // the coordinator's canonical copy, from which results are read.
 //
-// For genuinely remote workers, use the dist package's Serve and
-// Coordinate with real connections.
+// To run programs out of process, start the tfluxd daemon (it hosts the
+// worker fleet and serves submissions over TCP) and submit to it with
+// tfluxrun -connect.
 func RunDistLocal(build func() (*Program, *CellBuffers), nodes, kernelsPerNode int) (*DistStats, *CellBuffers, error) {
 	return RunDistLocalObs(build, nodes, kernelsPerNode, nil, nil)
 }
