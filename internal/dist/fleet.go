@@ -77,6 +77,11 @@ type Fleet struct {
 	// exports holds, for the Done being applied, what each export was
 	// validated against; reused across Dones.
 	exports []validExport
+	// ready is the stack completeAndDispatch collects readiness on:
+	// dispatch recurses through service instances, so each call appends
+	// at the current length, walks only its own tail and truncates it
+	// again. Shared by every session, it keeps its grown array.
+	ready []tsu.Ready
 
 	aliveGauge    []*obs.Gauge
 	inflightGauge []*obs.Gauge
@@ -855,23 +860,40 @@ func (f *Fleet) nextAlive(from int) int {
 	return -1
 }
 
-// complete applies one completion to a session's TSU state, exporting
-// the coordinator-side work as a TSUCommand event on the fleet's
-// coordinator lane (one past the last node).
-func (f *Fleet) complete(s *session, inst core.Instance, k tsu.KernelID) tsu.Result {
-	if f.sink == nil {
-		return s.state.Complete(inst, k)
+// completeAndDispatch applies one completion to a session's TSU state,
+// exporting the coordinator-side work as a TSUCommand event on the
+// fleet's coordinator lane (one past the last node), then dispatches what
+// it readied, or closes the session when the program is done. It returns
+// dispatch's first fatal program error; callers check s.closed.
+func (f *Fleet) completeAndDispatch(s *session, inst core.Instance, k tsu.KernelID) error {
+	var t0 time.Duration
+	if f.sink != nil {
+		t0 = f.sink.Now()
 	}
-	t0 := f.sink.Now()
-	res := s.state.Complete(inst, k)
-	f.sink.Record(obs.Event{
-		Kind:  obs.TSUCommand,
-		Lane:  f.n,
-		Inst:  inst,
-		Start: t0,
-		Dur:   f.sink.Now() - t0,
-	})
-	return res
+	base := len(f.ready)
+	var programDone bool
+	f.ready, _, programDone = s.state.CompleteInto(f.ready, inst, k)
+	if f.sink != nil {
+		f.sink.Record(obs.Event{
+			Kind:  obs.TSUCommand,
+			Lane:  f.n,
+			Inst:  inst,
+			Start: t0,
+			Dur:   f.sink.Now() - t0,
+		})
+	}
+	var err error
+	if programDone {
+		f.closeSession(s, nil)
+	} else {
+		for i, end := base, len(f.ready); i < end; i++ {
+			if err = f.dispatch(s, f.ready[i]); err != nil || s.closed {
+				break
+			}
+		}
+	}
+	f.ready = f.ready[:base]
+	return err
 }
 
 // buildExec assembles the Exec for an instance bound for target,
@@ -1069,20 +1091,7 @@ func (f *Fleet) dispatch(s *session, rd tsu.Ready) error {
 		return nil
 	}
 	if s.state.IsService(rd.Inst) {
-		res := f.complete(s, rd.Inst, rd.Kernel)
-		if res.ProgramDone {
-			f.closeSession(s, nil)
-			return nil
-		}
-		for _, next := range res.NewReady {
-			if err := f.dispatch(s, next); err != nil {
-				return err
-			}
-			if s.closed {
-				return nil
-			}
-		}
-		return nil
+		return f.completeAndDispatch(s, rd.Inst, rd.Kernel)
 	}
 	owner, _ := f.nodeOf(rd.Kernel)
 	target := owner
@@ -1344,19 +1353,8 @@ func (f *Fleet) handleDone(d *Done, node int) {
 	}
 	f.rpcHist.ObserveDuration(dur)
 	global := tsu.KernelID(f.kernelBase[node] + d.Kernel)
-	res := f.complete(s, d.Inst, global)
-	if res.ProgramDone {
-		f.closeSession(s, nil)
-	} else {
-		for _, next := range res.NewReady {
-			if err := f.dispatch(s, next); err != nil {
-				f.closeSession(s, err)
-				break
-			}
-			if s.closed {
-				break
-			}
-		}
+	if err := f.completeAndDispatch(s, d.Inst, global); err != nil {
+		f.closeSession(s, err)
 	}
 	f.drainDeferred(node)
 }

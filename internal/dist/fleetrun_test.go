@@ -164,24 +164,27 @@ func BenchmarkFleetRun(b *testing.B) {
 }
 
 // What one warm FFT-32/1 session allocates process-wide (coordinator
-// loop, both workers, codec): 418 times and 54–73 kB as measured over 30
-// runs, + 5 % (the bytes spread because a pool miss re-grows a receive
-// buffer). The data plane allocates nothing per region any more: what is
-// left is one lease per instance, the TSU's readiness lists and the FFT
-// body. It was 4 269 and 582 kB while every region cost five heap objects
-// (a payload, decoded records and a name string on each receive, an
-// export copy on the worker), 6 236 before the region table was indexed
-// and recycled, and 4 622 and 860 kB while every session called the
-// Access models and learned its own region index.
+// loop, both workers, codec): 180–181 times and 39–53 kB as measured over
+// 35 runs, + 5 % on the count and + 10 % on the bytes (they spread because
+// a pool miss re-grows a receive buffer). The data plane allocates nothing
+// per region and the TSU nothing per completion any more (readiness goes
+// onto the loop's stack, arc expansion into the State's scratch): what is
+// left is one lease per instance and the FFT body. It was 418 and 54–73 kB
+// while every completion returned a fresh readiness list and expanded its
+// arcs into a new buffer, 4 269 and 582 kB while every region cost five
+// heap objects (a payload, decoded records and a name string on each
+// receive, an export copy on the worker), 6 236 before the region table
+// was indexed and recycled, and 4 622 and 860 kB while every session
+// called the Access models and learned its own region index.
 //
 // Under the race detector sync.Pool drops a share of what it is given, so
 // frame buffers, Done records and receive buffers are allocated anew at
-// random: 700–747 times as measured over 40 runs, + 10 %, with no byte
+// random: 468–507 times as measured over 15 runs, + 10 %, with no byte
 // ceiling.
 const (
-	fleetWarmRunAllocsCeiling     = 439
-	fleetWarmRunRaceAllocsCeiling = 820
-	fleetWarmRunBytesCeiling      = 76_400
+	fleetWarmRunAllocsCeiling     = 190
+	fleetWarmRunRaceAllocsCeiling = 560
+	fleetWarmRunBytesCeiling      = 58_000
 )
 
 func TestFleetWarmRunAllocs(t *testing.T) {

@@ -158,8 +158,11 @@ type machine struct {
 
 	// fired is the reusable Post-Processing batch buffer: the event loop
 	// runs callbacks sequentially and each consumes the batch before
-	// returning, so one buffer serves every completion.
-	fired []tsu.Ready
+	// returning, so one buffer serves every completion. consumers and ctx
+	// are the arc-expansion scratch complete sizes the device's work with.
+	fired     []tsu.Ready
+	consumers []core.Instance
+	ctx       []core.Context
 
 	sink obs.Sink // nil when observability is disabled
 
@@ -376,8 +379,8 @@ func (m *machine) complete(c int, inst core.Instance) {
 	if m.done || m.err != nil {
 		return
 	}
-	consumers := m.state.AppendConsumers(nil, inst)
-	dur := m.cfg.TSULat + m.cfg.DecLat*sim.Time(len(consumers))
+	m.consumers = m.state.AppendConsumers(m.consumers[:0], &m.ctx, inst)
+	dur := m.cfg.TSULat + m.cfg.DecLat*sim.Time(len(m.consumers))
 	arrive := m.eng.Now() + m.cfg.MMILat
 	group := m.groupOf(c)
 	done := m.devices[group].Acquire(arrive, dur)
@@ -395,12 +398,10 @@ func (m *machine) complete(c int, inst core.Instance) {
 				Dur:   m.cyc(dur),
 			})
 		}
-		m.fired = m.fired[:0]
-		for _, tgt := range consumers {
-			m.fired = m.state.DecrementInto(m.fired, tgt)
-		}
+		// The device applies the expansion sized above; CompleteInto
+		// expands it again into the State's own scratch.
 		var programDone bool
-		m.fired, _, programDone = m.state.DoneInto(m.fired, inst, tsu.KernelID(c))
+		m.fired, _, programDone = m.state.CompleteInto(m.fired[:0], inst, tsu.KernelID(c))
 		for _, rd := range m.fired {
 			m.dispatch(group, rd)
 		}

@@ -75,6 +75,19 @@ func newReadyQueue(scan int) *readyQueue {
 	return q
 }
 
+// reset empties the queue for another run, keeping the node array and the
+// template index grown. The kernel that used it last has exited.
+func (q *readyQueue) reset() {
+	q.nodes = q.nodes[:0]
+	q.byTmpl = q.byTmpl[:0]
+	q.free, q.head, q.tail = nilNode, nilNode, nilNode
+	q.count, q.seq = 0, 0
+	q.closed, q.kicked = false, false
+	q.waiters = 0
+	q.idle = 0
+	q.closedCh = make(chan struct{})
+}
+
 // alloc takes a node from the free list, growing the pool as needed.
 // Caller holds q.mu.
 func (q *readyQueue) alloc() int32 {

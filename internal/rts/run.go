@@ -98,10 +98,14 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 	if shards > opt.Kernels {
 		shards = opt.Kernels
 	}
+	sc := takeScratch(opt.Kernels)
+	// Every goroutine of the run has exited before Run returns.
+	defer scratchPool.Put(sc)
 	r := &runner{
 		state:   state,
-		queues:  make([]*readyQueue, opt.Kernels),
-		pend:    make([][]core.Instance, opt.Kernels),
+		queues:  sc.queues[:opt.Kernels],
+		bufs:    sc.bufs[:opt.Kernels],
+		emu:     &sc.bufs[opt.Kernels],
 		stop:    make(chan struct{}),
 		sink:    opt.Obs,
 		steal:   opt.Steal,
@@ -131,9 +135,6 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 			r.tub.SetObs(r.sink)
 		}
 	}
-	for i := range r.queues {
-		r.queues[i] = newReadyQueue(queueScan)
-	}
 	stats := &Stats{
 		Kernels:  opt.Kernels,
 		Executed: make([]int64, opt.Kernels),
@@ -145,8 +146,9 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 	// Bootstrap: the Inlet DThread of the first Block is the first thing a
 	// Kernel executes. It is staged before any goroutine starts, while the
 	// pending batches are still this goroutine's to touch.
-	r.stage(r.pend, []tsu.Ready{state.Start()})
-	r.flush(r.pend)
+	r.emu.ready = append(r.emu.ready, state.Start())
+	r.stage(r.emu.pend, r.emu.ready)
+	r.flush(r.emu.pend)
 	var wg sync.WaitGroup
 	if r.sharded == nil {
 		// Single-driver plane: the TSU emulator is a dedicated goroutine,
@@ -173,9 +175,11 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 		stats.Shards = r.sharded.Shards()
 		stats.CrossShardDecrements = r.sharded.CrossShardDecrements()
 		stats.ShardFired = r.sharded.ShardFired()
+		r.sharded.Release()
 	} else {
 		stats.TSU = state.Stats()
 		stats.TUB = r.tub.Stats()
+		r.tub.Release()
 	}
 	for k, q := range r.queues {
 		stats.Idle[k] = q.idleTime()
@@ -239,14 +243,14 @@ type runner struct {
 	queues  []*readyQueue
 	steal   bool
 
-	// pend accumulates the emulator's per-kernel ready batches across one
-	// TUB drain cycle; flush publishes each batch under a single queue-lock
-	// acquisition with a single wakeup. ready is its reusable Decrement/
-	// Done collection buffer. Both are touched only by the emulator
-	// goroutine (and by Run's bootstrap before it starts); a shard-stepping
-	// kernel keeps its own pair.
-	pend  [][]core.Instance
-	ready []tsu.Ready
+	// bufs[k] is kernel k's buffers and emu the emulator's, both from
+	// the run's scratch. The emulator's pend accumulates per-kernel ready
+	// batches across one TUB drain cycle; flush publishes each batch under
+	// a single queue-lock acquisition with a single wakeup. emu is touched
+	// only by the emulator goroutine (and by Run's bootstrap before it
+	// starts); a shard-stepping kernel stages into its own pend.
+	bufs []scratchBufs
+	emu  *scratchBufs
 
 	// Observability; all nil when disabled, so the hot path pays only
 	// untaken branches.
@@ -302,15 +306,12 @@ func (r *runner) shutdown() {
 // cross-shard decrements are never slept through.
 func (r *runner) kernel(k tsu.KernelID, executed, service *int64) {
 	var ln *tsu.Lane
-	var pend [][]core.Instance
 	if r.sharded != nil {
 		ln = r.sharded.Lane(k)
-		pend = make([][]core.Instance, len(r.queues))
 	}
 	q := r.queues[int(k)]
+	b := &r.bufs[int(k)]
 	var last core.Instance
-	var ready []tsu.Ready
-	var targets []core.Instance
 	// execute runs one instance and its Post-Processing Phase and reports
 	// whether the kernel must exit. A panic anywhere in it — the body, a
 	// Mapping's AppendTargets during arc expansion, a TSU invariant —
@@ -323,18 +324,17 @@ func (r *runner) kernel(k tsu.KernelID, executed, service *int64) {
 			}
 		}()
 		r.runBody(k, inst, executed, service)
+		b.targets = r.state.AppendConsumers(b.targets[:0], &b.ctx, inst)
 		if ln == nil {
-			rec := r.state.AppendConsumers(r.tub.AcquireTargets(), inst)
-			r.tub.Push(tsu.Completion{Inst: inst, Kernel: k, Targets: rec})
+			r.tub.Push(tsu.Completion{Inst: inst, Kernel: k, Targets: b.targets})
 			return false
 		}
-		targets = r.state.AppendConsumers(targets[:0], inst)
 		t0 := r.now()
 		var done bool
-		ready, done = ln.Complete(ready[:0], inst, targets)
+		b.ready, done = ln.Complete(b.ready[:0], inst, b.targets)
 		r.tsuCommand(r.tsuLane+r.sharded.ShardOf(k), inst, t0)
-		r.stage(pend, ready)
-		r.flush(pend)
+		r.stage(b.pend, b.ready)
+		r.flush(b.pend)
 		if done {
 			r.shutdown()
 		}
@@ -342,9 +342,9 @@ func (r *runner) kernel(k tsu.KernelID, executed, service *int64) {
 	}
 	for {
 		if ln != nil {
-			ready = ln.Step(ready[:0])
-			r.stage(pend, ready)
-			r.flush(pend)
+			b.ready = ln.Step(b.ready[:0])
+			r.stage(b.pend, b.ready)
+			r.flush(b.pend)
 		}
 		var inst core.Instance
 		var ok, closed bool
@@ -453,16 +453,16 @@ func (r *runner) tsuCommand(lane int, inst core.Instance, t0 time.Duration) {
 // batches (one queue-lock acquisition and one wakeup per kernel per drain
 // cycle, instead of one per instance).
 func (r *runner) emulate() {
-	var recs []tsu.Completion
+	e := r.emu
 	for {
-		recs = r.tub.Drain(recs[:0])
-		if len(recs) == 0 {
+		e.recs = r.tub.Drain(e.recs[:0])
+		if len(e.recs) == 0 {
 			if !r.tub.Wait(r.stop) {
 				return
 			}
 			continue
 		}
-		for _, rec := range recs {
+		for _, rec := range e.recs {
 			t0 := r.now()
 			done := r.process(rec)
 			r.tsuCommand(r.tsuLane, rec.Inst, t0)
@@ -471,7 +471,7 @@ func (r *runner) emulate() {
 				return
 			}
 		}
-		r.flush(r.pend)
+		r.flush(e.pend)
 	}
 }
 
@@ -480,14 +480,14 @@ func (r *runner) emulate() {
 // batches rather than dispatched one by one. It reports whether the
 // program finished.
 func (r *runner) process(rec tsu.Completion) bool {
-	r.ready = r.ready[:0]
+	e := r.emu
+	e.ready = e.ready[:0]
 	for _, tgt := range rec.Targets {
-		r.ready = r.state.DecrementInto(r.ready, tgt)
+		e.ready = r.state.DecrementInto(e.ready, tgt)
 	}
-	r.tub.ReleaseTargets(rec.Targets)
 	var programDone bool
-	r.ready, _, programDone = r.state.DoneInto(r.ready, rec.Inst, rec.Kernel)
-	r.stage(r.pend, r.ready)
+	e.ready, _, programDone = r.state.DoneInto(e.ready, rec.Inst, rec.Kernel)
+	r.stage(e.pend, e.ready)
 	return programDone
 }
 

@@ -147,6 +147,7 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		go func() {
 			defer wg.Done()
 			var buf []core.Instance
+			var ctx []core.Context
 			for inst := range work {
 				slot, local := wsm.Decode(inst)
 				stage := int(inst.Thread - entry)
@@ -158,7 +159,7 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 				if body := p.Stages[stage].Body; body != nil && runErr.Load() == nil && !(stage == 0 && seq >= padFrom.Load()) {
 					runBody(stage, body, stream.Ctx{Window: win, Slot: slot, Local: local, Seq: seq})
 				}
-				buf = wsm.AppendConsumers(buf[:0], inst)
+				buf = wsm.AppendConsumers(buf[:0], &ctx, inst)
 				for _, tgt := range buf {
 					if wsm.Decrement(tgt) {
 						work <- tgt

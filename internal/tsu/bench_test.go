@@ -140,9 +140,10 @@ func fanoutState(b *testing.B) *State {
 func BenchmarkAppendConsumers(b *testing.B) {
 	s := fanoutState(b)
 	var dst []core.Instance
+	var ctx []core.Context
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = s.AppendConsumers(dst[:0], core.Instance{Thread: 1, Ctx: core.Context(i % 1024)})
+		dst = s.AppendConsumers(dst[:0], &ctx, core.Instance{Thread: 1, Ctx: core.Context(i % 1024)})
 	}
 	if len(dst) == 0 {
 		b.Fatal("no consumers expanded")

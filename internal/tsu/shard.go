@@ -74,7 +74,6 @@ type Lane struct {
 	sh int // shard this kernel steps, or -1 if it is not a stepper
 
 	route [][]core.Instance // per-shard outgoing cross-shard targets
-	drain []Completion      // reusable inbox drain buffer (steppers only)
 
 	// Lane-local statistics, folded into Stats()/SearchSteps() once the
 	// run is over. stats counts the decrements this lane applied and the
@@ -182,10 +181,8 @@ func (ln *Lane) Complete(dst []Ready, inst core.Instance, targets []core.Instanc
 		if len(ln.route[so]) == 0 {
 			continue
 		}
-		inbox := ss.inboxes[so]
-		out := append(inbox.AcquireTargets(), ln.route[so]...)
-		ln.crossShard += int64(len(out))
-		inbox.Push(Completion{Inst: inst, Kernel: ln.k, Targets: out})
+		ln.crossShard += int64(len(ln.route[so]))
+		ss.inboxes[so].Push(Completion{Inst: inst, Kernel: ln.k, Targets: ln.route[so]})
 		ln.route[so] = ln.route[so][:0]
 		if ss.notify != nil {
 			ss.notify(so)
@@ -204,8 +201,8 @@ func (ln *Lane) Step(dst []Ready) []Ready {
 	}
 	s := ln.ss.s
 	inbox := ln.ss.inboxes[ln.sh]
-	ln.drain = inbox.Drain(ln.drain[:0])
-	for _, rec := range ln.drain {
+	inbox.recs = inbox.Drain(inbox.recs[:0])
+	for _, rec := range inbox.recs {
 		for _, tgt := range rec.Targets {
 			info := &s.infos[tgt.Thread]
 			// The producer already charged the location lookup; the
@@ -217,7 +214,6 @@ func (ln *Lane) Step(dst []Ready) []Ready {
 				dst = append(dst, Ready{Inst: tgt, Kernel: ko})
 			}
 		}
-		inbox.ReleaseTargets(rec.Targets)
 	}
 	return dst
 }
@@ -308,6 +304,15 @@ func (ss *ShardedState) ShardFired() []int64 {
 		out[ss.shardOfKernel[k]] += n
 	}
 	return out
+}
+
+// Release returns the inbox TUBs for reuse (TUB.Release) once the run is
+// over and its statistics are read: no Lane or stats method may be called
+// afterwards.
+func (ss *ShardedState) Release() {
+	for _, in := range ss.inboxes {
+		in.Release()
+	}
 }
 
 // InboxStats aggregates the cross-shard inbox TUB counters.

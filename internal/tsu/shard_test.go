@@ -24,6 +24,7 @@ func driveSharded(t *testing.T, ss *ShardedState, pick func(q []Ready) int) []co
 	queue := []Ready{s.Start()}
 	seen := make(map[core.Instance]bool)
 	var targets []core.Instance
+	var ctx []core.Context
 	stepAll := func() bool {
 		grew := false
 		for sh := 0; sh < ss.Shards(); sh++ {
@@ -59,7 +60,7 @@ func driveSharded(t *testing.T, ss *ShardedState, pick func(q []Ready) int) []co
 			order = append(order, r.Inst)
 		}
 		ln := ss.Lane(r.Kernel)
-		targets = s.AppendConsumers(targets[:0], r.Inst)
+		targets = s.AppendConsumers(targets[:0], &ctx, r.Inst)
 		ready, done := ln.Complete(nil, r.Inst, targets)
 		queue = append(queue, ready...)
 		if done {

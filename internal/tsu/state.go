@@ -92,6 +92,12 @@ type State struct {
 	// the quantity the TKT exists to eliminate.
 	searchSteps int64
 
+	// ctx and cons are CompleteInto's arc-expansion scratch: the driver's
+	// own, like the SMs, so a State kept across runs (Tables.Acquire)
+	// keeps them grown.
+	ctx  []core.Context
+	cons []core.Instance
+
 	stats Stats
 }
 
@@ -299,13 +305,14 @@ func (s *State) Start() Ready {
 
 // AppendConsumers appends the consumer instances enabled by the completion
 // of inst (the arc-expansion half of the Post-Processing Phase). It reads
-// only immutable tables and is safe to call from any kernel. Service
-// instances have no consumers.
-func (s *State) AppendConsumers(dst []core.Instance, inst core.Instance) []core.Instance {
+// only immutable tables and is safe to call from any kernel; ctx is the
+// calling kernel's own context scratch, which it grows and keeps so that a
+// warm expansion allocates nothing. Service instances have no consumers.
+func (s *State) AppendConsumers(dst []core.Instance, ctx *[]core.Context, inst core.Instance) []core.Instance {
 	if s.IsService(inst) {
 		return dst
 	}
-	return s.infos[inst.Thread].appendConsumers(dst, inst.Ctx, 0)
+	return s.infos[inst.Thread].appendConsumers(dst, ctx, inst.Ctx, 0)
 }
 
 // Decrement decreases the Ready Count of target by one and reports whether
@@ -514,12 +521,12 @@ func (s *State) Complete(inst core.Instance, k KernelID) Result {
 }
 
 // CompleteInto is Complete with every newly ready instance appended to dst,
-// the allocation-free form single-driver platforms use with a reusable
-// batch buffer.
+// the form single-driver platforms use with a reusable batch buffer. Arc
+// expansion goes through scratch the State owns, so once that scratch and
+// dst have grown a completion allocates nothing.
 func (s *State) CompleteInto(dst []Ready, inst core.Instance, k KernelID) (ready []Ready, blockDone, programDone bool) {
-	var buf [32]core.Instance
-	consumers := s.AppendConsumers(buf[:0], inst)
-	for _, c := range consumers {
+	s.cons = s.AppendConsumers(s.cons[:0], &s.ctx, inst)
+	for _, c := range s.cons {
 		dst = s.DecrementInto(dst, c)
 	}
 	return s.DoneInto(dst, inst, k)

@@ -105,13 +105,15 @@ func buildThreadTable(blocks []*core.Block) ([]tmplInfo, error) {
 // pctx of info's template. slot offsets every consumer context by
 // slot·(consumer instances) — zero for the batch State, the window slot for
 // the WindowedSM's slot·instances+local encoding. It reads only immutable
-// tables.
-func (info *tmplInfo) appendConsumers(dst []core.Instance, pctx, slot core.Context) []core.Instance {
-	var ctxBuf [16]core.Context
+// tables. ctx is the caller's context scratch, grown in place: it passes
+// through the Mapping interface, so a buffer declared here would be moved
+// to the heap on every call.
+func (info *tmplInfo) appendConsumers(dst []core.Instance, ctx *[]core.Context, pctx, slot core.Context) []core.Instance {
 	for ai := range info.arcs {
 		a := &info.arcs[ai]
 		cbase := slot * a.cInst
-		for _, cc := range a.m.AppendTargets(ctxBuf[:0], pctx, info.inst, a.cInst) {
+		*ctx = a.m.AppendTargets((*ctx)[:0], pctx, info.inst, a.cInst)
+		for _, cc := range *ctx {
 			dst = append(dst, core.Instance{Thread: a.to, Ctx: cbase + cc})
 		}
 	}

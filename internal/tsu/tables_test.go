@@ -159,3 +159,81 @@ func TestTablesRejectsInvalidProgram(t *testing.T) {
 		t.Fatal("NewTables accepted 0 kernels")
 	}
 }
+
+// pairMapping is a user Mapping from outside core, like the examples'
+// stencils: producer context c enables consumer contexts c and c+1.
+type pairMapping struct{}
+
+func (pairMapping) AppendTargets(dst []core.Context, pctx, pInst, cInst core.Context) []core.Context {
+	for c := pctx; c <= pctx+1 && c < cInst; c++ {
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+func (pairMapping) InDegree(cctx, pInst, cInst core.Context) uint32 {
+	var n uint32
+	if cctx < pInst {
+		n++
+	}
+	if cctx >= 1 && cctx-1 < pInst {
+		n++
+	}
+	return n
+}
+
+func (pairMapping) String() string { return "pair" }
+
+// TestCompleteIntoAllocatesNothing pins the single-driver
+// Post-Processing Phase at zero allocations per completion: once a
+// pooled State's arc-expansion scratch and the caller's batch have grown,
+// a whole run of CompleteInto calls allocates nothing, whichever Mapping
+// the arcs use — including a 64-wide OneToAll, wider than any stack
+// buffer the expansion once used, and a Mapping defined outside core.
+func TestCompleteIntoAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		m     core.Mapping
+		cInst core.Context
+	}{
+		{core.OneToOne{}, 64},
+		{core.AllToOne{Target: 0}, 1},
+		{core.OneToAll{}, 64},
+		{core.Gather{Fan: 4}, 16},
+		{core.Scatter{Fan: 2}, 128},
+		{core.Const{Target: 3}, 4},
+		{pairMapping{}, 65},
+	} {
+		t.Run(c.m.String(), func(t *testing.T) {
+			p := core.NewProgram("complete-allocs")
+			blk := p.AddBlock()
+			prod := core.NewTemplate(1, "prod", func(core.Context) {})
+			prod.Instances = 64
+			prod.Then(2, c.m)
+			cons := core.NewTemplate(2, "cons", func(core.Context) {})
+			cons.Instances = c.cInst
+			blk.Add(prod)
+			blk.Add(cons)
+			tb, err := NewTables(p, 2, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var queue, batch []Ready
+			run := func() {
+				s := tb.Acquire()
+				queue = append(queue[:0], s.Start())
+				for i := 0; i < len(queue) && !s.Finished(); i++ {
+					batch, _, _ = s.CompleteInto(batch[:0], queue[i].Inst, queue[i].Kernel)
+					queue = append(queue, batch...)
+				}
+				if !s.Finished() {
+					t.Fatal("program did not finish")
+				}
+				s.Release()
+			}
+			run()
+			if n := testing.AllocsPerRun(20, run); n != 0 {
+				t.Fatalf("a warm run of %d completions allocates %.1f objects, want 0", len(queue), n)
+			}
+		})
+	}
+}

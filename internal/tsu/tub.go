@@ -13,7 +13,8 @@ import (
 // Counts must be decremented (the kernel-side arc expansion). The record is
 // atomic — the emulator applies all decrements before accounting the
 // completion — so partially applied post-processing can never leak across
-// Block boundaries.
+// Block boundaries. Push copies Targets; a drained record's Targets alias
+// the TUB's drain buffer (see Drain).
 type Completion struct {
 	Inst    core.Instance
 	Kernel  KernelID
@@ -61,17 +62,20 @@ type TUBStats struct {
 	Blocked   int64 // times a writer had to block for space
 }
 
-type tubSegment struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	buf  []Completion
-	cap  int
+// tubRec is a deposited record as a segment holds it: its n targets sit,
+// in deposit order, in the segment's arena.
+type tubRec struct {
+	inst   core.Instance
+	kernel KernelID
+	n      int
 }
 
-func (s *tubSegment) init(capacity int) {
-	s.cond = sync.NewCond(&s.mu)
-	s.buf = make([]Completion, 0, capacity)
-	s.cap = capacity
+type tubSegment struct {
+	mu    sync.Mutex
+	cond  *sync.Cond
+	buf   []tubRec
+	arena []core.Instance // the targets of buf's records, back to back
+	cap   int
 }
 
 // TUB is the Thread-to-Update Buffer shared between the Kernels (writers)
@@ -90,41 +94,62 @@ type TUB struct {
 	// before the run starts; Push reads it without synchronization.
 	sink obs.Sink
 
-	pool sync.Pool // *[]core.Instance recycled target slices
+	// drained holds the targets of the records the last Drain returned,
+	// and recs, for an inbox, the records themselves (Lane.Step). Only
+	// the single drainer touches them.
+	drained []core.Instance
+	recs    []Completion
 }
 
 // SetObs attaches an observability sink recording TUBDeposit events.
 // Call before any kernel starts pushing.
 func (t *TUB) SetObs(s obs.Sink) { t.sink = s }
 
-// NewTUB builds a TUB for the given number of kernels.
+// tubPool holds Released TUBs, so the buffer of a run starts with the
+// segment arenas an earlier run grew. It is process-wide and takes TUBs
+// of any shape.
+var tubPool sync.Pool
+
+// NewTUB builds a TUB for the given number of kernels, reusing a Released
+// one when the pool has one.
 func NewTUB(kernels int, cfg TUBConfig) *TUB {
 	cfg = cfg.withDefaults(kernels)
-	t := &TUB{
-		segs:      make([]tubSegment, cfg.Segments),
-		notify:    make(chan struct{}, 1),
-		unbounded: cfg.Unbounded,
+	t, _ := tubPool.Get().(*TUB)
+	if t == nil {
+		t = &TUB{notify: make(chan struct{}, 1)}
 	}
+	if cap(t.segs) < cfg.Segments {
+		t.segs = make([]tubSegment, cfg.Segments)
+		for i := range t.segs {
+			t.segs[i].cond = sync.NewCond(&t.segs[i].mu)
+		}
+	}
+	t.segs = t.segs[:cfg.Segments]
 	for i := range t.segs {
-		t.segs[i].init(cfg.SegmentCap)
+		seg := &t.segs[i]
+		seg.buf, seg.arena, seg.cap = seg.buf[:0], seg.arena[:0], cfg.SegmentCap
+		if cap(seg.buf) < cfg.SegmentCap {
+			seg.buf = make([]tubRec, 0, cfg.SegmentCap)
+		}
 	}
-	t.pool.New = func() any {
-		s := make([]core.Instance, 0, 16)
-		return &s
+	select {
+	case <-t.notify: // a wakeup the last run left unconsumed
+	default:
 	}
+	t.closed.Store(false)
+	t.unbounded = cfg.Unbounded
+	t.pushes.Store(0)
+	t.tryMisses.Store(0)
+	t.blocked.Store(0)
+	t.sink = nil
+	t.drained, t.recs = t.drained[:0], t.recs[:0]
 	return t
 }
 
-// AcquireTargets returns a reusable target slice for building a Completion.
-func (t *TUB) AcquireTargets() []core.Instance {
-	return (*t.pool.Get().(*[]core.Instance))[:0]
-}
-
-// ReleaseTargets recycles a target slice once the emulator has applied it.
-func (t *TUB) ReleaseTargets(s []core.Instance) {
-	s = s[:0]
-	t.pool.Put(&s)
-}
+// Release returns the TUB to the pool NewTUB draws from. Call it once no
+// writer or drainer will touch the TUB again: neither the TUB nor a record
+// its last Drain returned may be used afterwards.
+func (t *TUB) Release() { tubPool.Put(t) }
 
 // deposited accounts one successfully enqueued record: the Pushes counter
 // and the TUBDeposit obs event count accepted deposits only, so records
@@ -141,12 +166,14 @@ func (t *TUB) deposited(rec Completion) {
 	}
 }
 
-// Push deposits a completion record. Per the paper's design, the writer
-// walks the segments starting from its kernel's home segment and takes the
-// first one whose try-lock succeeds and that has space, so at most one
-// segment is ever held by a kernel. If a full pass fails (all segments
-// locked or full), the writer blocks on its home segment until the
-// emulator drains it — the slow path segmentation exists to avoid.
+// Push deposits a completion record, copying its targets into the
+// segment's arena, so the caller may reuse rec.Targets at once. Per the
+// paper's design, the writer walks the segments starting from its kernel's
+// home segment and takes the first one whose try-lock succeeds and that
+// has space, so at most one segment is ever held by a kernel. If a full
+// pass fails (all segments locked or full), the writer blocks on its home
+// segment until the emulator drains it — the slow path segmentation exists
+// to avoid, and the one Blocked counts.
 func (t *TUB) Push(rec Completion) {
 	n := len(t.segs)
 	home := int(rec.Kernel) % n
@@ -162,18 +189,18 @@ func (t *TUB) Push(rec Completion) {
 				t.tryMisses.Add(1)
 				continue
 			}
-			seg.buf = append(seg.buf, rec)
+			seg.put(rec)
 			seg.mu.Unlock()
 			t.deposited(rec)
 			t.signal()
 			return
 		}
-		t.blocked.Add(1)
 	}
 	// Fallback on the home segment (and the only path in single-lock
 	// mode): blocking for space, or growing past cap in unbounded mode.
 	seg := &t.segs[home]
 	seg.mu.Lock()
+	waited := false
 	for len(seg.buf) >= seg.cap && !t.unbounded {
 		if t.closed.Load() {
 			// Aborted run: nobody will drain; drop the record rather
@@ -181,14 +208,24 @@ func (t *TUB) Push(rec Completion) {
 			seg.mu.Unlock()
 			return
 		}
+		if !waited {
+			t.blocked.Add(1)
+			waited = true
+		}
 		// Wake the emulator so it can drain; then wait for space.
 		t.signal()
 		seg.cond.Wait()
 	}
-	seg.buf = append(seg.buf, rec)
+	seg.put(rec)
 	seg.mu.Unlock()
 	t.deposited(rec)
 	t.signal()
+}
+
+// put appends rec and its targets. Caller holds s.mu.
+func (s *tubSegment) put(rec Completion) {
+	s.buf = append(s.buf, tubRec{inst: rec.Inst, kernel: rec.Kernel, n: len(rec.Targets)})
+	s.arena = append(s.arena, rec.Targets...)
 }
 
 // Close marks the TUB as abandoned (error-path shutdown): writers blocked
@@ -213,14 +250,30 @@ func (t *TUB) signal() {
 }
 
 // Drain moves every pending record from all segments into dst and returns
-// it. Only the TSU emulator calls Drain.
+// it. The records' Targets alias one buffer the TUB keeps for its drainer:
+// they stay valid until the next Drain, which reuses it. Only the TSU
+// emulator (or, for an inbox, the owning shard's stepper) calls Drain.
 func (t *TUB) Drain(dst []Completion) []Completion {
+	t.drained = t.drained[:0]
 	for i := range t.segs {
 		seg := &t.segs[i]
 		seg.mu.Lock()
 		if len(seg.buf) > 0 {
-			dst = append(dst, seg.buf...)
+			// A record's Targets may point into an array this append
+			// outgrows; it still holds the copied targets, and only the
+			// newest array is written again.
+			off := len(t.drained)
+			t.drained = append(t.drained, seg.arena...)
+			for _, r := range seg.buf {
+				c := Completion{Inst: r.inst, Kernel: r.kernel}
+				if r.n > 0 {
+					c.Targets = t.drained[off : off+r.n : off+r.n]
+					off += r.n
+				}
+				dst = append(dst, c)
+			}
 			seg.buf = seg.buf[:0]
+			seg.arena = seg.arena[:0]
 			seg.cond.Broadcast()
 		}
 		seg.mu.Unlock()

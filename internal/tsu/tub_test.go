@@ -78,8 +78,16 @@ func TestTUBSingleLockMode(t *testing.T) {
 
 func TestTUBBlockingFallbackTinyCapacity(t *testing.T) {
 	// One segment of capacity 1 forces the blocking path constantly; the
-	// reader must keep everything flowing.
-	hammerTUB(t, TUBConfig{Segments: 1, SegmentCap: 1}, 3, 100)
+	// reader must keep everything flowing, and the writers that waited
+	// must show in Blocked (a single-segment TUB has no try-lock pass, so
+	// this is the only place its waits can be counted).
+	st := hammerTUB(t, TUBConfig{Segments: 1, SegmentCap: 1}, 3, 300)
+	if st.Blocked == 0 {
+		t.Fatalf("Blocked = 0 after %d pushes into one 1-record segment, want > 0", st.Pushes)
+	}
+	if st.Blocked > st.Pushes {
+		t.Fatalf("Blocked = %d exceeds the %d pushes; a push that waits counts once", st.Blocked, st.Pushes)
+	}
 }
 
 func TestTUBDefaults(t *testing.T) {
@@ -89,17 +97,60 @@ func TestTUBDefaults(t *testing.T) {
 	}
 }
 
-func TestTUBTargetsPoolRoundTrip(t *testing.T) {
-	tub := NewTUB(1, TUBConfig{})
-	s := tub.AcquireTargets()
-	if len(s) != 0 {
-		t.Fatalf("acquired slice has len %d", len(s))
+func TestTUBTargetsRoundTrip(t *testing.T) {
+	// Push copies the targets, so the writer may reuse its slice at once,
+	// and Drain hands them back in deposit order, record by record.
+	tub := NewTUB(2, TUBConfig{Segments: 2, SegmentCap: 4})
+	var targets []core.Instance
+	for i := 0; i < 6; i++ {
+		targets = targets[:0]
+		for j := 0; j < i; j++ {
+			targets = append(targets, core.Instance{Thread: core.ThreadID(i), Ctx: core.Context(j)})
+		}
+		tub.Push(Completion{Inst: core.Instance{Ctx: core.Context(i)}, Kernel: KernelID(i % 2), Targets: targets})
+		for j := range targets {
+			targets[j] = core.Instance{} // the deposit must not see this
+		}
 	}
-	s = append(s, core.Instance{Thread: 7})
-	tub.ReleaseTargets(s)
-	s2 := tub.AcquireTargets()
-	if len(s2) != 0 {
-		t.Fatalf("recycled slice has len %d, want 0", len(s2))
+	recs := tub.Drain(nil)
+	if len(recs) != 6 {
+		t.Fatalf("drained %d records, want 6", len(recs))
+	}
+	for _, r := range recs {
+		i := int(r.Inst.Ctx)
+		if len(r.Targets) != i {
+			t.Fatalf("record %d carries %d targets, want %d", i, len(r.Targets), i)
+		}
+		if i == 0 && r.Targets != nil {
+			t.Fatal("a record pushed without targets drains with a non-nil slice")
+		}
+		for j, tgt := range r.Targets {
+			if want := (core.Instance{Thread: core.ThreadID(i), Ctx: core.Context(j)}); tgt != want {
+				t.Fatalf("record %d target %d = %v, want %v", i, j, tgt, want)
+			}
+		}
+	}
+}
+
+// TestTUBPushDrainAllocatesNothing pins the inline target arena: once the
+// segments and the drain buffer have grown, a Push-with-targets/Drain
+// cycle allocates nothing.
+func TestTUBPushDrainAllocatesNothing(t *testing.T) {
+	tub := NewTUB(2, TUBConfig{})
+	targets := make([]core.Instance, 64)
+	var recs []Completion
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			tub.Push(Completion{Inst: core.Instance{Thread: 1, Ctx: core.Context(i)}, Kernel: KernelID(i % 2), Targets: targets[:i%9]})
+		}
+		recs = tub.Drain(recs[:0])
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("Push/Drain cycle allocates %.1f objects, want 0", n)
+	}
+	if len(recs) != 64 {
+		t.Fatalf("drained %d records, want 64", len(recs))
 	}
 }
 

@@ -256,10 +256,11 @@ func (w *WindowedSM) info(id core.ThreadID) *tmplInfo {
 
 // AppendConsumers appends the window-local consumer instances enabled by
 // the completion of inst, encoded in the same slot. Reads only immutable
-// tables; safe from any kernel.
-func (w *WindowedSM) AppendConsumers(dst []core.Instance, inst core.Instance) []core.Instance {
+// tables; safe from any kernel, each with its own context scratch ctx (see
+// State.AppendConsumers).
+func (w *WindowedSM) AppendConsumers(dst []core.Instance, ctx *[]core.Context, inst core.Instance) []core.Instance {
 	info := &w.infos[inst.Thread]
-	return info.appendConsumers(dst, inst.Ctx%info.inst, inst.Ctx/info.inst)
+	return info.appendConsumers(dst, ctx, inst.Ctx%info.inst, inst.Ctx/info.inst)
 }
 
 // Decrement atomically decreases the Ready Count of an encoded target and

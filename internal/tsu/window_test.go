@@ -59,7 +59,7 @@ func TestWindowedBasic(t *testing.T) {
 		inst := queue[0]
 		queue = queue[1:]
 		executed++
-		for _, tgt := range w.AppendConsumers(nil, inst) {
+		for _, tgt := range w.AppendConsumers(nil, new([]core.Context), inst) {
 			if w.Decrement(tgt) {
 				queue = append(queue, tgt)
 			}
@@ -117,7 +117,7 @@ func drainWindow(w *WindowedSM, ref WindowRef) {
 	for len(queue) > 0 {
 		inst := queue[0]
 		queue = queue[1:]
-		for _, tgt := range w.AppendConsumers(nil, inst) {
+		for _, tgt := range w.AppendConsumers(nil, new([]core.Context), inst) {
 			if w.Decrement(tgt) {
 				queue = append(queue, tgt)
 			}
@@ -260,7 +260,7 @@ func TestWindowedRecyclingProperty(t *testing.T) {
 					mu.Lock()
 					execs[fmt.Sprintf("%d/T%d.%d", it.win, it.inst.Thread, local)]++
 					mu.Unlock()
-					for _, tgt := range w.AppendConsumers(nil, it.inst) {
+					for _, tgt := range w.AppendConsumers(nil, new([]core.Context), it.inst) {
 						if w.Decrement(tgt) {
 							work <- workItem{inst: tgt, win: it.win, ref: it.ref}
 						}
@@ -335,9 +335,9 @@ func TestWindowedConsumersMatchState(t *testing.T) {
 		}
 		for _, tpl := range b.Templates {
 			for local := core.Context(0); local < tpl.Instances; local++ {
-				want := s.AppendConsumers(nil, core.Instance{Thread: tpl.ID, Ctx: local})
+				want := s.AppendConsumers(nil, new([]core.Context), core.Instance{Thread: tpl.ID, Ctx: local})
 				for slot := core.Context(0); slot < slots; slot++ {
-					got := w.AppendConsumers(nil, core.Instance{Thread: tpl.ID, Ctx: slot*tpl.Instances + local})
+					got := w.AppendConsumers(nil, new([]core.Context), core.Instance{Thread: tpl.ID, Ctx: slot*tpl.Instances + local})
 					if len(got) != len(want) {
 						t.Fatalf("W=%d T%d.%d slot %d: %d consumers, state has %d", wctx, tpl.ID, local, slot, len(got), len(want))
 					}
