@@ -47,9 +47,7 @@
 //
 // TSU tuning: -tsu-shards N (soft platform) replaces the dedicated
 // TSU-emulator goroutine with N kernel-stepped shards — parallel readiness
-// bookkeeping; -tsu-map range|rr|locality overrides the TKT context→kernel
-// assignment on the soft, hard and cell platforms, where locality derives
-// the mapping from the program's declared Access regions (ddmlint).
+// bookkeeping.
 //
 // Data-plane tuning (dist platform): -nodes worker nodes share -kernels,
 // which must be a positive multiple of it; -dist-batch, -dist-batch-bytes
@@ -99,7 +97,6 @@ import (
 	"tflux/internal/rts"
 	"tflux/internal/stats"
 	"tflux/internal/stream"
-	"tflux/internal/tsu"
 	"tflux/internal/vtime"
 	"tflux/internal/workload"
 )
@@ -158,7 +155,6 @@ var scope = []struct {
 	{"nodes", onDist},
 	{"unroll", onBatch | onConnect},
 	{"tsu-shards", onSoft},
-	{"tsu-map", onSoft | onHard | onCell}, // the platforms that own a tsu.State locally
 	{"reps", onBatch | onConnect},
 	{"dot", onBatch},
 	{"trace-out", onTraced},
@@ -210,7 +206,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nodes        = fs.Int("nodes", 2, "worker nodes (dist platform)")
 		unroll       = fs.Int("unroll", 8, "loop unroll factor (DThread granularity)")
 		tsuShards    = fs.Int("tsu-shards", 0, "soft platform: shard the software TSU across N kernel-stepped shards (0 or 1 = the dedicated emulator goroutine)")
-		tsuMap       = fs.String("tsu-map", "", "TKT context→kernel mapping policy: range|rr|locality (soft/hard/cell; empty = closed-form range split)")
 		reps         = fs.Int("reps", 3, "repetitions for native measurements (min taken)")
 		dotOut       = fs.String("dot", "", "write the Synchronization Graph in DOT format to this file and exit")
 		traceOut     = fs.String("trace-out", "", "write a Chrome trace-event JSON file of the run (soft|hard|cell|dist)")
@@ -251,6 +246,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := checkScope(set, kind); err != nil {
 		return fail(err)
 	}
+	if kind == "dist" {
+		// The nodes share the kernels evenly, so the header, job.Build and
+		// the worker replicas must all see one total.
+		if *nodes < 1 {
+			return fail(fmt.Errorf("-nodes must be at least 1, not %d", *nodes))
+		}
+		if *kernels < *nodes || *kernels%*nodes != 0 {
+			lo := max(*kernels / *nodes, 1) * *nodes
+			return fail(fmt.Errorf("-kernels %d is not a positive multiple of -nodes %d (the dist platform gives every node the same number of kernels; the nearest totals are %d and %d)",
+				*kernels, *nodes, lo, lo+*nodes))
+		}
+	}
+	// A value outside its range is refused, not clamped: the header would
+	// otherwise print a count the run does not use.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"kernels", *kernels, 1},
+		{"unroll", *unroll, 1},
+		{"tsu-shards", *tsuShards, 0},
+	} {
+		if f.val < f.min {
+			return fail(fmt.Errorf("-%s must be at least %d, not %d", f.name, f.min, f.val))
+		}
+	}
 	if kind == "stream" {
 		return runStreamMode(*streamEvents, *streamRate, *streamWindow, *streamSlots,
 			*kernels, *streamPolicy, *streamFaults, *vet, *metrics, stdout, stderr)
@@ -263,18 +284,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cls, err := workload.ParseSizeClass(*size)
 	if err != nil {
 		return fail(err)
-	}
-	if kind == "dist" {
-		// The nodes share the kernels evenly, so the header, job.Build and
-		// the worker replicas must all see one total.
-		if *nodes < 1 {
-			return fail(fmt.Errorf("-nodes must be at least 1, not %d", *nodes))
-		}
-		if *kernels < *nodes || *kernels%*nodes != 0 {
-			lo := max(*kernels / *nodes, 1) * *nodes
-			return fail(fmt.Errorf("-kernels %d is not a positive multiple of -nodes %d (the dist platform gives every node the same number of kernels; the nearest totals are %d and %d)",
-				*kernels, *nodes, lo, lo+*nodes))
-		}
 	}
 	sizes, ok := spec.Sizes(platforms[*platform])
 	if !ok {
@@ -305,23 +314,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote synchronization graph to %s\n", *dotOut)
 		return 0
 	}
-	// The mapping policies plug into every platform that owns a tsu.State
-	// locally (scope's -tsu-map row). The locality policy is derived
-	// from the program's declared Access regions by the linter's region
-	// summarizer.
-	var mapping tsu.Mapping
-	switch *tsuMap {
-	case "":
-	case "range":
-		mapping = tsu.RangeMapping{}
-	case "rr":
-		mapping = tsu.RoundRobinMapping{}
-	case "locality":
-		mapping = ddmlint.LocalityMapping(prog)
-	default:
-		return fail(fmt.Errorf("unknown -tsu-map %q (want range, rr or locality)", *tsuMap))
-	}
-
 	if *vet {
 		rep, err := ddmlint.Lint(prog)
 		if err := vetGate(rep, err, stdout, stderr); err != nil {
@@ -388,7 +380,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		res, err := hardsim.Run(prog, hardsim.Config{Cores: *kernels, Mapping: mapping, Obs: sink, Metrics: reg})
+		res, err := hardsim.Run(prog, hardsim.Config{Cores: *kernels, Obs: sink, Metrics: reg})
 		if err != nil {
 			return fail(err)
 		}
@@ -405,7 +397,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var last *rts.Stats
 		parT, err = bestOf(*reps, func() (time.Duration, error) {
 			job.ResetOutput()
-			st, err := rts.Run(prog, rts.Options{Kernels: *kernels, TSUShards: *tsuShards, TSUMapping: mapping, Obs: sink, Metrics: reg})
+			st, err := rts.Run(prog, rts.Options{Kernels: *kernels, TSUShards: *tsuShards, Obs: sink, Metrics: reg})
 			if err != nil {
 				return 0, err
 			}
@@ -427,7 +419,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "cell":
 		parT, err = bestOf(*reps, func() (time.Duration, error) {
 			job.ResetOutput()
-			st, err := cellsim.Run(prog, job.SharedBuffers(), cellsim.Config{SPEs: *kernels, Mapping: mapping, Obs: sink, Metrics: reg})
+			st, err := cellsim.Run(prog, job.SharedBuffers(), cellsim.Config{SPEs: *kernels, Obs: sink, Metrics: reg})
 			if err != nil {
 				return 0, err
 			}

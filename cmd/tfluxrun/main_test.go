@@ -386,7 +386,6 @@ func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 		flag      []string
 		platforms []string
 	}{
-		{[]string{"-tsu-map", "rr"}, []string{"dist", "virtual"}},
 		{[]string{"-tsu-shards", "2"}, []string{"hard", "cell", "dist", "virtual"}},
 		{[]string{"-gantt"}, []string{"hard", "cell", "dist", "virtual"}},
 		{[]string{"-nodes", "5"}, offDist},
@@ -453,12 +452,52 @@ func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 	}
 }
 
+// TestRunRefusesOutOfRangeCounts: a count below its range is refused on
+// every run that takes the flag. Each of these used to exit 0 with the
+// header printing the value while the run clamped it: "-3 kernels" (or
+// "-3 workers") over one kernel or six SPEs, "unroll 0" over unroll 1, and
+// -tsu-shards -2 on the single plane.
+func TestRunRefusesOutOfRangeCounts(t *testing.T) {
+	batch := func(platforms ...string) [][]string {
+		var runs [][]string
+		for _, p := range platforms {
+			runs = append(runs, []string{"-bench", "TRAPEZ", "-platform", p, "-reps", "1"})
+		}
+		return runs
+	}
+	connect := []string{"-connect", "127.0.0.1:1"}
+	stream := []string{"-stream-events", "100"}
+	for _, c := range []struct {
+		flag string
+		vals []string
+		min  string
+		runs [][]string // every run that takes the flag
+	}{
+		{"-kernels", []string{"0", "-3"}, "1", append(batch("soft", "hard", "cell", "virtual"), connect, stream)},
+		{"-unroll", []string{"0", "-2"}, "1", append(batch("soft", "hard", "cell", "dist", "virtual"), connect)},
+		{"-tsu-shards", []string{"-2"}, "0", batch("soft")},
+	} {
+		for _, prefix := range c.runs {
+			for _, v := range c.vals {
+				args := append(append([]string(nil), prefix...), c.flag, v)
+				var out, errb bytes.Buffer
+				if code := run(args, &out, &errb); code != 1 {
+					t.Errorf("%v: exit %d, want 1 (stdout: %s)", args, code, out.String())
+				}
+				if want := c.flag + " must be at least " + c.min + ", not " + v; !strings.Contains(errb.String(), want) {
+					t.Errorf("%v: stderr %q, want %q", args, errb.String(), want)
+				}
+			}
+		}
+	}
+}
+
 // TestRunStreamRefusesBatchTuning pins the streaming column of the scope
 // table: flags that tune a batch run are refused in streaming mode, where
 // each of these used to be dropped and the run still printed "verify: ok".
 func TestRunStreamRefusesBatchTuning(t *testing.T) {
 	for _, flag := range [][]string{
-		{"-tsu-shards", "4"}, {"-tsu-map", "rr"}, {"-reps", "2"},
+		{"-tsu-shards", "4"}, {"-reps", "2"},
 		{"-dist-window", "2"}, {"-dist-no-cache"}, {"-dist-faults", "seed=1,plan=sever:node=1:after=1"},
 		{"-dist-batch", "4"}, {"-dist-batch-bytes", "4096"},
 	} {
@@ -505,22 +544,17 @@ func TestScopeCoversEveryFlag(t *testing.T) {
 	}
 }
 
-// TestRunShardedMappings runs a suite benchmark end to end on the sharded
-// plane under each TKT mapping policy, locality being derived from the
-// program's Access regions by ddmlint.LocalityMapping: the run must
-// verify and report its shards.
-func TestRunShardedMappings(t *testing.T) {
-	for _, mapping := range []string{"range", "rr", "locality"} {
-		var out, errb bytes.Buffer
-		code := run([]string{"-bench", "TRAPEZ", "-platform", "soft", "-tsu-shards", "2",
-			"-tsu-map", mapping, "-reps", "1"}, &out, &errb)
-		if code != 0 {
-			t.Fatalf("-tsu-map %s: exit %d: %s", mapping, code, errb.String())
-		}
-		for _, want := range []string{"tsu:        2 shards", "verify:     ok"} {
-			if !strings.Contains(out.String(), want) {
-				t.Fatalf("-tsu-map %s: output missing %q:\n%s", mapping, want, out.String())
-			}
+// TestRunShardedPlane runs a suite benchmark end to end on the sharded
+// plane: the run must verify and report its shards.
+func TestRunShardedPlane(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-bench", "TRAPEZ", "-platform", "soft", "-tsu-shards", "2", "-reps", "1"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	for _, want := range []string{"tsu:        2 shards", "verify:     ok"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
 	}
 }

@@ -36,10 +36,6 @@ type Config struct {
 	// TSUSize caps the DThread instances per DDM Block (the TSU's slot
 	// count, §2). Zero means unlimited.
 	TSUSize int64
-	// Mapping overrides the context→SPE assignment policy (the TKT
-	// contents). Nil keeps the paper's chunked range split — the default
-	// the cycle-accounted runs are calibrated against.
-	Mapping tsu.Mapping
 	// Obs, when non-nil, receives typed events: ThreadComplete per SPE
 	// lane, DMATransfer per staging operation, and TSUCommand on the PPE
 	// lane (lane == SPEs).
@@ -80,7 +76,7 @@ type Stats struct {
 // with at least the declared size.
 func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, error) {
 	cfg = cfg.withDefaults()
-	state, err := tsu.NewStateCfg(p, cfg.SPEs, tsu.Config{MaxBlockInstances: cfg.TSUSize, Mapping: cfg.Mapping})
+	state, err := tsu.NewStateCfg(p, cfg.SPEs, tsu.Config{MaxBlockInstances: cfg.TSUSize})
 	if err != nil {
 		return nil, err
 	}

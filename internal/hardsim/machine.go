@@ -48,10 +48,6 @@ type Config struct {
 	// TSUSize caps the DThread instances per DDM Block (the hardware
 	// TSU's slot count, §2). Zero means unlimited.
 	TSUSize int64
-	// Mapping overrides the context→core assignment policy (the TKT
-	// contents). Nil keeps the paper's chunked range split, which the
-	// Figure 5 cycle counts are pinned to.
-	Mapping tsu.Mapping
 	// Obs, when non-nil, receives the simulated run as typed events, with
 	// cycles mapped onto durations via cyclePeriod: ThreadComplete per
 	// core lane, CacheStall for the memory portion of each application
@@ -180,7 +176,7 @@ func (m *machine) cyc(t sim.Time) time.Duration {
 // cycle-level result.
 func Run(p *core.Program, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	state, err := tsu.NewStateCfg(p, cfg.Cores, tsu.Config{MaxBlockInstances: cfg.TSUSize, Mapping: cfg.Mapping})
+	state, err := tsu.NewStateCfg(p, cfg.Cores, tsu.Config{MaxBlockInstances: cfg.TSUSize})
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"tflux/internal/core"
 	"tflux/internal/sim"
-	"tflux/internal/tsu"
 )
 
 // parallelSum builds an n-worker map+reduce with a uniform cost model and
@@ -91,36 +90,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("non-deterministic: %d vs %d cycles", a, b)
-	}
-}
-
-// TestRunMappingCycleIdentity: an explicit RangeMapping tabulates exactly
-// the closed-form TKT split, so it must reproduce the default
-// configuration's cycle count bit-for-bit — the guarantee that keeps the
-// Figure 5 numbers stable when the mapping machinery is present but not
-// asked to change anything. A RoundRobinMapping is then allowed (expected,
-// here, with per-context private regions) to change the schedule while
-// still computing the right answer.
-func TestRunMappingCycleIdentity(t *testing.T) {
-	run := func(m tsu.Mapping) (sim.Time, int64) {
-		p, result := parallelSum(24, 10_000)
-		res, err := Run(p, Config{Cores: 8, Mapping: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Cycles, *result
-	}
-	defCyc, defSum := run(nil)
-	rangeCyc, rangeSum := run(tsu.RangeMapping{})
-	if defCyc != rangeCyc {
-		t.Fatalf("range mapping changed cycles: %d vs default %d", rangeCyc, defCyc)
-	}
-	rrCyc, rrSum := run(tsu.RoundRobinMapping{})
-	if defSum != 276 || rangeSum != 276 || rrSum != 276 {
-		t.Fatalf("sums = %d/%d/%d, want 276", defSum, rangeSum, rrSum)
-	}
-	if rrCyc <= 0 {
-		t.Fatal("round-robin run charged no cycles")
 	}
 }
 

@@ -25,10 +25,6 @@ type Options struct {
 	// goroutine: one driver serializes every Ready Count update, which is
 	// what the sharded plane's equivalence suites compare against.
 	TSUShards int
-	// TSUMapping overrides the context→kernel assignment policy (the TKT
-	// contents). Nil keeps the paper's chunked range split. Works on both
-	// planes.
-	TSUMapping tsu.Mapping
 	// TUB configures the Thread-to-Update Buffer.
 	TUB tsu.TUBConfig
 	// Obs, when non-nil, receives the full typed event stream (thread
@@ -90,7 +86,7 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 	if opt.Kernels <= 0 {
 		opt.Kernels = 1
 	}
-	state, err := tsu.NewStateCfg(p, opt.Kernels, tsu.Config{MaxBlockInstances: opt.TSUSize, Mapping: opt.TSUMapping})
+	state, err := tsu.NewStateCfg(p, opt.Kernels, tsu.Config{MaxBlockInstances: opt.TSUSize})
 	if err != nil {
 		return nil, err
 	}

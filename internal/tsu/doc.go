@@ -28,10 +28,8 @@
 //     cellsim), the memory-mapped hardware device model (package hardsim),
 //     the TFluxDist fleet loop (package dist), or the TFluxSoft emulator
 //     goroutine (package rts). The plain Ready Count decrement is written
-//     once (applyDec) and charged to whichever writer calls it. The TKT
-//     itself is pluggable: a Mapping policy (range split, round-robin, or
-//     the Access-region locality mapping) can re-assign contexts to
-//     kernels; the default stays the paper's closed-form chunked split.
+//     once (applyDec) and charged to whichever writer calls it. The TKT is
+//     the paper's closed-form chunked split, ctx → ctx·kernels/instances.
 //     Tables freezes a State's immutable half plus per-block SM snapshots
 //     so a daemon builds them once per program and restores pooled States
 //     by memcpy.

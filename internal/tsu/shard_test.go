@@ -89,9 +89,9 @@ func sortedInstances(in []core.Instance) []core.Instance {
 // TestShardedMatchesOracleRichPrograms is the randomized equivalence
 // check: the sharded engine must execute exactly the set of instances the
 // single-driver oracle executes, with identical decrement/fire/probe
-// accounting, across random kernel/shard counts, both SM search modes and
-// every mapping policy (satellite: sharded SM agrees with the unsharded
-// oracle on randomized programs).
+// accounting, across random kernel/shard counts and both SM search modes
+// (satellite: sharded SM agrees with the unsharded oracle on randomized
+// programs).
 func TestShardedMatchesOracleRichPrograms(t *testing.T) {
 	for seed := int64(0); seed < 90; seed++ {
 		r := rand.New(rand.NewSource(seed + 4000))
@@ -100,17 +100,10 @@ func TestShardedMatchesOracleRichPrograms(t *testing.T) {
 		_ = r.Int63() // keep r independent of the program stream
 		kernels := 1 + r.Intn(8)
 		shards := 1 + r.Intn(kernels)
-		var mapping Mapping
-		switch r.Intn(3) {
-		case 1:
-			mapping = RangeMapping{}
-		case 2:
-			mapping = RoundRobinMapping{}
-		}
+		_ = r.Intn(3) // spent, not used: keeps each seed's search-mode draw where it has always been
 		linear := r.Intn(2) == 0
-		cfg := Config{Mapping: mapping}
 
-		oracle, err := NewStateCfg(pa, kernels, cfg)
+		oracle, err := NewState(pa, kernels)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -118,7 +111,7 @@ func TestShardedMatchesOracleRichPrograms(t *testing.T) {
 		sched := rand.New(rand.NewSource(seed))
 		want := drive(t, oracle, func(q []Ready) int { return sched.Intn(len(q)) })
 
-		s, err := NewStateCfg(pb, kernels, cfg)
+		s, err := NewState(pb, kernels)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -248,7 +241,7 @@ func TestShardedSparseIDs(t *testing.T) {
 	a.Then(900, core.OneToOne{})
 	b.Add(a)
 	b.Add(c)
-	s, err := NewStateCfg(p, 3, Config{Mapping: RoundRobinMapping{}})
+	s, err := NewState(p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,166 +270,6 @@ func TestNewShardedRejects(t *testing.T) {
 	s.Done(core.Instance{Thread: s.InletID(0)}, 0)
 	if _, err := NewSharded(s, 2, TUBConfig{}, nil); err == nil {
 		t.Fatal("started state accepted")
-	}
-}
-
-func TestRangeMappingMatchesClosedForm(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		p1, _ := richRandomProgram(rand.New(rand.NewSource(seed)))
-		p2, _ := richRandomProgram(rand.New(rand.NewSource(seed)))
-		kernels := 1 + int(seed)%8
-		plain, err := NewState(p1, kernels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		table, err := NewStateCfg(p2, kernels, Config{Mapping: RangeMapping{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range p1.Blocks {
-			for _, tpl := range b.Templates {
-				for c := core.Context(0); c < tpl.Instances; c++ {
-					inst := core.Instance{Thread: tpl.ID, Ctx: c}
-					if plain.KernelOf(inst) != table.KernelOf(inst) {
-						t.Fatalf("seed %d: owner of %v diverges: closed-form %d, range table %d",
-							seed, inst, plain.KernelOf(inst), table.KernelOf(inst))
-					}
-				}
-			}
-		}
-		// And the table-driven state must run to the same terminal stats.
-		a := drive(t, plain, nil)
-		b := drive(t, table, nil)
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: executed %d vs %d", seed, len(a), len(b))
-		}
-		sa, sb := plain.Stats(), table.Stats()
-		if sa.Decrements != sb.Decrements || sa.Fired != sb.Fired {
-			t.Fatalf("seed %d: stats diverge: %+v vs %+v", seed, sa, sb)
-		}
-	}
-}
-
-func TestRoundRobinMappingBalances(t *testing.T) {
-	p := core.NewProgram("rr")
-	b := p.AddBlock()
-	tpl := core.NewTemplate(1, "w", noop)
-	tpl.Instances = 17
-	b.Add(tpl)
-	s, err := NewStateCfg(p, 4, Config{Mapping: RoundRobinMapping{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	per := make([]int, 4)
-	for c := core.Context(0); c < 17; c++ {
-		k := s.KernelOf(core.Instance{Thread: 1, Ctx: c})
-		if k != KernelID(int(c)%4) {
-			t.Fatalf("ctx %d on kernel %d, want %d", c, k, int(c)%4)
-		}
-		per[k]++
-	}
-	for k, n := range per {
-		if n < 4 || n > 5 {
-			t.Fatalf("kernel %d owns %d contexts, want 4 or 5: %v", k, n, per)
-		}
-	}
-}
-
-// TestLocalityMappingColocatesRegions: contexts striding two interleaved
-// buffers must be regrouped by buffer, which the range split cannot do.
-func TestLocalityMappingColocatesRegions(t *testing.T) {
-	p := core.NewProgram("loc")
-	b := p.AddBlock()
-	tpl := core.NewTemplate(1, "strided", noop)
-	tpl.Instances = 8
-	b.Add(tpl)
-	regs := make([]CtxRegion, 8)
-	for c := range regs {
-		buf := "A"
-		if c%2 == 1 {
-			buf = "B"
-		}
-		regs[c] = CtxRegion{Buf: buf, Lo: int64(c), Hi: int64(c) + 1}
-	}
-	m := NewLocalityMapping(map[core.ThreadID][]CtxRegion{1: regs})
-	s, err := NewStateCfg(p, 2, Config{Mapping: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sorted by (buf, lo): A-contexts 0,2,4,6 then B-contexts 1,3,5,7 —
-	// kernel 0 gets all of buffer A, kernel 1 all of buffer B.
-	for c := core.Context(0); c < 8; c++ {
-		want := KernelID(int(c) % 2)
-		if got := s.KernelOf(core.Instance{Thread: 1, Ctx: c}); got != want {
-			t.Fatalf("ctx %d on kernel %d, want %d (buffer co-location)", c, got, want)
-		}
-	}
-	// The assignment must still run correctly, sharded.
-	ss, err := NewSharded(s, 2, TUBConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(driveSharded(t, ss, nil)); got != 8 {
-		t.Fatalf("executed %d instances, want 8", got)
-	}
-}
-
-// TestLocalityMappingFallsBack: templates without region summaries get the
-// range split.
-func TestLocalityMappingFallsBack(t *testing.T) {
-	p := core.NewProgram("fb")
-	b := p.AddBlock()
-	tpl := core.NewTemplate(1, "plain", noop)
-	tpl.Instances = 12
-	b.Add(tpl)
-	s, err := NewStateCfg(p, 3, Config{Mapping: NewLocalityMapping(nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewState(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := core.Context(0); c < 12; c++ {
-		inst := core.Instance{Thread: 1, Ctx: c}
-		if s.KernelOf(inst) != ref.KernelOf(inst) {
-			t.Fatalf("ctx %d: fallback owner %d, range owner %d", c, s.KernelOf(inst), ref.KernelOf(inst))
-		}
-	}
-}
-
-type badMapping struct{}
-
-func (badMapping) Name() string { return "bad" }
-func (badMapping) Assign(owner []KernelID, t *core.Template, kernels int) {
-	for c := range owner {
-		owner[c] = KernelID(kernels) // one past the end
-	}
-}
-
-func TestMappingRejectsOutOfRangeKernel(t *testing.T) {
-	p := twoBlockProgram()
-	if _, err := NewStateCfg(p, 2, Config{Mapping: badMapping{}}); err == nil {
-		t.Fatal("out-of-range mapping accepted")
-	}
-}
-
-// TestMappingRespectsAffinity: pinned templates bypass the mapping.
-func TestMappingRespectsAffinity(t *testing.T) {
-	p := core.NewProgram("aff")
-	b := p.AddBlock()
-	tpl := core.NewTemplate(1, "pinned", noop)
-	tpl.Instances = 6
-	tpl.Affinity = 2
-	b.Add(tpl)
-	s, err := NewStateCfg(p, 4, Config{Mapping: RoundRobinMapping{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := core.Context(0); c < 6; c++ {
-		if k := s.KernelOf(core.Instance{Thread: 1, Ctx: c}); k != 2 {
-			t.Fatalf("pinned ctx %d on kernel %d, want 2", c, k)
-		}
 	}
 }
 

@@ -68,10 +68,6 @@ type State struct {
 	// space: inlet(b) = serviceBase + 2b, outlet(b) = serviceBase + 2b+1.
 	serviceBase core.ThreadID
 
-	// mapping is the configured context→kernel policy; nil selects the
-	// closed-form chunked range split (the paper's TKT arithmetic).
-	mapping Mapping
-
 	// tables is set when the State was built over a frozen Tables: block
 	// loads restore the SMs from the snapshot instead of recomputing
 	// in-degrees, and Release returns the State to the Tables' pool.
@@ -133,19 +129,15 @@ func (s *State) locate(info *tmplInfo, ctx core.Context, steps *int64) KernelID 
 	return s.kernelOfInfo(info, ctx)
 }
 
-// owns reports whether kernel k's SM holds ctx of info's template: an
-// owner-table lookup under a configured Mapping, a range test under the
-// chunked split. One call is the unit the linear-search ablation charges.
+// owns reports whether kernel k's SM holds ctx of info's template, a range
+// test under the chunked split. One call is the unit the linear-search
+// ablation charges.
 func (s *State) owns(info *tmplInfo, k KernelID, ctx core.Context) bool {
-	if info.owner != nil {
-		return info.owner[ctx] == k
-	}
 	lo, hi := s.ownedRange(info.t, k)
 	return ctx >= lo && ctx < hi
 }
 
-// NewState is NewStateCfg with the default Config: an unlimited TSU and the
-// closed-form range split.
+// NewState is NewStateCfg with the default Config: an unlimited TSU.
 func NewState(p *core.Program, kernels int) (*State, error) {
 	return NewStateCfg(p, kernels, Config{})
 }
@@ -159,14 +151,10 @@ type Config struct {
 	// NewStateCfg returns an error identifying the offending Block rather
 	// than silently overcommitting. Zero means unlimited.
 	MaxBlockInstances int64
-	// Mapping is the context→kernel assignment policy. Nil selects the
-	// paper's chunked range split computed arithmetically — the default
-	// every deterministic consumer (hardsim's Figure 5 pipeline) pins.
-	Mapping Mapping
 }
 
-// NewStateCfg validates the program and builds the immutable tables (the
-// thread and arc tables, and the tabulated TKT when cfg.Mapping is set).
+// NewStateCfg validates the program and builds the immutable thread and
+// arc tables.
 // kernels is the number of Kernels that will execute DThreads; it must be
 // at least 1.
 func NewStateCfg(p *core.Program, kernels int, cfg Config) (*State, error) {
@@ -197,12 +185,6 @@ func NewStateCfg(p *core.Program, kernels int, cfg Config) (*State, error) {
 		sms:         make([]sm, kernels),
 	}
 	s.stats.PerKernel = make([]int64, kernels)
-	if cfg.Mapping != nil {
-		s.mapping = cfg.Mapping
-		if err := s.buildOwnerTables(cfg.Mapping); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
@@ -245,9 +227,6 @@ func (s *State) KernelOf(inst core.Instance) KernelID {
 func (s *State) kernelOfInfo(info *tmplInfo, ctx core.Context) KernelID {
 	if info.affinity >= 0 {
 		return KernelID(info.affinity % s.kernels)
-	}
-	if info.owner != nil {
-		return info.owner[ctx]
 	}
 	if info.inst == 0 {
 		return 0
@@ -366,14 +345,10 @@ func (s *State) applyDec(st *Stats, info *tmplInfo, k KernelID, target core.Inst
 	return false
 }
 
-// countAddr returns the Ready Count cell of ctx within kernel k's SM:
-// slot-indexed under a table mapping (ownership may be non-contiguous),
-// base-offset under the chunked range split.
+// countAddr returns the Ready Count cell of ctx within kernel k's SM, offset
+// from the first context k owns under the chunked range split.
 func (s *State) countAddr(info *tmplInfo, k KernelID, ctx core.Context) *int32 {
 	m := &s.sms[k]
-	if info.slot != nil {
-		return &m.counts[info.dense][info.slot[ctx]]
-	}
 	return &m.counts[info.dense][ctx-m.base[info.dense]]
 }
 
@@ -448,29 +423,15 @@ func (s *State) inletDone(dst []Ready, blk int) []Ready {
 	for di, t := range b.Templates {
 		info := &s.infos[t.ID]
 		deg := core.InDegrees(b, t)
-		if info.owner != nil {
-			// Table mapping: ownership may be non-contiguous, so each
-			// kernel's slice is slot-indexed (countAddr) rather than
-			// base-offset.
-			for k := 0; k < s.kernels; k++ {
-				if n := info.perKernel[k]; n > 0 {
-					s.sms[k].counts[di] = make([]int32, n)
+		for k := 0; k < s.kernels; k++ {
+			lo, hi := s.ownedRange(t, KernelID(k))
+			s.sms[k].base[di] = lo
+			if hi > lo {
+				cnt := make([]int32, hi-lo)
+				for c := lo; c < hi; c++ {
+					cnt[c-lo] = int32(deg[c])
 				}
-			}
-			for c := core.Context(0); c < t.Instances; c++ {
-				s.sms[info.owner[c]].counts[di][info.slot[c]] = int32(deg[c])
-			}
-		} else {
-			for k := 0; k < s.kernels; k++ {
-				lo, hi := s.ownedRange(t, KernelID(k))
-				s.sms[k].base[di] = lo
-				if hi > lo {
-					cnt := make([]int32, hi-lo)
-					for c := lo; c < hi; c++ {
-						cnt[c-lo] = int32(deg[c])
-					}
-					s.sms[k].counts[di] = cnt
-				}
+				s.sms[k].counts[di] = cnt
 			}
 		}
 		for c := core.Context(0); c < t.Instances; c++ {

@@ -28,15 +28,6 @@ type tmplInfo struct {
 	affinity int          // t.Affinity, dense copy
 	dense    int          // index within its block
 	block    int
-
-	// Tabulated TKT, present only when a Mapping is configured (nil under
-	// the default closed-form range split, keeping that path untouched):
-	// owner[ctx] is the owning kernel, slot[ctx] the context's index within
-	// that kernel's SM slice (table ownership need not be contiguous), and
-	// perKernel[k] the number of contexts kernel k owns.
-	owner     []KernelID
-	slot      []int32
-	perKernel []int32
 }
 
 // threadIDSpace returns the largest ThreadID among the blocks' templates.

@@ -21,7 +21,6 @@ import (
 type Tables struct {
 	prog        *core.Program
 	kernels     int
-	mapping     Mapping
 	infos       []tmplInfo
 	serviceBase core.ThreadID
 	snaps       []blockSnap
@@ -53,8 +52,8 @@ type blockSnap struct {
 }
 
 // NewTables validates the program once and freezes every table a State
-// needs: the dense thread/arc tables, the tabulated TKT (when cfg.Mapping
-// is set) and the per-block initial-SM snapshots.
+// needs: the dense thread/arc tables and the per-block initial-SM
+// snapshots.
 func NewTables(p *core.Program, kernels int, cfg Config) (*Tables, error) {
 	proto, err := NewStateCfg(p, kernels, cfg)
 	if err != nil {
@@ -63,7 +62,6 @@ func NewTables(p *core.Program, kernels int, cfg Config) (*Tables, error) {
 	t := &Tables{
 		prog:        proto.prog,
 		kernels:     proto.kernels,
-		mapping:     proto.mapping,
 		infos:       proto.infos,
 		serviceBase: proto.serviceBase,
 		snaps:       make([]blockSnap, len(p.Blocks)),
@@ -120,7 +118,6 @@ func (t *Tables) NewState() *State {
 		kernels:     t.kernels,
 		infos:       t.infos,
 		serviceBase: t.serviceBase,
-		mapping:     t.mapping,
 		tables:      t,
 		curBlock:    -1,
 		sms:         make([]sm, t.kernels),

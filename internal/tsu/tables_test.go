@@ -30,38 +30,35 @@ func driveReadySequence(t *testing.T, s *State) []Ready {
 
 // TestTablesEquivalence pins the compile-once contract: a State built over
 // frozen Tables must surface the exact Ready sequence and stats of a State
-// built directly by NewStateCfg — under the default range split and under
-// a configured table mapping.
+// built directly by NewStateCfg.
 func TestTablesEquivalence(t *testing.T) {
-	for _, cfg := range []Config{{}, {Mapping: RoundRobinMapping{}}} {
-		p := twoBlockProgram()
-		direct, err := NewStateCfg(p, 3, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := driveReadySequence(t, direct)
-
-		tb, err := NewTables(twoBlockProgram(), 3, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := driveReadySequence(t, tb.NewState())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("mapping=%v: snapshot-backed ready sequence diverges:\n got %v\nwant %v", cfg.Mapping, got, want)
-		}
-		ds := direct.Stats()
-		snap := tb.Acquire()
-		trace := driveReadySequence(t, snap)
-		if !reflect.DeepEqual(trace, want) {
-			t.Fatalf("mapping=%v: acquired-state ready sequence diverges", cfg.Mapping)
-		}
-		ss := snap.Stats()
-		if ds.Inlets != ss.Inlets || ds.Outlets != ss.Outlets || ds.Decrements != ss.Decrements ||
-			ds.Fired != ss.Fired || !reflect.DeepEqual(ds.PerKernel, ss.PerKernel) {
-			t.Fatalf("mapping=%v: stats diverge: direct %+v snapshot %+v", cfg.Mapping, ds, ss)
-		}
-		snap.Release()
+	p := twoBlockProgram()
+	direct, err := NewStateCfg(p, 3, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := driveReadySequence(t, direct)
+
+	tb, err := NewTables(twoBlockProgram(), 3, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := driveReadySequence(t, tb.NewState())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot-backed ready sequence diverges:\n got %v\nwant %v", got, want)
+	}
+	ds := direct.Stats()
+	snap := tb.Acquire()
+	trace := driveReadySequence(t, snap)
+	if !reflect.DeepEqual(trace, want) {
+		t.Fatal("acquired-state ready sequence diverges")
+	}
+	ss := snap.Stats()
+	if ds.Inlets != ss.Inlets || ds.Outlets != ss.Outlets || ds.Decrements != ss.Decrements ||
+		ds.Fired != ss.Fired || !reflect.DeepEqual(ds.PerKernel, ss.PerKernel) {
+		t.Fatalf("stats diverge: direct %+v snapshot %+v", ds, ss)
+	}
+	snap.Release()
 }
 
 // TestTablesPoolReuse runs the same State through Acquire → drive → Release
