@@ -120,6 +120,9 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	if *arenaMB > math.MaxInt64>>20 {
 		return fail(fmt.Errorf("-arena-mb must be at most %d, not %d", int64(math.MaxInt64>>20), *arenaMB))
 	}
+	if *reportEvery < 0 {
+		return fail(fmt.Errorf("-report-every must be at least 0, not %v", *reportEvery))
+	}
 	w, err := parseWeights(*weights)
 	if err != nil {
 		return fail(err)

@@ -140,10 +140,32 @@ func TestWeightsFlag(t *testing.T) {
 	}
 }
 
+// refusedBeforeListen runs the daemon with args and returns its exit code
+// and stderr, failing the test if a daemon came up instead of refusing.
+func refusedBeforeListen(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	var out, errOut syncBuffer
+	sig := make(chan os.Signal, 1)
+	code := make(chan int, 1)
+	go func() {
+		code <- run(append([]string{"-listen", "127.0.0.1:0"}, args...), &out, &errOut, sig)
+	}()
+	select {
+	case rc := <-code:
+		return rc, errOut.String()
+	case <-time.After(2 * time.Second):
+		sig <- os.Interrupt // a daemon came up: drain it so the test does not leak a fleet
+		<-code
+		t.Errorf("%v: a daemon started: %s", args, out.String())
+		return 0, errOut.String()
+	}
+}
+
 // TestFleetShapeFlagsRefused pins that a fleet shape or admission bound
 // the daemon cannot honour is refused by name instead of being clamped to
 // one node or one kernel, or replaced by a default, without a word. An
-// -arena-mb past math.MaxInt64>>20 would overflow its byte count.
+// -arena-mb past math.MaxInt64>>20 would overflow its byte count, and a
+// negative -report-every used to mean 0.
 func TestFleetShapeFlagsRefused(t *testing.T) {
 	for _, tc := range []struct{ flag, val, want string }{
 		{"-nodes", "0", "at least 1"},
@@ -155,23 +177,47 @@ func TestFleetShapeFlagsRefused(t *testing.T) {
 		{"-arena-mb", "-5", "at least 0"},
 		{"-arena-mb", "8796093022208", "at most 8796093022207"},
 		{"-arena-mb", "17592186044417", "at most 8796093022207"},
+		{"-report-every", "-2s", "at least 0"},
 	} {
-		var out, errOut syncBuffer
-		sig := make(chan os.Signal, 1)
-		code := make(chan int, 1)
-		go func() {
-			code <- run([]string{"-listen", "127.0.0.1:0", tc.flag, tc.val}, &out, &errOut, sig)
-		}()
-		select {
-		case rc := <-code:
-			if rc != 1 || !strings.Contains(errOut.String(), tc.flag+" must be "+tc.want+", not "+tc.val) {
-				t.Errorf("%s %s: exit %d, stderr %q", tc.flag, tc.val, rc, errOut.String())
-			}
-		case <-time.After(2 * time.Second):
-			sig <- os.Interrupt // a daemon came up: drain it so the test does not leak a fleet
-			<-code
-			t.Errorf("%s %s: a daemon started: %s", tc.flag, tc.val, out.String())
+		rc, stderr := refusedBeforeListen(t, tc.flag, tc.val)
+		if rc != 1 || !strings.Contains(stderr, tc.flag+" must be "+tc.want+", not "+tc.val) {
+			t.Errorf("%s %s: exit %d, stderr %q", tc.flag, tc.val, rc, stderr)
 		}
+	}
+}
+
+// TestNegativeNumericFlagsRefused derives the negative-value check from
+// the flag set: every numeric flag -h lists, given -1 (-1s for a
+// duration), stops the daemon before it listens with exit 1 naming the
+// flag, unless its help text says what a negative value means.
+func TestNegativeNumericFlagsRefused(t *testing.T) {
+	var out, errOut syncBuffer
+	if code := run([]string{"-h"}, &out, &errOut, nil); code != 2 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	lines := strings.Split(errOut.String(), "\n")
+	checked := 0
+	for i, line := range lines {
+		name, ok := strings.CutPrefix(line, "  -")
+		if !ok {
+			continue
+		}
+		f := strings.Fields(name)
+		if len(f) != 2 || !strings.Contains(" int int64 uint uint64 float duration ", " "+f[1]+" ") ||
+			i+1 < len(lines) && strings.Contains(lines[i+1], "negative") {
+			continue
+		}
+		val := "-1"
+		if f[1] == "duration" {
+			val = "-1s"
+		}
+		checked++
+		if rc, stderr := refusedBeforeListen(t, "-"+f[0], val); rc != 1 || !strings.Contains(stderr, "-"+f[0]) {
+			t.Errorf("-%s %s: exit %d, stderr %q; want exit 1 naming the flag", f[0], val, rc, stderr)
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("no numeric flag in -h:\n%s", errOut.String())
 	}
 }
 
@@ -179,20 +225,7 @@ func TestFleetShapeFlagsRefused(t *testing.T) {
 // stops the daemon before it listens: "refuse" used to parse and then
 // fire nothing on any worker link.
 func TestFaultsRefusePlanRefused(t *testing.T) {
-	var out, errOut syncBuffer
-	sig := make(chan os.Signal, 1)
-	code := make(chan int, 1)
-	go func() {
-		code <- run([]string{"-listen", "127.0.0.1:0", "-faults", "seed=3,plan=refuse:node=1"}, &out, &errOut, sig)
-	}()
-	select {
-	case rc := <-code:
-		if rc != 1 || !strings.Contains(errOut.String(), "unknown fault kind") {
-			t.Errorf("exit %d, stderr %q", rc, errOut.String())
-		}
-	case <-time.After(2 * time.Second):
-		sig <- os.Interrupt
-		<-code
-		t.Errorf("a daemon started: %s", out.String())
+	if rc, stderr := refusedBeforeListen(t, "-faults", "seed=3,plan=refuse:node=1"); rc != 1 || !strings.Contains(stderr, "unknown fault kind") {
+		t.Errorf("exit %d, stderr %q", rc, stderr)
 	}
 }

@@ -96,19 +96,9 @@ func TestRunConnectIncompatibleFlags(t *testing.T) {
 		{"-connect", "127.0.0.1:1", "-dot", "/tmp/x.dot"},
 	}
 	for _, args := range cases {
-		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 1 {
-			t.Fatalf("args %v: exit %d, want 1", args, code)
-		}
-		if !strings.Contains(errb.String(), "incompatible with -connect") {
-			t.Fatalf("args %v: stderr %q lacks the incompatibility reason", args, errb.String())
-		}
+		refused(t, args, "incompatible with -connect")
 	}
-	var out, errb bytes.Buffer
-	if code := run([]string{"-tenant", "ci"}, &out, &errb); code != 1 ||
-		!strings.Contains(errb.String(), "-tenant only applies to -connect") {
-		t.Fatalf("lone -tenant: exit %d, stderr %q", 1, errb.String())
-	}
+	refused(t, []string{"-tenant", "ci"}, "-tenant only applies to -connect")
 }
 
 // TestRunConnectWithFaults composes fault injection with client mode:

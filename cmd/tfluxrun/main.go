@@ -82,6 +82,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"slices"
@@ -214,7 +215,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		vet          = fs.Bool("vet", false, "statically verify the program at instance granularity (ddmlint) and refuse to dispatch on findings")
 		distFaults   = fs.String("dist-faults", "", "dist platform: seeded fault-injection plan, e.g. seed=7,plan=sever:node=1:after=40 (see internal/chaos)")
 		distBatch    = fs.Int("dist-batch", 0, "dist platform: max Execs per ExecBatch frame (0 = default 32, negative = 1)")
-		distBatchKB  = fs.Int64("dist-batch-bytes", 0, "dist platform: flush a node's batch at this many payload bytes (0 = default 256 KiB)")
+		distBatchKB  = fs.Int64("dist-batch-bytes", 0, "dist platform: flush a node's batch at this many payload bytes (0 = default 256 KiB, negative = 1)")
 		distWindow   = fs.Int("dist-window", 0, "dist platform: per-node in-flight instance window (0 = default 64, negative = 1)")
 		distNoCache  = fs.Bool("dist-no-cache", false, "dist platform: disable the worker-side import-region cache (ship full bytes every dispatch)")
 		connect      = fs.String("connect", "", "submit the benchmark to a running tfluxd daemon at this address instead of hosting a platform locally")
@@ -258,19 +259,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 				*kernels, *nodes, lo, lo+*nodes))
 		}
 	}
-	// A value outside its range is refused, not clamped: the header would
-	// otherwise print a count the run does not use.
+	// A value outside its range is refused, not clamped or wrapped: the
+	// header would otherwise print a count the run does not use. A max of
+	// 0 means no upper bound; a window is a core.Context, 32 bits wide.
 	for _, f := range []struct {
-		name     string
-		val, min int
+		name          string
+		val, min, max int64
 	}{
-		{"kernels", *kernels, 1},
-		{"unroll", *unroll, 1},
-		{"tsu-shards", *tsuShards, 0},
+		{"kernels", int64(*kernels), 1, 0},
+		{"unroll", int64(*unroll), 1, 0},
+		{"tsu-shards", int64(*tsuShards), 0, 0},
+		{"reps", int64(*reps), 1, 0},
+		{"stream-events", *streamEvents, 0, 0},
+		{"stream-window", int64(*streamWindow), 1, math.MaxUint32},
+		{"stream-slots", int64(*streamSlots), 1, 0},
 	} {
 		if f.val < f.min {
 			return fail(fmt.Errorf("-%s must be at least %d, not %d", f.name, f.min, f.val))
 		}
+		if f.max > 0 && f.val > f.max {
+			return fail(fmt.Errorf("-%s must be at most %d, not %d", f.name, f.max, f.val))
+		}
+	}
+	if !(*streamRate >= 0) { // NaN too
+		return fail(fmt.Errorf("-stream-rate must be at least 0, not %v", *streamRate))
 	}
 	if kind == "stream" {
 		return runStreamMode(*streamEvents, *streamRate, *streamWindow, *streamSlots,

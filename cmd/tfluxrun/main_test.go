@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,6 +32,16 @@ func readTrace(t *testing.T, path string) []map[string]any {
 		t.Fatal("trace has no events")
 	}
 	return trace.TraceEvents
+}
+
+// refused runs the command and fails the test unless it exits 1 with want
+// on stderr.
+func refused(t *testing.T, args []string, want string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	if code := run(args, &out, &errb); code != 1 || !strings.Contains(errb.String(), want) {
+		t.Errorf("%v: exit %d, stderr %q; want exit 1 and %q (stdout: %s)", args, code, errb.String(), want, out.String())
+	}
 }
 
 // hasCategory reports whether any exported event carries the category.
@@ -334,13 +345,7 @@ func TestRunStreamErrors(t *testing.T) {
 		{[]string{"-connect", "127.0.0.1:1", "-stream-events", "10"}, "incompatible with -connect"},
 	}
 	for _, c := range cases {
-		var out, errb bytes.Buffer
-		if code := run(c.args, &out, &errb); code != 1 {
-			t.Fatalf("args %v: exit %d, want 1 (stderr: %s)", c.args, code, errb.String())
-		}
-		if !strings.Contains(errb.String(), c.want) {
-			t.Fatalf("args %v: stderr missing %q: %s", c.args, c.want, errb.String())
-		}
+		refused(t, c.args, c.want)
 	}
 }
 
@@ -397,22 +402,12 @@ func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 		{[]string{"-trace-out", trace}, []string{"virtual"}},
 		{[]string{"-metrics"}, []string{"virtual"}},
 	}
-	refused := func(args []string, want string) {
-		t.Helper()
-		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 1 {
-			t.Errorf("%v: exit %d, want 1 (stdout: %s)", args, code, out.String())
-		}
-		if !strings.Contains(errb.String(), want) {
-			t.Errorf("%v: stderr %q, want %q", args, errb.String(), want)
-		}
-	}
 	pairs := 0
 	for _, f := range forbidden {
 		for _, platform := range f.platforms {
 			pairs++
 			args := append([]string{"-bench", "TRAPEZ", "-platform", platform, "-reps", "1"}, f.flag...)
-			refused(args, f.flag[0]+" is not supported on the "+platform+" platform")
+			refused(t, args, f.flag[0]+" is not supported on the "+platform+" platform")
 		}
 	}
 	// The list above is written out, not derived, so a new platform or a
@@ -432,7 +427,7 @@ func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 	}
 
 	// The command line that used to exit 0 having injected nothing.
-	refused([]string{"-platform", "soft", "-dist-faults", "seed=1,plan=sever:node=1:after=1",
+	refused(t, []string{"-platform", "soft", "-dist-faults", "seed=1,plan=sever:node=1:after=1",
 		"-dist-batch", "4", "-dist-no-cache", "-nodes", "5"}, "-nodes is not supported on the soft platform")
 	// On dist the values are checked instead: the header, job.Build and the
 	// worker replicas all see the one -kernels total, so it has to divide
@@ -448,15 +443,19 @@ func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 		{[]string{"-nodes", "3", "-kernels", "2"}, "3 and 6"},
 		{[]string{"-nodes", "2", "-kernels", "0"}, "2 and 4"},
 	} {
-		refused(append([]string{"-bench", "TRAPEZ", "-platform", "dist", "-reps", "1"}, c.args...), c.want)
+		refused(t, append([]string{"-bench", "TRAPEZ", "-platform", "dist", "-reps", "1"}, c.args...), c.want)
 	}
 }
 
-// TestRunRefusesOutOfRangeCounts: a count below its range is refused on
+// TestRunRefusesOutOfRangeCounts: a count outside its range is refused on
 // every run that takes the flag. Each of these used to exit 0 with the
-// header printing the value while the run clamped it: "-3 kernels" (or
-// "-3 workers") over one kernel or six SPEs, "unroll 0" over unroll 1, and
-// -tsu-shards -2 on the single plane.
+// header printing the value while the run clamped, wrapped or ignored it:
+// "-3 kernels" (or "-3 workers") over one kernel or six SPEs, "unroll 0"
+// over unroll 1, -tsu-shards -2 on the single plane, -reps 0 as one rep,
+// -stream-events -5 as a batch run, -stream-rate -5 as "unbounded", and
+// -stream-window 4294967300 as window 4 (a window is 32 bits). The
+// -stream-window -3 and -stream-slots 0 runs were refused, but in words
+// that named the wrapped window or no flag at all.
 func TestRunRefusesOutOfRangeCounts(t *testing.T) {
 	batch := func(platforms ...string) [][]string {
 		var runs [][]string
@@ -468,25 +467,24 @@ func TestRunRefusesOutOfRangeCounts(t *testing.T) {
 	connect := []string{"-connect", "127.0.0.1:1"}
 	stream := []string{"-stream-events", "100"}
 	for _, c := range []struct {
-		flag string
-		vals []string
-		min  string
-		runs [][]string // every run that takes the flag
+		flag  string
+		vals  []string
+		bound string
+		runs  [][]string // every run that takes the flag
 	}{
-		{"-kernels", []string{"0", "-3"}, "1", append(batch("soft", "hard", "cell", "virtual"), connect, stream)},
-		{"-unroll", []string{"0", "-2"}, "1", append(batch("soft", "hard", "cell", "dist", "virtual"), connect)},
-		{"-tsu-shards", []string{"-2"}, "0", batch("soft")},
+		{"-kernels", []string{"0", "-3"}, "at least 1", append(batch("soft", "hard", "cell", "virtual"), connect, stream)},
+		{"-unroll", []string{"0", "-2"}, "at least 1", append(batch("soft", "hard", "cell", "dist", "virtual"), connect)},
+		{"-tsu-shards", []string{"-2"}, "at least 0", batch("soft")},
+		{"-reps", []string{"0", "-2"}, "at least 1", append(batch("soft", "hard", "cell", "dist", "virtual"), connect)},
+		{"-stream-events", []string{"-5"}, "at least 0", batch("soft", "hard", "cell", "dist", "virtual")},
+		{"-stream-rate", []string{"-5"}, "at least 0", [][]string{stream}},
+		{"-stream-window", []string{"0", "-3"}, "at least 1", [][]string{stream}},
+		{"-stream-window", []string{"4294967296", "4294967300"}, "at most 4294967295", [][]string{stream}},
+		{"-stream-slots", []string{"0"}, "at least 1", [][]string{stream}},
 	} {
 		for _, prefix := range c.runs {
 			for _, v := range c.vals {
-				args := append(append([]string(nil), prefix...), c.flag, v)
-				var out, errb bytes.Buffer
-				if code := run(args, &out, &errb); code != 1 {
-					t.Errorf("%v: exit %d, want 1 (stdout: %s)", args, code, out.String())
-				}
-				if want := c.flag + " must be at least " + c.min + ", not " + v; !strings.Contains(errb.String(), want) {
-					t.Errorf("%v: stderr %q, want %q", args, errb.String(), want)
-				}
+				refused(t, append(append([]string(nil), prefix...), c.flag, v), c.flag+" must be "+c.bound+", not "+v)
 			}
 		}
 	}
@@ -501,14 +499,7 @@ func TestRunStreamRefusesBatchTuning(t *testing.T) {
 		{"-dist-window", "2"}, {"-dist-no-cache"}, {"-dist-faults", "seed=1,plan=sever:node=1:after=1"},
 		{"-dist-batch", "4"}, {"-dist-batch-bytes", "4096"},
 	} {
-		var out, errb bytes.Buffer
-		args := append([]string{"-stream-events", "2000"}, flag...)
-		if code := run(args, &out, &errb); code != 1 {
-			t.Errorf("%v: exit %d, want 1 (stdout: %s)", args, code, out.String())
-		}
-		if want := flag[0] + " does not apply to streaming mode"; !strings.Contains(errb.String(), want) {
-			t.Errorf("%v: stderr %q, want %q", args, errb.String(), want)
-		}
+		refused(t, append([]string{"-stream-events", "2000"}, flag...), flag[0]+" does not apply to streaming mode")
 	}
 }
 
@@ -544,6 +535,55 @@ func TestScopeCoversEveryFlag(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNegativeNumericFlags derives the negative-value check from
+// the flag set: every numeric flag -h lists, given -1 on the first run its
+// scope row accepts, exits 1 naming the flag, unless its help text says
+// what a negative value means.
+func TestRunRefusesNegativeNumericFlags(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errb); code != 2 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	prefix := map[string][]string{"connect": {"-connect", "127.0.0.1:1"}, "stream": {"-stream-events", "100"}}
+	lines := strings.Split(errb.String(), "\n")
+	checked := 0
+	for i, line := range lines {
+		name, ok := strings.CutPrefix(line, "  -")
+		if !ok {
+			continue
+		}
+		f := strings.Fields(name)
+		if len(f) != 2 || !strings.Contains(" int int64 uint uint64 float duration ", " "+f[1]+" ") ||
+			i+1 < len(lines) && strings.Contains(lines[i+1], "negative") {
+			continue
+		}
+		var takes runSet
+		for _, row := range scope {
+			if row.flag == f[0] {
+				takes = row.runs
+			}
+		}
+		if takes == 0 {
+			t.Errorf("-%s has no scope row", f[0])
+			continue
+		}
+		kind := runs[bits.TrailingZeros8(uint8(takes))]
+		args, ok := prefix[kind]
+		if !ok {
+			args = []string{"-platform", kind}
+		}
+		val := "-1"
+		if f[1] == "duration" {
+			val = "-1s"
+		}
+		checked++
+		refused(t, append(append([]string(nil), args...), "-"+f[0], val), "-"+f[0])
+	}
+	if checked == 0 {
+		t.Fatalf("no numeric flag in -h:\n%s", errb.String())
+	}
+}
+
 // TestRunShardedPlane runs a suite benchmark end to end on the sharded
 // plane: the run must verify and report its shards.
 func TestRunShardedPlane(t *testing.T) {
@@ -560,11 +600,5 @@ func TestRunShardedPlane(t *testing.T) {
 }
 
 func TestRunUnknownSize(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-size", "huge"}, &out, &errb); code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if want := `unknown size "huge" (want small, medium or large)`; !strings.Contains(errb.String(), want) {
-		t.Fatalf("stderr %q, want %q", errb.String(), want)
-	}
+	refused(t, []string{"-size", "huge"}, `unknown size "huge" (want small, medium or large)`)
 }

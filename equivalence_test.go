@@ -138,9 +138,9 @@ func buildLayered(r *rand.Rand, rec *recorder) (*tflux.Program, *tflux.CellBuffe
 }
 
 // TestPlatformEquivalenceRandomPrograms runs the same random programs on
-// five in-process platform configurations and checks each executes every
-// instance exactly once with consistent layer ordering — the paper's
-// portability claim as a property test over the public API.
+// six in-process platform configurations and on TFluxDist and checks each
+// executes every instance exactly once with consistent layer ordering —
+// the paper's portability claim as a property test over the public API.
 func TestPlatformEquivalenceRandomPrograms(t *testing.T) {
 	platforms := []struct {
 		name string
@@ -148,10 +148,6 @@ func TestPlatformEquivalenceRandomPrograms(t *testing.T) {
 	}{
 		{"soft", func(p *tflux.Program, _ *tflux.CellBuffers) error {
 			_, err := tflux.RunSoft(p, tflux.SoftOptions{Kernels: 3})
-			return err
-		}},
-		{"soft-steal", func(p *tflux.Program, _ *tflux.CellBuffers) error {
-			_, err := tflux.RunSoft(p, tflux.SoftOptions{Kernels: 3, Steal: true})
 			return err
 		}},
 		{"soft-sharded", func(p *tflux.Program, _ *tflux.CellBuffers) error {

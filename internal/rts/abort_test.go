@@ -15,16 +15,14 @@ import (
 // rest of the template sits in the ready queues; the abort must not run
 // that backlog out. Each kernel may already have popped one more instance
 // when the queues close, so at most Kernels bodies start after the panic —
-// on both planes, with and without stealing.
+// on both planes.
 func TestRunAbortStopsQueuedBodies(t *testing.T) {
 	const kernels, instances = 4, 20000
 	for _, opt := range []Options{
 		{Kernels: kernels},
 		{Kernels: kernels, TSUShards: kernels},
-		{Kernels: kernels, Steal: true},
-		{Kernels: kernels, TSUShards: kernels, Steal: true},
 	} {
-		t.Run(fmt.Sprintf("shards=%d/steal=%v", opt.TSUShards, opt.Steal), func(t *testing.T) {
+		t.Run(fmt.Sprintf("shards=%d", opt.TSUShards), func(t *testing.T) {
 			var panicked atomic.Bool
 			var after atomic.Int64
 			src := core.NewTemplate(1, "src", func(c core.Context) {
@@ -78,10 +76,8 @@ func TestRunAbortOnPostProcessingPanic(t *testing.T) {
 	for _, opt := range []Options{
 		{Kernels: kernels},
 		{Kernels: kernels, TSUShards: kernels},
-		{Kernels: kernels, Steal: true},
-		{Kernels: kernels, TSUShards: kernels, Steal: true},
 	} {
-		t.Run(fmt.Sprintf("shards=%d/steal=%v", opt.TSUShards, opt.Steal), func(t *testing.T) {
+		t.Run(fmt.Sprintf("shards=%d", opt.TSUShards), func(t *testing.T) {
 			prod := core.NewTemplate(1, "prod", func(core.Context) {})
 			prod.Instances = 8
 			prod.Then(2, panicMapping{at: 3})

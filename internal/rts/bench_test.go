@@ -23,7 +23,7 @@ func fillQueue(q *readyQueue, nTmpl, nCtx int) {
 // prefilled queue: the depth stays constant so the numbers isolate the
 // cost of the pick from queue growth.
 func BenchmarkQueuePopLocality(b *testing.B) {
-	q := newReadyQueue(0)
+	q := newReadyQueue()
 	fillQueue(q, 4, 64)
 	last := inst(1, 0)
 	b.ResetTimer()
@@ -41,7 +41,7 @@ func BenchmarkQueuePopLocality(b *testing.B) {
 // exists for: the queue holds one template's contexts in order and every
 // pop asks for the successor of the last one.
 func BenchmarkQueuePopLocalityHit(b *testing.B) {
-	q := newReadyQueue(0)
+	q := newReadyQueue()
 	const depth = 256
 	for c := 0; c < depth; c++ {
 		q.push(inst(1, core.Context(c)))
@@ -63,7 +63,7 @@ func BenchmarkQueuePopLocalityHit(b *testing.B) {
 // BenchmarkQueueContended runs one producer against one consumer, the
 // emulator→kernel shape of the TFluxSoft hot path.
 func BenchmarkQueueContended(b *testing.B) {
-	q := newReadyQueue(0)
+	q := newReadyQueue()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	b.ResetTimer()
@@ -82,21 +82,6 @@ func BenchmarkQueueContended(b *testing.B) {
 		last = it
 	}
 	wg.Wait()
-}
-
-// BenchmarkQueueSteal exercises the work-stealing fast path: trySteal from
-// a prefilled victim queue, push back to keep depth constant.
-func BenchmarkQueueSteal(b *testing.B) {
-	q := newReadyQueue(0)
-	fillQueue(q, 4, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it, ok := q.trySteal()
-		if !ok {
-			b.Fatal("nothing to steal")
-		}
-		q.push(it)
-	}
 }
 
 // chainProgram is a fine-grained two-stage pipeline: n instances of stage a
@@ -135,19 +120,6 @@ func BenchmarkRunFineGrain(b *testing.B) {
 	}
 }
 
-// BenchmarkRunFineGrainSteal is the same workload with work stealing on,
-// covering the tryPop/popTimeout path.
-func BenchmarkRunFineGrainSteal(b *testing.B) {
-	const n = 2048
-	p := chainProgram(n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, Options{Kernels: 4, Steal: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRunFineGrainSharded is BenchmarkRunFineGrain on the sharded TSU
 // plane: no dedicated emulator, per-kernel shard stepping. Comparing its
 // k4 ns/instance against the single-driver k4 number is the headline contention
@@ -165,18 +137,5 @@ func BenchmarkRunFineGrainSharded(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(2*n), "ns/instance")
 		})
-	}
-}
-
-// BenchmarkRunFineGrainShardedSteal layers work stealing on the sharded
-// plane (stepping kernels must keep draining inboxes while stealing).
-func BenchmarkRunFineGrainShardedSteal(b *testing.B) {
-	const n = 2048
-	p := chainProgram(n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, Options{Kernels: 4, TSUShards: 4, Steal: true}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -13,8 +13,8 @@ const nilNode = int32(-1)
 // qnode is one queued ready instance. Nodes live in a pooled slice and are
 // threaded onto two doubly-linked lists: the global arrival order (prev/
 // next) and the per-template arrival order (tprev/tnext). Both lists give
-// O(1) unlink from any position, which is what makes the locality pick and
-// a steal from the tail constant-time.
+// O(1) unlink from any position, which is what makes the locality pick
+// constant-time.
 type qnode struct {
 	inst         core.Instance
 	seq          uint64 // monotonically increasing arrival stamp
@@ -28,14 +28,13 @@ type tmplList struct {
 }
 
 // readyQueue is one Kernel's ready-thread queue, fed by the TSU emulator
-// and drained by the Kernel. It is an array-backed deque: pooled
-// doubly-linked nodes with O(1) push, O(1) pop at either end, and O(1)
-// removal of an indexed interior node, plus a per-template index so the
-// locality pick finds its preferred instance without scanning the queue.
+// and drained by the Kernel. It is array-backed: pooled doubly-linked
+// nodes with O(1) push, O(1) pop at the head and O(1) removal of an
+// indexed interior node, plus a per-template index so the locality pick
+// finds its preferred instance without scanning the queue.
 type readyQueue struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	closedCh chan struct{} // closed together with closed, for timed waits
+	mu   sync.Mutex
+	cond *sync.Cond
 
 	nodes      []qnode
 	free       int32 // free-list head, linked through next
@@ -51,7 +50,6 @@ type readyQueue struct {
 	closed  bool
 	kicked  bool // a shard inbox has work for this kernel (see kick)
 	waiters int  // kernels parked in pop; gates the wakeup on push
-	scan    int  // arrival-distance bound for the locality preference
 
 	idle time.Duration // total time the Kernel spent blocked here
 }
@@ -59,18 +57,9 @@ type readyQueue struct {
 // queueScan is the locality pick's lookahead bound, in arrival stamps.
 const queueScan = 64
 
-// newReadyQueue builds an empty queue; scan ≤ 0 selects queueScan.
-func newReadyQueue(scan int) *readyQueue {
-	if scan <= 0 {
-		scan = queueScan
-	}
-	q := &readyQueue{
-		scan:     scan,
-		head:     nilNode,
-		tail:     nilNode,
-		free:     nilNode,
-		closedCh: make(chan struct{}),
-	}
+// newReadyQueue builds an empty queue.
+func newReadyQueue() *readyQueue {
+	q := &readyQueue{head: nilNode, tail: nilNode, free: nilNode}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -85,7 +74,6 @@ func (q *readyQueue) reset() {
 	q.closed, q.kicked = false, false
 	q.waiters = 0
 	q.idle = 0
-	q.closedCh = make(chan struct{})
 }
 
 // alloc takes a node from the free list, growing the pool as needed.
@@ -166,16 +154,16 @@ func (q *readyQueue) remove(n int32) core.Instance {
 // pick selects the node to dequeue: the paper's locality preference (§3.1)
 // — the next context of the template the Kernel executed last, else any
 // context of that template, else the oldest arrival. Only instances that
-// arrived within scan stamps of the current head are eligible, which
+// arrived within queueScan stamps of the current head are eligible, which
 // bounds the lookahead and how long the head can be passed over. Caller
 // holds q.mu and guarantees count > 0.
 func (q *readyQueue) pick(last core.Instance) int32 {
 	if int(last.Thread) < len(q.byTmpl) {
 		tl := &q.byTmpl[last.Thread]
-		limit := q.nodes[q.head].seq + uint64(q.scan)
+		limit := q.nodes[q.head].seq + queueScan
 		same := nilNode
 		wantCtx := last.Ctx + 1
-		for n, steps := tl.head, 0; n != nilNode && steps < q.scan; n, steps = q.nodes[n].tnext, steps+1 {
+		for n, steps := tl.head, 0; n != nilNode && steps < queueScan; n, steps = q.nodes[n].tnext, steps+1 {
 			nd := &q.nodes[n]
 			if nd.seq >= limit {
 				break // template list is in arrival order: all later entries are out of range too
@@ -220,12 +208,7 @@ func (q *readyQueue) pushBatch(insts []core.Instance) {
 // close wakes the Kernel for exit once the program finishes.
 func (q *readyQueue) close() {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
 	q.closed = true
-	close(q.closedCh)
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
@@ -282,61 +265,7 @@ func (q *readyQueue) pop(last core.Instance) (inst core.Instance, ok, closed boo
 // has exited).
 func (q *readyQueue) idleTime() time.Duration {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.idle
-}
-
-// trySteal removes the newest queued instance without blocking, for a
-// work-stealing kernel. Stealing the newest (LIFO end) leaves the oldest
-// items — the owner's locality-preferred work — in place.
-func (q *readyQueue) trySteal() (core.Instance, bool) {
-	if !q.mu.TryLock() {
-		return core.Instance{}, false
-	}
-	defer q.mu.Unlock()
-	if q.count == 0 || q.closed {
-		return core.Instance{}, false
-	}
-	return q.remove(q.tail), true
-}
-
-// tryPop removes the locality-preferred instance without blocking.
-func (q *readyQueue) tryPop(last core.Instance) (core.Instance, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.count == 0 || q.closed {
-		return core.Instance{}, false
-	}
-	return q.remove(q.pick(last)), true
-}
-
-// popTimeout is like pop but wakes after at most wait so a stealing kernel
-// can rescan its victims; closed=true only on close. The wait is cut short
-// the moment the queue closes (closedCh), so an error-path shutdown never
-// sits out the backoff.
-func (q *readyQueue) popTimeout(last core.Instance, wait time.Duration) (core.Instance, bool, bool) {
-	if inst, ok := q.tryPop(last); ok {
-		return inst, true, false
-	}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return core.Instance{}, false, true
-	}
+	d := q.idle
 	q.mu.Unlock()
-	start := time.Now()
-	t := time.NewTimer(wait)
-	select {
-	case <-t.C:
-	case <-q.closedCh:
-		t.Stop()
-	}
-	if inst, ok := q.tryPop(last); ok {
-		return inst, true, false
-	}
-	q.mu.Lock()
-	closed := q.closed
-	q.idle += time.Since(start)
-	q.mu.Unlock()
-	return core.Instance{}, false, closed
+	return d
 }

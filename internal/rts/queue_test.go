@@ -15,7 +15,7 @@ func inst(t core.ThreadID, c core.Context) core.Instance {
 func (q *readyQueue) push(in core.Instance) { q.pushBatch([]core.Instance{in}) }
 
 func TestQueueLocalityPrefersNextContext(t *testing.T) {
-	q := newReadyQueue(0)
+	q := newReadyQueue()
 	q.push(inst(9, 0))
 	q.push(inst(5, 7))
 	q.push(inst(5, 3))
@@ -36,7 +36,7 @@ func TestQueueLocalityPrefersNextContext(t *testing.T) {
 }
 
 func TestQueueCloseUnblocksPop(t *testing.T) {
-	q := newReadyQueue(0)
+	q := newReadyQueue()
 	done := make(chan bool)
 	go func() {
 		_, ok, _ := q.pop(core.Instance{})
@@ -58,7 +58,7 @@ func TestQueueCloseUnblocksPop(t *testing.T) {
 }
 
 func TestQueuePushAfterCloseDrops(t *testing.T) {
-	q := newReadyQueue(0)
+	q := newReadyQueue()
 	q.close()
 	q.push(inst(1, 0)) // must not panic
 	if _, ok, _ := q.pop(core.Instance{}); ok {
@@ -67,18 +67,28 @@ func TestQueuePushAfterCloseDrops(t *testing.T) {
 }
 
 func TestQueueScanBound(t *testing.T) {
-	q := newReadyQueue(2)
-	q.push(inst(1, 0))
-	q.push(inst(1, 1))
-	q.push(inst(5, 3)) // the locality match, but beyond scan depth 2
-	got, _, _ := q.pop(inst(5, 2))
-	if got != inst(1, 0) {
-		t.Fatalf("pop = %v, want FIFO head when match is beyond scan bound", got)
+	// The locality match sits n arrivals behind the head: within the
+	// lookahead bound it wins, at the bound the FIFO head does.
+	for _, c := range []struct {
+		ahead int
+		want  core.Instance
+	}{
+		{queueScan - 1, inst(5, 3)},
+		{queueScan, inst(1, 0)},
+	} {
+		q := newReadyQueue()
+		for i := 0; i < c.ahead; i++ {
+			q.push(inst(1, core.Context(i)))
+		}
+		q.push(inst(5, 3))
+		if got, _, _ := q.pop(inst(5, 2)); got != c.want {
+			t.Fatalf("match behind %d arrivals: pop = %v, want %v", c.ahead, got, c.want)
+		}
 	}
 }
 
 func TestQueuePushBatchPreservesArrivalOrder(t *testing.T) {
-	q := newReadyQueue(0)
+	q := newReadyQueue()
 	q.push(inst(1, 0))
 	q.pushBatch([]core.Instance{inst(1, 1), inst(1, 2), inst(1, 3)})
 	q.pushBatch(nil) // no-op
@@ -91,18 +101,18 @@ func TestQueuePushBatchPreservesArrivalOrder(t *testing.T) {
 }
 
 func TestQueuePushBatchAfterCloseDrops(t *testing.T) {
-	q := newReadyQueue(0)
+	q := newReadyQueue()
 	q.close()
 	q.pushBatch([]core.Instance{inst(1, 0)})
-	if _, ok := q.tryPop(core.Instance{}); ok {
-		t.Fatal("batch pushed after close was queued")
+	if q.count != 0 {
+		t.Fatalf("batch pushed after close was queued: count = %d", q.count)
 	}
 }
 
 func TestQueueLocalityInterleavedTemplates(t *testing.T) {
 	// Contexts of the preferred template sit far apart in arrival order;
 	// the per-template index must still find the successor context.
-	q := newReadyQueue(0)
+	q := newReadyQueue()
 	for c := core.Context(0); c < 8; c++ {
 		for id := core.ThreadID(1); id <= 4; id++ {
 			q.push(inst(id, c))
@@ -123,52 +133,9 @@ func TestQueueLocalityInterleavedTemplates(t *testing.T) {
 	}
 }
 
-func TestQueueStealTakesNewestAndReindexes(t *testing.T) {
-	q := newReadyQueue(0)
-	q.push(inst(1, 0))
-	q.push(inst(2, 5))
-	q.push(inst(2, 6))
-	got, ok := q.trySteal()
-	if !ok || got != inst(2, 6) {
-		t.Fatalf("steal = %v, want newest T2.6", got)
-	}
-	// The remaining T2.5 is still indexed and found as a next-context hit.
-	got, ok, _ = q.pop(inst(2, 4))
-	if !ok || got != inst(2, 5) {
-		t.Fatalf("pop = %v, want T2.5", got)
-	}
-	got, ok, _ = q.pop(inst(2, 5))
-	if !ok || got != inst(1, 0) {
-		t.Fatalf("pop = %v, want T1.0", got)
-	}
-}
-
-func TestQueuePopTimeoutUnblocksOnClose(t *testing.T) {
-	q := newReadyQueue(0)
-	done := make(chan bool)
-	start := time.Now()
-	go func() {
-		_, _, closed := q.popTimeout(core.Instance{}, 5*time.Second)
-		done <- closed
-	}()
-	time.Sleep(5 * time.Millisecond)
-	q.close()
-	select {
-	case closed := <-done:
-		if !closed {
-			t.Fatal("popTimeout did not report close")
-		}
-		if elapsed := time.Since(start); elapsed > time.Second {
-			t.Fatalf("popTimeout slept %v through a close; must wake early", elapsed)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("popTimeout still asleep after close (closed-race regression)")
-	}
-}
-
 func TestQueueReusesFreedNodes(t *testing.T) {
 	// Churning one item through a queue must not grow the node pool.
-	q := newReadyQueue(0)
+	q := newReadyQueue()
 	q.push(inst(1, 0))
 	for i := 0; i < 1000; i++ {
 		it, ok, _ := q.pop(inst(1, 0))

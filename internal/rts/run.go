@@ -37,12 +37,6 @@ type Options struct {
 	// TSUSize caps the number of DThread instances a single DDM Block may
 	// hold (the TSU's slot count, §2). Zero means unlimited.
 	TSUSize int64
-	// Steal lets an idle Kernel execute ready DThreads queued for other
-	// Kernels. The paper's TSU binds each DThread to one kernel through
-	// the TKT; stealing is an ablation of that static distribution —
-	// readiness bookkeeping stays in the owner's Synchronization Memory,
-	// only the executing CPU changes.
-	Steal bool
 }
 
 // Stats reports what a run did and how long it took.
@@ -104,7 +98,6 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 		emu:     &sc.bufs[opt.Kernels],
 		stop:    make(chan struct{}),
 		sink:    opt.Obs,
-		steal:   opt.Steal,
 		tsuLane: opt.Kernels, // first TSU lane: the emulator's (Figure 4), or shard 0's
 	}
 	if shards > 1 {
@@ -205,8 +198,7 @@ func publishMetrics(reg *obs.Registry, stats *Stats) {
 	}
 	reg.Counter("rts.idle_ns").Set(int64(idle))
 	reg.Counter("rts.executed").Set(stats.TotalExecuted())
-	// Per-kernel breakdowns: load imbalance (which the locality-indexed
-	// queues and the steal ablation can shift) is invisible in the totals.
+	// Per-kernel breakdowns: load imbalance is invisible in the totals.
 	for k := range stats.Executed {
 		reg.Counter(fmt.Sprintf("rts.executed.k%d", k)).Set(stats.Executed[k])
 		reg.Counter(fmt.Sprintf("rts.idle_ns.k%d", k)).Set(int64(stats.Idle[k]))
@@ -237,7 +229,6 @@ type runner struct {
 	tub     *tsu.TUB
 	sharded *tsu.ShardedState
 	queues  []*readyQueue
-	steal   bool
 
 	// bufs[k] is kernel k's buffers and emu the emulator's, both from
 	// the run's scratch. The emulator's pend accumulates per-kernel ready
@@ -342,15 +333,7 @@ func (r *runner) kernel(k tsu.KernelID, executed, service *int64) {
 			r.stage(b.pend, b.ready)
 			r.flush(b.pend)
 		}
-		var inst core.Instance
-		var ok, closed bool
-		if r.steal {
-			// popTimeout's bounded backoff doubles as the kick: the loop
-			// re-steps the shard at least every backoff period.
-			inst, ok, closed = r.next(int(k), last)
-		} else {
-			inst, ok, closed = q.pop(last)
-		}
+		inst, ok, closed := q.pop(last)
 		if closed {
 			return
 		}
@@ -365,22 +348,6 @@ func (r *runner) kernel(k tsu.KernelID, executed, service *int64) {
 		}
 		last = inst
 	}
-}
-
-// next finds work for a stealing kernel: its own queue first (locality
-// pick), then a sweep over the other kernels' queues, then a short
-// backoff wait on its own queue.
-func (r *runner) next(k int, last core.Instance) (core.Instance, bool, bool) {
-	if inst, ok := r.queues[k].tryPop(last); ok {
-		return inst, true, false
-	}
-	for off := 1; off < len(r.queues); off++ {
-		victim := (k + off) % len(r.queues)
-		if inst, ok := r.queues[victim].trySteal(); ok {
-			return inst, true, false
-		}
-	}
-	return r.queues[k].popTimeout(last, 100*time.Microsecond)
 }
 
 // runBody runs one DThread body on kernel k: it times the body, records

@@ -228,105 +228,3 @@ func TestRunAffinityRespected(t *testing.T) {
 		t.Fatalf("unpinned kernels executed app threads: %v", st.Executed)
 	}
 }
-
-func TestRunWithWorkStealing(t *testing.T) {
-	// A pinned template floods one kernel; with stealing on, the other
-	// kernels execute most of its work anyway.
-	var ran, sink atomic.Int64
-	p := core.NewProgram("steal")
-	b := p.AddBlock()
-	tpl := core.NewTemplate(1, "flood", func(core.Context) {
-		s := 1.0
-		for i := 0; i < 300_000; i++ {
-			s += 1 / s
-		}
-		sink.Store(int64(s))
-		ran.Add(1)
-	})
-	tpl.Instances = 64
-	tpl.Affinity = 0
-	b.Add(tpl)
-	st, err := Run(p, Options{Kernels: 4, Steal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 64 {
-		t.Fatalf("ran %d, want 64", ran.Load())
-	}
-	var others int64
-	for k := 1; k < 4; k++ {
-		others += st.Executed[k]
-	}
-	if others == 0 {
-		t.Fatalf("no work stolen: per-kernel %v", st.Executed)
-	}
-	if st.TotalExecuted() != 64 {
-		t.Fatalf("executed = %d", st.TotalExecuted())
-	}
-}
-
-func TestRunStealingExactlyOnceWithOwnerBookkeeping(t *testing.T) {
-	// Deliberately skewed affinity: every instance is owned by kernel 0,
-	// so with stealing on, kernels 1..3 execute most of the work. Each
-	// stolen instance must execute exactly once, and the TSU's readiness
-	// bookkeeping (Fired per kernel, via the owner's Synchronization
-	// Memory) must stay entirely with the owner regardless of which CPU
-	// ran the body.
-	const n = 48
-	var ran [n]atomic.Int32
-	var sink atomic.Int64
-	p := core.NewProgram("steal-book")
-	b := p.AddBlock()
-	tpl := core.NewTemplate(1, "skew", func(ctx core.Context) {
-		s := 1.0
-		for i := 0; i < 200_000; i++ {
-			s += 1 / s
-		}
-		sink.Store(int64(s))
-		ran[ctx].Add(1)
-	})
-	tpl.Instances = n
-	tpl.Affinity = 0
-	b.Add(tpl)
-	st, err := Run(p, Options{Kernels: 4, Steal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range ran {
-		if got := ran[c].Load(); got != 1 {
-			t.Fatalf("ctx %d executed %d times, want exactly once", c, got)
-		}
-	}
-	if st.TotalExecuted() != n {
-		t.Fatalf("executed %d, want %d", st.TotalExecuted(), n)
-	}
-	var stolen int64
-	for k := 1; k < 4; k++ {
-		stolen += st.Executed[k]
-	}
-	if stolen == 0 {
-		t.Fatalf("no work stolen from the skewed owner: per-kernel %v", st.Executed)
-	}
-	// Readiness bookkeeping: all n application firings credited to the
-	// owner (kernel 0), none to the thieves.
-	if st.TSU.PerKernel[0] != n {
-		t.Fatalf("owner fired count = %d, want %d (bookkeeping must stay with the owner)", st.TSU.PerKernel[0], n)
-	}
-	for k := 1; k < 4; k++ {
-		if st.TSU.PerKernel[k] != 0 {
-			t.Fatalf("thief kernel %d credited with %d firings, want 0: %v", k, st.TSU.PerKernel[k], st.TSU.PerKernel)
-		}
-	}
-}
-
-func TestRunStealingCorrectAcrossWorkloadShapes(t *testing.T) {
-	for _, kernels := range []int{1, 3, 6} {
-		p, result := sumProgram(32, 60000)
-		if _, err := Run(p, Options{Kernels: kernels, Steal: true}); err != nil {
-			t.Fatalf("kernels=%d: %v", kernels, err)
-		}
-		if *result != int64(60000)*(60000-1)/2 {
-			t.Fatalf("kernels=%d: sum = %d", kernels, *result)
-		}
-	}
-}

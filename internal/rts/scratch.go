@@ -43,7 +43,7 @@ func takeScratch(kernels int) *runScratch {
 		if k < len(sc.queues) {
 			sc.queues[k].reset()
 		} else {
-			sc.queues = append(sc.queues, newReadyQueue(queueScan))
+			sc.queues = append(sc.queues, newReadyQueue())
 		}
 	}
 	for len(sc.bufs) < kernels+1 {

@@ -178,22 +178,6 @@ func TestRunShardedExactlyOnceRandomDAGs(t *testing.T) {
 	}
 }
 
-// TestRunShardedWithStealing composes the two schedulers: stolen bodies
-// run anywhere, but readiness bookkeeping must stay with the owning shard.
-func TestRunShardedWithStealing(t *testing.T) {
-	p, result := sumProgram(32, 60000)
-	st, err := Run(p, Options{Kernels: 4, TSUShards: 4, Steal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *result != int64(60000)*(60000-1)/2 {
-		t.Fatalf("sum = %d", *result)
-	}
-	if st.TotalExecuted() != 33 {
-		t.Fatalf("executed %d, want 33", st.TotalExecuted())
-	}
-}
-
 // TestRunShardedRecoversBodyPanic: the abort path must release every
 // parked stepper even with inboxes in play.
 func TestRunShardedRecoversBodyPanic(t *testing.T) {

@@ -60,11 +60,10 @@ func TestPlanesRecordAlike(t *testing.T) {
 		r := rand.New(rand.NewSource(seed + 9000))
 		kernels := 2 + r.Intn(5)
 		shards := 2 + r.Intn(kernels-1)
-		steal := r.Intn(4) == 0
-		single := runPlane(t, seed+4000, rts.Options{Kernels: kernels, Steal: steal})
-		sharded := runPlane(t, seed+4000, rts.Options{Kernels: kernels, TSUShards: shards, Steal: steal})
+		single := runPlane(t, seed+4000, rts.Options{Kernels: kernels})
+		sharded := runPlane(t, seed+4000, rts.Options{Kernels: kernels, TSUShards: shards})
 		if single != sharded {
-			t.Fatalf("seed %d (k=%d s=%d steal=%v): planes diverge\nsingle  %+v\nsharded %+v", seed, kernels, shards, steal, single, sharded)
+			t.Fatalf("seed %d (k=%d s=%d): planes diverge\nsingle  %+v\nsharded %+v", seed, kernels, shards, single, sharded)
 		}
 		if single.queueDepth != 0 {
 			t.Fatalf("seed %d: rts.queue_depth = %d after the run, want 0", seed, single.queueDepth)

@@ -193,24 +193,23 @@ func (t *Thread) ID() ThreadID { return t.t.ID }
 // implementations (see their package docs for field-level detail).
 type (
 	// SoftOptions configures TFluxSoft (rts.Options): kernel count, TSU
-	// plane, mapping, size and TUB, observability, and stealing. The
-	// ready queue is not configurable: it is the paper's §3.1 locality
-	// pick.
+	// plane, size and TUB, and observability. The ready queue is not
+	// configurable: it is the paper's §3.1 locality pick.
 	SoftOptions = rts.Options
 	// SoftStats is the TFluxSoft run report (rts.Stats).
 	SoftStats = rts.Stats
 	// TUBConfig configures the Thread-to-Update Buffer (tsu.TUBConfig).
 	TUBConfig = tsu.TUBConfig
 	// HardConfig configures the TFluxHard machine (hardsim.Config):
-	// cores, cache geometry, TSU latencies and groups, TSU size and
-	// mapping. The inter-group transfer latency (16 cycles) and the 1 GHz
-	// trace clock are fixed.
+	// cores, cache geometry, TSU latencies and groups, TSU size, and
+	// observability. The inter-group transfer latency (16 cycles) and the
+	// 1 GHz trace clock are fixed.
 	HardConfig = hardsim.Config
 	// HardResult is the TFluxHard cycle-level result (hardsim.Result).
 	HardResult = hardsim.Result
 	// CellConfig configures the TFluxCell substrate (cellsim.Config):
-	// SPE count, TSU size and mapping. Each SPE is the PlayStation 3's:
-	// a 256 KiB Local Store with 32 KiB reserved, 16 KiB DMA transfers,
+	// SPE count, TSU size, and observability. Each SPE is the PlayStation
+	// 3's: a 256 KiB Local Store with 32 KiB reserved, 16 KiB DMA transfers,
 	// a 4-deep mailbox and a 16-command CommandBuffer.
 	CellConfig = cellsim.Config
 	// CellStats is the TFluxCell run report (cellsim.Stats).
