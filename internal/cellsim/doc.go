@@ -9,7 +9,9 @@
 //     limited Local Store arena (256 KB minus a code/stack reserve, like
 //     the real SPU). A DThread may only execute if its declared imports
 //     and exports fit in the Local Store — the exact constraint that caps
-//     QSORT's problem sizes in §6.3.
+//     QSORT's problem sizes in §6.3. Arenas are pooled across runs, as a
+//     PS3's Local Stores exist once, and a DThread's regions are a row
+//     of the program's access table, read once per instance.
 //
 //   - Shared data moves through explicit DMA: before a DThread runs, its
 //     import regions are staged from main memory (the

@@ -86,6 +86,7 @@ func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, e
 	r := &cellRunner{
 		cfg:    cfg,
 		state:  state,
+		access: p.AccessTable(),
 		svb:    svb,
 		rings:  make([]*commandBuffer, cfg.SPEs),
 		boxes:  make([]chan core.Instance, cfg.SPEs),
@@ -153,9 +154,10 @@ func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, e
 }
 
 type cellRunner struct {
-	cfg   Config
-	state *tsu.State
-	svb   *core.SharedVariableBuffer
+	cfg    Config
+	state  *tsu.State
+	access *core.AccessTable
+	svb    *core.SharedVariableBuffer
 
 	rings  []*commandBuffer
 	boxes  []chan core.Instance
@@ -201,11 +203,18 @@ func (r *cellRunner) signal() {
 	}
 }
 
+// arenas recycles Local Stores between runs: a PS3 allocates its SPEs'
+// Local Stores once, not per program. Staging writes a window before
+// anything reads it, so an arena's previous contents never matter.
+var arenas = sync.Pool{New: func() any { return new([localStore]byte) }}
+
 // spe is one Synergistic Processor Element: wait on the mailbox for the
 // next DThread, stage its imports into the Local Store, run it, stage its
 // exports back, and notify the TSU through the CommandBuffer.
 func (r *cellRunner) spe(id int, st *SPEStats) {
-	arena := make([]byte, localStore)
+	ls := arenas.Get().(*[localStore]byte)
+	defer arenas.Put(ls)
+	arena := ls[:]
 	for {
 		select {
 		case inst := <-r.boxes[id]:
@@ -226,26 +235,17 @@ func (r *cellRunner) runOne(id int, inst core.Instance, arena []byte, st *SPESta
 			ok = false
 		}
 	}()
-	var imports, exports []core.MemRegion
 	if !r.state.IsService(inst) {
 		tpl := r.state.Template(inst.Thread)
-		if tpl.Access != nil {
-			for _, reg := range tpl.Access(inst.Ctx) {
-				if reg.Size <= 0 {
-					continue
-				}
-				if reg.Write {
-					exports = append(exports, reg)
-				} else {
-					imports = append(imports, reg)
-				}
-			}
-		}
+		row := r.access.Row(inst)
 		// Resident regions occupy the Local Store for the whole DThread;
 		// streamed regions are double-buffered through a fixed window, so
 		// they cost only their largest DMA piece (two buffers' worth).
 		var footprint, streamWindow int64
-		for _, reg := range append(append([]core.MemRegion(nil), imports...), exports...) {
+		for _, reg := range row {
+			if reg.Size <= 0 {
+				continue
+			}
 			if reg.Stream {
 				piece := reg.Size
 				if piece > dmaChunk {
@@ -272,7 +272,10 @@ func (r *cellRunner) runOne(id int, inst core.Instance, arena []byte, st *SPESta
 		streamWin := arena[localStore-2*dmaChunk:]
 		// DMA-in the imports.
 		var used int64
-		for _, reg := range imports {
+		for _, reg := range row {
+			if reg.Write || reg.Size <= 0 {
+				continue
+			}
 			src, err := r.svb.Slice(reg.Buffer, reg.Offset, reg.Size)
 			if err != nil {
 				r.fail(fmt.Errorf("cellsim: %w", err))
@@ -302,7 +305,10 @@ func (r *cellRunner) runOne(id int, inst core.Instance, arena []byte, st *SPESta
 		// DMA-out the exports (traffic-equivalent staging; see package
 		// doc).
 		used = 0
-		for _, reg := range exports {
+		for _, reg := range row {
+			if !reg.Write || reg.Size <= 0 {
+				continue
+			}
 			src, err := r.svb.Slice(reg.Buffer, reg.Offset, reg.Size)
 			if err != nil {
 				r.fail(fmt.Errorf("cellsim: %w", err))

@@ -115,32 +115,45 @@ const pageSize = 4096
 
 // layout assigns simulated physical addresses to the program's buffers.
 type layout struct {
-	base map[string]uint64
+	bufs map[string]placed
 	end  uint64
 }
 
+// placed is one buffer's base address and declared size.
+type placed struct {
+	base uint64
+	size int64
+}
+
 func newLayout(bufs []core.Buffer) *layout {
-	l := &layout{base: make(map[string]uint64, len(bufs)), end: pageSize}
+	l := &layout{bufs: make(map[string]placed, len(bufs)), end: pageSize}
 	for _, b := range bufs {
-		l.base[b.Name] = l.end
+		l.bufs[b.Name] = placed{base: l.end, size: b.Size}
 		sz := (uint64(b.Size) + pageSize - 1) &^ (pageSize - 1)
 		l.end += sz + pageSize // guard page between buffers
 	}
 	return l
 }
 
+// addr resolves r to its simulated address. A region that names no
+// declared buffer or does not lie inside it is an error: its bytes would
+// be charged to a guard page or to the next buffer.
 func (l *layout) addr(r core.MemRegion) (uint64, error) {
-	base, ok := l.base[r.Buffer]
+	b, ok := l.bufs[r.Buffer]
 	if !ok {
-		return 0, fmt.Errorf("hardsim: region references undeclared buffer %q", r.Buffer)
+		return 0, fmt.Errorf("region references undeclared buffer %q", r.Buffer)
 	}
-	return base + uint64(r.Offset), nil
+	if !core.InBounds(r.Offset, r.Size, b.size) {
+		return 0, fmt.Errorf("region [%d,+%d) outside buffer %q (%d bytes)", r.Offset, r.Size, r.Buffer, b.size)
+	}
+	return b.base + uint64(r.Offset), nil
 }
 
 // machine is the simulated system state during one run.
 type machine struct {
 	cfg     Config
 	prog    *core.Program
+	access  *core.AccessTable
 	eng     sim.Engine
 	hier    *mem.Hierarchy
 	state   *tsu.State
@@ -180,10 +193,13 @@ func Run(p *core.Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	hier := mem.NewHierarchy(cfg.Cores, cfg.Mem)
+	defer hier.Release()
 	m := &machine{
 		cfg:     cfg,
 		prog:    p,
-		hier:    mem.NewHierarchy(cfg.Cores, cfg.Mem),
+		access:  p.AccessTable(),
+		hier:    hier,
 		state:   state,
 		lay:     newLayout(p.Buffers),
 		devices: make([]sim.Resource, cfg.TSUGroups),
@@ -323,15 +339,13 @@ func (m *machine) execute(c int, inst core.Instance) {
 		if tpl.Cost != nil {
 			cycles += sim.Time(tpl.Cost(inst.Ctx))
 		}
-		if tpl.Access != nil {
-			for _, r := range tpl.Access(inst.Ctx) {
-				addr, err := m.lay.addr(r)
-				if err != nil {
-					m.err = err
-					return
-				}
-				memCycles += sim.Time(m.hier.Access(c, addr, r.Size, r.Write))
+		for _, r := range m.access.Row(inst) {
+			addr, err := m.lay.addr(r)
+			if err != nil {
+				m.err = fmt.Errorf("hardsim: DThread %v: %w", inst, err)
+				return
 			}
+			memCycles += sim.Time(m.hier.Access(c, addr, r.Size, r.Write))
 		}
 		cycles += memCycles
 		m.cores[c].Executed++
@@ -454,14 +468,15 @@ type Step struct {
 func Sequential(buffers []core.Buffer, steps []Step, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	hier := mem.NewHierarchy(1, cfg.Mem)
+	defer hier.Release()
 	lay := newLayout(buffers)
 	var cycles sim.Time
-	for _, s := range steps {
+	for i, s := range steps {
 		cycles += sim.Time(s.Cost)
 		for _, r := range s.Regions {
 			addr, err := lay.addr(r)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("hardsim: sequential step %d: %w", i, err)
 			}
 			cycles += sim.Time(hier.Access(0, addr, r.Size, r.Write))
 		}

@@ -211,6 +211,45 @@ func TestSequentialUnknownBuffer(t *testing.T) {
 	}
 }
 
+// TestRegionOutsideBufferRejected pins that a region lying outside its
+// declared buffer is an error naming the instance (or step), the buffer
+// and the range, on both entry points, instead of being charged to a
+// guard page, the next buffer or a wrapped address.
+func TestRegionOutsideBufferRejected(t *testing.T) {
+	bufs := []core.Buffer{{Name: "a", Size: 64}, {Name: "b", Size: 64}}
+	for _, tc := range []struct {
+		reg  core.MemRegion
+		want string
+	}{
+		{core.MemRegion{Buffer: "a", Offset: 4096, Size: 8}, "[4096,+8)"},
+		{core.MemRegion{Buffer: "a", Offset: -8, Size: 8}, "[-8,+8)"},
+		{core.MemRegion{Buffer: "a", Offset: 60, Size: 8}, "[60,+8)"},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			p := core.NewProgram("oob")
+			p.Buffers = bufs
+			tpl := core.NewTemplate(1, "x", func(core.Context) {})
+			tpl.Instances = 2
+			tpl.Access = func(ctx core.Context) []core.MemRegion {
+				if ctx == 1 {
+					return []core.MemRegion{tc.reg}
+				}
+				return nil
+			}
+			p.AddBlock().Add(tpl)
+			_, err := Run(p, Config{Cores: 2})
+			if err == nil || !strings.Contains(err.Error(), "T1.1") || !strings.Contains(err.Error(), `"a"`) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run: err = %v, want the instance, buffer \"a\" and %s named", err, tc.want)
+			}
+			steps := []Step{{Cost: 1}, {Cost: 1, Regions: []core.MemRegion{tc.reg}}}
+			_, err = Sequential(bufs, steps, Config{})
+			if err == nil || !strings.Contains(err.Error(), "step 1") || !strings.Contains(err.Error(), `"a"`) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Sequential: err = %v, want step 1, buffer \"a\" and %s named", err, tc.want)
+			}
+		})
+	}
+}
+
 // underDeliver declares two producers per consumer context but enables
 // each only once, so the consumers never fire.
 type underDeliver struct{}

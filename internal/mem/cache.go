@@ -55,18 +55,21 @@ func (c CacheConfig) Sets() int64 { return c.Size / (c.Line * int64(c.Ways)) }
 
 type line struct {
 	tag   uint64
-	valid bool
-	state MESIState // meaningful only at L2
 	lru   uint64
+	gen   uint32    // the line is valid while this equals its cache's gen
+	state MESIState // meaningful only at L2
 }
 
-// cache is one set-associative cache array with LRU replacement.
+// cache is one set-associative cache array with LRU replacement. Set s
+// holds lines[s*ways : (s+1)*ways].
 type cache struct {
 	cfg   CacheConfig
-	sets  [][]line
+	lines []line
+	ways  uint64
 	mask  uint64
 	shift int // log2(set count)
 	tick  uint64
+	gen   uint32 // stamp of the valid lines; never 0, so a zeroed line is invalid
 }
 
 func newCache(cfg CacheConfig) *cache {
@@ -74,17 +77,28 @@ func newCache(cfg CacheConfig) *cache {
 	if nsets <= 0 || cfg.Line <= 0 || cfg.Ways <= 0 {
 		panic("mem: invalid cache geometry")
 	}
-	c := &cache{cfg: cfg, mask: uint64(nsets - 1)}
+	c := &cache{cfg: cfg, ways: uint64(cfg.Ways), mask: uint64(nsets - 1), gen: 1}
 	if nsets&(nsets-1) != 0 {
 		panic("mem: set count must be a power of two")
 	}
 	c.shift = setsBits(c.mask)
-	c.sets = make([][]line, nsets)
-	backing := make([]line, int(nsets)*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
+	c.lines = make([]line, int(nsets)*cfg.Ways)
 	return c
+}
+
+// reset invalidates every line by moving to the next generation stamp; the
+// array is cleared only when the stamp wraps, so no stale stamp can match.
+func (c *cache) reset() {
+	c.tick = 0
+	c.gen++
+	if c.gen == 0 {
+		clear(c.lines)
+		c.gen = 1
+	}
+}
+
+func (c *cache) set(set uint64) []line {
+	return c.lines[set*c.ways : (set+1)*c.ways]
 }
 
 func (c *cache) index(addr uint64) (set uint64, tag uint64) {
@@ -105,9 +119,10 @@ func setsBits(mask uint64) int {
 func (c *cache) lookup(addr uint64) *line {
 	set, tag := c.index(addr)
 	c.tick++
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
+		if l.gen == c.gen && l.tag == tag {
 			l.lru = c.tick
 			return l
 		}
@@ -116,15 +131,15 @@ func (c *cache) lookup(addr uint64) *line {
 }
 
 // insert places addr in the cache and returns the inserted line plus the
-// evicted victim (valid=false when the slot was free). The victim copy is
-// taken before overwrite.
-func (c *cache) insert(addr uint64) (*line, line) {
+// evicted victim and whether it was valid (false when the slot was free).
+// The victim copy is taken before overwrite.
+func (c *cache) insert(addr uint64) (*line, line, bool) {
 	set, tag := c.index(addr)
 	c.tick++
-	ways := c.sets[set]
+	ways := c.set(set)
 	victimIdx := 0
 	for i := range ways {
-		if !ways[i].valid {
+		if ways[i].gen != c.gen {
 			victimIdx = i
 			break
 		}
@@ -133,8 +148,8 @@ func (c *cache) insert(addr uint64) (*line, line) {
 		}
 	}
 	victim := ways[victimIdx]
-	ways[victimIdx] = line{tag: tag, valid: true, lru: c.tick}
-	return &ways[victimIdx], victim
+	ways[victimIdx] = line{tag: tag, gen: c.gen, lru: c.tick}
+	return &ways[victimIdx], victim, victim.gen == c.gen
 }
 
 // invalidate drops addr's line if present, returning its prior state.

@@ -1,5 +1,7 @@
 package mem
 
+import "sync"
+
 // Config describes the full memory system of one simulated machine.
 type Config struct {
 	L1     CacheConfig
@@ -72,16 +74,61 @@ type Hierarchy struct {
 	stats Stats
 }
 
-// NewHierarchy builds the memory system for n cores.
+// maxFree bounds the released hierarchies kept for reuse. Eight cores of
+// DefaultConfig hold 3.2 MB of lines, nine of X86Config 13.6 MB.
+const maxFree = 4
+
+// free holds released hierarchies, oldest first. Building one allocates
+// and zeroes every line array, which a simulator re-running programs
+// would otherwise pay on each run.
+var free struct {
+	sync.Mutex
+	list []*Hierarchy
+}
+
+// NewHierarchy builds the memory system for n cores, reusing a released
+// one of the same shape when there is one. Either way it starts with
+// every line invalid and zeroed counters.
 func NewHierarchy(n int, cfg Config) *Hierarchy {
 	if n < 1 {
 		panic("mem: need at least one core")
 	}
+	free.Lock()
+	for i, h := range free.list {
+		if len(h.nodes) == n && h.cfg == cfg {
+			free.list = append(free.list[:i], free.list[i+1:]...)
+			free.Unlock()
+			h.reset()
+			return h
+		}
+	}
+	free.Unlock()
 	h := &Hierarchy{cfg: cfg, nodes: make([]*node, n)}
 	for i := range h.nodes {
 		h.nodes[i] = &node{l1: newCache(cfg.L1), l2: newCache(cfg.L2)}
 	}
 	return h
+}
+
+// Release hands h back for a later NewHierarchy of the same shape. The
+// caller must not use h afterwards.
+func (h *Hierarchy) Release() {
+	free.Lock()
+	if len(free.list) == maxFree {
+		free.list = append(free.list[:0], free.list[1:]...)
+	}
+	free.list = append(free.list, h)
+	free.Unlock()
+}
+
+// reset returns h to the state NewHierarchy builds: every line invalid,
+// LRU clocks and counters at zero.
+func (h *Hierarchy) reset() {
+	for _, n := range h.nodes {
+		n.l1.reset()
+		n.l2.reset()
+	}
+	h.stats = Stats{}
 }
 
 // Cores returns the number of cores sharing the hierarchy.
@@ -270,9 +317,9 @@ func (h *Hierarchy) fillL2(c int, addr uint64, st MESIState) int64 {
 	n := h.nodes[c]
 	var cost int64
 	set, _ := n.l2.index(addr)
-	l, victim := n.l2.insert(addr)
+	l, victim, evicted := n.l2.insert(addr)
 	l.state = st
-	if victim.valid {
+	if evicted {
 		base := n.l2.lineBase(set, victim)
 		if victim.state == Modified {
 			h.stats.Writebacks++

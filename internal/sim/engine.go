@@ -9,8 +9,6 @@
 // counts.
 package sim
 
-import "container/heap"
-
 // Time is simulated time in CPU cycles.
 type Time int64
 
@@ -18,7 +16,7 @@ type Time int64
 type Engine struct {
 	now    Time
 	seq    uint64
-	events eventHeap
+	events []event // binary min-heap by (at, seq)
 }
 
 type event struct {
@@ -27,23 +25,11 @@ type event struct {
 	do  func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Now returns the current simulated time.
@@ -56,7 +42,16 @@ func (e *Engine) At(t Time, do func()) {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, do: do})
+	e.events = append(e.events, event{at: t, seq: e.seq, do: do})
+	h := e.events
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
 }
 
 // After schedules do to run d cycles from now.
@@ -65,10 +60,30 @@ func (e *Engine) After(d Time, do func()) { e.At(e.now+d, do) }
 // Step runs the earliest pending event and returns false when the queue is
 // empty.
 func (e *Engine) Step() bool {
-	if e.events.Len() == 0 {
+	n := len(e.events) - 1
+	if n < 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(event)
+	h := e.events
+	ev := h[0]
+	h[0] = h[n]
+	h[n] = event{} // drop the callback for the collector
+	h = h[:n]
+	e.events = h
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].before(&h[m]) {
+			m = r
+		}
+		if !h[m].before(&h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 	e.now = ev.at
 	ev.do()
 	return true

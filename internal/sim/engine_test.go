@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -32,6 +34,69 @@ func TestEngineSameCycleFIFO(t *testing.T) {
 		if v != i {
 			t.Fatalf("same-cycle events out of FIFO order: %v", got)
 		}
+	}
+}
+
+// TestEngineHeapOrderProperty pins the heap against a stable sort: events
+// scheduled at random times, some from inside other events, fire in time
+// order and, within a cycle, in scheduling order.
+func TestEngineHeapOrderProperty(t *testing.T) {
+	type sched struct {
+		at Time
+		id int
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var e Engine
+		var want, got []sched
+		var add func(at Time)
+		add = func(at Time) {
+			s := sched{at, len(want)}
+			want = append(want, s)
+			e.At(at, func() {
+				got = append(got, s)
+				if len(want) < 500 && r.Intn(2) == 0 {
+					add(e.Now() + Time(r.Intn(8)))
+				}
+			})
+		}
+		for i := 0; i < 200; i++ {
+			add(Time(r.Intn(50)))
+		}
+		e.Run()
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d events fired, %d scheduled", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: event %d fired %+v, want %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestEngineEventAllocatesNothing pins that scheduling and running an
+// event with a reused callback allocates nothing once the queue has
+// grown: no event is boxed on its way into or out of the heap.
+func TestEngineEventAllocatesNothing(t *testing.T) {
+	var e Engine
+	fired := 0
+	do := func() { fired++ }
+	const batch = 64
+	run := func() {
+		for i := 0; i < batch; i++ {
+			e.After(Time(i%7), do)
+		}
+		for e.Step() {
+		}
+	}
+	run()
+	if got := testing.AllocsPerRun(100, run); got != 0 {
+		t.Fatalf("%d events allocate %.0f times, want 0", batch, got)
+	}
+	if fired != 102*batch {
+		t.Fatalf("%d events fired, want %d", fired, 102*batch)
 	}
 }
 
