@@ -13,7 +13,6 @@ package tflux_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"tflux/internal/cellsim"
 	"tflux/internal/core"
@@ -160,27 +159,28 @@ func BenchmarkTSULatency(b *testing.B) {
 }
 
 // BenchmarkUnroll regenerates the unroll study's two endpoints on the
-// virtual-time soft platform: "speedup1" (unroll 1, fine-grained and
-// overhead/cache-bound) vs "speedup16" (unroll 16, the paper's
-// coarse-grain regime). The gap is §6.2.2's observation that TFluxSoft
+// vtime soft machine, against the sequential program on the same machine:
+// "speedup1" (unroll 1, fine-grained and overhead/cache-bound) vs
+// "speedup16" (unroll 16, the paper's coarse-grain regime). The gap is §6.2.2's observation that TFluxSoft
 // needs coarse DThreads.
 func BenchmarkUnroll(b *testing.B) {
 	var s1, s16 float64
 	for i := 0; i < b.N; i++ {
 		measure := func(unroll int) float64 {
 			job := workload.NewMMult(256)
-			job.RunSequential() // warm caches before timing the baseline
-			seq := testingMeasure(job.RunSequential)
 			p, err := job.Build(4, unroll)
 			if err != nil {
 				b.Fatal(err)
 			}
-			job.ResetOutput()
+			seq, err := hardsim.Sequential(p.Buffers, job.SequentialSteps(), vtime.Machine(vtime.Config{}))
+			if err != nil {
+				b.Fatal(err)
+			}
 			res, err := vtime.Run(p, vtime.Config{Kernels: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
-			return seq.Seconds() / res.Makespan.Seconds()
+			return float64(seq.Cycles) / float64(res.Makespan)
 		}
 		s1, s16 = measure(1), measure(16)
 	}
@@ -294,13 +294,6 @@ func BenchmarkHardSimThread(b *testing.B) {
 
 func sizesOrSkip(spec workload.Spec, pf workload.Platform) ([3]int, bool) {
 	return spec.Sizes(pf)
-}
-
-// testingMeasure times one call of f.
-func testingMeasure(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
 }
 
 // BenchmarkTUBSegmentation is the §4.2 ablation behind the TUB's

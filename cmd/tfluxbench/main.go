@@ -12,9 +12,11 @@
 // (seq, par, unit, speedup); service, streaming and data-plane numbers
 // come from the repo benchmark (bench/README.md), not from here.
 //
-// Native experiments (fig6, fig7, part of unroll) measure wall clock on
-// multicore hosts and fall back to the virtual-time model on single-core
-// hosts; the simulated experiments are deterministic.
+// The software-platform experiments (fig6, fig7 and unroll's soft and
+// cell legs) run as the simulated machines of internal/vtime, in cycles
+// that repeat exactly, unless the host has a CPU for every kernel plus the
+// TSU emulator (-mode auto) or -mode wallclock asks for the wall clock;
+// every other experiment is simulated and deterministic.
 package main
 
 import (

@@ -6,7 +6,9 @@
 //
 // Platforms: soft (native TFluxSoft), hard (cycle-level TFluxHard),
 // cell (TFluxCell substrate), dist (TFluxDist over loopback TCP), virtual
-// (soft-platform virtual-time model — see the internal/vtime docs).
+// (TFluxSoft as a simulated machine with software-TSU costs — see the
+// internal/vtime docs). hard and virtual report simulated cycles, which
+// repeat exactly, so they take no -reps.
 // Benchmarks: TRAPEZ, MMULT, QSORT, SUSAN, FFT. Sizes follow Table 1 and
 // depend on the platform.
 //
@@ -18,8 +20,7 @@
 // Observability: -trace-out FILE writes a Chrome trace-event JSON file of
 // the run (open it at ui.perfetto.dev or chrome://tracing); -metrics
 // prints the runtime metrics registry and a per-lane event summary.
-// Both work on the soft, hard, cell and dist platforms; -metrics also on
-// streaming runs.
+// Both work on every platform; -metrics also on streaming runs.
 //
 // Streaming mode: -stream-events N runs the EVENTFILTER streaming
 // pipeline (decode → filter → aggregate over recycled window slots)
@@ -129,8 +130,8 @@ const (
 	onConnect
 	onStream
 
-	onBatch  = onSoft | onHard | onCell | onDist | onVirtual
-	onTraced = onSoft | onHard | onCell | onDist // the platforms that record obs events
+	onBatch = onSoft | onHard | onCell | onDist | onVirtual
+	onTimed = onSoft | onCell | onDist // the platforms measured on the wall clock
 )
 
 // scope lists, for every flag, the runs that accept it; a flag set on any
@@ -156,10 +157,10 @@ var scope = []struct {
 	{"nodes", onDist},
 	{"unroll", onBatch | onConnect},
 	{"tsu-shards", onSoft},
-	{"reps", onBatch | onConnect},
+	{"reps", onTimed | onConnect},
 	{"dot", onBatch},
-	{"trace-out", onTraced},
-	{"metrics", onTraced | onStream},
+	{"trace-out", onBatch},
+	{"metrics", onBatch | onStream},
 	{"gantt", onSoft},
 	{"vet", onBatch | onStream},
 	{"dist-faults", onDist | onConnect}, // with -connect it wraps the client's own link
@@ -207,9 +208,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nodes        = fs.Int("nodes", 2, "worker nodes (dist platform)")
 		unroll       = fs.Int("unroll", 8, "loop unroll factor (DThread granularity)")
 		tsuShards    = fs.Int("tsu-shards", 0, "soft platform: shard the software TSU across N kernel-stepped shards (0 or 1 = the dedicated emulator goroutine)")
-		reps         = fs.Int("reps", 3, "repetitions for native measurements (min taken)")
+		reps         = fs.Int("reps", 3, "repetitions for wall-clock measurements, min taken (soft|cell|dist)")
 		dotOut       = fs.String("dot", "", "write the Synchronization Graph in DOT format to this file and exit")
-		traceOut     = fs.String("trace-out", "", "write a Chrome trace-event JSON file of the run (soft|hard|cell|dist)")
+		traceOut     = fs.String("trace-out", "", "write a Chrome trace-event JSON file of the run")
 		metrics      = fs.Bool("metrics", false, "print the metrics registry and per-lane event summary after the run")
 		gantt        = fs.Bool("gantt", false, "print an ASCII per-kernel timeline chart (soft platform only)")
 		vet          = fs.Bool("vet", false, "statically verify the program at instance granularity (ddmlint) and refuse to dispatch on findings")
@@ -380,19 +381,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// The simulated platform counts cycles against a simulated baseline;
-	// the others time the native sequential algorithm first.
-	var seqT, parT time.Duration
-	if platforms[*platform] != workload.Simulated {
-		seqT = stats.Min(stats.Measure(*reps, job.RunSequential))
-	}
-	switch *platform {
-	case "hard":
-		seq, err := hardsim.Sequential(prog.Buffers, job.SequentialSteps(), hardsim.Config{})
+	// The simulated platforms count cycles against a simulated baseline on
+	// the same machine; the others time the native sequential algorithm
+	// first.
+	if (runSet(1)<<slices.Index(runs, kind))&onTimed == 0 {
+		cfg := hardsim.Config{Cores: *kernels}
+		if kind == "virtual" {
+			cfg = vtime.Machine(vtime.Config{Kernels: *kernels})
+		}
+		seq, err := hardsim.Sequential(prog.Buffers, job.SequentialSteps(), cfg)
 		if err != nil {
 			return fail(err)
 		}
-		res, err := hardsim.Run(prog, hardsim.Config{Cores: *kernels, Obs: sink, Metrics: reg})
+		cfg.Obs, cfg.Metrics = sink, reg
+		res, err := hardsim.Run(prog, cfg)
 		if err != nil {
 			return fail(err)
 		}
@@ -405,6 +407,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			res.Mem.L2Misses, res.Mem.CoherenceMisses, res.Mem.Upgrades)
 		fmt.Fprintf(stdout, "tsu:        busy %d cycles, %d decrements\n", res.TSUBusy, res.TSU.Decrements)
 		return finish()
+	}
+	seqT := stats.Min(stats.Measure(*reps, job.RunSequential))
+	var parT time.Duration
+	switch *platform {
 	case "soft":
 		var last *rts.Stats
 		parT, err = bestOf(*reps, func() (time.Duration, error) {
@@ -479,20 +485,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 					fmt.Fprintf(stdout, "  node %d lost: %s\n", i, nd.LostReason)
 				}
 			}
-		}
-	case "virtual":
-		// Body durations are measured per run; repeat and take the
-		// min so cold-start page faults do not pollute the model.
-		parT, err = bestOf(*reps, func() (time.Duration, error) {
-			job.ResetOutput()
-			res, err := vtime.Run(prog, vtime.Config{Kernels: *kernels})
-			if err != nil {
-				return 0, err
-			}
-			return res.Makespan, nil
-		})
-		if err != nil {
-			return fail(err)
 		}
 	}
 	if err := job.Verify(); err != nil {

@@ -229,12 +229,59 @@ func TestRunDOTExport(t *testing.T) {
 func TestRunVirtualPlatform(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-bench", "MMULT", "-platform", "virtual", "-size", "small",
-		"-kernels", "3", "-unroll", "16", "-reps", "2"}, &out, &errb)
+		"-kernels", "3", "-unroll", "16"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "verify:     ok") {
-		t.Fatalf("output:\n%s", out.String())
+	for _, want := range []string{"sequential: ", " cycles", "verify:     ok"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestRunVirtualRepeats: the virtual platform is a simulated machine, so
+// two identical runs print the same times (they used to divide a
+// wall-clock baseline by a makespan of wall-clock-timed bodies, and read
+// MMULT at 3 kernels as 1.43x and then 1.66x).
+func TestRunVirtualRepeats(t *testing.T) {
+	var times [2]string
+	for i := range times {
+		var out, errb bytes.Buffer
+		code := run([]string{"-bench", "MMULT", "-platform", "virtual", "-size", "small",
+			"-kernels", "3"}, &out, &errb)
+		if code != 0 {
+			t.Fatalf("exit %d: %s", code, errb.String())
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "parallel:") || strings.HasPrefix(line, "speedup:") {
+				times[i] += line + "\n"
+			}
+		}
+	}
+	if times[0] == "" || times[0] != times[1] {
+		t.Fatalf("two runs printed\n%s\nand\n%s", times[0], times[1])
+	}
+}
+
+func TestRunVirtualWithTraceOut(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	var out, errb bytes.Buffer
+	code := run([]string{"-bench", "TRAPEZ", "-platform", "virtual", "-size", "small",
+		"-kernels", "2", "-trace-out", tracePath, "-metrics"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	events := readTrace(t, tracePath)
+	for _, cat := range []string{"thread", "tsu", "stall"} {
+		if !hasCategory(events, cat) {
+			t.Fatalf("virtual trace missing %q events", cat)
+		}
+	}
+	for _, want := range []string{"-- metrics --", "hard.cycles", "-- lanes --", "verify:     ok"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 
@@ -383,10 +430,9 @@ func TestRunStreamVetGate(t *testing.T) {
 // the scope table: a flag on a platform that has nothing to apply it to is
 // refused with one message shape, never dropped (-gantt off the soft
 // platform used to be, and so were -nodes and the -dist-* family off
-// dist, and -trace-out and -metrics on virtual).
+// dist, and -reps on the simulated hard and virtual platforms).
 func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 	offDist := []string{"soft", "hard", "cell", "virtual"}
-	trace := filepath.Join(t.TempDir(), "t.json")
 	forbidden := []struct {
 		flag      []string
 		platforms []string
@@ -399,14 +445,13 @@ func TestRunRejectsFlagsThePlatformCannotHonour(t *testing.T) {
 		{[]string{"-dist-window", "2"}, offDist},
 		{[]string{"-dist-no-cache"}, offDist},
 		{[]string{"-dist-faults", "seed=1,plan=sever:node=1:after=1"}, offDist},
-		{[]string{"-trace-out", trace}, []string{"virtual"}},
-		{[]string{"-metrics"}, []string{"virtual"}},
+		{[]string{"-reps", "7"}, []string{"hard", "virtual"}},
 	}
 	pairs := 0
 	for _, f := range forbidden {
 		for _, platform := range f.platforms {
 			pairs++
-			args := append([]string{"-bench", "TRAPEZ", "-platform", platform, "-reps", "1"}, f.flag...)
+			args := append([]string{"-bench", "TRAPEZ", "-platform", platform}, f.flag...)
 			refused(t, args, f.flag[0]+" is not supported on the "+platform+" platform")
 		}
 	}
@@ -460,7 +505,7 @@ func TestRunRefusesOutOfRangeCounts(t *testing.T) {
 	batch := func(platforms ...string) [][]string {
 		var runs [][]string
 		for _, p := range platforms {
-			runs = append(runs, []string{"-bench", "TRAPEZ", "-platform", p, "-reps", "1"})
+			runs = append(runs, []string{"-bench", "TRAPEZ", "-platform", p})
 		}
 		return runs
 	}
@@ -475,7 +520,7 @@ func TestRunRefusesOutOfRangeCounts(t *testing.T) {
 		{"-kernels", []string{"0", "-3"}, "at least 1", append(batch("soft", "hard", "cell", "virtual"), connect, stream)},
 		{"-unroll", []string{"0", "-2"}, "at least 1", append(batch("soft", "hard", "cell", "dist", "virtual"), connect)},
 		{"-tsu-shards", []string{"-2"}, "at least 0", batch("soft")},
-		{"-reps", []string{"0", "-2"}, "at least 1", append(batch("soft", "hard", "cell", "dist", "virtual"), connect)},
+		{"-reps", []string{"0", "-2"}, "at least 1", append(batch("soft", "cell", "dist"), connect)},
 		{"-stream-events", []string{"-5"}, "at least 0", batch("soft", "hard", "cell", "dist", "virtual")},
 		{"-stream-rate", []string{"-5"}, "at least 0", [][]string{stream}},
 		{"-stream-window", []string{"0", "-3"}, "at least 1", [][]string{stream}},

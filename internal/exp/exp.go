@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -55,8 +56,8 @@ type Experiment struct {
 var Experiments = []Experiment{
 	{Name: "table1", Title: "table1", Text: Table1},
 	{Name: "fig5", Title: "fig5 (TFluxHard, simulated cycles)", Rows: Fig5, Figure: true},
-	{Name: "fig6", Title: "fig6 (TFluxSoft, native)", Rows: Fig6, Figure: true},
-	{Name: "fig7", Title: "fig7 (TFluxCell, native)", Rows: Fig7, Figure: true},
+	{Name: "fig6", Title: "fig6 (TFluxSoft)", Rows: Fig6, Figure: true},
+	{Name: "fig7", Title: "fig7 (TFluxCell)", Rows: Fig7, Figure: true},
 	{Name: "fig5x86", Title: "fig5x86 (9-core x86 companion, §6.1.2)", Rows: Fig5X86, Figure: true},
 	{Name: "groups", Title: "groups (multiple TSU Groups, §4.1 extension)", Rows: Groups},
 	{Name: "tsulat", Title: "tsulat (TSU latency 1..128 cycles)", Rows: TSULatency},
@@ -98,10 +99,8 @@ type Options struct {
 	// configuration.
 	Progress func(string)
 	// Mode selects how the software platforms (fig6, fig7, unroll) are
-	// timed: real wall clock, the virtual-time model of package vtime, or
-	// automatic (virtual only when the host cannot actually run kernels
-	// in parallel). See the vtime package documentation for the
-	// substitution rationale.
+	// measured: on the wall clock, as the simulated machines of package
+	// vtime, or automatically (see Options.virtual).
 	Mode Mode
 	// Metrics, when non-nil, receives the runtime counters and histograms
 	// of every measured configuration (live instruments accumulate across
@@ -119,15 +118,18 @@ const (
 	ModeVirtual
 )
 
-// virtual reports whether software platforms should use virtual time.
-func (o Options) virtual() bool {
+// virtual reports whether the software platforms of an experiment whose
+// largest kernel count is kernels run as vtime machines: always under
+// ModeVirtual, never under ModeWallClock, and under ModeAuto unless every
+// kernel and the TSU emulator can have a CPU of their own.
+func (o Options) virtual(kernels int) bool {
 	switch o.Mode {
 	case ModeWallClock:
 		return false
 	case ModeVirtual:
 		return true
 	}
-	return runtime.GOMAXPROCS(0) < 2
+	return runtime.GOMAXPROCS(0) < kernels+1
 }
 
 func (o Options) reps() int {
@@ -215,18 +217,18 @@ type machine struct {
 	run func(job workload.Job, kernels, unroll int) (float64, error)
 }
 
-// hard is TFluxHard under cfg (Cores is set per run). Both numbers are
-// simulated cycles on that machine model; the baseline is one cold run of
-// the original program through it.
-func hard(label string, cfg hardsim.Config) machine {
+// simulated is a platform whose two numbers are simulated cycles: the
+// baseline is one cold run of the original program on base, a parallel
+// run is exec's cycle count for the program on kernels cores.
+func simulated(label string, pf workload.Platform, mode string, base hardsim.Config, exec func(p *core.Program, kernels int) (sim.Time, error)) machine {
 	return machine{
-		label: label, pf: workload.Simulated, unit: "cycles", mode: "sim",
+		label: label, pf: pf, unit: "cycles", mode: mode,
 		baseline: func(job workload.Job) (float64, error) {
 			prog, err := job.Build(1, 1)
 			if err != nil {
 				return 0, err
 			}
-			res, err := hardsim.Sequential(prog.Buffers, job.SequentialSteps(), cfg)
+			res, err := hardsim.Sequential(prog.Buffers, job.SequentialSteps(), base)
 			if err != nil {
 				return 0, err
 			}
@@ -238,29 +240,47 @@ func hard(label string, cfg hardsim.Config) machine {
 			if err != nil {
 				return 0, err
 			}
-			run := cfg
-			run.Cores = kernels
-			res, err := hardsim.Run(p, run)
+			cycles, err := exec(p, kernels)
 			if err != nil {
 				return 0, err
 			}
-			return float64(res.Cycles), job.Verify()
+			return float64(cycles), job.Verify()
 		},
 	}
 }
 
-// timed is a software platform: both numbers are the best of o.reps() runs
-// in seconds, the baseline the native sequential algorithm. A parallel run
-// is exec on the wall clock (output reset included, as a caller would pay
-// it), or, when o.virtual(), the vtime model's makespan — the substitution
-// for hosts that cannot run kernels in parallel (see package vtime).
+// hard is TFluxHard under cfg (Cores is set per run).
+func hard(label string, cfg hardsim.Config) machine {
+	return simulated(label, workload.Simulated, "sim", cfg, func(p *core.Program, kernels int) (sim.Time, error) {
+		run := cfg
+		run.Cores = kernels
+		res, err := hardsim.Run(p, run)
+		if err != nil {
+			return 0, err
+		}
+		return res.Cycles, nil
+	})
+}
+
+// virtual is a software platform as package vtime models it: the soft or
+// Cell profile's machine, sized from pf's Table 1 column.
+func virtual(label string, pf workload.Platform, cell bool) machine {
+	return simulated(label, pf, "virtual", vtime.Machine(vtime.Config{Cell: cell}), func(p *core.Program, kernels int) (sim.Time, error) {
+		res, err := vtime.Run(p, vtime.Config{Kernels: kernels, Cell: cell})
+		if err != nil {
+			return 0, err
+		}
+		return sim.Time(res.Makespan), nil
+	})
+}
+
+// timed is a software platform on the wall clock: both numbers are the
+// best of o.reps() runs in seconds, the baseline the native sequential
+// algorithm, a parallel run exec (output reset included, as a caller would
+// pay it).
 func timed(o Options, label string, pf workload.Platform, exec func(p *core.Program, job workload.Job, kernels int) error) machine {
-	virtual, mode := o.virtual(), "wallclock"
-	if virtual {
-		mode = "virtual"
-	}
 	return machine{
-		label: label, pf: pf, unit: "s", mode: mode,
+		label: label, pf: pf, unit: "s", mode: "wallclock",
 		baseline: func(job workload.Job) (float64, error) {
 			return stats.Min(stats.Measure(o.reps(), job.RunSequential)).Seconds(), nil
 		},
@@ -273,38 +293,35 @@ func timed(o Options, label string, pf workload.Platform, exec func(p *core.Prog
 			for r := 0; r < o.reps(); r++ {
 				start := time.Now()
 				job.ResetOutput()
-				var d time.Duration
-				if virtual {
-					res, err := vtime.Run(p, vtime.Config{Kernels: kernels, Cell: pf == workload.Cell})
-					if err != nil {
-						return 0, err
-					}
-					d = res.Makespan
-				} else {
-					if err := exec(p, job, kernels); err != nil {
-						return 0, err
-					}
-					d = time.Since(start)
+				if err := exec(p, job, kernels); err != nil {
+					return 0, err
 				}
-				if d < best {
-					best = d
-				}
+				best = min(best, time.Since(start))
 			}
 			return best.Seconds(), job.Verify()
 		},
 	}
 }
 
-// soft is TFluxSoft: the native runtime at its default options.
-func soft(o Options) machine {
+// soft is TFluxSoft: the native runtime at its default options, or its
+// vtime machine when o.virtual(kernels) for the experiment's largest
+// kernel count.
+func soft(o Options, kernels int) machine {
+	if o.virtual(kernels) {
+		return virtual("TFluxSoft", workload.Native, false)
+	}
 	return timed(o, "TFluxSoft", workload.Native, func(p *core.Program, _ workload.Job, kernels int) error {
 		_, err := rts.Run(p, rts.Options{Kernels: kernels, Metrics: o.Metrics})
 		return err
 	})
 }
 
-// cell is TFluxCell: the SPE substrate over the job's shared buffers.
-func cell(o Options) machine {
+// cell is TFluxCell: the SPE substrate over the job's shared buffers, or
+// its vtime machine when o.virtual(kernels).
+func cell(o Options, kernels int) machine {
+	if o.virtual(kernels) {
+		return virtual("TFluxCell", workload.Cell, true)
+	}
 	return timed(o, "TFluxCell", workload.Cell, func(p *core.Program, job workload.Job, kernels int) error {
 		_, err := cellsim.Run(p, job.SharedBuffers(), cellsim.Config{SPEs: kernels, Metrics: o.Metrics})
 		return err
@@ -321,8 +338,8 @@ func (o Options) emit(rows []Row, m machine, r Row) []Row {
 }
 
 // speedups is the figure protocol: every suite benchmark the paper runs on
-// m, at every size class and kernel count, the parallel time being the
-// best over m's unroll candidates (Row.Unroll names the winner).
+// m, at every size class and each of kernelCounts, the parallel time being
+// the best over m's unroll candidates (Row.Unroll names the winner).
 func speedups(o Options, name string, m machine, kernelCounts []int) ([]Row, error) {
 	var rows []Row
 	for _, spec := range workload.Suite() {
@@ -337,7 +354,7 @@ func speedups(o Options, name string, m machine, kernelCounts []int) ([]Row, err
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", name, spec.Name, err)
 			}
-			for _, kernels := range o.kernelCounts(kernelCounts) {
+			for _, kernels := range kernelCounts {
 				best, bestU := math.Inf(1), 0
 				for _, u := range o.unrolls(m.pf) {
 					par, err := m.run(job, kernels, u)
@@ -400,19 +417,21 @@ func study(o Options, name, bench string, cls workload.SizeClass, kernels int, r
 // Fig5 regenerates Figure 5: TFluxHard speedup per benchmark, kernel count
 // and problem size, in simulated cycles on the 28-core Sparc CMP.
 func Fig5(o Options) ([]Row, error) {
-	return speedups(o, "fig5", hard("TFluxHard", hardsim.Config{Metrics: o.Metrics}), []int{2, 4, 8, 16, 27})
+	return speedups(o, "fig5", hard("TFluxHard", hardsim.Config{Metrics: o.Metrics}), o.kernelCounts([]int{2, 4, 8, 16, 27}))
 }
 
-// Fig6 regenerates Figure 6: TFluxSoft native speedups (wall clock on
-// multicore hosts, virtual time on single-core hosts).
+// Fig6 regenerates Figure 6: TFluxSoft speedups, on the wall clock or as
+// the vtime machine (Options.virtual).
 func Fig6(o Options) ([]Row, error) {
-	return speedups(o, "fig6", soft(o), []int{2, 4, 6})
+	ks := o.kernelCounts([]int{2, 4, 6})
+	return speedups(o, "fig6", soft(o, slices.Max(ks)), ks)
 }
 
 // Fig7 regenerates Figure 7: TFluxCell speedups for the four benchmarks
 // the paper evaluates on the Cell.
 func Fig7(o Options) ([]Row, error) {
-	return speedups(o, "fig7", cell(o), []int{2, 4, 6})
+	ks := o.kernelCounts([]int{2, 4, 6})
+	return speedups(o, "fig7", cell(o, slices.Max(ks)), ks)
 }
 
 // Fig5X86 regenerates the paper's §6.1.2 companion experiment: the same
@@ -421,7 +440,7 @@ func Fig7(o Options) ([]Row, error) {
 // speedup values observed and conclusions drawn are similar" to the Sparc
 // machine; this experiment lets that be checked directly against fig5.
 func Fig5X86(o Options) ([]Row, error) {
-	return speedups(o, "fig5x86", hard("TFluxHard/x86", hardsim.Config{Mem: mem.X86Config()}), []int{2, 4, 8})
+	return speedups(o, "fig5x86", hard("TFluxHard/x86", hardsim.Config{Mem: mem.X86Config()}), o.kernelCounts([]int{2, 4, 8}))
 }
 
 // TSULatency regenerates the §3.3/§4.1 sensitivity study: TFluxHard
@@ -476,19 +495,20 @@ func UnrollSweep(o Options) ([]Row, error) {
 		unrolls = []int{1, 64}
 	}
 	var rows []Row
+	sk := o.capKernels(6) // the software legs' kernel count
 	for _, leg := range []struct {
 		m       machine
 		kernels int
 	}{
-		{hard("TFluxHard", hardsim.Config{}), 16},
-		{soft(o), 6},
-		{cell(o), 6},
+		{hard("TFluxHard", hardsim.Config{}), o.capKernels(16)},
+		{soft(o, sk), sk},
+		{cell(o, sk), sk},
 	} {
 		var points []point
 		for _, u := range unrolls {
 			points = append(points, point{value: u, unroll: u, m: leg.m})
 		}
-		r, err := study(o, "unroll", "MMULT", workload.Medium, o.capKernels(leg.kernels), false, points)
+		r, err := study(o, "unroll", "MMULT", workload.Medium, leg.kernels, false, points)
 		if err != nil {
 			return nil, err
 		}

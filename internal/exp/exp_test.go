@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -37,9 +38,27 @@ func TestFig6Quick(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("fig6 quick rows = %d, want 5", len(rows))
 	}
+	// Auto mode keeps the wall clock only when the 2 kernels and the TSU
+	// emulator each have a CPU; otherwise the rows are the vtime machine's
+	// cycles.
+	unit, mode := "s", "wallclock"
+	if runtime.GOMAXPROCS(0) < 3 {
+		unit, mode = "cycles", "virtual"
+	}
 	for _, r := range rows {
-		if r.Unit != "s" || r.Platform != "TFluxSoft" {
-			t.Fatalf("row %+v", r)
+		if r.Unit != unit || r.Mode != mode || r.Platform != "TFluxSoft" {
+			t.Fatalf("row %+v, want unit %s in mode %s", r, unit, mode)
+		}
+	}
+	for _, m := range []Mode{ModeWallClock, ModeVirtual} {
+		o := quick()
+		o.Mode = m
+		r, err := Fig6(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[Mode]string{ModeWallClock: "s", ModeVirtual: "cycles"}[m]; r[0].Unit != want {
+			t.Fatalf("mode %d: row %+v, want unit %s", m, r[0], want)
 		}
 	}
 }

@@ -1,25 +1,18 @@
-// Package vtime executes DDM programs in virtual time: DThread bodies run
-// natively (once, in dataflow order) and are timed individually; the
-// parallel makespan is then computed by the deterministic event-driven
-// machine model of package hardsim, configured with the overhead constants
-// of a *software* TSU instead of a hardware one.
+// Package vtime models the software platforms as simulated machines:
+// TFluxSoft and TFluxCell run as the deterministic event-driven machine of
+// package hardsim, configured with the overhead constants of a *software*
+// TSU instead of a hardware one. DThread bodies run natively (once, in
+// dataflow order), so every output is real and verifiable; time comes only
+// from each instance's Cost model and its access-table row, as in
+// Figure 5, so a run repeats cycle for cycle on any host.
 //
 // Why this exists: the paper's Figures 6 and 7 are native wall-clock
-// measurements on an 8-core Xeon and a PlayStation 3. On a single-core
-// host real parallel speedup cannot be observed at all — every wall-clock
-// "speedup" measures scheduling noise around 1.0×. Virtual time replaces
-// the missing hardware: per-DThread durations are real measured work, and
-// the schedule (per-kernel ready queues, the serializing TSU-emulator
-// loop, per-command processing cost, Cell DMA staging time) is simulated
-// exactly like TFluxHard but at nanosecond granularity with
-// software-plausible constants. The model preserves the effects the paper
-// reports for the software platforms: per-DThread TSU overhead that makes
-// fine unrolling lose (TFluxSoft needs unroll ≥16, TFluxCell ~64), the
-// serialized TSU emulator, and DMA cost proportional to staged bytes.
-//
-// The experiment harness uses wall-clock measurement when the host has
-// multiple CPUs and falls back to virtual time on single-CPU hosts (or on
-// request).
+// measurements on an 8-core Xeon and a PlayStation 3. A host with fewer
+// CPUs than kernels plus the TSU emulator cannot show their parallel
+// speedup, and a wall-clock run does not repeat. The model keeps the
+// effects the paper reports for the software platforms: per-DThread TSU
+// overhead that makes fine unrolling lose, the serialized TSU emulator,
+// and DMA cost proportional to staged bytes. One cycle is one nanosecond.
 package vtime
 
 import (
@@ -63,12 +56,15 @@ const (
 	dmaChunk      = 16 << 10
 )
 
-// machine returns the hardsim configuration that models a software TSU
-// on cfg's platform. One virtual cycle is one nanosecond.
-func machine(cfg Config) hardsim.Config {
+// Machine returns the hardsim machine that models a software TSU on
+// cfg's platform. The soft profile prices each body's memory trace on the
+// default cache model. A Cell SPE reads only its Local Store, so the Cell
+// profile's memory costs nothing and Run charges DMA staging instead.
+func Machine(cfg Config) hardsim.Config {
 	tsuOp, handoff := softTSUOp, softHandoff
+	var m mem.Config
 	if cfg.Cell {
-		tsuOp, handoff = cellTSUOp, cellHandoff
+		tsuOp, handoff, m = cellTSUOp, cellHandoff, freeMem()
 	}
 	return hardsim.Config{
 		Cores:       cfg.Kernels,
@@ -76,38 +72,32 @@ func machine(cfg Config) hardsim.Config {
 		MMILat:      sim.Time(handoff.Nanoseconds()),
 		DecLat:      sim.Time(100), // per ready-count update, ns
 		ServiceCost: sim.Time(tsuOp.Nanoseconds()),
-		// Bodies carry their real measured memory behaviour already;
-		// disable the cycle-level cache model.
-		Mem: freeMem(),
+		Mem:         m,
 	}
 }
 
 // Result is the virtual-time outcome.
 type Result struct {
 	Makespan time.Duration // modeled parallel execution time
-	Work     time.Duration // sum of all measured body durations
 	DMA      time.Duration // modeled staging time (Cell only)
 }
 
 // Run executes the program's bodies natively (producing their real
-// outputs) and returns the modeled parallel makespan. One virtual cycle is
-// one nanosecond.
+// outputs) on cfg's Machine and returns the modeled parallel makespan.
 func Run(p *core.Program, cfg Config) (*Result, error) {
-	shadow, meter := instrument(p, cfg.Cell)
-	res, err := hardsim.Run(shadow, machine(cfg))
+	var dma time.Duration
+	if cfg.Cell {
+		p = staged(p, &dma)
+	}
+	res, err := hardsim.Run(p, Machine(cfg))
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Makespan: time.Duration(res.Cycles),
-		Work:     meter.work,
-		DMA:      meter.dma,
-	}, nil
+	return &Result{Makespan: time.Duration(res.Cycles), DMA: dma}, nil
 }
 
 // freeMem returns a cache configuration whose accesses cost nothing (the
-// geometry must still be valid). No Access models survive instrumentation,
-// so this is belt and braces.
+// geometry must still be valid).
 func freeMem() mem.Config {
 	return mem.Config{
 		L1:     mem.CacheConfig{Size: 4 << 10, Line: 64, Ways: 1, ReadLat: 0, WriteLat: 0},
@@ -116,56 +106,32 @@ func freeMem() mem.Config {
 	}
 }
 
-type meter struct {
-	work time.Duration
-	dma  time.Duration
-}
-
-// instrument clones the program so each template's body is timed as it
-// executes and its Cost model reports the measured nanoseconds (plus Cell
-// DMA staging time derived from the template's Access model). hardsim
-// invokes Body and then Cost for the same instance within one event, so a
-// single last-measurement slot per template is race-free.
-func instrument(p *core.Program, cell bool) (*core.Program, *meter) {
-	m := &meter{}
-	out := core.NewProgram(p.Name + "-vtime")
+// staged returns a shallow copy of p for the Cell profile: each template's
+// Cost also charges the DMA time of staging its instance's access-table
+// row through the Local Store, and adds it to *dma. The copy declares no
+// Access model, so the machine replays no memory trace of its own.
+func staged(p *core.Program, dma *time.Duration) *core.Program {
+	rows := p.AccessTable()
+	out := core.NewProgram(p.Name)
 	out.Buffers = p.Buffers
 	for _, b := range p.Blocks {
 		ob := out.AddBlock()
 		for _, t := range b.Templates {
-			t := t
-			nt := &core.Template{
-				ID:        t.ID,
-				Name:      t.Name,
-				Instances: t.Instances,
-				Arcs:      t.Arcs,
-				Affinity:  t.Affinity,
-			}
-			var last time.Duration
-			body := t.Body
-			nt.Body = func(ctx core.Context) {
-				start := time.Now()
-				body(ctx)
-				last = time.Since(start)
-				m.work += last
-			}
-			access := t.Access
+			nt := *t
+			nt.Access = nil
 			nt.Cost = func(ctx core.Context) int64 {
-				ns := last.Nanoseconds()
-				if ns < 1 {
-					ns = 1
-				}
-				if cell && access != nil {
-					d := dmaTime(access(ctx))
-					m.dma += d
-					ns += d.Nanoseconds()
+				d := dmaTime(rows.Row(core.Instance{Thread: t.ID, Ctx: ctx}))
+				*dma += d
+				ns := d.Nanoseconds()
+				if t.Cost != nil {
+					ns += t.Cost(ctx)
 				}
 				return ns
 			}
-			ob.Add(nt)
+			ob.Add(&nt)
 		}
 	}
-	return out, m
+	return out
 }
 
 // dmaTime models staging every declared region through the Local Store:

@@ -10,8 +10,8 @@ import (
 	"tflux/internal/workload"
 )
 
-// spinProgram builds n independent DThreads each burning roughly the same
-// CPU time, plus a sink.
+// spinProgram builds n independent DThreads each burning the same CPU
+// time, priced by their Cost model at one cycle per iteration, plus a sink.
 func spinProgram(n core.Context, iters int) (*core.Program, *[]float64) {
 	out := make([]float64, n)
 	p := core.NewProgram("spin")
@@ -24,6 +24,7 @@ func spinProgram(n core.Context, iters int) (*core.Program, *[]float64) {
 		out[ctx] = s
 	})
 	w.Instances = n
+	w.Cost = func(core.Context) int64 { return int64(iters) }
 	sink := core.NewTemplate(2, "sink", func(core.Context) {})
 	w.Then(2, core.AllToOne{})
 	b.Add(w)
@@ -33,26 +34,17 @@ func spinProgram(n core.Context, iters int) (*core.Program, *[]float64) {
 
 func TestVirtualSpeedupScalesWithKernels(t *testing.T) {
 	mk := func(kernels int) time.Duration {
-		best := time.Duration(0)
-		// Body durations are wall-clock measurements; take the min of a
-		// few runs so scheduler noise on a busy host cannot skew the
-		// ratio.
-		for r := 0; r < 3; r++ {
-			p, out := spinProgram(32, 200_000)
-			res, err := Run(p, Config{Kernels: kernels})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range *out {
-				if v == 0 {
-					t.Fatal("body did not run")
-				}
-			}
-			if best == 0 || res.Makespan < best {
-				best = res.Makespan
+		p, out := spinProgram(32, 200_000)
+		res, err := Run(p, Config{Kernels: kernels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range *out {
+			if v == 0 {
+				t.Fatal("body did not run")
 			}
 		}
-		return best
+		return res.Makespan
 	}
 	m1, m4 := mk(1), mk(4)
 	sp := float64(m1) / float64(m4)
@@ -112,14 +104,11 @@ func TestVirtualSoftIgnoresDMA(t *testing.T) {
 	if res.DMA != 0 {
 		t.Fatalf("soft profile charged DMA: %v", res.DMA)
 	}
-	if res.Work == 0 {
-		t.Fatal("no work measured")
-	}
 }
 
 func TestVirtualRunsRealWorkloads(t *testing.T) {
-	// The instrumented clone must execute real benchmark bodies and keep
-	// outputs verifiable.
+	// A run must execute real benchmark bodies and keep outputs
+	// verifiable.
 	job := workload.NewMMult(24)
 	p, err := job.Build(3, 4)
 	if err != nil {
@@ -130,6 +119,37 @@ func TestVirtualRunsRealWorkloads(t *testing.T) {
 	}
 	if err := job.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVirtualRunIsDeterministic: time comes from the Cost models and the
+// access table, never from the host's clock, so two runs of one program
+// read the same makespan and DMA time on either profile (the Cell one
+// runs a staged copy of the program, whose bodies still write the output).
+func TestVirtualRunIsDeterministic(t *testing.T) {
+	for _, cell := range []bool{false, true} {
+		var got [2]Result
+		for i := range got {
+			job := workload.NewMMult(48)
+			p, err := job.Build(3, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(p, Config{Kernels: 3, Cell: cell})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := job.Verify(); err != nil {
+				t.Fatalf("cell=%t: %v", cell, err)
+			}
+			got[i] = *res
+		}
+		if got[0] != got[1] {
+			t.Errorf("cell=%t: two runs read %+v and %+v", cell, got[0], got[1])
+		}
+		if cell != (got[0].DMA > 0) {
+			t.Errorf("cell=%t: DMA %v", cell, got[0].DMA)
+		}
 	}
 }
 
@@ -161,19 +181,20 @@ func TestVirtualPreservesAffinity(t *testing.T) {
 	}
 }
 
-// TestVirtualConfigDefaults pins the machine vtime models for each
-// platform profile and the DMA staging model: every virtual-time figure
-// in EXPERIMENTS.md rests on these constants.
+// TestVirtualConfigDefaults pins the Machine vtime models for each
+// platform profile (the soft one on hardsim's default cache model, the
+// Cell one on free memory) and the DMA staging model: every virtual-time
+// figure in EXPERIMENTS.md rests on these constants.
 func TestVirtualConfigDefaults(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
 		want hardsim.Config
 	}{
-		{Config{}, hardsim.Config{TSULat: 1500, MMILat: 300, DecLat: 100, ServiceCost: 1500, Mem: freeMem()}},
+		{Config{}, hardsim.Config{TSULat: 1500, MMILat: 300, DecLat: 100, ServiceCost: 1500}},
 		{Config{Kernels: 6, Cell: true}, hardsim.Config{Cores: 6, TSULat: 4000, MMILat: 1000, DecLat: 100, ServiceCost: 4000, Mem: freeMem()}},
 	} {
-		if got := machine(tc.cfg); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("machine(%+v) = %+v, want %+v", tc.cfg, got, tc.want)
+		if got := Machine(tc.cfg); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Machine(%+v) = %+v, want %+v", tc.cfg, got, tc.want)
 		}
 	}
 	// 1 MiB in 16 KiB transfers: 64 × 1µs setup + 2^20 B / 8 B/ns.

@@ -20,8 +20,9 @@
 //   - RunDistLocal — TFluxDist: worker nodes with private replicas of the
 //     shared buffers, a coordinating TSU, and the declared imports and
 //     exports as the only data movement between them.
-//   - RunVirtual — natively timed bodies scheduled in virtual time on
-//     more Kernels than the host has cores.
+//   - RunVirtual — TFluxSoft or TFluxCell as a simulated machine with a
+//     software TSU's costs: bodies run natively, time comes from their
+//     Cost and Access models, on any number of Kernels.
 //
 // RunStream runs a windowed pipeline over an event stream on TFluxSoft.
 //
@@ -223,7 +224,9 @@ type (
 	// the kernel count and the soft or Cell profile, whose TSU costs
 	// and DMA model are fixed.
 	VirtualConfig = vtime.Config
-	// VirtualResult is the virtual-time outcome (vtime.Result).
+	// VirtualResult is the virtual-time outcome (vtime.Result): the
+	// simulated makespan and, on the Cell profile, its DMA staging time,
+	// one nanosecond per cycle.
 	VirtualResult = vtime.Result
 )
 
@@ -330,11 +333,11 @@ func RunCell(p *Program, bufs *CellBuffers, cfg CellConfig) (*CellStats, error) 
 	return cellsim.Run(p.p, bufs, cfg)
 }
 
-// RunVirtual executes the program in virtual time: bodies run natively and
-// are timed individually; the returned makespan is the modeled parallel
-// execution time on cfg.Kernels workers with software-TSU overheads. Use
-// it to study scheduling behaviour on hosts with fewer cores than the
-// target configuration.
+// RunVirtual executes the program in virtual time: bodies run natively
+// for their outputs, and the returned makespan is simulated on cfg.Kernels
+// workers with software-TSU overheads, each DThread priced by its Cost
+// model and access-table row as RunHard prices it. It repeats exactly on
+// any host, whatever its core count.
 func RunVirtual(p *Program, cfg VirtualConfig) (*VirtualResult, error) {
 	return vtime.Run(p.p, cfg)
 }
