@@ -43,7 +43,7 @@
 // runs the static verifier before dispatch and refuses to run a program
 // with findings — the instance-level batch linter in batch mode, the
 // whole-pipeline streaming analyzer (scratch lifetime, shed safety,
-// pads, lifecycle, budget) in streaming mode (see internal/ddmlint and
+// pads, budget) in streaming mode (see internal/ddmlint and
 // cmd/tfluxvet).
 //
 // TSU tuning: -tsu-shards N (soft platform) replaces the dedicated

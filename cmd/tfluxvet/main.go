@@ -12,8 +12,9 @@
 //
 // With -stream it instead verifies the built-in streaming workloads
 // across window generations (ddmlint.LintStream): scratch-lifetime
-// (recycled-slot stale reads), pad-soundness, shed-safety, the
-// WindowedSM lifecycle proof, and the RunStream capacity budget. Each
+// (recycled-slot stale reads), pad-soundness, shed-safety and the
+// RunStream capacity budget, on top of the batch checks of the
+// per-window graph. Each
 // workload is linted under every backpressure policy it supports.
 //
 //	tfluxvet -stream                               # all streaming workloads

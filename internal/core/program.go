@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -302,6 +301,3 @@ func InDegrees(b *Block, c *Template) []uint32 {
 	}
 	return deg
 }
-
-// ErrNoBody is returned by helpers that require an executable body.
-var ErrNoBody = errors.New("core: template has no body")

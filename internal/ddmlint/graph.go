@@ -53,10 +53,6 @@ type blockGraph struct {
 	cyclic   []bool
 	hasCycle bool
 
-	// Filled by checkDead: whether the dataflow firing simulation ever
-	// fires each instance. Reused by the streaming lifecycle pass.
-	fired []bool
-
 	// Filled by checkBounds: the Block's access table.
 	accs []accessor
 }
@@ -356,7 +352,6 @@ func (g *blockGraph) checkDead(r *Report) {
 			}
 		}
 	}
-	g.fired = fired
 	for ti, t := range g.tmpls {
 		var count int
 		var exCtx core.Context

@@ -47,14 +47,9 @@ const (
 	// reads scratch elements only the skipped entry body would have
 	// written, so the previous occupant's data flows into the export.
 	KindPadLeak
-	// KindLifecycle (streaming): the per-window graph cannot walk the
-	// WindowRef lifecycle (Open → Encode/Decrement → Done → Release)
-	// cleanly — a windowed-SM panic or a permanently pinned slot is
-	// reachable.
-	KindLifecycle
 	// KindBudget (streaming): the (pipeline shape, slot budget, worker
 	// count) configuration voids RunStream's no-deadlock capacity
-	// argument or the windowed engine's admission conditions.
+	// argument.
 	KindBudget
 )
 
@@ -70,7 +65,6 @@ var kindNames = [...]string{
 	KindStaleScratch:     "stale-scratch",
 	KindShedUnsafe:       "shed-unsafe",
 	KindPadLeak:          "pad-leak",
-	KindLifecycle:        "lifecycle",
 	KindBudget:           "budget",
 }
 

@@ -9,14 +9,13 @@ import (
 
 	"tflux/internal/core"
 	"tflux/internal/stream"
-	"tflux/internal/tsu"
 )
 
 // This file is the streaming half of the verifier: LintStream models a
 // stream.Pipeline across window generations instead of as one closed
 // batch program. The per-window Synchronization Graph still gets the
 // full batch treatment (ready counts, cycles, dead instances, races on
-// the declared scratch model), and five streaming-only passes layer on
+// the declared scratch model), and four streaming-only passes layer on
 // top of the same instance graph:
 //
 //   - scratch-lifetime: reads of slot-indexed scratch that no
@@ -27,10 +26,13 @@ import (
 //     every padded local are skipped (KindPadLeak);
 //   - shed-safety: cross-window accumulators under the Shed policy
 //     (KindShedUnsafe);
-//   - recycling lifecycle: prove the tsu.WindowedSM panics unreachable,
-//     or name the one that fires (KindLifecycle);
 //   - budget: re-derive rts.RunStream's work-channel capacity argument
-//     and the windowed engine's admission conditions (KindBudget).
+//     (KindBudget).
+//
+// A window is the per-window Block loaded again, so the batch checks
+// are also what keeps its slot from being pinned: a clean report has no
+// instance that receives more decrements than its Ready Count and none
+// that never fires, which is every window's retirement condition.
 //
 // Scratch declarations are analyzed by converting them into MemRegions
 // on element-unit pseudo-buffers named "scratch:NAME", so the existing
@@ -68,8 +70,8 @@ type StreamConfig struct {
 // report means, beyond the batch guarantees on the per-window graph:
 // no scratch read can observe a recycled slot's stale data (full or
 // padded windows), accumulators are declared shed-tolerant if the
-// policy sheds, every WindowedSM panic is unreachable, and the
-// RunStream capacity argument holds for this configuration.
+// policy sheds, and the RunStream capacity argument holds for this
+// configuration.
 func LintStream(p *stream.Pipeline, cfg StreamConfig) (*Report, error) {
 	if p == nil {
 		return nil, fmt.Errorf("ddmlint: nil pipeline")
@@ -122,12 +124,12 @@ func LintStream(p *stream.Pipeline, cfg StreamConfig) (*Report, error) {
 	bufs := bufferIndex(prog)
 
 	checkShedSafety(r, p, ablock, cfg.Policy)
-	checkBudget(r, p, block, slots, workers, maxCap)
+	checkBudget(r, p, block.ID, slots, workers, maxCap)
 
 	g, ok := expandBlock(r, prog, ablock, opts)
 	if !ok {
 		r.Notes = append(r.Notes,
-			"streaming lifecycle and scratch-lifetime analyses skipped (per-window graph not expanded)")
+			"streaming scratch-lifetime analyses skipped (per-window graph not expanded)")
 		return r, nil
 	}
 	g.checkBadTargets(r)
@@ -135,7 +137,6 @@ func LintStream(p *stream.Pipeline, cfg StreamConfig) (*Report, error) {
 	g.checkCycles(r)
 	g.checkDead(r)
 	g.checkBounds(r, bufs)
-	checkLifecycle(r, g, slots, cfg.Policy)
 	if g.hasCycle {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"block %d: race and scratch-lifetime analyses skipped (instance graph is cyclic; no happens-before order exists)", ablock.ID))
@@ -497,110 +498,19 @@ func checkShedSafety(r *Report, p *stream.Pipeline, b *core.Block, policy stream
 	}
 }
 
-// checkLifecycle proves the tsu.WindowedSM lifecycle panics unreachable
-// for this per-window graph, or reports which one fires. The windowed
-// engine walks every slot through Open → Encode/Decrement* → Done →
-// Release; RunStream's loop structure guarantees the graph-independent
-// steps (Release only after Done reports closure complete, Encode only
-// while the window is live), so the graph-dependent conditions are:
-//
-//   - no instance may receive more decrements than its loaded Ready
-//     Count, or Decrement drives the count negative and panics on the
-//     first window;
-//   - every instance must fire, or the window never completes its
-//     firing closure: Done never reaches zero, Release is never
-//     called, and the slot is pinned forever.
-//
-// A report with no lifecycle finding certifies both, which makes the
-// stale-ref, double-release, early-release and over-complete panics
-// unreachable (see DESIGN.md §13 for the full argument).
-func checkLifecycle(r *Report, g *blockGraph, slots int, policy stream.Policy) {
-	var over int
-	var exOver int32
-	for i := int32(0); i < g.n; i++ {
-		if g.delivered[i] > g.declared[i] {
-			if over == 0 {
-				exOver = i
-			}
-			over++
-		}
-	}
-	if over > 0 {
-		ex := g.instance(exOver)
-		r.Findings = append(r.Findings, Finding{
-			Kind:      KindLifecycle,
-			Block:     g.b.ID,
-			Threads:   []core.ThreadID{ex.Thread},
-			Arcs:      g.incomingArcKeys(ex.Thread),
-			Instances: []core.Instance{ex},
-			Count:     over,
-			Msg: fmt.Sprintf(
-				"%d instance(s) per window receive more decrements than their loaded Ready Count (e.g. %s loads %d but receives %d): tsu.WindowedSM's Decrement drives the count negative and panics on the first window, and the re-fire voids RunStream's work-channel bound",
-				over, ex, g.declared[exOver], g.delivered[exOver]),
-		})
-	}
-
-	var stuck int
-	var exStuck core.Instance
-	threadSet := make(map[core.ThreadID]bool)
-	for i := int32(0); i < g.n; i++ {
-		if g.fired[i] {
-			continue
-		}
-		if stuck == 0 {
-			exStuck = g.instance(i)
-		}
-		t, _ := g.owner(i)
-		threadSet[t.ID] = true
-		stuck++
-	}
-	if stuck == 0 {
-		return
-	}
-	threads := make([]core.ThreadID, 0, len(threadSet))
-	for id := range threadSet {
-		threads = append(threads, id)
-	}
-	sort.Slice(threads, func(a, b int) bool { return threads[a] < threads[b] })
-	fate := fmt.Sprintf("the Block policy stalls injection forever once all %d slot(s) are pinned", slots)
-	if policy == stream.Shed {
-		fate = fmt.Sprintf("the Shed policy drops every window after the first %d", slots)
-	}
-	r.Findings = append(r.Findings, Finding{
-		Kind:      KindLifecycle,
-		Block:     g.b.ID,
-		Threads:   threads,
-		Instances: []core.Instance{exStuck},
-		Count:     stuck,
-		Msg: fmt.Sprintf(
-			"%d instance(s) per window never fire (e.g. %s), so no window completes its firing closure: Done never reaches zero, Release is never called, the slot stays pinned, and %s",
-			stuck, exStuck, fate),
-	})
-}
-
-// checkBudget re-derives the two admission arguments rts.RunStream
-// relies on: tsu.NewWindowed's shape conditions (ValidateWindowShape)
-// and the work-channel no-deadlock capacity slots·perWindow+workers
-// (stream.WorkCapacity). Both are evaluated by calling the runtime's
-// own single-source-of-truth helpers, so the verifier rejects exactly
-// the configurations the runtime would.
-func checkBudget(r *Report, p *stream.Pipeline, block *core.Block, slots, workers int, maxCap int64) {
-	if err := tsu.ValidateWindowShape(block, slots); err != nil {
-		r.Findings = append(r.Findings, Finding{
-			Kind:  KindBudget,
-			Block: block.ID,
-			Count: 1,
-			Msg: fmt.Sprintf(
-				"the windowed engine rejects this pipeline at %d slot(s): %v", slots, err),
-		})
-	}
+// checkBudget re-derives the admission argument rts.RunStream relies
+// on: the work-channel no-deadlock capacity slots·perWindow+workers
+// (stream.WorkCapacity). It is evaluated by calling the runtime's own
+// single-source-of-truth helper, so the verifier rejects exactly the
+// configurations the runtime would.
+func checkBudget(r *Report, p *stream.Pipeline, block, slots, workers int, maxCap int64) {
 	per := p.PerWindow()
 	capWork, ok := stream.WorkCapacity(int64(slots), per, int64(workers))
 	switch {
 	case !ok:
 		r.Findings = append(r.Findings, Finding{
 			Kind:  KindBudget,
-			Block: block.ID,
+			Block: block,
 			Count: 1,
 			Msg: fmt.Sprintf(
 				"the work-channel bound %d slot(s) × %d instance(s)/window + %d worker(s) overflows: RunStream's no-deadlock capacity argument cannot be established",
@@ -609,7 +519,7 @@ func checkBudget(r *Report, p *stream.Pipeline, block *core.Block, slots, worker
 	case capWork > maxCap:
 		r.Findings = append(r.Findings, Finding{
 			Kind:  KindBudget,
-			Block: block.ID,
+			Block: block,
 			Count: 1,
 			Msg: fmt.Sprintf(
 				"the work channel needs capacity %d (%d slot(s) × %d instance(s)/window + %d worker(s)), exceeding the runnable cap %d: RunStream refuses the configuration",

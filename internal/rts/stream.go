@@ -14,12 +14,27 @@ import (
 	"tflux/internal/tsu"
 )
 
+// streamWork is one dispatched instance of a streaming run: the window
+// slot whose State it belongs to and the instance in the window block's
+// own context space.
+type streamWork struct {
+	slot int32
+	inst core.Instance
+}
+
 // RunStream executes a streaming pipeline: events pulled from src are
 // admitted into windows of p.Window events, each window fires through
-// the per-window Synchronization Graph on a recycled tsu.WindowedSM
-// slot, and completed windows retire (export, latency accounting, slot
-// release). It returns when the source is exhausted and every admitted
-// window has retired.
+// the per-window Synchronization Graph on a recycled window slot, and
+// completed windows retire (export, latency accounting, slot release).
+// It returns when the source is exhausted and every admitted window has
+// retired.
+//
+// A window is the per-window DDM Block loaded again for each window: the
+// call builds one tsu.Tables over the window block, and each slot owns
+// one State over it for the whole run. Opening a window resets the
+// slot's State and runs the Block's Inlet, which restores the SM image
+// by memcpy from the snapshot; the surfaced Outlet is the retirement
+// signal.
 //
 // The loop interleaves four activities:
 //
@@ -27,10 +42,11 @@ import (
 //     dispatches entry-stage instances as they arrive, applying the
 //     backpressure policy at window-slot exhaustion;
 //   - firing: opt.Workers goroutines drain a shared ready channel,
-//     running stage bodies and propagating decrements;
-//   - retirement: the worker that fires a window's last instance
+//     running stage bodies and completing instances on their slot's
+//     State under that slot's lock;
+//   - retirement: the worker that completes a window's last instance
 //     observes per-event admission→retire latency, applies the
-//     pipeline's Export, and releases the slot;
+//     pipeline's Export, and returns the slot to the free list;
 //   - padding: a partial final window is completed with pad instances
 //     (entry body skipped, graph flow intact) so it can retire.
 //
@@ -59,7 +75,21 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	wsm, err := tsu.NewWindowed(block, slots)
+	perWindow := p.PerWindow()
+
+	// The work channel holds every dispatched-but-unfired instance. Its
+	// capacity is the worst case — all live windows fully pending — so
+	// worker self-pushes never block and cannot deadlock. WorkCapacity is
+	// the shared derivation of that bound (ddmlint's budget check verifies
+	// the same formula); a capacity that overflows or exceeds what a chan
+	// can hold voids the no-deadlock argument, so refuse to run. The check
+	// comes before anything is sized by the slot count.
+	capWork, capOK := stream.WorkCapacity(int64(slots), perWindow, int64(workers))
+	if !capOK || capWork > math.MaxInt32 {
+		return stream.Stats{}, fmt.Errorf("rts: work channel capacity %d slots × %d instances + %d workers voids the no-deadlock bound",
+			slots, perWindow, workers)
+	}
+	tables, err := tsu.NewTables(&core.Program{Name: p.Name, Blocks: []*core.Block{block}}, 1, tsu.Config{})
 	if err != nil {
 		return stream.Stats{}, err
 	}
@@ -83,42 +113,32 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		hLatency  = reg.Histogram("stream.event_latency_ns")
 	)
 
-	// Per-slot state recycled with the SM slot: the window's WindowRef
-	// (needed at release) and per-event admission timestamps. Writes
-	// happen before the entry dispatch (injector side) and reads after
-	// the firing closure completes (retiring worker), so the channel
-	// send plus the decrement chain order them.
-	refs := make([]tsu.WindowRef, slots)
+	// Per-slot state recycled with the slot: the window block's State
+	// and the lock that serializes its completions, the window occupying
+	// the slot, and per-event admission timestamps. The injector writes
+	// a slot only after receiving it from free, and before dispatching
+	// the window's first instance; the retiring worker reads it before
+	// sending it back to free — the channel operations order the two.
+	// free is the free list, sized to hold every slot, so a retiring
+	// worker's send never blocks.
+	states := make([]*tsu.State, slots)
+	locks := make([]sync.Mutex, slots)
+	wins := make([]int64, slots)
 	admit := make([][]time.Time, slots)
-	for i := range admit {
+	free := make(chan int32, slots)
+	for i := range states {
+		states[i] = tables.NewState()
 		admit[i] = make([]time.Time, W)
+		free <- int32(i)
 	}
+	inlet := states[0].Start().Inst
 
 	// padFrom is the first pad sequence number; MaxInt64 until the
 	// source ends mid-window. Entry bodies are skipped at and past it.
 	var padFrom atomic.Int64
 	padFrom.Store(math.MaxInt64)
 
-	// The work channel holds every dispatched-but-unfired instance. Its
-	// capacity is the worst case — all live windows fully pending — so
-	// worker self-pushes never block and cannot deadlock. WorkCapacity is
-	// the shared derivation of that bound (ddmlint's budget check verifies
-	// the same formula); a capacity that overflows or exceeds what a chan
-	// can hold voids the no-deadlock argument, so refuse to run.
-	capWork, capOK := stream.WorkCapacity(int64(slots), wsm.PerWindow(), int64(workers))
-	if !capOK || capWork > math.MaxInt32 {
-		return stream.Stats{}, fmt.Errorf("rts: work channel capacity %d slots × %d instances + %d workers voids the no-deadlock bound",
-			slots, wsm.PerWindow(), workers)
-	}
-	work := make(chan core.Instance, capWork)
-	freeCh := make(chan struct{}, slots)
-	wsm.SetOnFree(func() {
-		select {
-		case freeCh <- struct{}{}:
-		default:
-		}
-	})
-
+	work := make(chan streamWork, capWork)
 	var (
 		opened    atomic.Int64
 		retired   atomic.Int64
@@ -145,27 +165,33 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			var buf []core.Instance
-			var ctx []core.Context
-			for inst := range work {
-				slot, local := wsm.Decode(inst)
-				stage := int(inst.Thread - entry)
-				win := wsm.Window(slot)
-				seq := win*W + int64(local)
+			var (
+				ready     []tsu.Ready
+				blockDone bool
+			)
+			for it := range work {
+				slot := int(it.slot)
+				stage := int(it.inst.Thread - entry)
+				win := wins[slot]
+				seq := win*W + int64(it.inst.Ctx)
 				if opt.Delay != nil {
 					time.Sleep(opt.Delay(stage))
 				}
 				if body := p.Stages[stage].Body; body != nil && runErr.Load() == nil && !(stage == 0 && seq >= padFrom.Load()) {
-					runBody(stage, body, stream.Ctx{Window: win, Slot: slot, Local: local, Seq: seq})
+					runBody(stage, body, stream.Ctx{Window: win, Slot: slot, Local: it.inst.Ctx, Seq: seq})
 				}
-				buf = wsm.AppendConsumers(buf[:0], &ctx, inst)
-				for _, tgt := range buf {
-					if wsm.Decrement(tgt) {
-						work <- tgt
-					}
+				locks[slot].Lock()
+				ready, blockDone, _ = states[slot].CompleteInto(ready[:0], it.inst, 0)
+				locks[slot].Unlock()
+				if blockDone {
+					// The Block drained: the surfaced Outlet is the last
+					// entry, and the window retires instead of running it.
+					ready = ready[:len(ready)-1]
 				}
-				if !wsm.Done(slot) {
+				for _, r := range ready {
+					work <- streamWork{slot: it.slot, inst: r.Inst}
+				}
+				if !blockDone {
 					continue
 				}
 				// Window retired: latency per admitted (non-pad) event,
@@ -184,12 +210,13 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 				// re-open it at once, and the gauge must never read more
 				// windows than there are slots.
 				gInflight.Add(-1)
-				wsm.Release(refs[slot])
+				free <- it.slot
 				cRetired.Inc()
 				if r := retired.Add(1); injDone.Load() && r == opened.Load() {
 					closeWork()
 				}
 			}
+			wg.Done()
 		}()
 	}
 
@@ -197,9 +224,10 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 	// first event, so backpressure applies at window boundaries.
 	var (
 		curWin  int64 = -1
-		curRef  tsu.WindowRef
+		curSlot int32
 		curShed bool
 		curNext core.Context // next local index in the current window
+		sources []tsu.Ready
 	)
 	for runErr.Load() == nil {
 		seq, ok := src.Next()
@@ -209,18 +237,24 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		win := seq / W
 		if win != curWin {
 			curWin, curNext, curShed = win, 0, false
-			ref, got := wsm.Open(win)
-			if !got && opt.Policy == stream.Shed {
-				curShed = true
-				cShedWin.Inc()
+			if opt.Policy == stream.Shed {
+				select {
+				case curSlot = <-free:
+				default:
+					curShed = true
+					cShedWin.Inc()
+				}
+			} else {
+				curSlot = <-free
 			}
-			for !got && !curShed {
-				<-freeCh
-				ref, got = wsm.Open(win)
-			}
-			if got {
-				curRef = ref
-				refs[ref.Slot] = ref
+			if !curShed {
+				// Load the window's SM by running the Inlet. The sources
+				// it surfaces are the entry instances, which are
+				// dispatched as their events arrive instead.
+				st := states[curSlot]
+				st.Reset()
+				sources, _, _ = st.DoneInto(sources[:0], inlet, 0)
+				wins[curSlot] = win
 				opened.Add(1)
 				cOpened.Inc()
 				gInflight.Add(1)
@@ -231,17 +265,17 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 			continue
 		}
 		local := core.Context(seq % W)
-		admit[curRef.Slot][local] = time.Now()
+		admit[curSlot][local] = time.Now()
 		cInjected.Inc()
 		curNext = local + 1
-		work <- wsm.Encode(entry, curRef, local)
+		work <- streamWork{slot: curSlot, inst: core.Instance{Thread: entry, Ctx: local}}
 	}
 	// Pad a partial final window so its firing closure can complete.
 	if curWin >= 0 && !curShed && int64(curNext) < W {
 		padFrom.Store(curWin*W + int64(curNext))
 		for l := curNext; int64(l) < W; l++ {
 			cPadded.Inc()
-			work <- wsm.Encode(entry, curRef, l)
+			work <- streamWork{slot: curSlot, inst: core.Instance{Thread: entry, Ctx: l}}
 		}
 	}
 	injDone.Store(true)
@@ -260,8 +294,7 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		ShedEvents:  cShedEv.Value(),
 		ShedWindows: cShedWin.Value(),
 		Windows:     cRetired.Value(),
-		// Entry instances fire on arrival, the rest on decrement.
-		Fired:       wsm.Stats().Fired + cInjected.Value() + cPadded.Value(),
+		Fired:       cRetired.Value() * perWindow,
 		P50:         time.Duration(hLatency.Quantile(0.50)),
 		P95:         time.Duration(hLatency.Quantile(0.95)),
 		P99:         time.Duration(hLatency.Quantile(0.99)),

@@ -1,6 +1,9 @@
 package rts
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -255,5 +258,126 @@ func TestStreamSoak(t *testing.T) {
 	}
 	if got := reg.Histogram("stream.event_latency_ns").Count(); got != n {
 		t.Fatalf("latency samples = %d, want one per admitted event", got)
+	}
+}
+
+// TestRunStreamRefusedConfigAllocatesNothing: a configuration whose work
+// channel voids the no-deadlock bound is refused before anything is sized
+// by the slot count. At 30 000 000 slots of a 64-event window the per-slot
+// Ready Counts alone would be gigabytes.
+func TestRunStreamRefusedConfigAllocatesNothing(t *testing.T) {
+	p, _ := countingPipeline(64, 1)
+	for _, slots := range []int{30_000_000, 1 << 31, math.MaxInt} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RunStream(p, stream.NewCountSource(10, 0), stream.Options{Slots: slots, Workers: 1})
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "no-deadlock bound") {
+			t.Fatalf("%d slots: err = %v, want the work-channel refusal", slots, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Fatalf("%d slots: refusal allocated %d bytes, want under 1 MiB", slots, d)
+		}
+	}
+}
+
+// TestStreamSlotRecyclingProperty is the slot-recycling property of
+// RunStream: 64 windows streamed through 3 slots by 8 workers, every
+// stage body recording which window occupies its Ctx.Slot. It asserts
+//
+//   - exactly-once: every (window, stage, local) body runs exactly once
+//     and every window exports exactly once;
+//   - no aliasing: no body runs on a slot while another window is live
+//     there (from its first body to the end of its Export), and Export
+//     reads only its own window's slot data.
+//
+// Run it under -race (the CI stream-soak step does).
+func TestStreamSlotRecyclingProperty(t *testing.T) {
+	const windows, slots, workers = 64, 3, 8
+	for _, w := range []core.Context{4, 8, 16} {
+		var (
+			mu       sync.Mutex
+			occupant = [slots]int64{-1, -1, -1} // live window per slot
+			runs     = make(map[[3]int64]int)   // (window, stage, local) → body runs
+			exported = make(map[int64]int)
+			failures []string
+		)
+		stamp := make([][]int64, slots) // entry body writes its window per local
+		for i := range stamp {
+			stamp[i] = make([]int64, w)
+		}
+		body := func(stage int) stream.Body {
+			return func(c stream.Ctx) {
+				mu.Lock()
+				defer mu.Unlock()
+				switch occ := occupant[c.Slot]; occ {
+				case -1:
+					occupant[c.Slot] = c.Window
+				case c.Window:
+				default:
+					failures = append(failures, fmt.Sprintf("window %d ran stage %d in slot %d while window %d is live there", c.Window, stage, c.Slot, occ))
+				}
+				runs[[3]int64{c.Window, int64(stage), int64(c.Local)}]++
+				if stage == 0 {
+					stamp[c.Slot][c.Local] = c.Window
+				}
+			}
+		}
+		p := &stream.Pipeline{
+			Name:   "slots",
+			Window: w,
+			Stages: []stream.Stage{
+				{Name: "entry", Instances: w, Map: core.OneToOne{}, Body: body(0)},
+				{Name: "mid", Instances: w, Map: core.Gather{Fan: 4}, Body: body(1)},
+				{Name: "agg", Instances: w / 4, Map: core.AllToOne{}, Body: body(2)},
+				{Name: "tail", Instances: 1, Body: body(3)},
+			},
+			Export: func(win int64, slot int) {
+				// Hold the slot a moment: a slot handed back before its
+				// Export would be reopened and run meanwhile.
+				time.Sleep(50 * time.Microsecond)
+				mu.Lock()
+				defer mu.Unlock()
+				if occ := occupant[slot]; occ != win {
+					failures = append(failures, fmt.Sprintf("export of window %d found slot %d held by window %d", win, slot, occ))
+				}
+				for l, got := range stamp[slot] {
+					if got != win {
+						failures = append(failures, fmt.Sprintf("export of window %d read slot %d local %d stamped by window %d", win, slot, l, got))
+						break
+					}
+				}
+				exported[win]++
+				occupant[slot] = -1
+			},
+		}
+		st, err := RunStream(p, stream.NewCountSource(windows*int64(w), 0), stream.Options{Slots: slots, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		if len(failures) > 0 {
+			t.Fatalf("W=%d: %d aliasing violations, first: %s", w, len(failures), failures[0])
+		}
+		if want := int(windows * p.PerWindow()); len(runs) != want {
+			t.Fatalf("W=%d: %d distinct bodies ran, want %d", w, len(runs), want)
+		}
+		for k, n := range runs {
+			if n != 1 {
+				t.Fatalf("W=%d: body (window, stage, local) %v ran %d times", w, k, n)
+			}
+		}
+		if len(exported) != windows {
+			t.Fatalf("W=%d: %d windows exported, want %d", w, len(exported), windows)
+		}
+		for win, n := range exported {
+			if n != 1 {
+				t.Fatalf("W=%d: window %d exported %d times", w, win, n)
+			}
+		}
+		mu.Unlock()
+		if st.Windows != windows || st.Fired != windows*p.PerWindow() || st.MaxInFlight > slots {
+			t.Fatalf("W=%d: stats %+v", w, st)
+		}
 	}
 }

@@ -14,9 +14,9 @@
 //   - The thread table (table.go): one builder flattens a set of Blocks
 //     into a dense []tmplInfo indexed by ThreadID, with pre-resolved arc
 //     tables and the sparse-ID guard, and one routine expands a completed
-//     instance's arcs over it. The batch State, the frozen Tables and the
-//     streaming WindowedSM all read this table; nothing else in the
-//     package builds arcs or calls a Mapping's AppendTargets.
+//     instance's arcs over it. The State and the frozen Tables read this
+//     table; nothing else in the package builds arcs or calls a Mapping's
+//     AppendTargets.
 //
 //   - State: the pure synchronization engine — Synchronization Memories
 //     (one per kernel, holding the Ready Counts of the instances that
@@ -32,7 +32,9 @@
 //     the paper's closed-form chunked split, ctx → ctx·kernels/instances.
 //     Tables freezes a State's immutable half plus per-block SM snapshots
 //     so a daemon builds them once per program and restores pooled States
-//     by memcpy.
+//     by memcpy. A streaming window is the same mechanism: rts.RunStream
+//     builds one Tables over the per-window Block and keeps one State per
+//     window slot, reloading it by Reset and the Inlet for every window.
 //
 //   - ShardedState: the parallel driver mode. The mutable bookkeeping is
 //     partitioned into shards along TKT ownership; each shard is stepped
@@ -49,12 +51,6 @@
 //     A single-lock mode exists as an ablation of the segmentation design,
 //     and an unbounded mode serves as the sharded engine's cross-shard
 //     inbox (where a blocking Push could deadlock two shards).
-//
-//   - WindowedSM: the streaming engine. It shares the thread table and
-//     the arc expansion, and keeps its own mutable half — a ring of
-//     generation-tagged slots whose Ready Counts are atomics any worker may
-//     decrement — because that is a different concurrency model from the
-//     single-writer Synchronization Memories above.
 //
 // Read-only queries (arc expansion, TKT lookup) touch only immutable
 // tables built at construction time and are safe to call from every kernel

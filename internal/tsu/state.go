@@ -291,7 +291,7 @@ func (s *State) AppendConsumers(dst []core.Instance, ctx *[]core.Context, inst c
 	if s.IsService(inst) {
 		return dst
 	}
-	return s.infos[inst.Thread].appendConsumers(dst, ctx, inst.Ctx, 0)
+	return s.infos[inst.Thread].appendConsumers(dst, ctx, inst.Ctx)
 }
 
 // Decrement decreases the Ready Count of target by one and reports whether

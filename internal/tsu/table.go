@@ -18,8 +18,8 @@ type flatArc struct {
 // tmplInfo caches the immutable per-template tables the kernels consult
 // concurrently (the "Local TSU" state). It lives in a dense slice indexed
 // directly by ThreadID, so every hot-path lookup is one array access. The
-// batch State, the frozen Tables and the streaming WindowedSM all read the
-// same table, built once by buildThreadTable.
+// State, the frozen Tables and the States built over them all read the same
+// table, built once by buildThreadTable.
 type tmplInfo struct {
 	t        *core.Template
 	body     core.Body
@@ -57,7 +57,7 @@ func threadIDSpace(blocks []*core.Block) (core.ThreadID, error) {
 // with the arc tables flattened once every template is registered, so each
 // arc's consumer instance count is resolved here and arc expansion never
 // touches the consumer template. The caller has validated that arcs stay
-// inside their Block (core.Program.Validate, ValidateWindowShape).
+// inside their Block (core.Program.Validate).
 func buildThreadTable(blocks []*core.Block) ([]tmplInfo, error) {
 	maxID, err := threadIDSpace(blocks)
 	if err != nil {
@@ -93,19 +93,16 @@ func buildThreadTable(blocks []*core.Block) ([]tmplInfo, error) {
 
 // appendConsumers is the arc-expansion half of the Post-Processing Phase:
 // it appends the consumer instances enabled by the completion of context
-// pctx of info's template. slot offsets every consumer context by
-// slot·(consumer instances) — zero for the batch State, the window slot for
-// the WindowedSM's slot·instances+local encoding. It reads only immutable
-// tables. ctx is the caller's context scratch, grown in place: it passes
-// through the Mapping interface, so a buffer declared here would be moved
-// to the heap on every call.
-func (info *tmplInfo) appendConsumers(dst []core.Instance, ctx *[]core.Context, pctx, slot core.Context) []core.Instance {
+// pctx of info's template. It reads only immutable tables. ctx is the
+// caller's context scratch, grown in place: it passes through the Mapping
+// interface, so a buffer declared here would be moved to the heap on every
+// call.
+func (info *tmplInfo) appendConsumers(dst []core.Instance, ctx *[]core.Context, pctx core.Context) []core.Instance {
 	for ai := range info.arcs {
 		a := &info.arcs[ai]
-		cbase := slot * a.cInst
 		*ctx = a.m.AppendTargets((*ctx)[:0], pctx, info.inst, a.cInst)
 		for _, cc := range *ctx {
-			dst = append(dst, core.Instance{Thread: a.to, Ctx: cbase + cc})
+			dst = append(dst, core.Instance{Thread: a.to, Ctx: cc})
 		}
 	}
 	return dst

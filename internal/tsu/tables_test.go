@@ -234,3 +234,65 @@ func TestCompleteIntoAllocatesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowReopensFromSnapshot pins the reload a streaming window slot
+// relies on: a State over a one-block Tables whose Block drained (Outlet
+// surfaced but never run) is rewound by Reset, and the Inlet restores the
+// same SM image, so every window fires the same instances exactly once.
+func TestWindowReopensFromSnapshot(t *testing.T) {
+	b := &core.Block{ID: 0}
+	entry := core.NewTemplate(1, "entry", noop)
+	entry.Instances = 8
+	entry.Then(2, core.OneToOne{})
+	mid := core.NewTemplate(2, "mid", noop)
+	mid.Instances = 8
+	mid.Then(3, core.Gather{Fan: 4})
+	agg := core.NewTemplate(3, "agg", noop)
+	agg.Instances = 2
+	agg.Then(4, core.AllToOne{})
+	tail := core.NewTemplate(4, "tail", noop)
+	tail.Instances = 1
+	b.Templates = []*core.Template{entry, mid, agg, tail}
+	tb, err := NewTables(&core.Program{Blocks: []*core.Block{b}}, 1, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tb.NewState()
+	var first []core.Instance
+	for win := 0; win < 3; win++ {
+		s.Reset()
+		queue, _, _ := s.DoneInto(nil, s.Start().Inst, 0)
+		if len(queue) != int(entry.Instances) {
+			t.Fatalf("window %d: inlet surfaced %d sources, want the %d entry instances", win, len(queue), entry.Instances)
+		}
+		var fired []core.Instance
+		drained := false
+		for len(queue) > 0 {
+			inst := queue[0].Inst
+			queue = queue[1:]
+			if drained {
+				t.Fatalf("window %d: %v ready after the Block drained", win, inst)
+			}
+			fired = append(fired, inst)
+			var done bool
+			queue, done, _ = s.CompleteInto(queue, inst, 0)
+			if done {
+				// The surfaced Outlet is the retirement signal; the
+				// window retires without running it.
+				if last := queue[len(queue)-1].Inst; last.Thread != s.OutletID(0) {
+					t.Fatalf("window %d: drained Block surfaced %v, want its Outlet", win, last)
+				}
+				queue = queue[:len(queue)-1]
+				drained = true
+			}
+		}
+		if !drained || len(fired) != 19 {
+			t.Fatalf("window %d: drained=%v after %d completions, want 19", win, drained, len(fired))
+		}
+		if win == 0 {
+			first = fired
+		} else if !reflect.DeepEqual(fired, first) {
+			t.Fatalf("window %d fired %v, window 0 fired %v", win, fired, first)
+		}
+	}
+}

@@ -414,13 +414,15 @@ func RunStream(p *StreamPipeline, src StreamSource, opt StreamOptions) (StreamSt
 // observe a recycled slot's stale data — in full windows
 // (stale-scratch) and in the padded partial final window (pad-leak) —
 // flags cross-window accumulators under the Shed policy (shed-unsafe),
-// proves the tsu.WindowedSM lifecycle panics unreachable (lifecycle),
 // and re-derives RunStream's work-channel capacity argument (budget).
+// A window is the per-window Block loaded again, so the batch ready-count,
+// dead-instance and cycle checks are also what proves every window
+// retires and returns its slot.
 //
 // The scratch analysis is exactly as sound as the declarations: stages
 // without a ScratchFn contribute nothing to it, and an undeclared
 // access is invisible. A pipeline with no scratch model gets only the
-// structural, lifecycle and budget guarantees.
+// structural and budget guarantees.
 func VetStream(p *StreamPipeline, opt StreamOptions) (*VetReport, error) {
 	return ddmlint.LintStream(p, ddmlint.StreamConfig{
 		Slots:   opt.Slots,
