@@ -230,7 +230,7 @@ func BenchmarkStateComplete(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st.Complete(st.Start().Inst, 0) // load the block
+		st.CompleteInto(nil, st.Start().Inst, 0) // load the block
 		return st
 	}
 	st := newState()
@@ -244,7 +244,7 @@ func BenchmarkStateComplete(b *testing.B) {
 			next = 0
 			b.StartTimer()
 		}
-		st.Complete(core.Instance{Thread: 1, Ctx: next}, 0)
+		st.CompleteInto(nil, core.Instance{Thread: 1, Ctx: next}, 0)
 		next++
 	}
 }
@@ -386,7 +386,7 @@ func BenchmarkThreadIndexing(b *testing.B) {
 				b.Fatal(err)
 			}
 			st.SetLinearSMSearch(linear)
-			st.Complete(st.Start().Inst, 0)
+			st.CompleteInto(nil, st.Start().Inst, 0)
 			return st
 		}
 		st := newState()
@@ -399,7 +399,7 @@ func BenchmarkThreadIndexing(b *testing.B) {
 				next = 0
 				b.StartTimer()
 			}
-			st.Complete(core.Instance{Thread: 1, Ctx: next}, 0)
+			st.CompleteInto(nil, core.Instance{Thread: 1, Ctx: next}, 0)
 			next++
 		}
 	}

@@ -33,9 +33,6 @@ type Config struct {
 	// SPEs is the number of compute nodes. Zero selects 6, the number of
 	// SPEs available to the programmer on a PlayStation 3.
 	SPEs int
-	// TSUSize caps the DThread instances per DDM Block (the TSU's slot
-	// count, §2). Zero means unlimited.
-	TSUSize int64
 	// Obs, when non-nil, receives typed events: ThreadComplete per SPE
 	// lane, DMATransfer per staging operation, and TSUCommand on the PPE
 	// lane (lane == SPEs).
@@ -76,7 +73,7 @@ type Stats struct {
 // with at least the declared size.
 func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, error) {
 	cfg = cfg.withDefaults()
-	state, err := tsu.NewStateCfg(p, cfg.SPEs, tsu.Config{MaxBlockInstances: cfg.TSUSize})
+	state, err := tsu.NewState(p, cfg.SPEs)
 	if err != nil {
 		return nil, err
 	}

@@ -59,8 +59,6 @@ type StreamConfig struct {
 	// MaxWorkCapacity is the largest work-channel capacity considered
 	// runnable; 0 means MaxInt32 (the bound rts.RunStream enforces).
 	MaxWorkCapacity int64
-	// Opts bounds the instance-graph analyses, as in LintOpts.
-	Opts Options
 }
 
 // LintStream verifies a streaming pipeline across window generations.
@@ -92,7 +90,7 @@ func LintStream(p *stream.Pipeline, cfg StreamConfig) (*Report, error) {
 	if maxCap <= 0 {
 		maxCap = math.MaxInt32
 	}
-	opts := cfg.Opts.withDefaults()
+	opts := Options{}.withDefaults()
 
 	decls := make(map[string]stream.ScratchDecl, len(p.Scratch))
 	for _, d := range p.Scratch {

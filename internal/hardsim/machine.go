@@ -45,9 +45,6 @@ type Config struct {
 	// TSU-to-TSU transfer that the single-group design handles
 	// internally. Zero selects 1.
 	TSUGroups int
-	// TSUSize caps the DThread instances per DDM Block (the hardware
-	// TSU's slot count, §2). Zero means unlimited.
-	TSUSize int64
 	// Obs, when non-nil, receives the simulated run as typed events, with
 	// cycles mapped onto durations via cyclePeriod: ThreadComplete per
 	// core lane, CacheStall for the memory portion of each application
@@ -160,9 +157,9 @@ type machine struct {
 	lay     *layout
 	devices []sim.Resource // one per TSU Group
 
-	ready   [][]core.Instance // per-core pending ready DThreads
+	ready   [][]core.Instance // per-core pending ready DThreads, oldest first
+	head    []int             // per-core index of the oldest unpopped entry
 	waiting []bool            // core idles awaiting a dispatch
-	last    []core.Instance   // locality hint per core
 	cores   []CoreStats
 
 	// fired is the reusable Post-Processing batch buffer: the event loop
@@ -189,7 +186,7 @@ func (m *machine) cyc(t sim.Time) time.Duration {
 // cycle-level result.
 func Run(p *core.Program, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	state, err := tsu.NewStateCfg(p, cfg.Cores, tsu.Config{MaxBlockInstances: cfg.TSUSize})
+	state, err := tsu.NewState(p, cfg.Cores)
 	if err != nil {
 		return nil, err
 	}
@@ -204,8 +201,8 @@ func Run(p *core.Program, cfg Config) (*Result, error) {
 		lay:     newLayout(p.Buffers),
 		devices: make([]sim.Resource, cfg.TSUGroups),
 		ready:   make([][]core.Instance, cfg.Cores),
+		head:    make([]int, cfg.Cores),
 		waiting: make([]bool, cfg.Cores),
-		last:    make([]core.Instance, cfg.Cores),
 		cores:   make([]CoreStats, cfg.Cores),
 	}
 	if cfg.Obs != nil {
@@ -276,34 +273,19 @@ func (m *machine) requestThread(c int) {
 	})
 }
 
-// pop removes the locality-preferred ready instance for core c.
+// pop removes the oldest ready instance for core c. Popped entries stay in
+// place until the queue drains, so a pop never allocates or moves memory.
 func (m *machine) pop(c int) (core.Instance, bool) {
-	q := m.ready[c]
-	if len(q) == 0 {
+	q, h := m.ready[c], m.head[c]
+	if h == len(q) {
 		return core.Instance{}, false
 	}
-	pick := 0
-	lastInst := m.last[c]
-	same := -1
-	for i, it := range q {
-		if it.Thread != lastInst.Thread {
-			continue
-		}
-		if it.Ctx == lastInst.Ctx+1 {
-			pick = i
-			same = -2
-			break
-		}
-		if same < 0 {
-			same = i
-		}
+	if h+1 == len(q) {
+		m.ready[c], m.head[c] = q[:0], 0
+	} else {
+		m.head[c] = h + 1
 	}
-	if same >= 0 {
-		pick = same
-	}
-	inst := q[pick]
-	m.ready[c] = append(q[:pick], q[pick+1:]...)
-	return inst, true
+	return q[h], true
 }
 
 // execute runs one DThread on core c: native body for the functional
@@ -354,7 +336,6 @@ func (m *machine) execute(c int, inst core.Instance) {
 		cycles = 1
 	}
 	m.cores[c].Busy += cycles
-	m.last[c] = inst
 	if m.sink != nil {
 		start := m.eng.Now()
 		m.sink.Record(obs.Event{

@@ -353,32 +353,34 @@ func TestTransistorBudgetNearPaper(t *testing.T) {
 	}
 }
 
-func TestPopPrefersLocalityOrder(t *testing.T) {
+func TestPopFollowsArrivalOrder(t *testing.T) {
 	m := &machine{
 		cfg:   Config{Cores: 1},
 		ready: make([][]core.Instance, 1),
-		last:  []core.Instance{{Thread: 5, Ctx: 2}},
+		head:  make([]int, 1),
 	}
 	m.ready[0] = []core.Instance{
 		{Thread: 9, Ctx: 0},
 		{Thread: 5, Ctx: 7},
-		{Thread: 5, Ctx: 3}, // next context of the last-executed template
+		{Thread: 5, Ctx: 3},
 	}
-	inst, ok := m.pop(0)
-	if !ok || inst != (core.Instance{Thread: 5, Ctx: 3}) {
-		t.Fatalf("pop = %v", inst)
+	for _, want := range m.ready[0][:2] {
+		if inst, ok := m.pop(0); !ok || inst != want {
+			t.Fatalf("pop = %v, %v; want %v", inst, ok, want)
+		}
 	}
-	m.last[0] = inst
-	inst, _ = m.pop(0) // no next-context match: same template wins
-	if inst != (core.Instance{Thread: 5, Ctx: 7}) {
-		t.Fatalf("pop = %v", inst)
-	}
-	inst, _ = m.pop(0) // FIFO fallback
-	if inst != (core.Instance{Thread: 9, Ctx: 0}) {
-		t.Fatalf("pop = %v", inst)
+	// An arrival behind the remaining entry comes out after it.
+	m.ready[0] = append(m.ready[0], core.Instance{Thread: 1, Ctx: 0})
+	for _, want := range []core.Instance{{Thread: 5, Ctx: 3}, {Thread: 1, Ctx: 0}} {
+		if inst, ok := m.pop(0); !ok || inst != want {
+			t.Fatalf("pop = %v, %v; want %v", inst, ok, want)
+		}
 	}
 	if _, ok := m.pop(0); ok {
 		t.Fatal("pop on empty queue returned ok")
+	}
+	if len(m.ready[0]) != 0 || m.head[0] != 0 {
+		t.Fatalf("drained queue not reset: len %d, head %d", len(m.ready[0]), m.head[0])
 	}
 }
 

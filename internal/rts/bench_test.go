@@ -7,56 +7,24 @@ import (
 	"tflux/internal/core"
 )
 
-// fillQueue seeds a queue with items interleaved across nTmpl templates,
-// nCtx contexts each, in round-robin template order (the worst case for a
-// scan-based locality pick: consecutive contexts of one template sit
-// nTmpl positions apart).
-func fillQueue(q *readyQueue, nTmpl, nCtx int) {
-	for c := 0; c < nCtx; c++ {
-		for t := 1; t <= nTmpl; t++ {
-			q.push(inst(core.ThreadID(t), core.Context(c)))
-		}
-	}
-}
-
-// BenchmarkQueuePopLocality measures steady-state pop+push cycles on a
-// prefilled queue: the depth stays constant so the numbers isolate the
-// cost of the pick from queue growth.
-func BenchmarkQueuePopLocality(b *testing.B) {
+// BenchmarkQueuePop measures the steady-state cost of one pop: a driver
+// publishes a batch of ready instances and the kernel drains it, so the
+// queue's array is warm and the numbers isolate push and pop from growth.
+func BenchmarkQueuePop(b *testing.B) {
 	q := newReadyQueue()
-	fillQueue(q, 4, 64)
-	last := inst(1, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it, ok, _ := q.pop(last)
-		if !ok {
-			b.Fatal("queue closed")
-		}
-		q.push(it)
-		last = it
+	const batch = 64
+	insts := make([]core.Instance, batch)
+	for c := range insts {
+		insts[c] = inst(1, core.Context(c))
 	}
-}
-
-// BenchmarkQueuePopLocalityHit measures the best case the locality pick
-// exists for: the queue holds one template's contexts in order and every
-// pop asks for the successor of the last one.
-func BenchmarkQueuePopLocalityHit(b *testing.B) {
-	q := newReadyQueue()
-	const depth = 256
-	for c := 0; c < depth; c++ {
-		q.push(inst(1, core.Context(c)))
-	}
-	last := inst(1, 0)
-	next := core.Context(depth)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it, ok, _ := q.pop(last)
-		if !ok {
-			b.Fatal("queue closed")
+	for i := 0; i < b.N; i += batch {
+		q.pushBatch(insts)
+		for range insts {
+			if _, ok, _ := q.pop(); !ok {
+				b.Fatal("queue closed")
+			}
 		}
-		q.push(inst(1, next))
-		next++
-		last = it
 	}
 }
 
@@ -73,13 +41,10 @@ func BenchmarkQueueContended(b *testing.B) {
 			q.push(inst(1, core.Context(i)))
 		}
 	}()
-	last := core.Instance{}
 	for i := 0; i < b.N; i++ {
-		it, ok, _ := q.pop(last)
-		if !ok {
+		if _, ok, _ := q.pop(); !ok {
 			b.Fatal("queue closed")
 		}
-		last = it
 	}
 	wg.Wait()
 }

@@ -42,9 +42,12 @@
 // any other DThread; their TSU-load/TSU-clear work happens when their
 // completion is processed.
 //
-// Scheduling: when a Kernel's ready queue holds several DThreads, the
-// queue returns the one "most likely to maximize the spatial locality"
-// (§3.1) — the instance of the same template with the next context
-// relative to the last DThread the Kernel executed, falling back to any
-// instance of the same template, then arrival order.
+// Scheduling: a Kernel runs its ready DThreads in arrival order. The
+// paper's queue returns the one "most likely to maximize the spatial
+// locality" (§3.1) — the instance of the same template with the next
+// context relative to the last DThread the Kernel executed. Under the
+// chunked TKT the TSU releases each kernel's instances of a template in
+// ascending context order, so the oldest arrival already is that
+// instance; EXPERIMENTS.md, "Why the ready queue is FIFO", has the
+// counts.
 package rts

@@ -298,7 +298,6 @@ func (r *runner) kernel(k tsu.KernelID, executed, service *int64) {
 	}
 	q := r.queues[int(k)]
 	b := &r.bufs[int(k)]
-	var last core.Instance
 	// execute runs one instance and its Post-Processing Phase and reports
 	// whether the kernel must exit. A panic anywhere in it — the body, a
 	// Mapping's AppendTargets during arc expansion, a TSU invariant —
@@ -333,7 +332,7 @@ func (r *runner) kernel(k tsu.KernelID, executed, service *int64) {
 			r.stage(b.pend, b.ready)
 			r.flush(b.pend)
 		}
-		inst, ok, closed := q.pop(last)
+		inst, ok, closed := q.pop()
 		if closed {
 			return
 		}
@@ -346,7 +345,6 @@ func (r *runner) kernel(k tsu.KernelID, executed, service *int64) {
 		if execute(inst) {
 			return
 		}
-		last = inst
 	}
 }
 

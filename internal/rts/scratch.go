@@ -21,11 +21,11 @@ type scratchBufs struct {
 	recs    []tsu.Completion
 }
 
-// runScratch is what a run grows and no run keeps: the ready queues (node
-// arrays and template indexes) and every driver's buffers. Run takes one
+// runScratch is what a run grows and no run keeps: the ready queues (their
+// instance arrays) and every driver's buffers. Run takes one
 // from scratchPool, which is process-wide, and puts it back once all of
 // the run's goroutines have exited; takeScratch resets whatever the last
-// run left behind (an aborted run leaves queued nodes).
+// run left behind (an aborted run leaves queued instances).
 // The TSU State is not part of it: it is built per run.
 type runScratch struct {
 	queues []*readyQueue

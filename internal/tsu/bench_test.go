@@ -25,7 +25,7 @@ func reductionState(b *testing.B, n core.Context, kernels int) *State {
 		b.Fatal(err)
 	}
 	// Load the block (the Inlet's TSU-side work).
-	s.Done(core.Instance{Thread: s.InletID(0), Ctx: 0}, 0)
+	s.DoneInto(nil, core.Instance{Thread: s.InletID(0), Ctx: 0}, 0)
 	return s
 }
 

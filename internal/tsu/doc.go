@@ -55,6 +55,6 @@
 // Read-only queries (arc expansion, TKT lookup) touch only immutable
 // tables built at construction time and are safe to call from every kernel
 // concurrently — this is the "Local TSU" half of the TSU Group. Mutating
-// calls (Decrement, Done) belong to the single driver, or, in sharded
-// mode, to the owning shard's stepper via its Lane.
+// calls (Decrement, DoneInto, CompleteInto) belong to the single driver,
+// or, in sharded mode, to the owning shard's stepper via its Lane.
 package tsu

@@ -35,8 +35,8 @@ import (
 //     and clear the SMs) without coordinating with the other shards.
 //
 // A ShardedState is created on a fresh State, before the first Inlet runs.
-// The single-driver State API (Decrement/Done/Complete) must not be mixed
-// with a sharded run.
+// The single-driver State API (Decrement, DoneInto, CompleteInto) must
+// not be mixed with a sharded run.
 type ShardedState struct {
 	s       *State
 	nShards int
@@ -131,10 +131,6 @@ func NewSharded(s *State, shards int, cfg TUBConfig, notify func(sh int)) (*Shar
 	return ss, nil
 }
 
-// State returns the wrapped synchronization engine (for read-only queries:
-// Body, AppendConsumers, KernelOf, Start, Finished).
-func (ss *ShardedState) State() *State { return ss.s }
-
 // Shards returns the shard count.
 func (ss *ShardedState) Shards() int { return ss.nShards }
 
@@ -147,10 +143,6 @@ func (ss *ShardedState) ShardOf(k KernelID) int { return ss.shardOfKernel[int(k)
 // Lane returns kernel k's handle. Each lane must be used by exactly one
 // goroutine.
 func (ss *ShardedState) Lane(k KernelID) *Lane { return &ss.lanes[int(k)] }
-
-// Shard returns the shard this lane steps, or -1 when the lane's kernel is
-// not a stepper (more kernels than shards).
-func (ln *Lane) Shard() int { return ln.sh }
 
 // Complete processes the completion of inst executed by this lane's kernel:
 // the Post-Processing Phase, sharded. targets is the consumer expansion

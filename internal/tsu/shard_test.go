@@ -19,7 +19,7 @@ import (
 // oracle.
 func driveSharded(t *testing.T, ss *ShardedState, pick func(q []Ready) int) []core.Instance {
 	t.Helper()
-	s := ss.State()
+	s := ss.s
 	var order []core.Instance
 	queue := []Ready{s.Start()}
 	seen := make(map[core.Instance]bool)
@@ -215,8 +215,8 @@ func TestShardedFewerShardsThanKernels(t *testing.T) {
 	}
 	for k := 0; k < 5; k++ {
 		ln := ss.Lane(KernelID(k))
-		if stepper := ss.Stepper(ss.ShardOf(KernelID(k))) == KernelID(k); stepper != (ln.Shard() >= 0) {
-			t.Fatalf("kernel %d: stepper=%v but Shard()=%d", k, stepper, ln.Shard())
+		if stepper := ss.Stepper(ss.ShardOf(KernelID(k))) == KernelID(k); stepper != (ln.sh >= 0) {
+			t.Fatalf("kernel %d: stepper=%v but lane shard %d", k, stepper, ln.sh)
 		}
 	}
 	if got := len(driveSharded(t, ss, nil)); got != 8 {
@@ -267,7 +267,7 @@ func TestNewShardedRejects(t *testing.T) {
 		t.Fatal("more shards than kernels accepted")
 	}
 	// A state that already started its first block must be rejected.
-	s.Done(core.Instance{Thread: s.InletID(0)}, 0)
+	s.DoneInto(nil, core.Instance{Thread: s.InletID(0)}, 0)
 	if _, err := NewSharded(s, 2, TUBConfig{}, nil); err == nil {
 		t.Fatal("started state accepted")
 	}

@@ -16,20 +16,6 @@ type Ready struct {
 	Kernel KernelID
 }
 
-// Result is what the TSU reports after processing a completion.
-type Result struct {
-	// NewReady lists instances whose Ready Count reached zero as a direct
-	// consequence of the processed event, plus any synthesized Inlet or
-	// Outlet DThreads that became runnable.
-	NewReady []Ready
-	// BlockDone is set when the completion finished the current Block's
-	// application threads (the Outlet becomes runnable).
-	BlockDone bool
-	// ProgramDone is set when the final Block's Outlet completed: all
-	// kernels must exit.
-	ProgramDone bool
-}
-
 // Stats counts TSU activity; retrieved once the program finishes.
 type Stats struct {
 	Inlets     int   // Inlet DThreads executed (one per block)
@@ -352,26 +338,23 @@ func (s *State) countAddr(info *tmplInfo, k KernelID, ctx core.Context) *int32 {
 	return &m.counts[info.dense][ctx-m.base[info.dense]]
 }
 
-// Done processes the completion of an instance by kernel k: the
+// DoneInto processes the completion of an instance by kernel k: the
 // block-sequencing half of the Post-Processing Phase. For application
 // threads it updates the Block's completion count and surfaces the Outlet
 // when the Block drains. For an Inlet it loads the Block's metadata into
 // the Synchronization Memories and returns the Block's source instances;
 // for an Outlet it clears the TSU resources and chains to the next Block's
-// Inlet (or ends the program).
+// Inlet (or ends the program). Newly ready instances are appended to dst,
+// so a driver can accumulate one batch across many completions without
+// per-completion allocations. blockDone is set when the completion
+// finished the current Block's application threads (the Outlet became
+// runnable); programDone when the final Block's Outlet completed and all
+// kernels must exit.
 //
 // Ready-count decrements of the completed thread's consumers are NOT done
 // here — drivers first expand consumers (AppendConsumers) and apply
-// Decrement per target, mirroring the TUB protocol. Only the single TSU
-// driver may call Done.
-func (s *State) Done(inst core.Instance, k KernelID) Result {
-	ready, blockDone, programDone := s.DoneInto(nil, inst, k)
-	return Result{NewReady: ready, BlockDone: blockDone, ProgramDone: programDone}
-}
-
-// DoneInto is Done with the newly ready instances appended to dst instead
-// of a freshly allocated slice, so a driver can accumulate one batch across
-// many completions without per-completion allocations.
+// DecrementInto per target, mirroring the TUB protocol. Only the single
+// TSU driver may call DoneInto.
 func (s *State) DoneInto(dst []Ready, inst core.Instance, k KernelID) (ready []Ready, blockDone, programDone bool) {
 	if s.done {
 		panic("tsu: Done after program finished")
@@ -472,19 +455,12 @@ func (s *State) outletDone(dst []Ready, blk int, k KernelID) (ready []Ready, blo
 	return dst, false, false
 }
 
-// Complete is the convenience path used by single-driver platforms (the
-// Cell PPE emulator and the hardware-device model): it expands the
-// consumers of inst, applies all decrements, collects the instances that
-// became ready, and then processes the completion itself.
-func (s *State) Complete(inst core.Instance, k KernelID) Result {
-	ready, blockDone, programDone := s.CompleteInto(nil, inst, k)
-	return Result{NewReady: ready, BlockDone: blockDone, ProgramDone: programDone}
-}
-
-// CompleteInto is Complete with every newly ready instance appended to dst,
-// the form single-driver platforms use with a reusable batch buffer. Arc
-// expansion goes through scratch the State owns, so once that scratch and
-// dst have grown a completion allocates nothing.
+// CompleteInto is the whole Post-Processing Phase for single-driver
+// platforms (the Cell PPE emulator and the hardware-device model): it
+// expands the consumers of inst, applies all decrements, appends the
+// instances that became ready to dst, and then processes the completion
+// itself (DoneInto). Arc expansion goes through scratch the State owns, so
+// once that scratch and dst have grown a completion allocates nothing.
 func (s *State) CompleteInto(dst []Ready, inst core.Instance, k KernelID) (ready []Ready, blockDone, programDone bool) {
 	s.cons = s.AppendConsumers(s.cons[:0], &s.ctx, inst)
 	for _, c := range s.cons {

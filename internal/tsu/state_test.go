@@ -30,7 +30,7 @@ func twoBlockProgram() *core.Program {
 	return p
 }
 
-// drive executes a program to completion through State.Complete with a
+// drive executes a program to completion through State.CompleteInto with a
 // simple serial scheduler, returning the execution order of application
 // instances. It fails the test on any invariant violation.
 func drive(t *testing.T, s *State, pick func(q []Ready) int) []core.Instance {
@@ -57,9 +57,9 @@ func drive(t *testing.T, s *State, pick func(q []Ready) int) []core.Instance {
 			seen[r.Inst] = true
 			order = append(order, r.Inst)
 		}
-		res := s.Complete(r.Inst, r.Kernel)
-		queue = append(queue, res.NewReady...)
-		if res.ProgramDone {
+		var done bool
+		queue, _, done = s.CompleteInto(queue, r.Inst, r.Kernel)
+		if done {
 			if len(queue) != 0 {
 				t.Fatalf("program done with %d queued instances", len(queue))
 			}
@@ -287,7 +287,7 @@ func TestDecrementPanicsOnUnderflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Complete(s.Start().Inst, 0) // load block 0
+	s.CompleteInto(nil, s.Start().Inst, 0) // load block 0
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on ready-count underflow")
@@ -577,7 +577,7 @@ func TestDecrementIntoAppendsOnlyFired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Done(core.Instance{Thread: s.InletID(0), Ctx: 0}, 0)
+	s.DoneInto(nil, core.Instance{Thread: s.InletID(0), Ctx: 0}, 0)
 	target := core.Instance{Thread: 2, Ctx: 0}
 	batch := make([]Ready, 0, 4)
 	batch = s.DecrementInto(batch, target)

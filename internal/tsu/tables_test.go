@@ -18,9 +18,9 @@ func driveReadySequence(t *testing.T, s *State) []Ready {
 		r := queue[0]
 		queue = queue[1:]
 		trace = append(trace, r)
-		res := s.Complete(r.Inst, r.Kernel)
-		queue = append(queue, res.NewReady...)
-		if res.ProgramDone {
+		var done bool
+		queue, _, done = s.CompleteInto(queue, r.Inst, r.Kernel)
+		if done {
 			return trace
 		}
 	}
@@ -103,7 +103,7 @@ func TestTablesShardedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.State() != s {
+	if ss.s != s {
 		t.Fatal("sharded engine wraps a different state")
 	}
 	// The sharded engine shares inletDone/outletDone with the serial path;

@@ -195,23 +195,24 @@ func (t *Thread) ID() ThreadID { return t.t.ID }
 type (
 	// SoftOptions configures TFluxSoft (rts.Options): kernel count, TSU
 	// plane, size and TUB, and observability. The ready queue is not
-	// configurable: it is the paper's §3.1 locality pick.
+	// configurable: each kernel runs its instances in arrival order.
 	SoftOptions = rts.Options
 	// SoftStats is the TFluxSoft run report (rts.Stats).
 	SoftStats = rts.Stats
 	// TUBConfig configures the Thread-to-Update Buffer (tsu.TUBConfig).
 	TUBConfig = tsu.TUBConfig
 	// HardConfig configures the TFluxHard machine (hardsim.Config):
-	// cores, cache geometry, TSU latencies and groups, TSU size, and
-	// observability. The inter-group transfer latency (16 cycles) and the
-	// 1 GHz trace clock are fixed.
+	// cores, cache geometry, TSU latencies and groups, and observability.
+	// The inter-group transfer latency (16 cycles) and the 1 GHz trace
+	// clock are fixed. The TSU is unbounded: only TFluxSoft enforces a
+	// size (SoftOptions.TSUSize).
 	HardConfig = hardsim.Config
 	// HardResult is the TFluxHard cycle-level result (hardsim.Result).
 	HardResult = hardsim.Result
 	// CellConfig configures the TFluxCell substrate (cellsim.Config):
-	// SPE count, TSU size, and observability. Each SPE is the PlayStation
-	// 3's: a 256 KiB Local Store with 32 KiB reserved, 16 KiB DMA transfers,
-	// a 4-deep mailbox and a 16-command CommandBuffer.
+	// SPE count and observability. Each SPE is the PlayStation 3's: a
+	// 256 KiB Local Store with 32 KiB reserved, 16 KiB DMA transfers, a
+	// 4-deep mailbox and a 16-command CommandBuffer.
 	CellConfig = cellsim.Config
 	// CellStats is the TFluxCell run report (cellsim.Stats).
 	CellStats = cellsim.Stats
