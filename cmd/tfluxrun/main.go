@@ -27,7 +27,8 @@
 // instead of a batch benchmark, reporting achieved vs offered events/sec
 // and p50/p95/p99 admission-to-retire latency. -stream-rate sets the
 // offered rate in events/sec (0 = unbounded), -stream-window the events
-// per window, -stream-slots the in-flight window budget, and
+// per window, -stream-slots the in-flight window budget (slots are made
+// only as windows need them, at most ⌈events/window⌉), and
 // -stream-policy block|shed the backpressure behaviour at slot
 // exhaustion. -stream-faults injects an in-process chaos plan against
 // pipeline stages (latency and stall kinds; see internal/stream), e.g.
@@ -43,8 +44,7 @@
 // runs the static verifier before dispatch and refuses to run a program
 // with findings — the instance-level batch linter in batch mode, the
 // whole-pipeline streaming analyzer (scratch lifetime, shed safety,
-// pads, budget) in streaming mode (see internal/ddmlint and
-// cmd/tfluxvet).
+// pads) in streaming mode (see internal/ddmlint and cmd/tfluxvet).
 //
 // TSU tuning: -tsu-shards N (soft platform) replaces the dedicated
 // TSU-emulator goroutine with N kernel-stepped shards — parallel readiness
@@ -543,15 +543,16 @@ func runStreamMode(events int64, rate float64, window, slots, workers int, polic
 	if err != nil {
 		return fail(err)
 	}
+	// A run of events opens at most ⌈events/window⌉ windows, so no more
+	// slots can ever be live; the banner prints the count the run uses.
+	slots = int(min(int64(slots), (events-1)/int64(window)+1))
 	ef, err := workload.NewEventFilter(core.Context(window), slots, 0x5eed)
 	if err != nil {
 		return fail(err)
 	}
 	pipe := ef.Pipeline()
 	if vet {
-		rep, err := ddmlint.LintStream(pipe, ddmlint.StreamConfig{
-			Slots: slots, Workers: workers, Policy: pol,
-		})
+		rep, err := ddmlint.LintStream(pipe, pol)
 		if err := vetGate(rep, err, stdout, stderr); err != nil {
 			return fail(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -349,6 +350,30 @@ func TestRunStreamMode(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestRunStreamSlotsFollowEvents: ten events at a 64-event window open
+// one window, so a budget of 100 000 slots sizes the run, the workload's
+// scratch included, to one slot, and the banner says so.
+func TestRunStreamSlotsFollowEvents(t *testing.T) {
+	var out, errb bytes.Buffer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code := run([]string{"-stream-events", "10", "-stream-window", "64",
+		"-stream-slots", "100000"}, &out, &errb)
+	runtime.ReadMemStats(&after)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	s := out.String()
+	for _, want := range []string{"window 64, 1 slots", "verify:     ok"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("output missing %q:\n%s", want, s)
+		}
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
+		t.Fatalf("run allocated %d bytes, want under 4 MiB", d)
 	}
 }
 

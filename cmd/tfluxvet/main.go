@@ -12,13 +12,12 @@
 //
 // With -stream it instead verifies the built-in streaming workloads
 // across window generations (ddmlint.LintStream): scratch-lifetime
-// (recycled-slot stale reads), pad-soundness, shed-safety and the
-// RunStream capacity budget, on top of the batch checks of the
-// per-window graph. Each
-// workload is linted under every backpressure policy it supports.
+// (recycled-slot stale reads), pad-soundness and shed-safety, on top of
+// the batch checks of the per-window graph. Each workload is linted
+// under every backpressure policy it supports.
 //
-//	tfluxvet -stream                               # all streaming workloads
-//	tfluxvet -stream -window 64 -slots 8 eventfilter
+//	tfluxvet -stream                      # all streaming workloads
+//	tfluxvet -stream -window 64 eventfilter
 //
 // Exit status is 0 when every program is clean, 1 when any program has
 // findings or fails to build, 2 on usage errors. See internal/ddmlint for
@@ -51,8 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dotOut  = fs.String("dot", "", "write the Synchronization Graph in DOT format, findings highlighted (single benchmark only)")
 		strm    = fs.Bool("stream", false, "verify the built-in streaming workloads across window generations instead of the batch suite")
 		window  = fs.Int("window", 0, "with -stream: events per window (0 = workload default)")
-		slots   = fs.Int("slots", 0, "with -stream: window-slot budget (0 = runtime default)")
-		workers = fs.Int("workers", 0, "with -stream: firing workers assumed by the budget check (0 = GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -65,8 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// refuses it, not ignored. The value says whether the flag is a
 	// streaming one.
 	modal := map[string]bool{
-		"window": true, "slots": true, "workers": true,
-		"size": false, "kernels": false, "unroll": false, "dot": false,
+		"window": true, "size": false, "kernels": false, "unroll": false, "dot": false,
 	}
 	var misuse string
 	fs.Visit(func(f *flag.Flag) {
@@ -84,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *strm {
-		return runStream(fs.Args(), *window, *slots, *workers, stdout, stderr)
+		return runStream(fs.Args(), *window, stdout, stderr)
 	}
 
 	cls, err := workload.ParseSizeClass(*size)
@@ -158,7 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runStream verifies the named streaming workloads (default: all) under
 // every backpressure policy each supports.
-func runStream(names []string, window, slots, workers int, stdout, stderr io.Writer) int {
+func runStream(names []string, window int, stdout, stderr io.Writer) int {
 	var specs []workload.StreamSpec
 	if len(names) == 0 {
 		specs = workload.StreamSuite()
@@ -174,18 +170,14 @@ func runStream(names []string, window, slots, workers int, stdout, stderr io.Wri
 	}
 	bad := 0
 	for _, spec := range specs {
-		p, err := spec.Make(core.Context(window), slots)
+		p, err := spec.Make(core.Context(window))
 		if err != nil {
 			fmt.Fprintf(stderr, "tfluxvet: %s: build: %v\n", spec.Name, err)
 			bad++
 			continue
 		}
 		for _, pol := range spec.Policies {
-			rep, err := ddmlint.LintStream(p, ddmlint.StreamConfig{
-				Slots:   slots,
-				Workers: workers,
-				Policy:  pol,
-			})
+			rep, err := ddmlint.LintStream(p, pol)
 			if err != nil {
 				fmt.Fprintf(stdout, "ddmlint: %q (%s): invalid pipeline: %v\n", spec.Name, pol, err)
 				bad++

@@ -71,8 +71,6 @@ func TestVetRefusesFlagsOfTheOtherMode(t *testing.T) {
 		want string
 	}{
 		{[]string{"-window", "32", "MMULT"}, "-window requires streaming mode (-stream)"},
-		{[]string{"-slots", "2"}, "-slots requires streaming mode (-stream)"},
-		{[]string{"-workers", "2", "FFT"}, "-workers requires streaming mode (-stream)"},
 		{[]string{"-stream", "-size", "medium"}, "-size does not apply to streaming mode (-stream)"},
 		{[]string{"-stream", "-kernels", "8", "eventfilter"}, "-kernels does not apply to streaming mode (-stream)"},
 		{[]string{"-stream", "-unroll", "4"}, "-unroll does not apply to streaming mode (-stream)"},
@@ -103,7 +101,7 @@ func TestVetStreamSuiteIsClean(t *testing.T) {
 }
 
 func TestVetStreamSingleWorkload(t *testing.T) {
-	code, out, errb := runVet(t, "-stream", "-window", "32", "-slots", "2", "-workers", "2", "eventfilter")
+	code, out, errb := runVet(t, "-stream", "-window", "32", "eventfilter")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q\n%s", code, errb, out)
 	}

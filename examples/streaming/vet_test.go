@@ -8,9 +8,8 @@ import (
 
 // TestVetClean verifies the example's pipeline across window
 // generations under the configuration main() runs: the per-window graph
-// drains, no scratch read can observe a recycled slot's stale data
-// (the declared ZeroOnExport contract covers the padded final window),
-// and the slot/worker budget satisfies the runtime's capacity argument.
+// drains, and no scratch read can observe a recycled slot's stale data
+// (the declared ZeroOnExport contract covers the padded final window).
 func TestVetClean(t *testing.T) {
 	rep, err := tflux.VetStream(build(newState()),
 		tflux.StreamOptions{Slots: slots, Workers: 2, Policy: tflux.StreamBlock})

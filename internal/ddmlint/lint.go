@@ -47,10 +47,6 @@ const (
 	// reads scratch elements only the skipped entry body would have
 	// written, so the previous occupant's data flows into the export.
 	KindPadLeak
-	// KindBudget (streaming): the (pipeline shape, slot budget, worker
-	// count) configuration voids RunStream's no-deadlock capacity
-	// argument.
-	KindBudget
 )
 
 var kindNames = [...]string{
@@ -65,7 +61,6 @@ var kindNames = [...]string{
 	KindStaleScratch:     "stale-scratch",
 	KindShedUnsafe:       "shed-unsafe",
 	KindPadLeak:          "pad-leak",
-	KindBudget:           "budget",
 }
 
 func (k Kind) String() string {

@@ -2,8 +2,6 @@ package ddmlint
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -15,7 +13,7 @@ import (
 // stream.Pipeline across window generations instead of as one closed
 // batch program. The per-window Synchronization Graph still gets the
 // full batch treatment (ready counts, cycles, dead instances, races on
-// the declared scratch model), and four streaming-only passes layer on
+// the declared scratch model), and three streaming-only passes layer on
 // top of the same instance graph:
 //
 //   - scratch-lifetime: reads of slot-indexed scratch that no
@@ -25,9 +23,7 @@ import (
 //     worst-case padded partial final window, where the entry bodies of
 //     every padded local are skipped (KindPadLeak);
 //   - shed-safety: cross-window accumulators under the Shed policy
-//     (KindShedUnsafe);
-//   - budget: re-derive rts.RunStream's work-channel capacity argument
-//     (KindBudget).
+//     (KindShedUnsafe).
 //
 // A window is the per-window Block loaded again, so the batch checks
 // are also what keeps its slot from being pinned: a clean report has no
@@ -43,52 +39,22 @@ import (
 // report a declared scratch array.
 func ScratchBuffer(array string) string { return "scratch:" + array }
 
-// StreamConfig parameterizes LintStream with the run configuration the
-// verdict is about: the same pipeline is clean at one slot budget or
-// policy and broken at another.
-type StreamConfig struct {
-	// Slots is the window-slot budget; 0 means stream.DefaultSlots,
-	// matching rts.RunStream.
-	Slots int
-	// Workers is the firing-worker count; 0 means GOMAXPROCS, matching
-	// rts.RunStream. Only the budget check consumes it.
-	Workers int
-	// Policy is the backpressure policy; only the shed-safety pass
-	// consumes it (the zero value, Block, disables that pass).
-	Policy stream.Policy
-	// MaxWorkCapacity is the largest work-channel capacity considered
-	// runnable; 0 means MaxInt32 (the bound rts.RunStream enforces).
-	MaxWorkCapacity int64
-}
-
 // LintStream verifies a streaming pipeline across window generations.
 // Like Lint, it returns an error (and no Report) only when the pipeline
 // fails structural validation (Pipeline.Block); findings are returned
 // on the Report, with the streaming kinds documented on Kind. A clean
 // report means, beyond the batch guarantees on the per-window graph:
 // no scratch read can observe a recycled slot's stale data (full or
-// padded windows), accumulators are declared shed-tolerant if the
-// policy sheds, and the RunStream capacity argument holds for this
-// configuration.
-func LintStream(p *stream.Pipeline, cfg StreamConfig) (*Report, error) {
+// padded windows), and accumulators are declared shed-tolerant if the
+// policy sheds. Neither the slot count nor the worker count enters the
+// verdict: RunStream's work queue grows with the instances in flight.
+func LintStream(p *stream.Pipeline, policy stream.Policy) (*Report, error) {
 	if p == nil {
 		return nil, fmt.Errorf("ddmlint: nil pipeline")
 	}
 	block, err := p.Block()
 	if err != nil {
 		return nil, fmt.Errorf("ddmlint: pipeline fails validation: %w", err)
-	}
-	slots := cfg.Slots
-	if slots <= 0 {
-		slots = stream.DefaultSlots
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	maxCap := cfg.MaxWorkCapacity
-	if maxCap <= 0 {
-		maxCap = math.MaxInt32
 	}
 	opts := Options{}.withDefaults()
 
@@ -121,8 +87,7 @@ func LintStream(p *stream.Pipeline, cfg StreamConfig) (*Report, error) {
 	r := &Report{Program: p.Name}
 	bufs := bufferIndex(prog)
 
-	checkShedSafety(r, p, ablock, cfg.Policy)
-	checkBudget(r, p, block.ID, slots, workers, maxCap)
+	checkShedSafety(r, p, ablock, policy)
 
 	g, ok := expandBlock(r, prog, ablock, opts)
 	if !ok {
@@ -492,36 +457,6 @@ func checkShedSafety(r *Report, p *stream.Pipeline, b *core.Block, policy stream
 			Block: b.ID,
 			Count: 1,
 			Msg:   "the pipeline's Export accumulates cross-window state and the Shed policy drops whole windows at admission: shed windows never export, so the accumulated result is silently partial; declare ExportShedTolerant if best-effort accumulation is intended, or run under the Block policy",
-		})
-	}
-}
-
-// checkBudget re-derives the admission argument rts.RunStream relies
-// on: the work-channel no-deadlock capacity slots·perWindow+workers
-// (stream.WorkCapacity). It is evaluated by calling the runtime's own
-// single-source-of-truth helper, so the verifier rejects exactly the
-// configurations the runtime would.
-func checkBudget(r *Report, p *stream.Pipeline, block, slots, workers int, maxCap int64) {
-	per := p.PerWindow()
-	capWork, ok := stream.WorkCapacity(int64(slots), per, int64(workers))
-	switch {
-	case !ok:
-		r.Findings = append(r.Findings, Finding{
-			Kind:  KindBudget,
-			Block: block,
-			Count: 1,
-			Msg: fmt.Sprintf(
-				"the work-channel bound %d slot(s) × %d instance(s)/window + %d worker(s) overflows: RunStream's no-deadlock capacity argument cannot be established",
-				slots, per, workers),
-		})
-	case capWork > maxCap:
-		r.Findings = append(r.Findings, Finding{
-			Kind:  KindBudget,
-			Block: block,
-			Count: 1,
-			Msg: fmt.Sprintf(
-				"the work channel needs capacity %d (%d slot(s) × %d instance(s)/window + %d worker(s)), exceeding the runnable cap %d: RunStream refuses the configuration",
-				capWork, slots, per, workers, maxCap),
 		})
 	}
 }

@@ -40,7 +40,7 @@ func FuzzStreamLintOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fz := decodeFuzzPipeline(data)
 		p := fz.pipeline()
-		rep, err := LintStream(p, StreamConfig{})
+		rep, err := LintStream(p, stream.Block)
 		if err != nil {
 			t.Fatalf("decoder produced an invalid pipeline (%v): %s", err, fz)
 		}

@@ -58,7 +58,7 @@ func TestStaleScratchObservableAtRuntime(t *testing.T) {
 	// Flagged variant: stamp of window n leaks into observe of window n+1.
 	dirty := &stampState{}
 	p := dirty.pipeline(false)
-	rep, err := LintStream(p, StreamConfig{Slots: 1, Workers: 1})
+	rep, err := LintStream(p, stream.Block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestStaleScratchObservableAtRuntime(t *testing.T) {
 	// promises, and every window observes zero.
 	clean := &stampState{}
 	p = clean.pipeline(true)
-	rep, err = LintStream(p, StreamConfig{Slots: 1, Workers: 1})
+	rep, err = LintStream(p, stream.Block)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // mustLintStream lints a pipeline that must pass Pipeline.Block.
-func mustLintStream(t *testing.T, p *stream.Pipeline, cfg StreamConfig) *Report {
+func mustLintStream(t *testing.T, p *stream.Pipeline, policy stream.Policy) *Report {
 	t.Helper()
-	r, err := LintStream(p, cfg)
+	r, err := LintStream(p, policy)
 	if err != nil {
 		t.Fatalf("LintStream(%s): %v", p.Name, err)
 	}
@@ -54,7 +54,7 @@ func staleMarkPipeline(zero bool) *stream.Pipeline {
 }
 
 func TestStreamStaleScratch(t *testing.T) {
-	r := mustLintStream(t, staleMarkPipeline(false), StreamConfig{})
+	r := mustLintStream(t, staleMarkPipeline(false), stream.Block)
 	if len(r.Findings) != 1 {
 		t.Fatalf("want exactly the stale-scratch finding, got %v", kinds(r))
 	}
@@ -80,7 +80,7 @@ func TestStreamStaleScratch(t *testing.T) {
 }
 
 func TestStreamStaleScratchZeroOnExportClean(t *testing.T) {
-	assertClean(t, mustLintStream(t, staleMarkPipeline(true), StreamConfig{}))
+	assertClean(t, mustLintStream(t, staleMarkPipeline(true), stream.Block))
 }
 
 // TestStreamStaleScratchCoveredClean is the non-trigger twin: the same
@@ -105,7 +105,7 @@ func TestStreamStaleScratchCoveredClean(t *testing.T) {
 				}},
 		},
 	}
-	assertClean(t, mustLintStream(t, p, StreamConfig{}))
+	assertClean(t, mustLintStream(t, p, stream.Block))
 }
 
 // padLeakPipeline is the canonical pad-soundness trigger: the entry
@@ -133,7 +133,7 @@ func padLeakPipeline(zero bool) *stream.Pipeline {
 }
 
 func TestStreamPadLeak(t *testing.T) {
-	r := mustLintStream(t, padLeakPipeline(false), StreamConfig{})
+	r := mustLintStream(t, padLeakPipeline(false), stream.Block)
 	if len(r.Findings) != 1 {
 		t.Fatalf("want exactly the pad-leak finding, got %v", kinds(r))
 	}
@@ -150,7 +150,7 @@ func TestStreamPadLeak(t *testing.T) {
 }
 
 func TestStreamPadLeakZeroOnExportClean(t *testing.T) {
-	assertClean(t, mustLintStream(t, padLeakPipeline(true), StreamConfig{}))
+	assertClean(t, mustLintStream(t, padLeakPipeline(true), stream.Block))
 }
 
 // shedPipeline accumulates in its second stage and its export;
@@ -170,7 +170,7 @@ func shedPipeline(tolerant bool) *stream.Pipeline {
 }
 
 func TestStreamShedUnsafe(t *testing.T) {
-	r := mustLintStream(t, shedPipeline(false), StreamConfig{Policy: stream.Shed})
+	r := mustLintStream(t, shedPipeline(false), stream.Shed)
 	if len(r.Findings) != 2 {
 		t.Fatalf("want shed-unsafe findings for the stage and the export, got %v", kinds(r))
 	}
@@ -196,11 +196,11 @@ func TestStreamShedUnsafe(t *testing.T) {
 
 func TestStreamShedSafeUnderBlock(t *testing.T) {
 	// The same undeclared accumulators are fine when nothing is shed.
-	assertClean(t, mustLintStream(t, shedPipeline(false), StreamConfig{Policy: stream.Block}))
+	assertClean(t, mustLintStream(t, shedPipeline(false), stream.Block))
 }
 
 func TestStreamShedTolerantClean(t *testing.T) {
-	assertClean(t, mustLintStream(t, shedPipeline(true), StreamConfig{Policy: stream.Shed}))
+	assertClean(t, mustLintStream(t, shedPipeline(true), stream.Shed))
 }
 
 // lyingPipeline routes the entry through a mapping whose instance-level
@@ -224,7 +224,7 @@ func lyingPipeline(name string, m core.Mapping) *stream.Pipeline {
 func assertStructuralKinds(t *testing.T, p *stream.Pipeline, want ...Kind) {
 	t.Helper()
 	for _, pol := range []stream.Policy{stream.Block, stream.Shed} {
-		r := mustLintStream(t, p, StreamConfig{Policy: pol})
+		r := mustLintStream(t, p, pol)
 		got := kinds(r)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s under %s: findings %v, want %v", p.Name, pol, got, want)
@@ -251,64 +251,6 @@ func TestStreamLifecyclePinnedSlot(t *testing.T) {
 	assertStructuralKinds(t, lyingPipeline("under", underDeliver{}), KindReadyCount, KindDeadInstance)
 }
 
-// cleanPipeline is a minimal two-stage pipeline with no scratch: clean
-// under every default, used to isolate the budget findings.
-func cleanPipeline() *stream.Pipeline {
-	const w = 4
-	return &stream.Pipeline{
-		Name:   "budget",
-		Window: w,
-		Stages: []stream.Stage{
-			{Name: "src", Instances: w, Map: core.OneToOne{}},
-			{Name: "sink", Instances: w},
-		},
-	}
-}
-
-func TestStreamBudgetCapExceeded(t *testing.T) {
-	// 4 slots × 8 instances/window + 2 workers = 34 > 10.
-	r := mustLintStream(t, cleanPipeline(), StreamConfig{Slots: 4, Workers: 2, MaxWorkCapacity: 10})
-	if len(r.Findings) != 1 {
-		t.Fatalf("want exactly the budget finding, got %v", kinds(r))
-	}
-	f := hasKind(r, KindBudget)
-	if f == nil || !strings.Contains(f.Msg, "exceeding the runnable cap 10") {
-		t.Fatalf("no capacity-cap budget finding: %+v", r.Findings)
-	}
-}
-
-func TestStreamBudgetClean(t *testing.T) {
-	// The same configuration with an honest cap is clean.
-	assertClean(t, mustLintStream(t, cleanPipeline(), StreamConfig{Slots: 4, Workers: 2}))
-}
-
-func TestStreamBudgetWindowShape(t *testing.T) {
-	// 1<<31 slots × 8 instances/window needs a work channel far past
-	// the MaxInt32 cap RunStream enforces.
-	r := mustLintStream(t, cleanPipeline(), StreamConfig{Slots: 1 << 31, Workers: 2})
-	if len(r.Findings) != 1 {
-		t.Fatalf("want exactly the budget finding, got %v", kinds(r))
-	}
-	f := hasKind(r, KindBudget)
-	if f == nil || !strings.Contains(f.Msg, "exceeding the runnable cap 2147483647") {
-		t.Fatalf("no capacity-cap budget finding: %+v", r.Findings)
-	}
-}
-
-func TestStreamBudgetOverflow(t *testing.T) {
-	maxInt := int(^uint(0) >> 1)
-	r := mustLintStream(t, cleanPipeline(), StreamConfig{Slots: maxInt, Workers: 2})
-	found := false
-	for i := range r.Findings {
-		if r.Findings[i].Kind == KindBudget && strings.Contains(r.Findings[i].Msg, "overflows") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no overflow budget finding: %+v", r.Findings)
-	}
-}
-
 // TestStreamSuiteClean is the sweep: every built-in streaming workload
 // must lint clean, with no skipped analyses, under every policy it
 // declares — the acceptance bar cmd/tfluxvet -stream enforces in CI.
@@ -318,12 +260,12 @@ func TestStreamSuiteClean(t *testing.T) {
 		t.Fatal("no built-in streaming workloads")
 	}
 	for _, spec := range specs {
-		p, err := spec.Make(0, 0)
+		p, err := spec.Make(0)
 		if err != nil {
 			t.Fatalf("%s: build: %v", spec.Name, err)
 		}
 		for _, pol := range spec.Policies {
-			r := mustLintStream(t, p, StreamConfig{Policy: pol})
+			r := mustLintStream(t, p, pol)
 			if !r.OK() || len(r.Notes) > 0 {
 				t.Errorf("%s under %s: findings %v, notes %v", spec.Name, pol, r.Findings, r.Notes)
 			}
@@ -333,10 +275,10 @@ func TestStreamSuiteClean(t *testing.T) {
 
 // TestStreamNilPipeline pins the error contract.
 func TestStreamNilPipeline(t *testing.T) {
-	if _, err := LintStream(nil, StreamConfig{}); err == nil {
+	if _, err := LintStream(nil, stream.Block); err == nil {
 		t.Fatal("want error for nil pipeline")
 	}
-	if _, err := LintStream(&stream.Pipeline{Name: "empty"}, StreamConfig{}); err == nil {
+	if _, err := LintStream(&stream.Pipeline{Name: "empty"}, stream.Block); err == nil {
 		t.Fatal("want error for stageless pipeline")
 	}
 }

@@ -25,8 +25,6 @@ type Options struct {
 	// goroutine: one driver serializes every Ready Count update, which is
 	// what the sharded plane's equivalence suites compare against.
 	TSUShards int
-	// TUB configures the Thread-to-Update Buffer.
-	TUB tsu.TUBConfig
 	// Obs, when non-nil, receives the full typed event stream (thread
 	// executions, TSU commands, TUB deposits).
 	Obs obs.Sink
@@ -103,14 +101,14 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 	if shards > 1 {
 		// Sharded plane: cross-shard batches wake the stepper of the
 		// receiving shard through its ready queue's kick flag.
-		r.sharded, err = tsu.NewSharded(state, shards, opt.TUB, func(sh int) {
+		r.sharded, err = tsu.NewSharded(state, shards, func(sh int) {
 			r.queues[int(r.sharded.Stepper(sh))].kick()
 		})
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		r.tub = tsu.NewTUB(opt.Kernels, opt.TUB)
+		r.tub = tsu.NewTUB(opt.Kernels, tsu.TUBConfig{})
 	}
 	if opt.Metrics != nil {
 		r.mDispatched = opt.Metrics.Counter("rts.dispatched")

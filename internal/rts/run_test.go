@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tflux/internal/core"
-	"tflux/internal/tsu"
 )
 
 // sumProgram builds a map+reduce: n workers each add their partial range
@@ -191,17 +190,6 @@ func TestRunDefaultsToOneKernel(t *testing.T) {
 		t.Fatalf("kernels = %d, want 1", st.Kernels)
 	}
 	if *result != 499500 {
-		t.Fatalf("sum = %d", *result)
-	}
-}
-
-func TestRunSingleLockTUBAblation(t *testing.T) {
-	p, result := sumProgram(32, 50000)
-	_, err := Run(p, Options{Kernels: 4, TUB: tsu.TUBConfig{SingleLock: true, SegmentCap: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *result != int64(50000)*(50000-1)/2 {
 		t.Fatalf("sum = %d", *result)
 	}
 }

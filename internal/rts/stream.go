@@ -14,11 +14,22 @@ import (
 	"tflux/internal/tsu"
 )
 
+// streamSlot is one window slot: the window block's State, reset for
+// each window the slot holds, the window occupying it, and that
+// window's per-event admission stamps. Slots are made on demand and
+// recycled, never freed during a run.
+type streamSlot struct {
+	st    *tsu.State
+	idx   int
+	win   int64
+	admit []time.Time
+}
+
 // streamWork is one dispatched instance of a streaming run: the window
 // slot whose State it belongs to and the instance in the window block's
 // own context space.
 type streamWork struct {
-	slot int32
+	slot *streamSlot
 	inst core.Instance
 }
 
@@ -31,22 +42,24 @@ type streamWork struct {
 //
 // A window is the per-window DDM Block loaded again for each window: the
 // call builds one tsu.Tables over the window block, and each slot owns
-// one State over it for the whole run. Opening a window resets the
-// slot's State and runs the Block's Inlet, which restores the SM image
-// by memcpy from the snapshot; the surfaced Outlet is the retirement
-// signal.
+// one State over it for the whole run. A slot is made only when no slot
+// is free and fewer than opt.Slots exist, so a run holds memory for the
+// windows it has had in flight, not for its slot budget. Opening a
+// window resets the slot's State and runs the Block's Inlet, which
+// restores the SM image by memcpy from the snapshot; the surfaced Outlet
+// is the retirement signal.
 //
 // The loop interleaves four activities:
 //
 //   - injection: a dedicated goroutine pulls paced events from src and
 //     dispatches entry-stage instances as they arrive, applying the
 //     backpressure policy at window-slot exhaustion;
-//   - firing: opt.Workers goroutines drain a shared ready channel,
-//     running stage bodies and completing instances on their slot's
-//     State under that slot's lock;
+//   - firing: opt.Workers goroutines drain a shared FIFO of dispatched
+//     instances, running stage bodies and completing instances on their
+//     slot's State under the run's lock;
 //   - retirement: the worker that completes a window's last instance
 //     observes per-event admission→retire latency, applies the
-//     pipeline's Export, and returns the slot to the free list;
+//     pipeline's Export, and returns the slot to the free stack;
 //   - padding: a partial final window is completed with pad instances
 //     (entry body skipped, graph flow intact) so it can retire.
 //
@@ -76,19 +89,6 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		workers = runtime.GOMAXPROCS(0)
 	}
 	perWindow := p.PerWindow()
-
-	// The work channel holds every dispatched-but-unfired instance. Its
-	// capacity is the worst case — all live windows fully pending — so
-	// worker self-pushes never block and cannot deadlock. WorkCapacity is
-	// the shared derivation of that bound (ddmlint's budget check verifies
-	// the same formula); a capacity that overflows or exceeds what a chan
-	// can hold voids the no-deadlock argument, so refuse to run. The check
-	// comes before anything is sized by the slot count.
-	capWork, capOK := stream.WorkCapacity(int64(slots), perWindow, int64(workers))
-	if !capOK || capWork > math.MaxInt32 {
-		return stream.Stats{}, fmt.Errorf("rts: work channel capacity %d slots × %d instances + %d workers voids the no-deadlock bound",
-			slots, perWindow, workers)
-	}
 	tables, err := tsu.NewTables(&core.Program{Name: p.Name, Blocks: []*core.Block{block}}, 1, tsu.Config{})
 	if err != nil {
 		return stream.Stats{}, err
@@ -113,39 +113,37 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		hLatency  = reg.Histogram("stream.event_latency_ns")
 	)
 
-	// Per-slot state recycled with the slot: the window block's State
-	// and the lock that serializes its completions, the window occupying
-	// the slot, and per-event admission timestamps. The injector writes
-	// a slot only after receiving it from free, and before dispatching
-	// the window's first instance; the retiring worker reads it before
-	// sending it back to free — the channel operations order the two.
-	// free is the free list, sized to hold every slot, so a retiring
-	// worker's send never blocks.
-	states := make([]*tsu.State, slots)
-	locks := make([]sync.Mutex, slots)
-	wins := make([]int64, slots)
-	admit := make([][]time.Time, slots)
-	free := make(chan int32, slots)
-	for i := range states {
-		states[i] = tables.NewState()
-		admit[i] = make([]time.Time, W)
-		free <- int32(i)
+	// One lock guards everything the run shares: the FIFO of dispatched,
+	// unfired instances, work[head:] oldest first; the free-slot stack;
+	// the slot and window counts; and every slot's State. A push never
+	// blocks, so there is no capacity to size ahead. The injector writes
+	// a slot's win and admit before the window's first push, and the
+	// retiring worker reads them before freeing the slot; mu orders both.
+	var (
+		mu               sync.Mutex
+		hasWork, hasSlot = sync.NewCond(&mu), sync.NewCond(&mu)
+		work             []streamWork
+		head             int
+		free             []*streamSlot
+		made             int
+		opened, retired  int64
+		injDone          bool
+	)
+	// push appends under mu and signals one waiting worker. The consumed
+	// prefix is reclaimed once it is the larger half (readyQueue's rule).
+	push := func(slot *streamSlot, inst core.Instance) {
+		if 2*head > len(work) {
+			n := copy(work, work[head:])
+			work, head = work[:n], 0
+		}
+		work = append(work, streamWork{slot: slot, inst: inst})
+		hasWork.Signal()
 	}
-	inlet := states[0].Start().Inst
 
 	// padFrom is the first pad sequence number; MaxInt64 until the
 	// source ends mid-window. Entry bodies are skipped at and past it.
 	var padFrom atomic.Int64
 	padFrom.Store(math.MaxInt64)
-
-	work := make(chan streamWork, capWork)
-	var (
-		opened    atomic.Int64
-		retired   atomic.Int64
-		injDone   atomic.Bool
-		closeOnce sync.Once
-	)
-	closeWork := func() { closeOnce.Do(func() { close(work) }) }
 
 	// runErr is the first body panic; once set, the run is aborting.
 	var runErr atomic.Pointer[error]
@@ -165,67 +163,78 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			var (
 				ready     []tsu.Ready
 				blockDone bool
 			)
-			for it := range work {
-				slot := int(it.slot)
+			mu.Lock()
+			defer mu.Unlock()
+			for {
+				for head == len(work) && !(injDone && retired == opened) {
+					hasWork.Wait()
+				}
+				if head == len(work) {
+					return
+				}
+				it := work[head]
+				if head++; head == len(work) {
+					work, head = work[:0], 0
+				}
+				mu.Unlock()
+				slot := it.slot
 				stage := int(it.inst.Thread - entry)
-				win := wins[slot]
-				seq := win*W + int64(it.inst.Ctx)
+				seq := slot.win*W + int64(it.inst.Ctx)
 				if opt.Delay != nil {
 					time.Sleep(opt.Delay(stage))
 				}
 				if body := p.Stages[stage].Body; body != nil && runErr.Load() == nil && !(stage == 0 && seq >= padFrom.Load()) {
-					runBody(stage, body, stream.Ctx{Window: win, Slot: slot, Local: it.inst.Ctx, Seq: seq})
+					runBody(stage, body, stream.Ctx{Window: slot.win, Slot: slot.idx, Local: it.inst.Ctx, Seq: seq})
 				}
-				locks[slot].Lock()
-				ready, blockDone, _ = states[slot].CompleteInto(ready[:0], it.inst, 0)
-				locks[slot].Unlock()
+				mu.Lock()
+				ready, blockDone, _ = slot.st.CompleteInto(ready[:0], it.inst, 0)
 				if blockDone {
 					// The Block drained: the surfaced Outlet is the last
 					// entry, and the window retires instead of running it.
 					ready = ready[:len(ready)-1]
 				}
 				for _, r := range ready {
-					work <- streamWork{slot: it.slot, inst: r.Inst}
+					push(slot, r.Inst)
 				}
 				if !blockDone {
 					continue
 				}
+				mu.Unlock()
 				// Window retired: latency per admitted (non-pad) event,
 				// export while the slot's data is still valid, release.
 				now := time.Now()
 				pf := padFrom.Load()
 				for l := int64(0); l < W; l++ {
-					if win*W+l < pf {
-						hLatency.ObserveDuration(now.Sub(admit[slot][l]))
+					if slot.win*W+l < pf {
+						hLatency.ObserveDuration(now.Sub(slot.admit[l]))
 					}
 				}
 				if p.Export != nil && runErr.Load() == nil {
-					p.Export(win, slot)
+					p.Export(slot.win, slot.idx)
 				}
-				// Leave the gauge before freeing the slot: the injector may
-				// re-open it at once, and the gauge must never read more
-				// windows than there are slots.
+				mu.Lock()
 				gInflight.Add(-1)
-				free <- it.slot
+				free = append(free, slot)
+				hasSlot.Signal()
 				cRetired.Inc()
-				if r := retired.Add(1); injDone.Load() && r == opened.Load() {
-					closeWork()
+				if retired++; injDone && retired == opened {
+					hasWork.Broadcast()
 				}
 			}
-			wg.Done()
 		}()
 	}
 
 	// Injection loop (this goroutine): windows open lazily at their
-	// first event, so backpressure applies at window boundaries.
+	// first event, so backpressure applies at window boundaries. cur is
+	// the current window's slot, nil while that window is shed.
 	var (
 		curWin  int64 = -1
-		curSlot int32
-		curShed bool
+		cur     *streamSlot
 		curNext core.Context // next local index in the current window
 		sources []tsu.Ready
 	)
@@ -236,52 +245,60 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		}
 		win := seq / W
 		if win != curWin {
-			curWin, curNext, curShed = win, 0, false
-			if opt.Policy == stream.Shed {
-				select {
-				case curSlot = <-free:
-				default:
-					curShed = true
-					cShedWin.Inc()
-				}
-			} else {
-				curSlot = <-free
+			curWin, curNext = win, 0
+			mu.Lock()
+			for len(free) == 0 && made == slots && opt.Policy != stream.Shed {
+				hasSlot.Wait()
 			}
-			if !curShed {
-				// Load the window's SM by running the Inlet. The sources
-				// it surfaces are the entry instances, which are
-				// dispatched as their events arrive instead.
-				st := states[curSlot]
-				st.Reset()
-				sources, _, _ = st.DoneInto(sources[:0], inlet, 0)
-				wins[curSlot] = win
-				opened.Add(1)
+			switch n := len(free); {
+			case n > 0:
+				cur, free = free[n-1], free[:n-1]
+			case made < slots:
+				cur = &streamSlot{st: tables.NewState(), idx: made, admit: make([]time.Time, W)}
+				made++
+			default:
+				cur = nil
+				cShedWin.Inc()
+			}
+			if cur != nil {
+				opened++
 				cOpened.Inc()
 				gInflight.Add(1)
 			}
+			mu.Unlock()
+			if cur != nil {
+				// Load the window's SM by running the Inlet. The sources
+				// it surfaces are the entry instances, which are
+				// dispatched as their events arrive instead.
+				cur.st.Reset()
+				sources, _, _ = cur.st.DoneInto(sources[:0], cur.st.Start().Inst, 0)
+				cur.win = win
+			}
 		}
-		if curShed {
+		if cur == nil {
 			cShedEv.Inc()
 			continue
 		}
 		local := core.Context(seq % W)
-		admit[curSlot][local] = time.Now()
+		cur.admit[local] = time.Now()
 		cInjected.Inc()
 		curNext = local + 1
-		work <- streamWork{slot: curSlot, inst: core.Instance{Thread: entry, Ctx: local}}
+		mu.Lock()
+		push(cur, core.Instance{Thread: entry, Ctx: local})
+		mu.Unlock()
 	}
+	mu.Lock()
 	// Pad a partial final window so its firing closure can complete.
-	if curWin >= 0 && !curShed && int64(curNext) < W {
+	if cur != nil && int64(curNext) < W {
 		padFrom.Store(curWin*W + int64(curNext))
 		for l := curNext; int64(l) < W; l++ {
 			cPadded.Inc()
-			work <- streamWork{slot: curSlot, inst: core.Instance{Thread: entry, Ctx: l}}
+			push(cur, core.Instance{Thread: entry, Ctx: l})
 		}
 	}
-	injDone.Store(true)
-	if retired.Load() == opened.Load() {
-		closeWork()
-	}
+	injDone = true
+	hasWork.Broadcast()
+	mu.Unlock()
 	wg.Wait()
 	if err := runErr.Load(); err != nil {
 		return stream.Stats{}, *err

@@ -261,22 +261,31 @@ func TestStreamSoak(t *testing.T) {
 	}
 }
 
-// TestRunStreamRefusedConfigAllocatesNothing: a configuration whose work
-// channel voids the no-deadlock bound is refused before anything is sized
-// by the slot count. At 30 000 000 slots of a 64-event window the per-slot
-// Ready Counts alone would be gigabytes.
-func TestRunStreamRefusedConfigAllocatesNothing(t *testing.T) {
-	p, _ := countingPipeline(64, 1)
+// TestRunStreamSlotsCostOnlyWhatRuns: the slot count is a ceiling, not
+// an allocation. Ten events at a 64-event window open one window, so a
+// run under a slot budget of 30 000 000, 2^31 or MaxInt slots makes one
+// slot and costs what a one-slot run costs.
+func TestRunStreamSlotsCostOnlyWhatRuns(t *testing.T) {
+	const n = 10
 	for _, slots := range []int{30_000_000, 1 << 31, math.MaxInt} {
+		p, counts := countingPipeline(64, n)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := RunStream(p, stream.NewCountSource(10, 0), stream.Options{Slots: slots, Workers: 1})
+		st, err := RunStream(p, stream.NewCountSource(n, 0), stream.Options{Slots: slots, Workers: 1})
 		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), "no-deadlock bound") {
-			t.Fatalf("%d slots: err = %v, want the work-channel refusal", slots, err)
+		if err != nil {
+			t.Fatalf("%d slots: %v", slots, err)
+		}
+		for seq := range counts {
+			if got := counts[seq].Load(); got != 1 {
+				t.Fatalf("%d slots: seq %d executed %d times", slots, seq, got)
+			}
+		}
+		if st.Events != n || st.Windows != 1 {
+			t.Fatalf("%d slots: stats %+v", slots, st)
 		}
 		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
-			t.Fatalf("%d slots: refusal allocated %d bytes, want under 1 MiB", slots, d)
+			t.Fatalf("%d slots: run allocated %d bytes, want under 1 MiB", slots, d)
 		}
 	}
 }
@@ -289,18 +298,21 @@ func TestRunStreamRefusedConfigAllocatesNothing(t *testing.T) {
 //     and every window exports exactly once;
 //   - no aliasing: no body runs on a slot while another window is live
 //     there (from its first body to the end of its Export), and Export
-//     reads only its own window's slot data.
+//     reads only its own window's slot data;
+//   - lazy slots: no more distinct slots are used than windows were ever
+//     in flight at once, since a slot is made only when none is free.
 //
 // Run it under -race (the CI stream-soak step does).
 func TestStreamSlotRecyclingProperty(t *testing.T) {
 	const windows, slots, workers = 64, 3, 8
 	for _, w := range []core.Context{4, 8, 16} {
 		var (
-			mu       sync.Mutex
-			occupant = [slots]int64{-1, -1, -1} // live window per slot
-			runs     = make(map[[3]int64]int)   // (window, stage, local) → body runs
-			exported = make(map[int64]int)
-			failures []string
+			mu        sync.Mutex
+			occupant  = [slots]int64{-1, -1, -1} // live window per slot
+			runs      = make(map[[3]int64]int)   // (window, stage, local) → body runs
+			exported  = make(map[int64]int)
+			slotsSeen = make(map[int]bool)
+			failures  []string
 		)
 		stamp := make([][]int64, slots) // entry body writes its window per local
 		for i := range stamp {
@@ -318,6 +330,7 @@ func TestStreamSlotRecyclingProperty(t *testing.T) {
 					failures = append(failures, fmt.Sprintf("window %d ran stage %d in slot %d while window %d is live there", c.Window, stage, c.Slot, occ))
 				}
 				runs[[3]int64{c.Window, int64(stage), int64(c.Local)}]++
+				slotsSeen[c.Slot] = true
 				if stage == 0 {
 					stamp[c.Slot][c.Local] = c.Window
 				}
@@ -378,6 +391,9 @@ func TestStreamSlotRecyclingProperty(t *testing.T) {
 		mu.Unlock()
 		if st.Windows != windows || st.Fired != windows*p.PerWindow() || st.MaxInFlight > slots {
 			t.Fatalf("W=%d: stats %+v", w, st)
+		}
+		if used := len(slotsSeen); int64(used) > st.MaxInFlight {
+			t.Fatalf("W=%d: %d distinct slots used, but at most %d windows were in flight", w, used, st.MaxInFlight)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"tflux/internal/obs"
@@ -49,7 +48,8 @@ func ParsePolicy(s string) (Policy, error) {
 // Options configures a streaming run.
 type Options struct {
 	// Slots caps concurrently live windows (the recycled SM slot count).
-	// 0 means DefaultSlots.
+	// 0 means DefaultSlots. A slot is made only when a window needs one,
+	// so the cap costs nothing until windows fill it.
 	Slots int
 	// Policy is the backpressure behaviour at slot exhaustion.
 	Policy Policy
@@ -66,23 +66,6 @@ type Options struct {
 
 // DefaultSlots is the window-slot budget when Options.Slots is zero.
 const DefaultSlots = 4
-
-// WorkCapacity is the single source of truth for the streaming run
-// loop's no-deadlock argument: the work channel must hold every
-// dispatched-but-unfired instance, and the worst case is all live
-// windows fully pending — slots·perWindow — plus one in-flight
-// self-push per worker. rts.RunStream allocates exactly this capacity
-// and ddmlint's budget check re-derives it; ok=false means the product
-// overflows (or an operand is non-positive) and the argument is void.
-func WorkCapacity(slots, perWindow, workers int64) (capacity int64, ok bool) {
-	if slots <= 0 || perWindow <= 0 || workers <= 0 {
-		return 0, false
-	}
-	if perWindow > (math.MaxInt64-workers)/slots {
-		return 0, false
-	}
-	return slots*perWindow + workers, true
-}
 
 // Stats summarises a streaming run.
 type Stats struct {

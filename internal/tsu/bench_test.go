@@ -63,7 +63,7 @@ func shardedReductionState(b *testing.B, n core.Context, kernels, shards int) *S
 	if err != nil {
 		b.Fatal(err)
 	}
-	ss, err := NewSharded(s, shards, TUBConfig{}, nil)
+	ss, err := NewSharded(s, shards, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -85,11 +85,11 @@ type Lane struct {
 
 // NewSharded wraps a freshly built State in the sharded engine. shards must
 // be in [1, kernels]; kernels are assigned to shards in contiguous chunks.
-// cfg configures the per-shard inboxes (Unbounded is forced on, and the
-// segment count defaults to one per kernel so concurrent producers spread
-// across try-locks). notify, when non-nil, is called — possibly from any
-// kernel — after a cross-shard batch is deposited for the given shard.
-func NewSharded(s *State, shards int, cfg TUBConfig, notify func(sh int)) (*ShardedState, error) {
+// Each shard's inbox is an unbounded TUB with one segment per kernel, so
+// concurrent producers spread across try-locks. notify, when non-nil, is
+// called — possibly from any kernel — after a cross-shard batch is
+// deposited for the given shard.
+func NewSharded(s *State, shards int, notify func(sh int)) (*ShardedState, error) {
 	if shards < 1 || shards > s.kernels {
 		return nil, fmt.Errorf("tsu: %d shards for %d kernels; need 1 ≤ shards ≤ kernels", shards, s.kernels)
 	}
@@ -111,11 +111,7 @@ func NewSharded(s *State, shards int, cfg TUBConfig, notify func(sh int)) (*Shar
 	for sh := 0; sh < shards; sh++ {
 		// First kernel of the shard's contiguous range.
 		ss.steppers[sh] = KernelID((sh*s.kernels + shards - 1) / shards)
-		cfg.Unbounded = true
-		if cfg.Segments <= 0 {
-			cfg.Segments = s.kernels
-		}
-		ss.inboxes[sh] = NewTUB(s.kernels, cfg)
+		ss.inboxes[sh] = NewTUB(s.kernels, TUBConfig{Segments: s.kernels, Unbounded: true})
 	}
 	for k := range ss.lanes {
 		ln := &ss.lanes[k]

@@ -116,7 +116,7 @@ func TestShardedMatchesOracleRichPrograms(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		s.SetLinearSMSearch(linear)
-		ss, err := NewSharded(s, shards, TUBConfig{}, nil)
+		ss, err := NewSharded(s, shards, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -182,7 +182,7 @@ func TestShardedCrossShardTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := NewSharded(s, 4, TUBConfig{}, nil)
+	ss, err := NewSharded(s, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestShardedFewerShardsThanKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	notified := make(map[int]int)
-	ss, err := NewSharded(s, 2, TUBConfig{}, func(sh int) { notified[sh]++ })
+	ss, err := NewSharded(s, 2, func(sh int) { notified[sh]++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestShardedSparseIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := NewSharded(s, 3, TUBConfig{}, nil)
+	ss, err := NewSharded(s, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,15 +260,15 @@ func TestNewShardedRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSharded(s, 0, TUBConfig{}, nil); err == nil {
+	if _, err := NewSharded(s, 0, nil); err == nil {
 		t.Fatal("0 shards accepted")
 	}
-	if _, err := NewSharded(s, 4, TUBConfig{}, nil); err == nil {
+	if _, err := NewSharded(s, 4, nil); err == nil {
 		t.Fatal("more shards than kernels accepted")
 	}
 	// A state that already started its first block must be rejected.
 	s.DoneInto(nil, core.Instance{Thread: s.InletID(0)}, 0)
-	if _, err := NewSharded(s, 2, TUBConfig{}, nil); err == nil {
+	if _, err := NewSharded(s, 2, nil); err == nil {
 		t.Fatal("started state accepted")
 	}
 }

@@ -99,7 +99,7 @@ func TestTablesShardedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := tb.Acquire()
-	ss, err := NewSharded(s, 2, TUBConfig{}, nil)
+	ss, err := NewSharded(s, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

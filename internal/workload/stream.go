@@ -17,10 +17,10 @@ type StreamSpec struct {
 	// streaming verifier lints the pipeline under each (a workload whose
 	// accumulators are not shed-tolerant lists only stream.Block).
 	Policies []stream.Policy
-	// Make builds fresh workload state for windows of w events over the
-	// given slot budget and returns its pipeline. Zero w/slots select
-	// the workload's defaults.
-	Make func(w core.Context, slots int) (*stream.Pipeline, error)
+	// Make builds fresh workload state for windows of w events over
+	// stream.DefaultSlots slots and returns its pipeline. Zero w selects
+	// the workload's default window.
+	Make func(w core.Context) (*stream.Pipeline, error)
 }
 
 // EventFilterSpec is the EVENTFILTER benchmark's streaming spec.
@@ -29,14 +29,11 @@ func EventFilterSpec() StreamSpec {
 		Name:        "eventfilter",
 		Description: "three-stage event filter (decode → filter → aggregate), checksum-verified",
 		Policies:    []stream.Policy{stream.Block, stream.Shed},
-		Make: func(w core.Context, slots int) (*stream.Pipeline, error) {
+		Make: func(w core.Context) (*stream.Pipeline, error) {
 			if w == 0 {
 				w = 64
 			}
-			if slots == 0 {
-				slots = stream.DefaultSlots
-			}
-			e, err := NewEventFilter(w, slots, 1)
+			e, err := NewEventFilter(w, stream.DefaultSlots, 1)
 			if err != nil {
 				return nil, err
 			}

@@ -58,7 +58,6 @@ import (
 	"tflux/internal/obs"
 	"tflux/internal/rts"
 	"tflux/internal/stream"
-	"tflux/internal/tsu"
 	"tflux/internal/vtime"
 )
 
@@ -194,13 +193,11 @@ func (t *Thread) ID() ThreadID { return t.t.ID }
 // implementations (see their package docs for field-level detail).
 type (
 	// SoftOptions configures TFluxSoft (rts.Options): kernel count, TSU
-	// plane, size and TUB, and observability. The ready queue is not
+	// plane, TSU size, and observability. The ready queue is not
 	// configurable: each kernel runs its instances in arrival order.
 	SoftOptions = rts.Options
 	// SoftStats is the TFluxSoft run report (rts.Stats).
 	SoftStats = rts.Stats
-	// TUBConfig configures the Thread-to-Update Buffer (tsu.TUBConfig).
-	TUBConfig = tsu.TUBConfig
 	// HardConfig configures the TFluxHard machine (hardsim.Config):
 	// cores, cache geometry, TSU latencies and groups, and observability.
 	// The inter-group transfer latency (16 cycles) and the 1 GHz trace
@@ -408,26 +405,19 @@ func RunStream(p *StreamPipeline, src StreamSource, opt StreamOptions) (StreamSt
 }
 
 // VetStream statically verifies the pipeline across window generations
-// for the given run configuration (opt.Slots, opt.Workers and
-// opt.Policy parameterize the verdict; zero values mean the RunStream
-// defaults). Beyond the batch checks on the per-window graph (see Vet),
-// it analyzes the declared slot-scratch model for reads that would
-// observe a recycled slot's stale data — in full windows
-// (stale-scratch) and in the padded partial final window (pad-leak) —
-// flags cross-window accumulators under the Shed policy (shed-unsafe),
-// and re-derives RunStream's work-channel capacity argument (budget).
-// A window is the per-window Block loaded again, so the batch ready-count,
-// dead-instance and cycle checks are also what proves every window
-// retires and returns its slot.
+// under opt.Policy, the only option that enters the verdict. Beyond the
+// batch checks on the per-window graph (see Vet), it analyzes the
+// declared slot-scratch model for reads that would observe a recycled
+// slot's stale data — in full windows (stale-scratch) and in the padded
+// partial final window (pad-leak) — and flags cross-window accumulators
+// under the Shed policy (shed-unsafe). A window is the per-window Block
+// loaded again, so the batch ready-count, dead-instance and cycle checks
+// are also what proves every window retires and returns its slot.
 //
 // The scratch analysis is exactly as sound as the declarations: stages
 // without a ScratchFn contribute nothing to it, and an undeclared
 // access is invisible. A pipeline with no scratch model gets only the
-// structural and budget guarantees.
+// structural guarantees.
 func VetStream(p *StreamPipeline, opt StreamOptions) (*VetReport, error) {
-	return ddmlint.LintStream(p, ddmlint.StreamConfig{
-		Slots:   opt.Slots,
-		Workers: opt.Workers,
-		Policy:  opt.Policy,
-	})
+	return ddmlint.LintStream(p, opt.Policy)
 }
