@@ -298,7 +298,7 @@ func sizesOrSkip(spec workload.Spec, pf workload.Platform) ([3]int, bool) {
 
 // BenchmarkTUBSegmentation is the §4.2 ablation behind the TUB's
 // partitioned design: many kernels depositing completions concurrently
-// against a segmented TUB vs the single-lock variant. The "misses" metric
+// against a segmented TUB vs one segment under one lock. The "misses" metric
 // counts try-lock skips (contention the segmentation absorbs). The win
 // only materializes when writers truly run in parallel; on a single-CPU
 // host the single lock is uncontended and the segment scan is pure
@@ -335,8 +335,8 @@ func BenchmarkTUBSegmentation(b *testing.B) {
 		close(stop)
 		b.ReportMetric(float64(tub.Stats().TryMisses)/float64(b.N), "misses/op")
 	}
-	b.Run("segmented", func(b *testing.B) { run(b, tsu.TUBConfig{Segments: 16, SegmentCap: 64}) })
-	b.Run("singlelock", func(b *testing.B) { run(b, tsu.TUBConfig{SingleLock: true, SegmentCap: 64}) })
+	b.Run("segmented", func(b *testing.B) { run(b, tsu.TUBConfig{Segments: 16}) })
+	b.Run("singlelock", func(b *testing.B) { run(b, tsu.TUBConfig{Segments: 1}) })
 }
 
 // BenchmarkDistDispatch measures the distributed runtime's per-DThread

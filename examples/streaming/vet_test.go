@@ -7,12 +7,11 @@ import (
 )
 
 // TestVetClean verifies the example's pipeline across window
-// generations under the configuration main() runs: the per-window graph
+// generations under the policy main() runs: the per-window graph
 // drains, and no scratch read can observe a recycled slot's stale data
 // (the declared ZeroOnExport contract covers the padded final window).
 func TestVetClean(t *testing.T) {
-	rep, err := tflux.VetStream(build(newState()),
-		tflux.StreamOptions{Slots: slots, Workers: 2, Policy: tflux.StreamBlock})
+	rep, err := tflux.VetStream(build(newState()), tflux.StreamBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +26,7 @@ func TestVetClean(t *testing.T) {
 // both accumulators (dropped windows would silently break the
 // exactly-once checksum main() asserts).
 func TestVetShedUnsafe(t *testing.T) {
-	rep, err := tflux.VetStream(build(newState()),
-		tflux.StreamOptions{Slots: slots, Workers: 2, Policy: tflux.StreamShed})
+	rep, err := tflux.VetStream(build(newState()), tflux.StreamShed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,9 @@
 //     updates the TSU state, and notifies SPEs of newly ready DThreads
 //     through bounded mailboxes (depth 4, like the SPU inbound mailbox).
 //
-// Timing is wall-clock: like the paper's native PS3 runs, speedups come
-// from real elapsed time, and the staging/mailbox overheads are real work.
+// Run's timing is wall-clock: like the paper's native PS3 runs, speedups
+// come from real elapsed time, and the staging/mailbox overheads are real
+// work. RunVirtual is the same platform as a deterministic hardsim machine
+// (Figure 7's): it refuses what Run refuses, by the same Local Store walk,
+// and charges each DThread the DMA of the regions Run would stage.
 package cellsim

@@ -63,16 +63,21 @@ type Stats struct {
 	DMABytesOut  int64
 	DMATransfers int64
 	Commands     int64
-	LSHighWater  int64 // largest per-DThread Local Store footprint seen
+	LSHighWater  int64 // largest per-DThread Local Store footprint (see fit)
 	SPEs         []SPEStats
 }
 
 // Run executes the program on the Cell substrate: DThread bodies on SPE
 // goroutines with Local Store staging, the TSU emulator on the PPE
 // goroutine. Every buffer the program declares must be registered in svb
-// with at least the declared size.
+// with at least the declared size. A program with a DThread that does not
+// fit the Local Store is refused before any SPE starts (see fit).
 func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, error) {
 	cfg = cfg.withDefaults()
+	highWater, err := fit(p)
+	if err != nil {
+		return nil, err
+	}
 	state, err := tsu.NewState(p, cfg.SPEs)
 	if err != nil {
 		return nil, err
@@ -90,14 +95,13 @@ func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, e
 		notify: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 	}
-	stats := &Stats{SPEs: make([]SPEStats, cfg.SPEs)}
+	stats := &Stats{LSHighWater: highWater, SPEs: make([]SPEStats, cfg.SPEs)}
 	if cfg.Obs != nil {
 		cfg.Obs.Begin()
 		r.sink = cfg.Obs
 	}
 	dmaHist := cfg.Metrics.Histogram("cell.dma_ns")
 	r.dmas = make([]dma, cfg.SPEs)
-	r.highWater = make([]int64, cfg.SPEs)
 	for i := 0; i < cfg.SPEs; i++ {
 		r.rings[i] = newCommandBuffer()
 		r.boxes[i] = make(chan core.Instance, mailboxCap)
@@ -120,17 +124,12 @@ func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, e
 	stats.Elapsed = time.Since(start)
 	stats.TSU = state.Stats()
 	stats.Commands = r.commands
-	var hw int64
 	for i := range r.dmas {
 		stats.DMABytesIn += r.dmas[i].bytesIn
 		stats.DMABytesOut += r.dmas[i].bytesOut
 		stats.DMATransfers += r.dmas[i].transfers
 		stats.SPEs[i].DMABytes = r.dmas[i].bytesIn + r.dmas[i].bytesOut
-		if r.highWater[i] > hw {
-			hw = r.highWater[i]
-		}
 	}
-	stats.LSHighWater = hw
 	if cfg.Metrics != nil {
 		reg := cfg.Metrics
 		reg.Counter("cell.dma_bytes_in").Set(stats.DMABytesIn)
@@ -150,6 +149,48 @@ func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, e
 	return stats, err
 }
 
+// footprint is the Local Store an instance whose access-table row is row
+// occupies while it runs. Resident regions stay for the whole DThread;
+// streamed regions are double-buffered through a fixed window, so they
+// cost only two of their largest DMA piece.
+func footprint(row []core.MemRegion) int64 {
+	var resident, window int64
+	for _, reg := range row {
+		switch {
+		case reg.Size <= 0:
+		case reg.Stream:
+			window = max(window, 2*min(reg.Size, dmaChunk))
+		default:
+			resident += reg.Size
+		}
+	}
+	return resident + window
+}
+
+// fit walks every instance of p, Block by Block in template and context
+// order, and returns the largest footprint, or refuses the first instance
+// whose footprint exceeds the Local Store left for data. Run and
+// RunVirtual both call it before any body runs, so the two Cell machines
+// refuse the same programs with the same error.
+func fit(p *core.Program) (int64, error) {
+	rows := p.AccessTable()
+	var high int64
+	for _, b := range p.Blocks {
+		for _, t := range b.Templates {
+			for ctx := core.Context(0); ctx < t.Instances; ctx++ {
+				inst := core.Instance{Thread: t.ID, Ctx: ctx}
+				fp := footprint(rows.Row(inst))
+				if fp > localStore-reserve {
+					return 0, fmt.Errorf("cellsim: DThread %v needs %d bytes of Local Store, only %d available (problem size does not fit the SPE Local Store; restructure as the paper's §6.3 notes)",
+						inst, fp, localStore-reserve)
+				}
+				high = max(high, fp)
+			}
+		}
+	}
+	return high, nil
+}
+
 type cellRunner struct {
 	cfg    Config
 	state  *tsu.State
@@ -160,10 +201,9 @@ type cellRunner struct {
 	boxes  []chan core.Instance
 	notify chan struct{}
 
-	dmas      []dma
-	highWater []int64
-	commands  int64
-	sink      obs.Sink // nil when observability is disabled
+	dmas     []dma
+	commands int64
+	sink     obs.Sink // nil when observability is disabled
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -235,54 +275,8 @@ func (r *cellRunner) runOne(id int, inst core.Instance, arena []byte, st *SPESta
 	if !r.state.IsService(inst) {
 		tpl := r.state.Template(inst.Thread)
 		row := r.access.Row(inst)
-		// Resident regions occupy the Local Store for the whole DThread;
-		// streamed regions are double-buffered through a fixed window, so
-		// they cost only their largest DMA piece (two buffers' worth).
-		var footprint, streamWindow int64
-		for _, reg := range row {
-			if reg.Size <= 0 {
-				continue
-			}
-			if reg.Stream {
-				piece := reg.Size
-				if piece > dmaChunk {
-					piece = dmaChunk
-				}
-				if 2*piece > streamWindow {
-					streamWindow = 2 * piece
-				}
-				continue
-			}
-			footprint += reg.Size
-		}
-		footprint += streamWindow
-		if footprint > localStore-reserve {
-			r.fail(fmt.Errorf("cellsim: DThread %v needs %d bytes of Local Store, only %d available (problem size does not fit the SPE Local Store; restructure as the paper's §6.3 notes)",
-				inst, footprint, localStore-reserve))
+		if !r.stageRow(id, row, arena, false) {
 			return false
-		}
-		if footprint > r.highWater[id] {
-			r.highWater[id] = footprint
-		}
-		// The streaming window sits at the top of the arena; resident
-		// regions fill from the bottom.
-		streamWin := arena[localStore-2*dmaChunk:]
-		// DMA-in the imports.
-		var used int64
-		for _, reg := range row {
-			if reg.Write || reg.Size <= 0 {
-				continue
-			}
-			src, err := r.svb.Slice(reg.Buffer, reg.Offset, reg.Size)
-			if err != nil {
-				r.fail(fmt.Errorf("cellsim: %w", err))
-				return false
-			}
-			if reg.Stream {
-				r.dmas[id].stage(streamWin, src, false, true)
-			} else {
-				used += r.dmas[id].stage(arena[used:], src, false, false)
-			}
 		}
 		if r.sink != nil {
 			t0 := r.sink.Now()
@@ -301,25 +295,36 @@ func (r *cellRunner) runOne(id int, inst core.Instance, arena []byte, st *SPESta
 		st.Executed++
 		// DMA-out the exports (traffic-equivalent staging; see package
 		// doc).
-		used = 0
-		for _, reg := range row {
-			if !reg.Write || reg.Size <= 0 {
-				continue
-			}
-			src, err := r.svb.Slice(reg.Buffer, reg.Offset, reg.Size)
-			if err != nil {
-				r.fail(fmt.Errorf("cellsim: %w", err))
-				return false
-			}
-			if reg.Stream {
-				r.dmas[id].stage(streamWin, src, true, true)
-			} else {
-				used += r.dmas[id].stage(arena[used:], src, true, false)
-			}
+		if !r.stageRow(id, row, arena, true) {
+			return false
 		}
 	}
 	r.rings[id].push(command{inst: inst})
 	r.signal()
+	return true
+}
+
+// stageRow DMAs row's imports into SPE id's Local Store, or its exports
+// out of it when out is set. Resident regions fill arena from the bottom
+// and, by fit, stay below the streaming window at its top.
+func (r *cellRunner) stageRow(id int, row []core.MemRegion, arena []byte, out bool) bool {
+	streamWin := arena[localStore-2*dmaChunk:]
+	var used int64
+	for _, reg := range row {
+		if reg.Write != out || reg.Size <= 0 {
+			continue
+		}
+		src, err := r.svb.Slice(reg.Buffer, reg.Offset, reg.Size)
+		if err != nil {
+			r.fail(fmt.Errorf("cellsim: %w", err))
+			return false
+		}
+		if reg.Stream {
+			r.dmas[id].stage(streamWin, src, out, true)
+		} else {
+			used += r.dmas[id].stage(arena[used:], src, out, false)
+		}
+	}
 	return true
 }
 

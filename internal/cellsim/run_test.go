@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -249,6 +250,31 @@ func TestCellMultiBlock(t *testing.T) {
 	}
 	if got := binary.LittleEndian.Uint64(x); got != 42 {
 		t.Fatalf("x = %d, want 42", got)
+	}
+}
+
+// TestCellRefusesBeforeAnyBody: a program whose first Block fits the
+// Local Store and whose second does not runs no body at all, because the
+// whole program is checked before any SPE starts.
+func TestCellRefusesBeforeAnyBody(t *testing.T) {
+	const size = 256 << 10
+	var ran atomic.Int64
+	p := core.NewProgram("late")
+	p.AddBuffer("d", size)
+	for id, n := range []int64{8, size} {
+		tpl := core.NewTemplate(core.ThreadID(id+1), "reader", func(core.Context) { ran.Add(1) })
+		tpl.Access = func(core.Context) []core.MemRegion {
+			return []core.MemRegion{{Buffer: "d", Size: n}}
+		}
+		p.AddBlock().Add(tpl)
+	}
+	svb := core.NewSharedVariableBuffer()
+	svb.Register("d", make([]byte, size))
+	if _, err := Run(p, svb, Config{SPEs: 2}); err == nil || !strings.Contains(err.Error(), "DThread T2.0 needs 262144 bytes of Local Store") {
+		t.Fatalf("err = %v, want the second Block's Local Store refusal", err)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d bodies ran before the refusal, want 0", n)
 	}
 }
 

@@ -99,8 +99,8 @@ type Options struct {
 	// configuration.
 	Progress func(string)
 	// Mode selects how the software platforms (fig6, fig7, unroll) are
-	// measured: on the wall clock, as the simulated machines of package
-	// vtime, or automatically (see Options.virtual).
+	// measured: on the wall clock, as the simulated machines of packages
+	// vtime and cellsim, or automatically (see Options.virtual).
 	Mode Mode
 	// Metrics, when non-nil, receives the runtime counters and histograms
 	// of every measured configuration (live instruments accumulate across
@@ -119,7 +119,7 @@ const (
 )
 
 // virtual reports whether the software platforms of an experiment whose
-// largest kernel count is kernels run as vtime machines: always under
+// largest kernel count is kernels run as simulated machines: always under
 // ModeVirtual, never under ModeWallClock, and under ModeAuto unless every
 // kernel and the TSU emulator can have a CPU of their own.
 func (o Options) virtual(kernels int) bool {
@@ -262,18 +262,6 @@ func hard(label string, cfg hardsim.Config) machine {
 	})
 }
 
-// virtual is a software platform as package vtime models it: the soft or
-// Cell profile's machine, sized from pf's Table 1 column.
-func virtual(label string, pf workload.Platform, cell bool) machine {
-	return simulated(label, pf, "virtual", vtime.Machine(vtime.Config{Cell: cell}), func(p *core.Program, kernels int) (sim.Time, error) {
-		res, err := vtime.Run(p, vtime.Config{Kernels: kernels, Cell: cell})
-		if err != nil {
-			return 0, err
-		}
-		return sim.Time(res.Makespan), nil
-	})
-}
-
 // timed is a software platform on the wall clock: both numbers are the
 // best of o.reps() runs in seconds, the baseline the native sequential
 // algorithm, a parallel run exec (output reset included, as a caller would
@@ -308,7 +296,13 @@ func timed(o Options, label string, pf workload.Platform, exec func(p *core.Prog
 // kernel count.
 func soft(o Options, kernels int) machine {
 	if o.virtual(kernels) {
-		return virtual("TFluxSoft", workload.Native, false)
+		return simulated("TFluxSoft", workload.Native, "virtual", vtime.Machine(vtime.Config{}), func(p *core.Program, kernels int) (sim.Time, error) {
+			res, err := vtime.Run(p, vtime.Config{Kernels: kernels})
+			if err != nil {
+				return 0, err
+			}
+			return sim.Time(res.Makespan), nil
+		})
 	}
 	return timed(o, "TFluxSoft", workload.Native, func(p *core.Program, _ workload.Job, kernels int) error {
 		_, err := rts.Run(p, rts.Options{Kernels: kernels, Metrics: o.Metrics})
@@ -317,10 +311,10 @@ func soft(o Options, kernels int) machine {
 }
 
 // cell is TFluxCell: the SPE substrate over the job's shared buffers, or
-// its vtime machine when o.virtual(kernels).
+// its virtual machine (cellsim.RunVirtual) when o.virtual(kernels).
 func cell(o Options, kernels int) machine {
 	if o.virtual(kernels) {
-		return virtual("TFluxCell", workload.Cell, true)
+		return simulated("TFluxCell", workload.Cell, "virtual", cellsim.Machine(0), cellsim.RunVirtual)
 	}
 	return timed(o, "TFluxCell", workload.Cell, func(p *core.Program, job workload.Job, kernels int) error {
 		_, err := cellsim.Run(p, job.SharedBuffers(), cellsim.Config{SPEs: kernels, Metrics: o.Metrics})

@@ -48,7 +48,7 @@
 //     (§4.2). Kernels deposit completion records into the first available
 //     segment using a non-blocking try-lock so that at most one segment is
 //     held by any kernel at a time; the drainer empties segments in bulk.
-//     A single-lock mode exists as an ablation of the segmentation design,
+//     One segment under one lock is the ablation of the segmentation design,
 //     and an unbounded mode serves as the sharded engine's cross-shard
 //     inbox (where a blocking Push could deadlock two shards).
 //

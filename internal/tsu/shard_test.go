@@ -277,13 +277,13 @@ func TestNewShardedRejects(t *testing.T) {
 // every segment's capacity without blocking — the property the sharded
 // inboxes rely on for deadlock freedom.
 func TestTUBUnboundedNeverBlocks(t *testing.T) {
-	tub := NewTUB(2, TUBConfig{Segments: 1, SegmentCap: 1, Unbounded: true})
-	for i := 0; i < 64; i++ {
+	tub := NewTUB(2, TUBConfig{Segments: 1, Unbounded: true})
+	for i := 0; i < 4*segmentCap; i++ {
 		tub.Push(Completion{Inst: core.Instance{Thread: 1, Ctx: core.Context(i)}})
 	}
 	got := tub.Drain(nil)
-	if len(got) != 64 {
-		t.Fatalf("drained %d records, want 64", len(got))
+	if len(got) != 4*segmentCap {
+		t.Fatalf("drained %d records, want %d", len(got), 4*segmentCap)
 	}
 	if st := tub.Stats(); st.Blocked != 0 {
 		t.Fatalf("unbounded TUB blocked %d times", st.Blocked)

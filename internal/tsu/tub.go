@@ -21,38 +21,24 @@ type Completion struct {
 	Targets []core.Instance
 }
 
+// segmentCap is the per-segment record capacity.
+const segmentCap = 64
+
 // TUBConfig configures the Thread-to-Update Buffer.
 type TUBConfig struct {
 	// Segments is the number of independently locked segments. The paper
 	// partitions the TUB so each kernel holds at most one segment lock at
-	// a time, acquired with try-lock. Zero selects 2×kernels.
+	// a time, acquired with try-lock. Zero selects 2×kernels; 1 is the
+	// single-lock ablation showing why the paper partitions the TUB.
 	Segments int
-	// SegmentCap is the per-segment record capacity. Zero selects 64.
-	SegmentCap int
-	// SingleLock disables segmentation (one global lock) — the ablation
-	// configuration showing why the paper partitions the TUB.
-	SingleLock bool
-	// Unbounded lets a Push grow a segment past SegmentCap instead of
+	// Unbounded lets a Push grow a segment past segmentCap instead of
 	// blocking for space. The sharded TSU uses this for its cross-shard
 	// inboxes: every shard is both a producer into its peers' inboxes and
 	// the drainer of its own, so a blocking Push could deadlock two shards
 	// against each other's full inboxes. Capacity stays bounded in
-	// practice by the Block's arc count. SegmentCap still sizes the
+	// practice by the Block's arc count. segmentCap still sizes the
 	// initial allocation.
 	Unbounded bool
-}
-
-func (c TUBConfig) withDefaults(kernels int) TUBConfig {
-	if c.Segments <= 0 {
-		c.Segments = 2 * kernels
-	}
-	if c.SegmentCap <= 0 {
-		c.SegmentCap = 64
-	}
-	if c.SingleLock {
-		c.Segments = 1
-	}
-	return c
 }
 
 // TUBStats counts TUB traffic and contention.
@@ -75,7 +61,6 @@ type tubSegment struct {
 	cond  *sync.Cond
 	buf   []tubRec
 	arena []core.Instance // the targets of buf's records, back to back
-	cap   int
 }
 
 // TUB is the Thread-to-Update Buffer shared between the Kernels (writers)
@@ -113,7 +98,9 @@ var tubPool sync.Pool
 // NewTUB builds a TUB for the given number of kernels, reusing a Released
 // one when the pool has one.
 func NewTUB(kernels int, cfg TUBConfig) *TUB {
-	cfg = cfg.withDefaults(kernels)
+	if cfg.Segments <= 0 {
+		cfg.Segments = 2 * kernels
+	}
 	t, _ := tubPool.Get().(*TUB)
 	if t == nil {
 		t = &TUB{notify: make(chan struct{}, 1)}
@@ -127,9 +114,9 @@ func NewTUB(kernels int, cfg TUBConfig) *TUB {
 	t.segs = t.segs[:cfg.Segments]
 	for i := range t.segs {
 		seg := &t.segs[i]
-		seg.buf, seg.arena, seg.cap = seg.buf[:0], seg.arena[:0], cfg.SegmentCap
-		if cap(seg.buf) < cfg.SegmentCap {
-			seg.buf = make([]tubRec, 0, cfg.SegmentCap)
+		seg.buf, seg.arena = seg.buf[:0], seg.arena[:0]
+		if cap(seg.buf) < segmentCap {
+			seg.buf = make([]tubRec, 0, segmentCap)
 		}
 	}
 	select {
@@ -184,7 +171,7 @@ func (t *TUB) Push(rec Completion) {
 				t.tryMisses.Add(1)
 				continue
 			}
-			if len(seg.buf) >= seg.cap && !t.unbounded {
+			if len(seg.buf) >= segmentCap && !t.unbounded {
 				seg.mu.Unlock()
 				t.tryMisses.Add(1)
 				continue
@@ -196,12 +183,12 @@ func (t *TUB) Push(rec Completion) {
 			return
 		}
 	}
-	// Fallback on the home segment (and the only path in single-lock
-	// mode): blocking for space, or growing past cap in unbounded mode.
+	// Fallback on the home segment (and the only path with one segment):
+	// blocking for space, or growing past segmentCap when unbounded.
 	seg := &t.segs[home]
 	seg.mu.Lock()
 	waited := false
-	for len(seg.buf) >= seg.cap && !t.unbounded {
+	for len(seg.buf) >= segmentCap && !t.unbounded {
 		if t.closed.Load() {
 			// Aborted run: nobody will drain; drop the record rather
 			// than deadlock the kernel.
@@ -300,6 +287,3 @@ func (t *TUB) Stats() TUBStats {
 		Blocked:   t.blocked.Load(),
 	}
 }
-
-// Segments returns the number of segments (for tests and stats).
-func (t *TUB) Segments() int { return len(t.segs) }

@@ -1,6 +1,7 @@
 package tsu
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -62,45 +63,63 @@ func hammerTUB(t *testing.T, cfg TUBConfig, writers, perWriter int) TUBStats {
 }
 
 func TestTUBNoLossUnderContention(t *testing.T) {
-	st := hammerTUB(t, TUBConfig{Segments: 4, SegmentCap: 8}, 8, 500)
+	st := hammerTUB(t, TUBConfig{Segments: 4}, 8, 500)
 	if st.Pushes != 8*500 {
 		t.Fatalf("pushes = %d, want %d", st.Pushes, 8*500)
 	}
 }
 
 func TestTUBSingleLockMode(t *testing.T) {
-	tub := NewTUB(4, TUBConfig{SingleLock: true, SegmentCap: 4})
-	if tub.Segments() != 1 {
-		t.Fatalf("single-lock TUB has %d segments, want 1", tub.Segments())
+	tub := NewTUB(4, TUBConfig{Segments: 1})
+	if len(tub.segs) != 1 {
+		t.Fatalf("single-lock TUB has %d segments, want 1", len(tub.segs))
 	}
-	hammerTUB(t, TUBConfig{SingleLock: true, SegmentCap: 4}, 4, 200)
+	hammerTUB(t, TUBConfig{Segments: 1}, 4, 200)
 }
 
+// TestTUBBlockingFallbackTinyCapacity: a writer that finds the only
+// segment full blocks, counts once in Blocked, and deposits its record
+// once the drainer makes room (a single-segment TUB has no try-lock pass,
+// so this is the only place its waits can be counted).
 func TestTUBBlockingFallbackTinyCapacity(t *testing.T) {
-	// One segment of capacity 1 forces the blocking path constantly; the
-	// reader must keep everything flowing, and the writers that waited
-	// must show in Blocked (a single-segment TUB has no try-lock pass, so
-	// this is the only place its waits can be counted).
-	st := hammerTUB(t, TUBConfig{Segments: 1, SegmentCap: 1}, 3, 300)
-	if st.Blocked == 0 {
-		t.Fatalf("Blocked = 0 after %d pushes into one 1-record segment, want > 0", st.Pushes)
+	tub := NewTUB(1, TUBConfig{Segments: 1})
+	for i := 0; i < segmentCap; i++ {
+		tub.Push(Completion{Inst: core.Instance{Thread: 1, Ctx: core.Context(i)}})
 	}
-	if st.Blocked > st.Pushes {
-		t.Fatalf("Blocked = %d exceeds the %d pushes; a push that waits counts once", st.Blocked, st.Pushes)
+	if st := tub.Stats(); st.Blocked != 0 {
+		t.Fatalf("Blocked = %d before the segment was full, want 0", st.Blocked)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tub.Push(Completion{Inst: core.Instance{Thread: 2}})
+	}()
+	// The drainer is held until the writer has found the segment full.
+	for tub.Stats().Blocked == 0 {
+		runtime.Gosched()
+	}
+	var recs []Completion
+	for n := 0; n < segmentCap+1; n += len(recs) {
+		recs = tub.Drain(recs[:0])
+		runtime.Gosched()
+	}
+	<-done
+	if st := tub.Stats(); st.Blocked != 1 || st.Pushes != segmentCap+1 {
+		t.Fatalf("Blocked = %d, Pushes = %d, want 1 and %d", st.Blocked, st.Pushes, segmentCap+1)
 	}
 }
 
 func TestTUBDefaults(t *testing.T) {
 	tub := NewTUB(5, TUBConfig{})
-	if tub.Segments() != 10 {
-		t.Fatalf("default segments = %d, want 2*kernels = 10", tub.Segments())
+	if len(tub.segs) != 10 {
+		t.Fatalf("default segments = %d, want 2*kernels = 10", len(tub.segs))
 	}
 }
 
 func TestTUBTargetsRoundTrip(t *testing.T) {
 	// Push copies the targets, so the writer may reuse its slice at once,
 	// and Drain hands them back in deposit order, record by record.
-	tub := NewTUB(2, TUBConfig{Segments: 2, SegmentCap: 4})
+	tub := NewTUB(2, TUBConfig{Segments: 2})
 	var targets []core.Instance
 	for i := 0; i < 6; i++ {
 		targets = targets[:0]
@@ -155,7 +174,7 @@ func TestTUBPushDrainAllocatesNothing(t *testing.T) {
 }
 
 func TestTUBDrainEmptiesSegments(t *testing.T) {
-	tub := NewTUB(2, TUBConfig{Segments: 2, SegmentCap: 4})
+	tub := NewTUB(2, TUBConfig{Segments: 2})
 	for i := 0; i < 6; i++ {
 		tub.Push(Completion{Inst: core.Instance{Ctx: core.Context(i)}, Kernel: KernelID(i % 2)})
 	}
@@ -171,16 +190,18 @@ func TestTUBDrainEmptiesSegments(t *testing.T) {
 func TestTUBClosedDropNotCountedAsDeposit(t *testing.T) {
 	// A record dropped on a closed, full TUB (error-path shutdown) must
 	// not inflate the Pushes counter: only accepted deposits count.
-	tub := NewTUB(1, TUBConfig{Segments: 1, SegmentCap: 1})
-	tub.Push(Completion{Inst: core.Instance{Thread: 1}})
-	if got := tub.Stats().Pushes; got != 1 {
-		t.Fatalf("pushes = %d after one accepted deposit, want 1", got)
+	tub := NewTUB(1, TUBConfig{Segments: 1})
+	for i := 0; i < segmentCap; i++ {
+		tub.Push(Completion{Inst: core.Instance{Thread: 1, Ctx: core.Context(i)}})
+	}
+	if got := tub.Stats().Pushes; got != segmentCap {
+		t.Fatalf("pushes = %d after %d accepted deposits", got, segmentCap)
 	}
 	tub.Close()
 	// Segment is full and the TUB is closed: this push is dropped.
 	tub.Push(Completion{Inst: core.Instance{Thread: 2}})
-	if got := tub.Stats().Pushes; got != 1 {
-		t.Fatalf("pushes = %d after dropped deposit, want 1 (drops must not count)", got)
+	if got := tub.Stats().Pushes; got != segmentCap {
+		t.Fatalf("pushes = %d after dropped deposit, want %d (drops must not count)", got, segmentCap)
 	}
 }
 

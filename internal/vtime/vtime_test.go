@@ -70,42 +70,6 @@ func TestVirtualOverheadDominatesFineGrains(t *testing.T) {
 	}
 }
 
-func TestVirtualCellChargesDMA(t *testing.T) {
-	p := core.NewProgram("dma")
-	p.AddBuffer("buf", 1<<20)
-	b := p.AddBlock()
-	tpl := core.NewTemplate(1, "reader", func(core.Context) {})
-	tpl.Access = func(core.Context) []core.MemRegion {
-		return []core.MemRegion{{Buffer: "buf", Size: 1 << 20, Stream: true}}
-	}
-	b.Add(tpl)
-	res, err := Run(p, Config{Kernels: 2, Cell: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DMA == 0 {
-		t.Fatal("no DMA time modeled")
-	}
-	// 64 transfers × 1µs setup + 1 MiB / 8 B/ns ≈ 64µs + 131µs.
-	if res.DMA < 150*time.Microsecond || res.DMA > 400*time.Microsecond {
-		t.Fatalf("DMA time = %v, want ≈195µs", res.DMA)
-	}
-	if res.Makespan < res.DMA {
-		t.Fatal("makespan must include DMA time")
-	}
-}
-
-func TestVirtualSoftIgnoresDMA(t *testing.T) {
-	p, _ := spinProgram(4, 1000)
-	res, err := Run(p, Config{Kernels: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DMA != 0 {
-		t.Fatalf("soft profile charged DMA: %v", res.DMA)
-	}
-}
-
 func TestVirtualRunsRealWorkloads(t *testing.T) {
 	// A run must execute real benchmark bodies and keep outputs
 	// verifiable.
@@ -124,32 +88,26 @@ func TestVirtualRunsRealWorkloads(t *testing.T) {
 
 // TestVirtualRunIsDeterministic: time comes from the Cost models and the
 // access table, never from the host's clock, so two runs of one program
-// read the same makespan and DMA time on either profile (the Cell one
-// runs a staged copy of the program, whose bodies still write the output).
+// read the same makespan (cellsim pins the same for the virtual Cell).
 func TestVirtualRunIsDeterministic(t *testing.T) {
-	for _, cell := range []bool{false, true} {
-		var got [2]Result
-		for i := range got {
-			job := workload.NewMMult(48)
-			p, err := job.Build(3, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(p, Config{Kernels: 3, Cell: cell})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := job.Verify(); err != nil {
-				t.Fatalf("cell=%t: %v", cell, err)
-			}
-			got[i] = *res
+	var got [2]Result
+	for i := range got {
+		job := workload.NewMMult(48)
+		p, err := job.Build(3, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got[0] != got[1] {
-			t.Errorf("cell=%t: two runs read %+v and %+v", cell, got[0], got[1])
+		res, err := Run(p, Config{Kernels: 3})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cell != (got[0].DMA > 0) {
-			t.Errorf("cell=%t: DMA %v", cell, got[0].DMA)
+		if err := job.Verify(); err != nil {
+			t.Fatal(err)
 		}
+		got[i] = *res
+	}
+	if got[0] != got[1] {
+		t.Errorf("two runs read %+v and %+v", got[0], got[1])
 	}
 }
 
@@ -181,28 +139,12 @@ func TestVirtualPreservesAffinity(t *testing.T) {
 	}
 }
 
-// TestVirtualConfigDefaults pins the Machine vtime models for each
-// platform profile (the soft one on hardsim's default cache model, the
-// Cell one on free memory) and the DMA staging model: every virtual-time
-// figure in EXPERIMENTS.md rests on these constants.
+// TestVirtualConfigDefaults pins the Machine vtime models, on hardsim's
+// default cache model: every virtual TFluxSoft figure in EXPERIMENTS.md
+// rests on these constants.
 func TestVirtualConfigDefaults(t *testing.T) {
-	for _, tc := range []struct {
-		cfg  Config
-		want hardsim.Config
-	}{
-		{Config{}, hardsim.Config{TSULat: 1500, MMILat: 300, DecLat: 100, ServiceCost: 1500}},
-		{Config{Kernels: 6, Cell: true}, hardsim.Config{Cores: 6, TSULat: 4000, MMILat: 1000, DecLat: 100, ServiceCost: 4000, Mem: freeMem()}},
-	} {
-		if got := Machine(tc.cfg); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("Machine(%+v) = %+v, want %+v", tc.cfg, got, tc.want)
-		}
-	}
-	// 1 MiB in 16 KiB transfers: 64 × 1µs setup + 2^20 B / 8 B/ns.
-	if got := dmaTime([]core.MemRegion{{Size: 1 << 20}, {Size: 0}}); got != 64*time.Microsecond+131072*time.Nanosecond {
-		t.Errorf("dmaTime(1 MiB) = %v", got)
-	}
-	// A partial chunk is one more transfer.
-	if got := dmaTime([]core.MemRegion{{Size: 16<<10 + 8}}); got != 2*time.Microsecond+2049*time.Nanosecond {
-		t.Errorf("dmaTime(16 KiB + 8) = %v", got)
+	want := hardsim.Config{Cores: 6, TSULat: 1500, MMILat: 300, DecLat: 100, ServiceCost: 1500}
+	if got := Machine(Config{Kernels: 6}); !reflect.DeepEqual(got, want) {
+		t.Errorf("Machine = %+v, want %+v", got, want)
 	}
 }

@@ -22,7 +22,8 @@
 //     exports as the only data movement between them.
 //   - RunVirtual — TFluxSoft or TFluxCell as a simulated machine with a
 //     software TSU's costs: bodies run natively, time comes from their
-//     Cost and Access models, on any number of Kernels.
+//     Cost and Access models, on any number of Kernels. The Cell machine
+//     refuses what RunCell refuses and charges the same DMA staging.
 //
 // RunStream runs a windowed pipeline over an event stream on TFluxSoft.
 //
@@ -49,6 +50,7 @@ package tflux
 
 import (
 	"io"
+	"time"
 
 	"tflux/internal/cellsim"
 	"tflux/internal/core"
@@ -218,15 +220,21 @@ type (
 	// regions of it by DMA, RunDistLocal keeps one per node. The name
 	// predates the store's move out of the Cell simulator.
 	CellBuffers = core.SharedVariableBuffer
-	// VirtualConfig configures virtual-time execution (vtime.Config):
-	// the kernel count and the soft or Cell profile, whose TSU costs
-	// and DMA model are fixed.
-	VirtualConfig = vtime.Config
 	// VirtualResult is the virtual-time outcome (vtime.Result): the
-	// simulated makespan and, on the Cell profile, its DMA staging time,
-	// one nanosecond per cycle.
+	// simulated makespan, one nanosecond per cycle.
 	VirtualResult = vtime.Result
 )
+
+// VirtualConfig picks RunVirtual's machine. Its TSU costs and DMA prices
+// are fixed.
+type VirtualConfig struct {
+	// Kernels is the number of compute workers: TFluxSoft Kernels or Cell
+	// SPEs. Zero selects 1.
+	Kernels int
+	// Cell selects TFluxCell (cellsim.RunVirtual) instead of TFluxSoft
+	// (vtime.Run).
+	Cell bool
+}
 
 // Observability types, aliased from internal/obs: one event model and one
 // metrics registry shared by all platforms. Attach a Recorder via
@@ -334,10 +342,19 @@ func RunCell(p *Program, bufs *CellBuffers, cfg CellConfig) (*CellStats, error) 
 // RunVirtual executes the program in virtual time: bodies run natively
 // for their outputs, and the returned makespan is simulated on cfg.Kernels
 // workers with software-TSU overheads, each DThread priced by its Cost
-// model and access-table row as RunHard prices it. It repeats exactly on
-// any host, whatever its core count.
+// model and access-table row: through a cache model as RunHard prices it
+// on TFluxSoft, as DMA staging into the Local Store on TFluxCell, which
+// refuses what RunCell refuses. It repeats exactly on any host, whatever
+// its core count.
 func RunVirtual(p *Program, cfg VirtualConfig) (*VirtualResult, error) {
-	return vtime.Run(p.p, cfg)
+	if !cfg.Cell {
+		return vtime.Run(p.p, vtime.Config{Kernels: cfg.Kernels})
+	}
+	t, err := cellsim.RunVirtual(p.p, cfg.Kernels)
+	if err != nil {
+		return nil, err
+	}
+	return &VirtualResult{Makespan: time.Duration(t)}, nil
 }
 
 // Streaming execution: instead of one batch program run to completion,
@@ -405,7 +422,7 @@ func RunStream(p *StreamPipeline, src StreamSource, opt StreamOptions) (StreamSt
 }
 
 // VetStream statically verifies the pipeline across window generations
-// under opt.Policy, the only option that enters the verdict. Beyond the
+// under policy, the only setting that enters the verdict. Beyond the
 // batch checks on the per-window graph (see Vet), it analyzes the
 // declared slot-scratch model for reads that would observe a recycled
 // slot's stale data — in full windows (stale-scratch) and in the padded
@@ -418,6 +435,6 @@ func RunStream(p *StreamPipeline, src StreamSource, opt StreamOptions) (StreamSt
 // without a ScratchFn contribute nothing to it, and an undeclared
 // access is invisible. A pipeline with no scratch model gets only the
 // structural guarantees.
-func VetStream(p *StreamPipeline, opt StreamOptions) (*VetReport, error) {
-	return ddmlint.LintStream(p, opt.Policy)
+func VetStream(p *StreamPipeline, policy StreamPolicy) (*VetReport, error) {
+	return ddmlint.LintStream(p, policy)
 }

@@ -101,18 +101,20 @@ func TestPublicAPICell(t *testing.T) {
 }
 
 func TestPublicAPIVirtual(t *testing.T) {
-	vals := make([]float64, 4)
-	var total float64
-	p := buildPipeline(vals, &total)
-	res, err := tflux.RunVirtual(p, tflux.VirtualConfig{Kernels: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != wantTotal {
-		t.Fatalf("total = %v, want %v", total, wantTotal)
-	}
-	if res.Makespan <= 0 {
-		t.Fatal("no makespan")
+	for _, cell := range []bool{false, true} {
+		vals := make([]float64, 4)
+		var total float64
+		p := buildPipeline(vals, &total)
+		res, err := tflux.RunVirtual(p, tflux.VirtualConfig{Kernels: 2, Cell: cell})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total != wantTotal {
+			t.Fatalf("cell=%t: total = %v, want %v", cell, total, wantTotal)
+		}
+		if res.Makespan <= 0 {
+			t.Fatalf("cell=%t: no makespan", cell)
+		}
 	}
 }
 
