@@ -7,6 +7,7 @@ import (
 
 	"tflux/internal/core"
 	"tflux/internal/hardsim"
+	"tflux/internal/mem"
 	"tflux/internal/workload"
 )
 
@@ -67,6 +68,37 @@ func TestVirtualOverheadDominatesFineGrains(t *testing.T) {
 	m1, m6 := fine(1), fine(6)
 	if sp := float64(m1) / float64(m6); sp > 2.5 {
 		t.Fatalf("fine-grained virtual speedup = %.2f, want overhead-bound (<2.5)", sp)
+	}
+}
+
+// TestVirtualSoftIgnoresDMA: TFluxSoft's kernels read shared memory in
+// place, so an access-table row is priced only as cache traffic on the
+// default hierarchy, with no staging copy on top (the virtual Cell's DMA
+// charge lives in cellsim).
+func TestVirtualSoftIgnoresDMA(t *testing.T) {
+	cfg := Config{Kernels: 2}
+	m := Machine(cfg)
+	if !reflect.DeepEqual(m.Mem, mem.Config{}) {
+		t.Fatalf("soft machine's cache model = %+v, want the default (zero)", m.Mem)
+	}
+	build := func() *core.Program {
+		p, _ := spinProgram(4, 1000)
+		p.AddBuffer("buf", 1<<20)
+		p.Blocks[0].Templates[0].Access = func(core.Context) []core.MemRegion {
+			return []core.MemRegion{{Buffer: "buf", Size: 1 << 20, Stream: true}}
+		}
+		return p
+	}
+	res, err := Run(build(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hard, err := hardsim.Run(build(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := time.Duration(hard.Cycles); res.Makespan != want {
+		t.Fatalf("soft makespan = %v, want the cache model's %v and nothing more", res.Makespan, want)
 	}
 }
 
