@@ -2,6 +2,7 @@ package cellsim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -169,9 +170,10 @@ func footprint(row []core.MemRegion) int64 {
 
 // fit walks every instance of p, Block by Block in template and context
 // order, and returns the largest footprint, or refuses the first instance
-// whose footprint exceeds the Local Store left for data. Run and
-// RunVirtual both call it before any body runs, so the two Cell machines
-// refuse the same programs with the same error.
+// with a region outside its declared buffer or a footprint beyond the
+// Local Store left for data. Run and RunVirtual both call it before any
+// body runs, so the two Cell machines refuse the same programs with the
+// same error.
 func fit(p *core.Program) (int64, error) {
 	rows := p.AccessTable()
 	var high int64
@@ -179,7 +181,11 @@ func fit(p *core.Program) (int64, error) {
 		for _, t := range b.Templates {
 			for ctx := core.Context(0); ctx < t.Instances; ctx++ {
 				inst := core.Instance{Thread: t.ID, Ctx: ctx}
-				fp := footprint(rows.Row(inst))
+				row := rows.Row(inst)
+				if err := inBuffers(row, p.Buffers); err != nil {
+					return 0, fmt.Errorf("cellsim: DThread %v: %w", inst, err)
+				}
+				fp := footprint(row)
 				if fp > localStore-reserve {
 					return 0, fmt.Errorf("cellsim: DThread %v needs %d bytes of Local Store, only %d available (problem size does not fit the SPE Local Store; restructure as the paper's §6.3 notes)",
 						inst, fp, localStore-reserve)
@@ -189,6 +195,22 @@ func fit(p *core.Program) (int64, error) {
 		}
 	}
 	return high, nil
+}
+
+// inBuffers checks that every region of row lies inside the buffer of
+// decls it names, by the one bounds predicate and in the words of
+// core.SharedVariableBuffer.Slice.
+func inBuffers(row []core.MemRegion, decls []core.Buffer) error {
+	for _, reg := range row {
+		i := slices.IndexFunc(decls, func(d core.Buffer) bool { return d.Name == reg.Buffer })
+		switch {
+		case i < 0:
+			return fmt.Errorf("region references undeclared buffer %q", reg.Buffer)
+		case !core.InBounds(reg.Offset, reg.Size, decls[i].Size):
+			return core.OutsideBuffer(reg.Buffer, reg.Offset, reg.Size, decls[i].Size)
+		}
+	}
+	return nil
 }
 
 type cellRunner struct {

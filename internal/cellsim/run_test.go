@@ -253,28 +253,40 @@ func TestCellMultiBlock(t *testing.T) {
 	}
 }
 
-// TestCellRefusesBeforeAnyBody: a program whose first Block fits the
-// Local Store and whose second does not runs no body at all, because the
+// TestCellRefusesBeforeAnyBody: a program whose first Block fits and
+// whose second does not — it overflows the Local Store, or reaches past
+// its buffer — runs no body at all on either Cell machine, because the
 // whole program is checked before any SPE starts.
 func TestCellRefusesBeforeAnyBody(t *testing.T) {
 	const size = 256 << 10
-	var ran atomic.Int64
-	p := core.NewProgram("late")
-	p.AddBuffer("d", size)
-	for id, n := range []int64{8, size} {
-		tpl := core.NewTemplate(core.ThreadID(id+1), "reader", func(core.Context) { ran.Add(1) })
-		tpl.Access = func(core.Context) []core.MemRegion {
-			return []core.MemRegion{{Buffer: "d", Size: n}}
+	for _, tc := range []struct {
+		late core.MemRegion
+		want string
+	}{
+		{core.MemRegion{Size: size}, "DThread T2.0 needs 262144 bytes of Local Store"},
+		{core.MemRegion{Offset: size - 8, Size: 64}, `DThread T2.0: region [262136,+64) outside buffer "d" (262144 bytes)`},
+	} {
+		var ran atomic.Int64
+		p := core.NewProgram("late")
+		p.AddBuffer("d", size)
+		for id, reg := range []core.MemRegion{{Size: 8}, tc.late} {
+			tpl := core.NewTemplate(core.ThreadID(id+1), "reader", func(core.Context) { ran.Add(1) })
+			reg.Buffer = "d"
+			tpl.Access = func(core.Context) []core.MemRegion { return []core.MemRegion{reg} }
+			p.AddBlock().Add(tpl)
 		}
-		p.AddBlock().Add(tpl)
-	}
-	svb := core.NewSharedVariableBuffer()
-	svb.Register("d", make([]byte, size))
-	if _, err := Run(p, svb, Config{SPEs: 2}); err == nil || !strings.Contains(err.Error(), "DThread T2.0 needs 262144 bytes of Local Store") {
-		t.Fatalf("err = %v, want the second Block's Local Store refusal", err)
-	}
-	if n := ran.Load(); n != 0 {
-		t.Fatalf("%d bodies ran before the refusal, want 0", n)
+		svb := core.NewSharedVariableBuffer()
+		svb.Register("d", make([]byte, size))
+		_, runErr := Run(p, svb, Config{SPEs: 2})
+		_, virtErr := RunVirtual(p, 2)
+		for _, err := range []error{runErr, virtErr} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want the second Block's refusal %q", err, tc.want)
+			}
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("%q: %d bodies ran before the refusal, want 0", tc.want, n)
+		}
 	}
 }
 

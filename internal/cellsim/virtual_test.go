@@ -11,19 +11,17 @@ import (
 	"tflux/internal/workload"
 )
 
-// importProgram is n DThreads that each import the first size bytes of
-// one buffer, resident unless stream, with bodies that count their runs
-// and cost 1 µs.
-func importProgram(n core.Context, size int64, stream bool) (*core.Program, *core.SharedVariableBuffer, *atomic.Int64) {
+// importProgram is n DThreads that each import reg of a buffer "d" of
+// size bytes, with bodies that count their runs and cost 1 µs.
+func importProgram(n core.Context, size int64, reg core.MemRegion) (*core.Program, *core.SharedVariableBuffer, *atomic.Int64) {
 	ran := new(atomic.Int64)
 	p := core.NewProgram("import")
 	p.AddBuffer("d", size)
 	tpl := core.NewTemplate(1, "reader", func(core.Context) { ran.Add(1) })
 	tpl.Instances = n
 	tpl.Cost = func(core.Context) int64 { return 1000 }
-	tpl.Access = func(core.Context) []core.MemRegion {
-		return []core.MemRegion{{Buffer: "d", Size: size, Stream: stream}}
-	}
+	reg.Buffer = "d"
+	tpl.Access = func(core.Context) []core.MemRegion { return []core.MemRegion{reg} }
 	p.AddBlock().Add(tpl)
 	svb := core.NewSharedVariableBuffer()
 	svb.Register("d", make([]byte, size))
@@ -36,14 +34,16 @@ func importProgram(n core.Context, size int64, stream bool) (*core.Program, *cor
 func TestVirtualCellRefusalParity(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		size int64
+		size int64 // of the buffer
+		reg  core.MemRegion
 		want string // "" when the program fits
 	}{
-		{"1 MiB resident import", 1 << 20, "cellsim: DThread T1.0 needs 1048576 bytes of Local Store, only 229376 available (problem size does not fit the SPE Local Store; restructure as the paper's §6.3 notes)"},
-		{"exactly the Local Store left for data", 229376, ""},
-		{"one byte more", 229377, "cellsim: DThread T1.0 needs 229377 bytes of Local Store, only 229376 available (problem size does not fit the SPE Local Store; restructure as the paper's §6.3 notes)"},
+		{"1 MiB resident import", 1 << 20, core.MemRegion{Size: 1 << 20}, "cellsim: DThread T1.0 needs 1048576 bytes of Local Store, only 229376 available (problem size does not fit the SPE Local Store; restructure as the paper's §6.3 notes)"},
+		{"exactly the Local Store left for data", 229376, core.MemRegion{Size: 229376}, ""},
+		{"one byte more", 229377, core.MemRegion{Size: 229377}, "cellsim: DThread T1.0 needs 229377 bytes of Local Store, only 229376 available (problem size does not fit the SPE Local Store; restructure as the paper's §6.3 notes)"},
+		{"region outside its buffer", 16, core.MemRegion{Offset: 8, Size: 64}, `cellsim: DThread T1.0: region [8,+64) outside buffer "d" (16 bytes)`},
 	} {
-		p, svb, ran := importProgram(2, tc.size, false)
+		p, svb, ran := importProgram(2, tc.size, tc.reg)
 		_, runErr := Run(p, svb, Config{SPEs: 2})
 		_, virtErr := RunVirtual(p, 2)
 		for _, leg := range []struct {
@@ -72,12 +72,12 @@ func TestVirtualCellRefusalParity(t *testing.T) {
 // transfers of 16 KiB at 1 µs each plus 2^20 B at 8 B/ns on top of what
 // the same program costs without the region.
 func TestVirtualCellChargesDMA(t *testing.T) {
-	p, _, _ := importProgram(1, 1<<20, true)
+	p, _, _ := importProgram(1, 1<<20, core.MemRegion{Size: 1 << 20, Stream: true})
 	withDMA, err := RunVirtual(p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, _, _ := importProgram(1, 1<<20, true)
+	bare, _, _ := importProgram(1, 1<<20, core.MemRegion{Size: 1 << 20, Stream: true})
 	bare.Blocks[0].Templates[0].Access = nil
 	without, err := RunVirtual(bare, 2)
 	if err != nil {

@@ -71,7 +71,13 @@ func (s *SharedVariableBuffer) Slice(buffer string, off, n int64) ([]byte, error
 		return nil, fmt.Errorf("region references unregistered buffer %q", buffer)
 	}
 	if !InBounds(off, n, int64(len(b))) {
-		return nil, fmt.Errorf("region [%d,+%d) outside buffer %q (%d bytes)", off, n, buffer, len(b))
+		return nil, OutsideBuffer(buffer, off, n, int64(len(b)))
 	}
 	return b[off : off+n : off+n], nil
+}
+
+// OutsideBuffer is the error for the n bytes at off that fail InBounds
+// in a buffer of size bytes, worded the same wherever a region is refused.
+func OutsideBuffer(buffer string, off, n, size int64) error {
+	return fmt.Errorf("region [%d,+%d) outside buffer %q (%d bytes)", off, n, buffer, size)
 }

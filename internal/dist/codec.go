@@ -176,7 +176,8 @@ func (rx *rxBuf) release() {
 // every release overwrite the receive buffer — payload bytes with 0xA5,
 // decoded records with values no honest frame carries — so that a frame
 // read after its release fails loudly instead of quietly reading the next
-// frame's bytes. poisoned counts the buffers poisoned.
+// frame's bytes. The Fleet poisons each lease it frees the same way
+// (lease.poison). poisoned counts the receive buffers poisoned.
 var (
 	poisonReleased atomic.Bool
 	poisoned       atomic.Int64

@@ -33,8 +33,11 @@ func (l *link) sendDoneBatch(dones []Done) error {
 // poisonRecycled turns on, for the rest of t, the release hook that
 // overwrites every released receive buffer: any frame read after its
 // release then reads 0xA5 bytes and impossible records instead of the
-// next frame's, and the test's byte checks fail. A test during which no
-// buffer was poisoned fails too.
+// next frame's, and the test's byte checks fail. The Fleet's freed leases
+// are overwritten too, with node and generation −1 and an instance no
+// program has, so a lease read after it was recycled indexes out of range
+// or matches no Done or timer. A test during which no buffer was poisoned
+// fails too.
 func poisonRecycled(t *testing.T) {
 	t.Helper()
 	before := setPoisonReleased(true)

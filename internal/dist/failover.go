@@ -163,6 +163,20 @@ type lease struct {
 	failedAt time.Time // when its node was declared dead (failover latency)
 }
 
+// poison overwrites a freed lease with values no live lease holds — node
+// and generation −1, an instance no program has — so a read after
+// Fleet.putLease indexes out of range or matches nothing. Only tests turn
+// the hook on, so it stays out of line, out of the loop's hot functions.
+//
+//go:noinline
+func (ls *lease) poison() {
+	w := uint64(0xA5A5A5A5A5A5A5A5) // a variable, so the signed conversions wrap
+	*ls = lease{
+		inst: core.Instance{Thread: core.ThreadID(w), Ctx: core.Context(w)},
+		kern: tsu.KernelID(-1), node: -1, attempts: -1, gen: -1, bytes: -1,
+	}
+}
+
 // backoffDelay returns the capped exponential backoff before the given
 // re-dispatch (retry 1 is the first re-dispatch).
 func backoffDelay(retry int, base, max time.Duration) time.Duration {

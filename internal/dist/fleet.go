@@ -74,6 +74,12 @@ type Fleet struct {
 	// freeTables parks the region tables of closed sessions, emptied but
 	// with their grown arrays, for the next sessions to track in.
 	freeTables []*regionTable
+	// freeLeases parks the leases of completed instances and closed
+	// sessions for enqueueExec to take (putLease). No pointer to a lease
+	// outlives its entry in a session's map: a re-dispatch timer carries
+	// (prog, inst, gen) and looks the lease up again, and genCtr only
+	// grows, so a stale timer never matches a reused lease.
+	freeLeases []*lease
 	// exports holds, for the Done being applied, what each export was
 	// validated against; reused across Dones.
 	exports []validExport
@@ -768,15 +774,9 @@ func (f *Fleet) closeSession(s *session, err error) {
 	for _, t := range s.timers {
 		t.Stop()
 	}
-	// Release the window slots its in-flight leases still occupy (dead
-	// nodes already zeroed theirs) and scrub its deferred and staged
-	// work so no further frames carry this program.
-	for _, ls := range s.leases {
-		if f.alive[ls.node] {
-			f.nodes[ls.node].inflight--
-			f.setInflight(ls.node)
-		}
-	}
+	// Scrub its deferred and staged work so no further frames carry this
+	// program, then release the window slots its in-flight leases still
+	// occupy (dead nodes already zeroed theirs) and the leases themselves.
 	for i := range f.nodes {
 		nio := &f.nodes[i]
 		if nio.deferred != nil {
@@ -800,6 +800,14 @@ func (f *Fleet) closeSession(s *session, err error) {
 			}
 		}
 	}
+	for _, ls := range s.leases {
+		if f.alive[ls.node] {
+			f.nodes[ls.node].inflight--
+			f.setInflight(ls.node)
+		}
+		f.putLease(ls)
+	}
+	clear(s.leases)
 	for i, l := range f.links {
 		if !f.alive[i] {
 			continue
@@ -1010,7 +1018,13 @@ func (f *Fleet) enqueueExec(s *session, inst core.Instance, kern tsu.KernelID, t
 		return err
 	}
 	ex.Kernel = f.localFor(kern, target)
-	ls := &lease{inst: inst, kern: kern, node: target, attempts: 1, wall: time.Now(), bytes: shipped}
+	var ls *lease
+	if k := len(f.freeLeases); k > 0 {
+		ls, f.freeLeases = f.freeLeases[k-1], f.freeLeases[:k-1]
+	} else {
+		ls = new(lease)
+	}
+	*ls = lease{inst: inst, kern: kern, node: target, attempts: 1, wall: time.Now(), bytes: shipped}
 	if f.sink != nil {
 		ls.at = f.sink.Now()
 	}
@@ -1020,6 +1034,20 @@ func (f *Fleet) enqueueExec(s *session, inst core.Instance, kern tsu.KernelID, t
 	f.setInflight(target)
 	f.appendExecTo(target, ex, shipped)
 	return nil
+}
+
+// putLease parks ls, which its session is dropping, for enqueueExec to
+// reuse; nothing may read it afterwards. At most nodes ×
+// Window leases are parked: a lease is made only on a node with a free
+// window slot and a failover only moves one, so no more can be live at
+// once.
+func (f *Fleet) putLease(ls *lease) {
+	if poisonReleased.Load() {
+		ls.poison()
+	}
+	if len(f.freeLeases) < f.n*f.opt.Window {
+		f.freeLeases = append(f.freeLeases, ls)
+	}
 }
 
 // deferReady parks a ready instance on target's per-session deferred
@@ -1352,6 +1380,7 @@ func (f *Fleet) handleDone(d *Done, node int) {
 		})
 	}
 	f.rpcHist.ObserveDuration(dur)
+	f.putLease(ls)
 	global := tsu.KernelID(f.kernelBase[node] + d.Kernel)
 	if err := f.completeAndDispatch(s, d.Inst, global); err != nil {
 		f.closeSession(s, err)

@@ -2,12 +2,16 @@ package dist
 
 import (
 	"bytes"
+	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"tflux/internal/chaos"
 	"tflux/internal/core"
+	"tflux/internal/rts"
 	"tflux/internal/tsu"
 	"tflux/internal/workload"
 )
@@ -44,12 +48,22 @@ type warmFleetRun struct {
 	src    map[string][]byte
 	last   *Stats
 	id     uint32
+	// finished, when set, is called on the fleet's loop as each session
+	// ends, before its outcome is sent.
+	finished func()
 }
 
 func newWarmFleetRun(tb testing.TB, name string, param, unroll int, resolve Resolver) *warmFleetRun {
 	tb.Helper()
+	return newWarmFleetRunOpts(tb, name, param, unroll, resolve, 2, Options{})
+}
+
+// newWarmFleetRunOpts is newWarmFleetRun on nodes single-kernel nodes
+// tuned by opt.
+func newWarmFleetRunOpts(tb testing.TB, name string, param, unroll int, resolve Resolver, nodes int, opt Options) *warmFleetRun {
+	tb.Helper()
 	w := &warmFleetRun{
-		spec: ProgramSpec{Name: name, Param: param, Kernels: 2, Unroll: unroll},
+		spec: ProgramSpec{Name: name, Param: param, Kernels: nodes, Unroll: unroll},
 		src:  make(map[string][]byte),
 	}
 	ws, err := workload.ByName(name)
@@ -66,7 +80,7 @@ func newWarmFleetRun(tb testing.TB, name string, param, unroll int, resolve Reso
 	for _, b := range w.prog.Buffers {
 		w.src[b.Name] = append([]byte(nil), w.svb.Bytes(b.Name)...)
 	}
-	if w.f, w.wait, err = NewLocalFleet(2, 1, resolve, Options{}); err != nil {
+	if w.f, w.wait, err = NewLocalFleet(nodes, 1, resolve, opt); err != nil {
 		tb.Fatal(err)
 	}
 	if w.tables, err = tsu.NewTables(w.prog, w.f.Kernels(), tsu.Config{}); err != nil {
@@ -95,7 +109,12 @@ func (w *warmFleetRun) open(tb testing.TB, svb *core.SharedVariableBuffer, warm 
 	done := make(chan sessionOutcome, 1)
 	req := OpenReq{
 		Prog: w.prog, SVB: svb, Spec: w.spec,
-		OnDone: func(st *Stats, err error) { done <- sessionOutcome{st, err} },
+		OnDone: func(st *Stats, err error) {
+			if w.finished != nil {
+				w.finished()
+			}
+			done <- sessionOutcome{st, err}
+		},
 	}
 	if warm {
 		req.Hash, req.Tables = w.spec.Hash(), w.tables
@@ -164,27 +183,29 @@ func BenchmarkFleetRun(b *testing.B) {
 }
 
 // What one warm FFT-32/1 session allocates process-wide (coordinator
-// loop, both workers, codec): 180–181 times and 39–53 kB as measured over
-// 35 runs, + 5 % on the count and + 10 % on the bytes (they spread because
+// loop, both workers, codec): 52 times and 20–37 kB as measured over 35
+// runs, + 5 % on the count and + 10 % on the bytes (they spread because
 // a pool miss re-grows a receive buffer). The data plane allocates nothing
-// per region and the TSU nothing per completion any more (readiness goes
-// onto the loop's stack, arc expansion into the State's scratch): what is
-// left is one lease per instance and the FFT body. It was 418 and 54–73 kB
-// while every completion returned a fresh readiness list and expanded its
-// arcs into a new buffer, 4 269 and 582 kB while every region cost five
-// heap objects (a payload, decoded records and a name string on each
-// receive, an export copy on the worker), 6 236 before the region table
-// was indexed and recycled, and 4 622 and 860 kB while every session
+// per region, the TSU nothing per completion and the loop nothing per
+// lease any more (readiness goes onto the loop's stack, arc expansion into
+// the State's scratch, a finished instance's lease onto the Fleet's free
+// list): what is left is mostly the FFT body. It was 180–181 and 39–53 kB
+// while every dispatched instance leased a new *lease (129 objects), 418
+// and 54–73 kB while every completion returned a fresh readiness list and
+// expanded its arcs into a new buffer, 4 269 and 582 kB while every region
+// cost five heap objects (a payload, decoded records and a name string on
+// each receive, an export copy on the worker), 6 236 before the region
+// table was indexed and recycled, and 4 622 and 860 kB while every session
 // called the Access models and learned its own region index.
 //
 // Under the race detector sync.Pool drops a share of what it is given, so
 // frame buffers, Done records and receive buffers are allocated anew at
-// random: 468–507 times as measured over 15 runs, + 10 %, with no byte
+// random: 338–372 times as measured over 15 runs, + 10 %, with no byte
 // ceiling.
 const (
-	fleetWarmRunAllocsCeiling     = 190
-	fleetWarmRunRaceAllocsCeiling = 560
-	fleetWarmRunBytesCeiling      = 58_000
+	fleetWarmRunAllocsCeiling     = 55
+	fleetWarmRunRaceAllocsCeiling = 410
+	fleetWarmRunBytesCeiling      = 41_000
 )
 
 func TestFleetWarmRunAllocs(t *testing.T) {
@@ -210,6 +231,127 @@ func TestFleetWarmRunAllocs(t *testing.T) {
 	}
 	if gotBytes > fleetWarmRunBytesCeiling && !raceBuild {
 		t.Fatalf("FFT-32/1 warm fleet run allocates %d bytes, want <= %d", gotBytes, fleetWarmRunBytesCeiling)
+	}
+}
+
+// TestFleetLeaseFreeListBounded: the Fleet parks at most nodes × Window
+// freed leases, however many sessions open, finish, fail or fail over,
+// and a recycled lease changes no output byte: every session's buffers
+// end as rts.Run leaves them. Each round of the pooled case opens one
+// session whose first DThreads panic on the workers, so it closes with
+// leases still out and the next sessions run on them. Freed leases and
+// receive buffers are poisoned throughout, so a lease or frame read after
+// it went back fails the run.
+func TestFleetLeaseFreeListBounded(t *testing.T) {
+	poisonRecycled(t)
+	// failing resolves "NAME!" as NAME with a first template whose every
+	// instance panics.
+	failing := func(spec ProgramSpec) (*core.Program, *core.SharedVariableBuffer, error) {
+		name, fail := strings.CutSuffix(spec.Name, "!")
+		spec.Name = name
+		p, svb, err := suiteResolver(spec)
+		if err == nil && fail {
+			p.Blocks[0].Templates[0].Body = func(core.Context) { panic("failing session") }
+		}
+		return p, svb, err
+	}
+	for _, tc := range []struct {
+		name, bench      string
+		param, nodes     int
+		sessions, rounds int
+		sever            string // chaos plan, "" for none
+	}{
+		{"pooled", "FFT", 32, 2, 6, 5, ""},
+		// Without heartbeats a node's write frames are its OpenProg and
+		// ExecBatches only, so both severs land inside the session.
+		{"sever", "MMULT", 32, 4, 1, 1, "seed=7,plan=sever:node=1:after=2;sever:node=2:after=2:midframe=true"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := Options{Window: 2, BatchCount: 2}
+			if tc.sever != "" {
+				plan, err := chaos.ParseSpec(tc.sever)
+				if err != nil {
+					t.Fatal(err)
+				}
+				log := chaos.NewLog()
+				opt = fastFailover()
+				opt.Heartbeat, opt.Window, opt.BatchCount = -1, 2, 2
+				opt.WrapConn = func(node int, c net.Conn) net.Conn { return plan.Wrap(node, c, log) }
+			}
+			w := newWarmFleetRunOpts(t, tc.bench, tc.param, 1, failing, tc.nodes, opt)
+			// high is the most leases parked when a session ended; it is
+			// read on the loop that owns the list.
+			limit, high := tc.nodes*opt.Window, 0
+			w.finished = func() { high = max(high, len(w.f.freeLeases)) }
+
+			ref, refSVB, err := suiteResolver(w.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rts.Run(ref, rts.Options{Kernels: 2}); err != nil {
+				t.Fatal(err)
+			}
+			var lost []bool
+			var retries int64
+			for r := 0; r < tc.rounds; r++ {
+				svbs := make([]*core.SharedVariableBuffer, tc.sessions)
+				outs := make([]<-chan sessionOutcome, tc.sessions)
+				var failed chan error
+				if tc.sever == "" {
+					failed = make(chan error, 1)
+					spec := w.spec
+					spec.Name += "!"
+					w.id++
+					if err := w.f.Open(w.id, OpenReq{
+						Prog: w.prog, SVB: w.newSVB(), Spec: spec, Hash: spec.Hash(), Tables: w.tables,
+						OnDone: func(_ *Stats, err error) { w.finished(); failed <- err },
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := range svbs {
+					svbs[i] = w.newSVB()
+					outs[i] = w.open(t, svbs[i], true)
+				}
+				if failed != nil {
+					if err := <-failed; err == nil || !strings.Contains(err.Error(), "failing session") {
+						t.Fatalf("round %d: failing session ended with %v", r, err)
+					}
+				}
+				for i, done := range outs {
+					out := <-done
+					if out.err != nil {
+						t.Fatalf("round %d session %d: %v", r, i, out.err)
+					}
+					retries += out.st.Retries
+					lost = lost[:0]
+					for _, nd := range out.st.Nodes {
+						lost = append(lost, nd.Lost)
+					}
+					for _, b := range ref.Buffers {
+						if !bytes.Equal(svbs[i].Bytes(b.Name), refSVB.Bytes(b.Name)) {
+							t.Fatalf("round %d session %d: buffer %q differs from rts.Run's", r, i, b.Name)
+						}
+					}
+				}
+			}
+			t.Logf("%d sessions: at most %d leases parked of %d allowed, %d re-dispatches", tc.rounds*tc.sessions, high, limit, retries)
+			if high > limit {
+				t.Errorf("%d leases parked, want at most nodes × Window = %d", high, limit)
+			}
+			if high == 0 {
+				t.Error("no lease was parked: nothing was recycled")
+			}
+			if tc.sever != "" && (retries == 0 || !lost[1] || !lost[2]) {
+				t.Errorf("nodes 1 and 2 should be lost and their leases re-dispatched: %d retries, lost %v", retries, lost)
+			}
+			w.f.Close() //nolint:errcheck
+			for i, werr := range w.wait() {
+				if werr != nil && !lost[i] {
+					t.Errorf("node %d: %v", i, werr)
+				}
+			}
+		})
 	}
 }
 

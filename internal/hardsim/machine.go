@@ -141,7 +141,7 @@ func (l *layout) addr(r core.MemRegion) (uint64, error) {
 		return 0, fmt.Errorf("region references undeclared buffer %q", r.Buffer)
 	}
 	if !core.InBounds(r.Offset, r.Size, b.size) {
-		return 0, fmt.Errorf("region [%d,+%d) outside buffer %q (%d bytes)", r.Offset, r.Size, r.Buffer, b.size)
+		return 0, core.OutsideBuffer(r.Buffer, r.Offset, r.Size, b.size)
 	}
 	return b.base + uint64(r.Offset), nil
 }

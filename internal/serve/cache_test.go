@@ -7,6 +7,7 @@ import (
 
 	"tflux/internal/dist"
 	"tflux/internal/obs"
+	"tflux/internal/workload"
 )
 
 // TestProgramCacheKeySoundness pins the correctness-first keying: specs
@@ -108,6 +109,74 @@ func TestSubmitWarmPathAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm resolveProgram allocates %.1f times per hit, want 0", allocs)
+	}
+}
+
+// What one warm FFT-32/1 submit-and-wait through a Client allocates
+// process-wide (client, daemon, fleet loop, both workers, codec), the
+// compile-bound half of the benchmark's serve-warm op: 79 times as
+// measured over 35 runs, + 5 %. It was 207 while the fleet leased a new
+// *lease per dispatched instance. Under the race detector sync.Pool drops
+// a share of what it is given: 356–408 times over 15 runs, + 10 %.
+const (
+	serveWarmRoundTripAllocsCeiling     = 83
+	serveWarmRoundTripRaceAllocsCeiling = 450
+)
+
+// TestServeWarmRoundTripAllocs pins the daemon's warm path: after the
+// program is cached and its replicas pooled, one submission of FFT-32/1
+// on two single-kernel nodes, the serve-warm workload's daemon, stays
+// under a measured allocation ceiling, and its result verifies against a
+// local replica.
+func TestServeWarmRoundTripAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation count needs a quiet process")
+	}
+	tw := newTestWorkloads()
+	d := startDaemon(t, 2, 1, tw, Options{}, dist.Options{})
+	defer func() {
+		for i, err := range d.stop(t) {
+			if err != nil {
+				t.Errorf("node %d: %v", i, err)
+			}
+		}
+	}()
+	c := d.dial(t, "warm")
+	defer c.Close() //nolint:errcheck
+
+	spec := dist.ProgramSpec{Name: "FFT", Param: 32, Kernels: 2, Unroll: 1}
+	var last *Outcome
+	submit := func() {
+		p, err := c.Submit(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := p.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Err != "" {
+			t.Fatalf("FFT-32/1 failed: %s", out.Err)
+		}
+		last = out
+	}
+	submit() // resolve, cache and pool the replicas
+	got := testing.AllocsPerRun(20, submit)
+	t.Logf("FFT-32/1 warm submit-and-wait: %.0f allocs", got)
+
+	job := workload.FFTSpec().Make(spec.Param)
+	if _, err := job.Build(spec.Kernels, spec.Unroll); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyReplica(job, last.Regions); err != nil {
+		t.Fatal(err)
+	}
+	ceiling := serveWarmRoundTripAllocsCeiling
+	if raceBuild {
+		ceiling = serveWarmRoundTripRaceAllocsCeiling
+	}
+	if got > float64(ceiling) {
+		t.Fatalf("FFT-32/1 warm submit-and-wait allocates %.0f times, want <= %d", got, ceiling)
 	}
 }
 
