@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -288,16 +289,25 @@ func hasSource(b *Block) bool {
 // in-degree. This is the value the Inlet DThread loads into the TSU's
 // Synchronization Memory.
 func InDegrees(b *Block, c *Template) []uint32 {
-	deg := make([]uint32, c.Instances)
+	return AppendInDegrees(nil, b, c)
+}
+
+// AppendInDegrees appends InDegrees(b, c) to dst, so a caller that loads
+// Blocks repeatedly can keep one scratch slice.
+func AppendInDegrees(dst []uint32, b *Block, c *Template) []uint32 {
+	n := len(dst)
+	dst = slices.Grow(dst, int(c.Instances))[:n+int(c.Instances)]
+	deg := dst[n:]
+	clear(deg)
 	for _, t := range b.Templates {
 		for _, a := range t.Arcs {
 			if a.To != c.ID {
 				continue
 			}
-			for cctx := Context(0); cctx < c.Instances; cctx++ {
-				deg[cctx] += a.Map.InDegree(cctx, t.Instances, c.Instances)
+			for cctx := range deg {
+				deg[cctx] += a.Map.InDegree(Context(cctx), t.Instances, c.Instances)
 			}
 		}
 	}
-	return deg
+	return dst
 }

@@ -155,10 +155,10 @@ type OpenReq struct {
 	// does not travel (ProgramSpec.Hash supplies one).
 	Hash uint64
 	// Tables, when non-nil, supplies pre-built frozen TSU tables for the
-	// program: the session acquires a snapshot-backed state (skipping
-	// table construction and per-block in-degree recomputation) and
-	// releases it back to the pool at close. Ignored unless it was built
-	// for exactly Prog and the fleet's kernel count.
+	// program: the session acquires a pooled state (skipping validation
+	// and thread-table construction, and reusing the SM arrays of an
+	// earlier session) and releases it back to the pool at close. Ignored
+	// unless it was built for exactly Prog and the fleet's kernel count.
 	Tables *tsu.Tables
 	// Weight is the session's share in the per-node weighted round-robin
 	// over deferred ready instances; values < 1 mean 1.
@@ -644,16 +644,6 @@ func (f *Fleet) handleEvent(ev fleetEvent) {
 		// the frame.
 		ev.rx.release()
 	}
-	// Safety net mirroring the single-program loop's end condition: a
-	// session with no leases left and a finished TSU is done even if no
-	// ProgramDone result surfaced through this event. closeSession deletes
-	// from the map being ranged over, which Go defines: a deleted entry is
-	// not visited.
-	for _, s := range f.sessions {
-		if !s.closed && len(s.leases) == 0 && s.state.Finished() {
-			f.closeSession(s, nil)
-		}
-	}
 }
 
 // snapshotSessions copies the open-session set so handlers can iterate
@@ -821,8 +811,8 @@ func (f *Fleet) closeSession(s *session, err error) {
 	f.cTSUDec.Add(s.stats.TSU.Decrements)
 	f.cTSUFired.Add(s.stats.TSU.Fired)
 	if s.pooled {
-		// Stats are copied out above; the snapshot-backed state goes back
-		// to its Tables' pool for the next session of this program.
+		// Stats are copied out above; the pooled state goes back to its
+		// Tables' pool for the next session of this program.
 		s.state.Release()
 	}
 	if s.onDone != nil {

@@ -46,8 +46,8 @@ type streamWork struct {
 // is free and fewer than opt.Slots exist, so a run holds memory for the
 // windows it has had in flight, not for its slot budget. Opening a
 // window resets the slot's State and runs the Block's Inlet, which
-// restores the SM image by memcpy from the snapshot; the surfaced Outlet
-// is the retirement signal.
+// computes the SM's Ready Counts into the arrays the State kept from the
+// slot's last window; the surfaced Outlet is the retirement signal.
 //
 // The loop interleaves four activities:
 //
@@ -254,7 +254,7 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 			case n > 0:
 				cur, free = free[n-1], free[:n-1]
 			case made < slots:
-				cur = &streamSlot{st: tables.NewState(), idx: made, admit: make([]time.Time, W)}
+				cur = &streamSlot{st: tables.Acquire(), idx: made, admit: make([]time.Time, W)}
 				made++
 			default:
 				cur = nil

@@ -11,8 +11,8 @@
 //     closure is closed, so a window always retires.
 //   - Source injects events at a configured (or unbounded) rate. The
 //     run loop admits them into windows; each window slot owns one
-//     tsu.State over the window block, reloaded from its snapshot by
-//     the Block's Inlet for every window it holds.
+//     tsu.State over the window block, reloaded by Reset and the
+//     Block's Inlet for every window it holds.
 //   - Policy bounds memory under overload: Block stalls injection until
 //     a window slot frees; Shed drops whole windows (never individual
 //     events — event-granular holes would leave a window's closure

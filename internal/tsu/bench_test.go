@@ -205,3 +205,74 @@ func BenchmarkTUBContended(b *testing.B) {
 	close(stop)
 	drainWG.Wait()
 }
+
+// BenchmarkTUBSegmentation is the §4.2 ablation behind the TUB's
+// partitioned design: many kernels depositing completions concurrently
+// against a segmented TUB vs one segment under one lock. The "misses" metric
+// counts try-lock skips (contention the segmentation absorbs). The win
+// only materializes when writers truly run in parallel; on a single-CPU
+// host the single lock is uncontended and the segment scan is pure
+// overhead — which is itself the paper's point that the design targets
+// multiprocessors.
+func BenchmarkTUBSegmentation(b *testing.B) {
+	run := func(b *testing.B, cfg TUBConfig) {
+		const writers = 8
+		tub := NewTUB(writers, cfg)
+		stop := make(chan struct{})
+		go func() {
+			var recs []Completion
+			for {
+				recs = tub.Drain(recs[:0])
+				if len(recs) == 0 && !tub.Wait(stop) {
+					return
+				}
+			}
+		}()
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		per := b.N/writers + 1
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					tub.Push(Completion{Inst: core.Instance{Thread: 1, Ctx: core.Context(i)}, Kernel: KernelID(w)})
+				}
+			}(w)
+		}
+		wg.Wait()
+		b.StopTimer()
+		close(stop)
+		b.ReportMetric(float64(tub.Stats().TryMisses)/float64(b.N), "misses/op")
+	}
+	b.Run("segmented", func(b *testing.B) { run(b, TUBConfig{Segments: 16}) })
+	b.Run("singlelock", func(b *testing.B) { run(b, TUBConfig{Segments: 1}) })
+}
+
+// BenchmarkThreadIndexing is the §4.2 Thread-Indexing ablation: one whole
+// Post-Processing Phase (CompleteInto: expand, decrement, done) per op on
+// an AllToOne reduction, with the TKT (direct SM access) vs the sequential
+// SM search it replaces, at the paper's 27-kernel scale. The reduction is
+// rebuilt whenever its producers run out, so ns/op is honest for any b.N.
+func BenchmarkThreadIndexing(b *testing.B) {
+	const pool = 1 << 20
+	run := func(b *testing.B, linear bool) {
+		var s *State
+		next := core.Context(pool)
+		for i := 0; i < b.N; i++ {
+			if next == pool {
+				b.StopTimer()
+				// One producer more than completes, so the reducer never
+				// fires and the Block never drains.
+				s = reductionState(b, pool+1, 27)
+				s.SetLinearSMSearch(linear)
+				next = 0
+				b.StartTimer()
+			}
+			s.CompleteInto(nil, core.Instance{Thread: 1, Ctx: next}, 0)
+			next++
+		}
+	}
+	b.Run("tkt", func(b *testing.B) { run(b, false) })
+	b.Run("linearsearch", func(b *testing.B) { run(b, true) })
+}

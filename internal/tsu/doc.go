@@ -30,11 +30,13 @@
 //     goroutine (package rts). The plain Ready Count decrement is written
 //     once (applyDec) and charged to whichever writer calls it. The TKT is
 //     the paper's closed-form chunked split, ctx → ctx·kernels/instances.
-//     Tables freezes a State's immutable half plus per-block SM snapshots
-//     so a daemon builds them once per program and restores pooled States
-//     by memcpy. A streaming window is the same mechanism: rts.RunStream
-//     builds one Tables over the per-window Block and keeps one State per
-//     window slot, reloading it by Reset and the Inlet for every window.
+//     The Inlet's TSU-load is the one Block load: it computes the Block's
+//     Ready Counts from the arcs into SM arrays the State keeps across
+//     Blocks and runs. Tables freezes a State's immutable half so a daemon
+//     builds it once per program and pools States over it. A streaming
+//     window is the same mechanism: rts.RunStream builds one Tables over
+//     the per-window Block and keeps one State per window slot, reloading
+//     it by Reset and the Inlet for every window.
 //
 //   - ShardedState: the parallel driver mode. The mutable bookkeeping is
 //     partitioned into shards along TKT ownership; each shard is stepped

@@ -2,6 +2,7 @@ package tsu
 
 import (
 	"fmt"
+	"slices"
 
 	"tflux/internal/core"
 )
@@ -29,10 +30,12 @@ type Stats struct {
 // instances the kernel owns for the currently loaded Block. Counts are kept
 // in per-template dense slices covering only the context range assigned to
 // the kernel, exactly what "one such structure exists for each kernel"
-// means in §4.2.
+// means in §4.2. The slices are views into cells, which every Block load
+// reuses and grows only for a Block larger than any before.
 type sm struct {
 	counts [][]int32      // indexed by dense template index, then ctx-base
 	base   []core.Context // first owned context per template
+	cells  []int32
 }
 
 // State is the synchronization engine of the TSU Group. It is not safe for
@@ -54,9 +57,8 @@ type State struct {
 	// space: inlet(b) = serviceBase + 2b, outlet(b) = serviceBase + 2b+1.
 	serviceBase core.ThreadID
 
-	// tables is set when the State was built over a frozen Tables: block
-	// loads restore the SMs from the snapshot instead of recomputing
-	// in-degrees, and Release returns the State to the Tables' pool.
+	// tables is set when the State came from Tables.Acquire: Release
+	// returns it to the Tables' pool.
 	tables *Tables
 
 	curBlock  int
@@ -74,11 +76,12 @@ type State struct {
 	// the quantity the TKT exists to eliminate.
 	searchSteps int64
 
-	// ctx and cons are CompleteInto's arc-expansion scratch: the driver's
-	// own, like the SMs, so a State kept across runs (Tables.Acquire)
-	// keeps them grown.
+	// ctx and cons are CompleteInto's arc-expansion scratch, and deg the
+	// Inlet's in-degree scratch: the driver's own, like the SMs, so a
+	// State kept across Blocks and runs keeps them grown.
 	ctx  []core.Context
 	cons []core.Instance
+	deg  []uint32
 
 	stats Stats
 }
@@ -162,6 +165,11 @@ func NewStateCfg(p *core.Program, kernels int, cfg Config) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newState(p, kernels, infos), nil
+}
+
+// newState builds the mutable half of a State over a thread table.
+func newState(p *core.Program, kernels int, infos []tmplInfo) *State {
 	s := &State{
 		prog:        p,
 		kernels:     kernels,
@@ -171,7 +179,7 @@ func NewStateCfg(p *core.Program, kernels int, cfg Config) (*State, error) {
 		sms:         make([]sm, kernels),
 	}
 	s.stats.PerKernel = make([]int64, kernels)
-	return s, nil
+	return s
 }
 
 // Kernels returns the number of kernels the TKT distributes over.
@@ -384,8 +392,8 @@ func (s *State) DoneInto(dst []Ready, inst core.Instance, k KernelID) (ready []R
 	return dst, false, false
 }
 
-// inletDone performs the TSU-load operation of an Inlet DThread: allocate
-// and initialize the Synchronization Memories for the block and surface
+// inletDone performs the TSU-load operation of an Inlet DThread: compute
+// the Block's Ready Counts into the Synchronization Memories and surface
 // every source instance (Ready Count zero).
 func (s *State) inletDone(dst []Ready, blk int) []Ready {
 	if blk != s.curBlock+1 || s.loaded {
@@ -394,59 +402,65 @@ func (s *State) inletDone(dst []Ready, blk int) []Ready {
 	s.curBlock = blk
 	s.loaded = true
 	s.stats.Inlets++
-	if s.tables != nil {
-		return s.inletLoadSnapshot(dst, blk)
-	}
 	b := s.prog.Blocks[blk]
 	s.remaining = b.TotalInstances()
 	for k := range s.sms {
-		s.sms[k].counts = make([][]int32, len(b.Templates))
-		s.sms[k].base = make([]core.Context, len(b.Templates))
+		s.layout(b, KernelID(k))
 	}
 	for di, t := range b.Templates {
 		info := &s.infos[t.ID]
-		deg := core.InDegrees(b, t)
-		for k := 0; k < s.kernels; k++ {
-			lo, hi := s.ownedRange(t, KernelID(k))
-			s.sms[k].base[di] = lo
-			if hi > lo {
-				cnt := make([]int32, hi-lo)
-				for c := lo; c < hi; c++ {
-					cnt[c-lo] = int32(deg[c])
-				}
-				s.sms[k].counts[di] = cnt
+		s.deg = core.AppendInDegrees(s.deg[:0], b, t)
+		for k := range s.sms {
+			m := &s.sms[k]
+			for i := range m.counts[di] {
+				m.counts[di][i] = int32(s.deg[m.base[di]+core.Context(i)])
 			}
 		}
-		for c := core.Context(0); c < t.Instances; c++ {
-			if deg[c] == 0 {
-				kc := s.kernelOfInfo(info, c)
+		for c, d := range s.deg {
+			if d == 0 {
+				kc := s.kernelOfInfo(info, core.Context(c))
 				s.stats.Fired++
 				s.stats.PerKernel[int(kc)]++
-				dst = append(dst, Ready{Inst: core.Instance{Thread: t.ID, Ctx: c}, Kernel: kc})
+				dst = append(dst, Ready{Inst: core.Instance{Thread: t.ID, Ctx: core.Context(c)}, Kernel: kc})
 			}
 		}
 	}
 	return dst
 }
 
+// layout points kernel k's SM at Block b: one count slice per template,
+// covering the contexts k owns, carved out of the kernel's cells.
+func (s *State) layout(b *core.Block, k KernelID) {
+	m := &s.sms[k]
+	nT := len(b.Templates)
+	m.counts = slices.Grow(m.counts[:0], nT)[:nT]
+	m.base = slices.Grow(m.base[:0], nT)[:nT]
+	total := 0
+	for _, t := range b.Templates {
+		lo, hi := s.ownedRange(t, k)
+		total += int(hi - lo)
+	}
+	m.cells = slices.Grow(m.cells[:0], total)[:total]
+	off := 0
+	for di, t := range b.Templates {
+		lo, hi := s.ownedRange(t, k)
+		n := int(hi - lo)
+		m.base[di] = lo
+		m.counts[di] = m.cells[off : off+n : off+n]
+		off += n
+	}
+}
+
 // outletDone performs the TSU-clear operation of an Outlet DThread and
 // chains to the next Block's Inlet, or finishes the program after the last
 // Block ("the Outlet DThread of the last block ... forces its Kernel to
-// exit").
+// exit"). The SM arrays stay for the next Block load to reuse.
 func (s *State) outletDone(dst []Ready, blk int, k KernelID) (ready []Ready, blockDone, programDone bool) {
 	if blk != s.curBlock || !s.loaded || s.remaining != 0 {
 		panic(fmt.Sprintf("tsu: outlet(%d) out of sequence (current block %d, remaining %d)", blk, s.curBlock, s.remaining))
 	}
 	s.loaded = false
 	s.stats.Outlets++
-	if s.tables == nil {
-		// Snapshot-backed States keep the SM backing arrays so the next
-		// block load (or the next run after Reset) reuses them.
-		for i := range s.sms {
-			s.sms[i].counts = nil
-			s.sms[i].base = nil
-		}
-	}
 	if blk == len(s.prog.Blocks)-1 {
 		s.done = true
 		return dst, false, true

@@ -2,6 +2,7 @@ package tsu
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tflux/internal/core"
@@ -28,9 +29,9 @@ func driveReadySequence(t *testing.T, s *State) []Ready {
 	return nil
 }
 
-// TestTablesEquivalence pins the compile-once contract: a State built over
-// frozen Tables must surface the exact Ready sequence and stats of a State
-// built directly by NewStateCfg.
+// TestTablesEquivalence pins the compile-once contract: a State acquired
+// from frozen Tables, fresh or pooled, must surface the exact Ready
+// sequence and stats of a State built directly by NewStateCfg.
 func TestTablesEquivalence(t *testing.T) {
 	p := twoBlockProgram()
 	direct, err := NewStateCfg(p, 3, Config{})
@@ -43,22 +44,18 @@ func TestTablesEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := driveReadySequence(t, tb.NewState())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("snapshot-backed ready sequence diverges:\n got %v\nwant %v", got, want)
-	}
 	ds := direct.Stats()
-	snap := tb.Acquire()
-	trace := driveReadySequence(t, snap)
-	if !reflect.DeepEqual(trace, want) {
-		t.Fatal("acquired-state ready sequence diverges")
+	for _, run := range []string{"fresh", "pooled"} {
+		s := tb.Acquire()
+		got := driveReadySequence(t, s)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s acquired state's ready sequence diverges:\n got %v\nwant %v", run, got, want)
+		}
+		if ss := s.Stats(); !reflect.DeepEqual(ds, ss) {
+			t.Fatalf("%s acquired state's stats diverge: direct %+v acquired %+v", run, ds, ss)
+		}
+		s.Release()
 	}
-	ss := snap.Stats()
-	if ds.Inlets != ss.Inlets || ds.Outlets != ss.Outlets || ds.Decrements != ss.Decrements ||
-		ds.Fired != ss.Fired || !reflect.DeepEqual(ds.PerKernel, ss.PerKernel) {
-		t.Fatalf("stats diverge: direct %+v snapshot %+v", ds, ss)
-	}
-	snap.Release()
 }
 
 // TestTablesPoolReuse runs the same State through Acquire → drive → Release
@@ -90,9 +87,9 @@ func TestTablesPoolReuse(t *testing.T) {
 	}
 }
 
-// TestTablesShardedState wraps a snapshot-backed State in the sharded
-// engine: serviceDone's inlet path must take the snapshot restore and the
-// sharded drive must still execute every application instance exactly once.
+// TestTablesShardedState wraps an acquired State in the sharded engine:
+// serviceDone's inlet path is the one Block load, and the drive must still
+// execute every application instance exactly once.
 func TestTablesShardedState(t *testing.T) {
 	tb, err := NewTables(twoBlockProgram(), 4, Config{})
 	if err != nil {
@@ -107,8 +104,8 @@ func TestTablesShardedState(t *testing.T) {
 		t.Fatal("sharded engine wraps a different state")
 	}
 	// The sharded engine shares inletDone/outletDone with the serial path;
-	// a serial FIFO drive through the same State suffices to prove the
-	// snapshot branch composes (the concurrency is exercised by the
+	// a serial FIFO drive through the same State suffices to prove an
+	// acquired State composes (the concurrency is exercised by the
 	// existing sharded suite).
 	trace := driveReadySequence(t, s)
 	apps := 0
@@ -124,8 +121,8 @@ func TestTablesShardedState(t *testing.T) {
 }
 
 // TestTablesWarmLoadAllocs pins the warm block-load path at zero
-// allocations: after one full run the SM backings are retained, so every
-// subsequent Inlet restore is pure memcpy.
+// allocations: after one full run the SM arrays and the in-degree scratch
+// are retained, so every later Inlet computes into them.
 func TestTablesWarmLoadAllocs(t *testing.T) {
 	tb, err := NewTables(twoBlockProgram(), 2, Config{})
 	if err != nil {
@@ -136,15 +133,42 @@ func TestTablesWarmLoadAllocs(t *testing.T) {
 	dst := make([]Ready, 0, 16)
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Reset()
-		s.curBlock = 0
-		s.loaded = true
-		dst = s.inletLoadSnapshot(dst[:0], 0)
+		dst = s.inletDone(dst[:0], 0)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm inlet restore allocates %.1f per load, want 0", allocs)
+		t.Fatalf("warm inlet load allocates %.1f per load, want 0", allocs)
 	}
 	s.Reset()
 	s.Release()
+}
+
+// TestInletReusesEarlierBlockArrays pins the one Block load's reuse on a
+// one-shot State: a NewStateCfg State whose Block 0 is at least as large
+// as Block 1, on every kernel, loads Block 1 into the arrays Block 0 left
+// behind and allocates nothing.
+func TestInletReusesEarlierBlockArrays(t *testing.T) {
+	s, err := NewStateCfg(twoBlockProgram(), 2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue := []Ready{s.Start()}
+	for queue[0].Inst.Thread != s.InletID(1) {
+		r := queue[0]
+		queue, _, _ = s.CompleteInto(queue[1:], r.Inst, r.Kernel)
+	}
+	inlet := queue[0]
+	dst := make([]Ready, 0, 16)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dst, _, _ = s.DoneInto(dst, inlet.Inst, inlet.Kernel)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("loading Block 1 after the larger Block 0 allocates %d objects, want 0", n)
+	}
+	if len(dst) != 2 {
+		t.Fatalf("Block 1's Inlet surfaced %v, want both tail instances", dst)
+	}
 }
 
 // TestTablesRejectsInvalidProgram mirrors NewStateCfg's validation.
@@ -235,11 +259,12 @@ func TestCompleteIntoAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestWindowReopensFromSnapshot pins the reload a streaming window slot
+// TestWindowReopensByResetAndInlet pins the reload a streaming window slot
 // relies on: a State over a one-block Tables whose Block drained (Outlet
-// surfaced but never run) is rewound by Reset, and the Inlet restores the
-// same SM image, so every window fires the same instances exactly once.
-func TestWindowReopensFromSnapshot(t *testing.T) {
+// surfaced but never run) is rewound by Reset, and the Inlet loads the
+// same Ready Counts again, so every window fires the same instances
+// exactly once.
+func TestWindowReopensByResetAndInlet(t *testing.T) {
 	b := &core.Block{ID: 0}
 	entry := core.NewTemplate(1, "entry", noop)
 	entry.Instances = 8
@@ -257,7 +282,7 @@ func TestWindowReopensFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tb.NewState()
+	s := tb.Acquire()
 	var first []core.Instance
 	for win := 0; win < 3; win++ {
 		s.Reset()

@@ -279,7 +279,7 @@ func (t *TUB) Wait(stop <-chan struct{}) bool {
 	}
 }
 
-// Stats returns a snapshot of the contention counters.
+// Stats returns a copy of the contention counters.
 func (t *TUB) Stats() TUBStats {
 	return TUBStats{
 		Pushes:    t.pushes.Load(),
