@@ -272,11 +272,27 @@ func checkAcyclic(p *Program, b *Block) error {
 }
 
 // hasSource reports whether any instance of the Block has in-degree zero.
+// A template no arc of the Block targets is a source in every context;
+// for the others the in-degrees decide, computed into one scratch slice.
 func hasSource(b *Block) bool {
+	var deg []uint32
 	for _, t := range b.Templates {
-		indeg := InDegrees(b, t)
-		for _, d := range indeg {
-			if d == 0 {
+		if !targeted(b, t.ID) {
+			return true
+		}
+		deg = AppendInDegrees(deg[:0], b, t)
+		if slices.Contains(deg, 0) {
+			return true
+		}
+	}
+	return false
+}
+
+// targeted reports whether any arc of Block b ends at template id.
+func targeted(b *Block, id ThreadID) bool {
+	for _, t := range b.Templates {
+		for _, a := range t.Arcs {
+			if a.To == id {
 				return true
 			}
 		}

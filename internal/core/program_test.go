@@ -177,6 +177,19 @@ func TestValidateRejectsBlockWithNoSource(t *testing.T) {
 	}
 }
 
+// TestHasSourceAllocatesNothing: a Block whose first template no arc
+// targets is found to have a source without computing any in-degree.
+func TestHasSourceAllocatesNothing(t *testing.T) {
+	b := linearProgram(64).Blocks[0]
+	if n := testing.AllocsPerRun(100, func() {
+		if !hasSource(b) {
+			t.Fatal("no source found in src -> mid -> sink")
+		}
+	}); n != 0 {
+		t.Fatalf("hasSource allocates %.1f objects, want 0", n)
+	}
+}
+
 func TestProgramTemplateLookup(t *testing.T) {
 	p := linearProgram(3)
 	p.AddBlock().Add(NewTemplate(9, "extra", noop))

@@ -321,6 +321,10 @@ func TestFailoverLeaseExpiry(t *testing.T) {
 	}
 	opt := fastFailover()
 	opt.LeaseTimeout = 60 * time.Millisecond
+	// Heartbeats off: on a starved host a 30 ms heartbeat window can
+	// declare the surviving node lost too. Here a lease is the only way
+	// to lose a node (TestFailoverHeartbeatMiss covers heartbeats).
+	opt.Heartbeat = -1
 	st, svb, err := RunLocalOpts(build, 2, 1, opt)
 	if err != nil {
 		t.Fatalf("run failed: %v\nstats: %+v", err, st)

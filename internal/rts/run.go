@@ -189,7 +189,6 @@ func publishMetrics(reg *obs.Registry, stats *Stats) {
 	reg.Counter("tsu.outlets").Set(int64(stats.TSU.Outlets))
 	reg.Counter("tub.pushes").Set(stats.TUB.Pushes)
 	reg.Counter("tub.try_misses").Set(stats.TUB.TryMisses)
-	reg.Counter("tub.blocked").Set(stats.TUB.Blocked)
 	var idle time.Duration
 	for _, d := range stats.Idle {
 		idle += d
@@ -252,19 +251,16 @@ type runner struct {
 	err      error
 }
 
-// fail records the first error and tears the run down.
+// fail tears the run down, so the other kernels stop at their next pop,
+// and records the first error. Run reads it only after every kernel has
+// returned.
 func (r *runner) fail(err error) {
+	r.shutdown()
 	r.errMu.Lock()
 	if r.err == nil {
 		r.err = err
 	}
 	r.errMu.Unlock()
-	r.shutdown()
-	if r.tub != nil {
-		r.tub.Close()
-	}
-	// Sharded inboxes are unbounded: no writer can be blocked in them, so
-	// there is nothing to release on the error path.
 }
 
 func (r *runner) shutdown() {

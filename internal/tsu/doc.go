@@ -50,9 +50,9 @@
 //     (§4.2). Kernels deposit completion records into the first available
 //     segment using a non-blocking try-lock so that at most one segment is
 //     held by any kernel at a time; the drainer empties segments in bulk.
-//     One segment under one lock is the ablation of the segmentation design,
-//     and an unbounded mode serves as the sharded engine's cross-shard
-//     inbox (where a blocking Push could deadlock two shards).
+//     A Push never waits for space (the Block bounds what a TUB holds), so
+//     the same TUB serves as the sharded engine's cross-shard inbox. One
+//     segment under one lock is the ablation of the segmentation design.
 //
 // Read-only queries (arc expansion, TKT lookup) touch only immutable
 // tables built at construction time and are safe to call from every kernel

@@ -47,9 +47,9 @@ type ShardedState struct {
 	steppers      []KernelID
 
 	// inboxes[sh] carries the cross-shard decrement batches addressed to
-	// shard sh. The TUBs run unbounded so a Push can never block: every
-	// stepper is both a producer into its peers' inboxes and the drainer
-	// of its own, and two full bounded inboxes could deadlock each other.
+	// shard sh. Every stepper is both a producer into its peers' inboxes
+	// and the drainer of its own; no two can deadlock, because a TUB Push
+	// never waits for space.
 	inboxes []*TUB
 
 	lanes []Lane
@@ -85,7 +85,7 @@ type Lane struct {
 
 // NewSharded wraps a freshly built State in the sharded engine. shards must
 // be in [1, kernels]; kernels are assigned to shards in contiguous chunks.
-// Each shard's inbox is an unbounded TUB with one segment per kernel, so
+// Each shard's inbox is a TUB with one segment per kernel, so
 // concurrent producers spread across try-locks. notify, when non-nil, is
 // called — possibly from any kernel — after a cross-shard batch is
 // deposited for the given shard.
@@ -111,7 +111,7 @@ func NewSharded(s *State, shards int, notify func(sh int)) (*ShardedState, error
 	for sh := 0; sh < shards; sh++ {
 		// First kernel of the shard's contiguous range.
 		ss.steppers[sh] = KernelID((sh*s.kernels + shards - 1) / shards)
-		ss.inboxes[sh] = NewTUB(s.kernels, TUBConfig{Segments: s.kernels, Unbounded: true})
+		ss.inboxes[sh] = NewTUB(s.kernels, TUBConfig{Segments: s.kernels})
 	}
 	for k := range ss.lanes {
 		ln := &ss.lanes[k]
@@ -310,7 +310,6 @@ func (ss *ShardedState) InboxStats() TUBStats {
 		s := in.Stats()
 		st.Pushes += s.Pushes
 		st.TryMisses += s.TryMisses
-		st.Blocked += s.Blocked
 	}
 	return st
 }

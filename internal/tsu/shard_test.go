@@ -194,8 +194,8 @@ func TestShardedCrossShardTraffic(t *testing.T) {
 	if got := ss.CrossShardDecrements(); got != 6 {
 		t.Fatalf("cross-shard decrements = %d, want 6", got)
 	}
-	if st := ss.InboxStats(); st.Pushes == 0 || st.Blocked != 0 {
-		t.Fatalf("inbox stats = %+v, want pushes > 0 and no blocking", st)
+	if st := ss.InboxStats(); st.Pushes == 0 {
+		t.Fatalf("inbox stats = %+v, want pushes > 0", st)
 	}
 }
 
@@ -270,22 +270,5 @@ func TestNewShardedRejects(t *testing.T) {
 	s.DoneInto(nil, core.Instance{Thread: s.InletID(0)}, 0)
 	if _, err := NewSharded(s, 2, nil); err == nil {
 		t.Fatal("started state accepted")
-	}
-}
-
-// TestTUBUnboundedNeverBlocks: an unbounded TUB accepts pushes far past
-// every segment's capacity without blocking — the property the sharded
-// inboxes rely on for deadlock freedom.
-func TestTUBUnboundedNeverBlocks(t *testing.T) {
-	tub := NewTUB(2, TUBConfig{Segments: 1, Unbounded: true})
-	for i := 0; i < 4*segmentCap; i++ {
-		tub.Push(Completion{Inst: core.Instance{Thread: 1, Ctx: core.Context(i)}})
-	}
-	got := tub.Drain(nil)
-	if len(got) != 4*segmentCap {
-		t.Fatalf("drained %d records, want %d", len(got), 4*segmentCap)
-	}
-	if st := tub.Stats(); st.Blocked != 0 {
-		t.Fatalf("unbounded TUB blocked %d times", st.Blocked)
 	}
 }

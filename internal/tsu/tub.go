@@ -21,7 +21,8 @@ type Completion struct {
 	Targets []core.Instance
 }
 
-// segmentCap is the per-segment record capacity.
+// segmentCap is a segment's starting record capacity; a segment grows past
+// it when a Block completes more instances than a drain cycle takes.
 const segmentCap = 64
 
 // TUBConfig configures the Thread-to-Update Buffer.
@@ -31,21 +32,12 @@ type TUBConfig struct {
 	// a time, acquired with try-lock. Zero selects 2×kernels; 1 is the
 	// single-lock ablation showing why the paper partitions the TUB.
 	Segments int
-	// Unbounded lets a Push grow a segment past segmentCap instead of
-	// blocking for space. The sharded TSU uses this for its cross-shard
-	// inboxes: every shard is both a producer into its peers' inboxes and
-	// the drainer of its own, so a blocking Push could deadlock two shards
-	// against each other's full inboxes. Capacity stays bounded in
-	// practice by the Block's arc count. segmentCap still sizes the
-	// initial allocation.
-	Unbounded bool
 }
 
 // TUBStats counts TUB traffic and contention.
 type TUBStats struct {
 	Pushes    int64 // completion records deposited
-	TryMisses int64 // segments skipped because locked or full
-	Blocked   int64 // times a writer had to block for space
+	TryMisses int64 // segments skipped because locked
 }
 
 // tubRec is a deposited record as a segment holds it: its n targets sit,
@@ -58,22 +50,24 @@ type tubRec struct {
 
 type tubSegment struct {
 	mu    sync.Mutex
-	cond  *sync.Cond
 	buf   []tubRec
 	arena []core.Instance // the targets of buf's records, back to back
 }
 
 // TUB is the Thread-to-Update Buffer shared between the Kernels (writers)
-// and the TSU Emulator (single reader). See §4.2 of the paper.
+// and the TSU Emulator (single reader), or a shard's cross-shard inbox
+// (Lane.Step drains it). See §4.2 of the paper. A Push never waits for
+// space: the Block bounds what a TUB holds. A kernel pushes one record per
+// completed instance and a Block's Outlet fires only after every completion
+// is drained, so a TUB never holds more than one record per instance of
+// the current Block plus its Inlet and Outlet. No writer is ever parked,
+// so an aborted run has nothing to release.
 type TUB struct {
-	segs      []tubSegment
-	notify    chan struct{}
-	closed    atomic.Bool
-	unbounded bool
+	segs   []tubSegment
+	notify chan struct{}
 
 	pushes    atomic.Int64
 	tryMisses atomic.Int64
-	blocked   atomic.Int64
 
 	// sink, when non-nil, receives one TUBDeposit event per Push. Set it
 	// before the run starts; Push reads it without synchronization.
@@ -107,9 +101,6 @@ func NewTUB(kernels int, cfg TUBConfig) *TUB {
 	}
 	if cap(t.segs) < cfg.Segments {
 		t.segs = make([]tubSegment, cfg.Segments)
-		for i := range t.segs {
-			t.segs[i].cond = sync.NewCond(&t.segs[i].mu)
-		}
 	}
 	t.segs = t.segs[:cfg.Segments]
 	for i := range t.segs {
@@ -123,11 +114,8 @@ func NewTUB(kernels int, cfg TUBConfig) *TUB {
 	case <-t.notify: // a wakeup the last run left unconsumed
 	default:
 	}
-	t.closed.Store(false)
-	t.unbounded = cfg.Unbounded
 	t.pushes.Store(0)
 	t.tryMisses.Store(0)
-	t.blocked.Store(0)
 	t.sink = nil
 	t.drained, t.recs = t.drained[:0], t.recs[:0]
 	return t
@@ -138,10 +126,13 @@ func NewTUB(kernels int, cfg TUBConfig) *TUB {
 // its last Drain returned may be used afterwards.
 func (t *TUB) Release() { tubPool.Put(t) }
 
-// deposited accounts one successfully enqueued record: the Pushes counter
-// and the TUBDeposit obs event count accepted deposits only, so records
-// dropped on a closed TUB (error-path shutdown) never skew the totals.
-func (t *TUB) deposited(rec Completion) {
+// Push deposits a completion record, copying its targets into the
+// segment's arena, so the caller may reuse rec.Targets at once. It never
+// waits for space: a segment grows past segmentCap instead.
+func (t *TUB) Push(rec Completion) {
+	seg := t.lock(int(rec.Kernel))
+	seg.put(rec)
+	seg.mu.Unlock()
 	t.pushes.Add(1)
 	if t.sink != nil {
 		t.sink.Record(obs.Event{
@@ -151,89 +142,35 @@ func (t *TUB) deposited(rec Completion) {
 			Start: t.sink.Now(),
 		})
 	}
+	select {
+	case t.notify <- struct{}{}:
+	default:
+	}
 }
 
-// Push deposits a completion record, copying its targets into the
-// segment's arena, so the caller may reuse rec.Targets at once. Per the
-// paper's design, the writer walks the segments starting from its kernel's
-// home segment and takes the first one whose try-lock succeeds and that
-// has space, so at most one segment is ever held by a kernel. If a full
-// pass fails (all segments locked or full), the writer blocks on its home
-// segment until the emulator drains it — the slow path segmentation exists
-// to avoid, and the one Blocked counts.
-func (t *TUB) Push(rec Completion) {
+// lock returns a locked segment for kernel k. Per the paper's design, the
+// writer walks the segments starting from its home segment and takes the
+// first one whose try-lock succeeds, so at most one segment is ever held
+// by a kernel. Only if every try fails (and always with one segment) does
+// it wait for its home segment's lock.
+func (t *TUB) lock(k int) *tubSegment {
 	n := len(t.segs)
-	home := int(rec.Kernel) % n
-	if n > 1 {
-		for i := 0; i < n; i++ {
-			seg := &t.segs[(home+i)%n]
-			if !seg.mu.TryLock() {
-				t.tryMisses.Add(1)
-				continue
-			}
-			if len(seg.buf) >= segmentCap && !t.unbounded {
-				seg.mu.Unlock()
-				t.tryMisses.Add(1)
-				continue
-			}
-			seg.put(rec)
-			seg.mu.Unlock()
-			t.deposited(rec)
-			t.signal()
-			return
+	for i := 0; n > 1 && i < n; i++ {
+		seg := &t.segs[(k+i)%n]
+		if seg.mu.TryLock() {
+			return seg
 		}
+		t.tryMisses.Add(1)
 	}
-	// Fallback on the home segment (and the only path with one segment):
-	// blocking for space, or growing past segmentCap when unbounded.
-	seg := &t.segs[home]
+	seg := &t.segs[k%n]
 	seg.mu.Lock()
-	waited := false
-	for len(seg.buf) >= segmentCap && !t.unbounded {
-		if t.closed.Load() {
-			// Aborted run: nobody will drain; drop the record rather
-			// than deadlock the kernel.
-			seg.mu.Unlock()
-			return
-		}
-		if !waited {
-			t.blocked.Add(1)
-			waited = true
-		}
-		// Wake the emulator so it can drain; then wait for space.
-		t.signal()
-		seg.cond.Wait()
-	}
-	seg.put(rec)
-	seg.mu.Unlock()
-	t.deposited(rec)
-	t.signal()
+	return seg
 }
 
 // put appends rec and its targets. Caller holds s.mu.
 func (s *tubSegment) put(rec Completion) {
 	s.buf = append(s.buf, tubRec{inst: rec.Inst, kernel: rec.Kernel, n: len(rec.Targets)})
 	s.arena = append(s.arena, rec.Targets...)
-}
-
-// Close marks the TUB as abandoned (error-path shutdown): writers blocked
-// for space are released and subsequent overflowing pushes are dropped.
-// The normal termination path never needs Close, because the program's
-// final completion is always drained before the kernels exit.
-func (t *TUB) Close() {
-	t.closed.Store(true)
-	for i := range t.segs {
-		seg := &t.segs[i]
-		seg.mu.Lock()
-		seg.cond.Broadcast()
-		seg.mu.Unlock()
-	}
-}
-
-func (t *TUB) signal() {
-	select {
-	case t.notify <- struct{}{}:
-	default:
-	}
 }
 
 // Drain moves every pending record from all segments into dst and returns
@@ -261,7 +198,6 @@ func (t *TUB) Drain(dst []Completion) []Completion {
 			}
 			seg.buf = seg.buf[:0]
 			seg.arena = seg.arena[:0]
-			seg.cond.Broadcast()
 		}
 		seg.mu.Unlock()
 	}
@@ -284,6 +220,5 @@ func (t *TUB) Stats() TUBStats {
 	return TUBStats{
 		Pushes:    t.pushes.Load(),
 		TryMisses: t.tryMisses.Load(),
-		Blocked:   t.blocked.Load(),
 	}
 }

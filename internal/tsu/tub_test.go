@@ -1,9 +1,9 @@
 package tsu
 
 import (
-	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"tflux/internal/core"
 )
@@ -77,35 +77,44 @@ func TestTUBSingleLockMode(t *testing.T) {
 	hammerTUB(t, TUBConfig{Segments: 1}, 4, 200)
 }
 
-// TestTUBBlockingFallbackTinyCapacity: a writer that finds the only
-// segment full blocks, counts once in Blocked, and deposits its record
-// once the drainer makes room (a single-segment TUB has no try-lock pass,
-// so this is the only place its waits can be counted).
-func TestTUBBlockingFallbackTinyCapacity(t *testing.T) {
-	tub := NewTUB(1, TUBConfig{Segments: 1})
-	for i := 0; i < segmentCap; i++ {
-		tub.Push(Completion{Inst: core.Instance{Thread: 1, Ctx: core.Context(i)}})
-	}
-	if st := tub.Stats(); st.Blocked != 0 {
-		t.Fatalf("Blocked = %d before the segment was full, want 0", st.Blocked)
-	}
+// TestTUBPushNeverWaits: writers pushing far past every segment's starting
+// capacity while nothing drains all return, and one Drain then hands back
+// every record, each writer's in push order.
+func TestTUBPushNeverWaits(t *testing.T) {
+	const writers, perWriter = 4, 4 * segmentCap
+	tub := NewTUB(writers, TUBConfig{Segments: 2})
 	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tub.Push(Completion{Inst: core.Instance{Thread: 2}})
-	}()
-	// The drainer is held until the writer has found the segment full.
-	for tub.Stats().Blocked == 0 {
-		runtime.Gosched()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				inst := core.Instance{Thread: core.ThreadID(w), Ctx: core.Context(i)}
+				tub.Push(Completion{Inst: inst, Kernel: KernelID(w)})
+			}
+		}(w)
 	}
-	var recs []Completion
-	for n := 0; n < segmentCap+1; n += len(recs) {
-		recs = tub.Drain(recs[:0])
-		runtime.Gosched()
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a writer is still waiting in Push while nothing drains")
 	}
-	<-done
-	if st := tub.Stats(); st.Blocked != 1 || st.Pushes != segmentCap+1 {
-		t.Fatalf("Blocked = %d, Pushes = %d, want 1 and %d", st.Blocked, st.Pushes, segmentCap+1)
+	recs := tub.Drain(nil)
+	if len(recs) != writers*perWriter {
+		t.Fatalf("drained %d records, want %d", len(recs), writers*perWriter)
+	}
+	next := make([]core.Context, writers)
+	for _, r := range recs {
+		w := int(r.Inst.Thread)
+		if r.Kernel != KernelID(w) || r.Inst.Ctx != next[w] {
+			t.Fatalf("writer %d: drained %v from kernel %d, want context %d next", w, r.Inst, r.Kernel, next[w])
+		}
+		next[w]++
+	}
+	if st := tub.Stats(); st.Pushes != writers*perWriter {
+		t.Fatalf("Pushes = %d, want %d", st.Pushes, writers*perWriter)
 	}
 }
 
@@ -184,24 +193,6 @@ func TestTUBDrainEmptiesSegments(t *testing.T) {
 	}
 	if again := tub.Drain(nil); len(again) != 0 {
 		t.Fatalf("second drain returned %d records, want 0", len(again))
-	}
-}
-
-func TestTUBClosedDropNotCountedAsDeposit(t *testing.T) {
-	// A record dropped on a closed, full TUB (error-path shutdown) must
-	// not inflate the Pushes counter: only accepted deposits count.
-	tub := NewTUB(1, TUBConfig{Segments: 1})
-	for i := 0; i < segmentCap; i++ {
-		tub.Push(Completion{Inst: core.Instance{Thread: 1, Ctx: core.Context(i)}})
-	}
-	if got := tub.Stats().Pushes; got != segmentCap {
-		t.Fatalf("pushes = %d after %d accepted deposits", got, segmentCap)
-	}
-	tub.Close()
-	// Segment is full and the TUB is closed: this push is dropped.
-	tub.Push(Completion{Inst: core.Instance{Thread: 2}})
-	if got := tub.Stats().Pushes; got != segmentCap {
-		t.Fatalf("pushes = %d after dropped deposit, want %d (drops must not count)", got, segmentCap)
 	}
 }
 
