@@ -205,10 +205,11 @@ func (p *Program) Validate() error {
 				}
 			}
 		}
-		if err := checkAcyclic(p, b); err != nil {
+		roots, err := checkAcyclic(p, b)
+		if err != nil {
 			return err
 		}
-		if !hasSource(b) {
+		if !hasSource(b, roots) {
 			return p.errf(b.ID, "no source instance (every instance has producers); block can never start")
 		}
 	}
@@ -216,8 +217,9 @@ func (p *Program) Validate() error {
 }
 
 // checkAcyclic rejects cycles in the template-level graph of a Block via
-// Kahn's algorithm.
-func checkAcyclic(p *Program, b *Block) error {
+// Kahn's algorithm. It returns the roots, in ID order: the templates no
+// arc of another template targets.
+func checkAcyclic(p *Program, b *Block) ([]ThreadID, error) {
 	indeg := make(map[ThreadID]int, len(b.Templates))
 	for _, t := range b.Templates {
 		if _, ok := indeg[t.ID]; !ok {
@@ -238,6 +240,7 @@ func checkAcyclic(p *Program, b *Block) error {
 	}
 	// Deterministic order for reproducible error messages.
 	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
+	roots := queue[:len(queue):len(queue)] // Kahn appends past the roots
 	processed := 0
 	for len(queue) > 0 {
 		id := queue[0]
@@ -266,20 +269,23 @@ func checkAcyclic(p *Program, b *Block) error {
 		for i, id := range cyclic {
 			names[i] = p.TemplateName(id)
 		}
-		return p.errf(b.ID, "dependency cycle among threads %s", strings.Join(names, ", "))
+		return nil, p.errf(b.ID, "dependency cycle among threads %s", strings.Join(names, ", "))
 	}
-	return nil
+	return roots, nil
 }
 
 // hasSource reports whether any instance of the Block has in-degree zero.
-// A template no arc of the Block targets is a source in every context;
-// for the others the in-degrees decide, computed into one scratch slice.
-func hasSource(b *Block) bool {
-	var deg []uint32
-	for _, t := range b.Templates {
-		if !targeted(b, t.ID) {
+// A root (see checkAcyclic) without a self-arc is a source in every
+// context; otherwise the in-degrees decide, computed into one scratch
+// slice.
+func hasSource(b *Block, roots []ThreadID) bool {
+	for _, id := range roots {
+		if !selfArc(b.Template(id)) {
 			return true
 		}
+	}
+	var deg []uint32
+	for _, t := range b.Templates {
 		deg = AppendInDegrees(deg[:0], b, t)
 		if slices.Contains(deg, 0) {
 			return true
@@ -288,13 +294,11 @@ func hasSource(b *Block) bool {
 	return false
 }
 
-// targeted reports whether any arc of Block b ends at template id.
-func targeted(b *Block, id ThreadID) bool {
-	for _, t := range b.Templates {
-		for _, a := range t.Arcs {
-			if a.To == id {
-				return true
-			}
+// selfArc reports whether template t has an arc to itself.
+func selfArc(t *Template) bool {
+	for _, a := range t.Arcs {
+		if a.To == t.ID {
+			return true
 		}
 	}
 	return false

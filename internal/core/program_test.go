@@ -180,9 +180,14 @@ func TestValidateRejectsBlockWithNoSource(t *testing.T) {
 // TestHasSourceAllocatesNothing: a Block whose first template no arc
 // targets is found to have a source without computing any in-degree.
 func TestHasSourceAllocatesNothing(t *testing.T) {
-	b := linearProgram(64).Blocks[0]
+	p := linearProgram(64)
+	b := p.Blocks[0]
+	roots, err := checkAcyclic(p, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n := testing.AllocsPerRun(100, func() {
-		if !hasSource(b) {
+		if !hasSource(b, roots) {
 			t.Fatal("no source found in src -> mid -> sink")
 		}
 	}); n != 0 {

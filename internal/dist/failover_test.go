@@ -293,9 +293,9 @@ func TestFailoverHeartbeatMiss(t *testing.T) {
 	}
 }
 
-// TestFailoverLeaseExpiry: a node that stays heartbeat-responsive but
-// sits on a DThread forever is caught by lease expiry; the instance
-// re-executes on the surviving node and the run completes.
+// TestFailoverLeaseExpiry: a node that sits on a DThread forever is caught
+// by lease expiry; the instance re-executes on the surviving node and the
+// run completes. Heartbeats are off, so only lease expiry is tested.
 func TestFailoverLeaseExpiry(t *testing.T) {
 	unblock := make(chan struct{})
 	t.Cleanup(func() { close(unblock) })

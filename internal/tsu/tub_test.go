@@ -77,12 +77,11 @@ func TestTUBSingleLockMode(t *testing.T) {
 	hammerTUB(t, TUBConfig{Segments: 1}, 4, 200)
 }
 
-// TestTUBPushNeverWaits: writers pushing far past every segment's starting
-// capacity while nothing drains all return, and one Drain then hands back
-// every record, each writer's in push order.
-func TestTUBPushNeverWaits(t *testing.T) {
-	const writers, perWriter = 4, 4 * segmentCap
-	tub := NewTUB(writers, TUBConfig{Segments: 2})
+// fillTUB has writers each push perWriter records (Thread = writer, Ctx =
+// push index) into a TUB nothing drains, and fails the test unless every
+// writer returns within the deadline.
+func fillTUB(t *testing.T, tub *TUB, writers, perWriter int) {
+	t.Helper()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -101,20 +100,38 @@ func TestTUBPushNeverWaits(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("a writer is still waiting in Push while nothing drains")
 	}
-	recs := tub.Drain(nil)
-	if len(recs) != writers*perWriter {
-		t.Fatalf("drained %d records, want %d", len(recs), writers*perWriter)
-	}
-	next := make([]core.Context, writers)
-	for _, r := range recs {
-		w := int(r.Inst.Thread)
-		if r.Kernel != KernelID(w) || r.Inst.Ctx != next[w] {
-			t.Fatalf("writer %d: drained %v from kernel %d, want context %d next", w, r.Inst, r.Kernel, next[w])
-		}
-		next[w]++
-	}
-	if st := tub.Stats(); st.Pushes != writers*perWriter {
+	if st := tub.Stats(); st.Pushes != int64(writers*perWriter) {
 		t.Fatalf("Pushes = %d, want %d", st.Pushes, writers*perWriter)
+	}
+}
+
+// TestTUBPushNeverWaits: writers pushing far past every segment's starting
+// capacity while nothing drains all return, and one Drain then hands back
+// every record once. With one segment each writer's records also come
+// back in push order; with two, a try-miss may put a record in the other
+// segment, so only exactly-once delivery holds.
+func TestTUBPushNeverWaits(t *testing.T) {
+	const writers, perWriter = 4, 4 * segmentCap
+	for _, segs := range []int{1, 2} {
+		tub := NewTUB(writers, TUBConfig{Segments: segs})
+		fillTUB(t, tub, writers, perWriter)
+		recs := tub.Drain(nil)
+		if len(recs) != writers*perWriter {
+			t.Fatalf("%d segments: drained %d records, want %d", segs, len(recs), writers*perWriter)
+		}
+		next := make([]core.Context, writers)
+		seen := make(map[core.Instance]bool, len(recs))
+		for _, r := range recs {
+			w := int(r.Inst.Thread)
+			if r.Kernel != KernelID(w) || seen[r.Inst] {
+				t.Fatalf("%d segments: drained %v from kernel %d twice or from the wrong kernel", segs, r.Inst, r.Kernel)
+			}
+			seen[r.Inst] = true
+			if segs == 1 && r.Inst.Ctx != next[w] {
+				t.Fatalf("writer %d: drained context %d, want %d next", w, r.Inst.Ctx, next[w])
+			}
+			next[w]++
+		}
 	}
 }
 
