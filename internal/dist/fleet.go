@@ -128,9 +128,6 @@ type session struct {
 	timers  []*time.Timer
 	start   time.Time
 	closed  bool
-	// pooled marks a state acquired from OpenReq.Tables; closeSession
-	// releases it back to the tables' pool after the final Stats copy.
-	pooled bool
 }
 
 // validExport is one export of a Done that passed validation: where in
@@ -673,10 +670,8 @@ func (f *Fleet) openSession(id uint32, req *OpenReq) {
 		return
 	}
 	var state *tsu.State
-	var pooled bool
 	if req.Tables != nil && req.Tables.Program() == req.Prog && req.Tables.Kernels() == f.totalKernels {
 		state = req.Tables.Acquire()
-		pooled = true
 	} else {
 		var err error
 		state, err = tsu.NewState(req.Prog, f.totalKernels)
@@ -686,9 +681,7 @@ func (f *Fleet) openSession(id uint32, req *OpenReq) {
 		}
 	}
 	if f.aliveN == 0 {
-		if pooled {
-			state.Release()
-		}
+		state.Release()
 		fail(fmt.Errorf("dist: all %d nodes lost; last failure: %w", f.n, f.lastLoss))
 		return
 	}
@@ -700,7 +693,6 @@ func (f *Fleet) openSession(id uint32, req *OpenReq) {
 		id:     id,
 		svb:    req.SVB,
 		state:  state,
-		pooled: pooled,
 		stats:  &Stats{Nodes: make([]NodeStats, f.n)},
 		weight: weight,
 		onDone: req.OnDone,
@@ -810,11 +802,10 @@ func (f *Fleet) closeSession(s *session, err error) {
 	s.stats.TSU = s.state.Stats()
 	f.cTSUDec.Add(s.stats.TSU.Decrements)
 	f.cTSUFired.Add(s.stats.TSU.Fired)
-	if s.pooled {
-		// Stats are copied out above; the pooled state goes back to its
-		// Tables' pool for the next session of this program.
-		s.state.Release()
-	}
+	// Stats are copied out above: a pooled state goes back to its
+	// Tables' pool for the next session of this program, any other gives
+	// its SM arrays to the next State built.
+	s.state.Release()
 	if s.onDone != nil {
 		s.onDone(s.stats, err)
 	}

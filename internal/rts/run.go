@@ -168,6 +168,7 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 		stats.TUB = r.tub.Stats()
 		r.tub.Release()
 	}
+	state.Release()
 	for k, q := range r.queues {
 		stats.Idle[k] = q.idleTime()
 	}

@@ -26,7 +26,8 @@ type scratchBufs struct {
 // from scratchPool, which is process-wide, and puts it back once all of
 // the run's goroutines have exited; takeScratch resets whatever the last
 // run left behind (an aborted run leaves queued instances).
-// The TSU State is not part of it: it is built per run.
+// The TSU State is not part of it: its thread table is built per run, and
+// only its SM arrays recycle, through State.Release.
 type runScratch struct {
 	queues []*readyQueue
 	bufs   []scratchBufs // one per kernel, then the emulator's

@@ -3,7 +3,9 @@ package rts
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"tflux/internal/core"
@@ -29,27 +31,45 @@ func fineGrainJob(t testing.TB, name string, param, kernels int) (workload.Job, 
 
 // What one warm rts.Run of the benchmark's fine-grain programs allocates
 // on two kernels, as measured over 3×20 runs: TRAPEZ-2^19/1 (4 097
-// instances) 32 times on the single-driver plane and 44 on the sharded
-// one, FFT-64/1 (256 instances) 105 and 128, of which 64 are the FFT
-// body's own. What is left is the per-run State (thread table, SMs,
-// validation), the runner and its goroutines, and the sharded engine's
-// lanes: nothing per completion. Before the run scratch, the TUB's target
+// instances) 19 objects and 1 288 bytes on the single-driver plane, 31 and
+// 1 864 on the sharded one; FFT-64/1 (256 instances) 21 and 1 520, 44 and
+// 3 096. That is the per-run State (thread table, validation, stats), the
+// runner and its goroutines, and the sharded engine's lanes: nothing per
+// completion, no FFT column (each context keeps its own across runs) and
+// no SM array (they come back from State.Release). Before that the same
+// runs allocated 27, 39, 93 and 116 objects and 35–70 KB, 64 of FFT's
+// objects and 64 KiB its columns; before the run scratch, the TUB's target
 // arenas and the context scratch were recycled, the four runs allocated
 // ≈ 17 900 times together. Under the race detector sync.Pool drops a
-// share of what it is given, so scratch and TUBs are regrown at random:
-// TRAPEZ 41–82 and 65–107 times, FFT 111–153 and 152–192, measured over
-// 13×20 runs.
+// share of what it is given, so scratch, TUBs and SM arrays are regrown at
+// random: TRAPEZ 39–79 and 49–94 objects, FFT 36–75 and 65–100, and bytes
+// up to 545 KB, 411 KB, 113 KB and 68 KB, measured over 53×20 runs.
 var runAllocsCeilings = []struct {
-	name        string
-	param       int
-	shards      int
-	ceiling     float64
-	raceCeiling float64
+	name                   string
+	param                  int
+	shards                 int
+	ceiling, bytes         float64
+	raceCeiling, raceBytes float64
 }{
-	{"TRAPEZ", 19, 0, 40, 130},
-	{"TRAPEZ", 19, 2, 55, 160},
-	{"FFT", 64, 0, 130, 210},
-	{"FFT", 64, 2, 160, 250},
+	{"TRAPEZ", 19, 0, 24, 4 << 10, 110, 800 << 10},
+	{"TRAPEZ", 19, 2, 38, 4 << 10, 130, 600 << 10},
+	{"FFT", 64, 0, 27, 4 << 10, 110, 160 << 10},
+	{"FFT", 64, 2, 54, 6 << 10, 140, 100 << 10},
+}
+
+// perRun calls fn once to warm up and then n times, on one P as
+// testing.AllocsPerRun does, and returns the mean objects and bytes one
+// call allocated.
+func perRun(n int, fn func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }
 
 func TestRunAllocsCeiling(t *testing.T) {
@@ -65,18 +85,20 @@ func TestRunAllocsCeiling(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			run()
-			got := testing.AllocsPerRun(20, run)
+			allocs, bytes := perRun(20, run)
 			if err := job.Verify(); err != nil {
 				t.Fatal(err)
 			}
-			ceiling := c.ceiling
+			ceiling, byteCeiling := c.ceiling, c.bytes
 			if raceBuild {
-				ceiling = c.raceCeiling
+				ceiling, byteCeiling = c.raceCeiling, c.raceBytes
 			}
-			t.Logf("%.0f allocs per run", got)
-			if got > ceiling {
-				t.Fatalf("a warm run allocates %.0f times, want <= %.0f", got, ceiling)
+			t.Logf("%.1f allocs, %.0f bytes per run", allocs, bytes)
+			if allocs > ceiling {
+				t.Errorf("a warm run allocates %.1f times, want <= %.0f", allocs, ceiling)
+			}
+			if bytes > byteCeiling {
+				t.Errorf("a warm run allocates %.0f bytes, want <= %.0f", bytes, byteCeiling)
 			}
 		})
 	}
@@ -102,13 +124,23 @@ type runRecord struct {
 
 func recordRun(t *testing.T, job workload.Job, p *core.Program, opt Options) runRecord {
 	t.Helper()
-	job.ResetOutput()
-	st, err := Run(p, opt)
+	rec, err := runAndRecord(job, p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rec
+}
+
+// runAndRecord is recordRun for a goroutine other than the test's: it
+// returns what went wrong instead of failing the test.
+func runAndRecord(job workload.Job, p *core.Program, opt Options) (runRecord, error) {
+	job.ResetOutput()
+	st, err := Run(p, opt)
+	if err != nil {
+		return runRecord{}, err
+	}
 	if err := job.Verify(); err != nil {
-		t.Fatal(err)
+		return runRecord{}, err
 	}
 	h := fnv.New64a()
 	svb := job.SharedBuffers()
@@ -121,22 +153,30 @@ func recordRun(t *testing.T, job workload.Job, p *core.Program, opt Options) run
 		decrements: st.TSU.Decrements,
 		crossShard: st.CrossShardDecrements,
 		pushes:     st.TUB.Pushes,
-	}
+	}, nil
 }
 
-// abortRuns leaves the pool's scratch as dirty as a run can: a body panic
-// with thousands of instances still queued, then a Mapping panic during
-// arc expansion, on four kernels and both planes.
-func abortRuns(t *testing.T) {
+// abortedRuns returns runs that leave the pools' scratch and SM arrays as
+// dirty as a run can: a body panic with thousands of instances still
+// queued and thousands of Ready Counts not yet zero (the consumer is the
+// Block's first template, so those counts lead every kernel's cells), then
+// a Mapping panic during arc expansion, on four kernels and both planes.
+// Each run checks that it failed as it should.
+func abortedRuns(t *testing.T) []func() {
 	t.Helper()
+	sink := core.NewTemplate(2, "sink", func(core.Context) {})
+	sink.Instances = 20000
 	src := core.NewTemplate(1, "src", func(c core.Context) {
 		if c == 0 {
 			panic("kaboom")
 		}
 	})
 	src.Instances = 20000
+	src.Then(2, core.OneToOne{})
 	p := core.NewProgram("abort")
-	p.AddBlock().Add(src)
+	bp := p.AddBlock()
+	bp.Add(sink)
+	bp.Add(src)
 	prod := core.NewTemplate(1, "prod", func(core.Context) {})
 	prod.Instances = 8
 	prod.Then(2, panicMapping{at: 3})
@@ -146,13 +186,26 @@ func abortRuns(t *testing.T) {
 	b := pm.AddBlock()
 	b.Add(prod)
 	b.Add(cons)
+	var runs []func()
 	for _, opt := range []Options{{Kernels: 4}, {Kernels: 4, TSUShards: 4}} {
-		if _, err := Run(p, opt); err == nil || !strings.Contains(err.Error(), "kaboom") {
-			t.Fatalf("body panic: err = %v", err)
-		}
-		if _, err := Run(pm, opt); err == nil || !strings.Contains(err.Error(), "kaboom-map") {
-			t.Fatalf("mapping panic: err = %v", err)
-		}
+		runs = append(runs, func() {
+			if _, err := Run(p, opt); err == nil || !strings.Contains(err.Error(), "kaboom") {
+				t.Fatalf("body panic: err = %v", err)
+			}
+		}, func() {
+			if _, err := Run(pm, opt); err == nil || !strings.Contains(err.Error(), "kaboom-map") {
+				t.Fatalf("mapping panic: err = %v", err)
+			}
+		})
+	}
+	return runs
+}
+
+// abortRuns runs every one of abortedRuns in turn.
+func abortRuns(t *testing.T) {
+	t.Helper()
+	for _, run := range abortedRuns(t) {
+		run()
 	}
 }
 
@@ -193,4 +246,73 @@ func TestRecycledScratchDoesNotLeak(t *testing.T) {
 	for i := len(cases) - 1; i >= 0; i-- {
 		check(i)
 	}
+}
+
+// freshSMArrays empties the TSU's SM pool, so that the next State builds
+// its arrays anew, as the first run in a process does: a sync.Pool drops
+// everything it held before two collections.
+func freshSMArrays() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// TestRecycledSMArraysDoNotLeak runs each program on SM arrays another run
+// grew and gave back — source 0 a 4-kernel run's, source 1 a 1-kernel
+// run's, sources 2–5 those of each of abortedRuns — on both planes, and
+// requires its output bytes and work counts to equal those of its run on
+// arrays built fresh, and then again with every case running at once.
+func TestRecycledSMArraysDoNotLeak(t *testing.T) {
+	qsort, _ := workload.QSortSpec().Sizes(workload.Native)
+	cases := []struct {
+		name           string
+		param, kernels int
+		opt            Options
+	}{
+		{"FFT", 64, 2, Options{Kernels: 2}},
+		{"FFT", 64, 2, Options{Kernels: 2, TSUShards: 2}},
+		{"TRAPEZ", 19, 3, Options{Kernels: 3}},
+		{"QSORT", qsort[workload.Small], 2, Options{Kernels: 2, TSUShards: 2}},
+	}
+	jobs := make([]workload.Job, len(cases))
+	progs := make([]*core.Program, len(cases))
+	want := make([]runRecord, len(cases))
+	for i, c := range cases {
+		jobs[i], progs[i] = fineGrainJob(t, c.name, c.param, c.kernels)
+		freshSMArrays()
+		want[i] = recordRun(t, jobs[i], progs[i], c.opt)
+	}
+	wide, wideProg := fineGrainJob(t, "QSORT", qsort[workload.Small], 4)
+	narrow, narrowProg := fineGrainJob(t, "TRAPEZ", 19, 1)
+	sources := []func(){
+		func() { recordRun(t, wide, wideProg, Options{Kernels: 4}) },
+		func() { recordRun(t, narrow, narrowProg, Options{Kernels: 1}) },
+	}
+	sources = append(sources, abortedRuns(t)...)
+	for si, src := range sources {
+		for i, c := range cases {
+			// The pool holds only what src gave back when the run starts.
+			freshSMArrays()
+			src()
+			if got := recordRun(t, jobs[i], progs[i], c.opt); got != want[i] {
+				t.Fatalf("%s %+v on the SM arrays of source %d: %+v, on fresh arrays %+v", c.name, c.opt, si, got, want[i])
+			}
+		}
+	}
+	// Last, every case at once, each on its own goroutine and job, so the
+	// arrays pass between runs that overlap.
+	var wg sync.WaitGroup
+	for i, c := range cases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				got, err := runAndRecord(jobs[i], progs[i], c.opt)
+				if err != nil || got != want[i] {
+					t.Errorf("%s %+v beside the other cases: %+v (err %v), alone on fresh arrays %+v", c.name, c.opt, got, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -3,6 +3,7 @@ package tsu
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"tflux/internal/core"
 )
@@ -78,10 +79,12 @@ type State struct {
 
 	// ctx and cons are CompleteInto's arc-expansion scratch, and deg the
 	// Inlet's in-degree scratch: the driver's own, like the SMs, so a
-	// State kept across Blocks and runs keeps them grown.
-	ctx  []core.Context
-	cons []core.Instance
-	deg  []uint32
+	// State kept across Blocks and runs keeps them grown. sms and deg
+	// come from backing, which Release gives back to smPool.
+	ctx     []core.Context
+	cons    []core.Instance
+	deg     []uint32
+	backing *smArrays
 
 	stats Stats
 }
@@ -168,15 +171,38 @@ func NewStateCfg(p *core.Program, kernels int, cfg Config) (*State, error) {
 	return newState(p, kernels, infos), nil
 }
 
-// newState builds the mutable half of a State over a thread table.
+// smArrays is a State's SM backing: one sm per kernel, with its cells,
+// and the Inlet's in-degree scratch. Every Block load overwrites each cell
+// it uses, so arrays an earlier State grew carry nothing into a new one.
+type smArrays struct {
+	sms []sm
+	deg []uint32
+}
+
+// smPool holds the backing of Released States, so a one-shot run starts
+// with the arrays an earlier run grew. It is process-wide and takes
+// backing of any kernel count.
+var smPool sync.Pool
+
+// newState builds the mutable half of a State over a thread table, on SM
+// backing from smPool when it has some.
 func newState(p *core.Program, kernels int, infos []tmplInfo) *State {
+	a, _ := smPool.Get().(*smArrays)
+	if a == nil {
+		a = new(smArrays)
+	}
+	if cap(a.sms) < kernels {
+		a.sms = make([]sm, kernels)
+	}
 	s := &State{
 		prog:        p,
 		kernels:     kernels,
 		infos:       infos,
 		serviceBase: core.ThreadID(len(infos)),
 		curBlock:    -1,
-		sms:         make([]sm, kernels),
+		sms:         a.sms[:kernels],
+		deg:         a.deg,
+		backing:     a,
 	}
 	s.stats.PerKernel = make([]int64, kernels)
 	return s

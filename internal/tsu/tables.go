@@ -33,11 +33,13 @@ const maxPooledStates = 16
 // NewTables validates the program once and freezes the dense thread and
 // arc tables every State over it shares.
 func NewTables(p *core.Program, kernels int, cfg Config) (*Tables, error) {
-	proto, err := NewStateCfg(p, kernels, cfg)
+	s, err := NewStateCfg(p, kernels, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Tables{prog: p, kernels: kernels, infos: proto.infos}, nil
+	// The State that validated the program is the first one pooled.
+	s.tables = &Tables{prog: p, kernels: kernels, infos: s.infos, free: []*State{s}}
+	return s.tables, nil
 }
 
 // Program returns the program these tables were built for.
@@ -47,9 +49,9 @@ func (t *Tables) Program() *core.Program { return t.prog }
 func (t *Tables) Kernels() int { return t.kernels }
 
 // Acquire returns a ready-to-run State: a pooled one (Reset, SM backing
-// retained so warm block loads allocate nothing) when available, a fresh
-// one otherwise. It behaves exactly like a State from NewStateCfg with the
-// same program, kernels and config.
+// retained so warm block loads allocate nothing) when available, else a
+// fresh one over SM arrays from the process-wide pool. It behaves exactly
+// like a State from NewStateCfg with the same program, kernels and config.
 func (t *Tables) Acquire() *State {
 	t.mu.Lock()
 	if n := len(t.free); n > 0 {
@@ -65,20 +67,27 @@ func (t *Tables) Acquire() *State {
 	return s
 }
 
-// Release resets the State and returns it to its Tables' pool (dropped
-// when the pool is full or the State did not come from Acquire). The
-// caller must not touch the State afterwards.
+// Release ends the State's use. A State from Acquire is Reset and goes
+// back to its Tables' pool, SM arrays and all. Any other State — or one
+// the full pool turns away — gives its SM arrays to the process-wide pool
+// every new State draws from, and is left to the GC. Call it once the
+// run's stats are read and no driver holds the State: the caller must not
+// touch the State afterwards.
 func (s *State) Release() {
-	t := s.tables
-	if t == nil {
-		return
+	if t := s.tables; t != nil {
+		s.Reset()
+		t.mu.Lock()
+		if len(t.free) < maxPooledStates {
+			t.free = append(t.free, s)
+			t.mu.Unlock()
+			return
+		}
+		t.mu.Unlock()
 	}
-	s.Reset()
-	t.mu.Lock()
-	if len(t.free) < maxPooledStates {
-		t.free = append(t.free, s)
-	}
-	t.mu.Unlock()
+	a := s.backing
+	a.sms, a.deg = s.sms, s.deg
+	s.sms, s.deg, s.backing = nil, nil, nil
+	smPool.Put(a)
 }
 
 // Reset rewinds the mutable half to the just-constructed state so the

@@ -2,8 +2,12 @@ package workload
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"tflux/internal/core"
+	"tflux/internal/rts"
 )
 
 // --- TRAPEZ ---
@@ -268,12 +272,91 @@ func TestFFTColumnChunkingInvariance(t *testing.T) {
 	f2 := NewFFT(16)
 	copy(f1.par, f1.input)
 	copy(f2.par, f2.input)
-	f1.colFFTs(f1.par, 0, 16)
-	f2.colFFTs(f2.par, 0, 5)
-	f2.colFFTs(f2.par, 5, 16)
+	f1.colFFTs(f1.par, make([]complex128, 16), 0, 16)
+	// One scratch column serves both chunks: what the first left in it
+	// must not reach the second.
+	col := make([]complex128, 16)
+	f2.colFFTs(f2.par, col, 0, 5)
+	f2.colFFTs(f2.par, col, 5, 16)
 	for i := range f1.par {
 		if f1.par[i] != f2.par[i] {
 			t.Fatalf("column split changed element %d", i)
 		}
+	}
+}
+
+// mallocs returns how many objects fn allocated, on every goroutine.
+func mallocs(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestFFTWarmRunAllocatesNoColumns runs one built FFT-64/1 program twice:
+// its colfft body allocates nothing the second time, because each context
+// keeps the column its first call made, so the second run allocates the
+// 64 columns fewer than the first. Every run still matches RunSequential
+// bit for bit.
+func TestFFTWarmRunAllocatesNoColumns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation count needs a quiet process")
+	}
+	const n, kernels = 64, 2
+	f := NewFFT(n)
+	f.RunSequential()
+	build := func() *core.Program {
+		p, err := f.Build(kernels, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	run := func(p *core.Program) {
+		f.ResetOutput()
+		if _, err := rts.Run(p, rts.Options{Kernels: kernels}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	p := build()
+	var cols *core.Template
+	for _, tm := range p.Blocks[0].Templates {
+		if tm.Name == "colfft" {
+			cols = tm
+		}
+	}
+	body := func() {
+		for c := core.Context(0); c < cols.Instances; c++ {
+			cols.Body(c)
+		}
+	}
+	if got := mallocs(body); got != uint64(cols.Instances) {
+		t.Fatalf("first pass of the colfft body allocated %d times, want one column per context (%d)", got, cols.Instances)
+	}
+	if got := mallocs(body); got != 0 {
+		t.Fatalf("second pass of the colfft body allocated %d times, want 0", got)
+	}
+
+	// The program-wide count, over the run scratch and SM arrays an
+	// earlier run left: a newly built program's first run against its
+	// second, the largest drop of five pairs (under the race detector
+	// sync.Pool drops a share of what it is given, so a run may regrow
+	// some scratch at random).
+	run(build())
+	drop := int64(math.MinInt64)
+	for i := 0; i < 5; i++ {
+		q := build()
+		first := mallocs(func() { run(q) })
+		second := mallocs(func() { run(q) })
+		t.Logf("first run %d allocs, second run %d", first, second)
+		drop = max(drop, int64(first)-int64(second))
+	}
+	if drop < int64(cols.Instances) {
+		t.Fatalf("a second run allocates at most %d times fewer than the first: want at least the %d columns fewer", drop, cols.Instances)
 	}
 }

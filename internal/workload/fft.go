@@ -111,17 +111,17 @@ func (f *FFT) rowFFTs(dst []complex128, lo, hi int) {
 	}
 }
 
-// colFFTs transforms columns [lo, hi) of dst in place.
-func (f *FFT) colFFTs(dst []complex128, lo, hi int) {
+// colFFTs transforms columns [lo, hi) of dst in place, through col, an
+// n-element scratch column.
+func (f *FFT) colFFTs(dst, col []complex128, lo, hi int) {
 	n := f.n
-	col := make([]complex128, n)
 	for c := lo; c < hi; c++ {
-		for r := 0; r < n; r++ {
+		for r := range col {
 			col[r] = dst[r*n+c]
 		}
 		fftInPlace(col)
-		for r := 0; r < n; r++ {
-			dst[r*n+c] = col[r]
+		for r, v := range col {
+			dst[r*n+c] = v
 		}
 	}
 }
@@ -136,10 +136,11 @@ func (f *FFT) scaleRows(dst []complex128, lo, hi int) {
 
 // RunSequential implements Job.
 func (f *FFT) RunSequential() {
-	copy(f.ref, f.input)
-	f.rowFFTs(f.ref, 0, f.n)
-	f.colFFTs(f.ref, 0, f.n)
-	f.scaleRows(f.ref, 0, f.n)
+	ref := f.ref
+	copy(ref, f.input)
+	f.rowFFTs(ref, 0, f.n)
+	f.colFFTs(ref, make([]complex128, f.n), 0, f.n)
+	f.scaleRows(ref, 0, f.n)
 	f.refDone = true
 }
 
@@ -214,9 +215,15 @@ func (f *FFT) Build(kernels, unroll int) (*core.Program, error) {
 		return []core.MemRegion{rowRegion(lo, hi, false), rowRegion(lo, hi, true)}
 	}
 
+	// scratch[ctx] is context ctx's column, made by its first call and
+	// reused by every later run of this program; no two contexts share one.
+	scratch := make([][]complex128, inst)
 	cols := core.NewTemplate(3, "colfft", func(ctx core.Context) {
 		lo, hi := rowsOf(ctx)
-		f.colFFTs(par, lo, hi)
+		if scratch[ctx] == nil {
+			scratch[ctx] = make([]complex128, n)
+		}
+		f.colFFTs(par, scratch[ctx], lo, hi)
 	})
 	cols.Instances = core.Context(inst)
 	cols.Cost = func(ctx core.Context) int64 {
