@@ -84,6 +84,7 @@ func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, e
 		return nil, err
 	}
 	if err := svb.Covers(p.Buffers); err != nil {
+		state.Release()
 		return nil, fmt.Errorf("cellsim: %w", err)
 	}
 	r := &cellRunner{
@@ -124,6 +125,7 @@ func Run(p *core.Program, svb *core.SharedVariableBuffer, cfg Config) (*Stats, e
 	wg.Wait()
 	stats.Elapsed = time.Since(start)
 	stats.TSU = state.Stats()
+	state.Release()
 	stats.Commands = r.commands
 	for i := range r.dmas {
 		stats.DMABytesIn += r.dmas[i].bytesIn

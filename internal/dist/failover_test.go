@@ -293,9 +293,9 @@ func TestFailoverHeartbeatMiss(t *testing.T) {
 	}
 }
 
-// TestFailoverLeaseExpiry: a node that sits on a DThread forever is caught
-// by lease expiry; the instance re-executes on the surviving node and the
-// run completes. Heartbeats are off, so only lease expiry is tested.
+// TestFailoverLeaseExpiry: a node that sits on a DThread forever, while
+// its recv loop still answers every heartbeat, is caught by lease expiry;
+// the instance re-executes on the surviving node and the run completes.
 func TestFailoverLeaseExpiry(t *testing.T) {
 	unblock := make(chan struct{})
 	t.Cleanup(func() { close(unblock) })
@@ -321,10 +321,12 @@ func TestFailoverLeaseExpiry(t *testing.T) {
 	}
 	opt := fastFailover()
 	opt.LeaseTimeout = 60 * time.Millisecond
-	// Heartbeats off: on a starved host a 30 ms heartbeat window can
-	// declare the surviving node lost too. Here a lease is the only way
-	// to lose a node (TestFailoverHeartbeatMiss covers heartbeats).
-	opt.Heartbeat = -1
+	// Heartbeats on, with a 2 s window: long past the lease, so a ping
+	// answered by the wedged node must not keep it alive, and long enough
+	// that a starved host does not declare the surviving node lost too
+	// (TestFailoverHeartbeatMiss covers a node that stops answering).
+	opt.Heartbeat = 20 * time.Millisecond
+	opt.HeartbeatMisses = 100
 	st, svb, err := RunLocalOpts(build, 2, 1, opt)
 	if err != nil {
 		t.Fatalf("run failed: %v\nstats: %+v", err, st)

@@ -152,10 +152,9 @@ type OpenReq struct {
 	// does not travel (ProgramSpec.Hash supplies one).
 	Hash uint64
 	// Tables, when non-nil, supplies pre-built frozen TSU tables for the
-	// program: the session acquires a pooled state (skipping validation
-	// and thread-table construction, and reusing the SM arrays of an
-	// earlier session) and releases it back to the pool at close. Ignored
-	// unless it was built for exactly Prog and the fleet's kernel count.
+	// program: the session acquires its State over them, skipping
+	// validation and thread-table construction. Ignored unless it was
+	// built for exactly Prog and the fleet's kernel count.
 	Tables *tsu.Tables
 	// Weight is the session's share in the per-node weighted round-robin
 	// over deferred ready instances; values < 1 mean 1.
@@ -802,9 +801,8 @@ func (f *Fleet) closeSession(s *session, err error) {
 	s.stats.TSU = s.state.Stats()
 	f.cTSUDec.Add(s.stats.TSU.Decrements)
 	f.cTSUFired.Add(s.stats.TSU.Fired)
-	// Stats are copied out above: a pooled state goes back to its
-	// Tables' pool for the next session of this program, any other gives
-	// its SM arrays to the next State built.
+	// Stats are copied out above: the State goes back to the TSU's free
+	// list for the next State built, of any program.
 	s.state.Release()
 	if s.onDone != nil {
 		s.onDone(s.stats, err)

@@ -190,6 +190,7 @@ func Run(p *core.Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer state.Release()
 	hier := mem.NewHierarchy(cfg.Cores, cfg.Mem)
 	defer hier.Release()
 	m := &machine{

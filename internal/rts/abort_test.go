@@ -94,3 +94,47 @@ func TestRunAbortOnPostProcessingPanic(t *testing.T) {
 		})
 	}
 }
+
+// firstOnly is a Mapping at odds with itself: every producer context
+// enables consumer 0, while its InDegree (OneToOne's) says each consumer
+// waits for one producer.
+type firstOnly struct{ core.OneToOne }
+
+func (firstOnly) AppendTargets(dst []core.Context, _, _, _ core.Context) []core.Context {
+	return append(dst, 0)
+}
+
+// tsuViolationProgram has four producers whose firstOnly arcs drive
+// consumer 0's Ready Count below zero at the second completion: a TSU
+// invariant broken mid-run, which Validate cannot see.
+func tsuViolationProgram() *core.Program {
+	prod := core.NewTemplate(1, "prod", func(core.Context) {})
+	prod.Instances = 4
+	prod.Then(2, firstOnly{})
+	cons := core.NewTemplate(2, "cons", func(core.Context) {})
+	cons.Instances = 4
+	p := core.NewProgram("tsu-violation")
+	b := p.AddBlock()
+	b.Add(prod)
+	b.Add(cons)
+	return p
+}
+
+// TestRunAbortOnTSUViolation: a broken TSU invariant ends the run, not
+// the process, on both planes — in the emulator goroutine on the
+// single-driver plane, in a kernel's Complete or shard step on the sharded
+// one — and Run names it as a TSU violation, not a DThread panic.
+func TestRunAbortOnTSUViolation(t *testing.T) {
+	const kernels = 4
+	for _, opt := range []Options{
+		{Kernels: kernels},
+		{Kernels: kernels, TSUShards: kernels},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", opt.TSUShards), func(t *testing.T) {
+			_, err := Run(tsuViolationProgram(), opt)
+			if err == nil || !strings.Contains(err.Error(), "rts: TSU violation") || !strings.Contains(err.Error(), "went negative") {
+				t.Fatalf("err = %v, want a TSU violation naming the negative Ready Count", err)
+			}
+		})
+	}
+}

@@ -2,7 +2,7 @@
 
 package rts
 
-// raceBuild: under the race detector sync.Pool drops a share of what it is
-// given, so a run's scratch and TUBs are regrown at random: allocation
+// raceBuild: the race detector perturbs the schedule, so a run may meet a
+// deeper queue or TUB than its warm-up did and grow it once: allocation
 // ceilings are race-specific.
 const raceBuild = true

@@ -88,7 +88,7 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 	}
 	sc := takeScratch(opt.Kernels)
 	// Every goroutine of the run has exited before Run returns.
-	defer scratchPool.Put(sc)
+	defer sc.release()
 	r := &runner{
 		state:   state,
 		queues:  sc.queues[:opt.Kernels],
@@ -293,41 +293,37 @@ func (r *runner) kernel(k tsu.KernelID, executed, service *int64) {
 	}
 	q := r.queues[int(k)]
 	b := &r.bufs[int(k)]
-	// execute runs one instance and its Post-Processing Phase and reports
-	// whether the kernel must exit. A panic anywhere in it — the body, a
-	// Mapping's AppendTargets during arc expansion, a TSU invariant —
-	// aborts the run (fail) instead of the process.
-	execute := func(inst core.Instance) (exit bool) {
-		defer func() {
-			if p := recover(); p != nil {
+	// A panic anywhere in the loop aborts the run (fail) instead of the
+	// process. In the body, or in a Mapping's AppendTargets during arc
+	// expansion, it is the DThread's; in Complete or Step it is a broken
+	// TSU invariant. inst is the instance the kernel executes, and at
+	// where in the loop it is.
+	var (
+		inst core.Instance
+		at   = atDThread
+	)
+	defer func() {
+		if p := recover(); p != nil {
+			switch at {
+			case atDThread:
 				r.fail(fmt.Errorf("rts: DThread %v panicked on kernel %d: %v", inst, k, p))
-				exit = true
+			case atComplete:
+				r.fail(fmt.Errorf("rts: TSU violation while completing %v on kernel %d: %v", inst, k, p))
+			case atStep:
+				r.fail(fmt.Errorf("rts: TSU violation on kernel %d while applying its shard's inbox: %v", k, p))
 			}
-		}()
-		r.runBody(k, inst, executed, service)
-		b.targets = r.state.AppendConsumers(b.targets[:0], &b.ctx, inst)
-		if ln == nil {
-			r.tub.Push(tsu.Completion{Inst: inst, Kernel: k, Targets: b.targets})
-			return false
 		}
-		t0 := r.now()
-		var done bool
-		b.ready, done = ln.Complete(b.ready[:0], inst, b.targets)
-		r.tsuCommand(r.tsuLane+r.sharded.ShardOf(k), inst, t0)
-		r.stage(b.pend, b.ready)
-		r.flush(b.pend)
-		if done {
-			r.shutdown()
-		}
-		return done
-	}
+	}()
 	for {
 		if ln != nil {
+			at = atStep
 			b.ready = ln.Step(b.ready[:0])
+			at = atDThread
 			r.stage(b.pend, b.ready)
 			r.flush(b.pend)
 		}
-		inst, ok, closed := q.pop()
+		var ok, closed bool
+		inst, ok, closed = q.pop()
 		if closed {
 			return
 		}
@@ -337,11 +333,33 @@ func (r *runner) kernel(k tsu.KernelID, executed, service *int64) {
 		if r.mQueueDepth != nil {
 			r.mQueueDepth.Add(-1)
 		}
-		if execute(inst) {
+		r.runBody(k, inst, executed, service)
+		b.targets = r.state.AppendConsumers(b.targets[:0], &b.ctx, inst)
+		if ln == nil {
+			r.tub.Push(tsu.Completion{Inst: inst, Kernel: k, Targets: b.targets})
+			continue
+		}
+		t0 := r.now()
+		at = atComplete
+		var done bool
+		b.ready, done = ln.Complete(b.ready[:0], inst, b.targets)
+		at = atDThread
+		r.tsuCommand(r.tsuLane+r.sharded.ShardOf(k), inst, t0)
+		r.stage(b.pend, b.ready)
+		r.flush(b.pend)
+		if done {
+			r.shutdown()
 			return
 		}
 	}
 }
+
+// Where in its loop a kernel is, for the error a panic there becomes.
+const (
+	atDThread  = iota // a DThread's body or its arc expansion
+	atComplete        // the sharded TSU's side of its completion
+	atStep            // applying its shard's inbox
+)
 
 // runBody runs one DThread body on kernel k: it times the body, records
 // its ThreadComplete event and counts it as an application or a service
@@ -408,7 +426,17 @@ func (r *runner) tsuCommand(lane int, inst core.Instance, t0 time.Duration) {
 // publish newly ready DThreads to their owning Kernels' queues in per-drain
 // batches (one queue-lock acquisition and one wakeup per kernel per drain
 // cycle, instead of one per instance).
+//
+// A panic in it is a broken TSU invariant — a Ready Count driven below
+// zero, a Block over-completed — and aborts the run (fail) instead of the
+// process.
 func (r *runner) emulate() {
+	var rec tsu.Completion // the record being applied
+	defer func() {
+		if p := recover(); p != nil {
+			r.fail(fmt.Errorf("rts: TSU violation while completing %v from kernel %d: %v", rec.Inst, rec.Kernel, p))
+		}
+	}()
 	e := r.emu
 	for {
 		e.recs = r.tub.Drain(e.recs[:0])
@@ -418,7 +446,7 @@ func (r *runner) emulate() {
 			}
 			continue
 		}
-		for _, rec := range e.recs {
+		for _, rec = range e.recs {
 			t0 := r.now()
 			done := r.process(rec)
 			r.tsuCommand(r.tsuLane, rec.Inst, t0)

@@ -1,7 +1,7 @@
 package rts
 
 import (
-	"sync"
+	"slices"
 
 	"tflux/internal/core"
 	"tflux/internal/tsu"
@@ -22,45 +22,56 @@ type scratchBufs struct {
 }
 
 // runScratch is what a run grows and no run keeps: the ready queues (their
-// instance arrays) and every driver's buffers. Run takes one
-// from scratchPool, which is process-wide, and puts it back once all of
-// the run's goroutines have exited; takeScratch resets whatever the last
-// run left behind (an aborted run leaves queued instances).
-// The TSU State is not part of it: its thread table is built per run, and
-// only its SM arrays recycle, through State.Release.
+// instance arrays) and every driver's buffers. Run takes one from
+// scratches and gives it back once all of the run's goroutines have
+// exited; takeScratch resets whatever the last run left behind (an
+// aborted run leaves queued instances). The TSU State and TUB are not
+// part of it: they recycle through their own Release.
 type runScratch struct {
 	queues []*readyQueue
 	bufs   []scratchBufs // one per kernel, then the emulator's
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+// scratches holds the scratch of finished runs, of any kernel count.
+var scratches tsu.FreeList[runScratch]
 
 // takeScratch returns reset scratch for a run on the given number of
 // kernels: that many ready queues and one more set of buffers, each with a
 // pend batch per kernel.
 func takeScratch(kernels int) *runScratch {
-	sc := scratchPool.Get().(*runScratch)
-	for k := 0; k < kernels; k++ {
-		if k < len(sc.queues) {
-			sc.queues[k].reset()
-		} else {
-			sc.queues = append(sc.queues, newReadyQueue())
-		}
+	sc := scratches.Get()
+	if sc == nil {
+		sc = new(runScratch)
 	}
-	for len(sc.bufs) < kernels+1 {
-		sc.bufs = append(sc.bufs, scratchBufs{})
+	for len(sc.queues) < kernels {
+		sc.queues = append(sc.queues, newReadyQueue())
 	}
-	for i := range sc.bufs[:kernels+1] {
+	for _, q := range sc.queues[:kernels] {
+		q.reset()
+	}
+	sc.bufs = slices.Grow(sc.bufs[:0], kernels+1)[:kernels+1]
+	for i := range sc.bufs {
 		b := &sc.bufs[i]
 		b.ready, b.targets, b.ctx, b.recs = b.ready[:0], b.targets[:0], b.ctx[:0], b.recs[:0]
-		b.pend = b.pend[:cap(b.pend)]
-		for len(b.pend) < kernels {
-			b.pend = append(b.pend, nil)
-		}
-		b.pend = b.pend[:kernels]
+		b.pend = slices.Grow(b.pend[:0], kernels)[:kernels]
 		for k := range b.pend {
 			b.pend[k] = b.pend[k][:0]
 		}
 	}
 	return sc
+}
+
+// release gives the scratch to the next run's takeScratch.
+func (sc *runScratch) release() {
+	n := 0
+	for _, q := range sc.queues {
+		n += cap(q.items)
+	}
+	for _, b := range sc.bufs[:cap(sc.bufs)] {
+		n += cap(b.ready) + cap(b.targets) + cap(b.ctx) + cap(b.recs)
+		for _, batch := range b.pend[:cap(b.pend)] {
+			n += cap(batch)
+		}
+	}
+	scratches.Put(sc, n)
 }

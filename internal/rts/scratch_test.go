@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"tflux/internal/core"
 	"tflux/internal/workload"
@@ -30,20 +31,24 @@ func fineGrainJob(t testing.TB, name string, param, kernels int) (workload.Job, 
 }
 
 // What one warm rts.Run of the benchmark's fine-grain programs allocates
-// on two kernels, as measured over 3×20 runs: TRAPEZ-2^19/1 (4 097
-// instances) 19 objects and 1 288 bytes on the single-driver plane, 31 and
-// 1 864 on the sharded one; FFT-64/1 (256 instances) 21 and 1 520, 44 and
-// 3 096. That is the per-run State (thread table, validation, stats), the
-// runner and its goroutines, and the sharded engine's lanes: nothing per
-// completion, no FFT column (each context keeps its own across runs) and
-// no SM array (they come back from State.Release). Before that the same
-// runs allocated 27, 39, 93 and 116 objects and 35–70 KB, 64 of FFT's
-// objects and 64 KiB its columns; before the run scratch, the TUB's target
-// arenas and the context scratch were recycled, the four runs allocated
-// ≈ 17 900 times together. Under the race detector sync.Pool drops a
-// share of what it is given, so scratch, TUBs and SM arrays are regrown at
-// random: TRAPEZ 39–79 and 49–94 objects, FFT 36–75 and 65–100, and bytes
-// up to 545 KB, 411 KB, 113 KB and 68 KB, measured over 53×20 runs.
+// on two kernels: TRAPEZ-2^19/1 (4 097 instances) 17 objects and 1 016
+// bytes on the single-driver plane, 29 and 1 592 on the sharded one;
+// FFT-64/1 (256 instances) 19 and 1 248, 42 and 2 824. That is the
+// thread table, the runner and its goroutines, and the sharded engine's
+// lanes: nothing per completion, no FFT column (each context keeps its own
+// across runs), and no State, SM array, TUB or run scratch (they come back
+// from the free lists). While the State's SM arrays, the TUB and the run
+// scratch sat in sync.Pools the same runs allocated 19, 31, 21 and 44
+// objects and 1 288, 1 864, 1 520 and 3 096 bytes, and under the race
+// detector, which makes a sync.Pool drop a share of what it is given, up
+// to 79, 94, 75 and 100 objects and 545 KB, 411 KB, 113 KB and 68 KB.
+// Before the SM arrays and FFT columns were recycled they allocated 27,
+// 39, 93 and 116 objects and 35–70 KB; before the run scratch, the TUB's
+// target arenas and the context scratch were, ≈ 17 900 times together.
+// Under the race detector, which perturbs the schedule, a run now and
+// then meets a deeper queue or TUB than the warm-up did and grows it once:
+// over 10×20 runs each, up to 17, 30, 19 and 42 objects and 17 408,
+// 10 805, 3 296 and 5 554 bytes, so its ceilings stay separate.
 var runAllocsCeilings = []struct {
 	name                   string
 	param                  int
@@ -51,10 +56,10 @@ var runAllocsCeilings = []struct {
 	ceiling, bytes         float64
 	raceCeiling, raceBytes float64
 }{
-	{"TRAPEZ", 19, 0, 24, 4 << 10, 110, 800 << 10},
-	{"TRAPEZ", 19, 2, 38, 4 << 10, 130, 600 << 10},
-	{"FFT", 64, 0, 27, 4 << 10, 110, 160 << 10},
-	{"FFT", 64, 2, 54, 6 << 10, 140, 100 << 10},
+	{"TRAPEZ", 19, 0, 21, 2 << 10, 24, 96 << 10},
+	{"TRAPEZ", 19, 2, 34, 3 << 10, 38, 64 << 10},
+	{"FFT", 64, 0, 23, 3 << 10, 26, 32 << 10},
+	{"FFT", 64, 2, 48, 5 << 10, 54, 32 << 10},
 }
 
 // perRun calls fn once to warm up and then n times, on one P as
@@ -63,6 +68,12 @@ var runAllocsCeilings = []struct {
 func perRun(n int, fn func()) (allocs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fn()
+	return measure(n, fn)
+}
+
+// measure calls fn n times and returns the mean objects and bytes one call
+// allocated.
+func measure(n int, fn func()) (allocs, bytes float64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
@@ -85,6 +96,7 @@ func TestRunAllocsCeiling(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			freshLists()
 			allocs, bytes := perRun(20, run)
 			if err := job.Verify(); err != nil {
 				t.Fatal(err)
@@ -104,15 +116,62 @@ func TestRunAllocsCeiling(t *testing.T) {
 	}
 }
 
-// freshScratch empties scratchPool, so that the next Run builds its
-// scratch anew, as the first run in a process does. A scratch that has
-// served a run holds at least one queue; New's has none.
-func freshScratch() {
-	for {
-		if sc := scratchPool.Get().(*runScratch); len(sc.queues) == 0 {
-			return
-		}
+// TestRunAllocsSurviveGC pins that what a run recycles survives garbage
+// collection: after five warm runs and two collections, which empty a
+// sync.Pool, the next run of each TestRunAllocsCeiling case stays within
+// the warm byte ceiling. With the State's SM arrays, the TUB and the run
+// scratch in sync.Pools, the four runs after two collections allocated
+// 1 086 360, 902 992, 157 688 and 140 640 bytes.
+func TestRunAllocsSurviveGC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation count needs a quiet process")
 	}
+	for _, c := range runAllocsCeilings {
+		t.Run(fmt.Sprintf("%s/shards=%d", c.name, c.shards), func(t *testing.T) {
+			job, p := fineGrainJob(t, c.name, c.param, 2)
+			run := func() {
+				job.ResetOutput()
+				if _, err := Run(p, Options{Kernels: 2, TSUShards: c.shards}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			freshLists()
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			for range 5 {
+				run()
+			}
+			runtime.GC()
+			runtime.GC()
+			_, bytes := measure(1, run)
+			if err := job.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			byteCeiling := c.bytes
+			if raceBuild {
+				byteCeiling = c.raceBytes
+			}
+			t.Logf("%.0f bytes in the run after two collections", bytes)
+			if bytes > byteCeiling {
+				t.Errorf("the run after two collections allocates %.0f bytes, want <= %.0f", bytes, byteCeiling)
+			}
+		})
+	}
+}
+
+// freshScratch empties the scratch list, so that the next Run builds its
+// scratch anew, as the first run in a process does.
+func freshScratch() {
+	for scratches.Get() != nil {
+	}
+}
+
+// freshLists empties every free list a run draws from, so that what other
+// tests left there does not count against a warm run: an entry that a
+// larger program grew near maxFreeElems is turned away once a run grows
+// it further, and the run after regrows a smaller one.
+func freshLists() {
+	freshScratch()
+	freshSMArrays()
 }
 
 // runRecord is what a run must reproduce whatever scratch it was given:
@@ -156,12 +215,13 @@ func runAndRecord(job workload.Job, p *core.Program, opt Options) (runRecord, er
 	}, nil
 }
 
-// abortedRuns returns runs that leave the pools' scratch and SM arrays as
-// dirty as a run can: a body panic with thousands of instances still
-// queued and thousands of Ready Counts not yet zero (the consumer is the
-// Block's first template, so those counts lead every kernel's cells), then
-// a Mapping panic during arc expansion, on four kernels and both planes.
-// Each run checks that it failed as it should.
+// abortedRuns returns runs that leave the free lists' scratch, TUBs and
+// States as dirty as a run can: a body panic with thousands of instances
+// still queued and thousands of Ready Counts not yet zero (the consumer is
+// the Block's first template, so those counts lead every kernel's cells),
+// a Mapping panic during arc expansion, and a TSU violation with the
+// Block partly completed, on four kernels and both planes. Each run checks
+// that it failed as it should.
 func abortedRuns(t *testing.T) []func() {
 	t.Helper()
 	sink := core.NewTemplate(2, "sink", func(core.Context) {})
@@ -186,6 +246,7 @@ func abortedRuns(t *testing.T) []func() {
 	b := pm.AddBlock()
 	b.Add(prod)
 	b.Add(cons)
+	pv := tsuViolationProgram()
 	var runs []func()
 	for _, opt := range []Options{{Kernels: 4}, {Kernels: 4, TSUShards: 4}} {
 		runs = append(runs, func() {
@@ -195,6 +256,10 @@ func abortedRuns(t *testing.T) []func() {
 		}, func() {
 			if _, err := Run(pm, opt); err == nil || !strings.Contains(err.Error(), "kaboom-map") {
 				t.Fatalf("mapping panic: err = %v", err)
+			}
+		}, func() {
+			if _, err := Run(pv, opt); err == nil || !strings.Contains(err.Error(), "TSU violation") {
+				t.Fatalf("TSU violation: err = %v", err)
 			}
 		})
 	}
@@ -211,7 +276,7 @@ func abortRuns(t *testing.T) {
 
 // TestRecycledScratchDoesNotLeak sends aborted runs and then programs
 // with different thread-ID spaces, kernel counts and planes through one
-// scratch pool, and requires each program's output bytes and work counts
+// scratch list, and requires each program's output bytes and work counts
 // to equal those of its run on fresh scratch.
 func TestRecycledScratchDoesNotLeak(t *testing.T) {
 	qsort, _ := workload.QSortSpec().Sizes(workload.Native)
@@ -248,17 +313,17 @@ func TestRecycledScratchDoesNotLeak(t *testing.T) {
 	}
 }
 
-// freshSMArrays empties the TSU's SM pool, so that the next State builds
-// its arrays anew, as the first run in a process does: a sync.Pool drops
-// everything it held before two collections.
-func freshSMArrays() {
-	runtime.GC()
-	runtime.GC()
-}
+// freshSMArrays is package tsu's test-only hook that empties its lists of
+// States and TUBs, so that the next State builds its SM arrays anew, as
+// the first run in a process does. It is linked by name, so a tsu without
+// it fails to link rather than leaving the lists full.
+//
+//go:linkname freshSMArrays tflux/internal/tsu.dropFree
+func freshSMArrays()
 
 // TestRecycledSMArraysDoNotLeak runs each program on SM arrays another run
 // grew and gave back — source 0 a 4-kernel run's, source 1 a 1-kernel
-// run's, sources 2–5 those of each of abortedRuns — on both planes, and
+// run's, sources 2–7 those of each of abortedRuns — on both planes, and
 // requires its output bytes and work counts to equal those of its run on
 // arrays built fresh, and then again with every case running at once.
 func TestRecycledSMArraysDoNotLeak(t *testing.T) {
@@ -290,7 +355,7 @@ func TestRecycledSMArraysDoNotLeak(t *testing.T) {
 	sources = append(sources, abortedRuns(t)...)
 	for si, src := range sources {
 		for i, c := range cases {
-			// The pool holds only what src gave back when the run starts.
+			// The list holds only what src gave back when the run starts.
 			freshSMArrays()
 			src()
 			if got := recordRun(t, jobs[i], progs[i], c.opt); got != want[i] {

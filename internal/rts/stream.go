@@ -14,10 +14,10 @@ import (
 	"tflux/internal/tsu"
 )
 
-// streamSlot is one window slot: the window block's State, reset for
-// each window the slot holds, the window occupying it, and that
-// window's per-event admission stamps. Slots are made on demand and
-// recycled, never freed during a run.
+// streamSlot is one window slot: the State of the window occupying it,
+// acquired when the window opens and released when it retires, the
+// window's number, and its per-event admission stamps. Slots are made on
+// demand and recycled, never freed during a run.
 type streamSlot struct {
 	st    *tsu.State
 	idx   int
@@ -41,13 +41,13 @@ type streamWork struct {
 // retired.
 //
 // A window is the per-window DDM Block loaded again for each window: the
-// call builds one tsu.Tables over the window block, and each slot owns
-// one State over it for the whole run. A slot is made only when no slot
-// is free and fewer than opt.Slots exist, so a run holds memory for the
-// windows it has had in flight, not for its slot budget. Opening a
-// window resets the slot's State and runs the Block's Inlet, which
-// computes the SM's Ready Counts into the arrays the State kept from the
-// slot's last window; the surfaced Outlet is the retirement signal.
+// call builds one tsu.Tables over the window block. Opening a window
+// acquires a State over it and runs the Block's Inlet, which computes the
+// SM's Ready Counts into the arrays the State took from the one the last
+// retired window released; the surfaced Outlet is the retirement signal,
+// and retiring releases the State. A slot is made only when no slot is
+// free and fewer than opt.Slots exist, so a run holds memory for the
+// windows it has had in flight, not for its slot budget.
 //
 // The loop interleaves four activities:
 //
@@ -115,10 +115,11 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 
 	// One lock guards everything the run shares: the FIFO of dispatched,
 	// unfired instances, work[head:] oldest first; the free-slot stack;
-	// the slot and window counts; and every slot's State. A push never
-	// blocks, so there is no capacity to size ahead. The injector writes
-	// a slot's win and admit before the window's first push, and the
-	// retiring worker reads them before freeing the slot; mu orders both.
+	// the slot and window counts; and every open window's State. A push
+	// never blocks, so there is no capacity to size ahead. The injector
+	// writes a slot's st, win and admit before the window's first push,
+	// and the retiring worker reads them before freeing the slot; mu
+	// orders both.
 	var (
 		mu               sync.Mutex
 		hasWork, hasSlot = sync.NewCond(&mu), sync.NewCond(&mu)
@@ -205,8 +206,10 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 					continue
 				}
 				mu.Unlock()
-				// Window retired: latency per admitted (non-pad) event,
-				// export while the slot's data is still valid, release.
+				// Window retired: its State goes back, then latency per
+				// admitted (non-pad) event, export while the slot's data
+				// is still valid, and the slot goes back.
+				slot.st.Release()
 				now := time.Now()
 				pf := padFrom.Load()
 				for l := int64(0); l < W; l++ {
@@ -254,7 +257,7 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 			case n > 0:
 				cur, free = free[n-1], free[:n-1]
 			case made < slots:
-				cur = &streamSlot{st: tables.Acquire(), idx: made, admit: make([]time.Time, W)}
+				cur = &streamSlot{idx: made, admit: make([]time.Time, W)}
 				made++
 			default:
 				cur = nil
@@ -270,7 +273,7 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 				// Load the window's SM by running the Inlet. The sources
 				// it surfaces are the entry instances, which are
 				// dispatched as their events arrive instead.
-				cur.st.Reset()
+				cur.st = tables.Acquire()
 				sources, _, _ = cur.st.DoneInto(sources[:0], cur.st.Start().Inst, 0)
 				cur.win = win
 			}

@@ -32,11 +32,17 @@
 //     the paper's closed-form chunked split, ctx → ctx·kernels/instances.
 //     The Inlet's TSU-load is the one Block load: it computes the Block's
 //     Ready Counts from the arcs into SM arrays the State keeps across
-//     Blocks and runs. Tables freezes a State's immutable half so a daemon
-//     builds it once per program and pools States over it. A streaming
-//     window is the same mechanism: rts.RunStream builds one Tables over
-//     the per-window Block and keeps one State per window slot, reloading
-//     it by Reset and the Inlet for every window.
+//     Blocks and, through Release, runs. Tables freezes a State's
+//     immutable half so a daemon builds it once per program and acquires
+//     States over it. A streaming window is the same mechanism:
+//     rts.RunStream builds one Tables over the per-window Block, acquires
+//     a State and runs its Inlet for every window, and releases the State
+//     when the window retires.
+//
+//   - FreeList: the one way a run's grown objects are recycled. Whole
+//     States, TUBs and package rts's run scratch each come from one: a
+//     mutex-guarded stack, bounded in entries and in entry size, that
+//     keeps what it holds across garbage collections.
 //
 //   - ShardedState: the parallel driver mode. The mutable bookkeeping is
 //     partitioned into shards along TKT ownership; each shard is stepped

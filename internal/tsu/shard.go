@@ -294,12 +294,13 @@ func (ss *ShardedState) ShardFired() []int64 {
 	return out
 }
 
-// Release returns the inbox TUBs for reuse (TUB.Release) once the run is
-// over and its statistics are read: no Lane or stats method may be called
-// afterwards.
+// Release gives the inbox TUBs back (TUB.Release) once the run is over
+// and its statistics are read: no Lane or stats method may be called
+// afterwards. They go back last first, so that the next NewSharded takes
+// each shard's inbox back in its own place, grown to its own traffic.
 func (ss *ShardedState) Release() {
-	for _, in := range ss.inboxes {
-		in.Release()
+	for sh := len(ss.inboxes) - 1; sh >= 0; sh-- {
+		ss.inboxes[sh].Release()
 	}
 }
 

@@ -3,7 +3,6 @@ package tsu
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"tflux/internal/core"
 )
@@ -58,10 +57,6 @@ type State struct {
 	// space: inlet(b) = serviceBase + 2b, outlet(b) = serviceBase + 2b+1.
 	serviceBase core.ThreadID
 
-	// tables is set when the State came from Tables.Acquire: Release
-	// returns it to the Tables' pool.
-	tables *Tables
-
 	curBlock  int
 	remaining int64 // application instances left in the current block
 	sms       []sm  // one per kernel
@@ -78,13 +73,11 @@ type State struct {
 	searchSteps int64
 
 	// ctx and cons are CompleteInto's arc-expansion scratch, and deg the
-	// Inlet's in-degree scratch: the driver's own, like the SMs, so a
-	// State kept across Blocks and runs keeps them grown. sms and deg
-	// come from backing, which Release gives back to smPool.
-	ctx     []core.Context
-	cons    []core.Instance
-	deg     []uint32
-	backing *smArrays
+	// Inlet's in-degree scratch: the driver's own, like the SMs, so they
+	// stay grown across Blocks and, through Release, across runs.
+	ctx  []core.Context
+	cons []core.Instance
+	deg  []uint32
 
 	stats Stats
 }
@@ -150,6 +143,16 @@ type Config struct {
 // kernels is the number of Kernels that will execute DThreads; it must be
 // at least 1.
 func NewStateCfg(p *core.Program, kernels int, cfg Config) (*State, error) {
+	infos, err := threadTable(p, kernels, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newState(p, kernels, infos), nil
+}
+
+// threadTable validates the program for a TSU of the given kernels and
+// config, and builds its thread table.
+func threadTable(p *core.Program, kernels int, cfg Config) ([]tmplInfo, error) {
 	if kernels < 1 {
 		return nil, fmt.Errorf("tsu: kernels = %d, need at least 1", kernels)
 	}
@@ -164,48 +167,52 @@ func NewStateCfg(p *core.Program, kernels int, cfg Config) (*State, error) {
 			}
 		}
 	}
-	infos, err := buildThreadTable(p.Blocks)
-	if err != nil {
-		return nil, err
-	}
-	return newState(p, kernels, infos), nil
+	return buildThreadTable(p.Blocks)
 }
 
-// smArrays is a State's SM backing: one sm per kernel, with its cells,
-// and the Inlet's in-degree scratch. Every Block load overwrites each cell
-// it uses, so arrays an earlier State grew carry nothing into a new one.
-type smArrays struct {
-	sms []sm
-	deg []uint32
-}
+// states holds Released States, so a run starts with the SM arrays and
+// scratch an earlier run grew, whatever its program or kernel count.
+var states FreeList[State]
 
-// smPool holds the backing of Released States, so a one-shot run starts
-// with the arrays an earlier run grew. It is process-wide and takes
-// backing of any kernel count.
-var smPool sync.Pool
-
-// newState builds the mutable half of a State over a thread table, on SM
-// backing from smPool when it has some.
+// newState is the one place a State is (re)initialised: it builds the
+// mutable half over a thread table on a Released State when there is one,
+// keeping only its grown arrays. Every Block load overwrites each SM cell
+// it uses, so arrays an earlier run grew carry nothing into this one.
 func newState(p *core.Program, kernels int, infos []tmplInfo) *State {
-	a, _ := smPool.Get().(*smArrays)
-	if a == nil {
-		a = new(smArrays)
+	s := states.Get()
+	if s == nil {
+		s = new(State)
 	}
-	if cap(a.sms) < kernels {
-		a.sms = make([]sm, kernels)
-	}
-	s := &State{
+	per := slices.Grow(s.stats.PerKernel[:0], kernels)[:kernels]
+	clear(per)
+	*s = State{
 		prog:        p,
 		kernels:     kernels,
 		infos:       infos,
 		serviceBase: core.ThreadID(len(infos)),
 		curBlock:    -1,
-		sms:         a.sms[:kernels],
-		deg:         a.deg,
-		backing:     a,
+		sms:         slices.Grow(s.sms[:0], kernels)[:kernels],
+		ctx:         s.ctx[:0],
+		cons:        s.cons[:0],
+		deg:         s.deg[:0],
+		stats:       Stats{PerKernel: per},
 	}
-	s.stats.PerKernel = make([]int64, kernels)
 	return s
+}
+
+// Release ends the State's use and gives it, arrays and all, to the next
+// State built: by NewStateCfg, NewState or Tables.Acquire, over any
+// program. Call it once the run's stats are read and no driver holds the
+// State, also after an aborted run: the caller must not touch the State
+// afterwards.
+func (s *State) Release() {
+	n := cap(s.deg) + cap(s.ctx) + cap(s.cons)
+	for _, m := range s.sms[:cap(s.sms)] {
+		n += cap(m.cells)
+	}
+	// A State on the list pins no program.
+	s.prog, s.infos = nil, nil
+	states.Put(s, n)
 }
 
 // Kernels returns the number of kernels the TKT distributes over.

@@ -30,8 +30,8 @@ func driveReadySequence(t *testing.T, s *State) []Ready {
 }
 
 // TestTablesEquivalence pins the compile-once contract: a State acquired
-// from frozen Tables, fresh or pooled, must surface the exact Ready
-// sequence and stats of a State built directly by NewStateCfg.
+// from frozen Tables, on fresh or recycled arrays, must surface the exact
+// Ready sequence and stats of a State built directly by NewStateCfg.
 func TestTablesEquivalence(t *testing.T) {
 	p := twoBlockProgram()
 	direct, err := NewStateCfg(p, 3, Config{})
@@ -45,7 +45,8 @@ func TestTablesEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := direct.Stats()
-	for _, run := range []string{"fresh", "pooled"} {
+	dropFree()
+	for _, run := range []string{"fresh", "recycled"} {
 		s := tb.Acquire()
 		got := driveReadySequence(t, s)
 		if !reflect.DeepEqual(got, want) {
@@ -59,9 +60,9 @@ func TestTablesEquivalence(t *testing.T) {
 }
 
 // TestTablesPoolReuse runs the same State through Acquire → drive → Release
-// repeatedly: the pool must hand the identical State back, Reset must make
-// each run's output byte-identical to the first, and Stats must not leak
-// across runs.
+// repeatedly: the free list must hand the identical State back, Acquire
+// must make each run's output byte-identical to the first, and Stats must
+// not leak across runs.
 func TestTablesPoolReuse(t *testing.T) {
 	tb, err := NewTables(twoBlockProgram(), 4, Config{})
 	if err != nil {
@@ -74,11 +75,11 @@ func TestTablesPoolReuse(t *testing.T) {
 	for run := 0; run < 5; run++ {
 		s := tb.Acquire()
 		if s != first {
-			t.Fatalf("run %d: pool returned a different State", run)
+			t.Fatalf("run %d: the free list returned a different State", run)
 		}
 		got := driveReadySequence(t, s)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %d: ready sequence diverged after Reset", run)
+			t.Fatalf("run %d: ready sequence diverged on a recycled State", run)
 		}
 		if st := s.Stats(); !reflect.DeepEqual(st, wantStats) {
 			t.Fatalf("run %d: stats leaked across runs: %+v vs %+v", run, st, wantStats)
@@ -121,8 +122,9 @@ func TestTablesShardedState(t *testing.T) {
 }
 
 // TestTablesWarmLoadAllocs pins the warm block-load path at zero
-// allocations: after one full run the SM arrays and the in-degree scratch
-// are retained, so every later Inlet computes into them.
+// allocations: after one full run the State goes back to the free list
+// with its SM arrays and in-degree scratch, so every later Acquire and
+// Inlet computes into them.
 func TestTablesWarmLoadAllocs(t *testing.T) {
 	tb, err := NewTables(twoBlockProgram(), 2, Config{})
 	if err != nil {
@@ -130,16 +132,16 @@ func TestTablesWarmLoadAllocs(t *testing.T) {
 	}
 	s := tb.Acquire()
 	driveReadySequence(t, s)
+	s.Release()
 	dst := make([]Ready, 0, 16)
 	allocs := testing.AllocsPerRun(100, func() {
-		s.Reset()
+		s := tb.Acquire()
 		dst = s.inletDone(dst[:0], 0)
+		s.Release()
 	})
 	if allocs != 0 {
 		t.Fatalf("warm inlet load allocates %.1f per load, want 0", allocs)
 	}
-	s.Reset()
-	s.Release()
 }
 
 // TestInletReusesEarlierBlockArrays pins the one Block load's reuse on a
@@ -259,12 +261,12 @@ func TestCompleteIntoAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestWindowReopensByResetAndInlet pins the reload a streaming window slot
+// TestWindowReopensByReacquireAndInlet pins the reload a streaming window
 // relies on: a State over a one-block Tables whose Block drained (Outlet
-// surfaced but never run) is rewound by Reset, and the Inlet loads the
-// same Ready Counts again, so every window fires the same instances
-// exactly once.
-func TestWindowReopensByResetAndInlet(t *testing.T) {
+// surfaced but never run) is Released, the next window Acquires one, and
+// its Inlet loads the same Ready Counts into the recycled arrays, so every
+// window fires the same instances exactly once.
+func TestWindowReopensByReacquireAndInlet(t *testing.T) {
 	b := &core.Block{ID: 0}
 	entry := core.NewTemplate(1, "entry", noop)
 	entry.Instances = 8
@@ -282,10 +284,9 @@ func TestWindowReopensByResetAndInlet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tb.Acquire()
 	var first []core.Instance
 	for win := 0; win < 3; win++ {
-		s.Reset()
+		s := tb.Acquire()
 		queue, _, _ := s.DoneInto(nil, s.Start().Inst, 0)
 		if len(queue) != int(entry.Instances) {
 			t.Fatalf("window %d: inlet surfaced %d sources, want the %d entry instances", win, len(queue), entry.Instances)
@@ -319,5 +320,6 @@ func TestWindowReopensByResetAndInlet(t *testing.T) {
 		} else if !reflect.DeepEqual(fired, first) {
 			t.Fatalf("window %d fired %v, window 0 fired %v", win, fired, first)
 		}
+		s.Release()
 	}
 }

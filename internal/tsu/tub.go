@@ -1,6 +1,7 @@
 package tsu
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -84,47 +85,43 @@ type TUB struct {
 // Call before any kernel starts pushing.
 func (t *TUB) SetObs(s obs.Sink) { t.sink = s }
 
-// tubPool holds Released TUBs, so the buffer of a run starts with the
-// segment arenas an earlier run grew. It is process-wide and takes TUBs
-// of any shape.
-var tubPool sync.Pool
+// tubs holds Released TUBs, so the buffer of a run starts with the
+// segment arenas and drain buffer an earlier run grew, whatever its shape.
+var tubs FreeList[TUB]
 
-// NewTUB builds a TUB for the given number of kernels, reusing a Released
-// one when the pool has one.
+// NewTUB builds a TUB for the given number of kernels on a Released one
+// when there is one, keeping only its grown arrays.
 func NewTUB(kernels int, cfg TUBConfig) *TUB {
 	if cfg.Segments <= 0 {
 		cfg.Segments = 2 * kernels
 	}
-	t, _ := tubPool.Get().(*TUB)
+	t := tubs.Get()
 	if t == nil {
 		t = &TUB{notify: make(chan struct{}, 1)}
-	}
-	if cap(t.segs) < cfg.Segments {
-		t.segs = make([]tubSegment, cfg.Segments)
-	}
-	t.segs = t.segs[:cfg.Segments]
-	for i := range t.segs {
-		seg := &t.segs[i]
-		seg.buf, seg.arena = seg.buf[:0], seg.arena[:0]
-		if cap(seg.buf) < segmentCap {
-			seg.buf = make([]tubRec, 0, segmentCap)
-		}
 	}
 	select {
 	case <-t.notify: // a wakeup the last run left unconsumed
 	default:
 	}
-	t.pushes.Store(0)
-	t.tryMisses.Store(0)
-	t.sink = nil
-	t.drained, t.recs = t.drained[:0], t.recs[:0]
+	segs := slices.Grow(t.segs[:0], cfg.Segments)[:cfg.Segments]
+	for i := range segs {
+		segs[i].buf, segs[i].arena = slices.Grow(segs[i].buf[:0], segmentCap), segs[i].arena[:0]
+	}
+	*t = TUB{segs: segs, notify: t.notify, drained: t.drained[:0], recs: t.recs[:0]}
 	return t
 }
 
-// Release returns the TUB to the pool NewTUB draws from. Call it once no
-// writer or drainer will touch the TUB again: neither the TUB nor a record
-// its last Drain returned may be used afterwards.
-func (t *TUB) Release() { tubPool.Put(t) }
+// Release gives the TUB to the next NewTUB. Call it once no writer or
+// drainer will touch the TUB again, also after an aborted run: neither the
+// TUB nor a record its last Drain returned may be used afterwards.
+func (t *TUB) Release() {
+	n := cap(t.drained) + cap(t.recs)
+	segs := t.segs[:cap(t.segs)]
+	for i := range segs {
+		n += cap(segs[i].buf) + cap(segs[i].arena)
+	}
+	tubs.Put(t, n)
+}
 
 // Push deposits a completion record, copying its targets into the
 // segment's arena, so the caller may reuse rec.Targets at once. It never
