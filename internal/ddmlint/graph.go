@@ -2,9 +2,11 @@ package ddmlint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tflux/internal/core"
+	"tflux/internal/tsu"
 )
 
 // arcRef is one arc of the Block, flattened into program order so edges
@@ -31,7 +33,11 @@ type badTarget struct {
 	cctx  core.Context // exemplar (invalid) consumer context
 }
 
-// blockGraph is one Block expanded to instance granularity.
+// blockGraph is one Block expanded to instance granularity. A lint takes
+// one from graphs for each Block and releases it once the Block's findings
+// are out, so its arrays are grown once and reused by later lints, of any
+// program: every pass overwrites what it reads, and no Finding keeps any
+// of them.
 type blockGraph struct {
 	p     *core.Program
 	b     *core.Block
@@ -55,6 +61,53 @@ type blockGraph struct {
 
 	// Filled by checkBounds: the Block's access table.
 	accs []accessor
+
+	// Scratch of the passes: expand's (tIdx, deg, ctxs, spare, fill),
+	// the graph walks' (count, queue, fired), accessorOrder's (accOf,
+	// reach) and reportRaces' (items).
+	tIdx  map[core.ThreadID]int
+	deg   []uint32
+	ctxs  []core.Context
+	spare []edge
+	fill  []int32
+	count []int64
+	queue []int32
+	fired []bool
+	accOf []int32
+	reach []uint64
+	items []raceItem
+}
+
+// graphs holds the block graphs of finished lints.
+var graphs tsu.FreeList[blockGraph]
+
+// takeGraph returns a block graph for expand, recycled when one is free.
+func takeGraph() *blockGraph {
+	if g := graphs.Get(); g != nil {
+		return g
+	}
+	return &blockGraph{bad: make(map[int32]*badTarget), tIdx: make(map[core.ThreadID]int)}
+}
+
+// release gives the graph to a later lint. It keeps no program: only the
+// arrays.
+func (g *blockGraph) release() {
+	clear(g.arcs)
+	clear(g.accs)
+	g.p, g.b, g.tmpls = nil, nil, nil
+	n := cap(g.base) + cap(g.arcs) + cap(g.declared) + cap(g.delivered) + cap(g.edges) +
+		cap(g.estart) + cap(g.topo) + cap(g.cyclic) + cap(g.accs) + cap(g.deg) + cap(g.ctxs) +
+		cap(g.spare) + cap(g.fill) + cap(g.count) + cap(g.queue) + cap(g.fired) +
+		cap(g.accOf) + cap(g.reach) + cap(g.items)
+	graphs.Put(g, n, 0, nil)
+}
+
+// zeroed returns s resized to n zero elements, in s's array when it holds
+// n.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // inst returns the global instance index of (template index, context).
@@ -74,9 +127,9 @@ func (g *blockGraph) instance(i int32) core.Instance {
 	return core.Instance{Thread: t.ID, Ctx: ctx}
 }
 
-// expandBlock materializes the instance graph of b. It returns ok=false
+// expand materializes the instance graph of b into g. It returns false
 // (with a Note on r) when the Block exceeds the analysis caps.
-func expandBlock(r *Report, p *core.Program, b *core.Block, opts Options) (*blockGraph, bool) {
+func (g *blockGraph) expand(r *Report, p *core.Program, b *core.Block, opts Options) bool {
 	var total int64
 	for _, t := range b.Templates {
 		total += int64(t.Instances)
@@ -84,40 +137,40 @@ func expandBlock(r *Report, p *core.Program, b *core.Block, opts Options) (*bloc
 	if total > int64(opts.MaxInstances) {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"block %d: not analyzed (%d instances exceeds MaxInstances %d)", b.ID, total, opts.MaxInstances))
-		return nil, false
+		return false
 	}
-	g := &blockGraph{
-		p:     p,
-		b:     b,
-		tmpls: b.Templates,
-		base:  make([]int32, len(b.Templates)),
-		n:     int32(total),
-		bad:   make(map[int32]*badTarget),
-	}
-	tIdx := make(map[core.ThreadID]int, len(b.Templates))
+	g.p, g.b, g.tmpls = p, b, b.Templates
+	g.base = zeroed(g.base, len(b.Templates))
+	g.n = int32(total)
+	g.arcs = g.arcs[:0]
+	clear(g.bad)
+	g.topo, g.cyclic, g.hasCycle = g.topo[:0], g.cyclic[:0], false
+	g.accs = g.accs[:0]
+	tIdx := g.tIdx
+	clear(tIdx)
 	var off int32
 	for i, t := range b.Templates {
 		g.base[i] = off
 		tIdx[t.ID] = i
 		off += int32(t.Instances)
 	}
-	g.declared = make([]int64, g.n)
-	g.delivered = make([]int64, g.n)
+	g.declared = zeroed(g.declared, int(g.n))
+	g.delivered = zeroed(g.delivered, int(g.n))
 	// The declared ready counts sum to the edge count of any Block whose
 	// mappings agree with themselves, so the edge list is sized once.
 	var fan int64
 	for i, t := range b.Templates {
-		for ctx, d := range core.InDegrees(b, t) {
+		g.deg = core.AppendInDegrees(g.deg[:0], b, t)
+		for ctx, d := range g.deg {
 			g.declared[g.inst(i, core.Context(ctx))] = int64(d)
 			fan += int64(d)
 		}
 	}
-	g.edges = make([]edge, 0, min(fan, int64(opts.MaxEdges)+1))
+	g.edges = slices.Grow(g.edges[:0], int(min(fan, int64(opts.MaxEdges)+1)))
 
 	// Walk every arc through AppendTargets — the exact call sequence the
 	// TSU performs on each producer completion — recording deliveries,
 	// edges, and out-of-range targets.
-	var scratch []core.Context
 	for _, t := range b.Templates {
 		for _, a := range t.Arcs {
 			ci := tIdx[a.To] // Validate guarantees presence
@@ -125,8 +178,8 @@ func expandBlock(r *Report, p *core.Program, b *core.Block, opts Options) (*bloc
 			ai := int32(len(g.arcs))
 			g.arcs = append(g.arcs, arcRef{from: t, to: c, arc: a})
 			for pctx := core.Context(0); pctx < t.Instances; pctx++ {
-				scratch = a.Map.AppendTargets(scratch[:0], pctx, t.Instances, c.Instances)
-				for _, cctx := range scratch {
+				g.ctxs = a.Map.AppendTargets(g.ctxs[:0], pctx, t.Instances, c.Instances)
+				for _, cctx := range g.ctxs {
 					if cctx >= c.Instances {
 						bt := g.bad[ai]
 						if bt == nil {
@@ -142,7 +195,7 @@ func expandBlock(r *Report, p *core.Program, b *core.Block, opts Options) (*bloc
 					if len(g.edges) > opts.MaxEdges {
 						r.Notes = append(r.Notes, fmt.Sprintf(
 							"block %d: not analyzed (instance graph exceeds MaxEdges %d)", b.ID, opts.MaxEdges))
-						return nil, false
+						return false
 					}
 				}
 			}
@@ -151,22 +204,22 @@ func expandBlock(r *Report, p *core.Program, b *core.Block, opts Options) (*bloc
 
 	// CSR by source instance, via counting sort (edges arrive grouped by
 	// producer template but not globally sorted by instance).
-	g.estart = make([]int32, g.n+1)
+	g.estart = zeroed(g.estart, int(g.n)+1)
 	for i := range g.edges {
 		g.estart[g.edges[i].from+1]++
 	}
 	for i := int32(0); i < g.n; i++ {
 		g.estart[i+1] += g.estart[i]
 	}
-	sorted := make([]edge, len(g.edges))
-	fill := make([]int32, g.n)
+	sorted := slices.Grow(g.spare[:0], len(g.edges))[:len(g.edges)]
+	fill := zeroed(g.fill, int(g.n))
 	for i := range g.edges {
 		e := g.edges[i]
 		sorted[g.estart[e.from]+fill[e.from]] = e
 		fill[e.from]++
 	}
-	g.edges = sorted
-	return g, true
+	g.edges, g.spare, g.fill = sorted, g.edges, fill
+	return true
 }
 
 // out returns the outgoing edges of instance i.
@@ -252,31 +305,30 @@ func (g *blockGraph) checkReadyCounts(r *Report) {
 // checkCycles runs Kahn's algorithm over the instance graph, recording a
 // topological order and reporting instances trapped in cycles.
 func (g *blockGraph) checkCycles(r *Report) {
-	indeg := make([]int64, g.n)
-	copy(indeg, g.delivered) // every materialized edge is one delivery
-	queue := make([]int32, 0, g.n)
+	indeg := append(g.count[:0], g.delivered...) // every materialized edge is one delivery
+	g.count = indeg
+	// Kahn's queue is the topological order itself: every instance
+	// dequeued is appended next.
+	topo := slices.Grow(g.topo[:0], int(g.n))
 	for i := int32(0); i < g.n; i++ {
 		if indeg[i] == 0 {
-			queue = append(queue, i)
+			topo = append(topo, i)
 		}
 	}
-	g.topo = make([]int32, 0, g.n)
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		g.topo = append(g.topo, i)
-		for _, e := range g.out(i) {
+	for h := 0; h < len(topo); h++ {
+		for _, e := range g.out(topo[h]) {
 			indeg[e.to]--
 			if indeg[e.to] == 0 {
-				queue = append(queue, e.to)
+				topo = append(topo, e.to)
 			}
 		}
 	}
+	g.topo = topo
 	if int32(len(g.topo)) == g.n {
 		return
 	}
 	g.hasCycle = true
-	g.cyclic = make([]bool, g.n)
+	g.cyclic = zeroed(g.cyclic, int(g.n))
 	count := 0
 	var exemplars []core.Instance
 	threadSet := make(map[core.ThreadID]bool)
@@ -332,18 +384,16 @@ func (g *blockGraph) checkCycles(r *Report) {
 // and reports instances that never fire and are not part of a cycle —
 // i.e. transitive starvation: the Block cannot drain.
 func (g *blockGraph) checkDead(r *Report) {
-	cnt := make([]int64, g.n)
-	copy(cnt, g.declared)
-	fired := make([]bool, g.n)
-	queue := make([]int32, 0, g.n)
+	cnt := append(g.count[:0], g.declared...)
+	fired := zeroed(g.fired, int(g.n))
+	queue := slices.Grow(g.queue[:0], int(g.n))
 	for i := int32(0); i < g.n; i++ {
 		if cnt[i] == 0 {
 			queue = append(queue, i)
 		}
 	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
+	for h := 0; h < len(queue); h++ {
+		i := queue[h]
 		fired[i] = true
 		for _, e := range g.out(i) {
 			cnt[e.to]--
@@ -352,13 +402,14 @@ func (g *blockGraph) checkDead(r *Report) {
 			}
 		}
 	}
+	g.count, g.fired, g.queue = cnt, fired, queue
 	for ti, t := range g.tmpls {
 		var count int
 		var exCtx core.Context
 		var exDecl, exDeliv int64
 		for ctx := core.Context(0); ctx < t.Instances; ctx++ {
 			i := g.inst(ti, ctx)
-			if fired[i] || (g.cyclic != nil && g.cyclic[i]) {
+			if fired[i] || (g.hasCycle && g.cyclic[i]) {
 				continue // cyclic instances are reported by checkCycles
 			}
 			if count == 0 {

@@ -237,8 +237,9 @@ func LintOpts(p *core.Program, opts Options) (*Report, error) {
 }
 
 func lintBlock(r *Report, p *core.Program, b *core.Block, bufs map[string]int32, opts Options) {
-	g, ok := expandBlock(r, p, b, opts)
-	if !ok {
+	g := takeGraph()
+	defer g.release()
+	if !g.expand(r, p, b, opts) {
 		return
 	}
 	g.checkBadTargets(r)

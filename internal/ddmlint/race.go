@@ -163,7 +163,7 @@ func accessorOrder(r *Report, g *blockGraph, what string, opts Options) func(a, 
 	}
 
 	// accOf[i] = accessor bit of instance i, or -1.
-	accOf := make([]int32, g.n)
+	accOf := slices.Grow(g.accOf[:0], int(g.n))[:g.n]
 	for i := range accOf {
 		accOf[i] = -1
 	}
@@ -173,7 +173,8 @@ func accessorOrder(r *Report, g *blockGraph, what string, opts Options) func(a, 
 
 	// reach[i] = set of accessor instances reachable from i via ≥1 edge,
 	// computed in reverse topological order.
-	reach := make([]uint64, int(g.n)*words)
+	reach := zeroed(g.reach, int(g.n)*words)
+	g.accOf, g.reach = accOf, reach
 	row := func(i int32) []uint64 { return reach[int(i)*words : (int(i)+1)*words] }
 	for k := len(g.topo) - 1; k >= 0; k-- {
 		i := g.topo[k]
@@ -205,6 +206,15 @@ func checkRaces(r *Report, g *blockGraph, bufs map[string]int32, opts Options) {
 	reportRaces(r, g, bufs, ordered)
 }
 
+// raceItem is one declared region in reportRaces' sweep: its bytes, its
+// buffer's index, and the accessor and region it came from.
+type raceItem struct {
+	off, end int64
+	buf      int32
+	acc, reg int32
+	write    bool
+}
+
 // reportRaces finds the conflicting pairs of declared regions — same
 // buffer, overlapping bytes, different instances, at least one writing,
 // no happens-before either way — with one interval sweep per buffer: the
@@ -219,26 +229,21 @@ func checkRaces(r *Report, g *blockGraph, bufs map[string]int32, opts Options) {
 // nested loops over accessor pairs and their regions would meet first.
 func reportRaces(r *Report, g *blockGraph, bufs map[string]int32, ordered func(a, b int) bool) {
 	accs := g.accs
-	type item struct {
-		off, end int64
-		buf      int32
-		acc, reg int32
-		write    bool
-	}
 	n := 0
 	for ai := range accs {
 		n += len(accs[ai].regs)
 	}
-	items := make([]item, 0, n)
+	items := slices.Grow(g.items[:0], n)
 	for ai := range accs {
 		for ri, reg := range accs[ai].regs {
-			items = append(items, item{
+			items = append(items, raceItem{
 				off: reg.Offset, end: reg.Offset + reg.Size, buf: bufs[reg.Buffer],
 				acc: int32(ai), reg: int32(ri), write: reg.Write,
 			})
 		}
 	}
-	slices.SortFunc(items, func(x, y item) int {
+	g.items = items
+	slices.SortFunc(items, func(x, y raceItem) int {
 		if c := cmp.Compare(x.buf, y.buf); c != 0 {
 			return c
 		}

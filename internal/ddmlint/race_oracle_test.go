@@ -101,8 +101,9 @@ func raceOracle(t *testing.T, p *core.Program) int {
 	n := 0
 	for _, b := range p.Blocks {
 		var scratch Report
-		g, ok := expandBlock(&scratch, p, b, opts)
-		if !ok {
+		g := takeGraph()
+		defer g.release()
+		if !g.expand(&scratch, p, b, opts) {
 			t.Fatalf("block %d not expanded: %v", b.ID, scratch.Notes)
 		}
 		g.checkCycles(&scratch)

@@ -89,8 +89,9 @@ func LintStream(p *stream.Pipeline, policy stream.Policy) (*Report, error) {
 
 	checkShedSafety(r, p, ablock, policy)
 
-	g, ok := expandBlock(r, prog, ablock, opts)
-	if !ok {
+	g := takeGraph()
+	defer g.release()
+	if !g.expand(r, prog, ablock, opts) {
 		r.Notes = append(r.Notes,
 			"streaming scratch-lifetime analyses skipped (per-window graph not expanded)")
 		return r, nil

@@ -206,7 +206,7 @@ func TestReplicaPristineRestore(t *testing.T) {
 
 	rep.bufs.Bytes("parts")[0] = 0x77
 	rep.bufs.Bytes("out")[3] = 0x42
-	rep.cache[regionKey{buffer: "parts", offset: 0, size: 8}] = cacheEntry{ver: 9, data: []byte{1}}
+	rep.cache.put(&RegionData{Buffer: "parts", Offset: 0, Size: 8, Data: make([]byte, 8), Ver: 9})
 
 	rep.restorePristine()
 	if got := rep.bufs.Bytes("parts"); string(got) != string(orig) {
@@ -215,7 +215,7 @@ func TestReplicaPristineRestore(t *testing.T) {
 	if rep.bufs.Bytes("out")[3] != 0 {
 		t.Fatal("out not restored")
 	}
-	for key, ent := range rep.cache {
+	for key, ent := range rep.cache.ents {
 		if ent.ver != 0 {
 			t.Fatalf("region cache entry %+v survived recycling at v%d", key, ent.ver)
 		}

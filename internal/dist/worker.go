@@ -38,6 +38,92 @@ type cacheEntry struct {
 	data []byte
 }
 
+const (
+	// cacheChunk is the size of the chunks an importCache carves small
+	// payload copies from, and maxCarved the largest payload carved: a
+	// bigger one (MMULT's B panel is 128 KiB) keeps a copy of its own, so
+	// a replica that caches a few large regions pays for no chunk slack.
+	cacheChunk = 4 << 10
+	maxCarved  = cacheChunk / 8
+	// maxParkedChunks bounds the chunk storage a parked cache keeps.
+	maxParkedChunks = 256
+)
+
+// importCache is a replica's region cache: the versioned import payloads
+// it holds, keyed by region, and the chunks its small payload copies are
+// carved from. A one-session replica's cache outlives it: the worker loop
+// parks it, emptied but with its map table and chunks, for the next
+// replica built on the connection, as the Fleet parks its region tables.
+// The zero value is an empty cache.
+type importCache struct {
+	ents   map[regionKey]cacheEntry
+	chunks [][]byte // cacheChunk bytes each
+	// The next payload is carved from chunks[used] at off.
+	used, off int
+}
+
+// put caches rd's payload at rd.Ver, copying it into the storage the key
+// already owns when it was cached before: the key includes the size.
+func (c *importCache) put(rd *RegionData) {
+	if c.ents == nil {
+		c.ents = make(map[regionKey]cacheEntry)
+	}
+	key := rd.key()
+	data := c.ents[key].data
+	if len(data) != len(rd.Data) {
+		data = c.alloc(len(rd.Data))
+	}
+	copy(data, rd.Data)
+	c.ents[key] = cacheEntry{ver: rd.Ver, data: data}
+}
+
+// alloc returns n bytes of storage for one payload copy: carved from the
+// cache's chunks when n is small, a copy of its own otherwise.
+func (c *importCache) alloc(n int) []byte {
+	if n > maxCarved {
+		return make([]byte, n)
+	}
+	if c.off+n > cacheChunk {
+		c.used, c.off = c.used+1, 0
+	}
+	if c.used == len(c.chunks) {
+		c.chunks = append(c.chunks, make([]byte, cacheChunk))
+	}
+	b := c.chunks[c.used][c.off : c.off+n : c.off+n]
+	c.off += n
+	return b
+}
+
+// park moves the cache, emptied, onto parked for a replica of another
+// session, and leaves c empty. A full parked list, or a cache that tracked
+// more regions than maxParkedRegions, leaves it to the GC instead, so one
+// enormous program does not pin its high-water mark for the connection's
+// lifetime.
+func (c *importCache) park(parked []importCache) []importCache {
+	keep := len(parked) < maxParkedTables && len(c.ents) <= maxParkedRegions
+	if keep {
+		clear(c.ents) // keeps the map's table
+		if len(c.chunks) > maxParkedChunks {
+			clear(c.chunks[maxParkedChunks:])
+			c.chunks = c.chunks[:maxParkedChunks]
+		}
+		c.used, c.off = 0, 0
+		parked = append(parked, *c)
+	}
+	*c = importCache{}
+	return parked
+}
+
+// unpark moves the cache parked last into c, if there is one.
+func (c *importCache) unpark(parked []importCache) []importCache {
+	k := len(parked)
+	if k == 0 {
+		return parked
+	}
+	*c, parked[k-1] = parked[k-1], importCache{}
+	return parked[:k-1]
+}
+
 // Resolver turns a ProgramSpec from an OpenProg frame into this node's
 // replica of the program: the program structure (bodies included) plus
 // the registry of replica buffers. Both sides of a session resolve the
@@ -58,8 +144,10 @@ type replica struct {
 	// instances it runs, once, and about no others.
 	access *core.AccessTable
 	bufs   *core.SharedVariableBuffer
-	cache  map[regionKey]cacheEntry
-	mu     sync.Mutex
+	// cache is touched only by the recv loop (stageImports, and parking at
+	// CloseProg), never by a body.
+	cache importCache
+	mu    sync.Mutex
 
 	// pristine snapshots every registered buffer's content at build time
 	// so the replica can be recycled between sessions; nil for a replica
@@ -201,14 +289,17 @@ func ServeFleet(conn net.Conn, kernels int, resolve Resolver) error {
 		}()
 	}()
 
-	// replicas and idle are touched only by this recv loop; kernel
+	// replicas, idle and parked are touched only by this recv loop; kernel
 	// goroutines get replica pointers through their queues, so a CloseProg
 	// delete never races an in-flight body. idle holds, per spec, the
 	// pristine replicas that pooled sessions left behind. It keys on the
 	// spec itself, so two programs can never share a replica, and it lives
 	// as long as the connection: a worker that reconnects starts empty.
+	// parked holds the emptied region caches of replicas that were not
+	// recycled, for the next replicas built to cache in.
 	replicas := make(map[uint32]*replica)
 	idle := make(map[ProgramSpec][]*replica)
+	var parked []importCache
 	reps := make([]*replica, 0, 64) // per-frame staging scratch
 
 	for {
@@ -226,8 +317,11 @@ func ServeFleet(conn net.Conn, kernels int, resolve Resolver) error {
 				// The one thing an open reports: nothing was built.
 				l.sendProgAck(f.open.Prog, err.Error()) //nolint:errcheck // conn errors surface in recv
 				break
-			} else if f.open.Pooled {
-				rep.snapshotPristine()
+			} else {
+				parked = rep.cache.unpark(parked)
+				if f.open.Pooled {
+					rep.snapshotPristine()
+				}
 			}
 			replicas[f.open.Prog] = rep
 		case ftCloseProg:
@@ -236,10 +330,17 @@ func ServeFleet(conn net.Conn, kernels int, resolve Resolver) error {
 			// Recycle a pooled replica only when no body is still in flight
 			// (a dropped lease can close a program whose Execs are mid-run):
 			// an in-flight body may still write the buffers the pristine
-			// restore just rewrote.
-			if rep != nil && rep.pristine != nil && rep.pending.Load() == 0 && len(idle[rep.spec]) < maxReplicaPool {
+			// restore just rewrote. Any other replica is dropped, and its
+			// region cache parked: no body reads the cache, so one still in
+			// flight does not hold it.
+			if rep == nil {
+				break
+			}
+			if rep.pristine != nil && rep.pending.Load() == 0 && len(idle[rep.spec]) < maxReplicaPool {
 				rep.restorePristine()
 				idle[rep.spec] = append(idle[rep.spec], rep)
+			} else {
+				parked = rep.cache.park(parked)
 			}
 		case ftExecBatch:
 			reps = reps[:0]
@@ -316,7 +417,6 @@ func buildReplica(resolve Resolver, spec ProgramSpec) (*replica, error) {
 		templates: templates,
 		access:    core.NewAccessTable(prog),
 		bufs:      bufs,
-		cache:     make(map[regionKey]cacheEntry),
 	}, nil
 }
 
@@ -337,9 +437,9 @@ func (rep *replica) restorePristine() {
 	for name, data := range rep.pristine {
 		copy(rep.bufs.Bytes(name), data)
 	}
-	for key, ent := range rep.cache {
+	for key, ent := range rep.cache.ents {
 		ent.ver = 0
-		rep.cache[key] = ent
+		rep.cache.ents[key] = ent
 	}
 }
 
@@ -351,7 +451,7 @@ func stageImports(rep *replica, ex *Exec) error {
 	for i := range ex.Imports {
 		rd := &ex.Imports[i]
 		if rd.Ref {
-			ent := rep.cache[rd.key()]
+			ent := rep.cache.ents[rd.key()]
 			if ent.ver == 0 || ent.ver != rd.Ver {
 				return fmt.Errorf("cache reference %q[%d,+%d) v%d not cached here (coordinator/worker cache out of sync)", rd.Buffer, rd.Offset, rd.Size, rd.Ver)
 			}
@@ -365,12 +465,8 @@ func stageImports(rep *replica, ex *Exec) error {
 		}
 		if rd.Ver != 0 {
 			// The decoded payload aliases the frame, which goes back to the
-			// link once staged: the cache keeps a copy, in the storage the
-			// entry already owns when the key was cached before.
-			key := rd.key()
-			ent := rep.cache[key]
-			ent.ver, ent.data = rd.Ver, append(ent.data[:0], rd.Data...)
-			rep.cache[key] = ent
+			// link once staged: the cache keeps a copy.
+			rep.cache.put(rd)
 		}
 	}
 	return nil

@@ -61,17 +61,47 @@ func takeScratch(kernels int) *runScratch {
 	return sc
 }
 
-// release gives the scratch to the next run's takeScratch.
+// release gives the scratch to the next run's takeScratch. The queues and
+// buffers past this run's kernel count, an earlier and wider run's, are
+// let go first if keeping them would pass the list's bound, as
+// State.Release lets go of SMs.
 func (sc *runScratch) release() {
-	n := 0
-	for _, q := range sc.queues {
-		n += cap(q.items)
-	}
-	for _, b := range sc.bufs[:cap(sc.bufs)] {
-		n += cap(b.ready) + cap(b.targets) + cap(b.ctx) + cap(b.recs)
-		for _, batch := range b.pend[:cap(b.pend)] {
-			n += cap(batch)
+	kernels := len(sc.bufs) - 1
+	used, spare := 0, 0
+	for k, q := range sc.queues {
+		if k < kernels {
+			used += cap(q.items)
+		} else {
+			spare += cap(q.items)
 		}
 	}
-	scratches.Put(sc, n)
+	for i, b := range sc.bufs[:cap(sc.bufs)] {
+		n, extra := cap(b.ready)+cap(b.targets)+cap(b.ctx)+cap(b.recs), 0
+		for k, batch := range b.pend[:cap(b.pend)] {
+			if k < len(b.pend) {
+				n += cap(batch)
+			} else {
+				extra += cap(batch)
+			}
+		}
+		if i <= kernels {
+			used, spare = used+n, spare+extra
+		} else {
+			spare += n + extra
+		}
+	}
+	scratches.Put(sc, used, spare, (*runScratch).dropSpare)
+}
+
+// dropSpare lets go of the queues, buffers and batches past the last
+// run's kernel count.
+func (sc *runScratch) dropSpare() {
+	kernels := len(sc.bufs) - 1
+	clear(sc.queues[kernels:])
+	sc.queues = sc.queues[:kernels]
+	clear(sc.bufs[kernels+1 : cap(sc.bufs)])
+	for i := range sc.bufs {
+		b := &sc.bufs[i]
+		clear(b.pend[len(b.pend):cap(b.pend)])
+	}
 }

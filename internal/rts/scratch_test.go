@@ -96,7 +96,6 @@ func TestRunAllocsCeiling(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			freshLists()
 			allocs, bytes := perRun(20, run)
 			if err := job.Verify(); err != nil {
 				t.Fatal(err)
@@ -135,7 +134,6 @@ func TestRunAllocsSurviveGC(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			freshLists()
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			for range 5 {
 				run()
@@ -163,15 +161,6 @@ func TestRunAllocsSurviveGC(t *testing.T) {
 func freshScratch() {
 	for scratches.Get() != nil {
 	}
-}
-
-// freshLists empties every free list a run draws from, so that what other
-// tests left there does not count against a warm run: an entry that a
-// larger program grew near maxFreeElems is turned away once a run grows
-// it further, and the run after regrows a smaller one.
-func freshLists() {
-	freshScratch()
-	freshSMArrays()
 }
 
 // runRecord is what a run must reproduce whatever scratch it was given:

@@ -44,12 +44,23 @@ func (l *FreeList[T]) Get() *T {
 	return x
 }
 
-// Put gives x back for a later Get; elems counts the elements of the
-// arrays x keeps. A full list, or an x over maxFreeElems, leaves x to the
+// Put gives x back for a later Get. used counts the elements of the
+// arrays x's last run used, and spare those of the arrays x keeps only
+// from earlier, wider runs (SMs or segments past its own). x keeps its
+// spare arrays while the two together fit maxFreeElems, so runs of
+// different widths take turns without regrowing them; past the bound,
+// dropSpare lets go of them first, and x is turned away only for what its
+// last run used. A full list, or used over maxFreeElems, leaves x to the
 // GC. The caller must not touch x afterwards.
-func (l *FreeList[T]) Put(x *T, elems int) {
+func (l *FreeList[T]) Put(x *T, used, spare int, dropSpare func(*T)) {
+	if used+spare > maxFreeElems {
+		if used > maxFreeElems {
+			return
+		}
+		dropSpare(x)
+	}
 	l.mu.Lock()
-	if len(l.free) < maxFree && elems <= maxFreeElems {
+	if len(l.free) < maxFree {
 		l.free = append(l.free, x)
 	}
 	l.mu.Unlock()

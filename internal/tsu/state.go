@@ -202,18 +202,27 @@ func newState(p *core.Program, kernels int, infos []tmplInfo) *State {
 
 // Release ends the State's use and gives it, arrays and all, to the next
 // State built: by NewStateCfg, NewState or Tables.Acquire, over any
-// program. Call it once the run's stats are read and no driver holds the
-// State, also after an aborted run: the caller must not touch the State
-// afterwards.
+// program. The SMs of kernels past this run's, an earlier and wider run's,
+// are let go first if keeping them would pass the list's bound (see
+// FreeList.Put). Call it once the run's stats are read and no driver holds
+// the State, also after an aborted run: the caller must not touch the
+// State afterwards.
 func (s *State) Release() {
-	n := cap(s.deg) + cap(s.ctx) + cap(s.cons)
-	for _, m := range s.sms[:cap(s.sms)] {
-		n += cap(m.cells)
+	used := cap(s.deg) + cap(s.ctx) + cap(s.cons)
+	for _, m := range s.sms {
+		used += cap(m.cells)
+	}
+	spare := 0
+	for _, m := range s.sms[len(s.sms):cap(s.sms)] {
+		spare += cap(m.cells)
 	}
 	// A State on the list pins no program.
 	s.prog, s.infos = nil, nil
-	states.Put(s, n)
+	states.Put(s, used, spare, (*State).dropSpare)
 }
+
+// dropSpare lets go of the SMs past the last run's kernels.
+func (s *State) dropSpare() { clear(s.sms[len(s.sms):cap(s.sms)]) }
 
 // Kernels returns the number of kernels the TKT distributes over.
 func (s *State) Kernels() int { return s.kernels }

@@ -323,3 +323,105 @@ func TestWindowReopensByReacquireAndInlet(t *testing.T) {
 		s.Release()
 	}
 }
+
+// flatProgram is one Block of one template with n independent instances.
+func flatProgram(n core.Context) *core.Program {
+	p := core.NewProgram("flat")
+	w := core.NewTemplate(1, "w", noop)
+	w.Instances = n
+	p.AddBlock().Add(w)
+	return p
+}
+
+// TestReleaseKeepsWhatItsRunUsed pins maxFreeElems as a bound on what the
+// last run used. A 4-kernel run leaves 4 SMs (or 8 TUB segments) on the
+// list, and a 2-kernel run (2 segments) takes them. While its own arrays
+// and the wider run's fit the bound together, Release keeps all of them,
+// so runs of the two widths take turns without regrowing anything. Once
+// the narrow run grows its own past what fits beside the rest, but not
+// past the bound alone, Release lets go of the wider run's arrays and the
+// entry still comes back from the list.
+func TestReleaseKeepsWhatItsRunUsed(t *testing.T) {
+	t.Run("State", func(t *testing.T) {
+		load := func(p *core.Program, kernels int) *State {
+			s, err := NewState(p, kernels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.DoneInto(nil, s.Start().Inst, 0) // the Inlet lays out every SM
+			return s
+		}
+		held := func(s *State) int {
+			n := 0
+			for _, m := range s.sms[:cap(s.sms)] {
+				if m.cells != nil {
+					n++
+				}
+			}
+			return n
+		}
+		for _, c := range []struct {
+			narrow core.Context
+			sms    int // SMs the entry must hold after the narrow run
+		}{
+			{1000, 4},  // 2 × 500 cells: the wider run's SMs fit beside them
+			{20000, 2}, // 2 × 10 000 cells + the 30 000 in-degrees: they do not
+		} {
+			dropFree()
+			wide := load(flatProgram(30000), 4) // 4 × 7 500 cells + 30 000 in-degrees
+			wide.Release()
+			narrow := load(flatProgram(c.narrow), 2)
+			if narrow != wide {
+				t.Fatal("the narrow run did not take the wide run's State")
+			}
+			narrow.Release()
+			if got := states.Get(); got != narrow {
+				t.Fatalf("narrow run of %d: Release turned the State away for SMs its run did not use", c.narrow)
+			}
+			if got := held(narrow); got != c.sms {
+				t.Fatalf("narrow run of %d: the State holds %d SMs, want %d", c.narrow, got, c.sms)
+			}
+		}
+	})
+	t.Run("TUB", func(t *testing.T) {
+		fill := func(tub *TUB, perSeg int) {
+			targets := make([]core.Instance, perSeg)
+			for k := range tub.segs {
+				tub.Push(Completion{Kernel: KernelID(k), Targets: targets})
+			}
+		}
+		held := func(tub *TUB) int {
+			n := 0
+			segs := tub.segs[:cap(tub.segs)]
+			for i := range segs {
+				if segs[i].arena != nil {
+					n++
+				}
+			}
+			return n
+		}
+		for _, c := range []struct {
+			perSeg, segs int // targets per narrow segment; segments held after
+		}{
+			{1000, 8},  // 2 × 1 000 beside 6 × 3 000 fit
+			{28000, 2}, // 2 × 28 000 beside 6 × 3 000 do not
+		} {
+			dropFree()
+			wide := NewTUB(4, TUBConfig{}) // 8 segments × 3 000 targets
+			fill(wide, 3000)
+			wide.Release()
+			narrow := NewTUB(1, TUBConfig{}) // 2 segments
+			if narrow != wide {
+				t.Fatal("the narrow run did not take the wide run's TUB")
+			}
+			fill(narrow, c.perSeg)
+			narrow.Release()
+			if got := tubs.Get(); got != narrow {
+				t.Fatalf("narrow run of %d per segment: Release turned the TUB away for segments its run did not use", c.perSeg)
+			}
+			if got := held(narrow); got != c.segs {
+				t.Fatalf("narrow run of %d per segment: the TUB holds %d segments, want %d", c.perSeg, got, c.segs)
+			}
+		}
+	})
+}

@@ -111,17 +111,29 @@ func NewTUB(kernels int, cfg TUBConfig) *TUB {
 	return t
 }
 
-// Release gives the TUB to the next NewTUB. Call it once no writer or
-// drainer will touch the TUB again, also after an aborted run: neither the
-// TUB nor a record its last Drain returned may be used afterwards.
+// Release gives the TUB to the next NewTUB. The segments past this run's,
+// an earlier and wider run's, are let go first if keeping them would pass
+// the list's bound, as State.Release lets go of SMs. Call it once no
+// writer or drainer will touch the TUB again, also after an aborted run:
+// neither the TUB nor a record its last Drain returned may be used
+// afterwards.
 func (t *TUB) Release() {
-	n := cap(t.drained) + cap(t.recs)
-	segs := t.segs[:cap(t.segs)]
+	used := cap(t.drained) + cap(t.recs) + segElems(t.segs)
+	spare := segElems(t.segs[len(t.segs):cap(t.segs)])
+	tubs.Put(t, used, spare, (*TUB).dropSpare)
+}
+
+// segElems counts the elements of the segments' arrays.
+func segElems(segs []tubSegment) int {
+	n := 0
 	for i := range segs {
 		n += cap(segs[i].buf) + cap(segs[i].arena)
 	}
-	tubs.Put(t, n)
+	return n
 }
+
+// dropSpare lets go of the segments past the last run's.
+func (t *TUB) dropSpare() { clear(t.segs[len(t.segs):cap(t.segs)]) }
 
 // Push deposits a completion record, copying its targets into the
 // segment's arena, so the caller may reuse rec.Targets at once. It never

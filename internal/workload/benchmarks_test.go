@@ -360,3 +360,66 @@ func TestFFTWarmRunAllocatesNoColumns(t *testing.T) {
 		t.Fatalf("a second run allocates at most %d times fewer than the first: want at least the %d columns fewer", drop, cols.Instances)
 	}
 }
+
+// TestConstructorsBuildNoReference pins that a job's sequential-only
+// arrays (FFT's ref, MMULT's cRef, SUSAN's ref and scratch, QSORT's ref)
+// are made by its first RunSequential, not by its constructor, so a worker
+// replica or a daemon that only runs the program never pays for them: each
+// constructor allocates the arrays a parallel run uses and at most 2 KiB
+// more, less than any of those arrays. A Verify with no RunSequential
+// before it still passes, since it runs the reference itself.
+func TestConstructorsBuildNoReference(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		make     func() Job
+		runBytes float64 // the arrays a parallel run reads and writes
+	}{
+		{"FFT-32", func() Job { return NewFFT(32) }, 2 * 32 * 32 * 16},
+		{"MMULT-64", func() Job { return NewMMult(64) }, 3 * 64 * 64 * 8},
+		{"SUSAN-64x64", func() Job { return NewSusan(64, 64) }, 3 * 64 * 64},
+		{"QSORT-1024", func() Job { return NewQSort(1024) }, 4 * 1024 * 4},
+		{"TRAPEZ-2^10", func() Job { return NewTrapez(10) }, 8},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var job Job
+			var before, after runtime.MemStats
+			const n = 10
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				runtime.ReadMemStats(&before)
+				for range n {
+					job = c.make()
+				}
+				runtime.ReadMemStats(&after)
+			}()
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+			if ceiling := c.runBytes + 2<<10; bytes > ceiling {
+				t.Errorf("the constructor allocates %.0f bytes, want <= %.0f", bytes, ceiling)
+			}
+			p, err := job.Build(2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rts.Run(p, rts.Options{Kernels: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if err := job.Verify(); err != nil {
+				t.Fatalf("Verify with no RunSequential before it: %v", err)
+			}
+		})
+	}
+}
+
+// TestSusanRejectsEmptyImage: a SUSAN job needs at least one pixel.
+func TestSusanRejectsEmptyImage(t *testing.T) {
+	for _, wh := range [][2]int{{0, 4}, {4, 0}, {-2, -2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewSusan(%d, %d) did not panic", wh[0], wh[1])
+				}
+			}()
+			NewSusan(wh[0], wh[1])
+		}()
+	}
+}

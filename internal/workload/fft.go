@@ -25,9 +25,11 @@ const fftCyclesPerButterfly = 14
 
 // FFT is the FFT Job.
 type FFT struct {
-	n       int
-	input   []complex128
-	par     []complex128
+	n     int
+	input []complex128
+	par   []complex128
+	// ref is the sequential output, made by the first RunSequential: a
+	// replica that only runs the program never needs it.
 	ref     []complex128
 	refDone bool
 }
@@ -54,21 +56,16 @@ func NewFFT(n int) *FFT {
 	if n&(n-1) != 0 || n < 2 {
 		panic("workload: FFT size must be a power of two >= 2")
 	}
-	f := &FFT{
-		n:     n,
-		input: make([]complex128, n*n),
-		par:   make([]complex128, n*n),
-		ref:   make([]complex128, n*n),
-	}
+	input := make([]complex128, n*n)
 	s := uint32(0x1234567)
-	for i := range f.input {
+	for i := range input {
 		s = xorshift32(s)
 		re := float64(s%2048)/1024 - 1
 		s = xorshift32(s)
 		im := float64(s%2048)/1024 - 1
-		f.input[i] = complex(re, im)
+		input[i] = complex(re, im)
 	}
-	return f
+	return &FFT{n: n, input: input, par: make([]complex128, n*n)}
 }
 
 // Name implements Job.
@@ -136,7 +133,7 @@ func (f *FFT) scaleRows(dst []complex128, lo, hi int) {
 
 // RunSequential implements Job.
 func (f *FFT) RunSequential() {
-	ref := f.ref
+	ref := reference(&f.ref, len(f.input))
 	copy(ref, f.input)
 	f.rowFFTs(ref, 0, f.n)
 	f.colFFTs(ref, make([]complex128, f.n), 0, f.n)

@@ -24,8 +24,10 @@ const mmultCyclesPerMAC = 6
 
 // MMult is the MMULT Job.
 type MMult struct {
-	n       int
-	a, b    []float64
+	n    int
+	a, b []float64
+	// cRef is the sequential product, made by the first RunSequential: a
+	// replica that only runs the program never needs it.
 	cRef    []float64
 	cPar    []float64
 	refDone bool
@@ -54,7 +56,6 @@ func NewMMult(n int) *MMult {
 		n:    n,
 		a:    make([]float64, n*n),
 		b:    make([]float64, n*n),
-		cRef: make([]float64, n*n),
 		cPar: make([]float64, n*n),
 	}
 	s := uint32(0x9E3779B9)
@@ -92,8 +93,8 @@ func (m *MMult) multiplyRows(dst []float64, lo, hi int) {
 
 // RunSequential implements Job.
 func (m *MMult) RunSequential() {
-	m.multiplyRows(m.cRef, 0, m.n)
 	m.refDone = true
+	m.multiplyRows(reference(&m.cRef, len(m.cPar)), 0, m.n)
 }
 
 // rowRegions describes the memory a row-block [lo,hi) touches: its A and C

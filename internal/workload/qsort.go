@@ -40,7 +40,7 @@ type QSort struct {
 	work    []uint32 // leaf-sorted chunks
 	scratch []uint32 // level-1 merged runs
 	sorted  []uint32 // final output
-	ref     []uint32
+	ref     []uint32 // the sequential output, made by the first RunSequential
 	refDone bool
 
 	leaves int // as of the last Build
@@ -76,7 +76,6 @@ func NewQSort(n int) *QSort {
 		work:    make([]uint32, n),
 		scratch: make([]uint32, n),
 		sorted:  make([]uint32, n),
-		ref:     make([]uint32, n),
 	}
 }
 
@@ -94,6 +93,9 @@ func (q *QSort) fill(dst []uint32) {
 
 // RunSequential implements Job: generate and quicksort the whole array.
 func (q *QSort) RunSequential() {
+	if q.ref == nil {
+		q.ref = make([]uint32, q.n)
+	}
 	q.fill(q.ref)
 	sort.Slice(q.ref, func(i, j int) bool { return q.ref[i] < q.ref[j] })
 	q.refDone = true

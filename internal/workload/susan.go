@@ -31,15 +31,17 @@ const (
 
 // Susan is the SUSAN Job.
 type Susan struct {
-	w, h    int
-	lut     [512]uint16 // brightness similarity weights, index diff+255
-	img     []byte      // parallel input image (phase 1 output)
-	smooth  []byte      // phase 2 output
-	final   []byte      // phase 3 output
-	ref     []byte      // sequential final output
-	seqImg  []byte      // sequential scratch (preallocated so the baseline
-	seqSm   []byte      // measures compute, not allocation)
-	refDone bool
+	w, h   int
+	lut    [512]uint16 // brightness similarity weights, index diff+255
+	img    []byte      // parallel input image (phase 1 output)
+	smooth []byte      // phase 2 output
+	final  []byte      // phase 3 output
+	// The sequential run's output and scratch, made by the first
+	// RunSequential (a replica that only runs the program never needs
+	// them) and reused by every later one, so a timed baseline measures
+	// compute, not allocation.
+	ref, seqImg, seqSm []byte
+	refDone            bool
 }
 
 // SusanSpec returns the Table 1 entry for SUSAN.
@@ -59,14 +61,14 @@ func SusanSpec() Spec {
 
 // NewSusan builds a SUSAN job over a w×h 8-bit image.
 func NewSusan(w, h int) *Susan {
+	if w < 1 || h < 1 {
+		panic(fmt.Sprintf("workload: SUSAN image %dx%d has no pixels", w, h))
+	}
 	s := &Susan{
 		w: w, h: h,
 		img:    make([]byte, w*h),
 		smooth: make([]byte, w*h),
 		final:  make([]byte, w*h),
-		ref:    make([]byte, w*h),
-		seqImg: make([]byte, w*h),
-		seqSm:  make([]byte, w*h),
 	}
 	// MiBench-style brightness similarity LUT: 100·exp(-(d/t)²), here in
 	// fixed point without math.Exp so results are bit-exact integers.
@@ -134,9 +136,10 @@ func (s *Susan) outputRows(src, dst []byte, lo, hi int) {
 
 // RunSequential implements Job.
 func (s *Susan) RunSequential() {
-	s.initRows(s.seqImg, 0, s.h)
-	s.smoothRows(s.seqImg, s.seqSm, 0, s.h)
-	s.outputRows(s.seqSm, s.ref, 0, s.h)
+	img, sm := reference(&s.seqImg, len(s.final)), reference(&s.seqSm, len(s.final))
+	s.initRows(img, 0, s.h)
+	s.smoothRows(img, sm, 0, s.h)
+	s.outputRows(sm, reference(&s.ref, len(s.final)), 0, s.h)
 	s.refDone = true
 }
 

@@ -213,6 +213,16 @@ func region(buf string, off, size int64, write bool) core.MemRegion {
 	return core.MemRegion{Buffer: buf, Offset: off, Size: size, Write: write, Stream: size > streamThreshold}
 }
 
+// reference returns *a, made n elements long by the first call: a job's
+// sequential-only arrays are made by its first RunSequential, so a replica
+// or a daemon that only runs the program never allocates them.
+func reference[T any](a *[]T, n int) []T {
+	if *a == nil {
+		*a = make([]T, n)
+	}
+	return *a
+}
+
 // xorshift32 is the deterministic input generator used by QSORT and SUSAN;
 // a fixed simple PRNG keeps every platform's input bit-identical.
 func xorshift32(x uint32) uint32 {
