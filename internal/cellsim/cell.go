@@ -1,7 +1,6 @@
 package cellsim
 
 import (
-	"sync"
 	"time"
 
 	"tflux/internal/core"
@@ -12,62 +11,6 @@ import (
 // regions of through the Local Stores. The alias exists only because the
 // repo benchmark (bench/workloads.go) names the type through this package.
 type SharedVariableBuffer = core.SharedVariableBuffer
-
-// command is one entry a Kernel places into its CommandBuffer: a DThread
-// completion notification.
-type command struct {
-	inst core.Instance
-}
-
-// commandBuffer is the per-SPE command ring the PPE polls. Its bounded
-// capacity, commandBufCap, mirrors the paper's 128-byte main-memory
-// buffer.
-type commandBuffer struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []command
-	closed bool
-}
-
-func newCommandBuffer() *commandBuffer {
-	cb := &commandBuffer{buf: make([]command, 0, commandBufCap)}
-	cb.cond = sync.NewCond(&cb.mu)
-	return cb
-}
-
-// push blocks while the ring is full (the SPE stalls on its DMA of the
-// command, as on real hardware). On a closed buffer the command is
-// dropped: the run is aborting.
-func (cb *commandBuffer) push(c command) {
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	for len(cb.buf) >= commandBufCap && !cb.closed {
-		cb.cond.Wait()
-	}
-	if cb.closed {
-		return
-	}
-	cb.buf = append(cb.buf, c)
-}
-
-// drain moves all pending commands into dst.
-func (cb *commandBuffer) drain(dst []command) []command {
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	if len(cb.buf) > 0 {
-		dst = append(dst, cb.buf...)
-		cb.buf = cb.buf[:0]
-		cb.cond.Broadcast()
-	}
-	return dst
-}
-
-func (cb *commandBuffer) close() {
-	cb.mu.Lock()
-	cb.closed = true
-	cb.mu.Unlock()
-	cb.cond.Broadcast()
-}
 
 // dma models one staging engine: copies between main memory and a Local
 // Store arena in transfers of at most dmaChunk bytes, with traffic

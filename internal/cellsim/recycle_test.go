@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/fnv"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"tflux/internal/core"
@@ -120,16 +121,25 @@ func TestRecycledArenasDoNotLeak(t *testing.T) {
 }
 
 // What one warm cellsim.Run of the repo benchmark's MMULT-128/8 allocates
-// on two SPEs: 62 objects and 5.0 KB, measured over 200 runs; a Local
-// Store the pool lost to a collection adds 256 KiB to one run. Before the
-// Local Stores were recycled and the access table read, it was 160
-// objects and 537 KB. Under the race detector sync.Pool drops a share of
-// what it is given, so most runs build a Local Store (135–200 KB per run
-// over 3×20 runs, still 62 objects): the byte count is not capped there.
+// on two SPEs: 23 objects and 1.4–1.8 KB, and the same 23 objects and
+// 1.38–1.46 KB in each of 10 measurements beside three busy loops. Six
+// objects are cellsim's (the run's SPE side and its two slices, its exec
+// method value, the Stats and their per-SPE slice); the rest are one
+// rts.RunExec's on two kernels (runner, stop channel, Stats and three
+// per-kernel slices, the WaitGroup and three goroutines) and its TSU
+// State's (thread table, validation, the Stats copy). Before the Cell ran
+// on rts it was 45 objects and 2.9 KB, with a PPE and two SPE goroutines,
+// their rings and mailboxes; before the Local Stores were recycled and
+// the access table read, 160 objects and 537 KB. The collector is held
+// off while the runs are measured: a collection empties the Local Store
+// pool, and the next run builds a 256 KiB arena again. Under the race
+// detector sync.Pool drops a share of what it is given anyway, so most
+// runs build a Local Store (41–172 KB per run, 23–24 objects): the byte
+// count is not capped there.
 const (
-	warmCellRunAllocsCeiling     = 80
-	warmCellRunBytesCeiling      = 64 << 10
-	raceWarmCellRunAllocsCeiling = 90
+	warmCellRunAllocsCeiling     = 28
+	warmCellRunBytesCeiling      = 4 << 10
+	raceWarmCellRunAllocsCeiling = 32
 )
 
 // TestWarmCellRunAllocsCeiling caps what a warm cellsim.Run allocates.
@@ -146,6 +156,7 @@ func TestWarmCellRunAllocsCeiling(t *testing.T) {
 		}
 	}
 	run()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(20, run)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

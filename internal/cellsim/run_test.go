@@ -2,13 +2,15 @@ package cellsim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tflux/internal/core"
+	"tflux/internal/tsu"
+	"tflux/internal/workload"
 )
 
 // stageSum builds a map+reduce over a real shared byte buffer: workers
@@ -140,11 +142,11 @@ func TestCellBodyPanicSurfaces(t *testing.T) {
 }
 
 func TestCellTinyQueuesNoDeadlock(t *testing.T) {
-	// Hundreds of fine-grained DThreads on two SPEs: every SPE's mailbox
-	// fills and the PPE holds the rest back, which exercises the
-	// non-blocking dispatch path hard.
+	// 512 fine-grained DThreads through two SPEs' ready queues (their
+	// mailboxes): most instances are queued behind others, and each
+	// completion comes back through the PPE's TUB.
 	p, svb, result := stageSum(512, 10)
-	_, err := Run(p, svb, Config{SPEs: 2})
+	st, err := Run(p, svb, Config{SPEs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,48 +157,9 @@ func TestCellTinyQueuesNoDeadlock(t *testing.T) {
 	if *result != want {
 		t.Fatalf("sum = %d, want %d", *result, want)
 	}
-}
-
-// TestCommandBufferBlocksWhenFull covers the SPE stall Run cannot reach
-// at the PS3's sizes: the PPE refills a mailbox once per drain of the
-// rings, so an SPE pushes at most 1 + 2×mailboxCap commands between
-// drains, fewer than the ring holds. A full ring blocks its pusher until
-// a drain makes room, and an aborting close releases it.
-func TestCommandBufferBlocksWhenFull(t *testing.T) {
-	cb := newCommandBuffer()
-	for i := 0; i < commandBufCap; i++ {
-		cb.push(command{inst: core.Instance{Ctx: core.Context(i)}})
-	}
-	pushed := make(chan struct{})
-	go func() {
-		cb.push(command{inst: core.Instance{Ctx: commandBufCap}})
-		close(pushed)
-	}()
-	select {
-	case <-pushed:
-		t.Fatal("push into a full ring did not block")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if got := cb.drain(nil); len(got) != commandBufCap {
-		t.Fatalf("drained %d commands, want %d", len(got), commandBufCap)
-	}
-	<-pushed
-	if got := cb.drain(nil); len(got) != 1 || got[0].inst.Ctx != commandBufCap {
-		t.Fatalf("after the drain the blocked push delivered %v", got)
-	}
-
-	for i := 0; i < commandBufCap; i++ {
-		cb.push(command{})
-	}
-	released := make(chan struct{})
-	go func() {
-		cb.push(command{})
-		close(released)
-	}()
-	cb.close()
-	<-released
-	if got := cb.drain(nil); len(got) != commandBufCap {
-		t.Fatalf("close delivered the blocked command: %d queued", len(got))
+	// The TKT splits the workers in halves; the reducer runs on SPE 0.
+	if st.SPEs[0].Executed != 257 || st.SPEs[1].Executed != 256 {
+		t.Fatalf("SPEs executed %d and %d, want 257 and 256", st.SPEs[0].Executed, st.SPEs[1].Executed)
 	}
 }
 
@@ -358,11 +321,133 @@ func TestCellDefaults(t *testing.T) {
 		{"Local Store", localStore, 256 << 10},
 		{"reserve", reserve, 32 << 10},
 		{"DMA transfer", dmaChunk, 16 << 10},
-		{"mailbox depth", mailboxCap, 4},
-		{"CommandBuffer bytes at 8 per command", commandBufCap * 8, 128},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s = %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// TestCellMovesWhatTheTableSays pins what a run moves, whatever runs it:
+// the DMA totals are the sums over the program's access-table rows, split
+// into transfers at dmaChunk, and each SPE executes, and stages the rows
+// of, exactly the instances the TKT gives it. Every instance and each
+// Block's Inlet and Outlet is one command.
+func TestCellMovesWhatTheTableSays(t *testing.T) {
+	for _, name := range []string{"TRAPEZ", "MMULT", "QSORT", "SUSAN"} {
+		spec, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes, _ := spec.Sizes(workload.Cell)
+		for _, spes := range []int{1, 2, 6} {
+			t.Run(fmt.Sprintf("%s/%d", name, spes), func(t *testing.T) {
+				job := spec.Make(sizes[workload.Small])
+				job.RunSequential()
+				p, err := job.Build(spes, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := Run(p, job.SharedBuffers(), Config{SPEs: spes})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := job.Verify(); err != nil {
+					t.Fatal(err)
+				}
+				owner, err := tsu.NewState(p, spes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer owner.Release()
+				want := Stats{SPEs: make([]SPEStats, spes)}
+				var instances int64
+				for _, b := range p.Blocks {
+					for _, tpl := range b.Templates {
+						for ctx := core.Context(0); ctx < tpl.Instances; ctx++ {
+							inst := core.Instance{Thread: tpl.ID, Ctx: ctx}
+							spe := &want.SPEs[owner.KernelOf(inst)]
+							spe.Executed++
+							instances++
+							for _, reg := range p.AccessTable().Row(inst) {
+								if reg.Size <= 0 {
+									continue
+								}
+								if reg.Write {
+									want.DMABytesOut += reg.Size
+								} else {
+									want.DMABytesIn += reg.Size
+								}
+								want.DMATransfers += (reg.Size + dmaChunk - 1) / dmaChunk
+								spe.DMABytes += reg.Size
+							}
+						}
+					}
+				}
+				want.Commands = instances + 2*int64(len(p.Blocks))
+				if st.DMABytesIn != want.DMABytesIn || st.DMABytesOut != want.DMABytesOut || st.DMATransfers != want.DMATransfers {
+					t.Errorf("DMA in/out/transfers = %d/%d/%d, the table says %d/%d/%d",
+						st.DMABytesIn, st.DMABytesOut, st.DMATransfers, want.DMABytesIn, want.DMABytesOut, want.DMATransfers)
+				}
+				if st.Commands != want.Commands {
+					t.Errorf("commands = %d, want %d instances + 2 × %d Blocks", st.Commands, instances, len(p.Blocks))
+				}
+				for k := range want.SPEs {
+					if st.SPEs[k] != want.SPEs[k] {
+						t.Errorf("SPE %d: %+v, its TKT share is %+v", k, st.SPEs[k], want.SPEs[k])
+					}
+				}
+			})
+		}
+	}
+}
+
+// firstOnly is a Mapping at odds with itself: every producer context
+// enables consumer 0, while its InDegree (OneToOne's) says each consumer
+// waits for one producer.
+type firstOnly struct{ core.OneToOne }
+
+func (firstOnly) AppendTargets(dst []core.Context, _, _, _ core.Context) []core.Context {
+	return append(dst, 0)
+}
+
+// panicsAt3 is a one-to-one Mapping whose arc expansion panics at
+// producer context 3.
+type panicsAt3 struct{ core.OneToOne }
+
+func (panicsAt3) AppendTargets(dst []core.Context, pctx, _, _ core.Context) []core.Context {
+	if pctx == 3 {
+		panic("mapping bang")
+	}
+	return append(dst, pctx)
+}
+
+// TestCellBrokenProgramFails: a program that breaks the TSU mid-run, by
+// over-delivering to a consumer or by a Mapping that panics while the
+// completion's arcs are expanded, ends cellsim.Run with an error naming
+// what broke, not the process.
+func TestCellBrokenProgramFails(t *testing.T) {
+	for _, tc := range []struct {
+		arcs core.Mapping
+		want []string
+	}{
+		{firstOnly{}, []string{"TSU violation", "ready count of T2.0 went negative"}},
+		{panicsAt3{}, []string{"T1.3", "mapping bang"}},
+	} {
+		prod := core.NewTemplate(1, "prod", func(core.Context) {})
+		prod.Instances = 4
+		prod.Then(2, tc.arcs)
+		cons := core.NewTemplate(2, "cons", func(core.Context) {})
+		cons.Instances = 4
+		p := core.NewProgram("broken")
+		b := p.AddBlock()
+		b.Add(prod)
+		b.Add(cons)
+		_, err := Run(p, core.NewSharedVariableBuffer(), Config{SPEs: 2})
+		for _, want := range tc.want {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%v: err = %v, want it to name %q", tc.arcs, err, want)
+			}
 		}
 	}
 }

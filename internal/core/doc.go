@@ -37,6 +37,7 @@
 //     then on.
 //
 // The package is pure data + validation: it has no scheduling logic and
-// starts no goroutine. The TSU implementations (software emulator,
-// hardware-device model, Cell PPE emulator) all consume these structures.
+// starts no goroutine. The TSU implementations (software emulator, which
+// TFluxCell's PPE reuses, hardware-device model, Fleet loop) all consume
+// these structures.
 package core

@@ -19,8 +19,8 @@ const (
 	ThreadDispatch Kind = iota
 	// ThreadComplete spans one DThread body execution on a lane.
 	ThreadComplete
-	// TSUCommand spans the TSU (emulator goroutine, PPE loop, hardware
-	// device or coordinator) processing one completion command.
+	// TSUCommand spans the TSU (emulator goroutine, on the Cell the PPE's,
+	// hardware device or coordinator) processing one completion command.
 	TSUCommand
 	// TUBDeposit marks a Kernel depositing a completion record into the
 	// Thread-to-Update Buffer.

@@ -7,11 +7,13 @@
 // request the next ready DThread, jump to its code (runner.runBody — the
 // only caller of a DThread body, which also times it), perform the
 // Post-Processing Phase, repeat; a panic in either half of an iteration
-// becomes an aborted run, not a dead process. Every
-// newly ready DThread, whoever found it ready, reaches its owner's ready
-// queue through the same stage/flush pair. Who performs the TSU side of
-// the Post-Processing Phase depends on whether the Kernel holds a lane
-// onto a sharded TSU:
+// becomes an aborted run, not a dead process. Every newly ready DThread,
+// whoever found it ready, reaches its owner's ready queue through the
+// same stage/flush pair. RunExec is the same run with a platform's Exec
+// around every body: TFluxCell (package cellsim) is RunExec with one
+// Kernel per SPE and an Exec that stages the DThread's data through the
+// SPE's Local Store. Who performs the TSU side of the Post-Processing
+// Phase depends on whether the Kernel holds a lane onto a sharded TSU:
 //
 //   - No lane (default): the Kernel expands the completed thread's
 //     consumer arcs and deposits the update record into the

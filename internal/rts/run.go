@@ -75,6 +75,19 @@ func (s *Stats) TotalExecuted() int64 {
 // panic inside a DThread body is recovered, aborts the run, and is
 // reported as an error naming the instance.
 func Run(p *core.Program, opt Options) (*Stats, error) {
+	return RunExec(p, opt, call)
+}
+
+// Exec runs one DThread instance on kernel k: at least body(inst.Ctx),
+// and whatever the platform does around it on that kernel. Inlet and
+// Outlet instances pass through it too, with a body that does nothing.
+type Exec func(k tsu.KernelID, inst core.Instance, body core.Body)
+
+// RunExec is Run with every DThread executed through exec on the kernel
+// the TKT gives it, each kernel calling it from its own goroutine. A panic
+// in exec is the DThread's. TFluxCell runs this way, exec staging the
+// instance through kernel k's Local Store.
+func RunExec(p *core.Program, opt Options, exec Exec) (*Stats, error) {
 	if opt.Kernels <= 0 {
 		opt.Kernels = 1
 	}
@@ -91,6 +104,7 @@ func Run(p *core.Program, opt Options) (*Stats, error) {
 	defer sc.release()
 	r := &runner{
 		state:   state,
+		exec:    exec,
 		queues:  sc.queues[:opt.Kernels],
 		bufs:    sc.bufs[:opt.Kernels],
 		emu:     &sc.bufs[opt.Kernels],
@@ -222,6 +236,7 @@ func publishMetrics(reg *obs.Registry, stats *Stats) {
 
 type runner struct {
 	state *tsu.State
+	exec  Exec
 	// Exactly one of tub/sharded is set: tub feeds the dedicated emulator
 	// goroutine, sharded is the per-kernel-stepped shard plane.
 	tub     *tsu.TUB
@@ -361,9 +376,9 @@ const (
 	atStep            // applying its shard's inbox
 )
 
-// runBody runs one DThread body on kernel k: it times the body, records
-// its ThreadComplete event and counts it as an application or a service
-// execution. A panicking body unwinds into the kernel's recover.
+// runBody runs one DThread on kernel k through the run's Exec: it times
+// it, records its ThreadComplete event and counts it as an application or
+// a service execution. A panicking body unwinds into the kernel's recover.
 func (r *runner) runBody(k tsu.KernelID, inst core.Instance, executed, service *int64) {
 	timed := r.sink != nil || r.mThreadNS != nil
 	var t0 time.Duration
@@ -371,7 +386,7 @@ func (r *runner) runBody(k tsu.KernelID, inst core.Instance, executed, service *
 	if timed {
 		t0, start = r.now(), time.Now()
 	}
-	r.state.Body(inst)(inst.Ctx)
+	r.exec(k, inst, r.state.Body(inst))
 	if timed {
 		dur := time.Since(start)
 		if r.sink != nil {
@@ -394,6 +409,9 @@ func (r *runner) runBody(k tsu.KernelID, inst core.Instance, executed, service *
 		*executed++
 	}
 }
+
+// call is Run's Exec: the body and nothing else.
+func call(_ tsu.KernelID, inst core.Instance, body core.Body) { body(inst.Ctx) }
 
 // now reads the observability clock (zero when no sink is attached).
 func (r *runner) now() time.Duration {

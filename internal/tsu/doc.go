@@ -24,10 +24,10 @@
 //     Indexing (§4.2), Block sequencing with synthesized Inlet/Outlet
 //     DThreads (§2), and the post-processing arc expansion. State has no
 //     goroutines and no locks: in single-driver form, exactly one driver
-//     mutates it — the Cell PPE emulator polling CommandBuffers (package
-//     cellsim), the memory-mapped hardware device model (package hardsim),
-//     the TFluxDist fleet loop (package dist), or the TFluxSoft emulator
-//     goroutine (package rts). The plain Ready Count decrement is written
+//     mutates it — the memory-mapped hardware device model (package
+//     hardsim), the TFluxDist fleet loop (package dist), or the TFluxSoft
+//     emulator goroutine (package rts), which is also TFluxCell's PPE
+//     (package cellsim runs on rts). The plain Ready Count decrement is written
 //     once (applyDec) and charged to whichever writer calls it. The TKT is
 //     the paper's closed-form chunked split, ctx → ctx·kernels/instances.
 //     The Inlet's TSU-load is the one Block load: it computes the Block's

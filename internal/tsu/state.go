@@ -39,8 +39,9 @@ type sm struct {
 }
 
 // State is the synchronization engine of the TSU Group. It is not safe for
-// concurrent mutation: one driver (the software TSU emulator, the Cell PPE
-// loop, or the simulated hardware device) serializes Decrement/Done calls.
+// concurrent mutation: one driver (the software TSU emulator, which is
+// also the Cell's PPE, the simulated hardware device, or the Fleet loop)
+// serializes Decrement/Done calls.
 // AppendConsumers, KernelOf and IsService only read immutable tables and
 // may be called from any goroutine.
 type State struct {
@@ -512,7 +513,8 @@ func (s *State) outletDone(dst []Ready, blk int, k KernelID) (ready []Ready, blo
 }
 
 // CompleteInto is the whole Post-Processing Phase for single-driver
-// platforms (the Cell PPE emulator and the hardware-device model): it
+// platforms (the hardware-device model, the Fleet loop and
+// rts.RunStream's windows): it
 // expands the consumers of inst, applies all decrements, appends the
 // instances that became ready to dst, and then processes the completion
 // itself (DoneInto). Arc expansion goes through scratch the State owns, so

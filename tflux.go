@@ -210,8 +210,8 @@ type (
 	HardResult = hardsim.Result
 	// CellConfig configures the TFluxCell substrate (cellsim.Config):
 	// SPE count and observability. Each SPE is the PlayStation 3's: a
-	// 256 KiB Local Store with 32 KiB reserved, 16 KiB DMA transfers, a
-	// 4-deep mailbox and a 16-command CommandBuffer.
+	// 256 KiB Local Store with 32 KiB reserved and 16 KiB DMA transfers.
+	// The PPE side is TFluxSoft's runtime, one Kernel per SPE.
 	CellConfig = cellsim.Config
 	// CellStats is the TFluxCell run report (cellsim.Stats).
 	CellStats = cellsim.Stats
@@ -331,10 +331,11 @@ func RunHard(p *Program, cfg HardConfig) (*HardResult, error) {
 }
 
 // RunCell executes the program on the TFluxCell substrate: cfg.SPEs
-// compute nodes with capacity-limited Local Stores, DMA staging of every
-// declared region, CommandBuffer/mailbox signalling, and the TSU emulator
-// on the PPE. Every buffer declared on the program must be registered in
-// bufs.
+// compute nodes with capacity-limited Local Stores and DMA staging of
+// every declared region, run by TFluxSoft's Kernel loop and TSU emulator
+// (the PPE). Every buffer declared on the program must be registered in
+// bufs. A DThread that panics, or a program that drives a Ready Count
+// below zero, ends the run with an error.
 func RunCell(p *Program, bufs *CellBuffers, cfg CellConfig) (*CellStats, error) {
 	return cellsim.Run(p.p, bufs, cfg)
 }
